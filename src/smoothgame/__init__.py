@@ -4,18 +4,14 @@ __version__ = "0.1.0"
 
 from .interpolation import (
     ACTION_TOL,
-    COORD_TOL,
     DuplicateKnotError,
-    Exponents,
     FeasibleInterval,
-    Interpolant,
     SamplePoint,
     SampleSet,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
     h_potential,
-    insert_point,
     nearest_gap,
     q_action,
     slope_at,
@@ -44,7 +40,6 @@ from .engine import (
 )
 from .inequalities import (
     GapReport,
-    binomial_partial,
     check_cumulative,
     check_dichotomy,
     gap_h_increment,
@@ -56,9 +51,7 @@ from .inequalities import (
 from .bernstein import (
     BernsteinPolynomial,
     DegreeCapError,
-    bernstein_approximate,
     composite_rule_action,
-    integrate_from,
     polynomial_roots,
     q_action_poly,
 )

@@ -12,13 +12,13 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Protocol
+from functools import partial
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .interpolation import (
     ACTION_TOL,
-    Interpolant,
     SampleSet,
     action_increment,
     eval_interpolant,
@@ -63,8 +63,8 @@ class Disclosure:
     def lie_count(self) -> int:
         return sum(self.lie_flags)
 
-    def truth_function(self) -> Interpolant:
-        return Interpolant(self.truth)
+    def truth_function(self) -> Callable[[float], float]:
+        return partial(eval_interpolant, self.truth)
 
 
 class Adversary(Protocol):
@@ -379,10 +379,13 @@ def verify_legality(
 ) -> bool:
     """Certify a finalized game: few enough lies and a feasible truth.
 
-    Checks that at most ``eta`` revelations are flagged as lies, that the
-    disclosed truth witness has q-action within the unit budget, and that
-    the witness actually matches every truthful revelation.
+    Checks that the disclosure flags every trial, that at most ``eta``
+    revelations are flagged as lies, that the disclosed truth witness has
+    q-action within the unit budget, and that the witness actually matches
+    every truthful revelation.
     """
+    if len(disclosure.lie_flags) != len(trials):
+        return False
     if disclosure.lie_count > eta:
         return False
     if q_action(disclosure.truth, q) > 1.0 + tol:

@@ -98,13 +98,6 @@ class BernsteinPolynomial:
             out[lo : lo + step] = bernstein_basis_matrix(n, block) @ self.coeffs
         return float(out[0]) if scalar else out
 
-    def de_casteljau(self, t: float) -> float:
-        """Classic convex-combination evaluation; O(n^2), for cross-checks."""
-        b = self.coeffs.copy()
-        for r in range(self.degree):
-            b = (1.0 - t) * b[:-1] + t * b[1:]
-        return float(b[0])
-
     def derivative(self) -> "BernsteinPolynomial":
         n = self.degree
         if n == 0:
@@ -124,15 +117,7 @@ class BernsteinPolynomial:
             raise ValueError("cannot lower the degree by elevation")
         if r == 0:
             return BernsteinPolynomial(self.coeffs.copy())
-        if r <= 8:
-            c = self.coeffs
-            for nn in range(n, target_degree):
-                k = np.arange(nn + 2)
-                left = np.concatenate(([0.0], c))
-                right = np.concatenate((c, [0.0]))
-                c = (k / (nn + 1)) * left + (1.0 - k / (nn + 1)) * right
-            return BernsteinPolynomial(c)
-        # one-shot elevation: hypergeometric mixing weights, all in [0, 1]
+        # hypergeometric mixing weights, all in [0, 1]
         w = _elevation_weights(n, target_degree)
         return BernsteinPolynomial(w @ self.coeffs)
 
@@ -142,17 +127,8 @@ class BernsteinPolynomial:
             self.elevated(n).coeffs + other.elevated(n).coeffs
         )
 
-    def __sub__(self, other: "BernsteinPolynomial") -> "BernsteinPolynomial":
-        n = max(self.degree, other.degree)
-        return BernsteinPolynomial(
-            self.elevated(n).coeffs - other.elevated(n).coeffs
-        )
-
     def scaled(self, a: float) -> "BernsteinPolynomial":
         return BernsteinPolynomial(a * self.coeffs)
-
-    def shifted(self, dv: float) -> "BernsteinPolynomial":
-        return BernsteinPolynomial(self.coeffs + dv)
 
     def subdivide(self, t: float) -> tuple["BernsteinPolynomial", "BernsteinPolynomial"]:
         """Split at t into polynomials over [0, t] and [t, 1], reparametrized."""
@@ -210,63 +186,6 @@ class BernsteinPolynomial:
 
 def constant_polynomial(v: float) -> BernsteinPolynomial:
     return BernsteinPolynomial([v])
-
-
-def integrate_from(q_poly: BernsteinPolynomial, v1: float) -> BernsteinPolynomial:
-    """Antiderivative pinned to value v1 at 0; its derivative is exactly q_poly."""
-    return q_poly.antiderivative(v1)
-
-
-# ---------------------------------------------------------------------------
-# approximation
-
-
-def bernstein_operator(g, n: int) -> BernsteinPolynomial:
-    """Degree-n Bernstein approximant of g: coefficients g(k/n)."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    nodes = np.arange(n + 1) / n
-    return BernsteinPolynomial(np.asarray(g(nodes), dtype=float))
-
-
-def bernstein_approximate(
-    g,
-    eps3: float,
-    lipschitz: float,
-    degree_cap: int = DEGREE_CAP,
-    grid_points: int = 4097,
-) -> BernsteinPolynomial:
-    """Uniform approximation of a Lipschitz g to within eps3, grid-verified.
-
-    The degree is seeded from the approximant's modulus behaviour (error
-    scales as L / sqrt(n)) and doubled until the sup error over a dense
-    grid, padded by the Lipschitz slack between grid points, clears eps3.
-    """
-    if eps3 <= 0.0:
-        raise ValueError("eps3 must be positive")
-    if lipschitz < 0.0:
-        raise ValueError("lipschitz constant must be >= 0")
-    # grid fine enough that the between-points slack is well under eps3
-    grid_points = int(max(grid_points, math.ceil(4.0 * lipschitz / eps3) + 1))
-    if grid_points > 2 ** 24:
-        raise ValueError("eps3 unresolvably small for this Lipschitz constant")
-    grid = np.linspace(0.0, 1.0, grid_points)
-    gvals = np.asarray(g(grid), dtype=float)
-    if np.ptp(gvals) == 0.0:
-        return constant_polynomial(float(gvals[0]))
-    slack = lipschitz * (grid[1] - grid[0])
-    n = int(min(max(16, (0.25 * lipschitz / eps3) ** 2), degree_cap))
-    while True:
-        poly = bernstein_operator(g, n)
-        err = float(np.max(np.abs(poly(grid) - gvals)))
-        if err + slack < eps3:
-            return poly
-        if n >= degree_cap:
-            raise DegreeCapError(
-                f"degree {n} reached the cap with grid error {err:.3e} "
-                f"(target {eps3:.3e}, Lipschitz {lipschitz:.3e})"
-            )
-        n = min(2 * n, degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +246,7 @@ def _bisect_in(poly, lo, hi, width):
     fa = poly.coeffs[0]
     while (b - a) * (hi - lo) > width:
         mid = 0.5 * (a + b)
-        fm = poly.de_casteljau(mid)
+        fm = poly(mid)
         if fm == 0.0:
             a = b = mid
             break
@@ -341,8 +260,8 @@ def _bisect_in(poly, lo, hi, width):
 
 def _grid_roots(poly, width):
     n_grid = int(min(2048, max(1024, 2 * poly.degree)))
-    xs = _root_grid(n_grid)
-    vals = _cached_grid_eval(poly, n_grid)
+    xs = np.linspace(0.0, 1.0, n_grid + 1)
+    vals = grid_values(poly, xs)
     scale = float(np.max(np.abs(vals)))
     floor = 1e-7 * scale
     roots = []
@@ -367,32 +286,46 @@ def _grid_roots(poly, width):
     return roots
 
 
-@lru_cache(maxsize=4)
-def _root_grid(n_grid: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n_grid + 1)
+_CACHED_BASIS_MAX_ENTRIES = 20_000_000
 
 
-_GRID_BASIS_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def grid_values(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
+    """Values of ``poly`` at the nodes of a fixed grid, reusing the basis.
+
+    The degree-n basis on a grid is kept in one bounded cache keyed by the
+    degree and the grid nodes (least recently used out). A basis above 20M
+    entries is never cached; ``poly`` is then evaluated directly.
+    """
+    if (poly.degree + 1) * len(xs) > _CACHED_BASIS_MAX_ENTRIES:
+        return poly(xs)
+    return _grid_basis(poly.degree, xs.tobytes()) @ poly.coeffs
 
 
-def _cached_grid_eval(poly: BernsteinPolynomial, n_grid: int) -> np.ndarray:
-    """Evaluate on the fixed root grid, caching the basis matrix per degree."""
-    key = (poly.degree, n_grid)
-    basis = _GRID_BASIS_CACHE.get(key)
-    if basis is None:
-        if (poly.degree + 1) * (n_grid + 1) > 20_000_000:
-            return poly(_root_grid(n_grid))
-        basis = bernstein_basis_matrix(poly.degree, _root_grid(n_grid))
-        if len(_GRID_BASIS_CACHE) >= 2:
-            _GRID_BASIS_CACHE.pop(next(iter(_GRID_BASIS_CACHE)))
-        _GRID_BASIS_CACHE[key] = basis
-    return basis @ poly.coeffs
+@lru_cache(maxsize=8)
+def _grid_basis(n: int, nodes: bytes) -> np.ndarray:
+    return bernstein_basis_matrix(n, np.frombuffer(nodes))
 
 
 @lru_cache(maxsize=8)
 def _gauss_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss rule on every panel."""
+    gx, gw = _gauss_rule(order)
+    e = np.asarray(edges)
+    widths = np.diff(e)
+    xs = (e[:-1][:, None] + widths[:, None] * gx[None, :]).ravel()
+    ws = (widths[:, None] * gw[None, :]).ravel()
+    return xs, ws
+
+
+@lru_cache(maxsize=4)
+def gauss_grid(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite ``order``-point Gauss rule on ``panels`` equal panels of [0, 1]."""
+    return _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
 
 
 def _piece_panels(a: float, b: float, base: int, refine_ends: bool):
@@ -413,11 +346,7 @@ def _piece_panels(a: float, b: float, base: int, refine_ends: bool):
 
 
 def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> float:
-    gx, gw = _gauss_rule(order)
-    e = np.asarray(edges)
-    widths = np.diff(e)
-    xs = (e[:-1][:, None] + widths[:, None] * gx[None, :]).ravel()
-    ws = (widths[:, None] * gw[None, :]).ravel()
+    xs, ws = _panel_rule(edges, order)
     vals = np.abs(deriv(xs)) ** q
     return float(np.dot(ws, vals))
 

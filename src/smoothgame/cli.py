@@ -35,6 +35,15 @@ EXIT_CONFIG = 1
 EXIT_ILLEGAL = 2
 EXIT_VIOLATION = 3
 
+# The certified bounds the sweeps and ``report`` check, and the absolute
+# slack every such check allows for rounding.
+CERTIFIED_BOUNDS = {
+    "epsilon_ceiling": lambda eps: 6.0 / eps,  # linint vs greedy at p = q = 1 + eps
+    "forced_lower": lambda eta: 2 * eta + 1,   # scripted liar, p >= 2
+    "staged_upper": lambda eta: 12 * eta + 6,  # staged learner vs any liar, p, q >= 2
+}
+BOUND_SLACK = 1e-9
+
 COMMANDS = ("simulate", "sweep-epsilon", "sweep-eta", "verify-lemmas", "poly-build", "report")
 
 
@@ -125,7 +134,7 @@ def _epsilon_cell(cell):
         adversary_options={"query_policy": policy},
     )
     tr = run_game(config)
-    bound = 6.0 / eps
+    bound = CERTIFIED_BOUNDS["epsilon_ceiling"](eps)
     return [eps, policy, seed, tr.counted_total, bound, tr.counted_total / bound]
 
 
@@ -149,7 +158,7 @@ def cmd_sweep_epsilon(args) -> int:
         rows,
         comment="columns: epsilon vs counted error total and the 6/epsilon ceiling",
     )
-    violations = sum(1 for r in rows if r[5] > 1.0 + 1e-9)
+    violations = sum(1 for r in rows if r[5] > 1.0 + BOUND_SLACK)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -161,8 +170,8 @@ def _eta_cell(cell):
         total = run_game(config).counted_total
         return [[0, "linint", "greedy", total, "", 1.0, ""]]
     rows = []
-    lb = 2 * eta + 1
-    ub = 12 * eta + 6
+    lb = CERTIFIED_BOUNDS["forced_lower"](eta)
+    ub = CERTIFIED_BOUNDS["staged_upper"](eta)
     for learner in ("linint", "staged"):
         config = GameConfig.make(p=p, q=q, rounds=10 * eta + 10, eta=eta,
                                  learner=learner, adversary="noisy-lb", seed=0)
@@ -204,9 +213,9 @@ def cmd_sweep_eta(args) -> int:
     )
     violations = 0
     for row in rows:
-        if row[4] != "" and row[3] < float(row[4]) - 1e-9:
+        if row[4] != "" and row[3] < float(row[4]) - BOUND_SLACK:
             violations += 1
-        if row[6] != "" and row[3] > float(row[6]) + 1e-9:
+        if row[6] != "" and row[3] > float(row[6]) + BOUND_SLACK:
             violations += 1
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -351,15 +360,15 @@ def cmd_report(args) -> int:
         bad = 0
         if "ratio" in header:
             col = header.index("ratio")
-            bad = sum(1 for r in body if r[col] and float(r[col]) > 1.0 + 1e-9)
+            bad = sum(1 for r in body if r[col] and float(r[col]) > 1.0 + BOUND_SLACK)
         if "forced_lower_bound" in header:
             lo = header.index("forced_lower_bound")
             ob = header.index("observed_total")
             up = header.index("upper_bound")
             for r in body:
-                if r[lo] and float(r[ob]) < float(r[lo]) - 1e-9:
+                if r[lo] and float(r[ob]) < float(r[lo]) - BOUND_SLACK:
                     bad += 1
-                if r[up] and float(r[ob]) > float(r[up]) + 1e-9:
+                if r[up] and float(r[ob]) > float(r[up]) + BOUND_SLACK:
                     bad += 1
         violations += bad
         lines.append(f"- sweep `{path.name}`: {len(body)} rows, {bad} bound violations")

@@ -298,6 +298,11 @@ def run_noisy_game(config: GameConfig) -> Transcript:
             TrialRecord(t, x, prediction, y, None, None, 0.0, 0.0, t >= uncounted)
         )
     disclosure = adversary.finalize()
+    if len(disclosure.lie_flags) != len(tr.trials):
+        raise IllegalAdversaryError(
+            f"disclosure carries {len(disclosure.lie_flags)} lie flags "
+            f"for {len(tr.trials)} trials"
+        )
     truth = disclosure.truth_function()
     for rec, lied in zip(tr.trials, disclosure.lie_flags):
         rec.lie = lied

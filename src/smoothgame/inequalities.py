@@ -127,26 +127,6 @@ def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
     return total
 
 
-def binomial_partial(q: float, z: float, terms: int) -> float:
-    """Partial sum of the generalized binomial series for (1 + z)^q.
-
-    Diagnostic helper: converges to the direct power for |z| < 1, with the
-    tail shrinking geometrically once k exceeds q.
-    """
-    if not abs(z) < 1.0:
-        raise ValueError(f"|z|={abs(z)} must be < 1")
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
-    total = 1.0
-    coeff = 1.0
-    power = 1.0
-    for k in range(1, terms + 1):
-        coeff *= (q - k + 1.0) / k
-        power *= z
-        total += coeff * power
-    return total
-
-
 def _check_ab(a: float, b: float) -> None:
     if not (0.0 < a <= b):
         raise ValueError(f"requires 0 < a <= b, got a={a}, b={b}")

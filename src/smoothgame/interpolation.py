@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-COORD_TOL = 1e-12
 ACTION_TOL = 1e-9
 
 
@@ -100,11 +99,6 @@ class SampleSet:
             self.us[:i] + (pt.u,) + self.us[i:],
             self.vs[:i] + (pt.v,) + self.vs[i:],
         )
-
-
-def insert_point(s: SampleSet, pt: SamplePoint) -> SampleSet:
-    """Insert a point, preserving order; duplicate u is an error."""
-    return s.insert(pt.u, pt.v)
 
 
 def eval_interpolant(s: SampleSet, x: float) -> float:
@@ -351,52 +345,3 @@ def _check_q(q: float) -> None:
         return
     if not (q >= 1.0 and math.isfinite(q)):
         raise ValueError(f"q={q} must be >= 1 or inf")
-
-
-class Interpolant:
-    """Callable view of a sample set's piecewise-linear interpolant."""
-
-    __slots__ = ("sample_set",)
-
-    def __init__(self, sample_set: SampleSet):
-        self.sample_set = sample_set
-
-    def __call__(self, x: float) -> float:
-        return eval_interpolant(self.sample_set, x)
-
-    def slope_at(self, x: float) -> float:
-        return slope_at(self.sample_set, x)
-
-    def nearest_gap(self, x: float) -> float:
-        return nearest_gap(self.sample_set, x)
-
-    def q_action(self, q: float) -> float:
-        return q_action(self.sample_set, q)
-
-
-@dataclass(frozen=True)
-class Exponents:
-    """The (p, q) pair of a game: error exponent and action exponent."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (self.p > 0.0 and math.isfinite(self.p)):
-            raise ValueError(f"p={self.p} must be positive and finite")
-        if not (self.q >= 1.0):
-            raise ValueError(f"q={self.q} must be >= 1 (inf allowed)")
-
-    @property
-    def epsilon(self) -> float:
-        """q - 1, the action exponent's distance from the critical value."""
-        return self.q - 1.0
-
-    @property
-    def delta(self) -> float:
-        """p - 1, the error exponent's distance from the critical value."""
-        return self.p - 1.0
-
-    @property
-    def sup_norm_action(self) -> bool:
-        return math.isinf(self.q)

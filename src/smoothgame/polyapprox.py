@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,6 +37,8 @@ from .bernstein import (
     DegreeCapError,
     bernstein_basis_matrix,
     constant_polynomial,
+    gauss_grid,
+    grid_values,
     q_action_poly,
 )
 from .interpolation import SampleSet, q_action
@@ -138,32 +139,11 @@ class BudgetPlan:
     degree: int
 
 
-# cached Gauss grid for fast in-pipeline action estimates
-@lru_cache(maxsize=4)
-def _action_grid(panels: int, order: int):
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    xs = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    ws = (half[:, None] * (0.5 * gw)[None, :] * 2.0).ravel()
-    return xs, ws
-
-
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
 def _grid_action(deriv_coeffs: np.ndarray, q: float) -> float:
     """Fast composite-Gauss estimate of the action of a derivative poly."""
-    xs, ws = _action_grid(192, 8)
-    n = len(deriv_coeffs) - 1
-    basis = _BASIS_CACHE.get(n)
-    if basis is None or basis.shape[0] != len(xs):
-        basis = bernstein_basis_matrix(n, xs)
-        if len(_BASIS_CACHE) >= 6:
-            _BASIS_CACHE.pop(next(iter(_BASIS_CACHE)))
-        _BASIS_CACHE[n] = basis
-    return float(np.dot(ws, np.abs(basis @ deriv_coeffs) ** q))
+    xs, ws = gauss_grid(192, 8)
+    vals = grid_values(BernsteinPolynomial(deriv_coeffs), xs)
+    return float(np.dot(ws, np.abs(vals) ** q))
 
 
 def _kantorovich_coeffs(antideriv, n: int) -> np.ndarray:

@@ -188,6 +188,15 @@ class TestVerifyLegality:
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
         assert verify_legality(trials, Disclosure([False, True], truth), 1, 2.0)
 
+    def test_flag_count_must_match_trials(self):
+        from smoothgame.adversaries import Disclosure, verify_legality
+
+        trials = [self.Rec(0.0, 0.2), self.Rec(1.0, 0.3)]
+        truth = SampleSet.from_pairs([(0.0, 0.2), (1.0, 0.3)])
+        assert verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
+        assert not verify_legality(trials, Disclosure([False], truth), 1, 2.0)
+        assert not verify_legality(trials, Disclosure([False, False, False], truth), 1, 2.0)
+
 
 class TestRandomLiar:
     def test_eta_zero_matches_greedy(self):

@@ -38,6 +38,24 @@ class TestSimulate:
         assert summary["legality"] is True
         assert summary["lie_count"] == 2
 
+    def test_short_disclosure_exit_2(self, tmp_path):
+        from smoothgame.adversaries import Disclosure, RandomLiarAdversary
+        from smoothgame.engine import register_adversary
+
+        class ShortLiar(RandomLiarAdversary):
+            def finalize(self):
+                disc = super().finalize()
+                return Disclosure(disc.lie_flags[:-1], disc.truth)
+
+        register_adversary(
+            "short-liar-cli", lambda c: ShortLiar(c.eta, c.q, seed=c.seed, rounds=c.rounds)
+        )
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "eta": 1, "rounds": 40,
+            "learner": "staged", "adversary": "short-liar-cli",
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

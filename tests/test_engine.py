@@ -319,3 +319,23 @@ class TestStagedOverflowGuard:
             adversary="over-liar", seed=13,
         ))
         assert bad.legality is False
+
+
+class TestDisclosureLength:
+    def test_short_disclosure_is_illegal(self):
+        # a disclosure cut short used to be zipped against the trials, which
+        # certified the game legal on the first 10 trials alone
+        from smoothgame.adversaries import RandomLiarAdversary
+
+        class ShortLiar(RandomLiarAdversary):
+            def finalize(self):
+                disc = super().finalize()
+                return Disclosure(disc.lie_flags[:10], disc.truth)
+
+        register_adversary(
+            "short-liar", lambda c: ShortLiar(c.eta, c.q, seed=c.seed, rounds=c.rounds)
+        )
+        config = GameConfig.make(p=2.0, q=2.0, rounds=200, eta=1, learner="staged",
+                                 adversary="short-liar", seed=3)
+        with pytest.raises(IllegalAdversaryError, match="10 lie flags for 200 trials"):
+            run_noisy_game(config)

@@ -4,7 +4,6 @@ import pytest
 
 from smoothgame.inequalities import (
     GAP_IDS,
-    binomial_partial,
     check_cumulative,
     check_dichotomy,
     cumulative_slope_gap,
@@ -157,30 +156,6 @@ class TestCumulative:
         for _ in range(50):
             seq = random_feasible_sequence(rng, 50)
             assert check_cumulative(seq, p)
-
-
-class TestBinomialPartial:
-    def test_single_term(self):
-        assert binomial_partial(1.5, 0.5, 0) == 1.0
-
-    def test_converges_to_power(self):
-        assert binomial_partial(1.5, 0.5, 40) == pytest.approx(1.5 ** 1.5, abs=1e-9)
-
-    def test_integer_exponent_terminates(self):
-        for z in (-0.7, 0.3, 0.9):
-            assert binomial_partial(2.0, z, 2) == pytest.approx((1 + z) ** 2)
-            assert binomial_partial(2.0, z, 25) == pytest.approx((1 + z) ** 2)
-
-    def test_tail_shrinks_geometrically(self):
-        q, z = 1.3, 0.5
-        target = (1 + z) ** q
-        errs = [abs(binomial_partial(q, z, k) - target) for k in (10, 20, 30)]
-        assert errs[1] < errs[0] * 0.01
-        assert errs[2] < errs[1] * 0.01
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_partial(1.5, 1.0, 10)
 
 
 class TestSearch:

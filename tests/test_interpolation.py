@@ -5,15 +5,12 @@ import pytest
 
 from smoothgame.interpolation import (
     DuplicateKnotError,
-    Exponents,
-    Interpolant,
     SamplePoint,
     SampleSet,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
     h_potential,
-    insert_point,
     nearest_gap,
     q_action,
     slope_at,
@@ -26,16 +23,16 @@ def S(*pairs):
 
 class TestSampleSet:
     def test_insert_into_empty(self):
-        s = insert_point(SampleSet(), SamplePoint(0.5, 0.3))
+        s = SampleSet().insert(0.5, 0.3)
         assert list(s) == [(0.5, 0.3)]
 
     def test_insert_reorders(self):
-        s = insert_point(S((0.2, 0.0)), SamplePoint(0.1, 1.0))
+        s = S((0.2, 0.0)).insert(0.1, 1.0)
         assert list(s) == [(0.1, 1.0), (0.2, 0.0)]
 
     def test_duplicate_u_rejected(self):
         with pytest.raises(DuplicateKnotError):
-            insert_point(S((0.2, 0.0)), SamplePoint(0.2, 5.0))
+            S((0.2, 0.0)).insert(0.2, 5.0)
 
     def test_u_outside_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -288,28 +285,3 @@ class TestFeasibleInterval:
     def test_budget_below_action_errors(self):
         with pytest.raises(ValueError):
             feasible_reply_interval(S((0, 0), (1, 1)), 0.5, 2, 0.5)
-
-
-class TestInterpolantView:
-    def test_callable_view(self):
-        f = Interpolant(S((0, 0), (1, 1)))
-        assert f(0.25) == 0.25
-        assert f.slope_at(0.5) == 1.0
-        assert f.q_action(2) == pytest.approx(1.0)
-
-
-class TestExponents:
-    def test_accessors(self):
-        e = Exponents(p=1.5, q=1.25)
-        assert e.delta == pytest.approx(0.5)
-        assert e.epsilon == pytest.approx(0.25)
-        assert not e.sup_norm_action
-
-    def test_sup_norm_marker(self):
-        assert Exponents(p=2, q=math.inf).sup_norm_action
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Exponents(p=0.0, q=2)
-        with pytest.raises(ValueError):
-            Exponents(p=2, q=0.5)
