@@ -115,16 +115,20 @@ def van_der_corput(i: int) -> float:
 
 
 class _QueryChooser:
-    """Shared query selection for the greedy-style adversaries."""
+    """Query selection for the greedy adversary.
 
-    def __init__(self, policy: str, rng: np.random.Generator | None, sequence=None):
+    ``choose`` is passed the adversary's truth set. The adversary answers
+    each query before it asks the next, so that set holds every query
+    returned so far and none is returned twice.
+    """
+
+    def __init__(self, policy: str, rng: np.random.Generator, sequence=None):
         self.policy = policy
         self.rng = rng
         self.sequence = list(sequence) if sequence is not None else None
         self._seq_pos = 0
         self._vdc_pos = 0
         self._gap_heap: list[tuple[float, float, float]] = []
-        self._seen: set[float] = set()
 
     def choose(self, s: SampleSet) -> float:
         if self.policy == "widest-gap-midpoint":
@@ -132,8 +136,7 @@ class _QueryChooser:
         if self.policy == "uniform-random":
             while True:
                 x = float(self.rng.uniform())
-                if x not in self._seen and not s.contains_u(x):
-                    self._seen.add(x)
+                if not s.contains_u(x):
                     return x
         # fixed-sequence
         while True:
@@ -145,8 +148,7 @@ class _QueryChooser:
             else:
                 x = van_der_corput(self._vdc_pos)
                 self._vdc_pos += 1
-            if x not in self._seen and not s.contains_u(x):
-                self._seen.add(x)
+            if not s.contains_u(x):
                 return x
 
     def _widest_gap(self, s: SampleSet) -> float:
@@ -175,7 +177,20 @@ class _QueryChooser:
 
 
 class GreedyAdversary:
-    """Standard-model adversary revealing worst feasible truthful values."""
+    """Feasibility-greedy adversary that lies on ``eta`` random trials.
+
+    The truthful value of every trial is the greedy feasible endpoint with
+    respect to the truth set. On ``eta`` trials drawn up front from the
+    first ``rounds`` the revelation is that value +-``lie_magnitude``
+    instead. With ``eta = 0`` (the default) every revelation is true and
+    this is the standard-model adversary. The truth set is disclosed at the
+    end for actual-error accounting.
+
+    Random draws come from one generator seeded by ``seed``, in this order:
+    the lie schedule (only when ``eta > 0``), then the queries, then a sign
+    at each lie. So an ``eta = 0`` liar plays the same game as the truthful
+    adversary.
+    """
 
     def __init__(
         self,
@@ -183,30 +198,52 @@ class GreedyAdversary:
         cfg: GreedyConfig | None = None,
         seed: int | None = None,
         sequence=None,
+        *,
+        eta: int = 0,
+        rounds: int = 0,
+        lie_magnitude: float = 0.75,
     ):
+        if eta < 0:
+            raise ValueError("eta must be >= 0")
+        if not 0.0 <= lie_magnitude <= 1.0:
+            raise ValueError("lie_magnitude must be in [0, 1]")
         self.q = q
         self.cfg = cfg or GreedyConfig()
-        rng = np.random.default_rng(seed) if self.cfg.query_policy == "uniform-random" else None
-        self._chooser = _QueryChooser(self.cfg.query_policy, rng, sequence)
-        self.revealed = SampleSet()
+        self.lie_magnitude = lie_magnitude
+        self.rng = np.random.default_rng(seed)
+        self._lie_trials: set[int] = set()
+        if eta > 0:
+            draws = self.rng.choice(rounds, size=min(eta, rounds), replace=False)
+            self._lie_trials = set(int(i) for i in draws)
+        self._chooser = _QueryChooser(self.cfg.query_policy, self.rng, sequence)
+        self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
 
     def next_query(self, t: int) -> float:
-        return self._chooser.choose(self.revealed)
+        return self._chooser.choose(self.truth_set)
 
     def reveal(self, x: float, prediction: float) -> float:
-        y = greedy_reveal(self.revealed, x, prediction, self.q, self.cfg, self._action)
-        self._action += action_increment(self.revealed, x, y, self.q)
-        self.revealed = self.revealed.insert(x, y)
-        self._lies.append(False)
+        y = greedy_reveal(self.truth_set, x, prediction, self.q, self.cfg, self._action)
+        self._action += action_increment(self.truth_set, x, y, self.q)
+        self.truth_set = self.truth_set.insert(x, y)
+        lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
+        self._lies.append(lie)
+        if lie:
+            sign = 1.0 if self.rng.uniform() < 0.5 else -1.0
+            return y + sign * self.lie_magnitude
         return y
 
     def done(self, t: int) -> bool:
         return False
 
     def finalize(self) -> Disclosure:
-        return Disclosure(list(self._lies), self.revealed)
+        return Disclosure(list(self._lies), self.truth_set)
+
+
+# ``random-liar`` is the same adversary; the engine registers it with
+# uniform-random queries by default.
+RandomLiarAdversary = GreedyAdversary
 
 
 class NoisyLowerBoundAdversary:
@@ -310,64 +347,6 @@ class InsufficientInitAdversary:
         truth = SampleSet([0.0], [self.constant])
         flags = [y != self.constant for y in self._reveals]
         return Disclosure(flags, truth)
-
-
-class RandomLiarAdversary:
-    """Greedy adversary with a hidden truth that lies on a few random trials.
-
-    The truthful value of every trial is the greedy feasible endpoint with
-    respect to the hidden truthful set; on ``eta`` pre-drawn trials the
-    revelation is perturbed by +-``lie_magnitude`` instead. Ground truth is
-    disclosed at the end for actual-error accounting.
-    """
-
-    def __init__(
-        self,
-        eta: int,
-        q: float,
-        seed: int,
-        rounds: int,
-        lie_magnitude: float = 0.75,
-        cfg: GreedyConfig | None = None,
-    ):
-        if eta < 0:
-            raise ValueError("eta must be >= 0")
-        if not 0.0 <= lie_magnitude <= 1.0:
-            raise ValueError("lie_magnitude must be in [0, 1]")
-        self.eta = eta
-        self.q = q
-        self.lie_magnitude = lie_magnitude
-        self.cfg = cfg or GreedyConfig(query_policy="uniform-random")
-        self.rng = np.random.default_rng(seed)
-        n_lies = min(eta, rounds)
-        self._lie_trials = set(
-            int(i) for i in self.rng.choice(rounds, size=n_lies, replace=False)
-        )
-        self._chooser = _QueryChooser(self.cfg.query_policy, self.rng)
-        self.truth_set = SampleSet()
-        self._action = 0.0
-        self._lies: list[bool] = []
-
-    def next_query(self, t: int) -> float:
-        return self._chooser.choose(self.truth_set)
-
-    def reveal(self, x: float, prediction: float) -> float:
-        t = len(self._lies)
-        y_true = greedy_reveal(self.truth_set, x, prediction, self.q, self.cfg, self._action)
-        self._action += action_increment(self.truth_set, x, y_true, self.q)
-        self.truth_set = self.truth_set.insert(x, y_true)
-        if t in self._lie_trials and self.lie_magnitude > 0.0:
-            self._lies.append(True)
-            sign = 1.0 if self.rng.uniform() < 0.5 else -1.0
-            return y_true + sign * self.lie_magnitude
-        self._lies.append(False)
-        return y_true
-
-    def done(self, t: int) -> bool:
-        return False
-
-    def finalize(self) -> Disclosure:
-        return Disclosure(list(self._lies), self.truth_set)
 
 
 def verify_legality(

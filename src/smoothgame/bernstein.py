@@ -121,15 +121,6 @@ class BernsteinPolynomial:
         w = _elevation_weights(n, target_degree)
         return BernsteinPolynomial(w @ self.coeffs)
 
-    def __add__(self, other: "BernsteinPolynomial") -> "BernsteinPolynomial":
-        n = max(self.degree, other.degree)
-        return BernsteinPolynomial(
-            self.elevated(n).coeffs + other.elevated(n).coeffs
-        )
-
-    def scaled(self, a: float) -> "BernsteinPolynomial":
-        return BernsteinPolynomial(a * self.coeffs)
-
     def subdivide(self, t: float) -> tuple["BernsteinPolynomial", "BernsteinPolynomial"]:
         """Split at t into polynomials over [0, t] and [t, 1], reparametrized."""
         b = self.coeffs.copy()

@@ -39,6 +39,7 @@ EXIT_VIOLATION = 3
 # slack every such check allows for rounding.
 CERTIFIED_BOUNDS = {
     "epsilon_ceiling": lambda eps: 6.0 / eps,  # linint vs greedy at p = q = 1 + eps
+    "standard_unit": lambda: 1.0,              # linint vs greedy, p, q >= 2
     "forced_lower": lambda eta: 2 * eta + 1,   # scripted liar, p >= 2
     "staged_upper": lambda eta: 12 * eta + 6,  # staged learner vs any liar, p, q >= 2
 }
@@ -168,7 +169,7 @@ def _eta_cell(cell):
         config = GameConfig.make(p=p, q=q, rounds=rounds, eta=0,
                                  learner="linint", adversary="greedy", seed=0)
         total = run_game(config).counted_total
-        return [[0, "linint", "greedy", total, "", 1.0, ""]]
+        return [[0, "linint", "greedy", total, "", "", CERTIFIED_BOUNDS["standard_unit"]()]]
     rows = []
     lb = CERTIFIED_BOUNDS["forced_lower"](eta)
     ub = CERTIFIED_BOUNDS["staged_upper"](eta)
@@ -209,7 +210,8 @@ def cmd_sweep_eta(args) -> int:
         ["eta", "learner", "adversary", "observed_total", "forced_lower_bound",
          "lb_ratio", "upper_bound"],
         rows,
-        comment="scripted liar must force >= 2*eta+1; staged learner must stay <= 12*eta+6",
+        comment="eta=0 standard game must stay <= 1; scripted liar must force >= 2*eta+1; "
+                "staged learner must stay <= 12*eta+6",
     )
     violations = 0
     for row in rows:

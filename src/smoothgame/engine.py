@@ -25,10 +25,9 @@ from .adversaries import (
     GreedyConfig,
     InsufficientInitAdversary,
     NoisyLowerBoundAdversary,
-    RandomLiarAdversary,
     verify_legality,
 )
-from .interpolation import ACTION_TOL, SampleSet, action_increment
+from .interpolation import ACTION_TOL, SampleSet, action_increment, eval_interpolant
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
@@ -177,7 +176,7 @@ def _greedy_factory(cfg: GameConfig) -> GreedyAdversary:
     return GreedyAdversary(cfg.q, gc, seed=cfg.seed, sequence=sequence)
 
 
-def _random_liar_factory(cfg: GameConfig) -> RandomLiarAdversary:
+def _random_liar_factory(cfg: GameConfig) -> GreedyAdversary:
     opts = cfg.adversary_opts()
     gc = GreedyConfig(
         query_policy=opts.pop("query_policy", "uniform-random"),
@@ -185,9 +184,9 @@ def _random_liar_factory(cfg: GameConfig) -> RandomLiarAdversary:
     )
     lie_magnitude = opts.pop("lie_magnitude", 0.75)
     _reject_unknown("random-liar adversary", opts)
-    return RandomLiarAdversary(
-        cfg.eta, cfg.q, seed=cfg.seed, rounds=cfg.rounds,
-        lie_magnitude=lie_magnitude, cfg=gc,
+    return GreedyAdversary(
+        cfg.q, gc, seed=cfg.seed, eta=cfg.eta, rounds=cfg.rounds,
+        lie_magnitude=lie_magnitude,
     )
 
 
@@ -239,16 +238,15 @@ def run_standard_game(config: GameConfig) -> Transcript:
     tr = Transcript(config)
     revealed = SampleSet()
     running_action = 0.0
-    known: dict[float, float] = {}
     for t in range(config.rounds):
         if adversary.done(t):
             break
         x = adversary.next_query(t)
         counted = t >= uncounted
-        if x in known:
+        if revealed.contains_u(x):
             if config.duplicate_policy == "reject":
                 raise DuplicateQueryError(f"trial {t}: repeated query x={x}")
-            y = known[x]
+            y = eval_interpolant(revealed, x)
             tr.trials.append(TrialRecord(t, x, y, y, None, y, 0.0, 0.0, counted))
             continue
         prediction = learner.predict(x)
@@ -260,7 +258,6 @@ def run_standard_game(config: GameConfig) -> Transcript:
                 f"trial {t}: revealed set action {running_action} exceeds the unit budget"
             )
         revealed = revealed.insert(x, y)
-        known[x] = y
         learner.observe(x, y)
         raw = abs(prediction - y)
         tr.trials.append(

@@ -84,11 +84,9 @@ class SampleSet:
     def __repr__(self) -> str:
         return f"SampleSet({list(zip(self.us, self.vs))!r})"
 
-    def contains_u(self, u: float, tol: float = 0.0) -> bool:
+    def contains_u(self, u: float) -> bool:
         i = bisect_left(self.us, u)
-        if i < len(self.us) and abs(self.us[i] - u) <= tol:
-            return True
-        return i > 0 and abs(self.us[i - 1] - u) <= tol
+        return i < len(self.us) and self.us[i] == u
 
     def insert(self, u: float, v: float) -> "SampleSet":
         pt = SamplePoint(u, v)
@@ -244,9 +242,6 @@ class FeasibleInterval:
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def clamp(self, y: float) -> float:
-        return min(max(y, self.lo), self.hi)
-
 
 def feasible_reply_interval(
     s: SampleSet,
@@ -274,12 +269,12 @@ def feasible_reply_interval(
     if slack < -ACTION_TOL:
         raise ValueError(f"budget {budget} below current action {base_action}")
     slack = max(slack, 0.0)
-    center = eval_interpolant(s, x)
 
     if math.isinf(q):
         return _feasible_interval_sup(s, x, budget)
 
     if q == 2.0:
+        center = eval_interpolant(s, x)
         i = bisect_left(s.us, x)
         if i == 0:
             r = math.sqrt(slack * (s.us[0] - x))
@@ -304,6 +299,7 @@ def feasible_reply_interval(
     def overshoot(y: float) -> float:
         return action_increment(s, x, y, q) - slack
 
+    center = eval_interpolant(s, x)
     hi = _bisect_boundary(overshoot, center, +1.0, tol)
     lo = _bisect_boundary(overshoot, center, -1.0, tol)
     return FeasibleInterval(lo, hi)

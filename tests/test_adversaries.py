@@ -13,6 +13,9 @@ from smoothgame.adversaries import (
 from smoothgame.interpolation import SampleSet, q_action
 
 
+RANDOM_QUERIES = GreedyConfig(query_policy="uniform-random")
+
+
 def S(*pairs):
     return SampleSet.from_pairs(pairs)
 
@@ -48,7 +51,7 @@ class TestGreedyAdversary:
         for t in range(200):
             x = adv.next_query(t)
             adv.reveal(x, 0.1)
-        assert q_action(adv.revealed, 2.0) <= 1.0 + 1e-9
+        assert q_action(adv.truth_set, 2.0) <= 1.0 + 1e-9
         disc = adv.finalize()
         assert disc.lie_count == 0
 
@@ -65,7 +68,7 @@ class TestGreedyAdversary:
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="fixed-sequence"))
         xs = [adv.next_query(t) for t in range(4)]
         for x in xs:
-            adv.revealed = adv.revealed.insert(x, 0.0)
+            adv.truth_set = adv.truth_set.insert(x, 0.0)
         assert xs == [van_der_corput(i) for i in range(4)]
 
     def test_same_seed_same_queries(self):
@@ -200,18 +203,23 @@ class TestVerifyLegality:
 
 class TestRandomLiar:
     def test_eta_zero_matches_greedy(self):
-        liar = RandomLiarAdversary(0, 2.0, seed=11, rounds=50,
-                                   cfg=GreedyConfig(query_policy="widest-gap-midpoint"))
-        greedy = GreedyAdversary(2.0, GreedyConfig(query_policy="widest-gap-midpoint"))
+        # no lie schedule is drawn at eta = 0, so the liar asks the truthful
+        # adversary's queries: the generator's first draws
+        liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=11, eta=0, rounds=50)
+        draws = np.random.default_rng(11).uniform(size=50)
         for t in range(50):
-            xl, xg = liar.next_query(t), greedy.next_query(t)
-            assert xl == xg
-            assert liar.reveal(xl, 0.2) == greedy.reveal(xg, 0.2)
+            x = liar.next_query(t)
+            assert x == draws[t]
+            want = greedy_reveal(liar.truth_set, x, 0.2, 2.0, RANDOM_QUERIES)
+            assert liar.reveal(x, 0.2) == want
         assert liar.finalize().lie_count == 0
+
+    def test_random_liar_is_greedy(self):
+        assert RandomLiarAdversary is GreedyAdversary
 
     def test_lie_budget_respected(self):
         for eta in (1, 2, 3):
-            liar = RandomLiarAdversary(eta, 2.0, seed=4, rounds=100)
+            liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=4, eta=eta, rounds=100)
             for t in range(100):
                 liar.reveal(liar.next_query(t), 0.0)
             disc = liar.finalize()
@@ -219,13 +227,13 @@ class TestRandomLiar:
             assert q_action(disc.truth, 2.0) <= 1.0 + 1e-12
 
     def test_zero_magnitude_means_no_lies(self):
-        liar = RandomLiarAdversary(3, 2.0, seed=4, rounds=40, lie_magnitude=0.0)
+        liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=4, eta=3, rounds=40, lie_magnitude=0.0)
         for t in range(40):
             liar.reveal(liar.next_query(t), 0.0)
         assert liar.finalize().lie_count == 0
 
     def test_lies_differ_from_truth(self):
-        liar = RandomLiarAdversary(2, 2.0, seed=8, rounds=60)
+        liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=8, eta=2, rounds=60)
         reveals = []
         for t in range(60):
             x = liar.next_query(t)

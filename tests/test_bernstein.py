@@ -78,13 +78,6 @@ class TestCalculus:
             xs = rng.uniform(0, 1, 20)
             assert np.allclose(e(xs), p(xs), atol=1e-11)
 
-    def test_arithmetic(self):
-        a = from_power(1.0, 2.0)
-        b = from_power(0.0, 0.0, 3.0)
-        s = a + b
-        xs = np.linspace(0, 1, 7)
-        assert np.allclose(s(xs), 1 + 2 * xs + 3 * xs ** 2, atol=1e-12)
-
 
 class TestPowerBasis:
     def test_round_trip_exact_path(self):

@@ -39,7 +39,7 @@ class TestSimulate:
         assert summary["lie_count"] == 2
 
     def test_short_disclosure_exit_2(self, tmp_path):
-        from smoothgame.adversaries import Disclosure, RandomLiarAdversary
+        from smoothgame.adversaries import Disclosure, GreedyConfig, RandomLiarAdversary
         from smoothgame.engine import register_adversary
 
         class ShortLiar(RandomLiarAdversary):
@@ -47,8 +47,10 @@ class TestSimulate:
                 disc = super().finalize()
                 return Disclosure(disc.lie_flags[:-1], disc.truth)
 
+        queries = GreedyConfig(query_policy="uniform-random")
         register_adversary(
-            "short-liar-cli", lambda c: ShortLiar(c.eta, c.q, seed=c.seed, rounds=c.rounds)
+            "short-liar-cli",
+            lambda c: ShortLiar(c.q, queries, seed=c.seed, eta=c.eta, rounds=c.rounds),
         )
         cfg = write(tmp_path / "c.json", {
             "p": 2, "q": 2, "eta": 1, "rounds": 40,
@@ -112,8 +114,27 @@ class TestSweeps:
         assert run("sweep-eta", "--config", cfg, "--out", str(out)) == 0
         text = (out / "sweep_eta.csv").read_text()
         assert "noisy-lb" in text and "random-liar" in text
-        # the eta=0 row reports plain standard-model totals
-        assert any(row.startswith("0,linint,greedy") for row in text.splitlines())
+        # the eta=0 row reports the standard-model total against the unit bound
+        [row] = [r for r in text.splitlines() if r.startswith("0,linint,greedy")]
+        assert row.split(",")[4:] == ["", "", "1.0"]
+
+    def test_eta_zero_row_is_checked(self, tmp_path, monkeypatch):
+        # a standard-model total above 1 fails both the sweep and the report
+        from smoothgame import cli
+
+        real_run_game = cli.run_game
+
+        def inflated(config):
+            tr = real_run_game(config)
+            if config.eta == 0:
+                tr.counted_total = 1.5
+            return tr
+
+        monkeypatch.setattr(cli, "run_game", inflated)
+        cfg = write(tmp_path / "c.json", {"etas": [0], "rounds": 50})
+        out = tmp_path / "out"
+        assert run("sweep-eta", "--config", cfg, "--out", str(out)) == 3
+        assert run("report", "--config", str(out), "--out", str(tmp_path / "rep")) == 3
 
     def test_eta_sweep_certification_guard(self, tmp_path):
         cfg = write(tmp_path / "c.json", {"etas": [1], "p": 1.5})

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from smoothgame.adversaries import Disclosure
+from smoothgame.adversaries import Disclosure, GreedyConfig
 from smoothgame.engine import (
     CSV_HEADER,
     GameConfig,
@@ -311,8 +311,10 @@ class TestStagedOverflowGuard:
                         break
                 return Disclosure(flags, disc.truth)
 
+        queries = GreedyConfig(query_policy="uniform-random")
         engine.register_adversary(
-            "over-liar", lambda c: OverLiar(c.eta, c.q, seed=c.seed, rounds=c.rounds)
+            "over-liar",
+            lambda c: OverLiar(c.q, queries, seed=c.seed, eta=c.eta, rounds=c.rounds),
         )
         bad = run_noisy_game(GameConfig.make(
             p=2.0, q=2.0, rounds=50, eta=1, learner="linint",
@@ -332,8 +334,10 @@ class TestDisclosureLength:
                 disc = super().finalize()
                 return Disclosure(disc.lie_flags[:10], disc.truth)
 
+        queries = GreedyConfig(query_policy="uniform-random")
         register_adversary(
-            "short-liar", lambda c: ShortLiar(c.eta, c.q, seed=c.seed, rounds=c.rounds)
+            "short-liar",
+            lambda c: ShortLiar(c.q, queries, seed=c.seed, eta=c.eta, rounds=c.rounds),
         )
         config = GameConfig.make(p=2.0, q=2.0, rounds=200, eta=1, learner="staged",
                                  adversary="short-liar", seed=3)

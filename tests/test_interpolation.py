@@ -256,7 +256,7 @@ class TestFeasibleInterval:
             us = np.sort(rng.choice(np.linspace(0, 1, 499), size=m, replace=False))
             vs = rng.normal(size=m) * 0.3
             s = SampleSet(us, vs)
-            q = float(rng.choice([1.0, 1.3, 2.0, 2.7]))
+            q = float(rng.choice([1.0, 1.3, 2.0, 2.7, math.inf]))
             budget = q_action(s, q) + float(rng.uniform(0.05, 1.0))
             x = float(rng.uniform())
             if s.contains_u(x):

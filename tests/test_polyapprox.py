@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from smoothgame.bernstein import q_action_poly
+from smoothgame.bernstein import BernsteinPolynomial, q_action_poly
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.polyapprox import (
     SmoothedDerivative,
@@ -301,6 +301,5 @@ class TestActionBudgetLedger:
             {k: (lambda p: (lambda x: p(float(x))))(p) for k, p in parts.items()},
             list(zip(us, vs)),
         )
-        combined = sum((p.scaled(weights[k]) for k, p in parts.items()),
-                       start=parts[frozenset()].scaled(0.0))
+        combined = BernsteinPolynomial(sum(weights[k] * p.coeffs for k, p in parts.items()))
         assert q_action_poly(combined, q) <= worst + 1e-9
