@@ -342,19 +342,14 @@ def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> 
     return float(np.dot(ws, vals))
 
 
-def q_action_poly(
-    poly: BernsteinPolynomial,
-    q: float,
-    tol: float = 1e-9,
-    allow_fallback: bool = True,
-) -> float:
+def q_action_poly(poly: BernsteinPolynomial, q: float, tol: float = 1e-9) -> float:
     """Action integral of |P'|^q over [0, 1] to absolute tolerance ``tol``.
 
     The domain is split at the derivative's roots so |P'| is smooth on each
     piece; panels are refined geometrically toward the roots where the
     integrand has a fractional-power zero. Convergence is certified by
     doubling the panel count; on failure the dense composite rule takes
-    over (or an error is raised when ``allow_fallback`` is off).
+    over.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
@@ -376,9 +371,7 @@ def q_action_poly(
         if prev is not None and abs(total - prev) <= 0.5 * tol:
             return total
         prev = total
-    if allow_fallback:
-        return composite_rule_action(poly, q)
-    raise RuntimeError("action quadrature did not converge and fallback is disabled")
+    return composite_rule_action(poly, q)
 
 
 def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:

@@ -74,6 +74,27 @@ def _load_config(path: str, allowed: dict) -> dict:
 _REQUIRED = object()
 
 
+def _bound_violations(header: list[str], rows: list[list]) -> int:
+    """Broken certified bounds in a sweep table; empty cells carry no bound.
+
+    Cells may be numbers or the text a CSV reader returns.
+    """
+    col = {name: i for i, name in enumerate(header)}
+    bad = 0
+    for r in rows:
+        ratio = r[col["ratio"]] if "ratio" in col else ""
+        if ratio != "" and float(ratio) > 1.0 + BOUND_SLACK:
+            bad += 1
+        if "forced_lower_bound" in col:
+            observed = float(r[col["observed_total"]])
+            lower, upper = r[col["forced_lower_bound"]], r[col["upper_bound"]]
+            if lower != "" and observed < float(lower) - BOUND_SLACK:
+                bad += 1
+            if upper != "" and observed > float(upper) + BOUND_SLACK:
+                bad += 1
+    return bad
+
+
 def _write_csv(path: pathlib.Path, header: list[str], rows: list[list], comment: str = "") -> None:
     buf = io.StringIO()
     if comment:
@@ -153,14 +174,14 @@ def cmd_sweep_epsilon(args) -> int:
     rows = _run_cells(_epsilon_cell, cells, args.workers)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    header = ["epsilon", "policy", "seed", "observed_total", "bound", "ratio"]
     _write_csv(
         out / "sweep_epsilon.csv",
-        ["epsilon", "policy", "seed", "observed_total", "bound", "ratio"],
+        header,
         rows,
         comment="columns: epsilon vs counted error total and the 6/epsilon ceiling",
     )
-    violations = sum(1 for r in rows if r[5] > 1.0 + BOUND_SLACK)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
 
 def _eta_cell(cell):
@@ -205,21 +226,16 @@ def cmd_sweep_eta(args) -> int:
     rows = [row for group in nested for row in group]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    header = ["eta", "learner", "adversary", "observed_total", "forced_lower_bound",
+              "lb_ratio", "upper_bound"]
     _write_csv(
         out / "sweep_eta.csv",
-        ["eta", "learner", "adversary", "observed_total", "forced_lower_bound",
-         "lb_ratio", "upper_bound"],
+        header,
         rows,
         comment="eta=0 standard game must stay <= 1; scripted liar must force >= 2*eta+1; "
                 "staged learner must stay <= 12*eta+6",
     )
-    violations = 0
-    for row in rows:
-        if row[4] != "" and row[3] < float(row[4]) - BOUND_SLACK:
-            violations += 1
-        if row[6] != "" and row[3] > float(row[6]) + BOUND_SLACK:
-            violations += 1
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
 
 def _run_cells(fn, cells, workers):
@@ -359,19 +375,7 @@ def cmd_report(args) -> int:
         rows = [r for r in csv.reader(
             line for line in path.read_text().splitlines() if not line.startswith("#"))]
         header, body = rows[0], rows[1:]
-        bad = 0
-        if "ratio" in header:
-            col = header.index("ratio")
-            bad = sum(1 for r in body if r[col] and float(r[col]) > 1.0 + BOUND_SLACK)
-        if "forced_lower_bound" in header:
-            lo = header.index("forced_lower_bound")
-            ob = header.index("observed_total")
-            up = header.index("upper_bound")
-            for r in body:
-                if r[lo] and float(r[ob]) < float(r[lo]) - BOUND_SLACK:
-                    bad += 1
-                if r[up] and float(r[ob]) > float(r[up]) + BOUND_SLACK:
-                    bad += 1
+        bad = _bound_violations(header, body)
         violations += bad
         lines.append(f"- sweep `{path.name}`: {len(body)} rows, {bad} bound violations")
     lines += ["", f"total bound violations: {violations}"]

@@ -2,9 +2,11 @@
 
 Each gap function returns ``LHS - RHS`` of one inequality used in the regret
 analysis; all of them are expected to be nonnegative over their stated
-domains. ``search_near_violation`` hammers each domain with uniform,
-boundary-biased and locally refined samples and reports the smallest gap
-found, flagging anything below ``-tolerance`` as a violation.
+domains. ``gap_out``, ``gap_in`` and ``gap_two_variable`` take scalars or
+equal-shape arrays, and every element must lie in the domain.
+``search_near_violation`` hammers each domain with uniform, boundary-biased
+and locally refined samples and reports the smallest gap found, flagging
+anything below ``-tolerance`` as a violation.
 """
 
 from __future__ import annotations
@@ -29,33 +31,33 @@ from .interpolation import (
 DEFAULT_TOL = 1e-9
 
 
-def gap_out(a: float, b: float, q: float, x: float) -> float:
+def gap_out(a, b, q, x):
     """Gap of the exterior two-segment inequality, valid for |x| >= a."""
     _check_ab(a, b)
-    if b >= 1.0 or a + b > 1.0:
+    if not _every((b < 1.0) & (a + b <= 1.0)):
         raise ValueError("requires b < 1 and a + b <= 1")
     _check_q_open(q)
-    if abs(x) < a:
+    if not _every(abs(x) >= a):
         raise ValueError(f"|x|={abs(x)} must be >= a={a}")
     lhs = a * abs(x / a + 1.0) ** q + b * abs(x / b - 1.0) ** q - (a + b)
     return lhs - (q - 1.0) * abs(x) ** q / 3.0
 
 
-def gap_in(a: float, b: float, q: float, x: float) -> float:
+def gap_in(a, b, q, x):
     """Gap of the interior quadratic-lower-bound inequality, |x| < a."""
     _check_ab(a, b)
     _check_q_open(q)
-    if not (-a < x < a):
+    if not _every((-a < x) & (x < a)):
         raise ValueError(f"x={x} must lie in (-{a}, {a})")
     lhs = a * (1.0 + x / a) ** q + b * (1.0 - x / b) ** q - (a + b)
     return lhs - q * (q - 1.0) * x * x / (3.0 * a)
 
 
-def gap_two_variable(p: float, x: float) -> float:
+def gap_two_variable(p, x):
     """Gap of x^p - (x-1)^(p-1) x >= p - 1 for p > 1, x >= 2."""
-    if not p > 1.0:
+    if not _every(p > 1.0):
         raise ValueError(f"p={p} must be > 1")
-    if not x >= 2.0:
+    if not _every(x >= 2.0):
         raise ValueError(f"x={x} must be >= 2")
     return x ** p - (x - 1.0) ** (p - 1.0) * x - (p - 1.0)
 
@@ -73,17 +75,23 @@ def check_dichotomy(
     _check_q_open(q)
     if len(s) < 1:
         raise ValueError("dichotomy needs a nonempty set")
+    margin1, margin2 = _dichotomy_margins(s, pt, q)
+    return margin1 >= -tol, margin2 >= -tol
+
+
+def _dichotomy_margins(s: SampleSet, pt: SamplePoint, q: float) -> tuple[float, float]:
+    # increment minus each branch's lower bound; branch 2 is -inf at zero
+    # slope with nonzero error, where its right-hand side diverges
     inc = action_increment(s, pt.u, pt.v, q)
     err = pt.v - eval_interpolant(s, pt.u)
-    branch1 = inc >= (q - 1.0) / 3.0 * abs(err) ** q - tol
+    margin1 = inc - (q - 1.0) / 3.0 * abs(err) ** q
     if err == 0.0:
-        return branch1, True
+        return margin1, inc
     m = slope_at(s, pt.u)
     if m == 0.0:
-        return branch1, False
+        return margin1, -math.inf
     d = nearest_gap(s, pt.u)
-    rhs2 = (q - 1.0) / (3.0 * abs(m) ** (2.0 - q) * d) * err * err
-    return branch1, inc >= rhs2 - tol
+    return margin1, inc - (q - 1.0) / (3.0 * abs(m) ** (2.0 - q) * d) * err * err
 
 
 def gap_h_increment(s: SampleSet, pt: SamplePoint, p: float) -> float:
@@ -127,13 +135,18 @@ def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
     return total
 
 
-def _check_ab(a: float, b: float) -> None:
-    if not (0.0 < a <= b):
+def _every(cond) -> bool:
+    # comparisons of Python floats give a bool; skip numpy's reduction there
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _check_ab(a, b) -> None:
+    if not _every((0.0 < a) & (a <= b)):
         raise ValueError(f"requires 0 < a <= b, got a={a}, b={b}")
 
 
-def _check_q_open(q: float) -> None:
-    if not (1.0 < q < 2.0):
+def _check_q_open(q) -> None:
+    if not _every((1.0 < q) & (q < 2.0)):
         raise ValueError(f"q={q} must lie in the open interval (1, 2)")
 
 
@@ -191,12 +204,11 @@ def _sample_out(rng, n):
     a_hi = np.minimum(b, 1.0 - b)
     a_hi = np.maximum(a_hi, 2e-7)
     a = np.minimum(_mix_log_uniform(rng, n, 1e-7, 1.0), 1.0) * a_hi
-    a = np.maximum(np.minimum(a, b), 1e-9)
+    # the 2e-7 floor on a_hi exceeds 1 - b when b > 1 - 2e-7
+    a = np.minimum(np.maximum(np.minimum(a, b), 1e-9), 1.0 - b)
     mag = a + (4.0 - a) * _mix_log_uniform(rng, n, 1e-9, 1.0)
     x = np.where(rng.uniform(size=n) < 0.5, mag, -mag)
-    lhs = a * np.abs(x / a + 1.0) ** q + b * np.abs(x / b - 1.0) ** q - (a + b)
-    gaps = lhs - (q - 1.0) * np.abs(x) ** q / 3.0
-    return {"a": a, "b": b, "q": q, "x": x}, gaps
+    return {"a": a, "b": b, "q": q, "x": x}
 
 
 def _sample_in(rng, n):
@@ -208,16 +220,13 @@ def _sample_in(rng, n):
     biased = np.sign(t) * (1.0 - 10.0 ** rng.uniform(-9.0, 0.0, size=n))
     t = np.where(rng.uniform(size=n) < 0.4, biased, t)
     x = a * t * (1.0 - 1e-12)
-    lhs = a * (1.0 + x / a) ** q + b * (1.0 - x / b) ** q - (a + b)
-    gaps = lhs - q * (q - 1.0) * x * x / (3.0 * a)
-    return {"a": a, "b": b, "q": q, "x": x}, gaps
+    return {"a": a, "b": b, "q": q, "x": x}
 
 
 def _sample_two_variable(rng, n):
     p = 1.0 + _mix_log_uniform(rng, n, 1e-7, 7.0)
     x = 2.0 + _mix_log_uniform(rng, n, 1e-9, 1e4 - 2.0)
-    gaps = x ** p - (x - 1.0) ** (p - 1.0) * x - (p - 1.0)
-    return {"p": p, "x": x}, gaps
+    return {"p": p, "x": x}
 
 
 def _sample_q_open(rng, n):
@@ -228,10 +237,11 @@ def _sample_q_open(rng, n):
     return 1.0 + np.clip(z, 1e-9, 1.0 - 1e-9)
 
 
+# gap id -> (gap function, sampler of its parameters as arrays)
 _SCALAR_SEARCHES = {
-    "out": _sample_out,
-    "in": _sample_in,
-    "two_variable": _sample_two_variable,
+    "out": (gap_out, _sample_out),
+    "in": (gap_in, _sample_in),
+    "two_variable": (gap_two_variable, _sample_two_variable),
 }
 
 
@@ -283,7 +293,7 @@ def _fresh_x(rng, s: SampleSet) -> float:
 
 
 def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
-    sampler = _SCALAR_SEARCHES[gap_id]
+    scalar_gap, sampler = _SCALAR_SEARCHES[gap_id]
     refine_budget = budget // 4
     scan_budget = budget - refine_budget
     best = math.inf
@@ -292,7 +302,8 @@ def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
     done = 0
     while done < scan_budget:
         n = min(scan_budget - done, 50_000)
-        params, gaps = sampler(rng, n)
+        params = sampler(rng, n)
+        gaps = scalar_gap(**params)
         done += n
         violations += int(np.count_nonzero(gaps < -tol))
         i = int(np.argmin(gaps))
@@ -300,7 +311,6 @@ def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
             best = float(gaps[i])
             best_params = {k: float(v[i]) for k, v in params.items()}
     # local refinement: shrink multiplicative perturbations around the minimum
-    scalar_gap = {"out": gap_out, "in": gap_in, "two_variable": gap_two_variable}[gap_id]
     center = dict(best_params)
     scale = 0.5
     done_ref = 0
@@ -325,78 +335,57 @@ def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
     return GapReport(gap_id, budget, best, best_params, violations, tol)
 
 
-def _search_h_increment(budget: int, rng, tol: float) -> GapReport:
+def _search_samples(gap_id: str, budget: int, rng, tol: float, draw) -> GapReport:
+    """Score ``budget`` draws; ``draw(rng)`` returns one (gap, parameters) pair."""
     best = math.inf
     best_params: dict = {}
     violations = 0
     for _ in range(budget):
-        m = int(rng.integers(2, 9))
-        s = random_feasible_set(rng, 1.0, m)
-        p = 1.0 + float(_mix_log_uniform(rng, 1, 1e-6, 3.0)[0])
-        x = _fresh_x(rng, s)
-        base = eval_interpolant(s, x)
-        spread = float(10.0 ** rng.uniform(-6, 0.3))
-        y = base if rng.uniform() < 0.1 else base + spread * rng.normal()
-        pt = SamplePoint(x, y)
-        g = gap_h_increment(s, pt, p)
+        g, params = draw(rng)
         if g < -tol:
             violations += 1
         if g < best:
-            best = g
-            best_params = {"p": p, "x": x, "y": y, "set_size": m}
-    return GapReport("h_increment", budget, best, best_params, violations, tol)
+            best, best_params = g, params
+    return GapReport(gap_id, budget, best, best_params, violations, tol)
 
 
-def _search_dichotomy(budget: int, rng, tol: float) -> GapReport:
+def _draw_h_increment(rng):
+    m = int(rng.integers(2, 9))
+    s = random_feasible_set(rng, 1.0, m)
+    p = 1.0 + float(_mix_log_uniform(rng, 1, 1e-6, 3.0)[0])
+    x = _fresh_x(rng, s)
+    base = eval_interpolant(s, x)
+    spread = float(10.0 ** rng.uniform(-6, 0.3))
+    y = base if rng.uniform() < 0.1 else base + spread * rng.normal()
+    g = gap_h_increment(s, SamplePoint(x, y), p)
+    return g, {"p": p, "x": x, "y": y, "set_size": m}
+
+
+def _draw_dichotomy(rng):
     # the effective gap of an either/or claim is the larger branch margin
-    best = math.inf
-    best_params: dict = {}
-    violations = 0
-    for _ in range(budget):
-        q = float(_sample_q_open(rng, 1)[0])
-        m = int(rng.integers(1, 9))
-        s = random_feasible_set(rng, q, m)
-        x = _fresh_x(rng, s)
-        base = eval_interpolant(s, x)
-        spread = float(10.0 ** rng.uniform(-6, 0.5))
-        y = base if rng.uniform() < 0.05 else base + spread * rng.normal()
-        pt = SamplePoint(x, y)
-        inc = action_increment(s, x, y, q)
-        err = y - base
-        margin1 = inc - (q - 1.0) / 3.0 * abs(err) ** q
-        if err == 0.0:
-            margin2 = inc
-        else:
-            slope = slope_at(s, x)
-            if slope == 0.0:
-                margin2 = -math.inf
-            else:
-                d = nearest_gap(s, x)
-                margin2 = inc - (q - 1.0) / (3.0 * abs(slope) ** (2.0 - q) * d) * err * err
-        g = max(margin1, margin2)
-        if g < -tol:
-            violations += 1
-        if g < best:
-            best = g
-            best_params = {"q": q, "x": x, "y": y, "set_size": m}
-    return GapReport("dichotomy", budget, best, best_params, violations, tol)
+    q = float(_sample_q_open(rng, 1)[0])
+    m = int(rng.integers(1, 9))
+    s = random_feasible_set(rng, q, m)
+    x = _fresh_x(rng, s)
+    base = eval_interpolant(s, x)
+    spread = float(10.0 ** rng.uniform(-6, 0.5))
+    y = base if rng.uniform() < 0.05 else base + spread * rng.normal()
+    g = max(_dichotomy_margins(s, SamplePoint(x, y), q))
+    return g, {"q": q, "x": x, "y": y, "set_size": m}
 
 
-def _search_cumulative(budget: int, rng, tol: float) -> GapReport:
-    best = math.inf
-    best_params: dict = {}
-    violations = 0
-    for _ in range(budget):
-        p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
-        length = int(rng.integers(5, 51))
-        seq = random_feasible_sequence(rng, length)
-        g = 1.0 / (p - 1.0) - cumulative_slope_gap(seq, p)
-        if g < -tol:
-            violations += 1
-        if g < best:
-            best = g
-            best_params = {"p": p, "length": length}
-    return GapReport("cumulative", budget, best, best_params, violations, tol)
+def _draw_cumulative(rng):
+    p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
+    length = int(rng.integers(5, 51))
+    g = 1.0 / (p - 1.0) - cumulative_slope_gap(random_feasible_sequence(rng, length), p)
+    return g, {"p": p, "length": length}
+
+
+_SAMPLE_SEARCHES = {
+    "h_increment": _draw_h_increment,
+    "dichotomy": _draw_dichotomy,
+    "cumulative": _draw_cumulative,
+}
 
 
 GAP_IDS = ("out", "in", "two_variable", "h_increment", "dichotomy", "cumulative")
@@ -412,10 +401,6 @@ def search_near_violation(
     rng = np.random.default_rng(seed)
     if gap_id in _SCALAR_SEARCHES:
         return _search_scalar(gap_id, budget, rng, tol)
-    if gap_id == "h_increment":
-        return _search_h_increment(budget, rng, tol)
-    if gap_id == "dichotomy":
-        return _search_dichotomy(budget, rng, tol)
-    if gap_id == "cumulative":
-        return _search_cumulative(budget, rng, tol)
+    if gap_id in _SAMPLE_SEARCHES:
+        return _search_samples(gap_id, budget, rng, tol, _SAMPLE_SEARCHES[gap_id])
     raise ValueError(f"unknown gap_id {gap_id!r}; known: {GAP_IDS}")

@@ -180,17 +180,25 @@ def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
 
     Computed from the one or two segments the new point touches, which keeps
     per-trial feasibility checks O(log m) and avoids cancellation between
-    large totals.
+    large totals; at q = inf the current sup still takes one scan.
     """
     _check_q(q)
     m = len(s)
     if m == 0:
         return 0.0
-    if math.isinf(q):
-        return q_action(s.insert(x, y), q) - q_action(s, q)
     i = bisect_left(s.us, x)
     if i < m and s.us[i] == x:
         raise DuplicateKnotError(f"x={x} already a knot")
+    if math.isinf(q):
+        # the split segment's slope lies between the two new ones, so the
+        # sup can only grow to the largest slope the new point touches
+        old = q_action(s, q)
+        new = old
+        if i > 0:
+            new = max(new, abs(y - s.vs[i - 1]) / (x - s.us[i - 1]))
+        if i < m:
+            new = max(new, abs(s.vs[i] - y) / (s.us[i] - x))
+        return new - old
     if i == 0:
         gap = s.us[0] - x
         dv = s.vs[0] - y
@@ -248,15 +256,14 @@ def feasible_reply_interval(
     x: float,
     q: float,
     budget: float,
-    tol: float = 1e-12,
     base_action: float | None = None,
 ) -> FeasibleInterval:
     """All y such that inserting (x, y) keeps the q-action within ``budget``.
 
     The action is convex in y with minimum 0 at the interpolant value, so
     the feasible set is a closed interval; endpoints are found in closed
-    form for q = 2 and q = inf, and by bisection to absolute tolerance
-    ``tol`` otherwise. The empty set yields an unbounded interval.
+    form for q = 1, 2 and inf, and by bisection to absolute tolerance 1e-12
+    otherwise. The empty set yields an unbounded interval.
     """
     _check_q(q)
     if len(s) == 0:
@@ -300,19 +307,19 @@ def feasible_reply_interval(
         return action_increment(s, x, y, q) - slack
 
     center = eval_interpolant(s, x)
-    hi = _bisect_boundary(overshoot, center, +1.0, tol)
-    lo = _bisect_boundary(overshoot, center, -1.0, tol)
+    hi = _bisect_boundary(overshoot, center, +1.0)
+    lo = _bisect_boundary(overshoot, center, -1.0)
     return FeasibleInterval(lo, hi)
 
 
-def _bisect_boundary(overshoot, center: float, direction: float, tol: float) -> float:
+def _bisect_boundary(overshoot, center: float, direction: float) -> float:
     step = 1.0
     while overshoot(center + direction * step) <= 0.0:
         step *= 2.0
         if step > 1e12:
             raise RuntimeError("feasible interval endpoint search diverged")
     inner, outer = 0.0, step
-    while outer - inner > tol:
+    while outer - inner > 1e-12:
         mid = 0.5 * (inner + outer)
         if overshoot(center + direction * mid) <= 0.0:
             inner = mid

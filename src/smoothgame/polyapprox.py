@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class SmoothedDerivative:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys)
-
-    def lipschitz(self) -> float:
-        dx = np.diff(self.xs)
-        keep = dx > 0.0
-        if not np.any(keep):
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.ys)[keep] / dx[keep])))
 
     def integral_to(self, x):
         """Exact antiderivative from 0, vectorized (piecewise quadratic)."""
@@ -205,19 +198,17 @@ def _build_near_interpolant(
     v1 = float(vs[0])
     while True:
         coeffs = _kantorovich_coeffs(smooth.integral_to, n)
-        for _ in range(6):
+        basis = bernstein_basis_matrix(n + 1, us)
+        # up to six correction rounds, each followed by a fresh residual
+        for corrections in range(7):
             anti = np.concatenate(([0.0], np.cumsum(coeffs))) / (n + 1)
-            p_at_knots = bernstein_basis_matrix(n + 1, us) @ anti + v1
-            resid = p_at_knots - vs
+            resid = basis @ anti + v1 - vs
             shift = 0.5 * (resid.max() + resid.min())
-            if np.max(np.abs(resid - shift)) <= 0.9 * eps3:
+            spread = float(np.max(np.abs(resid - shift)))
+            if spread <= 0.9 * eps3 or corrections == 6:
                 break
             coeffs = coeffs + _kantorovich_coeffs(_hat_antideriv(us, -resid), n)
-        anti = np.concatenate(([0.0], np.cumsum(coeffs))) / (n + 1)
-        p_at_knots = bernstein_basis_matrix(n + 1, us) @ anti + v1
-        resid = p_at_knots - vs
-        shift = 0.5 * (resid.max() + resid.min())
-        resid_ok = np.max(np.abs(resid - shift)) < eps3
+        resid_ok = spread < eps3
         action_est = _grid_action(coeffs, q)
         action_ok = action_est < base_action + 0.9 * act_slack
         if resid_ok and action_ok:
@@ -228,7 +219,7 @@ def _build_near_interpolant(
         if n >= degree_cap:
             raise DegreeCapError(
                 f"degree cap {degree_cap} reached: residual "
-                f"{float(np.max(np.abs(resid - shift))):.3e} vs {res_target:.3e}, "
+                f"{spread:.3e} vs {res_target:.3e}, "
                 f"action {action_est:.6f} vs {base_action + act_slack:.6f} "
                 f"(smoothed-derivative action {smooth_action:.6f})"
             )
@@ -256,33 +247,37 @@ def approx_interpolant_poly(
 
 
 def weighted_combine(
-    fns: Mapping[frozenset, Callable[[float], float]],
-    targets: list[tuple[float, float]],
-) -> tuple[dict[frozenset, float], Callable[[float], float]]:
+    values: Mapping[frozenset, Sequence[float]],
+    targets: Sequence[float],
+) -> dict[frozenset, float]:
     """Convex weights making sign-patterned handles interpolate exactly.
 
-    ``fns`` maps each subset X of target indices to a handle that is above
-    target i exactly when i is in X. The recursion merges the half-families
-    containing and missing the last index, each already exact on the
-    earlier targets, and solves one scalar weight at the last target.
+    ``values`` maps each subset X of target indices to one handle's values
+    at the k targets; the handle must be above target i exactly when i is
+    in X. The recursion merges the half-families containing and missing the
+    last index, each already exact on the earlier targets, and solves one
+    scalar weight at the last target. The weighted sum of the handles'
+    values must hit every target to 1e-10.
     """
     k = len(targets)
     expected = 1 << k
-    if len(fns) != expected:
-        raise ValueError(f"need {expected} handles for {k} targets, got {len(fns)}")
-    values: dict[frozenset, np.ndarray] = {}
+    if len(values) != expected:
+        raise ValueError(f"need {expected} handles for {k} targets, got {len(values)}")
+    rows: dict[frozenset, np.ndarray] = {}
     for key in _all_subsets(k):
-        if key not in fns:
+        if key not in values:
             raise ValueError(f"missing handle for subset {sorted(key)}")
-        vals = np.array([float(fns[key](u)) for u, _ in targets])
-        for i, (_, v) in enumerate(targets):
-            above = vals[i] > v
-            if vals[i] == v or above != (i in key):
+        row = np.asarray(values[key], dtype=float)
+        if row.shape != (k,):
+            raise ValueError(f"handle for subset {sorted(key)} needs {k} values, got {row.size}")
+        for i, v in enumerate(targets):
+            above = row[i] > v
+            if row[i] == v or above != (i in key):
                 raise ValueError(
                     f"handle for subset {sorted(key)} is on the wrong side of "
-                    f"target {i}: value {vals[i]} vs {v}"
+                    f"target {i}: value {row[i]} vs {v}"
                 )
-        values[key] = vals
+        rows[key] = row
 
     def solve(level: int, keys: list[frozenset]) -> dict[frozenset, float]:
         if level == 0:
@@ -293,26 +288,22 @@ def weighted_combine(
         group_b = [key for key in keys if idx not in key]
         wa = solve(level - 1, group_a)
         wb = solve(level - 1, group_b)
-        fa = sum(w * values[key][idx] for key, w in wa.items())
-        fb = sum(w * values[key][idx] for key, w in wb.items())
-        target = targets[idx][1]
-        w = (target - fb) / (fa - fb)
+        fa = sum(w * rows[key][idx] for key, w in wa.items())
+        fb = sum(w * rows[key][idx] for key, w in wb.items())
+        w = (targets[idx] - fb) / (fa - fb)
         out = {key: w * wv for key, wv in wa.items()}
         out.update({key: (1.0 - w) * wv for key, wv in wb.items()})
         return out
 
-    weights = solve(k, list(values))
+    weights = solve(k, list(rows))
     total = sum(weights.values())
     if not (abs(total - 1.0) <= 1e-12 and all(-1e-15 <= w <= 1.0 + 1e-12 for w in weights.values())):
         raise RuntimeError("combination weights left the simplex")
-
-    def combined(x: float) -> float:
-        return sum(w * fns[key](x) for key, w in weights.items())
-
-    for u, v in targets:
-        if abs(combined(u) - v) > 1e-10:
-            raise RuntimeError(f"combined handle misses target at {u}")
-    return weights, combined
+    hit = sum(w * rows[key] for key, w in weights.items())
+    for i, v in enumerate(targets):
+        if abs(hit[i] - v) > 1e-10:
+            raise RuntimeError(f"combined handle misses target {i}: {hit[i]} vs {v}")
+    return weights
 
 
 def _all_subsets(k: int):
@@ -395,13 +386,8 @@ def exact_interpolant_poly(
             )
             parts[key] = poly
             top_degree = max(top_degree, poly.degree)
-        parts = {k: p.elevated(top_degree) for k, p in parts.items()}
-        handles = {k: _knot_evaluator(p, us) for k, p in parts.items()}
-        weights, _ = weighted_combine(handles, list(zip(us, vs)))
-        combined = np.zeros(top_degree + 1)
-        for key, w in weights.items():
-            combined += w * parts[key].coeffs
-        poly = BernsteinPolynomial(combined)
+        weights = weighted_combine({k: p(us) for k, p in parts.items()}, vs)
+        poly = _combine_by_degree(parts, weights, top_degree)
         resid = float(np.max(np.abs(poly(us) - vs)))
         action = q_action_poly(poly, q, tol=action_tol)
         if resid <= 1e-8 and action < 1.0:
@@ -414,10 +400,19 @@ def exact_interpolant_poly(
         degree_floor = 2 * top_degree
 
 
-def _knot_evaluator(poly: BernsteinPolynomial, us: np.ndarray):
-    table = {float(u): float(poly(float(u))) for u in us}
+def _combine_by_degree(
+    parts: Mapping[frozenset, BernsteinPolynomial],
+    weights: Mapping[frozenset, float],
+    top_degree: int,
+) -> BernsteinPolynomial:
+    """The weighted sum of the parts, written at ``top_degree``.
 
-    def handle(x: float) -> float:
-        return table[float(x)]
-
-    return handle
+    Elevation is linear, so the parts of one degree are summed first and
+    each per-degree sum is elevated once.
+    """
+    by_degree: dict[int, np.ndarray] = {}
+    for key, w in weights.items():
+        coeffs = parts[key].coeffs
+        by_degree[len(coeffs)] = by_degree.get(len(coeffs), 0.0) + w * coeffs
+    return BernsteinPolynomial(sum(
+        BernsteinPolynomial(c).elevated(top_degree).coeffs for c in by_degree.values()))

@@ -4,6 +4,7 @@ import pytest
 
 from smoothgame.inequalities import (
     GAP_IDS,
+    _sample_out,
     check_cumulative,
     check_dichotomy,
     cumulative_slope_gap,
@@ -78,6 +79,35 @@ class TestGapTwoVariable:
             gap_two_variable(1.0, 3.0)
         with pytest.raises(ValueError):
             gap_two_variable(2.0, 1.5)
+
+
+class TestGapArrays:
+    @pytest.mark.parametrize("fn,params,bad", [
+        (gap_out, {"a": [0.25, 0.1], "b": [0.25, 0.9], "q": [1.5, 1.5], "x": [0.25, -0.1]},
+         ("x", 1, 0.05)),
+        (gap_in, {"a": [0.5, 0.1], "b": [0.5, 0.9], "q": [1.5, 1.2], "x": [0.25, 0.05]},
+         ("x", 0, 0.5)),
+        (gap_two_variable, {"p": [2.0, 1.5], "x": [2.0, 3.0]}, ("x", 1, 1.5)),
+    ])
+    def test_arrays_match_scalars_and_reject_one_bad_element(self, fn, params, bad):
+        arrays = {k: np.array(v) for k, v in params.items()}
+        scalars = [fn(**{k: v[i] for k, v in params.items()}) for i in range(2)]
+        assert np.allclose(fn(**arrays), scalars, rtol=1e-14, atol=1e-15)
+        name, i, value = bad
+        arrays[name][i] = value
+        with pytest.raises(ValueError):
+            fn(**arrays)
+
+    def test_out_sampler_keeps_a_plus_b_at_most_one(self):
+        # every draw at the top of its range puts b within 2e-7 of 1
+        class TopRng:
+            def uniform(self, low=0.0, high=1.0, size=None):
+                return np.full(size, low + (high - low) * (1.0 - 1e-12))
+
+        params = _sample_out(TopRng(), 4)
+        assert np.all(params["b"] > 1.0 - 2e-7)
+        assert np.all(params["a"] + params["b"] <= 1.0)
+        gap_out(**params)
 
 
 class TestDichotomy:

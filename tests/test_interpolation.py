@@ -142,7 +142,7 @@ class TestAction:
             us = np.sort(rng.choice(np.linspace(0, 1, 997), size=m, replace=False))
             vs = rng.normal(size=m)
             s = SampleSet(us, vs)
-            q = float(rng.uniform(1, 4))
+            q = math.inf if rng.uniform() < 0.3 else float(rng.uniform(1, 4))
             x = float(rng.uniform())
             if s.contains_u(x):
                 continue
@@ -152,6 +152,9 @@ class TestAction:
             full = after - q_action(s, q)
             # the full-recompute oracle loses digits subtracting large totals
             assert inc == pytest.approx(full, abs=1e-9 * max(1.0, after))
+        for q in (2.0, math.inf):
+            with pytest.raises(DuplicateKnotError):
+                action_increment(S((0.2, 0.0), (0.6, 1.0)), 0.6, 0.3, q)
 
     def test_minimality_of_interpolant(self):
         # any denser set through the same points has at least this action

@@ -6,6 +6,7 @@ from smoothgame.bernstein import BernsteinPolynomial, q_action_poly
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.polyapprox import (
     SmoothedDerivative,
+    _combine_by_degree,
     approx_interpolant_poly,
     exact_interpolant_poly,
     perturbation_margin,
@@ -53,7 +54,8 @@ class TestSmoothedDerivative:
             f = SmoothedDerivative(s, eps2)
             xs = np.linspace(0, 1, 2001)
             vals = f(xs)
-            assert np.max(np.abs(np.diff(vals))) <= f.lipschitz() / 2000 + 1e-12
+            lipschitz = np.max(np.abs(np.diff(f.ys) / np.diff(f.xs)))
+            assert np.max(np.abs(np.diff(vals))) <= lipschitz / 2000 + 1e-12
 
     def test_plateau_matches_interpolant_slope(self):
         s = S((0.1, 0.0), (0.5, 0.3), (0.9, 0.1))
@@ -175,53 +177,64 @@ class TestApproxInterpolant:
 
 class TestWeightedCombine:
     def test_single_point_symmetric(self):
-        fns = {
-            frozenset(): lambda x: 0.0,
-            frozenset({0}): lambda x: 2.0,
-        }
-        weights, combined = weighted_combine(fns, [(0.5, 1.0)])
+        values = {frozenset(): [0.0], frozenset({0}): [2.0]}
+        weights = weighted_combine(values, [1.0])
         assert weights[frozenset()] == pytest.approx(0.5)
         assert weights[frozenset({0})] == pytest.approx(0.5)
-        assert combined(0.5) == pytest.approx(1.0)
+        assert sum(w * values[k][0] for k, w in weights.items()) == pytest.approx(1.0)
 
     def test_single_point_asymmetric(self):
         v = 0.3
-        fns = {
-            frozenset(): lambda x: v - 1.0,
-            frozenset({0}): lambda x: v + 3.0,
-        }
-        weights, combined = weighted_combine(fns, [(0.5, v)])
+        values = {frozenset(): [v - 1.0], frozenset({0}): [v + 3.0]}
+        weights = weighted_combine(values, [v])
         assert weights[frozenset({0})] == pytest.approx(0.25)
-        assert combined(0.5) == pytest.approx(v)
+        assert sum(w * values[k][0] for k, w in weights.items()) == pytest.approx(v)
 
     def test_two_points_affine_handles(self):
-        targets = [(0.2, 0.1), (0.8, -0.2)]
-
-        def make(da, db):
-            return lambda x: np.interp(x, [0.2, 0.8], [0.1 + da, -0.2 + db])
-
-        fns = {
-            frozenset(): make(-0.5, -0.3),
-            frozenset({0}): make(0.4, -0.6),
-            frozenset({1}): make(-0.2, 0.7),
-            frozenset({0, 1}): make(0.3, 0.5),
+        targets = [0.1, -0.2]
+        offsets = {
+            frozenset(): (-0.5, -0.3),
+            frozenset({0}): (0.4, -0.6),
+            frozenset({1}): (-0.2, 0.7),
+            frozenset({0, 1}): (0.3, 0.5),
         }
-        weights, combined = weighted_combine(fns, targets)
+        values = {k: np.add(targets, d) for k, d in offsets.items()}
+        weights = weighted_combine(values, targets)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-        for u, v in targets:
-            assert combined(u) == pytest.approx(v, abs=1e-12)
+        combined = sum(w * values[k] for k, w in weights.items())
+        assert np.allclose(combined, targets, rtol=0.0, atol=1e-12)
 
     def test_bad_sign_pattern_names_subset(self):
-        fns = {
-            frozenset(): lambda x: 1.0,  # should be below the target but is above
-            frozenset({0}): lambda x: 2.0,
+        values = {
+            frozenset(): [1.0],  # should be below the target but is above
+            frozenset({0}): [2.0],
         }
-        with pytest.raises(ValueError, match=r"\[\]"):
-            weighted_combine(fns, [(0.5, 0.0)])
+        with pytest.raises(ValueError, match=r"subset \[\] .* target 0"):
+            weighted_combine(values, [0.0])
 
     def test_missing_handles(self):
         with pytest.raises(ValueError):
-            weighted_combine({frozenset(): lambda x: -1.0}, [(0.5, 0.0)])
+            weighted_combine({frozenset(): [-1.0]}, [0.0])
+        with pytest.raises(ValueError, match="missing handle"):
+            weighted_combine({frozenset(): [-1.0], frozenset({1}): [1.0]}, [0.0])
+        with pytest.raises(ValueError, match="needs 1 values"):
+            weighted_combine({frozenset(): [-1.0, 0.0], frozenset({0}): [1.0]}, [0.0])
+
+
+class TestCombineByDegree:
+    def test_matches_elevating_each_part(self):
+        # reference path: elevate every part to the top degree, then sum
+        rng = np.random.default_rng(5)
+        degrees = [0, 3, 3, 17, 40, 40, 64, 64]
+        parts = {frozenset({i}): BernsteinPolynomial(rng.normal(size=n + 1))
+                 for i, n in enumerate(degrees)}
+        raw = rng.uniform(size=len(parts))
+        weights = dict(zip(parts, raw / raw.sum()))
+        top = 96
+        fast = _combine_by_degree(parts, weights, top)
+        reference = sum(w * parts[k].elevated(top).coeffs for k, w in weights.items())
+        assert fast.degree == top
+        assert np.allclose(fast.coeffs, reference, rtol=0.0, atol=1e-12)
 
 
 class TestExactInterpolant:
@@ -296,10 +309,6 @@ class TestActionBudgetLedger:
             parts[frozenset(i for i in range(3) if mask >> i & 1)] = poly
             worst = max(worst, q_action_poly(poly, q))
         top = max(p.degree for p in parts.values())
-        parts = {k: p.elevated(top) for k, p in parts.items()}
-        weights, _ = weighted_combine(
-            {k: (lambda p: (lambda x: p(float(x))))(p) for k, p in parts.items()},
-            list(zip(us, vs)),
-        )
-        combined = BernsteinPolynomial(sum(weights[k] * p.coeffs for k, p in parts.items()))
+        weights = weighted_combine({k: p(us) for k, p in parts.items()}, vs)
+        combined = _combine_by_degree(parts, weights, top)
         assert q_action_poly(combined, q) <= worst + 1e-9
