@@ -6,6 +6,7 @@ from .interpolation import (
     ACTION_TOL,
     DuplicateKnotError,
     FeasibleInterval,
+    KnotStore,
     SamplePoint,
     SampleSet,
     action_increment,

@@ -2,7 +2,9 @@
 
 Every command reads a JSON config, writes CSV/JSON artifacts into an output
 directory, and exits 0 on success, 1 on a config problem, 2 when an
-adversary broke the rules, and 3 when a certified bound was violated.
+adversary broke the rules, 3 when a certified bound was violated, and 4 on
+an internal fault (a run aborted with a ``RuntimeError``, such as a learner
+protocol violation or a diverged endpoint search).
 Outputs are deterministic for a fixed config and seed: sweep cells may run
 in parallel but results are merged in sorted cell order, and files carry no
 timestamps.
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ILLEGAL = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 # The certified bounds the sweeps and ``report`` check, and the absolute
 # slack every such check allows for rounding.
@@ -132,9 +135,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
     try:
         tr = run_game(config)
-    except IllegalAdversaryError as exc:
-        print(f"adversary illegality: {exc}", file=sys.stderr)
-        return EXIT_ILLEGAL
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_outputs(tr, args.out)
@@ -429,6 +429,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IllegalAdversaryError as exc:
+        print(f"adversary illegality: {exc}", file=sys.stderr)
+        return EXIT_ILLEGAL
+    except RuntimeError as exc:
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

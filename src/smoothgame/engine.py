@@ -27,7 +27,7 @@ from .adversaries import (
     NoisyLowerBoundAdversary,
     verify_legality,
 )
-from .interpolation import ACTION_TOL, SampleSet, action_increment, eval_interpolant
+from .interpolation import ACTION_TOL, KnotStore, SampleSet, action_increment, eval_interpolant
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
@@ -236,7 +236,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
     learner, adversary = build_players(config)
     uncounted = 1 if config.uncounted_rounds is None else config.uncounted_rounds
     tr = Transcript(config)
-    revealed = SampleSet()
+    revealed = KnotStore()
     running_action = 0.0
     for t in range(config.rounds):
         if adversary.done(t):
@@ -257,7 +257,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
             raise IllegalAdversaryError(
                 f"trial {t}: revealed set action {running_action} exceeds the unit budget"
             )
-        revealed = revealed.insert(x, y)
+        revealed.add(x, y)
         learner.observe(x, y)
         raw = abs(prediction - y)
         tr.trials.append(

@@ -5,6 +5,10 @@ ordered set of samples ``(u_i, v_i)`` on ``[0, 1] x R``, the continuous
 piecewise-linear function through them (constant beyond the extreme knots),
 the action functional ``integral of |f'|^q``, and the feasibility interval
 for the next revealed value under an action budget.
+
+A point set comes in two forms that the functions here read alike through
+``us``, ``vs``, ``len`` and ``contains_u``: the immutable ``SampleSet``, and
+the ``KnotStore`` that a game's players grow in place one knot per round.
 """
 
 from __future__ import annotations
@@ -84,6 +88,11 @@ class SampleSet:
     def __repr__(self) -> str:
         return f"SampleSet({list(zip(self.us, self.vs))!r})"
 
+    @property
+    def sup_slope(self) -> float:
+        """Largest absolute segment slope (0 for fewer than two points)."""
+        return _max_abs_slope(self.us, self.vs, 0, len(self.us) - 1)
+
     def contains_u(self, u: float) -> bool:
         i = bisect_left(self.us, u)
         return i < len(self.us) and self.us[i] == u
@@ -97,6 +106,61 @@ class SampleSet:
             self.us[:i] + (pt.u,) + self.us[i:],
             self.vs[:i] + (pt.v,) + self.vs[i:],
         )
+
+
+class KnotStore:
+    """Mutable ordered knot set with strictly increasing u, grown in place.
+
+    ``add`` makes the checks ``SampleSet.insert`` makes (u in [0, 1], v
+    finite, no repeated u) and inserts with ``bisect``, so a game that adds
+    one knot per round does no per-round copy. ``sup_slope`` is the largest
+    absolute segment slope, kept exactly equal to a full scan: an add can
+    only raise it to a slope the new knot touches, unless rounding put the
+    split segment's slope above both halves', which takes one rescan.
+    ``us`` and ``vs`` are the store's own lists; read them, do not mutate.
+    """
+
+    __slots__ = ("us", "vs", "sup_slope")
+
+    def __init__(self):
+        self.us: list[float] = []
+        self.vs: list[float] = []
+        self.sup_slope = 0.0
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def contains_u(self, u: float) -> bool:
+        i = bisect_left(self.us, u)
+        return i < len(self.us) and self.us[i] == u
+
+    def add(self, u: float, v: float) -> None:
+        pt = SamplePoint(u, v)
+        us, vs = self.us, self.vs
+        i = bisect_left(us, pt.u)
+        m = len(us)
+        if i < m and us[i] == pt.u:
+            raise DuplicateKnotError(f"u={pt.u} already present (repeated query)")
+        split = abs(vs[i] - vs[i - 1]) / (us[i] - us[i - 1]) if 0 < i < m else 0.0
+        us.insert(i, pt.u)
+        vs.insert(i, pt.v)
+        touched = _max_abs_slope(us, vs, max(i - 1, 0), min(i + 1, m))
+        if split == self.sup_slope and split > touched:
+            self.sup_slope = _max_abs_slope(us, vs, 0, m)
+        else:
+            self.sup_slope = max(self.sup_slope, touched)
+
+    def snapshot(self) -> SampleSet:
+        """An immutable ``SampleSet`` of the knots now in the store."""
+        return SampleSet._trusted(tuple(self.us), tuple(self.vs))
+
+
+def _max_abs_slope(us: Sequence[float], vs: Sequence[float], lo: int, hi: int) -> float:
+    # the largest |slope| over the segments [us[k], us[k + 1]] for lo <= k < hi
+    worst = 0.0
+    for k in range(lo, hi):
+        worst = max(worst, abs(vs[k + 1] - vs[k]) / (us[k + 1] - us[k]))
+    return worst
 
 
 def eval_interpolant(s: SampleSet, x: float) -> float:
@@ -161,11 +225,7 @@ def q_action(s: SampleSet, q: float) -> float:
     if len(s) <= 1:
         return 0.0
     if math.isinf(q):
-        worst = 0.0
-        for i in range(len(s) - 1):
-            du = s.us[i + 1] - s.us[i]
-            worst = max(worst, abs(s.vs[i + 1] - s.vs[i]) / du)
-        return worst
+        return s.sup_slope
     total = 0.0
     for i in range(len(s) - 1):
         du = s.us[i + 1] - s.us[i]
@@ -180,7 +240,8 @@ def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
 
     Computed from the one or two segments the new point touches, which keeps
     per-trial feasibility checks O(log m) and avoids cancellation between
-    large totals; at q = inf the current sup still takes one scan.
+    large totals. At q = inf the current sup is ``s.sup_slope``: a scan for
+    a ``SampleSet``, a stored value for a ``KnotStore``.
     """
     _check_q(q)
     m = len(s)
@@ -192,7 +253,7 @@ def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
     if math.isinf(q):
         # the split segment's slope lies between the two new ones, so the
         # sup can only grow to the largest slope the new point touches
-        old = q_action(s, q)
+        old = s.sup_slope
         new = old
         if i > 0:
             new = max(new, abs(y - s.vs[i - 1]) / (x - s.us[i - 1]))
@@ -262,8 +323,10 @@ def feasible_reply_interval(
 
     The action is convex in y with minimum 0 at the interpolant value, so
     the feasible set is a closed interval; endpoints are found in closed
-    form for q = 1, 2 and inf, and by bisection to absolute tolerance 1e-12
-    otherwise. The empty set yields an unbounded interval.
+    form for q = 1, 2 and inf, and otherwise by a bracketed root search
+    (``_bisect_boundary``) to an absolute bracket width of 1e-12 that
+    returns the bracket's feasible end. The empty set yields an unbounded
+    interval.
     """
     _check_q(q)
     if len(s) == 0:
@@ -303,28 +366,83 @@ def feasible_reply_interval(
         v0, v1 = s.vs[i - 1], s.vs[i]
         return FeasibleInterval(min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack)
 
+    center = eval_interpolant(s, x)
+    if slack == 0.0:
+        # the increment is strictly convex with its zero at the centre
+        return FeasibleInterval(center, center)
+
     def overshoot(y: float) -> float:
         return action_increment(s, x, y, q) - slack
 
-    center = eval_interpolant(s, x)
     hi = _bisect_boundary(overshoot, center, +1.0)
     lo = _bisect_boundary(overshoot, center, -1.0)
     return FeasibleInterval(lo, hi)
 
 
 def _bisect_boundary(overshoot, center: float, direction: float) -> float:
-    step = 1.0
-    while overshoot(center + direction * step) <= 0.0:
-        step *= 2.0
-        if step > 1e12:
+    """Feasible end of the reply interval on one side of ``center``.
+
+    ``overshoot(y)`` is the action increment of reply y minus the slack: it
+    is convex with its minimum at ``center`` and is <= 0 exactly on the
+    feasible set. When it is >= 0 at ``center`` the slack is 0 up to
+    rounding, the feasible set is {center}, and ``center`` is returned.
+    Otherwise a bracket [inner, outer] of offsets from ``center`` with
+    overshoot(inner) <= 0 < overshoot(outer) is found by doubling and then
+    narrowed by Illinois false-position steps (Dowell & Jarratt, 1971); any
+    step that fails to halve the bracket is followed by a bisection step,
+    as in Brent (1973). The bisection takes the geometric mean while the
+    bracket spans more than a factor of 4, since with a small slack the
+    endpoint lies decades below the first step. The search stops at bracket
+    width 1e-12 (or when floats cannot split the bracket) and returns the
+    inner end. Every evaluation goes through ``overshoot``.
+    """
+    tol = 1e-12
+
+    def f(offset: float) -> float:
+        return overshoot(center + direction * offset)
+
+    f_in = f(0.0)
+    if f_in >= 0.0:
+        return center
+    inner, outer = 0.0, 1.0
+    f_out = f(outer)
+    while f_out <= 0.0:
+        inner, f_in = outer, f_out
+        outer *= 2.0
+        if outer > 1e12:
             raise RuntimeError("feasible interval endpoint search diverged")
-    inner, outer = 0.0, step
-    while outer - inner > 1e-12:
-        mid = 0.5 * (inner + outer)
-        if overshoot(center + direction * mid) <= 0.0:
-            inner = mid
+        f_out = f(outer)
+    kept = 0  # +1 / -1 after a step that kept the inner / outer end
+    while outer - inner > tol:
+        width = outer - inner
+        t = inner - f_in * width / (f_out - f_in)
+        # half the stopping width from either end, so that a step landing
+        # next to the root from one side closes the bracket on the next
+        t = min(max(t, inner + 0.5 * tol), outer - 0.5 * tol)
+        if not inner < t < outer:
+            t = 0.5 * (inner + outer)
+        f_t = f(t)
+        if f_t <= 0.0:
+            inner, f_in = t, f_t
+            if kept == -1:
+                f_out *= 0.5
+            kept = -1
         else:
-            outer = mid
+            outer, f_out = t, f_t
+            if kept == 1:
+                f_in *= 0.5
+            kept = 1
+        if outer - inner > 0.5 * width:
+            low = max(inner, tol)
+            mid = math.sqrt(low * outer) if outer > 4.0 * low else 0.5 * (inner + outer)
+            if not inner < mid < outer:
+                break
+            f_mid = f(mid)
+            if f_mid <= 0.0:
+                inner, f_in = mid, f_mid
+            else:
+                outer, f_out = mid, f_mid
+            kept = 0
     return center + direction * inner
 
 

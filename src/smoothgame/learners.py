@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Protocol
 
-from .interpolation import SampleSet, eval_interpolant
+from .interpolation import KnotStore, eval_interpolant
 
 
 class Learner(Protocol):
@@ -36,7 +36,7 @@ class LinintLearner:
     """
 
     def __init__(self):
-        self.known = SampleSet()
+        self.known = KnotStore()
 
     def predict(self, x: float) -> float:
         if len(self.known) == 0:
@@ -44,9 +44,8 @@ class LinintLearner:
         return eval_interpolant(self.known, x)
 
     def observe(self, x: float, y: float) -> None:
-        if self.known.contains_u(x):
-            return
-        self.known = self.known.insert(x, y)
+        if not self.known.contains_u(x):
+            self.known.add(x, y)
 
 
 def interval_of(x: float) -> int:

@@ -68,8 +68,22 @@ class TestGreedyAdversary:
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="fixed-sequence"))
         xs = [adv.next_query(t) for t in range(4)]
         for x in xs:
-            adv.truth_set = adv.truth_set.insert(x, 0.0)
+            adv.truth_set.add(x, 0.0)
         assert xs == [van_der_corput(i) for i in range(4)]
+
+    def test_finalize_discloses_a_snapshot(self):
+        adv = GreedyAdversary(2.0, RANDOM_QUERIES, seed=2)
+        for t in range(5):
+            x = adv.next_query(t)
+            adv.reveal(x, 0.0)
+        truth = adv.finalize().truth
+        before = (truth.us, truth.vs)
+        for t in range(5, 10):
+            x = adv.next_query(t)
+            adv.reveal(x, 0.0)
+        assert isinstance(truth, SampleSet)
+        assert (truth.us, truth.vs) == before and len(truth) == 5
+        assert len(adv.finalize().truth) == 10
 
     def test_same_seed_same_queries(self):
         a = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"), seed=3)

@@ -58,6 +58,30 @@ class TestSimulate:
         })
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 2
 
+    def test_diverged_endpoint_search_exit_4(self, tmp_path, capsys):
+        # a budget this large puts the q = 1.5 reply beyond any finite bracket
+        cfg = write(tmp_path / "c.json", {
+            "p": 1.5, "q": 1.5, "rounds": 5, "learner": "linint",
+            "adversary": "greedy", "adversary_options": {"budget": 1e30},
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 4
+        assert "endpoint search diverged" in capsys.readouterr().err
+
+    def test_protocol_violation_exit_4(self, tmp_path, capsys):
+        from smoothgame.engine import register_learner
+        from smoothgame.learners import ProtocolViolationError
+
+        class Broken:
+            def predict(self, x):
+                raise ProtocolViolationError("predict called out of order")
+
+        register_learner("broken-cli", lambda c: Broken())
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 5, "learner": "broken-cli", "adversary": "greedy",
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 4
+        assert "ProtocolViolationError" in capsys.readouterr().err
+
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

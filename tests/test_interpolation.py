@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from smoothgame import adversaries
+from smoothgame.adversaries import GreedyAdversary, GreedyConfig
 from smoothgame.interpolation import (
     DuplicateKnotError,
+    KnotStore,
     SamplePoint,
     SampleSet,
     action_increment,
@@ -15,6 +18,7 @@ from smoothgame.interpolation import (
     q_action,
     slope_at,
 )
+from smoothgame.learners import LinintLearner
 
 
 def S(*pairs):
@@ -47,6 +51,49 @@ class TestSampleSet:
     def test_from_pairs_sorts(self):
         s = S((0.9, 1.0), (0.1, 2.0), (0.5, 3.0))
         assert s.us == (0.1, 0.5, 0.9)
+
+
+class TestKnotStore:
+    def test_add_keeps_order_and_checks(self):
+        store = KnotStore()
+        store.add(0.5, 0.3)
+        store.add(0.1, 1.0)
+        assert (store.us, store.vs) == ([0.1, 0.5], [1.0, 0.3])
+        assert store.contains_u(0.5) and not store.contains_u(0.3)
+        with pytest.raises(DuplicateKnotError):
+            store.add(0.5, 2.0)
+        with pytest.raises(ValueError):
+            store.add(1.5, 0.0)
+        with pytest.raises(ValueError):
+            store.add(0.3, math.nan)
+        assert len(store) == 2
+
+    def test_snapshot_is_not_changed_by_later_adds(self):
+        store = KnotStore()
+        store.add(0.2, 0.1)
+        store.add(0.7, -0.2)
+        snap = store.snapshot()
+        store.add(0.4, 0.5)
+        assert snap == S((0.2, 0.1), (0.7, -0.2))
+        assert store.snapshot() == S((0.2, 0.1), (0.4, 0.5), (0.7, -0.2))
+
+    def test_sup_drops_when_rounding_lifts_the_split_segment(self):
+        # the split segment's slope rounds above both halves', so the store
+        # rescans instead of keeping the old sup
+        store = KnotStore()
+        store.add(0.09384515343330624, 0.1156618270926259)
+        store.add(0.5706847858594991, -1.070544409695766)
+        old = store.sup_slope
+        store.add(0.3209004331471949, -0.44917039442796297)
+        assert store.sup_slope < old
+        assert store.sup_slope == q_action(store.snapshot(), math.inf)
+
+    def test_sup_matches_scan_over_a_game(self):
+        adv = GreedyAdversary(math.inf, GreedyConfig(query_policy="uniform-random"), seed=4)
+        for t in range(300):
+            x = adv.next_query(t)
+            adv.reveal(x, 0.05 * (t % 7))
+            assert adv.truth_set.sup_slope == q_action(adv.truth_set.snapshot(), math.inf)
 
 
 class TestEval:
@@ -288,3 +335,74 @@ class TestFeasibleInterval:
     def test_budget_below_action_errors(self):
         with pytest.raises(ValueError):
             feasible_reply_interval(S((0, 0), (1, 1)), 0.5, 2, 0.5)
+
+
+def _reference_boundary(overshoot, center: float, direction: float) -> float:
+    # the doubling search and 40-step bisection that _bisect_boundary replaced
+    step = 1.0
+    while overshoot(center + direction * step) <= 0.0:
+        step *= 2.0
+        if step > 1e12:
+            raise RuntimeError("feasible interval endpoint search diverged")
+    inner, outer = 0.0, step
+    while outer - inner > 1e-12:
+        mid = 0.5 * (inner + outer)
+        if overshoot(center + direction * mid) <= 0.0:
+            inner = mid
+        else:
+            outer = mid
+    return center + direction * inner
+
+
+class TestEndpointSolver:
+    """The bracketed solver against the bisection it replaced, per solve.
+
+    Whole games cannot be compared: at q = 1.1 the greedy adversary spends
+    its slack at once, and the ~1e-12 the bisection left unspent grows in
+    later replies. So each solve the games made is re-solved by both.
+    """
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        states = []
+        solve = adversaries.feasible_reply_interval
+
+        def record(s, x, q, budget, base_action=None):
+            if len(s):
+                states.append((s.snapshot(), x, q, base_action))
+            return solve(s, x, q, budget, base_action=base_action)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adversaries, "feasible_reply_interval", record)
+            for q in (1.1, 1.5, 3.0):
+                for policy in adversaries.QUERY_POLICIES:
+                    adv = GreedyAdversary(q, GreedyConfig(query_policy=policy), seed=1)
+                    learner = LinintLearner()
+                    for t in range(60):
+                        x = adv.next_query(t)
+                        prediction = learner.predict(x)
+                        learner.observe(x, adv.reveal(x, prediction))
+        assert len(states) > 500
+        return states
+
+    def test_endpoints_match_reference(self, solves):
+        for s, x, q, base in solves:
+            center = eval_interpolant(s, x)
+            for slack in (1e-6, 1e-3, 0.3):
+                budget = base + slack
+                box = feasible_reply_interval(s, x, q, budget, base_action=base)
+                spare = max(budget - base, 0.0)
+
+                def overshoot(y):
+                    return action_increment(s, x, y, q) - spare
+
+                assert abs(box.lo - _reference_boundary(overshoot, center, -1.0)) <= 1e-12
+                assert abs(box.hi - _reference_boundary(overshoot, center, +1.0)) <= 1e-12
+                for y in (box.lo, box.hi):
+                    assert not base + action_increment(s, x, y, q) > budget
+
+    def test_zero_slack_returns_center(self, solves):
+        for s, x, q, base in solves:
+            box = feasible_reply_interval(s, x, q, base, base_action=base)
+            center = eval_interpolant(s, x)
+            assert (box.lo, box.hi) == (center, center)
