@@ -6,7 +6,6 @@ from .interpolation import (
     ACTION_TOL,
     DuplicateKnotError,
     FeasibleInterval,
-    KnotStore,
     SamplePoint,
     SampleSet,
     action_increment,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .interpolation import (
     ACTION_TOL,
-    KnotStore,
     SampleSet,
     action_increment,
     eval_interpolant,
@@ -131,7 +130,7 @@ class _QueryChooser:
         self._vdc_pos = 0
         self._gap_heap: list[tuple[float, float, float]] = []
 
-    def choose(self, s: KnotStore) -> float:
+    def choose(self, s: SampleSet) -> float:
         if self.policy == "widest-gap-midpoint":
             return self._widest_gap(s)
         if self.policy == "uniform-random":
@@ -152,7 +151,7 @@ class _QueryChooser:
             if not s.contains_u(x):
                 return x
 
-    def _widest_gap(self, s: KnotStore) -> float:
+    def _widest_gap(self, s: SampleSet) -> float:
         if len(s) == 0:
             return 0.5
         if not self._gap_heap:
@@ -171,7 +170,7 @@ class _QueryChooser:
             heapq.heappush(self._gap_heap, (-(b - x), x, b))
             return x
 
-    def _gap_valid(self, s: KnotStore, a: float, b: float) -> bool:
+    def _gap_valid(self, s: SampleSet, a: float, b: float) -> bool:
         # a gap survives if no knot fell strictly inside it
         i = bisect_right(s.us, a)
         return i >= len(s.us) or s.us[i] >= b
@@ -184,9 +183,9 @@ class GreedyAdversary:
     respect to the truth set. On ``eta`` trials drawn up front from the
     first ``rounds`` the revelation is that value +-``lie_magnitude``
     instead. With ``eta = 0`` (the default) every revelation is true and
-    this is the standard-model adversary. The truth set is a ``KnotStore``
-    grown in place; ``finalize`` discloses an immutable snapshot of it for
-    actual-error accounting.
+    this is the standard-model adversary. The truth set is a ``SampleSet``
+    grown in place; ``finalize`` discloses a copy of it for actual-error
+    accounting.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then the queries, then a sign
@@ -218,7 +217,7 @@ class GreedyAdversary:
             draws = self.rng.choice(rounds, size=min(eta, rounds), replace=False)
             self._lie_trials = set(int(i) for i in draws)
         self._chooser = _QueryChooser(self.cfg.query_policy, self.rng, sequence)
-        self.truth_set = KnotStore()
+        self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
 
@@ -240,7 +239,7 @@ class GreedyAdversary:
         return False
 
     def finalize(self) -> Disclosure:
-        return Disclosure(list(self._lies), self.truth_set.snapshot())
+        return Disclosure(list(self._lies), self.truth_set.copy())
 
 
 # ``random-liar`` is the same adversary; the engine registers it with

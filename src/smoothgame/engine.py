@@ -27,7 +27,7 @@ from .adversaries import (
     NoisyLowerBoundAdversary,
     verify_legality,
 )
-from .interpolation import ACTION_TOL, KnotStore, SampleSet, action_increment, eval_interpolant
+from .interpolation import ACTION_TOL, SampleSet, action_increment, eval_interpolant
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
@@ -236,7 +236,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
     learner, adversary = build_players(config)
     uncounted = 1 if config.uncounted_rounds is None else config.uncounted_rounds
     tr = Transcript(config)
-    revealed = KnotStore()
+    revealed = SampleSet()
     running_action = 0.0
     for t in range(config.rounds):
         if adversary.done(t):

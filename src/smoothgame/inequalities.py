@@ -129,7 +129,7 @@ def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
             m = slope_at(s, pt.u)
             d = nearest_gap(s, pt.u)
             total += abs(m) * d ** p
-        s = s.insert(pt.u, pt.v)
+        s.add(pt.u, pt.v)
         if q_action(s, 1.0) > 1.0 + DEFAULT_TOL:
             raise ValueError(f"prefix of length {k + 1} violates the unit 1-action budget")
     return total
@@ -281,7 +281,7 @@ def random_feasible_sequence(
             frac = float(rng.integers(0, 2))  # hit an endpoint
         y = box.lo + (box.hi - box.lo) * frac
         pts.append(SamplePoint(x, y))
-        s = s.insert(x, y)
+        s.add(x, y)
     return pts
 
 

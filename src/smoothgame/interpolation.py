@@ -6,9 +6,9 @@ piecewise-linear function through them (constant beyond the extreme knots),
 the action functional ``integral of |f'|^q``, and the feasibility interval
 for the next revealed value under an action budget.
 
-A point set comes in two forms that the functions here read alike through
-``us``, ``vs``, ``len`` and ``contains_u``: the immutable ``SampleSet``, and
-the ``KnotStore`` that a game's players grow in place one knot per round.
+One class, ``SampleSet``, holds every point set: the sets the inequality
+and polynomial code read, and the sets a game's players grow in place one
+knot per round.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 ACTION_TOL = 1e-9
@@ -23,6 +24,14 @@ ACTION_TOL = 1e-9
 
 class DuplicateKnotError(ValueError):
     """Raised when a u-coordinate is inserted twice (a repeated query)."""
+
+
+def _check_knot(u: float, v: float) -> None:
+    # the knot rule of ``SampleSet`` for one knot; NaN fails the range test
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u={u} outside [0, 1]")
+    if not math.isfinite(v):
+        raise ValueError(f"v={v} is not finite")
 
 
 @dataclass(frozen=True)
@@ -33,48 +42,48 @@ class SamplePoint:
     v: float
 
     def __post_init__(self):
-        if not (0.0 <= self.u <= 1.0):
-            raise ValueError(f"u={self.u} outside [0, 1]")
-        if not math.isfinite(self.v):
-            raise ValueError(f"v={self.v} is not finite")
+        _check_knot(self.u, self.v)
 
 
 class SampleSet:
-    """Immutable ordered set of sample points with strictly increasing u.
+    """Ordered set of sample points, grown in place.
 
-    Value semantics: ``insert`` returns a new set. The empty set is allowed
-    and its interpolant is identically zero.
+    The knot rule: every u lies in [0, 1] (NaN does not), every v is
+    finite, and u is strictly increasing. The constructor checks it for the
+    whole set; ``add`` checks it for one knot and raises
+    ``DuplicateKnotError`` for a u already present. The empty set is
+    allowed and its interpolant is identically zero.
+
+    ``add`` grows the set in place with ``bisect``, so a game that adds one
+    knot per round does no per-round copy; ``insert`` returns a grown copy
+    and leaves the set as it was. ``us`` and ``vs`` are the set's own
+    lists; read them, do not mutate. ``sup_slope`` is the largest absolute
+    segment slope (0 for fewer than two points), kept exactly equal to a
+    full scan: an add can only raise it to a slope the new knot touches,
+    unless rounding put the split segment's slope above both halves', which
+    takes one rescan.
     """
 
-    __slots__ = ("us", "vs")
+    __slots__ = ("us", "vs", "sup_slope")
 
     def __init__(self, us: Sequence[float] = (), vs: Sequence[float] = ()):
         if len(us) != len(vs):
             raise ValueError("us and vs must have equal length")
-        self.us = tuple(float(u) for u in us)
-        self.vs = tuple(float(v) for v in vs)
-        for a, b in zip(self.us, self.us[1:]):
-            if not a < b:
-                raise ValueError("u-coordinates must be strictly increasing")
-        if self.us:
-            if self.us[0] < 0.0 or self.us[-1] > 1.0:
+        self.us = us = [float(u) for u in us]
+        self.vs = vs = [float(v) for v in vs]
+        if not all(map(math.isfinite, vs)):
+            raise ValueError("v-values must be finite")
+        if us and not (0.0 <= us[0] and us[-1] <= 1.0 and all(map(lt, us, us[1:]))):
+            # strictly increasing with both ends in [0, 1] puts every u there
+            if not all(0.0 <= u <= 1.0 for u in us):
                 raise ValueError("u-coordinates must lie in [0, 1]")
-        for v in self.vs:
-            if not math.isfinite(v):
-                raise ValueError("v-values must be finite")
+            raise ValueError("u-coordinates must be strictly increasing")
+        self.sup_slope = _max_abs_slope(us, vs, 0, len(us) - 1)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "SampleSet":
         pts = sorted((float(u), float(v)) for u, v in pairs)
         return cls([p[0] for p in pts], [p[1] for p in pts])
-
-    @classmethod
-    def _trusted(cls, us: tuple, vs: tuple) -> "SampleSet":
-        # internal fast path: invariants already hold by construction
-        obj = cls.__new__(cls)
-        obj.us = us
-        obj.vs = vs
-        return obj
 
     def __len__(self) -> int:
         return len(self.us)
@@ -88,78 +97,45 @@ class SampleSet:
     def __repr__(self) -> str:
         return f"SampleSet({list(zip(self.us, self.vs))!r})"
 
-    @property
-    def sup_slope(self) -> float:
-        """Largest absolute segment slope (0 for fewer than two points)."""
-        return _max_abs_slope(self.us, self.vs, 0, len(self.us) - 1)
-
-    def contains_u(self, u: float) -> bool:
-        i = bisect_left(self.us, u)
-        return i < len(self.us) and self.us[i] == u
-
-    def insert(self, u: float, v: float) -> "SampleSet":
-        pt = SamplePoint(u, v)
-        i = bisect_left(self.us, pt.u)
-        if i < len(self.us) and self.us[i] == pt.u:
-            raise DuplicateKnotError(f"u={pt.u} already present (repeated query)")
-        return SampleSet._trusted(
-            self.us[:i] + (pt.u,) + self.us[i:],
-            self.vs[:i] + (pt.v,) + self.vs[i:],
-        )
-
-
-class KnotStore:
-    """Mutable ordered knot set with strictly increasing u, grown in place.
-
-    ``add`` makes the checks ``SampleSet.insert`` makes (u in [0, 1], v
-    finite, no repeated u) and inserts with ``bisect``, so a game that adds
-    one knot per round does no per-round copy. ``sup_slope`` is the largest
-    absolute segment slope, kept exactly equal to a full scan: an add can
-    only raise it to a slope the new knot touches, unless rounding put the
-    split segment's slope above both halves', which takes one rescan.
-    ``us`` and ``vs`` are the store's own lists; read them, do not mutate.
-    """
-
-    __slots__ = ("us", "vs", "sup_slope")
-
-    def __init__(self):
-        self.us: list[float] = []
-        self.vs: list[float] = []
-        self.sup_slope = 0.0
-
-    def __len__(self) -> int:
-        return len(self.us)
-
     def contains_u(self, u: float) -> bool:
         i = bisect_left(self.us, u)
         return i < len(self.us) and self.us[i] == u
 
     def add(self, u: float, v: float) -> None:
-        pt = SamplePoint(u, v)
+        _check_knot(u, v)
         us, vs = self.us, self.vs
-        i = bisect_left(us, pt.u)
+        i = bisect_left(us, u)
         m = len(us)
-        if i < m and us[i] == pt.u:
-            raise DuplicateKnotError(f"u={pt.u} already present (repeated query)")
+        if i < m and us[i] == u:
+            raise DuplicateKnotError(f"u={u} already present (repeated query)")
         split = abs(vs[i] - vs[i - 1]) / (us[i] - us[i - 1]) if 0 < i < m else 0.0
-        us.insert(i, pt.u)
-        vs.insert(i, pt.v)
+        us.insert(i, u)
+        vs.insert(i, v)
         touched = _max_abs_slope(us, vs, max(i - 1, 0), min(i + 1, m))
         if split == self.sup_slope and split > touched:
             self.sup_slope = _max_abs_slope(us, vs, 0, m)
         else:
             self.sup_slope = max(self.sup_slope, touched)
 
-    def snapshot(self) -> SampleSet:
-        """An immutable ``SampleSet`` of the knots now in the store."""
-        return SampleSet._trusted(tuple(self.us), tuple(self.vs))
+    def insert(self, u: float, v: float) -> "SampleSet":
+        grown = self.copy()
+        grown.add(u, v)
+        return grown
+
+    def copy(self) -> "SampleSet":
+        # the knots already obey the rule, so nothing is checked again
+        twin = SampleSet.__new__(SampleSet)
+        twin.us, twin.vs, twin.sup_slope = self.us[:], self.vs[:], self.sup_slope
+        return twin
 
 
 def _max_abs_slope(us: Sequence[float], vs: Sequence[float], lo: int, hi: int) -> float:
     # the largest |slope| over the segments [us[k], us[k + 1]] for lo <= k < hi
     worst = 0.0
     for k in range(lo, hi):
-        worst = max(worst, abs(vs[k + 1] - vs[k]) / (us[k + 1] - us[k]))
+        slope = abs(vs[k + 1] - vs[k]) / (us[k + 1] - us[k])
+        if slope > worst:
+            worst = slope
     return worst
 
 
@@ -240,8 +216,7 @@ def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
 
     Computed from the one or two segments the new point touches, which keeps
     per-trial feasibility checks O(log m) and avoids cancellation between
-    large totals. At q = inf the current sup is ``s.sup_slope``: a scan for
-    a ``SampleSet``, a stored value for a ``KnotStore``.
+    large totals. At q = inf the current sup is the stored ``s.sup_slope``.
     """
     _check_q(q)
     m = len(s)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Protocol
 
-from .interpolation import KnotStore, eval_interpolant
+from .interpolation import SampleSet, eval_interpolant
 
 
 class Learner(Protocol):
@@ -36,7 +36,7 @@ class LinintLearner:
     """
 
     def __init__(self):
-        self.known = KnotStore()
+        self.known = SampleSet()
 
     def predict(self, x: float) -> float:
         if len(self.known) == 0:

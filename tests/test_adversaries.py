@@ -77,7 +77,7 @@ class TestGreedyAdversary:
             x = adv.next_query(t)
             adv.reveal(x, 0.0)
         truth = adv.finalize().truth
-        before = (truth.us, truth.vs)
+        before = (list(truth.us), list(truth.vs))  # values, not the set's own lists
         for t in range(5, 10):
             x = adv.next_query(t)
             adv.reveal(x, 0.0)

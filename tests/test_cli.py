@@ -206,6 +206,16 @@ class TestPolyBuild:
         })
         assert run("poly-build", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
+    def test_nan_knot_exit_1(self, tmp_path, capsys):
+        # json.dumps writes the NaN literal, which json.loads reads back
+        cfg = write(tmp_path / "c.json", {
+            "points": [[float("nan"), 0.1]], "q": 2, "mode": "exact",
+        })
+        out = tmp_path / "o"
+        assert run("poly-build", "--config", cfg, "--out", str(out)) == 1
+        assert "[0, 1]" in capsys.readouterr().err
+        assert not (out / "poly_build.json").exists()
+
 
 class TestReport:
     def test_empty_dir_exit_1(self, tmp_path):

@@ -7,7 +7,6 @@ from smoothgame import adversaries
 from smoothgame.adversaries import GreedyAdversary, GreedyConfig
 from smoothgame.interpolation import (
     DuplicateKnotError,
-    KnotStore,
     SamplePoint,
     SampleSet,
     action_increment,
@@ -50,12 +49,37 @@ class TestSampleSet:
 
     def test_from_pairs_sorts(self):
         s = S((0.9, 1.0), (0.1, 2.0), (0.5, 3.0))
-        assert s.us == (0.1, 0.5, 0.9)
+        assert s.us == [0.1, 0.5, 0.9]
+
+    def test_nan_knot_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SampleSet([math.nan], [0.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SampleSet([0.1, math.nan, 0.5], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SampleSet.from_pairs([(math.nan, 0.1), (0.2, 0.3)])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SampleSet().add(math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet([0.1, 0.5], [0.0, math.nan])
+
+    def test_constructor_checks_the_knot_rule(self):
+        with pytest.raises(ValueError, match="increasing"):
+            SampleSet([0.5, 0.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="increasing"):
+            SampleSet([0.5, 0.1], [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SampleSet([-0.1, 0.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            SampleSet([0.5], [])
+        assert SampleSet([0.0, 1.0], [0.0, -2.0]).sup_slope == 2.0
 
 
 class TestKnotStore:
+    """``SampleSet`` as the game's knot store, grown in place by ``add``."""
+
     def test_add_keeps_order_and_checks(self):
-        store = KnotStore()
+        store = SampleSet()
         store.add(0.5, 0.3)
         store.add(0.1, 1.0)
         assert (store.us, store.vs) == ([0.1, 0.5], [1.0, 0.3])
@@ -68,32 +92,40 @@ class TestKnotStore:
             store.add(0.3, math.nan)
         assert len(store) == 2
 
-    def test_snapshot_is_not_changed_by_later_adds(self):
-        store = KnotStore()
+    def test_copy_is_not_changed_by_later_adds(self):
+        store = SampleSet()
         store.add(0.2, 0.1)
         store.add(0.7, -0.2)
-        snap = store.snapshot()
+        copied = store.copy()
+        grown = store.insert(0.9, 0.0)
         store.add(0.4, 0.5)
-        assert snap == S((0.2, 0.1), (0.7, -0.2))
-        assert store.snapshot() == S((0.2, 0.1), (0.4, 0.5), (0.7, -0.2))
+        assert copied == S((0.2, 0.1), (0.7, -0.2))
+        assert store == S((0.2, 0.1), (0.4, 0.5), (0.7, -0.2))
+        assert grown == S((0.2, 0.1), (0.7, -0.2), (0.9, 0.0))
 
     def test_sup_drops_when_rounding_lifts_the_split_segment(self):
         # the split segment's slope rounds above both halves', so the store
         # rescans instead of keeping the old sup
-        store = KnotStore()
+        store = SampleSet()
         store.add(0.09384515343330624, 0.1156618270926259)
         store.add(0.5706847858594991, -1.070544409695766)
         old = store.sup_slope
         store.add(0.3209004331471949, -0.44917039442796297)
         assert store.sup_slope < old
-        assert store.sup_slope == q_action(store.snapshot(), math.inf)
+        assert store.sup_slope == _scanned_sup(store)
 
     def test_sup_matches_scan_over_a_game(self):
         adv = GreedyAdversary(math.inf, GreedyConfig(query_policy="uniform-random"), seed=4)
         for t in range(300):
             x = adv.next_query(t)
             adv.reveal(x, 0.05 * (t % 7))
-            assert adv.truth_set.sup_slope == q_action(adv.truth_set.snapshot(), math.inf)
+            assert adv.truth_set.sup_slope == _scanned_sup(adv.truth_set)
+
+
+def _scanned_sup(s):
+    # the largest absolute segment slope, by an explicit scan
+    slopes = [abs(s.vs[k + 1] - s.vs[k]) / (s.us[k + 1] - s.us[k]) for k in range(len(s) - 1)]
+    return max(slopes, default=0.0)
 
 
 class TestEval:
@@ -369,7 +401,7 @@ class TestEndpointSolver:
 
         def record(s, x, q, budget, base_action=None):
             if len(s):
-                states.append((s.snapshot(), x, q, base_action))
+                states.append((s.copy(), x, q, base_action))
             return solve(s, x, q, budget, base_action=base_action)
 
         with pytest.MonkeyPatch.context() as mp:
