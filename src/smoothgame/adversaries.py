@@ -10,7 +10,6 @@ unit action budget.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
@@ -119,7 +118,9 @@ class _QueryChooser:
 
     ``choose`` is passed the adversary's truth set. The adversary answers
     each query before it asks the next, so that set holds every query
-    returned so far and none is returned twice.
+    returned so far and none is returned twice. The widest-gap heap starts
+    with the gap (0, 1) and splits gaps only at the midpoints it returns,
+    so every gap on it is free of knots.
     """
 
     def __init__(self, policy: str, rng: np.random.Generator, sequence=None):
@@ -128,11 +129,11 @@ class _QueryChooser:
         self.sequence = list(sequence) if sequence is not None else None
         self._seq_pos = 0
         self._vdc_pos = 0
-        self._gap_heap: list[tuple[float, float, float]] = []
+        self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
 
     def choose(self, s: SampleSet) -> float:
         if self.policy == "widest-gap-midpoint":
-            return self._widest_gap(s)
+            return self._widest_gap()
         if self.policy == "uniform-random":
             while True:
                 x = float(self.rng.uniform())
@@ -151,29 +152,12 @@ class _QueryChooser:
             if not s.contains_u(x):
                 return x
 
-    def _widest_gap(self, s: SampleSet) -> float:
-        if len(s) == 0:
-            return 0.5
-        if not self._gap_heap:
-            knots = (0.0, *s.us, 1.0)
-            for a, b in zip(knots, knots[1:]):
-                if b > a:
-                    heapq.heappush(self._gap_heap, (a - b, a, b))
-        while True:
-            neg_width, a, b = self._gap_heap[0]
-            if not self._gap_valid(s, a, b):
-                heapq.heappop(self._gap_heap)
-                continue
-            heapq.heappop(self._gap_heap)
-            x = 0.5 * (a + b)
-            heapq.heappush(self._gap_heap, (-(x - a), a, x))
-            heapq.heappush(self._gap_heap, (-(b - x), x, b))
-            return x
-
-    def _gap_valid(self, s: SampleSet, a: float, b: float) -> bool:
-        # a gap survives if no knot fell strictly inside it
-        i = bisect_right(s.us, a)
-        return i >= len(s.us) or s.us[i] >= b
+    def _widest_gap(self) -> float:
+        _, a, b = heapq.heappop(self._gap_heap)
+        x = 0.5 * (a + b)
+        heapq.heappush(self._gap_heap, (-(x - a), a, x))
+        heapq.heappush(self._gap_heap, (-(b - x), x, b))
+        return x
 
 
 class GreedyAdversary:
@@ -350,13 +334,7 @@ class InsufficientInitAdversary:
         return Disclosure(flags, truth)
 
 
-def verify_legality(
-    trials: list,
-    disclosure: Disclosure,
-    eta: int,
-    q: float,
-    tol: float = ACTION_TOL,
-) -> bool:
+def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) -> bool:
     """Certify a finalized game: few enough lies and a feasible truth.
 
     Checks that the disclosure flags every trial, that at most ``eta``
@@ -368,7 +346,7 @@ def verify_legality(
         return False
     if disclosure.lie_count > eta:
         return False
-    if q_action(disclosure.truth, q) > 1.0 + tol:
+    if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
     for rec, lied in zip(trials, disclosure.lie_flags):
         if not lied:

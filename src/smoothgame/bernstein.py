@@ -183,6 +183,8 @@ def constant_polynomial(v: float) -> BernsteinPolynomial:
 # roots of the derivative and the action integral
 
 _SUBDIVISION_MAX_DEGREE = 128
+ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
+QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
 
 
 def _sign_variations(c: np.ndarray) -> int:
@@ -190,11 +192,11 @@ def _sign_variations(c: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
 
 
-def polynomial_roots(poly: BernsteinPolynomial, width: float = 1e-12) -> list[float]:
+def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
     """Real roots in (0, 1), as split points for piecewise-smooth integration.
 
     Low degrees use Bernstein coefficient sign-variation subdivision down to
-    ``width``; higher degrees locate sign changes on a dense grid and refine
+    ``ROOT_WIDTH``; higher degrees locate sign changes on a dense grid and refine
     by bisection. Grid mode drops sign changes whose neighbourhood magnitude
     is below 1e-7 of the polynomial's scale: such grazes contribute less
     than scale^q * 1e-10 to any |P|^q integral, while a polynomial that is
@@ -202,9 +204,9 @@ def polynomial_roots(poly: BernsteinPolynomial, width: float = 1e-12) -> list[fl
     """
     if poly.degree <= _SUBDIVISION_MAX_DEGREE:
         roots: list[float] = []
-        _subdivision_roots(poly, 0.0, 1.0, width, roots, 0)
+        _subdivision_roots(poly, 0.0, 1.0, roots, 0)
     else:
-        roots = _grid_roots(poly, width)
+        roots = _grid_roots(poly)
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -213,29 +215,29 @@ def polynomial_roots(poly: BernsteinPolynomial, width: float = 1e-12) -> list[fl
     return merged
 
 
-def _subdivision_roots(poly, lo, hi, width, out, depth):
+def _subdivision_roots(poly, lo, hi, out, depth):
     v = _sign_variations(poly.coeffs)
     if v == 0:
         return
-    if hi - lo <= width or depth > 60:
+    if hi - lo <= ROOT_WIDTH or depth > 60:
         out.append(0.5 * (lo + hi))
         return
     if v == 1:
         f_lo, f_hi = poly.coeffs[0], poly.coeffs[-1]
         if f_lo != 0.0 and f_hi != 0.0 and np.sign(f_lo) != np.sign(f_hi):
-            out.append(_bisect_in(poly, lo, hi, width))
+            out.append(_bisect_in(poly, lo, hi))
             return
     left, right = poly.subdivide(0.5)
     mid = 0.5 * (lo + hi)
-    _subdivision_roots(left, lo, mid, width, out, depth + 1)
-    _subdivision_roots(right, mid, hi, width, out, depth + 1)
+    _subdivision_roots(left, lo, mid, out, depth + 1)
+    _subdivision_roots(right, mid, hi, out, depth + 1)
 
 
-def _bisect_in(poly, lo, hi, width):
+def _bisect_in(poly, lo, hi):
     # poly is parametrized over [lo, hi]; bisect in local coordinates
     a, b = 0.0, 1.0
     fa = poly.coeffs[0]
-    while (b - a) * (hi - lo) > width:
+    while (b - a) * (hi - lo) > ROOT_WIDTH:
         mid = 0.5 * (a + b)
         fm = poly(mid)
         if fm == 0.0:
@@ -249,7 +251,7 @@ def _bisect_in(poly, lo, hi, width):
     return lo + t * (hi - lo)
 
 
-def _grid_roots(poly, width):
+def _grid_roots(poly):
     n_grid = int(min(2048, max(1024, 2 * poly.degree)))
     xs = np.linspace(0.0, 1.0, n_grid + 1)
     vals = grid_values(poly, xs)
@@ -263,7 +265,7 @@ def _grid_roots(poly, width):
             continue
         a, b = xs[i], xs[i + 1]
         fa = vals[i]
-        while b - a > width:
+        while b - a > ROOT_WIDTH:
             mid = 0.5 * (a + b)
             fm = poly(np.array([mid]))[0]
             if fm == 0.0:
@@ -342,8 +344,8 @@ def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> 
     return float(np.dot(ws, vals))
 
 
-def q_action_poly(poly: BernsteinPolynomial, q: float, tol: float = 1e-9) -> float:
-    """Action integral of |P'|^q over [0, 1] to absolute tolerance ``tol``.
+def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
+    """Action integral of |P'|^q over [0, 1] to absolute tolerance ``QUADRATURE_TOL``.
 
     The domain is split at the derivative's roots so |P'| is smooth on each
     piece; panels are refined geometrically toward the roots where the
@@ -368,7 +370,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float, tol: float = 1e-9) -> flo
             n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
             edges = _piece_panels(a, b, n_base, refine)
             total += _panel_integral(deriv, q, edges, 20)
-        if prev is not None and abs(total - prev) <= 0.5 * tol:
+        if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total
     return composite_rule_action(poly, q)

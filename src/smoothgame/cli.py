@@ -4,7 +4,8 @@ Every command reads a JSON config, writes CSV/JSON artifacts into an output
 directory, and exits 0 on success, 1 on a config problem, 2 when an
 adversary broke the rules, 3 when a certified bound was violated, and 4 on
 an internal fault (a run aborted with a ``RuntimeError``, such as a learner
-protocol violation or a diverged endpoint search).
+protocol violation or a diverged endpoint search; in ``simulate``, whose
+config and players are checked before the run, also a ``ValueError``).
 Outputs are deterministic for a fixed config and seed: sweep cells may run
 in parallel but results are merged in sorted cell order, and files carry no
 timestamps.
@@ -24,6 +25,7 @@ from . import __version__
 from .engine import (
     GameConfig,
     IllegalAdversaryError,
+    build_players,
     run_game,
     write_outputs,
 )
@@ -131,12 +133,14 @@ def cmd_simulate(args) -> int:
             learner_options=spec["learner_options"],
             adversary_options=spec["adversary_options"],
         )
+        build_players(config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     try:
         tr = run_game(config)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     write_outputs(tr, args.out)
     if tr.legality is False:
         print("adversary failed post-hoc legality certification", file=sys.stderr)

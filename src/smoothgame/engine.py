@@ -27,7 +27,7 @@ from .adversaries import (
     NoisyLowerBoundAdversary,
     verify_legality,
 )
-from .interpolation import ACTION_TOL, SampleSet, action_increment, eval_interpolant
+from .interpolation import ACTION_TOL, SampleSet, _check_q, action_increment, eval_interpolant
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
@@ -62,6 +62,7 @@ class GameConfig:
             raise ValueError("rounds must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        _check_q(self.q)
         if self.duplicate_policy not in ("reject", "answer-known"):
             raise ValueError(f"unknown duplicate policy {self.duplicate_policy!r}")
 
@@ -173,6 +174,17 @@ def _greedy_factory(cfg: GameConfig) -> GreedyAdversary:
     )
     sequence = opts.pop("sequence", None)
     _reject_unknown("greedy adversary", opts)
+    if sequence is not None:
+        # each round takes a query not asked before, so the run needs
+        # `rounds` distinct entries, all in [0, 1]
+        sequence = [float(x) for x in sequence]
+        if not all(0.0 <= x <= 1.0 for x in sequence):
+            raise ValueError("query sequence entries must lie in [0, 1]")
+        if len(set(sequence)) < cfg.rounds:
+            raise ValueError(
+                f"query sequence has {len(set(sequence))} distinct entries "
+                f"for {cfg.rounds} rounds"
+            )
     return GreedyAdversary(cfg.q, gc, seed=cfg.seed, sequence=sequence)
 
 
@@ -337,18 +349,15 @@ def total_error(tr: Transcript, p: float) -> float:
     return math.fsum(abs(r.prediction - r.true_value) ** p for r in tr.trials if r.counted)
 
 
-def verify_transcript_legality(tr: Transcript, eta: int | None = None,
-                               q: float | None = None) -> bool:
+def verify_transcript_legality(tr: Transcript) -> bool:
     """Re-certify a finalized transcript from its own records.
 
     Rebuilds the truth witness from the recorded true values and applies
-    the lie-budget and feasibility checks; repeated queries must agree on
-    their true value.
+    the lie-budget and feasibility checks at the config's ``eta`` and
+    ``q``; repeated queries must agree on their true value.
     """
     if not tr.finalized:
         raise ValueError("transcript not finalized")
-    eta = tr.config.eta if eta is None else eta
-    q = tr.config.q if q is None else q
     flags = []
     seen: dict[float, float] = {}
     for r in tr.trials:
@@ -359,7 +368,7 @@ def verify_transcript_legality(tr: Transcript, eta: int | None = None,
             return False
         seen[r.x] = r.true_value
     truth = SampleSet.from_pairs(seen.items())
-    return verify_legality(tr.trials, Disclosure(flags, truth), eta, q)
+    return verify_legality(tr.trials, Disclosure(flags, truth), tr.config.eta, tr.config.q)
 
 
 def scale_transcript(tr: Transcript, c: float) -> Transcript:

@@ -6,17 +6,18 @@ domains. ``gap_out``, ``gap_in`` and ``gap_two_variable`` take scalars or
 equal-shape arrays, and every element must lie in the domain.
 ``search_near_violation`` hammers each domain with uniform, boundary-biased
 and locally refined samples and reports the smallest gap found, flagging
-anything below ``-tolerance`` as a violation.
+anything below ``-DEFAULT_TOL`` as a violation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .interpolation import (
+    ACTION_TOL,
     SamplePoint,
     SampleSet,
     action_increment,
@@ -62,9 +63,7 @@ def gap_two_variable(p, x):
     return x ** p - (x - 1.0) ** (p - 1.0) * x - (p - 1.0)
 
 
-def check_dichotomy(
-    s: SampleSet, pt: SamplePoint, q: float, tol: float = DEFAULT_TOL
-) -> tuple[bool, bool]:
+def check_dichotomy(s: SampleSet, pt: SamplePoint, q: float) -> tuple[bool, bool]:
     """Test the two action-increment lower bounds; at least one must hold.
 
     Branch 1 compares the increment against the q-th power of the raw error;
@@ -76,7 +75,7 @@ def check_dichotomy(
     if len(s) < 1:
         raise ValueError("dichotomy needs a nonempty set")
     margin1, margin2 = _dichotomy_margins(s, pt, q)
-    return margin1 >= -tol, margin2 >= -tol
+    return margin1 >= -DEFAULT_TOL, margin2 >= -DEFAULT_TOL
 
 
 def _dichotomy_margins(s: SampleSet, pt: SamplePoint, q: float) -> tuple[float, float]:
@@ -106,9 +105,7 @@ def gap_h_increment(s: SampleSet, pt: SamplePoint, p: float) -> float:
     return dh - (p - 1.0) * abs(m) * d ** p
 
 
-def check_cumulative(
-    points: list[SamplePoint], p: float, tol: float = DEFAULT_TOL
-) -> bool:
+def check_cumulative(points: list[SamplePoint], p: float) -> bool:
     """Check the cumulative slope-gap bound along a revelation sequence.
 
     Every prefix interpolant must have 1-action at most 1 (a precondition,
@@ -117,7 +114,7 @@ def check_cumulative(
     """
     if not p > 1.0:
         raise ValueError(f"p={p} must be > 1")
-    return cumulative_slope_gap(points, p) <= 1.0 / (p - 1.0) + tol
+    return cumulative_slope_gap(points, p) <= 1.0 / (p - 1.0) + DEFAULT_TOL
 
 
 def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
@@ -130,7 +127,7 @@ def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
             d = nearest_gap(s, pt.u)
             total += abs(m) * d ** p
         s.add(pt.u, pt.v)
-        if q_action(s, 1.0) > 1.0 + DEFAULT_TOL:
+        if q_action(s, 1.0) > 1.0 + ACTION_TOL:
             raise ValueError(f"prefix of length {k + 1} violates the unit 1-action budget")
     return total
 
@@ -161,9 +158,8 @@ class GapReport:
     gap_id: str
     samples: int
     min_gap: float
-    argmin: dict = field(default_factory=dict)
-    violations: int = 0
-    tolerance: float = DEFAULT_TOL
+    argmin: dict
+    violations: int
 
     @property
     def ok(self) -> bool:
@@ -176,7 +172,7 @@ class GapReport:
             "min_gap": self.min_gap,
             "argmin": {k: _plain(v) for k, v in self.argmin.items()},
             "violations": self.violations,
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_TOL,
             "ok": self.ok,
         }
 
@@ -245,8 +241,8 @@ _SCALAR_SEARCHES = {
 }
 
 
-def random_feasible_set(rng, q: float, m: int, max_action: float = 1.0) -> SampleSet:
-    """Random sample set whose q-action lands at a random level <= max_action."""
+def random_feasible_set(rng, q: float, m: int) -> SampleSet:
+    """Random sample set whose q-action lands at a random level <= 1."""
     while True:
         us = np.sort(rng.uniform(0.0, 1.0, size=m))
         if m < 2 or np.min(np.diff(us)) > 1e-4:
@@ -258,24 +254,22 @@ def random_feasible_set(rng, q: float, m: int, max_action: float = 1.0) -> Sampl
     s = SampleSet(us, np.concatenate([[v0], v0 + np.cumsum(dv)]))
     action = q_action(s, q)
     if action > 0.0:
-        target = max_action * rng.uniform(0.1, 1.0)
+        target = rng.uniform(0.1, 1.0)
         scale = (target / action) ** (1.0 / q) if not math.isinf(q) else target / action
         vs = [v0 + (v - v0) * scale for v in s.vs]
         s = SampleSet(s.us, vs)
     return s
 
 
-def random_feasible_sequence(
-    rng, length: int, budget: float = 1.0
-) -> list[SamplePoint]:
-    """Revelation sequence whose every prefix keeps the 1-action within budget."""
+def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
+    """Revelation sequence whose every prefix keeps the 1-action within 1."""
     pts = [SamplePoint(float(rng.uniform()), float(rng.uniform(-0.5, 0.5)))]
     s = SampleSet([pts[0].u], [pts[0].v])
     while len(pts) < length:
         x = float(rng.uniform())
         if s.contains_u(x):
             continue
-        box = feasible_reply_interval(s, x, 1.0, budget)
+        box = feasible_reply_interval(s, x, 1.0, 1.0)
         frac = rng.uniform()
         if rng.uniform() < 0.3:
             frac = float(rng.integers(0, 2))  # hit an endpoint
@@ -292,7 +286,7 @@ def _fresh_x(rng, s: SampleSet) -> float:
             return x
 
 
-def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
+def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
     scalar_gap, sampler = _SCALAR_SEARCHES[gap_id]
     refine_budget = budget // 4
     scan_budget = budget - refine_budget
@@ -305,7 +299,7 @@ def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
         params = sampler(rng, n)
         gaps = scalar_gap(**params)
         done += n
-        violations += int(np.count_nonzero(gaps < -tol))
+        violations += int(np.count_nonzero(gaps < -DEFAULT_TOL))
         i = int(np.argmin(gaps))
         if gaps[i] < best:
             best = float(gaps[i])
@@ -328,25 +322,25 @@ def _search_scalar(gap_id: str, budget: int, rng, tol: float) -> GapReport:
                 best = g
                 center = trial
                 best_params = dict(trial)
-            if g < -tol:
+            if g < -DEFAULT_TOL:
                 violations += 1
         done_ref += step
         scale *= 0.7
-    return GapReport(gap_id, budget, best, best_params, violations, tol)
+    return GapReport(gap_id, budget, best, best_params, violations)
 
 
-def _search_samples(gap_id: str, budget: int, rng, tol: float, draw) -> GapReport:
+def _search_samples(gap_id: str, budget: int, rng, draw) -> GapReport:
     """Score ``budget`` draws; ``draw(rng)`` returns one (gap, parameters) pair."""
     best = math.inf
     best_params: dict = {}
     violations = 0
     for _ in range(budget):
         g, params = draw(rng)
-        if g < -tol:
+        if g < -DEFAULT_TOL:
             violations += 1
         if g < best:
             best, best_params = g, params
-    return GapReport(gap_id, budget, best, best_params, violations, tol)
+    return GapReport(gap_id, budget, best, best_params, violations)
 
 
 def _draw_h_increment(rng):
@@ -391,16 +385,11 @@ _SAMPLE_SEARCHES = {
 GAP_IDS = ("out", "in", "two_variable", "h_increment", "dichotomy", "cumulative")
 
 
-def search_near_violation(
-    gap_id: str,
-    budget: int = 100_000,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> GapReport:
+def search_near_violation(gap_id: str, budget: int = 100_000, seed: int = 0) -> GapReport:
     """Sample one inequality's domain ``budget`` times, reporting the worst gap."""
     rng = np.random.default_rng(seed)
     if gap_id in _SCALAR_SEARCHES:
-        return _search_scalar(gap_id, budget, rng, tol)
+        return _search_scalar(gap_id, budget, rng)
     if gap_id in _SAMPLE_SEARCHES:
-        return _search_samples(gap_id, budget, rng, tol, _SAMPLE_SEARCHES[gap_id])
+        return _search_samples(gap_id, budget, rng, _SAMPLE_SEARCHES[gap_id])
     raise ValueError(f"unknown gap_id {gap_id!r}; known: {GAP_IDS}")

@@ -422,7 +422,9 @@ def _bisect_boundary(overshoot, center: float, direction: float) -> float:
 
 
 def _feasible_interval_sup(s: SampleSet, x: float, budget: float) -> FeasibleInterval:
-    # every segment touching the new point must have |slope| <= budget
+    # every segment touching the new point must have |slope| <= budget; the
+    # two neighbours' bounds come from different knots, and at zero slack
+    # they can cross by rounding, where the only reply is the interpolant's
     i = bisect_left(s.us, x)
     lo, hi = -math.inf, math.inf
     if i > 0:
@@ -433,6 +435,9 @@ def _feasible_interval_sup(s: SampleSet, x: float, budget: float) -> FeasibleInt
         gap = s.us[i] - x
         lo = max(lo, s.vs[i] - budget * gap)
         hi = min(hi, s.vs[i] + budget * gap)
+    if lo > hi:
+        center = eval_interpolant(s, x)
+        return FeasibleInterval(center, center)
     return FeasibleInterval(lo, hi)
 
 

@@ -2,7 +2,7 @@
 
 Both learners are deterministic state machines driven by a predict/observe
 cycle. ``LinintLearner`` simply predicts the interpolant of everything it
-has been told. ``StagedLearner`` wraps an inner standard-model learner for
+has been told. ``StagedLearner`` wraps an inner ``LinintLearner`` for
 games where up to ``eta`` revealed values may be false: it burns the first
 ``2 * eta + 1`` rounds to trap the function in a band, delegates to the
 inner learner only inside quarter-intervals it has densely sampled, and
@@ -12,7 +12,7 @@ restarts from scratch whenever one of three lie-detection events fires.
 from __future__ import annotations
 
 import math
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .interpolation import SampleSet, eval_interpolant
 
@@ -81,13 +81,7 @@ class StagedLearner:
     >= 2; other exponents require an explicit experimental threshold.
     """
 
-    def __init__(
-        self,
-        eta: int,
-        p: float,
-        inner_factory: Callable[[], Learner] = LinintLearner,
-        threshold: float | None = None,
-    ):
+    def __init__(self, eta: int, p: float, threshold: float | None = None):
         if eta < 1:
             raise ValueError("eta must be >= 1")
         if threshold is None:
@@ -102,16 +96,14 @@ class StagedLearner:
         self.eta = eta
         self.p = p
         self.threshold = threshold
-        self.inner_factory = inner_factory
         self.initial_values: list[float] = []
         self.global_center: float | None = None
         self.stores: list[list[tuple[float, float]]] = [[], [], [], []]
         self.centers: list[float | None] = [None, None, None, None]
-        self.inner: Learner = inner_factory()
-        self.stage_index = 1
+        self.inner = LinintLearner()
         self.stage_resets = 0
         self.perceived_error_sum = 0.0
-        self._last: tuple[float, bool, float, float] | None = None
+        self._last: tuple[float, bool, float] | None = None
         self._fill = 2 * eta + 1
 
     @property
@@ -141,12 +133,12 @@ class StagedLearner:
             raise ProtocolViolationError("initial feedback phase not complete")
         j = interval_of(x) - 1
         if len(self.stores[j]) < self._fill:
-            self._last = (x, False, 0.0, self.global_center)
+            self._last = (x, False, 0.0)
             return self.global_center, False
         c = self.centers[j]
         raw = self.inner.predict(x)
         emitted = min(max(raw, c - 0.5), c + 0.5)  # band clamp; raw kept for events
-        self._last = (x, True, raw, emitted)
+        self._last = (x, True, raw)
         return emitted, True
 
     def staged_observe(self, x: float, y: float) -> bool:
@@ -155,7 +147,7 @@ class StagedLearner:
             raise ProtocolViolationError("initial feedback phase not complete")
         if self._last is None or self._last[0] != x:
             raise ProtocolViolationError("observe does not match the last predict")
-        _, mimicked, raw, _ = self._last
+        _, mimicked, raw = self._last
         self._last = None
         j = interval_of(x) - 1
         self.stores[j].append((x, y))
@@ -177,7 +169,6 @@ class StagedLearner:
     def _reset_stage(self) -> None:
         self.stores = [[], [], [], []]
         self.centers = [None, None, None, None]
-        self.inner = self.inner_factory()
+        self.inner = LinintLearner()
         self.perceived_error_sum = 0.0
-        self.stage_index += 1
         self.stage_resets += 1

@@ -77,7 +77,6 @@ class SmoothedDerivative:
         if us[-1] < 1.0:
             xs.append(1.0)
             ys.append(d[-1])
-        self.eps2 = eps2
         self.slopes = d
         self.xs = np.asarray(xs)
         self.ys = np.asarray(ys)
@@ -182,7 +181,6 @@ def _build_near_interpolant(
         eps2_cap = min(eps2_cap, 0.9 * float(us[0]))
     eps2 = min(0.2 * min(act_slack, res_target) / (m * max(c, c1, 1.0)), eps2_cap)
     smooth = SmoothedDerivative(s, eps2)
-    smooth_action = smooth.power_integral(q)
     # polynomial-step tolerance honoring both budget constraints:
     # under half the slack, and cheap enough in q-power spread
     eps3 = min(0.45 * res_target,
@@ -221,7 +219,7 @@ def _build_near_interpolant(
                 f"degree cap {degree_cap} reached: residual "
                 f"{spread:.3e} vs {res_target:.3e}, "
                 f"action {action_est:.6f} vs {base_action + act_slack:.6f} "
-                f"(smoothed-derivative action {smooth_action:.6f})"
+                f"(smoothed-derivative action {smooth.power_integral(q):.6f})"
             )
         n = min(2 * n, degree_cap)
 
@@ -338,7 +336,6 @@ def exact_interpolant_poly(
     q: float,
     m_max: int = 8,
     degree_cap: int = DEGREE_CAP,
-    action_tol: float = 1e-9,
 ) -> BernsteinPolynomial:
     """Polynomial hitting every sample exactly with q-action strictly below 1.
 
@@ -389,7 +386,7 @@ def exact_interpolant_poly(
         weights = weighted_combine({k: p(us) for k, p in parts.items()}, vs)
         poly = _combine_by_degree(parts, weights, top_degree)
         resid = float(np.max(np.abs(poly(us) - vs)))
-        action = q_action_poly(poly, q, tol=action_tol)
+        action = q_action_poly(poly, q)
         if resid <= 1e-8 and action < 1.0:
             return poly
         if top_degree >= degree_cap:

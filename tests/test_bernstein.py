@@ -159,7 +159,7 @@ class TestActionIntegral:
         rng = np.random.default_rng(8)
         coeffs = rng.normal(size=13)
         p = BernsteinPolynomial(coeffs).antiderivative()
-        fast = q_action_poly(p, q, tol=1e-9)
+        fast = q_action_poly(p, q)
         slow = composite_rule_action(p, q, n_points=200_000)
         assert fast == pytest.approx(slow, rel=2e-6)
 

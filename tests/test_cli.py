@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from smoothgame.cli import main
 
@@ -81,6 +82,37 @@ class TestSimulate:
         })
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 4
         assert "ProtocolViolationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"q": 0.5},
+        {"adversary_options": {"query_policy": "fixed-sequence", "sequence": [0.1, 0.2]}},
+        {"adversary_options": {"query_policy": "fixed-sequence",
+                               "sequence": [0.1, 0.2, 1.5, 0.3, 0.4]}},
+    ])
+    def test_config_checked_before_the_run_exit_1(self, tmp_path, capsys, change):
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 5, "learner": "linint", "adversary": "greedy", **change,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_during_the_run_exit_4(self, tmp_path, capsys):
+        from smoothgame.adversaries import GreedyAdversary
+        from smoothgame.engine import register_adversary
+
+        class Faulty(GreedyAdversary):
+            def reveal(self, x, prediction):
+                if len(self.truth_set) == 3:
+                    raise ValueError("reply computed from a broken state")
+                return super().reveal(x, prediction)
+
+        register_adversary("faulty-cli", lambda c: Faulty(c.q, seed=c.seed))
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 10, "learner": "linint", "adversary": "faulty-cli",
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 4
+        assert "internal fault: ValueError" in capsys.readouterr().err
 
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -364,6 +364,14 @@ class TestFeasibleInterval:
         assert box.lo == pytest.approx(-0.5)
         assert box.hi == pytest.approx(0.5)
 
+    def test_sup_norm_zero_slack_is_not_inverted(self):
+        # the neighbours' bounds v -/+ budget * gap round apart at zero
+        # slack; the only feasible reply is then the interpolant value
+        s = S((1 / 512, 0.0), (67 / 512, 0.625))
+        x = 1.5 / 512
+        box = feasible_reply_interval(s, x, math.inf, s.sup_slope)
+        assert box.lo == box.hi == eval_interpolant(s, x)
+
     def test_budget_below_action_errors(self):
         with pytest.raises(ValueError):
             feasible_reply_interval(S((0, 0), (1, 1)), 0.5, 2, 0.5)

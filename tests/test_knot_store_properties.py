@@ -111,8 +111,7 @@ def _check_closed_form_endpoints(inputs, q):
     scale = max(1.0, budget)
     spare = budget - base
     box = feasible_reply_interval(s, x, q, budget)
-    # at zero slack the sup-norm ends can cross by rounding
-    assert box.lo <= box.hi + ENDPOINT_TOL * scale
+    assert box.lo <= box.hi
     for y, outward in ((box.lo, -1.0), (box.hi, +1.0)):
         assert action_increment(s, x, y, q) <= spare + ENDPOINT_TOL * scale
         assert action_increment(s, x, y + outward * STEP * scale, q) > spare
@@ -134,3 +133,26 @@ def test_q1_exterior_endpoints_spend_the_slack(inputs):
 @given(st.booleans().flatmap(lambda interior: interval_inputs(interior=interior)))
 def test_sup_norm_endpoints_spend_the_slack(inputs):
     _check_closed_form_endpoints(inputs, math.inf)
+
+
+# action_increment sums the one or two segments the new knot touches; the
+# difference of the two totals rounds each of up to nine terms, so the two
+# agree to INCREMENT_TOL relative to max(1, action).
+INCREMENT_TOL = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 512), max_size=8, unique=True),
+    st.data(),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+)
+def test_action_increment_is_a_difference_of_actions(ks, data, q):
+    ks = sorted(ks)
+    vs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(ks), max_size=len(ks)))
+    s = SampleSet([k / 512 for k in ks], vs)
+    x = (data.draw(st.integers(0, 511)) + 0.5) / 512
+    y = data.draw(st.floats(-2.0, 2.0))
+    grown = q_action(s.insert(x, y), q)
+    expected = grown - q_action(s, q)
+    assert abs(action_increment(s, x, y, q) - expected) <= INCREMENT_TOL * max(1.0, grown)

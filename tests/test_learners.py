@@ -161,7 +161,7 @@ class TestStagedEvents:
         lnr.staged_predict(0.35)
         reset = lnr.staged_observe(0.35, 2.0 + 0.8)  # outside [c - 1/2, c + 1/2]
         assert reset
-        assert lnr.stage_index == 2
+        assert lnr.stage_resets == 1
         assert lnr.stores == [[], [], [], []]
         assert lnr.centers == [None, None, None, None]
         # immediately after a reset the prediction is the global center
@@ -194,7 +194,7 @@ class TestStagedEvents:
         lnr = make_learner(eta=2)
         assert lnr.stage_resets == 0
         feed_initial(lnr, [1.0] * 5)
-        assert lnr.stage_index == 1
+        assert lnr.stage_resets == 0
 
     def test_observe_must_match_predict(self):
         lnr = make_learner(eta=1)
@@ -208,4 +208,4 @@ class TestStagedEvents:
         feed_initial(lnr, [0.0, 0.0, 0.0])
         lnr.staged_predict(0.8)
         assert not lnr.staged_observe(0.8, 100.0)  # wild value, but not mimicked
-        assert lnr.stage_index == 1
+        assert lnr.stage_resets == 0
