@@ -6,7 +6,10 @@ domains. ``gap_out``, ``gap_in`` and ``gap_two_variable`` take scalars or
 equal-shape arrays, and every element must lie in the domain.
 ``search_near_violation`` hammers each domain with uniform, boundary-biased
 and locally refined samples and reports the smallest gap found, flagging
-anything below ``-DEFAULT_TOL`` as a violation.
+anything below ``-DEFAULT_TOL`` as a violation. The point-set searches
+(``h_increment``, ``dichotomy``) draw and score their sets in numpy batches
+of padded knot arrays; ``gap_h_increment`` and ``check_dichotomy`` score one
+set at a time and are the reference the batches are tested against.
 """
 
 from __future__ import annotations
@@ -242,23 +245,9 @@ _SCALAR_SEARCHES = {
 
 
 def random_feasible_set(rng, q: float, m: int) -> SampleSet:
-    """Random sample set whose q-action lands at a random level <= 1."""
-    while True:
-        us = np.sort(rng.uniform(0.0, 1.0, size=m))
-        if m < 2 or np.min(np.diff(us)) > 1e-4:
-            break
-    v0 = rng.uniform(-0.5, 0.5)
-    if m == 1:
-        return SampleSet([float(us[0])], [v0])
-    dv = rng.normal(size=m - 1) * rng.uniform(0.05, 1.0, size=m - 1)
-    s = SampleSet(us, np.concatenate([[v0], v0 + np.cumsum(dv)]))
-    action = q_action(s, q)
-    if action > 0.0:
-        target = rng.uniform(0.1, 1.0)
-        scale = (target / action) ** (1.0 / q) if not math.isinf(q) else target / action
-        vs = [v0 + (v - v0) * scale for v in s.vs]
-        s = SampleSet(s.us, vs)
-    return s
+    """Random set of m <= 8 knots whose q-action lands at a random level <= 1."""
+    us, vs = _random_feasible_sets(rng, np.array([q]), np.array([m]))
+    return SampleSet(us[0, 1:m + 1], vs[0, 1:m + 1])
 
 
 def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
@@ -279,31 +268,42 @@ def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
     return pts
 
 
-def _fresh_x(rng, s: SampleSet) -> float:
-    while True:
-        x = float(rng.uniform())
-        if not s.contains_u(x):
-            return x
+# the most draws made and scored in one numpy call; bounds a search's memory
+_CHUNK = 50_000
 
 
-def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
-    scalar_gap, sampler = _SCALAR_SEARCHES[gap_id]
-    refine_budget = budget // 4
-    scan_budget = budget - refine_budget
+def _scan(budget: int, rng, draw) -> tuple[float, dict, int]:
+    """Score ``budget`` draws in chunks of at most ``_CHUNK``.
+
+    ``draw(rng, n)`` returns the gaps of n draws and a function from a
+    draw's index to its parameters. Returns the smallest gap, the parameters
+    it was drawn with and the number of violations.
+    """
     best = math.inf
     best_params: dict = {}
     violations = 0
     done = 0
-    while done < scan_budget:
-        n = min(scan_budget - done, 50_000)
-        params = sampler(rng, n)
-        gaps = scalar_gap(**params)
+    while done < budget:
+        n = min(budget - done, _CHUNK)
+        gaps, params_at = draw(rng, n)
         done += n
         violations += int(np.count_nonzero(gaps < -DEFAULT_TOL))
         i = int(np.argmin(gaps))
         if gaps[i] < best:
             best = float(gaps[i])
-            best_params = {k: float(v[i]) for k, v in params.items()}
+            best_params = params_at(i)
+    return best, best_params, violations
+
+
+def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
+    scalar_gap, sampler = _SCALAR_SEARCHES[gap_id]
+    refine_budget = budget // 4
+
+    def draw(rng, n):
+        params = sampler(rng, n)
+        return scalar_gap(**params), lambda i: {k: float(v[i]) for k, v in params.items()}
+
+    best, best_params, violations = _scan(budget - refine_budget, rng, draw)
     # local refinement: shrink multiplicative perturbations around the minimum
     center = dict(best_params)
     scale = 0.5
@@ -329,57 +329,183 @@ def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
     return GapReport(gap_id, budget, best, best_params, violations)
 
 
-def _search_samples(gap_id: str, budget: int, rng, draw) -> GapReport:
-    """Score ``budget`` draws; ``draw(rng)`` returns one (gap, parameters) pair."""
+# ---------------------------------------------------------------------------
+# batched point-set searches
+
+_MAX_KNOTS = 8
+
+
+@dataclass
+class _SetBatch:
+    """Point-set draws, one per row, as padded knot arrays.
+
+    Row k holds a set of ``size[k]`` knots in columns 1 to ``size[k]`` of
+    ``us`` and ``vs``, a new point ``(x[k], y[k])`` off the knots, and the
+    draw's exponent. The pads are flat knots: column 0 sits at u = -1 with
+    the first value, and the columns past the set sit at u > 1 with the last
+    value. A flat segment adds nothing to an action or a potential and has
+    slope 0, and the interpolant outside the knot span is the flat pad's
+    value, so only the increments need a mask.
+    """
+
+    us: np.ndarray
+    vs: np.ndarray
+    size: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    exponent: np.ndarray
+
+    def knots(self, k: int) -> tuple[list[float], list[float]]:
+        """Row k's set as plain-float knot lists."""
+        end = int(self.size[k]) + 1
+        return self.us[k, 1:end].tolist(), self.vs[k, 1:end].tolist()
+
+    def params(self, k: int, exponent: str) -> dict:
+        """Row k as plain values, with the exponent under the given name."""
+        us, vs = self.knots(k)
+        return {exponent: float(self.exponent[k]), "x": float(self.x[k]),
+                "y": float(self.y[k]), "set_size": int(self.size[k]), "us": us, "vs": vs}
+
+
+def _random_feasible_sets(rng, q: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded knot arrays of random sets, row k of ``size[k]`` knots.
+
+    The knots are sorted uniforms at least 1e-4 apart, and the values a
+    random walk from v0 rescaled so that the row's ``q[k]``-action is a
+    uniform level in (0.1, 1); a set of action 0 keeps its values.
+    """
+    n = len(size)
+    cols = np.arange(_MAX_KNOTS + 1)
+    real = cols < size[:, None]
+    inner = np.empty((n, _MAX_KNOTS + 1))
+    redraw = np.arange(n)
+    while len(redraw):
+        # the pads, at u = column + 2 > 1, sort after the knots and pass the gap test
+        draws = np.where(real[redraw], rng.uniform(size=(len(redraw), _MAX_KNOTS + 1)), cols + 2.0)
+        draws.sort(axis=1)
+        inner[redraw] = draws
+        redraw = redraw[np.diff(draws, axis=1).min(axis=1) <= 1e-4]
+    us = np.hstack([np.full((n, 1), -1.0), inner])
+    v0 = rng.uniform(-0.5, 0.5, size=n)[:, None]
+    steps = rng.normal(size=(n, _MAX_KNOTS)) * rng.uniform(0.05, 1.0, size=(n, _MAX_KNOTS))
+    # step j joins the set's knots j and j + 1 (from 0); the pads stay flat
+    steps[~real[:, 1:]] = 0.0
+    vs = v0 + np.hstack([np.zeros((n, 2)), np.cumsum(steps, axis=1)])
+    du = np.diff(us, axis=1)
+    action = (du * np.abs(np.diff(vs, axis=1) / du) ** q[:, None]).sum(axis=1)
+    target = rng.uniform(0.1, 1.0, size=n)
+    # a set of action 0 is scaled by 1
+    scale = (target / np.where(action > 0.0, action, target)) ** (1.0 / q)
+    return us, v0 + (vs - v0) * scale[:, None]
+
+
+def _locate(us: np.ndarray, vs: np.ndarray, x: np.ndarray):
+    """The segment of each row that holds x: the column ``i`` of its right
+    end, its ends ``(u0, v0)`` and ``(u1, v1)``, and the interpolant at x."""
+    i = np.count_nonzero(us < x[:, None], axis=1)
+    rows = np.arange(len(x))
+    u0, u1, v0, v1 = us[rows, i - 1], us[rows, i], vs[rows, i - 1], vs[rows, i]
+    return i, u0, u1, v0, v1, v0 + (x - u0) * (v1 - v0) / (u1 - u0)
+
+
+def _fresh_points(rng, us, vs, spread_hi: float, exact_frac: float):
+    """x uniform off the knots; y the interpolant at x, plus noise of scale
+    10^U(-6, spread_hi) except in a fraction ``exact_frac`` of rows."""
+    n = len(us)
+    x = np.empty(n)
+    redraw = np.arange(n)
+    while len(redraw):
+        x[redraw] = rng.uniform(size=len(redraw))
+        redraw = redraw[(us[redraw] == x[redraw, None]).any(axis=1)]
+    base = _locate(us, vs, x)[-1]
+    noisy = base + 10.0 ** rng.uniform(-6.0, spread_hi, size=n) * rng.normal(size=n)
+    return x, np.where(rng.uniform(size=n) < exact_frac, base, noisy)
+
+
+def _h_increment_batch(rng, n: int) -> _SetBatch:
+    size = rng.integers(2, _MAX_KNOTS + 1, size=n)
+    us, vs = _random_feasible_sets(rng, np.ones(n), size)
+    p = 1.0 + _mix_log_uniform(rng, n, 1e-6, 3.0)
+    x, y = _fresh_points(rng, us, vs, 0.3, 0.1)
+    return _SetBatch(us, vs, size, x, y, p)
+
+
+def _dichotomy_batch(rng, n: int) -> _SetBatch:
+    q = _sample_q_open(rng, n)
+    size = rng.integers(1, _MAX_KNOTS + 1, size=n)
+    us, vs = _random_feasible_sets(rng, q, size)
+    x, y = _fresh_points(rng, us, vs, 0.5, 0.05)
+    return _SetBatch(us, vs, size, x, y, q)
+
+
+def _h_increment_gaps(b: _SetBatch) -> np.ndarray:
+    """``gap_h_increment`` of every row, from the segments the point touches."""
+    i, u0, u1, v0, v1, _ = _locate(b.us, b.vs, b.x)
+    p = b.exponent
+    left, right = b.x - u0, u1 - b.x
+    # a pad's segment is not part of the set: mask the new segments to it
+    dh = (np.where(i > 1, np.abs(b.y - v0) * (1.0 - left ** (p - 1.0)), 0.0)
+          + np.where(i <= b.size, np.abs(v1 - b.y) * (1.0 - right ** (p - 1.0)), 0.0)
+          - np.abs(v1 - v0) * (1.0 - (u1 - u0) ** (p - 1.0)))
+    slope = (v1 - v0) / (u1 - u0)
+    return dh - (p - 1.0) * np.abs(slope) * np.minimum(left, right) ** p
+
+
+def _dichotomy_margin_arrays(b: _SetBatch) -> tuple[np.ndarray, np.ndarray]:
+    """``_dichotomy_margins`` of every row."""
+    i, u0, u1, v0, v1, value = _locate(b.us, b.vs, b.x)
+    q = b.exponent
+    left, right = b.x - u0, u1 - b.x
+    inc = (np.where(i > 1, left * np.abs((b.y - v0) / left) ** q, 0.0)
+           + np.where(i <= b.size, right * np.abs((v1 - b.y) / right) ** q, 0.0)
+           - (left + right) * np.abs((v1 - v0) / (left + right)) ** q)
+    err = b.y - value
+    margin1 = inc - (q - 1.0) / 3.0 * np.abs(err) ** q
+    slope = (v1 - v0) / (u1 - u0)
+    flat = slope == 0.0
+    bound2 = ((q - 1.0) / (3.0 * np.abs(np.where(flat, 1.0, slope)) ** (2.0 - q)
+                           * np.minimum(left, right)) * err * err)
+    margin2 = np.where(err == 0.0, inc, np.where(flat, -np.inf, inc - bound2))
+    return margin1, margin2
+
+
+def _dichotomy_gaps(b: _SetBatch) -> np.ndarray:
+    # the effective gap of an either/or claim is the larger branch margin
+    return np.maximum(*_dichotomy_margin_arrays(b))
+
+
+# gap id -> (batch sampler, scorer, name of the batch's exponent)
+_POINT_SET_SEARCHES = {
+    "h_increment": (_h_increment_batch, _h_increment_gaps, "p"),
+    "dichotomy": (_dichotomy_batch, _dichotomy_gaps, "q"),
+}
+
+
+def _search_point_sets(gap_id: str, budget: int, rng) -> GapReport:
+    sampler, score, exponent = _POINT_SET_SEARCHES[gap_id]
+
+    def draw(rng, n):
+        batch = sampler(rng, n)
+        return score(batch), lambda k: batch.params(k, exponent)
+
+    return GapReport(gap_id, budget, *_scan(budget, rng, draw))
+
+
+def _search_cumulative(budget: int, rng) -> GapReport:
+    # each prefix's feasible interval depends on the knots before it, so the
+    # sequences are drawn and scored one at a time
     best = math.inf
     best_params: dict = {}
     violations = 0
     for _ in range(budget):
-        g, params = draw(rng)
+        p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
+        length = int(rng.integers(5, 51))
+        g = 1.0 / (p - 1.0) - cumulative_slope_gap(random_feasible_sequence(rng, length), p)
         if g < -DEFAULT_TOL:
             violations += 1
         if g < best:
-            best, best_params = g, params
-    return GapReport(gap_id, budget, best, best_params, violations)
-
-
-def _draw_h_increment(rng):
-    m = int(rng.integers(2, 9))
-    s = random_feasible_set(rng, 1.0, m)
-    p = 1.0 + float(_mix_log_uniform(rng, 1, 1e-6, 3.0)[0])
-    x = _fresh_x(rng, s)
-    base = eval_interpolant(s, x)
-    spread = float(10.0 ** rng.uniform(-6, 0.3))
-    y = base if rng.uniform() < 0.1 else base + spread * rng.normal()
-    g = gap_h_increment(s, SamplePoint(x, y), p)
-    return g, {"p": p, "x": x, "y": y, "set_size": m}
-
-
-def _draw_dichotomy(rng):
-    # the effective gap of an either/or claim is the larger branch margin
-    q = float(_sample_q_open(rng, 1)[0])
-    m = int(rng.integers(1, 9))
-    s = random_feasible_set(rng, q, m)
-    x = _fresh_x(rng, s)
-    base = eval_interpolant(s, x)
-    spread = float(10.0 ** rng.uniform(-6, 0.5))
-    y = base if rng.uniform() < 0.05 else base + spread * rng.normal()
-    g = max(_dichotomy_margins(s, SamplePoint(x, y), q))
-    return g, {"q": q, "x": x, "y": y, "set_size": m}
-
-
-def _draw_cumulative(rng):
-    p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
-    length = int(rng.integers(5, 51))
-    g = 1.0 / (p - 1.0) - cumulative_slope_gap(random_feasible_sequence(rng, length), p)
-    return g, {"p": p, "length": length}
-
-
-_SAMPLE_SEARCHES = {
-    "h_increment": _draw_h_increment,
-    "dichotomy": _draw_dichotomy,
-    "cumulative": _draw_cumulative,
-}
+            best, best_params = g, {"p": p, "length": length}
+    return GapReport("cumulative", budget, best, best_params, violations)
 
 
 GAP_IDS = ("out", "in", "two_variable", "h_increment", "dichotomy", "cumulative")
@@ -390,6 +516,8 @@ def search_near_violation(gap_id: str, budget: int = 100_000, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     if gap_id in _SCALAR_SEARCHES:
         return _search_scalar(gap_id, budget, rng)
-    if gap_id in _SAMPLE_SEARCHES:
-        return _search_samples(gap_id, budget, rng, _SAMPLE_SEARCHES[gap_id])
+    if gap_id in _POINT_SET_SEARCHES:
+        return _search_point_sets(gap_id, budget, rng)
+    if gap_id == "cumulative":
+        return _search_cumulative(budget, rng)
     raise ValueError(f"unknown gap_id {gap_id!r}; known: {GAP_IDS}")

@@ -1,9 +1,20 @@
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from smoothgame import inequalities
 from smoothgame.inequalities import (
+    _CHUNK,
     GAP_IDS,
+    _dichotomy_batch,
+    _dichotomy_gaps,
+    _dichotomy_margin_arrays,
+    _dichotomy_margins,
+    _h_increment_batch,
+    _h_increment_gaps,
     _sample_out,
     check_cumulative,
     check_dichotomy,
@@ -16,7 +27,16 @@ from smoothgame.inequalities import (
     random_feasible_set,
     search_near_violation,
 )
-from smoothgame.interpolation import SamplePoint, SampleSet, eval_interpolant, q_action
+from smoothgame.interpolation import (
+    ACTION_TOL,
+    SamplePoint,
+    SampleSet,
+    action_increment,
+    eval_interpolant,
+    h_potential,
+    q_action,
+    slope_at,
+)
 
 
 def S(*pairs):
@@ -198,9 +218,37 @@ class TestSearch:
         assert rep.samples == budget
 
     def test_deterministic(self):
-        a = search_near_violation("out", budget=2000, seed=9)
-        b = search_near_violation("out", budget=2000, seed=9)
-        assert a.min_gap == b.min_gap and a.argmin == b.argmin
+        for gap_id in ("out", "h_increment", "dichotomy"):
+            a = search_near_violation(gap_id, budget=2000, seed=9)
+            b = search_near_violation(gap_id, budget=2000, seed=9)
+            assert a.min_gap == b.min_gap and a.argmin == b.argmin
+            assert a.violations == b.violations
+
+    @pytest.mark.parametrize("budget", [1, 7, _CHUNK + 1])
+    @pytest.mark.parametrize("gap_id", ["h_increment", "dichotomy"])
+    def test_point_set_budget_scores_every_draw_once(self, gap_id, budget, monkeypatch):
+        # at a tolerance of -inf every finite gap is a violation, so the
+        # count is the number of draws scored
+        monkeypatch.setattr(inequalities, "DEFAULT_TOL", -math.inf)
+        rep = search_near_violation(gap_id, budget=budget, seed=5)
+        assert rep.samples == budget
+        assert rep.violations == budget
+
+    @pytest.mark.parametrize("gap_id", ["h_increment", "dichotomy"])
+    def test_argmin_rebuilds_the_minimum(self, gap_id):
+        rep = search_near_violation(gap_id, budget=3000, seed=4)
+        arg = rep.argmin
+        s = SampleSet(arg["us"], arg["vs"])
+        pt = SamplePoint(arg["x"], arg["y"])
+        assert len(s) == arg["set_size"]
+        if gap_id == "h_increment":
+            gap, lhs = _h_increment_reference(s, pt, arg["p"])
+        else:
+            margins, lhs = _dichotomy_reference(s, pt, arg["q"])
+            gap = max(margins)
+        assert abs(rep.min_gap - gap) <= _diff_tol(lhs, lhs - gap)
+        json.dumps(rep.to_dict())
+        assert type(rep.to_dict()["argmin"]["set_size"]) is int
 
     def test_unknown_gap(self):
         with pytest.raises(ValueError):
@@ -228,3 +276,77 @@ class TestFeasibleGenerators:
         for pt in seq:
             s = s.insert(pt.u, pt.v)
             assert q_action(s, 1.0) <= 1 + 1e-9
+
+
+def _diff_tol(lhs, rhs):
+    # batched and one-set scores of an inequality lhs >= rhs agree this closely
+    return 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+
+
+def _h_increment_reference(s, pt, p):
+    """``gap_h_increment`` and its left-hand side dH."""
+    lhs = h_potential(s.insert(pt.u, pt.v), p) - h_potential(s, p)
+    return gap_h_increment(s, pt, p), lhs
+
+
+def _dichotomy_reference(s, pt, q):
+    """``_dichotomy_margins`` and their common left-hand side, the increment."""
+    return _dichotomy_margins(s, pt, q), action_increment(s, pt.u, pt.v, q)
+
+
+class TestBatchedPointSets:
+    """The batched draws and scores against the one-set reference functions."""
+
+    @staticmethod
+    def _forced_batch(draw, seed):
+        # make every tenth row flat, so interior points see slope 0, and put
+        # every other one of those points on the interpolant
+        batch = draw(np.random.default_rng(seed), 2000)
+        flat = np.arange(0, 2000, 10)
+        batch.vs[flat] = batch.vs[flat, :1]
+        batch.y[flat[::2]] = batch.vs[flat[::2], 0]
+        return batch
+
+    @staticmethod
+    def _rows(batch, q_of_set):
+        """Each row rebuilt as a one-set case, with the branches it takes."""
+        seen = set()
+        for k in range(len(batch.x)):
+            s = SampleSet(*batch.knots(k))
+            pt = SamplePoint(float(batch.x[k]), float(batch.y[k]))
+            e = float(batch.exponent[k])
+            assert q_action(s, q_of_set(e)) <= 1.0 + ACTION_TOL
+            assert len(s) == 1 or np.diff(s.us).min() > 1e-4
+            inside = s.us[0] < pt.u < s.us[-1]
+            seen.add("m = 1" if len(s) == 1 else "m > 1")
+            seen.add("interior" if inside else "left" if pt.u < s.us[0] else "right")
+            if pt.v == eval_interpolant(s, pt.u):
+                seen.add("on the interpolant")
+            if inside and slope_at(s, pt.u) == 0.0:
+                seen.add("interior zero slope")
+            yield k, s, pt, e
+        assert seen >= {"m > 1", "interior", "left", "right", "on the interpolant",
+                        "interior zero slope"}
+
+    def test_h_increment_matches_reference(self):
+        batch = self._forced_batch(_h_increment_batch, 21)
+        gaps = _h_increment_gaps(batch)
+        for k, s, pt, p in self._rows(batch, lambda p: 1.0):
+            ref, lhs = _h_increment_reference(s, pt, p)
+            assert abs(gaps[k] - ref) <= _diff_tol(lhs, lhs - ref), (k, gaps[k], ref)
+
+    def test_dichotomy_matches_reference(self):
+        batch = self._forced_batch(_dichotomy_batch, 22)
+        margins = _dichotomy_margin_arrays(batch)
+        gaps = _dichotomy_gaps(batch)
+        sizes = set()
+        for k, s, pt, q in self._rows(batch, lambda q: q):
+            sizes.add(len(s))
+            refs, inc = _dichotomy_reference(s, pt, q)
+            for got, ref in zip((margins[0][k], margins[1][k], gaps[k]), (*refs, max(refs))):
+                if math.isinf(ref):
+                    assert got == ref, (k, got, ref)
+                else:
+                    assert abs(got - ref) <= _diff_tol(inc, inc - ref), (k, got, ref)
+        assert 1 in sizes
+        assert np.isneginf(margins[1]).any()
