@@ -2,11 +2,14 @@
 
 Coefficients live in the Bernstein basis, which keeps evaluation a convex
 combination of coefficients (no cancellation blow-up at degrees in the
-thousands), makes differentiation and antidifferentiation exact one-line
-recurrences, and supports root isolation by coefficient sign variation.
-The action functional ``integral of |P'|^q`` is computed by splitting the
-domain at the derivative's real roots so every piece is smooth, then
-applying composite Gauss panels with endpoint refinement.
+thousands) and makes differentiation and antidifferentiation exact one-line
+recurrences. The action functional ``integral of |P'|^q`` is computed by
+splitting the domain at the derivative's real roots so every piece is
+smooth, then applying composite Gauss panels with endpoint refinement. The
+roots are sign changes of P' on one fixed action grid (``gauss_grid``) plus
+the exact end values of P', bisected to ``ROOT_WIDTH``; the degree ladder in
+``polyapprox`` estimates actions on the same grid, so both read one cached
+basis per degree.
 """
 
 from __future__ import annotations
@@ -121,20 +124,6 @@ class BernsteinPolynomial:
         w = _elevation_weights(n, target_degree)
         return BernsteinPolynomial(w @ self.coeffs)
 
-    def subdivide(self, t: float) -> tuple["BernsteinPolynomial", "BernsteinPolynomial"]:
-        """Split at t into polynomials over [0, t] and [t, 1], reparametrized."""
-        b = self.coeffs.copy()
-        n = self.degree
-        left = np.empty(n + 1)
-        right = np.empty(n + 1)
-        left[0] = b[0]
-        right[n] = b[n]
-        for r in range(1, n + 1):
-            b = (1.0 - t) * b[:-1] + t * b[1:]
-            left[r] = b[0]
-            right[n - r] = b[-1]
-        return BernsteinPolynomial(left), BernsteinPolynomial(right)
-
     def to_power_exact(self) -> list[Fraction]:
         """Monomial coefficients (ascending) as exact fractions.
 
@@ -175,99 +164,38 @@ class BernsteinPolynomial:
         return f"BernsteinPolynomial(degree={self.degree})"
 
 
-def constant_polynomial(v: float) -> BernsteinPolynomial:
-    return BernsteinPolynomial([v])
-
-
 # ---------------------------------------------------------------------------
 # roots of the derivative and the action integral
 
-_SUBDIVISION_MAX_DEGREE = 128
 ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
-
-
-def _sign_variations(c: np.ndarray) -> int:
-    signs = np.sign(c[np.abs(c) > 0.0])
-    return int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
 
 
 def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
     """Real roots in (0, 1), as split points for piecewise-smooth integration.
 
-    Low degrees use Bernstein coefficient sign-variation subdivision down to
-    ``ROOT_WIDTH``; higher degrees locate sign changes on a dense grid and refine
-    by bisection. Grid mode drops sign changes whose neighbourhood magnitude
-    is below 1e-7 of the polynomial's scale: such grazes contribute less
-    than scale^q * 1e-10 to any |P|^q integral, while a polynomial that is
-    morally zero on a stretch would otherwise shower split points there.
+    Sign changes are searched on the action grid (``gauss_grid``), whose
+    nodes come no closer than ~1e-4 to either end, with the exact end
+    values P(0) = c_0 and P(1) = c_n added; each is bisected down to
+    ``ROOT_WIDTH``. A sign change whose neighbourhood magnitude is below
+    1e-7 of the polynomial's scale is dropped: such a graze contributes
+    less than scale^q * 1e-10 to any |P|^q integral, while a polynomial
+    that is morally zero on a stretch would otherwise shower split points
+    there.
     """
-    if poly.degree <= _SUBDIVISION_MAX_DEGREE:
-        roots: list[float] = []
-        _subdivision_roots(poly, 0.0, 1.0, roots, 0)
-    else:
-        roots = _grid_roots(poly)
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if 1e-12 < r < 1.0 - 1e-12 and (not merged or r - merged[-1] > 1e-10):
-            merged.append(r)
-    return merged
-
-
-def _subdivision_roots(poly, lo, hi, out, depth):
-    v = _sign_variations(poly.coeffs)
-    if v == 0:
-        return
-    if hi - lo <= ROOT_WIDTH or depth > 60:
-        out.append(0.5 * (lo + hi))
-        return
-    if v == 1:
-        f_lo, f_hi = poly.coeffs[0], poly.coeffs[-1]
-        if f_lo != 0.0 and f_hi != 0.0 and np.sign(f_lo) != np.sign(f_hi):
-            out.append(_bisect_in(poly, lo, hi))
-            return
-    left, right = poly.subdivide(0.5)
-    mid = 0.5 * (lo + hi)
-    _subdivision_roots(left, lo, mid, out, depth + 1)
-    _subdivision_roots(right, mid, hi, out, depth + 1)
-
-
-def _bisect_in(poly, lo, hi):
-    # poly is parametrized over [lo, hi]; bisect in local coordinates
-    a, b = 0.0, 1.0
-    fa = poly.coeffs[0]
-    while (b - a) * (hi - lo) > ROOT_WIDTH:
-        mid = 0.5 * (a + b)
-        fm = poly(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if np.sign(fm) == np.sign(fa):
-            a = mid
-        else:
-            b = mid
-    t = 0.5 * (a + b)
-    return lo + t * (hi - lo)
-
-
-def _grid_roots(poly):
-    n_grid = int(min(2048, max(1024, 2 * poly.degree)))
-    xs = np.linspace(0.0, 1.0, n_grid + 1)
-    vals = grid_values(poly, xs)
-    scale = float(np.max(np.abs(vals)))
-    floor = 1e-7 * scale
-    roots = []
+    xs = np.concatenate(([0.0], gauss_grid()[0], [1.0]))
+    vals = np.concatenate(([poly.coeffs[0]], grid_values(poly), [poly.coeffs[-1]]))
+    floor = 1e-7 * float(np.max(np.abs(vals)))
     sign = np.sign(vals)
-    for i in np.nonzero((sign[:-1] * sign[1:] < 0.0))[0]:
-        lo, hi = max(0, i - 1), min(len(vals) - 1, i + 2)
-        if np.max(np.abs(vals[lo : hi + 1])) < floor:
+    roots = []
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
+        if np.max(np.abs(vals[max(0, i - 1) : i + 3])) < floor:
             continue
-        a, b = xs[i], xs[i + 1]
+        a, b = float(xs[i]), float(xs[i + 1])
         fa = vals[i]
         while b - a > ROOT_WIDTH:
             mid = 0.5 * (a + b)
-            fm = poly(np.array([mid]))[0]
+            fm = poly(mid)
             if fm == 0.0:
                 a = b = mid
                 break
@@ -275,28 +203,31 @@ def _grid_roots(poly):
                 a, fa = mid, fm
             else:
                 b = mid
-        roots.append(0.5 * (a + b))
+        r = 0.5 * (a + b)
+        if 1e-12 < r < 1.0 - 1e-12:
+            roots.append(r)
     return roots
 
 
 _CACHED_BASIS_MAX_ENTRIES = 20_000_000
 
 
-def grid_values(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
-    """Values of ``poly`` at the nodes of a fixed grid, reusing the basis.
+def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
+    """Values of ``poly`` at the nodes of the action grid, reusing the basis.
 
-    The degree-n basis on a grid is kept in one bounded cache keyed by the
-    degree and the grid nodes (least recently used out). A basis above 20M
-    entries is never cached; ``poly`` is then evaluated directly.
+    The degree-n basis on the grid is kept in one bounded cache keyed by the
+    degree (least recently used out). A basis above 20M entries is never
+    cached; ``poly`` is then evaluated directly.
     """
+    xs = gauss_grid()[0]
     if (poly.degree + 1) * len(xs) > _CACHED_BASIS_MAX_ENTRIES:
         return poly(xs)
-    return _grid_basis(poly.degree, xs.tobytes()) @ poly.coeffs
+    return _grid_basis(poly.degree) @ poly.coeffs
 
 
 @lru_cache(maxsize=8)
-def _grid_basis(n: int, nodes: bytes) -> np.ndarray:
-    return bernstein_basis_matrix(n, np.frombuffer(nodes))
+def _grid_basis(n: int) -> np.ndarray:
+    return bernstein_basis_matrix(n, gauss_grid()[0])
 
 
 @lru_cache(maxsize=8)
@@ -315,10 +246,14 @@ def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-@lru_cache(maxsize=4)
-def gauss_grid(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite ``order``-point Gauss rule on ``panels`` equal panels of [0, 1]."""
-    return _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
+@lru_cache(maxsize=1)
+def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The action grid: the composite 8-point Gauss rule on 192 equal panels.
+
+    Nodes and weights on [0, 1]. The degree ladder's action estimate and
+    the root search both evaluate on it, so they share one basis per degree.
+    """
+    return _panel_rule(np.linspace(0.0, 1.0, 193), 8)
 
 
 def _piece_panels(a: float, b: float, base: int, refine_ends: bool):

@@ -262,12 +262,18 @@ def cmd_verify_lemmas(args) -> int:
     if args.samples is not None:
         spec["default_samples"] = args.samples
     seed = args.seed if args.seed is not None else spec["seed"]
+    samples = spec["samples"]
+    if not isinstance(samples, dict) or not set(samples) <= set(GAP_IDS):
+        raise ConfigError(f"samples must map gap ids {GAP_IDS} to budgets, got {samples!r}")
     reports = []
     for gap_id in GAP_IDS:
-        budget = int(spec["samples"].get(gap_id, spec["default_samples"]))
-        if gap_id == "cumulative":
-            budget = max(10, budget // 20)
-        reports.append(search_near_violation(gap_id, budget=budget, seed=seed))
+        try:
+            budget = int(samples.get(gap_id, spec["default_samples"]))
+            if gap_id == "cumulative" and budget > 0:
+                budget = max(10, budget // 20)
+            reports.append(search_near_violation(gap_id, budget=budget, seed=seed))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

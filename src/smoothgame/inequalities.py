@@ -494,25 +494,29 @@ def _search_point_sets(gap_id: str, budget: int, rng) -> GapReport:
 def _search_cumulative(budget: int, rng) -> GapReport:
     # each prefix's feasible interval depends on the knots before it, so the
     # sequences are drawn and scored one at a time
-    best = math.inf
-    best_params: dict = {}
-    violations = 0
-    for _ in range(budget):
-        p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
-        length = int(rng.integers(5, 51))
-        g = 1.0 / (p - 1.0) - cumulative_slope_gap(random_feasible_sequence(rng, length), p)
-        if g < -DEFAULT_TOL:
-            violations += 1
-        if g < best:
-            best, best_params = g, {"p": p, "length": length}
-    return GapReport("cumulative", budget, best, best_params, violations)
+    def draw(rng, n):
+        gaps, params = np.empty(n), []
+        for k in range(n):
+            p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
+            length = int(rng.integers(5, 51))
+            points = random_feasible_sequence(rng, length)
+            gaps[k] = 1.0 / (p - 1.0) - cumulative_slope_gap(points, p)
+            params.append({"p": p, "length": length})
+        return gaps, params.__getitem__
+
+    return GapReport("cumulative", budget, *_scan(budget, rng, draw))
 
 
 GAP_IDS = ("out", "in", "two_variable", "h_increment", "dichotomy", "cumulative")
 
 
 def search_near_violation(gap_id: str, budget: int = 100_000, seed: int = 0) -> GapReport:
-    """Sample one inequality's domain ``budget`` times, reporting the worst gap."""
+    """Sample one inequality's domain ``budget`` times, reporting the worst gap.
+
+    Raises ``ValueError`` for an unknown ``gap_id`` or a budget below 1.
+    """
+    if budget < 1:
+        raise ValueError(f"budget {budget} for {gap_id!r} must be at least 1")
     rng = np.random.default_rng(seed)
     if gap_id in _SCALAR_SEARCHES:
         return _search_scalar(gap_id, budget, rng)

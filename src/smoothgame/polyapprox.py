@@ -36,7 +36,6 @@ from .bernstein import (
     BernsteinPolynomial,
     DegreeCapError,
     bernstein_basis_matrix,
-    constant_polynomial,
     gauss_grid,
     grid_values,
     q_action_poly,
@@ -133,9 +132,8 @@ class BudgetPlan:
 
 def _grid_action(deriv_coeffs: np.ndarray, q: float) -> float:
     """Fast composite-Gauss estimate of the action of a derivative poly."""
-    xs, ws = gauss_grid(192, 8)
-    vals = grid_values(BernsteinPolynomial(deriv_coeffs), xs)
-    return float(np.dot(ws, np.abs(vals) ** q))
+    vals = grid_values(BernsteinPolynomial(deriv_coeffs))
+    return float(np.dot(gauss_grid()[1], np.abs(vals) ** q))
 
 
 def _kantorovich_coeffs(antideriv, n: int) -> np.ndarray:
@@ -169,7 +167,7 @@ def _build_near_interpolant(
     if np.ptp(vs) == 0.0:
         plan = BudgetPlan(min(res_target, act_slack), None, 0.0, 0.0,
                           2.0 / float(np.min(np.diff(us))), 0.0, 0)
-        return constant_polynomial(float(vs[0])), plan
+        return BernsteinPolynomial([float(vs[0])]), plan
     gaps = np.diff(us)
     d = np.diff(vs) / gaps
     c1 = float(np.max(np.abs(d)))
@@ -350,9 +348,9 @@ def exact_interpolant_poly(
     if m > m_max:
         raise ValueError(f"{m} points exceed m_max={m_max} (2^m parts)")
     if m == 0:
-        return constant_polynomial(0.0)
+        return BernsteinPolynomial([0.0])
     if m == 1:
-        return constant_polynomial(s.vs[0])
+        return BernsteinPolynomial([s.vs[0]])
     base_action = q_action(s, q)
     if not base_action < 1.0:
         raise ValueError(f"action {base_action} must be strictly below 1")

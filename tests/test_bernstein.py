@@ -6,7 +6,6 @@ from smoothgame.bernstein import (
     BernsteinPolynomial,
     bernstein_basis_matrix,
     composite_rule_action,
-    constant_polynomial,
     de_casteljau_many,
     polynomial_roots,
     q_action_poly,
@@ -107,24 +106,30 @@ class TestRoots:
         assert roots[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_cubic_three_roots(self):
-        # (x-0.2)(x-0.5)(x-0.8)
-        p = from_power(-0.08, 0.66, -1.5, 1.0)
-        roots = polynomial_roots(p)
-        assert np.allclose(roots, [0.2, 0.5, 0.8], atol=1e-9)
+        # (x-0.2)(x-0.5)(x-0.8), at its own degree and elevated far above it
+        cubic = from_power(-0.08, 0.66, -1.5, 1.0)
+        for degree in (3, 300):
+            roots = polynomial_roots(cubic.elevated(degree))
+            assert np.allclose(roots, [0.2, 0.5, 0.8], atol=1e-9), degree
 
     def test_subdivision_path_elevated_cubic(self):
-        # degree 100 stays on the subdivision path, whose bisection
-        # evaluates with the log-space evaluator
+        # degree 100 once took the subdivision path; the grid scan must
+        # find the same three roots
         p = from_power(-0.08, 0.66, -1.5, 1.0).elevated(100)
         roots = polynomial_roots(p)
         assert np.allclose(roots, [0.2, 0.5, 0.8], atol=1e-9)
+
+    @pytest.mark.parametrize("degree, root", [(300, 5e-5), (40, 1.0 - 5e-5)])
+    def test_root_nearer_an_end_than_any_grid_node(self, degree, root):
+        # only the exact end value P'(0) = c_0 or P'(1) = c_n brackets it
+        roots = polynomial_roots(from_power(-root, 1.0).elevated(degree))
+        assert len(roots) == 1 and roots[0] == pytest.approx(root, abs=1e-11)
 
     def test_no_roots(self):
         assert polynomial_roots(from_power(1.0, 0.0, 1.0)) == []
 
     def test_high_degree_grid_path(self):
         # degree 200 polynomial with one sign change
-        rng = np.random.default_rng(7)
         base = from_power(-0.3, 1.0).elevated(200)
         roots = polynomial_roots(base)
         assert len(roots) == 1 and roots[0] == pytest.approx(0.3, abs=1e-9)
@@ -147,7 +152,11 @@ class TestActionIntegral:
         assert q_action_poly(from_power(0.0, -1.0, 1.0), 1) == pytest.approx(0.5, abs=1e-9)
 
     def test_constant_zero(self):
-        assert q_action_poly(constant_polynomial(3.0), 2) == 0.0
+        assert q_action_poly(BernsteinPolynomial([3.0]), 2) == 0.0
+        # the same constant at degree 5: P' is all zeros at degree 4
+        p = BernsteinPolynomial([3.0] * 6)
+        assert polynomial_roots(p.derivative()) == []
+        assert q_action_poly(p, 2) == 0.0
 
     def test_fractional_exponent_analytic(self):
         # P = x^2: integral of (2x)^1.5 = 2^1.5 / 2.5

@@ -206,6 +206,21 @@ class TestVerifyLemmas:
         assert all(rep["ok"] for rep in payload["reports"])
         assert all(rep["min_gap"] >= -1e-9 for rep in payload["reports"])
 
+    @pytest.mark.parametrize("config, flags", [
+        (None, ["--samples", "0"]),
+        ({"samples": {"h_incremnt": 100}}, []),
+        ({"samples": {"out": -3}}, []),
+        ({"samples": {"cumulative": 0}}, []),
+    ])
+    def test_bad_budget_exit_1(self, tmp_path, capsys, config, flags):
+        out = tmp_path / "out"
+        argv = ["verify-lemmas", "--out", str(out), "--seed", "2", *flags]
+        if config is not None:
+            argv += ["--config", write(tmp_path / "c.json", config)]
+        assert run(*argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "gap_reports.json").exists()
+
 
 class TestPolyBuild:
     def test_approx_mode(self, tmp_path):
