@@ -3,13 +3,17 @@
 Coefficients live in the Bernstein basis, which keeps evaluation a convex
 combination of coefficients (no cancellation blow-up at degrees in the
 thousands) and makes differentiation and antidifferentiation exact one-line
-recurrences. The action functional ``integral of |P'|^q`` is computed by
-splitting the domain at the derivative's real roots so every piece is
-smooth, then applying composite Gauss panels with endpoint refinement. The
-roots are sign changes of P' on one fixed action grid (``gauss_grid``) plus
-the exact end values of P', bisected to ``ROOT_WIDTH``; the degree ladder in
-``polyapprox`` estimates actions on the same grid, so both read one cached
-basis per degree.
+recurrences. At degree n only the O(sqrt(n)) basis terms near n x carry
+weight at x, so every evaluation sums just those: ``_basis_window`` is the
+one home of the log-space basis formula, and the terms its windows leave
+out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
+independent oracle for it. The action functional ``integral of |P'|^q``
+is computed by splitting the domain at the derivative's real roots so
+every piece is smooth, then applying composite Gauss panels with endpoint
+refinement. The roots are sign changes of P' on one fixed action grid
+(``gauss_grid``) plus the exact end values of P', bisected to
+``ROOT_WIDTH``; the degree ladder in ``polyapprox`` estimates actions on
+the same grid, so both read one cached basis window per degree.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 DEGREE_CAP = 2 ** 14
@@ -29,31 +34,101 @@ class DegreeCapError(RuntimeError):
     """The requested accuracy needs a polynomial degree above the cap."""
 
 
-def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """Rows of all n+1 Bernstein basis values at each x, computed in log space.
+WINDOW_MASS = 1e-18  # basis mass a window may drop at any x
+_TILE = 8  # consecutive x's that share one basis window
 
-    Exact at the endpoints; elsewhere exp(log C(n,k) + k log x + (n-k)
-    log(1-x)), which stays accurate at any degree because every term is a
-    probability weight in [0, 1].
+
+@lru_cache(maxsize=32)
+def _log_binom(n: int) -> np.ndarray:
+    k = np.arange(n + 1)
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _half_width(n: int) -> int:
+    """Window half-width h at degree n: the terms beyond it weigh < ``WINDOW_MASS``.
+
+    A term outside [round(n x) - h, round(n x) + h] has |k - n x| >= h + 1/2
+    > sqrt(n ln(2 / WINDOW_MASS) / 2), and Hoeffding's bound puts the
+    binomial mass beyond that below ``WINDOW_MASS``.
+    """
+    return math.ceil(math.sqrt(0.5 * n * math.log(2.0 / WINDOW_MASS))) + 1
+
+
+def _windows(n: int, centre: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Window starts, common width and tile size for x's centred at ``centre``.
+
+    Consecutive x's are taken ``_TILE`` at a time, and each tile gets the
+    window spanning the terms within ``_half_width(n)`` of every centre in
+    it, clipped inside [0, n]; all tiles share the widest width. A window
+    wider than half the row gives way to the whole row, as one tile of
+    every x: the dense product is then the cheaper one.
+    """
+    h = _half_width(n)
+    whole = np.zeros(1, dtype=np.intp), n + 1, len(centre)
+    if 2 * (2 * h + 1) > n + 1:
+        return whole
+    tile = max(1, min(_TILE, len(centre)))
+    tiles = np.concatenate((centre, centre[-1:].repeat(-len(centre) % tile))).reshape(-1, tile)
+    lo = tiles.min(axis=1) - h
+    width = int((tiles.max(axis=1) + h - lo).max(initial=0)) + 1
+    if 2 * width > n + 1:
+        return whole
+    return np.minimum(np.maximum(lo, 0), n + 1 - width), width, tile
+
+
+def _basis_window(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live degree-n basis terms at each x, computed in log space.
+
+    Returns ``starts`` and ``block`` with block[p, i, j] =
+    b_{n, starts[p] + j}(x_{p * tile + i}) for the windows of ``_windows``
+    (the last x repeated to fill the last tile). Sorted x's keep the
+    windows narrow.
+
+    Exact at the endpoints (x <= 0 is the k = 0 term, x >= 1 the k = n
+    term); elsewhere exp(log C(n,k) + k log x + (n-k) log(1-x)), which
+    stays accurate at any degree because every term is a probability
+    weight in [0, 1].
     """
     xs = np.asarray(xs, dtype=float)
-    k = np.arange(n + 1)
-    out = np.empty((len(xs), n + 1))
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     interior = (xs > 0.0) & (xs < 1.0)
-    xi = xs[interior]
-    if xi.size:
-        logs = (
-            log_binom[None, :]
-            + k[None, :] * np.log(xi)[:, None]
-            + (n - k)[None, :] * np.log1p(-xi)[:, None]
-        )
-        out[interior] = np.exp(logs)
-    for idx in np.nonzero(~interior)[0]:
-        row = np.zeros(n + 1)
-        row[0 if xs[idx] <= 0.0 else n] = 1.0
-        out[idx] = row
-    return out
+    centre = np.rint(n * np.where(interior, xs, xs > 0.0)).astype(np.intp)
+    starts, width, tile = _windows(n, centre)
+    pad = len(starts) * tile - len(xs)
+    if pad:
+        xs, interior, centre = (np.concatenate((v, v[-1:].repeat(pad)))
+                                for v in (xs, interior, centre))
+    ks = (starts[:, None] + np.arange(width))[:, None, :]
+    safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
+    block = ks * np.log(safe)
+    block += _log_binom(n)[ks]
+    block += (n - ks) * np.log1p(-safe)
+    np.exp(block, out=block)
+    edge = np.nonzero(~interior.reshape(len(starts), tile))
+    if edge[0].size:
+        block[edge] = 0.0
+        block[edge + (centre.reshape(len(starts), tile)[edge] - starts[edge[0]],)] = 1.0
+    return starts, block
+
+
+def _window_dot(starts: np.ndarray, block: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j block[p, i, j] * coeffs[starts[p] + j], one value per row (p, i)."""
+    w = block.shape[2]
+    if w == len(coeffs):
+        return block[0] @ coeffs
+    windows = as_strided(coeffs, (len(coeffs) - w + 1, w), coeffs.strides * 2, writeable=False)
+    return np.matmul(block, windows[starts][:, :, None]).ravel()
+
+
+def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
+    """Rows of all n+1 Bernstein basis values at each x: the windows, scattered."""
+    starts, block = _basis_window(n, xs)
+    tiles, tile, w = block.shape
+    if w == n + 1:
+        return block[0]
+    out = np.zeros((tiles, tile, n + 1))
+    cols = (starts[:, None] + np.arange(w))[:, None, :]
+    out[np.arange(tiles)[:, None, None], np.arange(tile)[None, :, None], cols] = block
+    return out.reshape(-1, n + 1)[: len(xs)]
 
 
 def _elevation_weights(n: int, target: int) -> np.ndarray:
@@ -89,16 +164,22 @@ class BernsteinPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
+        """Values at x in [0, 1] (NaN is rejected), each from its basis window.
+
+        Each x is summed over the basis terms within ``_half_width(n)`` of
+        n x (see ``_windows``; the whole row below degree ~350), so the
+        terms left out weigh less than ``WINDOW_MASS`` times max |c_k|.
+        """
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any((xs < 0.0) | (xs > 1.0)):
+        if not ((xs >= 0.0) & (xs <= 1.0)).all():
             raise ValueError("evaluation outside [0, 1]")
         n = self.degree
         out = np.empty(len(xs))
         step = max(1, _CHUNK_ENTRIES // (n + 1))
         for lo in range(0, len(xs), step):
             block = xs[lo : lo + step]
-            out[lo : lo + step] = bernstein_basis_matrix(n, block) @ self.coeffs
+            out[lo : lo + step] = _window_dot(*_basis_window(n, block), self.coeffs)[: len(block)]
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "BernsteinPolynomial":
@@ -209,25 +290,19 @@ def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
     return roots
 
 
-_CACHED_BASIS_MAX_ENTRIES = 20_000_000
-
-
 def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
     """Values of ``poly`` at the nodes of the action grid, reusing the basis.
 
-    The degree-n basis on the grid is kept in one bounded cache keyed by the
-    degree (least recently used out). A basis above 20M entries is never
-    cached; ``poly`` is then evaluated directly.
+    The degree-n basis window on the grid is kept in one bounded cache
+    keyed by the degree (least recently used out); at ``DEGREE_CAP`` it
+    holds under 2M entries.
     """
-    xs = gauss_grid()[0]
-    if (poly.degree + 1) * len(xs) > _CACHED_BASIS_MAX_ENTRIES:
-        return poly(xs)
-    return _grid_basis(poly.degree) @ poly.coeffs
+    return _window_dot(*_grid_basis(poly.degree), poly.coeffs)
 
 
 @lru_cache(maxsize=8)
-def _grid_basis(n: int) -> np.ndarray:
-    return bernstein_basis_matrix(n, gauss_grid()[0])
+def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _basis_window(n, gauss_grid()[0])
 
 
 @lru_cache(maxsize=8)
@@ -314,8 +389,9 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
     """Convex-combination evaluation vectorized over points; O(n^2) work.
 
-    Slow but independent of the log-space basis evaluation, which makes it
-    the evaluator of choice for oracle cross-checks.
+    Slow but independent of the windowed log-space basis evaluation (it
+    uses neither the window nor the basis formula), which makes it the
+    evaluator of choice for oracle cross-checks.
     """
     out = np.empty(len(xs))
     step = 4096
@@ -331,12 +407,14 @@ def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
 def composite_rule_action(
     poly: BernsteinPolynomial, q: float, n_points: int = 10 ** 6
 ) -> float:
-    """Plain midpoint-rule action integral; the independent slow oracle.
+    """Plain midpoint-rule action integral; the slow quadrature oracle.
 
-    Uses the convex-combination evaluator for full independence from the
-    log-space basis path up to degree 512; above that its quadratic cost is
-    prohibitive and the stable evaluator takes over (the rule itself stays
-    independent of the adaptive splitting).
+    Independent of the root search, the adaptive splitting and the panel
+    rule at every degree. Up to degree 512 it evaluates P' with the
+    convex-combination evaluator, so it is also independent of the windowed
+    basis evaluation there; above that the quadratic cost is prohibitive
+    and ``deriv(xs)`` takes over, so it shares the window with
+    ``q_action_poly``.
     """
     deriv = poly.derivative()
     xs = (np.arange(n_points) + 0.5) / n_points

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from gram_action import gram_action
 
 from smoothgame.bernstein import composite_rule_action, q_action_poly
 from smoothgame.engine import GameConfig, run_game
@@ -190,6 +191,8 @@ def test_criterion_7_polynomial_pipeline():
     exact_worst_resid = 0.0
     exact_worst_action = 0.0
     oracle_checks = 0
+    gram_checks = 0
+    worst_gram = 0.0
     for i in range(200):
         q = (1.5, 2.0, 3.0)[i % 3]
         s = random_action_set(rng, q=q)
@@ -201,6 +204,10 @@ def test_criterion_7_polynomial_pipeline():
             action = q_action_poly(poly, q)
             assert resid < eps, (i, q, eps, resid)
             assert action < base + eps, (i, q, eps, action, base)
+            if q == 2.0:
+                worst_gram = max(worst_gram, abs(action - gram_action(poly)))
+                assert worst_gram <= 1e-9, (i, eps, poly.degree, action)
+                gram_checks += 1
             worst_resid[eps] = max(worst_resid[eps], resid)
             worst_excess[eps] = max(worst_excess[eps], action - base)
             if eps == 0.1 and i % 20 == 0 and poly.degree <= 128:
@@ -213,6 +220,10 @@ def test_criterion_7_polynomial_pipeline():
         action = q_action_poly(poly, q)
         assert resid <= 1e-8, (i, q, resid)
         assert action < 1.0, (i, q, action)
+        if q == 2.0:
+            worst_gram = max(worst_gram, abs(action - gram_action(poly)))
+            assert worst_gram <= 1e-9, (i, "exact", poly.degree, action)
+            gram_checks += 1
         exact_worst_resid = max(exact_worst_resid, resid)
         exact_worst_action = max(exact_worst_action, action)
     # analytic anchors for the quadrature oracle
@@ -224,11 +235,13 @@ def test_criterion_7_polynomial_pipeline():
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"runtime {elapsed:.1f}s exceeds the 10 minute budget"
     assert oracle_checks >= 10
+    assert gram_checks == 3 * 67
     report(7, f"200 sets in {elapsed:.0f}s; approx worst resid "
               f"{worst_resid[0.1]:.2e}/{worst_resid[0.01]:.2e}, worst action excess "
               f"{worst_excess[0.1]:+.2e}/{worst_excess[0.01]:+.2e}; exact worst resid "
               f"{exact_worst_resid:.2e}, worst action {exact_worst_action:.6f} < 1; "
-              f"{oracle_checks} oracle cross-checks")
+              f"{oracle_checks} oracle cross-checks; {gram_checks} q = 2 builds "
+              f"within {worst_gram:.1e} of the exact Gram action")
 
 
 def test_criterion_8_transcript_scaling_identity():

@@ -1,8 +1,12 @@
 
 import numpy as np
 import pytest
+from gram_action import gram_action
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from smoothgame.bernstein import (
+    WINDOW_MASS,
     BernsteinPolynomial,
     bernstein_basis_matrix,
     composite_rule_action,
@@ -54,6 +58,71 @@ class TestBasisAndEval:
     def test_domain_check(self):
         with pytest.raises(ValueError):
             BernsteinPolynomial([1.0])(1.5)
+
+    def test_nan_rejected(self):
+        p = BernsteinPolynomial([0.0, 1.0, 5.0])
+        with pytest.raises(ValueError, match="outside"):
+            p(float("nan"))
+        with pytest.raises(ValueError, match="outside"):
+            p(np.array([0.25, np.nan, 0.75]))
+
+
+def _window_points(rng):
+    """Both ends, their nearest floats, points within 1e-4 of either end
+    (clipped windows) and uniform draws."""
+    return np.concatenate((
+        [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53],
+        rng.uniform(0.0, 1e-4, 4), 1.0 - rng.uniform(0.0, 1e-4, 4),
+        rng.uniform(0.0, 1.0, 24),
+    ))
+
+
+def _dense_rows(n, xs):
+    # every basis term in log space: the rows the window replaces
+    k = np.arange(n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                + k * np.log(xs)[:, None] + (n - k) * np.log1p(-xs)[:, None])
+    rows = np.exp(logs)
+    rows[xs == 0.0] = k == 0
+    rows[xs == 1.0] = k == n
+    return rows
+
+
+# 89-92: a lone x's window becomes narrower than the row (from 91); 348-349:
+# it spans at most half the row, so it is used instead of the row (from 349)
+WINDOW_DEGREES = (1, 32, 89, 90, 91, 92, 129, 348, 349, 1025, 2049, 4097)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("n", WINDOW_DEGREES)
+    def test_against_de_casteljau_and_dense_rows(self, n):
+        rng = np.random.default_rng(n)
+        p = BernsteinPolynomial(rng.normal(size=n + 1))
+        scale = np.max(np.abs(p.coeffs))
+        xs = _window_points(rng)
+        dense = _dense_rows(n, xs) @ p.coeffs
+        # the log-space exponents are sums of terms of size ~n, rounded at
+        # n * eps; de Casteljau rounds only at eps per level
+        oracle_tol = scale * max(1e-13, 4 * n * np.finfo(float).eps)
+        oracle = de_casteljau_many(p, xs)
+        order = np.argsort(xs)
+        for got in (p(xs), p(xs[order])[np.argsort(order)], [p(float(x)) for x in xs]):
+            assert np.max(np.abs(got - dense)) <= 1e-13 * scale
+            assert np.max(np.abs(got - oracle)) <= oracle_tol
+
+    @pytest.mark.parametrize("n", WINDOW_DEGREES)
+    def test_mass_outside_each_window(self, n):
+        rng = np.random.default_rng(n)
+        xs = np.sort(np.concatenate((_window_points(rng), rng.uniform(0.0, 1.0, 200))))
+        pmf = binom.pmf(np.arange(n + 1)[None, :], n, xs[:, None])
+        one_by_one = np.vstack([bernstein_basis_matrix(n, [x]) for x in xs]) != 0.0
+        together = bernstein_basis_matrix(n, xs) != 0.0  # tiles of sorted points
+        for window in (one_by_one, together):
+            assert np.all(np.where(window, 0.0, pmf).sum(axis=1) <= WINDOW_MASS)
+        # from degree 349 a lone point's window drops live terms
+        assert np.any(~one_by_one & (pmf > 0.0)) == (n >= 349)
+        assert np.any(~together & (pmf > 0.0)) == (n >= 1025)
 
 
 class TestCalculus:
@@ -171,6 +240,18 @@ class TestActionIntegral:
         fast = q_action_poly(p, q)
         slow = composite_rule_action(p, q, n_points=200_000)
         assert fast == pytest.approx(slow, rel=2e-6)
+
+    @pytest.mark.parametrize("degree", [2, 7, 300])
+    def test_gram_oracle_analytic(self, degree):
+        # P = x^2 at its own degree and elevated: integral of (2x)^2 = 4/3
+        assert gram_action(from_power(0.0, 0.0, 1.0).elevated(degree)) == pytest.approx(
+            4.0 / 3.0, abs=1e-12)
+
+    def test_gram_oracle_against_composite_rule(self):
+        rng = np.random.default_rng(9)
+        p = BernsteinPolynomial(rng.normal(size=13)).antiderivative()
+        assert gram_action(p) == pytest.approx(
+            composite_rule_action(p, 2.0, n_points=200_000), rel=1e-9)
 
     def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
