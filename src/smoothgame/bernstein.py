@@ -354,6 +354,12 @@ def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> 
     return float(np.dot(ws, vals))
 
 
+def _check_finite_q(q: float) -> None:
+    """Reject q outside [1, inf): |P'|^inf integrates to 0 wherever |P'| < 1."""
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+
+
 def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     """Action integral of |P'|^q over [0, 1] to absolute tolerance ``QUADRATURE_TOL``.
 
@@ -363,8 +369,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     doubling the panel count; on failure the dense composite rule takes
     over.
     """
-    if q < 1.0:
-        raise ValueError("q must be >= 1")
+    _check_finite_q(q)
     deriv = poly.derivative()
     if deriv.degree == 0:
         return abs(deriv.coeffs[0]) ** q

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .inequalities import GAP_IDS, search_near_violation
 from .interpolation import SampleSet, q_action
-from .bernstein import DegreeCapError, q_action_poly
+from .bernstein import DegreeCapError, _check_finite_q, q_action_poly
 from .polyapprox import approx_interpolant_poly, exact_interpolant_poly
 
 EXIT_OK = 0
@@ -299,14 +299,20 @@ def cmd_poly_build(args) -> int:
         "q": _REQUIRED,
         "mode": "approx",
         "epsilon": 0.1,
-        "m_max": 8,
         "degree_cap": 2 ** 14,
     })
     try:
         s = SampleSet.from_pairs([(float(u), float(v)) for u, v in spec["points"]])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad points: {exc}") from exc
-    q = float(spec["q"])
+    try:
+        q = float(spec["q"])
+        _check_finite_q(q)
+        eps = float(spec["epsilon"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad q or epsilon: {exc}") from exc
+    if not eps > 0.0:
+        raise ConfigError(f"epsilon must be positive, got {eps}")
     result = {
         "tool": "smoothgame", "version": __version__,
         "mode": spec["mode"], "q": q,
@@ -315,16 +321,14 @@ def cmd_poly_build(args) -> int:
     }
     try:
         if spec["mode"] == "approx":
-            poly, plan = approx_interpolant_poly(s, q, float(spec["epsilon"]),
-                                                 degree_cap=int(spec["degree_cap"]))
-            result["epsilon"] = float(spec["epsilon"])
+            poly, plan = approx_interpolant_poly(s, q, eps, degree_cap=int(spec["degree_cap"]))
+            result["epsilon"] = eps
             result["plan"] = {
-                "eps1": plan.eps1, "eps2": plan.eps2, "eps3": plan.eps3,
+                "eps2": plan.eps2, "eps3": plan.eps3,
                 "C": plan.C, "c1": plan.c1, "degree": plan.degree,
             }
         elif spec["mode"] == "exact":
-            poly = exact_interpolant_poly(s, q, m_max=int(spec["m_max"]),
-                                          degree_cap=int(spec["degree_cap"]))
+            poly = exact_interpolant_poly(s, q, degree_cap=int(spec["degree_cap"]))
         else:
             raise ConfigError(f"unknown mode {spec['mode']!r}")
     except DegreeCapError as exc:

@@ -16,11 +16,16 @@ corners there) and shrinks like max-slope-jump / sqrt(degree); when a
 tighter fit is needed, correction rounds add the Kantorovich polynomial of
 the residuals' own interpolant, contracting the residual geometrically.
 
-Exact interpolation upgrades the near-interpolant: perturb the targets up
-or down by eps1 in all 2^m sign patterns, build a near-interpolant per
-pattern, and take the weighted average that the sign structure guarantees
-can hit every target exactly. The weighted power mean inequality keeps the
-average's action below the worst of the parts, hence below 1.
+Exact interpolation upgrades one near-interpolant P0 with m correction
+columns, one per knot: column i is the degree-(n+1) Bernstein polynomial of
+the hat function that is 1 at knot i and 0 at the others, so the m x m
+matrix of column values at the knots is close to the identity. One linear
+solve gives the combination that closes P0's residuals exactly.
+Quadrature certifies the corrected action below 1, and the degree climbs
+where it does not, or where knots closer than the node spacing 1/(n+1)
+leave a column zero and the matrix singular. The cost is one degree
+ladder plus one m x m solve, so no knot count is rejected; the degree cap
+is the limit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .bernstein import (
     DEGREE_CAP,
     BernsteinPolynomial,
     DegreeCapError,
+    _check_finite_q,
     bernstein_basis_matrix,
     gauss_grid,
     grid_values,
@@ -122,7 +128,6 @@ class BudgetPlan:
     """The tolerance ledger of one construction run."""
 
     epsilon: float
-    eps1: float | None
     eps2: float
     eps3: float
     C: float
@@ -165,7 +170,7 @@ def _build_near_interpolant(
     m = len(s)
     base_action = q_action(s, q)
     if np.ptp(vs) == 0.0:
-        plan = BudgetPlan(min(res_target, act_slack), None, 0.0, 0.0,
+        plan = BudgetPlan(min(res_target, act_slack), 0.0, 0.0,
                           2.0 / float(np.min(np.diff(us))), 0.0, 0)
         return BernsteinPolynomial([float(vs[0])]), plan
     gaps = np.diff(us)
@@ -209,7 +214,7 @@ def _build_near_interpolant(
         action_ok = action_est < base_action + 0.9 * act_slack
         if resid_ok and action_ok:
             poly = BernsteinPolynomial(anti + (v1 - shift))
-            plan = BudgetPlan(min(res_target, act_slack), None, eps2,
+            plan = BudgetPlan(min(res_target, act_slack), eps2,
                               eps3, 2.0 / mingap, c1, poly.degree)
             return poly, plan
         if n >= degree_cap:
@@ -233,10 +238,9 @@ def approx_interpolant_poly(
     """
     if len(s) < 2:
         raise ValueError("need at least two points; a singleton is a constant")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if q < 1.0:
-        raise ValueError("q must be >= 1")
+    _check_finite_q(q)
     return _build_near_interpolant(
         s, q, res_target=0.9 * eps, act_slack=0.9 * eps, degree_cap=degree_cap
     )
@@ -247,6 +251,13 @@ def weighted_combine(
     targets: Sequence[float],
 ) -> dict[frozenset, float]:
     """Convex weights making sign-patterned handles interpolate exactly.
+
+    Nothing in the build calls this: it is the reference that tests check
+    the correction solve of ``exact_interpolant_poly`` against. The
+    handles P0 + eps * sum_i (+-1) C_i are affine in their signs, so the
+    convex mix it finds is P0 plus a combination of the columns, which must
+    equal the solved one. It stays in this module because
+    ``bench/layertrace.py`` times it under this name.
 
     ``values`` maps each subset X of target indices to one handle's values
     at the k targets; the handle must be above target i exactly when i is
@@ -307,46 +318,24 @@ def _all_subsets(k: int):
         yield frozenset(i for i in range(k) if mask >> i & 1)
 
 
-def perturbation_margin(s: SampleSet, q: float) -> float:
-    """The vertical perturbation eps1 used by the exact construction.
-
-    Chosen in closed form so every perturbed set keeps its action strictly
-    below 1: the per-segment slope increase 2*eps1/min-gap must not consume
-    more than an m-th of the action headroom; halved for safety.
-    """
-    us = np.asarray(s.us)
-    vs = np.asarray(s.vs)
-    gap = 1.0 - q_action(s, q)
-    if gap <= 0.0:
-        raise ValueError("action must be strictly below 1")
-    m = len(s)
-    mingap = float(np.min(np.diff(us)))
-    big_c = 2.0 / mingap
-    d = np.abs(np.diff(vs) / np.diff(us))
-    eps1 = min(
-        ((abs(di) ** q + gap / m) ** (1.0 / q) - abs(di)) / big_c for di in d
-    )
-    return 0.5 * float(eps1)
-
-
 def exact_interpolant_poly(
     s: SampleSet,
     q: float,
-    m_max: int = 8,
     degree_cap: int = DEGREE_CAP,
 ) -> BernsteinPolynomial:
     """Polynomial hitting every sample exactly with q-action strictly below 1.
 
-    Requires the set's own action to be strictly below 1 and at most
-    ``m_max`` points (the construction builds 2^m sign-patterned parts).
-    The result interpolates to 1e-8 and its action is certified by
-    quadrature.
+    Requires a finite q >= 1 and the set's own action strictly below 1.
+    One near-interpolant P0 is built with residual and action slack each
+    0.45 (1 - action), then one m x m solve A w = v - P0(u), with
+    A[j, i] = C_i(u_j), picks the combination of correction columns C_i
+    that P0 + sum w_i C_i needs to hit every knot. The result interpolates
+    to 1e-8 and its action is certified by quadrature; otherwise (a failed
+    check or a singular A) the degree floor doubles, up to the cap, so the
+    degree never exceeds ``degree_cap + 1``.
     """
-    if q < 1.0:
-        raise ValueError("q must be >= 1")
+    _check_finite_q(q)
     m = len(s)
-    if m > m_max:
-        raise ValueError(f"{m} points exceed m_max={m_max} (2^m parts)")
     if m == 0:
         return BernsteinPolynomial([0.0])
     if m == 1:
@@ -356,58 +345,36 @@ def exact_interpolant_poly(
         raise ValueError(f"action {base_action} must be strictly below 1")
     us = np.asarray(s.us)
     vs = np.asarray(s.vs)
-    eps1 = perturbation_margin(s, q)
-
+    slack = 0.45 * (1.0 - base_action)
     degree_floor = 32
     while True:
-        parts: dict[frozenset, BernsteinPolynomial] = {}
-        top_degree = degree_floor
-        for key in _all_subsets(m):
-            signs = np.array([1.0 if i in key else -1.0 for i in range(m)])
-            perturbed = SampleSet(us, vs + eps1 * signs)
-            action_x = q_action(perturbed, q)
-            if not action_x < 1.0:
-                raise DegreeCapError(
-                    f"perturbed set action {action_x} >= 1; eps1 too large"
-                )
-            slack = min(eps1, 1.0 - action_x)
-            poly, plan = _build_near_interpolant(
-                perturbed,
-                q,
-                res_target=0.45 * slack,
-                act_slack=0.45 * (1.0 - action_x),
-                degree_cap=degree_cap,
-                min_degree=degree_floor,
-            )
-            parts[key] = poly
-            top_degree = max(top_degree, poly.degree)
-        weights = weighted_combine({k: p(us) for k, p in parts.items()}, vs)
-        poly = _combine_by_degree(parts, weights, top_degree)
+        poly, _plan = _build_near_interpolant(
+            s, q, res_target=slack, act_slack=slack,
+            degree_cap=degree_cap, min_degree=degree_floor,
+        )
+        n = poly.degree - 1
+        # a constant P0 (all values equal) already interpolates exactly
+        if n >= 0:
+            # column i is the degree-(n+1) Bernstein polynomial of phi_i, the
+            # hat that is 1 at u_i and 0 at the other knots: its coefficients
+            # are phi_i at the nodes k / (n + 1)
+            nodes = np.arange(n + 2) / (n + 1)
+            cols = np.column_stack([np.interp(nodes, us, e) for e in np.eye(m)])
+            a = bernstein_basis_matrix(n + 1, us) @ cols
+            try:
+                w = np.linalg.solve(a, vs - poly(us))
+            except np.linalg.LinAlgError:
+                # column i is zero when no node lies in (u_{i-1}, u_{i+1}):
+                # leave P0 as it is, so the checks below climb the ladder
+                w = np.zeros(m)
+            poly = BernsteinPolynomial(poly.coeffs + cols @ w)
         resid = float(np.max(np.abs(poly(us) - vs)))
         action = q_action_poly(poly, q)
         if resid <= 1e-8 and action < 1.0:
             return poly
-        if top_degree >= degree_cap:
+        if n >= degree_cap:
             raise DegreeCapError(
                 f"exact interpolation failed at the cap: residual {resid:.2e}, "
                 f"action {action:.9f}"
             )
-        degree_floor = 2 * top_degree
-
-
-def _combine_by_degree(
-    parts: Mapping[frozenset, BernsteinPolynomial],
-    weights: Mapping[frozenset, float],
-    top_degree: int,
-) -> BernsteinPolynomial:
-    """The weighted sum of the parts, written at ``top_degree``.
-
-    Elevation is linear, so the parts of one degree are summed first and
-    each per-degree sum is elevated once.
-    """
-    by_degree: dict[int, np.ndarray] = {}
-    for key, w in weights.items():
-        coeffs = parts[key].coeffs
-        by_degree[len(coeffs)] = by_degree.get(len(coeffs), 0.0) + w * coeffs
-    return BernsteinPolynomial(sum(
-        BernsteinPolynomial(c).elevated(top_degree).coeffs for c in by_degree.values()))
+        degree_floor = 2 * n

@@ -253,6 +253,22 @@ class TestPolyBuild:
         })
         assert run("poly-build", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("bad", [
+        {"q": 0.5}, {"q": "nan"}, {"q": float("inf")}, {"q": "two"}, {"epsilon": "nan"},
+    ])
+    def test_bad_q_or_epsilon_exit_1(self, tmp_path, capsys, mode, bad):
+        # q = inf is rejected too: |P'|^inf integrates to 0 wherever |P'| < 1
+        cfg = write(tmp_path / "c.json", {
+            "points": [[0.0, 0.0], [1.0, 0.5]], "q": 2, "mode": mode, **bad,
+        })
+        out = tmp_path / "o"
+        assert run("poly-build", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert f"{next(iter(bad))} " in err
+        assert not (out / "poly_build.json").exists()
+
     def test_nan_knot_exit_1(self, tmp_path, capsys):
         # json.dumps writes the NaN literal, which json.loads reads back
         cfg = write(tmp_path / "c.json", {

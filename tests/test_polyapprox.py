@@ -1,15 +1,26 @@
 
+import math
+
 import numpy as np
 import pytest
+from test_acceptance import random_action_set
 
-from smoothgame.bernstein import BernsteinPolynomial, q_action_poly
+from smoothgame.bernstein import (
+    DEGREE_CAP,
+    BernsteinPolynomial,
+    DegreeCapError,
+    bernstein_basis_matrix,
+    q_action_poly,
+)
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.polyapprox import (
     SmoothedDerivative,
-    _combine_by_degree,
+    _all_subsets,
+    _build_near_interpolant,
+    _hat_antideriv,
+    _kantorovich_coeffs,
     approx_interpolant_poly,
     exact_interpolant_poly,
-    perturbation_margin,
     weighted_combine,
 )
 
@@ -154,7 +165,6 @@ class TestApproxInterpolant:
         assert 0 < plan.eps2 < min(np.min(gaps), eps / (2 * m * c) + 1e-15)
         assert plan.eps3 < eps / 2 + 1e-15
         assert (c1 + plan.eps3) ** 2 - c1 ** 2 < eps / 2
-        assert plan.eps1 is None
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_random_sets_contract(self, q):
@@ -221,22 +231,6 @@ class TestWeightedCombine:
             weighted_combine({frozenset(): [-1.0, 0.0], frozenset({0}): [1.0]}, [0.0])
 
 
-class TestCombineByDegree:
-    def test_matches_elevating_each_part(self):
-        # reference path: elevate every part to the top degree, then sum
-        rng = np.random.default_rng(5)
-        degrees = [0, 3, 3, 17, 40, 40, 64, 64]
-        parts = {frozenset({i}): BernsteinPolynomial(rng.normal(size=n + 1))
-                 for i, n in enumerate(degrees)}
-        raw = rng.uniform(size=len(parts))
-        weights = dict(zip(parts, raw / raw.sum()))
-        top = 96
-        fast = _combine_by_degree(parts, weights, top)
-        reference = sum(w * parts[k].elevated(top).coeffs for k, w in weights.items())
-        assert fast.degree == top
-        assert np.allclose(fast.coeffs, reference, rtol=0.0, atol=1e-12)
-
-
 class TestExactInterpolant:
     def test_singleton_constant(self):
         poly = exact_interpolant_poly(S((0.5, 0.3)), 2)
@@ -255,12 +249,63 @@ class TestExactInterpolant:
         with pytest.raises(ValueError):
             exact_interpolant_poly(S((0, 0), (1, 1)), 2)
 
-    def test_too_many_points_rejected(self):
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_larger_sets(self, q):
+        # no knot-count limit: the solve is O(m^2), so only the degree cap bounds m
         rng = np.random.default_rng(2)
-        us = np.linspace(0, 1, 9)
-        s = SampleSet(us, rng.normal(size=9) * 0.05)
-        with pytest.raises(ValueError):
-            exact_interpolant_poly(s, 2, m_max=8)
+        sets = [SampleSet(np.linspace(0, 1, 9), rng.normal(size=9) * 0.05)]
+        for m in (12, 16):
+            sets.append(random_set(rng, m=m, min_gap=0.02))
+        for s in sets:
+            scale = (0.65 / q_action(s, q)) ** (1.0 / q)
+            s = SampleSet(s.us, np.asarray(s.vs) * scale)
+            assert q_action(s, q) == pytest.approx(0.65)
+            poly = exact_interpolant_poly(s, q)
+            assert max(abs(poly(u) - v) for u, v in s) <= 1e-8
+            assert q_action_poly(poly, q) < 1.0
+
+    def test_equal_values_return_the_constant(self):
+        s = SampleSet([0.1, 0.6, 0.9], [0.2] * 3)
+        poly = exact_interpolant_poly(s, 2)
+        assert np.all(poly(np.asarray(s.us)) == 0.2)
+        assert q_action_poly(poly, 2) == 0.0
+
+    @pytest.mark.parametrize("cap", [0, 1, 8, 40])
+    def test_degree_cap_below_the_floor(self, cap):
+        # the ladder's floor of 32 must not lift the degree above the cap
+        s = S((0.1, 0.0), (0.6, 0.3))
+        try:
+            poly = exact_interpolant_poly(s, 2, degree_cap=cap)
+        except DegreeCapError:
+            return
+        assert poly.degree <= cap + 1
+        assert max(abs(poly(u) - v) for u, v in s) <= 1e-8
+        assert q_action_poly(poly, 2) < 1.0
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_close_knots_climb_past_a_singular_solve(self, q):
+        # The middle knots have no node k/(n+1) between their neighbours for
+        # n = 32 or 64, so their correction columns are zero and A is singular
+        # there; the ladder must climb past both rungs.
+        for s in (S((0.1, 0), (0.102, 0.001), (0.104, 0), (0.5, 0)),
+                  S((0.1, 0), (0.1005, 0.0002), (0.101, 0), (0.9, 0.1))):
+            poly = exact_interpolant_poly(s, q)
+            assert poly.degree > 64
+            assert max(abs(poly(u) - v) for u, v in s) <= 1e-8
+            assert q_action_poly(poly, q) < 1.0
+
+    def test_infinite_q_rejected(self):
+        s = S((0.1, 0.0), (0.6, 0.3))
+        poly, _plan = approx_interpolant_poly(s, 2, 0.1)
+        for q in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                q_action_poly(poly, q)
+            with pytest.raises(ValueError, match="finite"):
+                approx_interpolant_poly(s, q, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                exact_interpolant_poly(s, q)
+        with pytest.raises(ValueError, match="eps"):
+            approx_interpolant_poly(s, 2, math.nan)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_random_sets(self, q):
@@ -275,40 +320,37 @@ class TestExactInterpolant:
             assert max(abs(poly(u) - v) for u, v in s) <= 1e-8
             assert q_action_poly(poly, q) < 1.0
 
-    def test_perturbed_parts_stay_feasible(self):
-        rng = np.random.default_rng(3)
-        s = random_set(rng, m=4)
-        q = 2.0
-        eps1 = perturbation_margin(s, q)
-        assert eps1 > 0
-        us, vs = np.asarray(s.us), np.asarray(s.vs)
-        for mask in range(16):
-            signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(4)])
-            assert q_action(SampleSet(us, vs + eps1 * signs), q) < 1.0
 
-
-class TestActionBudgetLedger:
-    def test_combined_action_below_worst_part(self):
-        # power-mean direction: the average's action cannot exceed the parts'
-        rng = np.random.default_rng(4)
-        s = random_set(rng, m=3)
-        q = 2.0
-        eps1 = perturbation_margin(s, q)
-        us, vs = np.asarray(s.us), np.asarray(s.vs)
-        from smoothgame.polyapprox import _build_near_interpolant
-
-        parts = {}
-        worst = 0.0
-        for mask in range(8):
-            signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(3)])
-            sx = SampleSet(us, vs + eps1 * signs)
-            ax = q_action(sx, q)
-            poly, _ = _build_near_interpolant(
-                sx, q, res_target=0.45 * min(eps1, 1 - ax),
-                act_slack=0.45 * (1 - ax), degree_cap=2 ** 14)
-            parts[frozenset(i for i in range(3) if mask >> i & 1)] = poly
-            worst = max(worst, q_action_poly(poly, q))
-        top = max(p.degree for p in parts.values())
-        weights = weighted_combine({k: p(us) for k, p in parts.items()}, vs)
-        combined = _combine_by_degree(parts, weights, top)
-        assert q_action_poly(combined, q) <= worst + 1e-9
+class TestCorrectionSolve:
+    def test_matches_sign_pattern_reference(self):
+        # The handles P0 + eps * sum_i sign_i C_i straddle every target once
+        # eps * (A's diagonal-dominance margin) exceeds P0's residual, and
+        # weighted_combine's convex mix of them must be the solved polynomial.
+        rng = np.random.default_rng(2718)  # criterion 7's stream
+        for i in range(15):
+            q = (1.5, 2.0, 3.0)[i % 3]
+            s = random_action_set(rng, q=q)
+            us, vs = np.asarray(s.us), np.asarray(s.vs)
+            exact = exact_interpolant_poly(s, q)
+            slack = 0.45 * (1.0 - q_action(s, q))
+            p0, _plan = _build_near_interpolant(s, q, slack, slack, DEGREE_CAP)
+            assert p0.degree == exact.degree
+            n = p0.degree - 1
+            # C_i built the long way, as the antiderivative of the Kantorovich
+            # polynomial of phi_i' plus phi_i(0); the build reads phi_i at the nodes
+            cols = np.column_stack([
+                BernsteinPolynomial(_kantorovich_coeffs(_hat_antideriv(us, e), n))
+                .antiderivative(np.interp(0.0, us, e)).coeffs
+                for e in np.eye(len(s))
+            ])
+            a = bernstein_basis_matrix(n + 1, us) @ cols
+            margin = np.min(2 * np.diag(a) - np.sum(np.abs(a), axis=1))
+            assert margin > 0.0
+            eps = 2.0 * np.max(np.abs(vs - p0(us))) / margin
+            handles = {}
+            for key in _all_subsets(len(s)):
+                signs = np.array([1.0 if j in key else -1.0 for j in range(len(s))])
+                handles[key] = BernsteinPolynomial(p0.coeffs + eps * cols @ signs)
+            weights = weighted_combine({k: h(us) for k, h in handles.items()}, vs)
+            mixed = sum(w * handles[k].coeffs for k, w in weights.items())
+            assert np.max(np.abs(mixed - exact.coeffs)) <= 1e-12, i
