@@ -9,7 +9,10 @@ and locally refined samples and reports the smallest gap found, flagging
 anything below ``-DEFAULT_TOL`` as a violation. The point-set searches
 (``h_increment``, ``dichotomy``) draw and score their sets in numpy batches
 of padded knot arrays; ``gap_h_increment`` and ``check_dichotomy`` score one
-set at a time and are the reference the batches are tested against.
+set at a time and are the reference the batches are tested against. The
+``cumulative`` search grows a whole batch of revelation sequences in
+lockstep, one point per row per step; ``random_feasible_sequence`` and
+``cumulative_slope_gap`` draw and score one sequence and are its reference.
 """
 
 from __future__ import annotations
@@ -115,13 +118,14 @@ def check_cumulative(points: list[SamplePoint], p: float) -> bool:
     not part of the inequality); then the sum of |m_i| d_i^p over points
     after the first must stay within 1/(p-1).
     """
-    if not p > 1.0:
-        raise ValueError(f"p={p} must be > 1")
     return cumulative_slope_gap(points, p) <= 1.0 / (p - 1.0) + DEFAULT_TOL
 
 
 def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
-    """The sum bounded by ``check_cumulative``; errors on infeasible prefixes."""
+    """The sum bounded by ``check_cumulative``; errors on infeasible prefixes
+    and on p not above 1."""
+    if not p > 1.0:
+        raise ValueError(f"p={p} must be > 1")
     s = SampleSet()
     total = 0.0
     for k, pt in enumerate(points):
@@ -252,6 +256,8 @@ def random_feasible_set(rng, q: float, m: int) -> SampleSet:
 
 def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
     """Revelation sequence whose every prefix keeps the 1-action within 1."""
+    if length < 1:
+        raise ValueError(f"sequence length {length} must be at least 1")
     pts = [SamplePoint(float(rng.uniform()), float(rng.uniform(-0.5, 0.5)))]
     s = SampleSet([pts[0].u], [pts[0].v])
     while len(pts) < length:
@@ -408,15 +414,21 @@ def _locate(us: np.ndarray, vs: np.ndarray, x: np.ndarray):
     return i, u0, u1, v0, v1, v0 + (x - u0) * (v1 - v0) / (u1 - u0)
 
 
+def _uniform_off_knots(rng, us: np.ndarray) -> np.ndarray:
+    """One uniform x per row of ``us``, redrawn until it is not a knot."""
+    x = rng.uniform(size=len(us))
+    redraw = np.flatnonzero((us == x[:, None]).any(axis=1))
+    while len(redraw):
+        x[redraw] = rng.uniform(size=len(redraw))
+        redraw = redraw[(us[redraw] == x[redraw, None]).any(axis=1)]
+    return x
+
+
 def _fresh_points(rng, us, vs, spread_hi: float, exact_frac: float):
     """x uniform off the knots; y the interpolant at x, plus noise of scale
     10^U(-6, spread_hi) except in a fraction ``exact_frac`` of rows."""
     n = len(us)
-    x = np.empty(n)
-    redraw = np.arange(n)
-    while len(redraw):
-        x[redraw] = rng.uniform(size=len(redraw))
-        redraw = redraw[(us[redraw] == x[redraw, None]).any(axis=1)]
+    x = _uniform_off_knots(rng, us)
     base = _locate(us, vs, x)[-1]
     noisy = base + 10.0 ** rng.uniform(-6.0, spread_hi, size=n) * rng.normal(size=n)
     return x, np.where(rng.uniform(size=n) < exact_frac, base, noisy)
@@ -491,18 +503,86 @@ def _search_point_sets(gap_id: str, budget: int, rng) -> GapReport:
     return GapReport(gap_id, budget, *_scan(budget, rng, draw))
 
 
+# ---------------------------------------------------------------------------
+# lockstep revelation sequences
+
+
+@dataclass
+class _SequenceBatch:
+    """Revelation sequences, one per row, grown in lockstep.
+
+    Row k holds its ``length[k]`` points in revelation order in columns 0 to
+    ``length[k] - 1`` of ``us`` and ``vs``; the columns past them are NaN.
+    ``total[k]`` is ``cumulative_slope_gap`` of the row at exponent ``p[k]``.
+    """
+
+    us: np.ndarray
+    vs: np.ndarray
+    length: np.ndarray
+    p: np.ndarray
+    total: np.ndarray
+
+    def params(self, k: int) -> dict:
+        """Row k as plain values, its points as float lists in revelation order."""
+        end = int(self.length[k])
+        return {"p": float(self.p[k]), "length": end,
+                "us": self.us[k, :end].tolist(), "vs": self.vs[k, :end].tolist()}
+
+
+def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
+    """n sequences drawn as ``random_feasible_sequence`` draws one, and scored.
+
+    Each row draws p from {1.1, 1.5, 2, 1 + 10^U(-3, 0.5)} and a length from
+    U{5..50}. The rows are ordered longest first, so the rows still growing
+    at step t are the first ones. At each step every such row draws x off
+    its knots, takes its nearest knots on either side (a missing one is a
+    flat pad at the other's value, masked out of the action increment), and
+    picks y in the closed-form q = 1 feasible interval, at an end of it in
+    30% of rows. Each row carries its running 1-action; a row above
+    1 + ``ACTION_TOL`` raises ``ValueError``, as ``cumulative_slope_gap`` does.
+    """
+    pick = rng.integers(0, 4, size=n)
+    p = np.choose(pick, [1.1, 1.5, 2.0, 1.0 + 10.0 ** rng.uniform(-3.0, 0.5, size=n)])
+    length = np.sort(rng.integers(5, 51, size=n))[::-1]
+    us = np.full((n, int(length[0])), np.nan)
+    vs = np.full_like(us, np.nan)
+    us[:, 0] = rng.uniform(size=n)
+    vs[:, 0] = rng.uniform(-0.5, 0.5, size=n)
+    action, total = np.zeros(n), np.zeros(n)
+    for t in range(1, us.shape[1]):
+        live = int(np.count_nonzero(length > t))
+        knots_u, knots_v = us[:live, :t], vs[:live, :t]
+        x = _uniform_off_knots(rng, knots_u)
+        rows = np.arange(live)
+        below = np.where(knots_u < x[:, None], knots_u, -np.inf)
+        above = np.where(knots_u > x[:, None], knots_u, np.inf)
+        j0, j1 = below.argmax(axis=1), above.argmin(axis=1)
+        u0, u1 = below[rows, j0], above[rows, j1]
+        has_left, has_right = u0 > -np.inf, u1 < np.inf
+        v0 = np.where(has_left, knots_v[rows, j0], knots_v[rows, j1])
+        v1 = np.where(has_right, knots_v[rows, j1], v0)
+        # outside the span the pad makes v1 == v0 and u1 - u0 infinite: slope 0
+        total[:live] += np.abs((v1 - v0) / (u1 - u0)) * np.minimum(x - u0, u1 - x) ** p[:live]
+        slack = np.maximum(1.0 - action[:live], 0.0)
+        half = np.where(has_left & has_right, 0.5 * slack, slack)
+        lo, hi = np.minimum(v0, v1) - half, np.maximum(v0, v1) + half
+        frac, pick = rng.uniform(size=(2, live))
+        # 30% of rows hit an end of the interval, half of them each end
+        y = lo + (hi - lo) * np.where(pick < 0.3, pick >= 0.15, frac)
+        action[:live] += (np.where(has_left, np.abs(y - v0), 0.0)
+                          + np.where(has_right, np.abs(v1 - y), 0.0) - np.abs(v1 - v0))
+        if (action[:live] > 1.0 + ACTION_TOL).any():
+            raise ValueError(f"a prefix of length {t + 1} violates the unit 1-action budget")
+        us[:live, t], vs[:live, t] = x, y
+    return _SequenceBatch(us, vs, length, p, total)
+
+
 def _search_cumulative(budget: int, rng) -> GapReport:
-    # each prefix's feasible interval depends on the knots before it, so the
-    # sequences are drawn and scored one at a time
+    # the q = 1 feasible interval is closed form, so a whole chunk of
+    # sequences grows in lockstep, one point per row per step
     def draw(rng, n):
-        gaps, params = np.empty(n), []
-        for k in range(n):
-            p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
-            length = int(rng.integers(5, 51))
-            points = random_feasible_sequence(rng, length)
-            gaps[k] = 1.0 / (p - 1.0) - cumulative_slope_gap(points, p)
-            params.append({"p": p, "length": length})
-        return gaps, params.__getitem__
+        batch = _lockstep_sequences(rng, n)
+        return 1.0 / (batch.p - 1.0) - batch.total, batch.params
 
     return GapReport("cumulative", budget, *_scan(budget, rng, draw))
 

@@ -15,6 +15,7 @@ from smoothgame.inequalities import (
     _dichotomy_margins,
     _h_increment_batch,
     _h_increment_gaps,
+    _lockstep_sequences,
     _sample_out,
     check_cumulative,
     check_dichotomy,
@@ -33,6 +34,7 @@ from smoothgame.interpolation import (
     SampleSet,
     action_increment,
     eval_interpolant,
+    feasible_reply_interval,
     h_potential,
     q_action,
     slope_at,
@@ -207,6 +209,22 @@ class TestCumulative:
             seq = random_feasible_sequence(rng, 50)
             assert check_cumulative(seq, p)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, math.nan, -math.inf])
+    def test_p_not_above_one_rejected(self, p):
+        pts = [SamplePoint(0.2, 0.4), SamplePoint(0.9, -0.4), SamplePoint(0.5, 0.1)]
+        with pytest.raises(ValueError, match="must be > 1"):
+            cumulative_slope_gap(pts, p)
+        with pytest.raises(ValueError, match="must be > 1"):
+            check_cumulative(pts, p)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_sequence_length_below_one_rejected(self, length):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_feasible_sequence(np.random.default_rng(0), length)
+
+    def test_sequence_of_length_one(self):
+        assert len(random_feasible_sequence(np.random.default_rng(0), 1)) == 1
+
 
 class TestSearch:
     @pytest.mark.parametrize("gap_id", GAP_IDS)
@@ -218,17 +236,18 @@ class TestSearch:
         assert rep.samples == budget
 
     def test_deterministic(self):
-        for gap_id in ("out", "h_increment", "dichotomy"):
+        for gap_id in ("out", "h_increment", "dichotomy", "cumulative"):
             a = search_near_violation(gap_id, budget=2000, seed=9)
             b = search_near_violation(gap_id, budget=2000, seed=9)
             assert a.min_gap == b.min_gap and a.argmin == b.argmin
             assert a.violations == b.violations
 
     @pytest.mark.parametrize("budget", [1, 7, _CHUNK + 1])
-    @pytest.mark.parametrize("gap_id", ["h_increment", "dichotomy"])
+    @pytest.mark.parametrize("gap_id", ["h_increment", "dichotomy", "cumulative"])
     def test_point_set_budget_scores_every_draw_once(self, gap_id, budget, monkeypatch):
         # at a tolerance of -inf every finite gap is a violation, so the
-        # count is the number of draws scored
+        # count is the number of draws scored; for cumulative, a row past
+        # its length would have to add a sequence to be counted twice
         monkeypatch.setattr(inequalities, "DEFAULT_TOL", -math.inf)
         rep = search_near_violation(gap_id, budget=budget, seed=5)
         assert rep.samples == budget
@@ -249,6 +268,18 @@ class TestSearch:
         assert abs(rep.min_gap - gap) <= _diff_tol(lhs, lhs - gap)
         json.dumps(rep.to_dict())
         assert type(rep.to_dict()["argmin"]["set_size"]) is int
+
+    def test_cumulative_argmin_rebuilds_the_minimum(self):
+        rep = search_near_violation("cumulative", budget=300, seed=4)
+        arg = rep.argmin
+        points = [SamplePoint(u, v) for u, v in zip(arg["us"], arg["vs"])]
+        assert len(points) == arg["length"]
+        lhs = 1.0 / (arg["p"] - 1.0)
+        gap = lhs - cumulative_slope_gap(points, arg["p"])
+        assert abs(rep.min_gap - gap) <= _diff_tol(lhs, lhs - gap)
+        d = json.loads(json.dumps(rep.to_dict()))
+        assert type(d["argmin"]["length"]) is int
+        assert all(type(v) is float for v in d["argmin"]["us"] + d["argmin"]["vs"])
 
     def test_unknown_gap(self):
         with pytest.raises(ValueError):
@@ -350,3 +381,65 @@ class TestBatchedPointSets:
                     assert abs(got - ref) <= _diff_tol(inc, inc - ref), (k, got, ref)
         assert 1 in sizes
         assert np.isneginf(margins[1]).any()
+
+
+def _serial_cumulative_gaps(rng, n):
+    """Gaps and p of n sequences drawn and scored one at a time by the references."""
+    gaps, ps = np.empty(n), np.empty(n)
+    for k in range(n):
+        p = float(rng.choice([1.1, 1.5, 2.0, 1.0 + 10 ** rng.uniform(-3, 0.5)]))
+        points = random_feasible_sequence(rng, int(rng.integers(5, 51)))
+        gaps[k], ps[k] = 1.0 / (p - 1.0) - cumulative_slope_gap(points, p), p
+    return gaps, ps
+
+
+class TestLockstepSequences:
+    """The lockstep sequences against ``random_feasible_sequence`` and
+    ``cumulative_slope_gap``, which draw and score one sequence."""
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_matches_reference(self, seed):
+        batch = _lockstep_sequences(np.random.default_rng(seed), 2000)
+        seen = set()
+        for k in range(2000):
+            arg = batch.params(k)
+            assert 5 <= arg["length"] <= 50
+            assert np.isnan(batch.us[k, arg["length"]:]).all()
+            points = [SamplePoint(u, v) for u, v in zip(arg["us"], arg["vs"])]
+            s = SampleSet([points[0].u], [points[0].v])
+            for pt in points[1:]:
+                box = feasible_reply_interval(s, pt.u, 1.0, 1.0)
+                tol = 1e-12 * (1.0 + abs(box.lo) + abs(box.hi))
+                assert box.lo - tol <= pt.v <= box.hi + tol, (k, pt, box)
+                seen.add("interior" if s.us[0] < pt.u < s.us[-1] else "outside")
+                # an end hit counts only where the interval has room for others
+                if box.hi - box.lo > 2 * tol and abs(pt.v - box.lo) <= tol:
+                    seen.add("low end")
+                if box.hi - box.lo > 2 * tol and abs(pt.v - box.hi) <= tol:
+                    seen.add("high end")
+                s.add(pt.u, pt.v)
+            # re-checks every prefix's 1-action against 1 + ACTION_TOL
+            ref = cumulative_slope_gap(points, arg["p"])
+            lhs = 1.0 / (arg["p"] - 1.0)
+            assert abs(batch.total[k] - ref) <= _diff_tol(lhs, lhs - ref), (k, batch.total[k], ref)
+        assert seen == {"interior", "outside", "low end", "high end"}
+
+    def test_gap_distribution_matches_serial(self):
+        # two-sample Kolmogorov-Smirnov statistic against its asymptotic
+        # critical value at level 0.001, c(0.001) * sqrt(2 / n) for n = 2000
+        from scipy.stats import ks_2samp
+
+        n, critical = 2000, 1.949 * math.sqrt(2 / 2000)
+        batch = _lockstep_sequences(np.random.default_rng(43), n)
+        gaps = 1.0 / (batch.p - 1.0) - batch.total
+        ref_gaps, ref_p = _serial_cumulative_gaps(np.random.default_rng(44), n)
+        # the fraction of the bound used isolates the sequences from the p draw
+        used, ref_used = (batch.p - 1.0) * batch.total, 1.0 - (ref_p - 1.0) * ref_gaps
+        for got, ref in ((gaps, ref_gaps), (used, ref_used)):
+            assert ks_2samp(got, ref).statistic < critical
+
+    def test_action_guard_raises(self, monkeypatch):
+        # with the tolerance at -1 the guard fires at the first positive action
+        monkeypatch.setattr(inequalities, "ACTION_TOL", -1.0)
+        with pytest.raises(ValueError, match="1-action budget"):
+            _lockstep_sequences(np.random.default_rng(0), 50)
