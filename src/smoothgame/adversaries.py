@@ -210,7 +210,7 @@ class GreedyAdversary:
 
     def reveal(self, x: float, prediction: float) -> float:
         y = greedy_reveal(self.truth_set, x, prediction, self.q, self.cfg, self._action)
-        self._action += action_increment(self.truth_set, x, y, self.q)
+        self._action += action_increment(self.truth_set, x, y, self.q, self._action)
         self.truth_set.add(x, y)
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)

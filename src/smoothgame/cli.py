@@ -68,6 +68,9 @@ def _load_config(path: str, allowed: dict) -> dict:
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if isinstance(allowed[key], list) and not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
     merged = dict(allowed)
     merged.update(raw)
     missing = [k for k, v in merged.items() if v is _REQUIRED]
@@ -77,6 +80,14 @@ def _load_config(path: str, allowed: dict) -> dict:
 
 
 _REQUIRED = object()
+
+
+def _whole(key: str, value, least: int) -> int:
+    # a count is never truncated: an int or an integral float such as 1e5
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (value >= least and value % 1 == 0)):
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _bound_violations(header: list[str], rows: list[list]) -> int:
@@ -126,7 +137,8 @@ def cmd_simulate(args) -> int:
     spec["seed"] = spec["seed"] or 0
     try:
         config = GameConfig.make(
-            p=spec["p"], q=spec["q"], rounds=spec["rounds"], eta=spec["eta"],
+            p=spec["p"], q=spec["q"], eta=spec["eta"],
+            rounds=_whole("rounds", spec["rounds"], 1),
             learner=spec["learner"], adversary=spec["adversary"], seed=spec["seed"],
             duplicate_policy=spec["duplicate_policy"],
             uncounted_rounds=spec["uncounted_rounds"],
@@ -171,9 +183,11 @@ def cmd_sweep_epsilon(args) -> int:
         "seeds": [0, 1, 2],
         "policies": ["widest-gap-midpoint", "uniform-random", "fixed-sequence"],
     })
+    rounds = _whole("rounds", spec["rounds"], 1)
+    seeds = [_whole("seeds", sd, 0) for sd in spec["seeds"]]
     cells = sorted(
-        (float(e), str(pol), int(sd), int(spec["rounds"]))
-        for e in spec["epsilons"] for pol in spec["policies"] for sd in spec["seeds"]
+        (float(e), str(pol), sd, rounds)
+        for e in spec["epsilons"] for pol in spec["policies"] for sd in seeds
     )
     rows = _run_cells(_epsilon_cell, cells, args.workers)
     out = pathlib.Path(args.out)
@@ -222,8 +236,10 @@ def cmd_sweep_eta(args) -> int:
     })
     if spec["p"] < 2.0 or spec["q"] < 2.0:
         raise ConfigError("eta sweeps are certified for p, q >= 2")
+    rounds = _whole("rounds", spec["rounds"], 1)
+    liar_seeds = _whole("liar_seeds", spec["liar_seeds"], 1)
     cells = sorted(
-        (int(eta), int(spec["rounds"]), int(spec["liar_seeds"]), float(spec["p"]), float(spec["q"]))
+        (_whole("etas", eta, 0), rounds, liar_seeds, float(spec["p"]), float(spec["q"]))
         for eta in spec["etas"]
     )
     nested = _run_cells(_eta_cell, cells, args.workers)
@@ -265,13 +281,14 @@ def cmd_verify_lemmas(args) -> int:
     samples = spec["samples"]
     if not isinstance(samples, dict) or not set(samples) <= set(GAP_IDS):
         raise ConfigError(f"samples must map gap ids {GAP_IDS} to budgets, got {samples!r}")
+    default = _whole("default_samples", spec["default_samples"], 1)
+    budgets = {gap_id: _whole(f"samples[{gap_id}]", samples.get(gap_id, default), 1)
+               for gap_id in GAP_IDS}
+    budgets["cumulative"] = max(10, budgets["cumulative"] // 20)
     reports = []
     for gap_id in GAP_IDS:
         try:
-            budget = int(samples.get(gap_id, spec["default_samples"]))
-            if gap_id == "cumulative" and budget > 0:
-                budget = max(10, budget // 20)
-            reports.append(search_near_violation(gap_id, budget=budget, seed=seed))
+            reports.append(search_near_violation(gap_id, budget=budgets[gap_id], seed=seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     out = pathlib.Path(args.out)
@@ -313,6 +330,7 @@ def cmd_poly_build(args) -> int:
         raise ConfigError(f"bad q or epsilon: {exc}") from exc
     if not eps > 0.0:
         raise ConfigError(f"epsilon must be positive, got {eps}")
+    degree_cap = _whole("degree_cap", spec["degree_cap"], 1)
     result = {
         "tool": "smoothgame", "version": __version__,
         "mode": spec["mode"], "q": q,
@@ -321,14 +339,14 @@ def cmd_poly_build(args) -> int:
     }
     try:
         if spec["mode"] == "approx":
-            poly, plan = approx_interpolant_poly(s, q, eps, degree_cap=int(spec["degree_cap"]))
+            poly, plan = approx_interpolant_poly(s, q, eps, degree_cap=degree_cap)
             result["epsilon"] = eps
             result["plan"] = {
                 "eps2": plan.eps2, "eps3": plan.eps3,
                 "C": plan.C, "c1": plan.c1, "degree": plan.degree,
             }
         elif spec["mode"] == "exact":
-            poly = exact_interpolant_poly(s, q, degree_cap=int(spec["degree_cap"]))
+            poly = exact_interpolant_poly(s, q, degree_cap=degree_cap)
         else:
             raise ConfigError(f"unknown mode {spec['mode']!r}")
     except DegreeCapError as exc:

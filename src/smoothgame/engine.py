@@ -263,7 +263,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
             continue
         prediction = learner.predict(x)
         y = adversary.reveal(x, prediction)
-        inc = action_increment(revealed, x, y, config.q)
+        inc = action_increment(revealed, x, y, config.q, running_action)
         running_action += inc
         if running_action > 1.0 + ACTION_TOL:
             raise IllegalAdversaryError(
@@ -408,14 +408,14 @@ def scale_transcript(tr: Transcript, c: float) -> Transcript:
     return out
 
 
-def write_outputs(tr: Transcript, out_dir, stem: str = "game") -> tuple[str, str]:
-    """Write transcript CSV and summary JSON; returns the two paths."""
+def write_outputs(tr: Transcript, out_dir) -> tuple[str, str]:
+    """Write ``game_transcript.csv`` and ``game_summary.json``; returns the two paths."""
     import pathlib
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}_transcript.csv"
-    json_path = out / f"{stem}_summary.json"
+    csv_path = out / "game_transcript.csv"
+    json_path = out / "game_summary.json"
     csv_path.write_text(tr.to_csv())
     json_path.write_text(json.dumps(tr.summary(), sort_keys=True, indent=2) + "\n")
     return str(csv_path), str(json_path)

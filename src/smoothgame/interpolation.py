@@ -57,14 +57,12 @@ class SampleSet:
     ``add`` grows the set in place with ``bisect``, so a game that adds one
     knot per round does no per-round copy; ``insert`` returns a grown copy
     and leaves the set as it was. ``us`` and ``vs`` are the set's own
-    lists; read them, do not mutate. ``sup_slope`` is the largest absolute
-    segment slope (0 for fewer than two points), kept exactly equal to a
-    full scan: an add can only raise it to a slope the new knot touches,
-    unless rounding put the split segment's slope above both halves', which
-    takes one rescan.
+    lists; read them, do not mutate. The set keeps nothing beside its
+    knots: an owner that grows it and needs its action keeps that as a
+    running total and passes it as ``base_action``.
     """
 
-    __slots__ = ("us", "vs", "sup_slope")
+    __slots__ = ("us", "vs")
 
     def __init__(self, us: Sequence[float] = (), vs: Sequence[float] = ()):
         if len(us) != len(vs):
@@ -78,7 +76,6 @@ class SampleSet:
             if not all(0.0 <= u <= 1.0 for u in us):
                 raise ValueError("u-coordinates must lie in [0, 1]")
             raise ValueError("u-coordinates must be strictly increasing")
-        self.sup_slope = _max_abs_slope(us, vs, 0, len(us) - 1)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "SampleSet":
@@ -103,19 +100,11 @@ class SampleSet:
 
     def add(self, u: float, v: float) -> None:
         _check_knot(u, v)
-        us, vs = self.us, self.vs
-        i = bisect_left(us, u)
-        m = len(us)
-        if i < m and us[i] == u:
+        i = bisect_left(self.us, u)
+        if i < len(self.us) and self.us[i] == u:
             raise DuplicateKnotError(f"u={u} already present (repeated query)")
-        split = abs(vs[i] - vs[i - 1]) / (us[i] - us[i - 1]) if 0 < i < m else 0.0
-        us.insert(i, u)
-        vs.insert(i, v)
-        touched = _max_abs_slope(us, vs, max(i - 1, 0), min(i + 1, m))
-        if split == self.sup_slope and split > touched:
-            self.sup_slope = _max_abs_slope(us, vs, 0, m)
-        else:
-            self.sup_slope = max(self.sup_slope, touched)
+        self.us.insert(i, u)
+        self.vs.insert(i, v)
 
     def insert(self, u: float, v: float) -> "SampleSet":
         grown = self.copy()
@@ -125,18 +114,8 @@ class SampleSet:
     def copy(self) -> "SampleSet":
         # the knots already obey the rule, so nothing is checked again
         twin = SampleSet.__new__(SampleSet)
-        twin.us, twin.vs, twin.sup_slope = self.us[:], self.vs[:], self.sup_slope
+        twin.us, twin.vs = self.us[:], self.vs[:]
         return twin
-
-
-def _max_abs_slope(us: Sequence[float], vs: Sequence[float], lo: int, hi: int) -> float:
-    # the largest |slope| over the segments [us[k], us[k + 1]] for lo <= k < hi
-    worst = 0.0
-    for k in range(lo, hi):
-        slope = abs(vs[k + 1] - vs[k]) / (us[k + 1] - us[k])
-        if slope > worst:
-            worst = slope
-    return worst
 
 
 def eval_interpolant(s: SampleSet, x: float) -> float:
@@ -201,7 +180,7 @@ def q_action(s: SampleSet, q: float) -> float:
     if len(s) <= 1:
         return 0.0
     if math.isinf(q):
-        return s.sup_slope
+        return max(abs(s.vs[i + 1] - s.vs[i]) / (s.us[i + 1] - s.us[i]) for i in range(len(s) - 1))
     total = 0.0
     for i in range(len(s) - 1):
         du = s.us[i + 1] - s.us[i]
@@ -211,12 +190,16 @@ def q_action(s: SampleSet, q: float) -> float:
     return total
 
 
-def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
+def action_increment(
+    s: SampleSet, x: float, y: float, q: float, base_action: float | None = None
+) -> float:
     """Change in q-action when the point (x, y) is added to ``s``.
 
     Computed from the one or two segments the new point touches, which keeps
     per-trial feasibility checks O(log m) and avoids cancellation between
-    large totals. At q = inf the current sup is the stored ``s.sup_slope``.
+    large totals. At q = inf the action is the largest segment slope, and
+    ``base_action`` may pass the set's current action, the running sup its
+    owner keeps, to skip an O(m) scan; finite q ignores it.
     """
     _check_q(q)
     m = len(s)
@@ -228,7 +211,7 @@ def action_increment(s: SampleSet, x: float, y: float, q: float) -> float:
     if math.isinf(q):
         # the split segment's slope lies between the two new ones, so the
         # sup can only grow to the largest slope the new point touches
-        old = s.sup_slope
+        old = q_action(s, q) if base_action is None else base_action
         new = old
         if i > 0:
             new = max(new, abs(y - s.vs[i - 1]) / (x - s.us[i - 1]))

@@ -127,7 +127,6 @@ def _abs_power_anti(v: float, q: float) -> float:
 class BudgetPlan:
     """The tolerance ledger of one construction run."""
 
-    epsilon: float
     eps2: float
     eps3: float
     C: float
@@ -170,8 +169,7 @@ def _build_near_interpolant(
     m = len(s)
     base_action = q_action(s, q)
     if np.ptp(vs) == 0.0:
-        plan = BudgetPlan(min(res_target, act_slack), 0.0, 0.0,
-                          2.0 / float(np.min(np.diff(us))), 0.0, 0)
+        plan = BudgetPlan(0.0, 0.0, 2.0 / float(np.min(np.diff(us))), 0.0, 0)
         return BernsteinPolynomial([float(vs[0])]), plan
     gaps = np.diff(us)
     d = np.diff(vs) / gaps
@@ -214,8 +212,7 @@ def _build_near_interpolant(
         action_ok = action_est < base_action + 0.9 * act_slack
         if resid_ok and action_ok:
             poly = BernsteinPolynomial(anti + (v1 - shift))
-            plan = BudgetPlan(min(res_target, act_slack), eps2,
-                              eps3, 2.0 / mingap, c1, poly.degree)
+            plan = BudgetPlan(eps2, eps3, 2.0 / mingap, c1, poly.degree)
             return poly, plan
         if n >= degree_cap:
             raise DegreeCapError(

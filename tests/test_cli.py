@@ -88,6 +88,7 @@ class TestSimulate:
         {"adversary_options": {"query_policy": "fixed-sequence", "sequence": [0.1, 0.2]}},
         {"adversary_options": {"query_policy": "fixed-sequence",
                                "sequence": [0.1, 0.2, 1.5, 0.3, 0.4]}},
+        {"rounds": 2.5}, {"rounds": True},
     ])
     def test_config_checked_before_the_run_exit_1(self, tmp_path, capsys, change):
         cfg = write(tmp_path / "c.json", {
@@ -196,6 +197,41 @@ class TestSweeps:
         cfg = write(tmp_path / "c.json", {"etas": [1], "p": 1.5})
         assert run("sweep-eta", "--config", cfg, "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"rounds": 150.5}, {"rounds": True}, {"rounds": 0}, {"seeds": [0.5]},
+        {"seeds": [-1]}, {"seeds": 3},
+    ])
+    def test_epsilon_sweep_rejects_bad_counts_exit_1(self, tmp_path, capsys, bad):
+        cfg = write(tmp_path / "c.json", {
+            "epsilons": [0.5], "rounds": 20, "seeds": [0],
+            "policies": ["widest-gap-midpoint"], **bad,
+        })
+        out = tmp_path / "out"
+        assert run("sweep-epsilon", "--config", cfg, "--out", str(out)) == 1
+        assert f"config error: {next(iter(bad))} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"etas": [1.5]}, {"etas": [True]}, {"etas": [-1]}, {"etas": 1}, {"rounds": "120"},
+        {"liar_seeds": 2.7}, {"liar_seeds": False}, {"liar_seeds": 0},
+    ])
+    def test_eta_sweep_rejects_bad_counts_exit_1(self, tmp_path, capsys, bad):
+        cfg = write(tmp_path / "c.json", {"etas": [1], "rounds": 20, "liar_seeds": 1, **bad})
+        out = tmp_path / "out"
+        assert run("sweep-eta", "--config", cfg, "--out", str(out)) == 1
+        assert f"config error: {next(iter(bad))} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_pass(self, tmp_path):
+        cfg = write(tmp_path / "c.json", {
+            "epsilons": [0.5], "rounds": 20.0, "seeds": [1.0],
+            "policies": ["widest-gap-midpoint"],
+        })
+        out = tmp_path / "out"
+        assert run("sweep-epsilon", "--config", cfg, "--out", str(out)) == 0
+        [row] = (out / "sweep_epsilon.csv").read_text().splitlines()[2:]
+        assert row.startswith("0.5,widest-gap-midpoint,1,")
+
 
 class TestVerifyLemmas:
     def test_small_budget_all_ok(self, tmp_path):
@@ -220,6 +256,28 @@ class TestVerifyLemmas:
         assert run(*argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not (out / "gap_reports.json").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"samples": {"out": 2.7}}, "samples[out]"),
+        ({"samples": {"in": True}}, "samples[in]"),
+        ({"samples": {"two_variable": "100"}}, "samples[two_variable]"),
+        ({"default_samples": 1.5}, "default_samples"),
+        ({"default_samples": -1}, "default_samples"),
+    ])
+    def test_non_integer_budget_exit_1(self, tmp_path, capsys, config, key):
+        # a fraction or a bool used to be truncated by int() and run
+        out = tmp_path / "out"
+        cfg = write(tmp_path / "c.json", config)
+        assert run("verify-lemmas", "--config", cfg, "--out", str(out)) == 1
+        assert f"config error: {key} must be an integer >= 1" in capsys.readouterr().err
+        assert not (out / "gap_reports.json").exists()
+
+    def test_integral_float_budget_passes(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write(tmp_path / "c.json", {"default_samples": 50.0, "samples": {"out": 6e1}})
+        assert run("verify-lemmas", "--config", cfg, "--out", str(out)) == 0
+        reports = json.loads((out / "gap_reports.json").read_text())["reports"]
+        assert {r["gap_id"]: r["samples"] for r in reports}["out"] == 60
 
 
 class TestPolyBuild:
@@ -267,6 +325,17 @@ class TestPolyBuild:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert f"{next(iter(bad))} " in err
+        assert not (out / "poly_build.json").exists()
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("cap", [2.5, True, -1, 0, "64"])
+    def test_bad_degree_cap_exit_1(self, tmp_path, capsys, mode, cap):
+        cfg = write(tmp_path / "c.json", {
+            "points": [[0.0, 0.0], [1.0, 0.5]], "q": 2, "mode": mode, "degree_cap": cap,
+        })
+        out = tmp_path / "o"
+        assert run("poly-build", "--config", cfg, "--out", str(out)) == 1
+        assert "config error: degree_cap must be an integer >= 1" in capsys.readouterr().err
         assert not (out / "poly_build.json").exists()
 
     def test_nan_knot_exit_1(self, tmp_path, capsys):

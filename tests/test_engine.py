@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from smoothgame.adversaries import Disclosure, GreedyConfig
+from smoothgame import adversaries, engine
+from smoothgame.adversaries import QUERY_POLICIES, Disclosure, GreedyConfig, verify_legality
 from smoothgame.engine import (
     CSV_HEADER,
     GameConfig,
@@ -17,7 +18,7 @@ from smoothgame.engine import (
     total_error,
     write_outputs,
 )
-from smoothgame.interpolation import SampleSet, q_action
+from smoothgame.interpolation import SampleSet, action_increment, q_action
 
 
 class ScriptAdversary:
@@ -117,6 +118,58 @@ class TestStandardGame:
             run_game(cfg(learner="nope"))
         with pytest.raises(ValueError):
             run_game(cfg(adversary="nope"))
+
+
+class TestRunningSup:
+    """At q = inf each owner's running action is its running sup.
+
+    The engine and the greedy adversary add each increment to the action
+    they pass in. The sup of a set can fall by rounding when a new knot
+    splits its steepest segment, which the running sup does not see, so it
+    may sit an ulp above a scan of the set; over these games it is never
+    below the scan.
+    """
+
+    REL_TOL = 4.5e-16
+
+    @staticmethod
+    def _watch(monkeypatch):
+        # (owner, running action after the add, scan of the grown set)
+        seen = []
+
+        def watched(owner):
+            def increment(s, x, y, q, base_action=None):
+                inc = action_increment(s, x, y, q, base_action)
+                seen.append((owner, base_action + inc, q_action(s.insert(x, y), q)))
+                return inc
+            return increment
+
+        monkeypatch.setattr(engine, "action_increment", watched("engine"))
+        monkeypatch.setattr(adversaries, "action_increment", watched("adversary"))
+        return seen
+
+    @pytest.mark.parametrize("policy", QUERY_POLICIES)
+    def test_running_sup_tracks_the_scan(self, monkeypatch, policy):
+        seen = self._watch(monkeypatch)
+        run_standard_game(cfg(q=math.inf, rounds=300, seed=4,
+                              adversary_options={"query_policy": policy}))
+        assert {owner for owner, _, _ in seen} == {"engine", "adversary"}
+        assert len(seen) == 2 * 300
+        for _, running, scanned in seen:
+            assert scanned <= running <= scanned * (1.0 + self.REL_TOL)
+
+    def test_rounding_drop_leaves_the_running_sup_an_ulp_above(self, monkeypatch):
+        # the split segment's slope rounds above both halves' slopes
+        moves = ((0.09384515343330624, 0.1156618270926259 / 4),
+                 (0.5706847858594991, -1.070544409695766 / 4),
+                 (0.3209004331471949, -0.44917039442796297 / 4))
+        seen = self._watch(monkeypatch)
+        tr = run_standard_game(cfg(q=math.inf, rounds=3, adversary="test-script",
+                                   adversary_options={"moves": moves}))
+        _, running, scanned = seen[-1]
+        assert running == math.nextafter(scanned, math.inf)
+        truth = SampleSet.from_pairs(moves)
+        assert verify_legality(tr.trials, Disclosure([False] * 3, truth), 0, math.inf)
 
 
 class TestNoisyGame:

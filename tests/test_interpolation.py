@@ -72,7 +72,7 @@ class TestSampleSet:
             SampleSet([-0.1, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError, match="equal length"):
             SampleSet([0.5], [])
-        assert SampleSet([0.0, 1.0], [0.0, -2.0]).sup_slope == 2.0
+        assert q_action(SampleSet([0.0, 1.0], [0.0, -2.0]), math.inf) == 2.0
 
 
 class TestKnotStore:
@@ -102,30 +102,6 @@ class TestKnotStore:
         assert copied == S((0.2, 0.1), (0.7, -0.2))
         assert store == S((0.2, 0.1), (0.4, 0.5), (0.7, -0.2))
         assert grown == S((0.2, 0.1), (0.7, -0.2), (0.9, 0.0))
-
-    def test_sup_drops_when_rounding_lifts_the_split_segment(self):
-        # the split segment's slope rounds above both halves', so the store
-        # rescans instead of keeping the old sup
-        store = SampleSet()
-        store.add(0.09384515343330624, 0.1156618270926259)
-        store.add(0.5706847858594991, -1.070544409695766)
-        old = store.sup_slope
-        store.add(0.3209004331471949, -0.44917039442796297)
-        assert store.sup_slope < old
-        assert store.sup_slope == _scanned_sup(store)
-
-    def test_sup_matches_scan_over_a_game(self):
-        adv = GreedyAdversary(math.inf, GreedyConfig(query_policy="uniform-random"), seed=4)
-        for t in range(300):
-            x = adv.next_query(t)
-            adv.reveal(x, 0.05 * (t % 7))
-            assert adv.truth_set.sup_slope == _scanned_sup(adv.truth_set)
-
-
-def _scanned_sup(s):
-    # the largest absolute segment slope, by an explicit scan
-    slopes = [abs(s.vs[k + 1] - s.vs[k]) / (s.us[k + 1] - s.us[k]) for k in range(len(s) - 1)]
-    return max(slopes, default=0.0)
 
 
 class TestEval:
@@ -369,7 +345,7 @@ class TestFeasibleInterval:
         # slack; the only feasible reply is then the interpolant value
         s = S((1 / 512, 0.0), (67 / 512, 0.625))
         x = 1.5 / 512
-        box = feasible_reply_interval(s, x, math.inf, s.sup_slope)
+        box = feasible_reply_interval(s, x, math.inf, q_action(s, math.inf))
         assert box.lo == box.hi == eval_interpolant(s, x)
 
     def test_budget_below_action_errors(self):
