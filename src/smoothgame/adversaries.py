@@ -136,7 +136,7 @@ class _QueryChooser:
             return self._widest_gap()
         if self.policy == "uniform-random":
             while True:
-                x = float(self.rng.uniform())
+                x = self.rng.random()
                 if not s.contains_u(x):
                     return x
         # fixed-sequence
@@ -215,7 +215,7 @@ class GreedyAdversary:
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)
         if lie:
-            sign = 1.0 if self.rng.uniform() < 0.5 else -1.0
+            sign = 1.0 if self.rng.random() < 0.5 else -1.0
             return y + sign * self.lie_magnitude
         return y
 

@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     })
     if args.seed is not None:
         spec["seed"] = args.seed
-    spec["seed"] = spec["seed"] or 0
+    spec["seed"] = 0 if spec["seed"] is None else _whole("seed", spec["seed"], 0)
     try:
         config = GameConfig.make(
             p=spec["p"], q=spec["q"], eta=spec["eta"],
@@ -277,7 +277,7 @@ def cmd_verify_lemmas(args) -> int:
     }) if args.config else {"samples": {}, "default_samples": 20000, "seed": 0}
     if args.samples is not None:
         spec["default_samples"] = args.samples
-    seed = args.seed if args.seed is not None else spec["seed"]
+    seed = _whole("seed", args.seed if args.seed is not None else spec["seed"], 0)
     samples = spec["samples"]
     if not isinstance(samples, dict) or not set(samples) <= set(GAP_IDS):
         raise ConfigError(f"samples must map gap ids {GAP_IDS} to budgets, got {samples!r}")

@@ -10,8 +10,6 @@ counted errors are recomputed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -109,22 +107,16 @@ class Transcript:
     finalized: bool = False
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        # csv.writer's output: no field (an int or a float's repr) needs quoting
+        rows = [",".join(CSV_HEADER)]
         for r in self.trials:
-            writer.writerow([
-                r.t,
-                repr(r.x),
-                repr(r.prediction),
-                repr(r.revealed),
-                "" if r.true_value is None else repr(r.true_value),
-                "" if r.lie is None else int(r.lie),
-                repr(r.raw_error),
-                repr(r.p_power),
-                int(r.counted),
-            ])
-        return buf.getvalue()
+            revealed = repr(r.revealed)
+            true_value = ("" if r.true_value is None else revealed
+                          if r.true_value is r.revealed else repr(r.true_value))
+            lie = "" if r.lie is None else int(r.lie)
+            rows.append(f"{r.t},{r.x!r},{r.prediction!r},{revealed},{true_value},{lie},"
+                        f"{r.raw_error!r},{r.p_power!r},{int(r.counted)}")
+        return "\n".join(rows) + "\n"
 
     def summary(self) -> dict:
         cfg = asdict(self.config)

@@ -95,15 +95,17 @@ class SampleSet:
         return f"SampleSet({list(zip(self.us, self.vs))!r})"
 
     def contains_u(self, u: float) -> bool:
-        i = bisect_left(self.us, u)
-        return i < len(self.us) and self.us[i] == u
+        us = self.us
+        i = bisect_left(us, u)
+        return i < len(us) and us[i] == u
 
     def add(self, u: float, v: float) -> None:
         _check_knot(u, v)
-        i = bisect_left(self.us, u)
-        if i < len(self.us) and self.us[i] == u:
+        us = self.us
+        i = bisect_left(us, u)
+        if i < len(us) and us[i] == u:
             raise DuplicateKnotError(f"u={u} already present (repeated query)")
-        self.us.insert(i, u)
+        us.insert(i, u)
         self.vs.insert(i, v)
 
     def insert(self, u: float, v: float) -> "SampleSet":
@@ -126,19 +128,19 @@ def eval_interpolant(s: SampleSet, x: float) -> float:
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
-    m = len(s)
-    if m == 0:
+    us, vs = s.us, s.vs
+    if not us:
         return 0.0
-    if x <= s.us[0]:
-        return s.vs[0]
-    if x >= s.us[-1]:
-        return s.vs[-1]
-    i = bisect_left(s.us, x)
-    if s.us[i] == x:
-        return s.vs[i]
-    u0, u1 = s.us[i - 1], s.us[i]
-    v0, v1 = s.vs[i - 1], s.vs[i]
-    return v0 + (x - u0) * (v1 - v0) / (u1 - u0)
+    i = bisect_left(us, x)
+    if i == 0:
+        return vs[0]
+    if i == len(us):
+        return vs[-1]
+    u1 = us[i]
+    if u1 == x:
+        return vs[i]
+    u0, v0 = us[i - 1], vs[i - 1]
+    return v0 + (x - u0) * (vs[i] - v0) / (u1 - u0)
 
 
 def slope_at(s: SampleSet, x: float) -> float:
@@ -202,11 +204,12 @@ def action_increment(
     owner keeps, to skip an O(m) scan; finite q ignores it.
     """
     _check_q(q)
-    m = len(s)
-    if m == 0:
+    us, vs = s.us, s.vs
+    if not us:
         return 0.0
-    i = bisect_left(s.us, x)
-    if i < m and s.us[i] == x:
+    m = len(us)
+    i = bisect_left(us, x)
+    if i < m and us[i] == x:
         raise DuplicateKnotError(f"x={x} already a knot")
     if math.isinf(q):
         # the split segment's slope lies between the two new ones, so the
@@ -214,20 +217,20 @@ def action_increment(
         old = q_action(s, q) if base_action is None else base_action
         new = old
         if i > 0:
-            new = max(new, abs(y - s.vs[i - 1]) / (x - s.us[i - 1]))
+            new = max(new, abs(y - vs[i - 1]) / (x - us[i - 1]))
         if i < m:
-            new = max(new, abs(s.vs[i] - y) / (s.us[i] - x))
+            new = max(new, abs(vs[i] - y) / (us[i] - x))
         return new - old
     if i == 0:
-        gap = s.us[0] - x
-        dv = s.vs[0] - y
+        gap = us[0] - x
+        dv = vs[0] - y
         return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
     if i == m:
-        gap = x - s.us[-1]
-        dv = y - s.vs[-1]
+        gap = x - us[-1]
+        dv = y - vs[-1]
         return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-    u0, u1 = s.us[i - 1], s.us[i]
-    v0, v1 = s.vs[i - 1], s.vs[i]
+    u0, u1 = us[i - 1], us[i]
+    v0, v1 = vs[i - 1], vs[i]
     a = x - u0
     b = u1 - x
     old_dv = v1 - v0
@@ -287,9 +290,12 @@ def feasible_reply_interval(
     interval.
     """
     _check_q(q)
-    if len(s) == 0:
+    us, vs = s.us, s.vs
+    if not us:
         return FeasibleInterval(-math.inf, math.inf)
-    if s.contains_u(x):
+    m = len(us)
+    i = bisect_left(us, x)
+    if i < m and us[i] == x:
         raise DuplicateKnotError(f"x={x} already a knot")
     if base_action is None:
         base_action = q_action(s, q)
@@ -299,29 +305,45 @@ def feasible_reply_interval(
     slack = max(slack, 0.0)
 
     if math.isinf(q):
-        return _feasible_interval_sup(s, x, budget)
+        # every segment touching the new point must have |slope| <= budget; the
+        # two neighbours' bounds come from different knots, and at zero slack
+        # they can cross by rounding, where the only reply is the interpolant's
+        lo, hi = -math.inf, math.inf
+        if i > 0:
+            gap = x - us[i - 1]
+            lo = max(lo, vs[i - 1] - budget * gap)
+            hi = min(hi, vs[i - 1] + budget * gap)
+        if i < m:
+            gap = us[i] - x
+            lo = max(lo, vs[i] - budget * gap)
+            hi = min(hi, vs[i] + budget * gap)
+        if lo > hi:
+            lo = hi = eval_interpolant(s, x)
+        return FeasibleInterval(lo, hi)
 
     if q == 2.0:
-        center = eval_interpolant(s, x)
-        i = bisect_left(s.us, x)
+        # the centre is eval_interpolant's value, in its operation order
         if i == 0:
-            r = math.sqrt(slack * (s.us[0] - x))
-        elif i == len(s):
-            r = math.sqrt(slack * (x - s.us[-1]))
+            center = vs[0]
+            r = math.sqrt(slack * (us[0] - x))
+        elif i == m:
+            center = vs[-1]
+            r = math.sqrt(slack * (x - us[-1]))
         else:
-            a = x - s.us[i - 1]
-            b = s.us[i] - x
+            u0, u1, v0 = us[i - 1], us[i], vs[i - 1]
+            a = x - u0
+            b = u1 - x
+            center = v0 + a * (vs[i] - v0) / (u1 - u0)
             r = math.sqrt(slack * a * b / (a + b))
         return FeasibleInterval(center - r, center + r)
 
     if q == 1.0:
         # interior: moving y outside [v0, v1] costs 2 * distance; exterior: distance
-        i = bisect_left(s.us, x)
         if i == 0:
-            return FeasibleInterval(s.vs[0] - slack, s.vs[0] + slack)
-        if i == len(s):
-            return FeasibleInterval(s.vs[-1] - slack, s.vs[-1] + slack)
-        v0, v1 = s.vs[i - 1], s.vs[i]
+            return FeasibleInterval(vs[0] - slack, vs[0] + slack)
+        if i == m:
+            return FeasibleInterval(vs[-1] - slack, vs[-1] + slack)
+        v0, v1 = vs[i - 1], vs[i]
         return FeasibleInterval(min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack)
 
     center = eval_interpolant(s, x)
@@ -404,28 +426,7 @@ def _bisect_boundary(overshoot, center: float, direction: float) -> float:
     return center + direction * inner
 
 
-def _feasible_interval_sup(s: SampleSet, x: float, budget: float) -> FeasibleInterval:
-    # every segment touching the new point must have |slope| <= budget; the
-    # two neighbours' bounds come from different knots, and at zero slack
-    # they can cross by rounding, where the only reply is the interpolant's
-    i = bisect_left(s.us, x)
-    lo, hi = -math.inf, math.inf
-    if i > 0:
-        gap = x - s.us[i - 1]
-        lo = max(lo, s.vs[i - 1] - budget * gap)
-        hi = min(hi, s.vs[i - 1] + budget * gap)
-    if i < len(s):
-        gap = s.us[i] - x
-        lo = max(lo, s.vs[i] - budget * gap)
-        hi = min(hi, s.vs[i] + budget * gap)
-    if lo > hi:
-        center = eval_interpolant(s, x)
-        return FeasibleInterval(center, center)
-    return FeasibleInterval(lo, hi)
-
-
 def _check_q(q: float) -> None:
-    if math.isinf(q):
-        return
-    if not (q >= 1.0 and math.isfinite(q)):
+    # inf is the only non-finite q >= 1; NaN fails the test
+    if not q >= 1.0:
         raise ValueError(f"q={q} must be >= 1 or inf")

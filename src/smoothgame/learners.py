@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
-from .interpolation import SampleSet, eval_interpolant
+from .interpolation import DuplicateKnotError, SampleSet, eval_interpolant
 
 
 class Learner(Protocol):
@@ -39,13 +39,13 @@ class LinintLearner:
         self.known = SampleSet()
 
     def predict(self, x: float) -> float:
-        if len(self.known) == 0:
-            return 0.0
         return eval_interpolant(self.known, x)
 
     def observe(self, x: float, y: float) -> None:
-        if not self.known.contains_u(x):
+        try:
             self.known.add(x, y)
+        except DuplicateKnotError:
+            pass
 
 
 def interval_of(x: float) -> int:
@@ -103,22 +103,18 @@ class StagedLearner:
         self.inner = LinintLearner()
         self.stage_resets = 0
         self.perceived_error_sum = 0.0
-        self._last: tuple[float, bool, float] | None = None
+        self._last: tuple[float, int, bool, float] | None = None  # x, j, mimicked, raw
         self._fill = 2 * eta + 1
-
-    @property
-    def initial_phase_done(self) -> bool:
-        return self.global_center is not None
 
     # -- generic learner interface -------------------------------------
 
     def predict(self, x: float) -> float:
-        if not self.initial_phase_done:
+        if self.global_center is None:
             return 0.0
         return self.staged_predict(x)[0]
 
     def observe(self, x: float, y: float) -> None:
-        if not self.initial_phase_done:
+        if self.global_center is None:
             self.initial_values.append(y)
             if len(self.initial_values) == self._fill:
                 self.global_center = median_center(self.initial_values, self.eta)
@@ -129,27 +125,26 @@ class StagedLearner:
 
     def staged_predict(self, x: float) -> tuple[float, bool]:
         """Prediction and mimicked flag; requires the initial phase done."""
-        if not self.initial_phase_done:
+        if self.global_center is None:
             raise ProtocolViolationError("initial feedback phase not complete")
         j = interval_of(x) - 1
         if len(self.stores[j]) < self._fill:
-            self._last = (x, False, 0.0)
+            self._last = (x, j, False, 0.0)
             return self.global_center, False
         c = self.centers[j]
         raw = self.inner.predict(x)
         emitted = min(max(raw, c - 0.5), c + 0.5)  # band clamp; raw kept for events
-        self._last = (x, True, raw)
+        self._last = (x, j, True, raw)
         return emitted, True
 
     def staged_observe(self, x: float, y: float) -> bool:
         """Record feedback for the previous prediction; True on stage reset."""
-        if not self.initial_phase_done:
+        if self.global_center is None:
             raise ProtocolViolationError("initial feedback phase not complete")
         if self._last is None or self._last[0] != x:
             raise ProtocolViolationError("observe does not match the last predict")
-        _, mimicked, raw = self._last
+        _, j, mimicked, raw = self._last
         self._last = None
-        j = interval_of(x) - 1
         self.stores[j].append((x, y))
         if self.centers[j] is None and len(self.stores[j]) == self._fill:
             self.centers[j] = median_center([v for _, v in self.stores[j]], self.eta)

@@ -98,6 +98,24 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [2.7, True, -1, "3"])
+    def test_bad_seed_exit_1(self, tmp_path, capsys, seed):
+        # 2.7 was a numpy SeedSequence error, true ran as seed 1, -1 did not name the key
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 5, "learner": "linint", "adversary": "greedy", "seed": seed,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_and_null_seed_pass(self, tmp_path):
+        base = {"p": 2, "q": 2, "rounds": 5, "learner": "linint", "adversary": "greedy"}
+        for seed, expected in [(4.0, 4), (None, 0)]:
+            out = tmp_path / str(seed)
+            assert run("simulate", "--config", write(tmp_path / "c.json", {**base, "seed": seed}),
+                       "--out", str(out)) == 0
+            assert json.loads((out / "game_summary.json").read_text())["config"]["seed"] == expected
+
     def test_value_error_during_the_run_exit_4(self, tmp_path, capsys):
         from smoothgame.adversaries import GreedyAdversary
         from smoothgame.engine import register_adversary
@@ -270,6 +288,15 @@ class TestVerifyLemmas:
         cfg = write(tmp_path / "c.json", config)
         assert run("verify-lemmas", "--config", cfg, "--out", str(out)) == 1
         assert f"config error: {key} must be an integer >= 1" in capsys.readouterr().err
+        assert not (out / "gap_reports.json").exists()
+
+    @pytest.mark.parametrize("seed", [2.7, True, -1, "3"])
+    def test_bad_seed_exit_1(self, tmp_path, capsys, seed):
+        # 2.7 was a TypeError traceback, true ran as seed 1, -1 did not name the key
+        out = tmp_path / "out"
+        cfg = write(tmp_path / "c.json", {"seed": seed, "default_samples": 10})
+        assert run("verify-lemmas", "--config", cfg, "--out", str(out)) == 1
+        assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
         assert not (out / "gap_reports.json").exists()
 
     def test_integral_float_budget_passes(self, tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import math
 
@@ -10,6 +13,8 @@ from smoothgame.engine import (
     GameConfig,
     IllegalAdversaryError,
     DuplicateQueryError,
+    TrialRecord,
+    Transcript,
     register_adversary,
     run_game,
     run_noisy_game,
@@ -335,6 +340,85 @@ class TestSerialization:
             fields = line.split(",")
             assert float(fields[1]) == rec.x
             assert float(fields[2]) == rec.prediction
+
+
+def csv_writer_rendering(tr):
+    """The csv.writer rendering that ``Transcript.to_csv`` reproduces."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in tr.trials:
+        writer.writerow([
+            r.t,
+            repr(r.x),
+            repr(r.prediction),
+            repr(r.revealed),
+            "" if r.true_value is None else repr(r.true_value),
+            "" if r.lie is None else int(r.lie),
+            repr(r.raw_error),
+            repr(r.p_power),
+            int(r.counted),
+        ])
+    return buf.getvalue()
+
+
+class TestCsvRendering:
+    def test_standard_sup_norm_game(self):
+        tr = run_game(cfg(q=math.inf, rounds=300, seed=4,
+                          adversary_options={"query_policy": "uniform-random"}))
+        assert tr.to_csv() == csv_writer_rendering(tr)
+
+    def test_noisy_game_with_lies(self):
+        tr = run_game(cfg(eta=3, rounds=400, learner="staged", adversary="random-liar", seed=9))
+        assert tr.lie_count == 3
+        assert any(r.true_value != r.revealed for r in tr.trials)
+        assert tr.to_csv() == csv_writer_rendering(tr)
+
+    def test_answer_known_duplicate_row(self):
+        moves = ((0.5, 0.25), (0.5, 0.25), (0.8, 0.3))
+        tr = run_standard_game(cfg(rounds=3, adversary="test-script",
+                                   adversary_options={"moves": moves},
+                                   duplicate_policy="answer-known"))
+        assert tr.trials[1].lie is None
+        assert tr.to_csv() == csv_writer_rendering(tr)
+
+    def test_unusual_floats(self):
+        tr = Transcript(cfg())
+        tr.trials.append(TrialRecord(0, 0.0, -0.0, math.inf, None, None, math.nan, 5e-324, False))
+        tr.trials.append(TrialRecord(1, 1.0, 1e300, -math.inf, True, -1e-300, math.inf, 0.1, True))
+        assert tr.to_csv() == csv_writer_rendering(tr)
+        assert Transcript(cfg()).to_csv() == csv_writer_rendering(Transcript(cfg()))
+
+
+def _digest(tr):
+    blob = tr.to_csv() + json.dumps(tr.summary(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestGoldenTranscripts:
+    """sha256 of the CSV and the summary JSON of three fixed games.
+
+    Computed with the csv.writer rendering and ``Generator.uniform`` draws.
+    A digest changes only with a game's arithmetic, its random stream, the
+    output format or the package version the summary carries.
+    """
+
+    def test_standard_q2_widest_gap(self):
+        tr = run_game(cfg(rounds=400, seed=3,
+                          adversary_options={"query_policy": "widest-gap-midpoint"}))
+        assert _digest(tr) == "8ae8840dac08fc6f268be616bfe40d973ea5d9aa8a6f9a7166eb6e74bce6d0a9"
+
+    def test_standard_sup_norm_uniform_queries(self):
+        # the queries come from the adversary's generator
+        tr = run_game(cfg(q=math.inf, rounds=400, seed=5,
+                          adversary_options={"query_policy": "uniform-random"}))
+        assert _digest(tr) == "f187344b4fd5294d5bb36ab8a8bdb2179ad12ea0e0348f228c0f748064c4d403"
+
+    def test_noisy_random_liar(self):
+        # so do the lie signs
+        tr = run_game(cfg(eta=2, rounds=2000, learner="staged", adversary="random-liar", seed=7))
+        assert tr.lie_count == 2
+        assert _digest(tr) == "61b90f788ba54b3e91d5fe40b08d8a3bc00c219b28591b494906c88df26b7d02"
 
 
 class TestStagedOverflowGuard:
