@@ -9,11 +9,13 @@ one home of the log-space basis formula, and the terms its windows leave
 out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
 independent oracle for it. The action functional ``integral of |P'|^q``
 is computed by splitting the domain at the derivative's real roots so
-every piece is smooth, then applying composite Gauss panels with endpoint
-refinement. The roots are sign changes of P' on one fixed action grid
-(``gauss_grid``) plus the exact end values of P', bisected to
-``ROOT_WIDTH``; the degree ladder in ``polyapprox`` estimates actions on
-the same grid, so both read one cached basis window per degree.
+every piece is smooth, then applying composite Gauss panels graded toward
+the piece ends only as deep as a bound on the end panels requires. The
+roots are sign changes of P' on one fixed action grid (``gauss_grid``)
+plus the exact end values of P', all multisected together to
+``ROOT_WIDTH`` with one vector evaluation per step; the degree ladder in
+``polyapprox`` estimates actions on the same grid, so both read one cached
+basis window per degree.
 """
 
 from __future__ import annotations
@@ -250,6 +252,8 @@ class BernsteinPolynomial:
 
 ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
+_SECTIONS = 16  # subintervals per multisection step of a root bracket
+_CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
 def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
@@ -257,37 +261,41 @@ def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
 
     Sign changes are searched on the action grid (``gauss_grid``), whose
     nodes come no closer than ~1e-4 to either end, with the exact end
-    values P(0) = c_0 and P(1) = c_n added; each is bisected down to
-    ``ROOT_WIDTH``. A sign change whose neighbourhood magnitude is below
-    1e-7 of the polynomial's scale is dropped: such a graze contributes
-    less than scale^q * 1e-10 to any |P|^q integral, while a polynomial
-    that is morally zero on a stretch would otherwise shower split points
-    there.
+    values P(0) = c_0 and P(1) = c_n added. A sign change whose
+    neighbourhood magnitude is below 1e-7 of the polynomial's scale is
+    dropped: such a graze contributes less than scale^q * 1e-10 to any
+    |P|^q integral, while a polynomial that is morally zero on a stretch
+    would otherwise shower split points there.
+
+    The brackets are refined together by ``_SECTIONS``-way multisection,
+    one vector evaluation per step: each bracket still wider than
+    ``ROOT_WIDTH`` keeps its first subinterval whose right end's sign
+    differs from the bracket's left end, and its midpoint is returned.
     """
     xs = np.concatenate(([0.0], gauss_grid()[0], [1.0]))
     vals = np.concatenate(([poly.coeffs[0]], grid_values(poly), [poly.coeffs[-1]]))
     floor = 1e-7 * float(np.max(np.abs(vals)))
     sign = np.sign(vals)
-    roots = []
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        if np.max(np.abs(vals[max(0, i - 1) : i + 3])) < floor:
-            continue
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = vals[i]
-        while b - a > ROOT_WIDTH:
-            mid = 0.5 * (a + b)
-            fm = poly(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if np.sign(fm) == np.sign(fa):
-                a, fa = mid, fm
-            else:
-                b = mid
-        r = 0.5 * (a + b)
-        if 1e-12 < r < 1.0 - 1e-12:
-            roots.append(r)
-    return roots
+    idx = np.array([i for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+                    if np.max(np.abs(vals[max(0, i - 1) : i + 3])) >= floor], dtype=np.intp)
+    lo, hi, lo_sign = xs[idx], xs[idx + 1], sign[idx]
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    # the interior points, the last one twice, so that each bracket fills
+    # whole ``_TILE``s and its basis windows stay narrow
+    cols = np.r_[1:_SECTIONS, _SECTIONS - 1]
+    live = np.nonzero(hi - lo > ROOT_WIDTH)[0]
+    while live.size:
+        a, b = lo[live], hi[live]
+        ends = np.column_stack((a, a[:, None] + (b - a)[:, None] * frac, b))
+        signs = np.sign(poly(ends[:, cols].ravel())).reshape(len(live), -1)
+        changed = signs[:, :-1] != lo_sign[live, None]
+        # the first subinterval whose right end differs in sign, else the last
+        j = np.where(changed.any(axis=1), changed.argmax(axis=1), _SECTIONS - 1)
+        rows = np.arange(len(live))
+        lo[live], hi[live] = ends[rows, j], ends[rows, j + 1]
+        live = live[hi[live] - lo[live] > ROOT_WIDTH]
+    roots = 0.5 * (lo + hi)
+    return [float(r) for r in roots if 1e-12 < r < 1.0 - 1e-12]
 
 
 def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
@@ -331,20 +339,26 @@ def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     return _panel_rule(np.linspace(0.0, 1.0, 193), 8)
 
 
-def _piece_panels(a: float, b: float, base: int, refine_ends: bool):
+def _piece_panels(a: float, b: float, base: int, grade=None):
     """Panel edges over [a, b]: uniform core, geometric shrink at the ends.
 
-    End refinement resolves the |x - root|^q behaviour of fractional-power
-    integrands whose roots sit exactly at the piece boundaries.
+    End grading resolves the |x - root|^q behaviour of fractional-power
+    integrands whose roots sit at the piece boundaries. ``grade`` is None
+    (no grading) or ``(g_a, g_b, m, q, budget)``: |P'| is at most g_a at a
+    and g_b at b, and |P''| is at most m, so the end panel of width w holds
+    at most w (g + m w)^q of the integral, and its Gauss estimate lies
+    between 0 and that bound too. Each end shrinks its panel 4x at a time
+    until the bound is within ``budget`` or the panel is 1e-13 of b - a.
     """
     edges = set(np.linspace(a, b, base + 1))
-    if not refine_ends or b - a < 1e-12:
+    if grade is None or b - a < 1e-12:
         return sorted(edges)
-    w = (b - a) / base
-    while w > (b - a) * 1e-13:
-        w *= 0.25
-        edges.add(a + w)
-        edges.add(b - w)
+    g_a, g_b, m, q, budget = grade
+    for end, side, g in ((a, 1.0, g_a), (b, -1.0, g_b)):
+        w = (b - a) / base
+        while w > (b - a) * 1e-13 and w * (g + m * w) ** q > budget:
+            w *= 0.25
+            edges.add(end + side * w)
     return sorted(edges)
 
 
@@ -364,26 +378,37 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     """Action integral of |P'|^q over [0, 1] to absolute tolerance ``QUADRATURE_TOL``.
 
     The domain is split at the derivative's roots so |P'| is smooth on each
-    piece; panels are refined geometrically toward the roots where the
-    integrand has a fractional-power zero. Convergence is certified by
-    doubling the panel count; on failure the dense composite rule takes
+    piece. At fractional q the panels are graded geometrically toward every
+    piece end, where the integrand may have a fractional-power zero, until
+    the end panels' bounds (``_piece_panels``) sum to at most
+    ``QUADRATURE_TOL`` / 10: |P'| is |c_0| at 0 and |c_n| at 1 (c the
+    coefficients of P'), at most m * ``ROOT_WIDTH`` at a root, and
+    m = deg P' * max |c_{k+1} - c_k| bounds |P''|. Convergence is certified
+    by doubling the panel count; on failure the dense composite rule takes
     over.
     """
     _check_finite_q(q)
     deriv = poly.derivative()
     if deriv.degree == 0:
         return abs(deriv.coeffs[0]) ** q
-    splits = [0.0] + polynomial_roots(deriv) + [1.0]
-    refine = not float(q).is_integer()
+    roots = polynomial_roots(deriv)
+    splits = [0.0] + roots + [1.0]
+    graded = not float(q).is_integer()
+    if graded:
+        c = deriv.coeffs
+        m = deriv.degree * float(np.max(np.abs(np.diff(c))))
+        slopes = [abs(float(c[0]))] + [m * ROOT_WIDTH] * len(roots) + [abs(float(c[-1]))]
+        budget = 0.1 * QUADRATURE_TOL / (2 * (len(splits) - 1))  # shared by every piece end
     base = int(np.clip((deriv.degree + 1) // 128, 8, 64))
     prev = None
     for factor in (1, 2, 4, 8):
         total = 0.0
-        for a, b in zip(splits, splits[1:]):
+        for i, (a, b) in enumerate(zip(splits, splits[1:])):
             if b - a <= 1e-14:
                 continue
             n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
-            edges = _piece_panels(a, b, n_base, refine)
+            grade = (slopes[i], slopes[i + 1], m, q, budget) if graded else None
+            edges = _piece_panels(a, b, n_base, grade)
             total += _panel_integral(deriv, q, edges, 20)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
@@ -396,16 +421,26 @@ def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
 
     Slow but independent of the windowed log-space basis evaluation (it
     uses neither the window nor the basis formula), which makes it the
-    evaluator of choice for oracle cross-checks.
+    evaluator of choice for oracle cross-checks. Points go through in tiles
+    of ``_CASTELJAU_TILE``, and each level b_k <- (1 - t) b_k + t b_{k+1}
+    is formed in place in two preallocated arrays, in that operation order.
     """
+    n = poly.degree
     out = np.empty(len(xs))
-    step = 4096
-    for lo in range(0, len(xs), step):
-        t = xs[lo : lo + step]
-        b = np.broadcast_to(poly.coeffs[:, None], (len(poly.coeffs), len(t))).copy()
-        for _ in range(poly.degree):
-            b = (1.0 - t) * b[:-1] + t * b[1:]
-        out[lo : lo + step] = b[0]
+    b = np.empty((n + 1, min(_CASTELJAU_TILE, len(xs))))
+    tb = np.empty((n, b.shape[1]))
+    for lo in range(0, len(xs), _CASTELJAU_TILE):
+        t = xs[lo : lo + _CASTELJAU_TILE]
+        width = len(t)
+        s = 1.0 - t
+        level = b[:, :width]
+        level[...] = poly.coeffs[:, None]
+        for m in range(n, 0, -1):
+            # t b_{k+1} first: scaling b_k in place overwrites b_{k+1}'s row
+            np.multiply(t, level[1 : m + 1], out=tb[:m, :width])
+            np.multiply(s, level[:m], out=level[:m])
+            np.add(level[:m], tb[:m, :width], out=level[:m])
+        out[lo : lo + width] = level[0]
     return out
 
 

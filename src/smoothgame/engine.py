@@ -378,15 +378,15 @@ def scale_transcript(tr: Transcript, c: float) -> Transcript:
         raw = r.raw_error * c
         out.trials.append(
             TrialRecord(
-                r.t,
-                r.x,
-                r.prediction * c,
-                r.revealed * c,
-                None if r.true_value is None else r.true_value * c,
-                r.lie,
-                raw,
-                raw ** p,
-                r.counted,
+                t=r.t,
+                x=r.x,
+                prediction=r.prediction * c,
+                revealed=r.revealed * c,
+                lie=r.lie,
+                true_value=None if r.true_value is None else r.true_value * c,
+                raw_error=raw,
+                p_power=raw ** p,
+                counted=r.counted,
             )
         )
     out.counted_total = math.fsum(r.p_power for r in out.trials if r.counted)

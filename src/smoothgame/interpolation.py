@@ -176,7 +176,8 @@ def q_action(s: SampleSet, q: float) -> float:
     """Action sum over segments: sum |du| * |dv/du|^q.
 
     Zero for fewer than two points. ``q = math.inf`` means the sup-norm
-    constraint and returns the largest absolute segment slope.
+    constraint and returns the largest absolute segment slope. A slope
+    whose q-th power overflows makes the action inf.
     """
     _check_q(q)
     if len(s) <= 1:
@@ -184,11 +185,14 @@ def q_action(s: SampleSet, q: float) -> float:
     if math.isinf(q):
         return max(abs(s.vs[i + 1] - s.vs[i]) / (s.us[i + 1] - s.us[i]) for i in range(len(s) - 1))
     total = 0.0
-    for i in range(len(s) - 1):
-        du = s.us[i + 1] - s.us[i]
-        dv = s.vs[i + 1] - s.vs[i]
-        if dv != 0.0:
-            total += du * abs(dv / du) ** q
+    try:
+        for i in range(len(s) - 1):
+            du = s.us[i + 1] - s.us[i]
+            dv = s.vs[i + 1] - s.vs[i]
+            if dv != 0.0:
+                total += du * abs(dv / du) ** q
+    except OverflowError:
+        return math.inf
     return total
 
 
@@ -201,7 +205,8 @@ def action_increment(
     per-trial feasibility checks O(log m) and avoids cancellation between
     large totals. At q = inf the action is the largest segment slope, and
     ``base_action`` may pass the set's current action, the running sup its
-    owner keeps, to skip an O(m) scan; finite q ignores it.
+    owner keeps, to skip an O(m) scan; finite q ignores it. A touched
+    slope whose q-th power overflows makes the increment inf.
     """
     _check_q(q)
     us, vs = s.us, s.vs
@@ -221,25 +226,28 @@ def action_increment(
         if i < m:
             new = max(new, abs(vs[i] - y) / (us[i] - x))
         return new - old
-    if i == 0:
-        gap = us[0] - x
-        dv = vs[0] - y
-        return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-    if i == m:
-        gap = x - us[-1]
-        dv = y - vs[-1]
-        return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-    u0, u1 = us[i - 1], us[i]
-    v0, v1 = vs[i - 1], vs[i]
-    a = x - u0
-    b = u1 - x
-    old_dv = v1 - v0
-    old = 0.0 if old_dv == 0.0 else (a + b) * abs(old_dv / (a + b)) ** q
-    new = 0.0
-    if y != v0:
-        new += a * abs((y - v0) / a) ** q
-    if v1 != y:
-        new += b * abs((v1 - y) / b) ** q
+    try:
+        if i == 0:
+            gap = us[0] - x
+            dv = vs[0] - y
+            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+        if i == m:
+            gap = x - us[-1]
+            dv = y - vs[-1]
+            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+        u0, u1 = us[i - 1], us[i]
+        v0, v1 = vs[i - 1], vs[i]
+        a = x - u0
+        b = u1 - x
+        old_dv = v1 - v0
+        old = 0.0 if old_dv == 0.0 else (a + b) * abs(old_dv / (a + b)) ** q
+        new = 0.0
+        if y != v0:
+            new += a * abs((y - v0) / a) ** q
+        if v1 != y:
+            new += b * abs((v1 - y) / b) ** q
+    except OverflowError:
+        return math.inf
     return new - old
 
 

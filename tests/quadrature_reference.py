@@ -1,0 +1,78 @@
+"""The action quadrature before its two shortcuts: the reference it is tested against.
+
+``bisection_roots`` bisects each sign change of P' with one scalar
+evaluation per step, down to ``ROOT_WIDTH``, where ``polynomial_roots``
+multisects all brackets together. ``graded_action`` grades every piece end
+of a fractional-q integrand by 4x panels down to 1e-13 of the piece, where
+``q_action_poly`` stops once the end panels' bound is within budget. The
+grid, the graze floor, the panel rule, the doubling certificate and the
+fallback are those of ``smoothgame.bernstein``.
+"""
+
+import math
+
+import numpy as np
+
+from smoothgame import bernstein
+from smoothgame.bernstein import QUADRATURE_TOL, ROOT_WIDTH, BernsteinPolynomial
+
+
+def bisection_roots(poly: BernsteinPolynomial) -> list[float]:
+    xs = np.concatenate(([0.0], bernstein.gauss_grid()[0], [1.0]))
+    vals = np.concatenate(([poly.coeffs[0]], bernstein.grid_values(poly), [poly.coeffs[-1]]))
+    floor = 1e-7 * float(np.max(np.abs(vals)))
+    sign = np.sign(vals)
+    roots = []
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
+        if np.max(np.abs(vals[max(0, i - 1) : i + 3])) < floor:
+            continue
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = vals[i]
+        while b - a > ROOT_WIDTH:
+            mid = 0.5 * (a + b)
+            fm = poly(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if np.sign(fm) == np.sign(fa):
+                a, fa = mid, fm
+            else:
+                b = mid
+        r = 0.5 * (a + b)
+        if 1e-12 < r < 1.0 - 1e-12:
+            roots.append(r)
+    return roots
+
+
+def full_depth_panels(a: float, b: float, base: int, refine_ends: bool):
+    edges = set(np.linspace(a, b, base + 1))
+    if not refine_ends or b - a < 1e-12:
+        return sorted(edges)
+    w = (b - a) / base
+    while w > (b - a) * 1e-13:
+        w *= 0.25
+        edges.add(a + w)
+        edges.add(b - w)
+    return sorted(edges)
+
+
+def graded_action(poly: BernsteinPolynomial, q: float) -> float:
+    deriv = poly.derivative()
+    if deriv.degree == 0:
+        return abs(deriv.coeffs[0]) ** q
+    splits = [0.0] + bisection_roots(deriv) + [1.0]
+    refine = not float(q).is_integer()
+    base = int(np.clip((deriv.degree + 1) // 128, 8, 64))
+    prev = None
+    for factor in (1, 2, 4, 8):
+        total = 0.0
+        for a, b in zip(splits, splits[1:]):
+            if b - a <= 1e-14:
+                continue
+            n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
+            edges = full_depth_panels(a, b, n_base, refine)
+            total += bernstein._panel_integral(deriv, q, edges, 20)
+        if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
+            return total
+        prev = total
+    return bernstein.composite_rule_action(poly, q)

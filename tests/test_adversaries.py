@@ -190,6 +190,13 @@ class TestVerifyLegality:
         truth = SampleSet.from_pairs([(0.0, 0.0), (0.1, 1.0)])  # action 10 at q=2
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
 
+    def test_overflowing_truth_rejected(self):
+        from smoothgame.adversaries import Disclosure, verify_legality
+
+        trials = [self.Rec(0.0, 0.0), self.Rec(1e-150, 1.0), self.Rec(1.0, 0.0)]
+        truth = SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0])  # slope^3 overflows
+        assert not verify_legality(trials, Disclosure([False] * 3, truth), 1, 3.0)
+
     def test_lie_budget_overrun_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 

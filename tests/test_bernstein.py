@@ -2,10 +2,14 @@
 import numpy as np
 import pytest
 from gram_action import gram_action
+from quadrature_reference import bisection_roots, full_depth_panels, graded_action
 from scipy.special import gammaln
 from scipy.stats import binom
+from test_acceptance import random_action_set
 
+from smoothgame import bernstein
 from smoothgame.bernstein import (
+    ROOT_WIDTH,
     WINDOW_MASS,
     BernsteinPolynomial,
     bernstein_basis_matrix,
@@ -14,6 +18,8 @@ from smoothgame.bernstein import (
     polynomial_roots,
     q_action_poly,
 )
+from smoothgame.interpolation import SampleSet
+from smoothgame.polyapprox import approx_interpolant_poly, exact_interpolant_poly
 
 
 def from_power(*coeffs):
@@ -54,6 +60,18 @@ class TestBasisAndEval:
         p = BernsteinPolynomial(rng.normal(size=30))
         xs = rng.uniform(0, 1, 100)
         assert np.allclose(de_casteljau_many(p, xs), p(xs), atol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 32, 127, 512])
+    def test_de_casteljau_many_matches_the_allocating_formula(self, n):
+        # the in-place tiled loop against one new array per level, bit for bit,
+        # over more than two tiles with a partial last one
+        rng = np.random.default_rng(n)
+        p = BernsteinPolynomial(rng.normal(size=n + 1))
+        xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 2398)))
+        b = np.broadcast_to(p.coeffs[:, None], (n + 1, len(xs))).copy()
+        for _ in range(n):
+            b = (1.0 - xs) * b[:-1] + xs * b[1:]
+        assert np.array_equal(de_casteljau_many(p, xs), b[0])
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
@@ -256,3 +274,72 @@ class TestActionIntegral:
     def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
             q_action_poly(from_power(0.0, 1.0), 0.5)
+
+
+def _criterion7_builds():
+    """Approx (eps 0.1, 0.01) and exact builds of the first 60 criterion-7
+    sets and of the poly-build pool at seed 1: the first 45 of them, each
+    negated or not and shifted as the benchmark draws it."""
+    stream = np.random.default_rng(2718)
+    pool = np.random.default_rng([1, 3])
+    sets = []
+    for i in range(60):
+        q = (1.5, 2.0, 3.0)[i % 3]
+        s = random_action_set(stream, q=q)
+        sets.append((q, s))
+        if i < 45:
+            sign = 1.0 if pool.uniform() < 0.5 else -1.0
+            shift = float(pool.uniform(-0.3, 0.3))
+            sets.append((q, SampleSet(s.us, [sign * v + shift for v in s.vs])))
+    for q, s in sets:
+        for eps in (0.1, 0.01):
+            yield q, approx_interpolant_poly(s, q, eps)[0]
+        yield q, exact_interpolant_poly(s, q)
+
+
+class TestAgainstTheQuadratureReference:
+    @pytest.mark.parametrize("grade", [
+        (0.5, 1e-9, 10.0, 1.5, 1e-11),  # a steep end at 0 and a root end
+        (0.0, 0.0, 300.0, 1.01, 1e-12),
+        (2.0, 2.0, 1.0, 2.5, 1e-3),  # within budget before any grading
+        (1.0, 1.0, 1.0, 1.1, 0.0),  # never within budget: today's full depth
+    ])
+    def test_graded_ends_stop_at_the_first_panel_within_budget(self, grade):
+        a, b, base = 0.25, 0.75, 8
+        g_a, g_b, m, q, budget = grade
+        edges = bernstein._piece_panels(a, b, base, grade)
+        full = full_depth_panels(a, b, base, True)
+        assert set(edges) <= set(full)  # never deeper than the full grading
+        if budget == 0.0:
+            assert edges == full
+        core = (b - a) / base
+        for g, inner in ((g_a, edges[1] - a), (g_b, b - edges[-2])):
+            assert inner * (g + m * inner) ** q <= budget * (1 + 1e-9) or inner < 1e-13 * (b - a)
+            outer = 4 * inner  # the panel one grading step out was over budget
+            assert outer > core * (1 + 1e-9) or outer * (g + m * outer) ** q > budget
+
+    def test_criterion7_builds(self):
+        builds = 0
+        for q, poly in _criterion7_builds():
+            deriv = poly.derivative()
+            roots, ref = polynomial_roots(deriv), bisection_roots(deriv)
+            assert len(roots) == len(ref), (builds, poly.degree)
+            assert np.all(np.abs(np.subtract(roots, ref)) <= ROOT_WIDTH), (builds, roots, ref)
+            assert abs(q_action_poly(poly, q) - graded_action(poly, q)) <= 1e-12, (builds, q)
+            builds += 1
+        assert builds == 3 * 105
+
+    @pytest.mark.parametrize("degree", [2, 64, 300])
+    def test_closed_form_anchors(self, degree, monkeypatch):
+        # P' = K (x - r): the action is K^q (r^(q+1) + (1 - r)^(q+1)) / (q + 1),
+        # with the root at an end, near one, inside or at the middle
+        def no_fallback(poly, q):
+            raise AssertionError("composite fallback")
+
+        monkeypatch.setattr(bernstein, "composite_rule_action", no_fallback)
+        for k in (1.0, 5.0, 20.0):
+            for r in (0.0, 2e-9, 0.3, 0.5, 0.999):
+                poly = from_power(0.0, -k * r, 0.5 * k).elevated(degree)
+                for q in (1.01, 1.1, 1.5, 2.5):
+                    exact = k ** q * (r ** (q + 1) + (1 - r) ** (q + 1)) / (q + 1)
+                    assert q_action_poly(poly, q) == pytest.approx(exact, abs=1e-9), (k, r, q)

@@ -314,6 +314,22 @@ class TestScaleTranscript:
         s_scaled = SampleSet.from_pairs([(r.x, r.revealed * c) for r in tr.trials])
         assert q_action(s_scaled, 2.0) == pytest.approx(c ** 2 * q_action(s_orig, 2.0), rel=1e-12)
 
+    def test_every_field_of_a_noisy_record(self):
+        config = GameConfig.make(p=2.0, q=2.0, rounds=60, eta=1, learner="staged",
+                                 adversary="random-liar", seed=1)
+        tr = run_game(config)
+        assert any(r.lie for r in tr.trials)
+        c = 2.0
+        scaled = scale_transcript(tr, c)
+        for r, s in zip(tr.trials, scaled.trials, strict=True):
+            assert (s.t, s.x, s.lie, s.counted) == (r.t, r.x, r.lie, r.counted)
+            assert (s.prediction, s.revealed, s.true_value) == (
+                r.prediction * c, r.revealed * c, r.true_value * c)
+            assert s.raw_error == r.raw_error * c and s.p_power == (r.raw_error * c) ** 2.0
+        rows = list(csv.DictReader(io.StringIO(scaled.to_csv())))
+        assert [row["lie"] for row in rows] == [str(int(r.lie)) for r in tr.trials]
+        assert [float(row["true_value"]) for row in rows] == [s.true_value for s in scaled.trials]
+
     def test_positive_factor_required(self):
         tr = run_standard_game(cfg(rounds=5, seed=4))
         with pytest.raises(ValueError):

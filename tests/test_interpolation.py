@@ -174,6 +174,17 @@ class TestAction:
         s = S((0, 0), (0.5, 1), (1, 1.2))
         assert q_action(s, math.inf) == pytest.approx(2.0)
 
+    def test_overflowing_slope_power_is_inf(self):
+        # the slope 1e150 cubed overflows a float
+        s = SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0])
+        assert q_action(s, 3.0) == math.inf
+        assert action_increment(S((0.0, 0.0), (1.0, 0.0)), 1e-150, 1.0, 3.0) == math.inf
+        assert action_increment(S((0.0, 0.0), (1.0, 0.0)), 1.0 - 1e-16, 1e120, 3.0) == math.inf
+        assert action_increment(S((1e-150, 1.0)), 0.0, 0.0, 3.0) == math.inf  # left of the knots
+        assert action_increment(S((0.0, 0.0)), 1e-150, 1.0, 3.0) == math.inf  # right of them
+        assert action_increment(s, 0.5e-150, 0.5, 3.0) == math.inf  # the split segment
+        assert action_increment(s, 0.5, 0.0, 3.0) == pytest.approx(3.0)
+
     def test_riemann_oracle(self):
         # independent check: finite differences on a dense grid
         rng = np.random.default_rng(1)

@@ -203,21 +203,24 @@ def _reference_increment(s, x, y, q, base_action=None):
         if i < m:
             new = max(new, abs(s.vs[i] - y) / (s.us[i] - x))
         return new - old
-    if i == 0:
-        gap, dv = s.us[0] - x, s.vs[0] - y
-        return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-    if i == m:
-        gap, dv = x - s.us[-1], y - s.vs[-1]
-        return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-    u0, u1 = s.us[i - 1], s.us[i]
-    v0, v1 = s.vs[i - 1], s.vs[i]
-    a, b = x - u0, u1 - x
-    old = 0.0 if v1 == v0 else (a + b) * abs((v1 - v0) / (a + b)) ** q
-    new = 0.0
-    if y != v0:
-        new += a * abs((y - v0) / a) ** q
-    if v1 != y:
-        new += b * abs((v1 - y) / b) ** q
+    try:  # a q-th power that overflows makes the increment inf
+        if i == 0:
+            gap, dv = s.us[0] - x, s.vs[0] - y
+            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+        if i == m:
+            gap, dv = x - s.us[-1], y - s.vs[-1]
+            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+        u0, u1 = s.us[i - 1], s.us[i]
+        v0, v1 = s.vs[i - 1], s.vs[i]
+        a, b = x - u0, u1 - x
+        old = 0.0 if v1 == v0 else (a + b) * abs((v1 - v0) / (a + b)) ** q
+        new = 0.0
+        if y != v0:
+            new += a * abs((y - v0) / a) ** q
+        if v1 != y:
+            new += b * abs((v1 - y) / b) ** q
+    except OverflowError:
+        return math.inf
     return new - old
 
 
@@ -245,7 +248,7 @@ def lookup_inputs(draw):
 
 def _outcome(fn, *args):
     # the value's repr (bit-exact, NaN equal to NaN) or the error's type;
-    # slopes across gaps near 1e-300 overflow in both versions alike
+    # a slope across a gap near 1e-300 whose q-th power overflows gives inf
     try:
         return repr(fn(*args))
     except (ValueError, ArithmeticError) as exc:
