@@ -10,15 +10,22 @@ unit action budget.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from .interpolation import (
+# bench/layertrace.py patches action_increment under this module's name;
+# the round path calls _increment_at
+from .interpolation import (  # noqa: F401
     ACTION_TOL,
+    DuplicateKnotError,
     SampleSet,
+    _check_q,
+    _increment_at,
+    _reply_bounds,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
@@ -62,8 +69,10 @@ class Disclosure:
     def lie_count(self) -> int:
         return sum(self.lie_flags)
 
-    def truth_function(self) -> Callable[[float], float]:
-        return partial(eval_interpolant, self.truth)
+    def true_values(self, xs) -> list[float]:
+        """The witness at each x: a knot's own value, else the interpolant's."""
+        knots = dict(zip(self.truth.us, self.truth.vs))
+        return [knots[x] if x in knots else eval_interpolant(self.truth, x) for x in xs]
 
 
 class Adversary(Protocol):
@@ -92,38 +101,48 @@ def greedy_reveal(
     total to avoid an O(m) recomputation per trial.
     """
     box = feasible_reply_interval(s, x, q, cfg.budget, base_action=base_action)
-    if not box.bounded:
+    return _farther_end(box.lo, box.hi, prediction, cfg.tie_break)
+
+
+def _farther_end(lo: float, hi: float, prediction: float, tie_break: str) -> float:
+    # greedy_reveal's reply rule on the feasible interval [lo, hi]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return 0.0
-    d_lo = abs(box.lo - prediction)
-    d_hi = abs(box.hi - prediction)
+    d_lo = abs(lo - prediction)
+    d_hi = abs(hi - prediction)
     if d_lo == d_hi:
-        return box.lo if cfg.tie_break == "lower" else box.hi
-    return box.lo if d_lo > d_hi else box.hi
+        return lo if tie_break == "lower" else hi
+    return lo if d_lo > d_hi else hi
 
 
 def van_der_corput(i: int) -> float:
-    """Base-2 radical inverse; a deterministic low-discrepancy sequence."""
-    x = 0.0
-    denom = 1.0
-    i += 1
-    while i:
-        denom *= 2.0
-        i, rem = divmod(i, 2)
-        x += rem / denom
-    return x
+    """Base-2 radical inverse of i + 1; a deterministic low-discrepancy sequence.
+
+    The binary digits of n = i + 1 reversed are the numerator over
+    2^(n.bit_length()). Integer true division rounds once, so for
+    n < 2^53 the value is exact.
+    """
+    n = i + 1
+    return int(format(n, "b")[::-1], 2) / (1 << n.bit_length())
 
 
 class _QueryChooser:
     """Query selection for the greedy adversary.
 
-    ``choose`` is passed the adversary's truth set. The adversary answers
-    each query before it asks the next, so that set holds every query
-    returned so far and none is returned twice. The widest-gap heap starts
-    with the gap (0, 1) and splits gaps only at the midpoints it returns,
-    so every gap on it is free of knots.
+    ``choose`` is passed the adversary's truth set and returns a query with
+    its position ``bisect_left(s.us, x)`` there. The adversary answers each
+    query before it asks the next, so that set holds every query returned
+    so far and none is returned twice. The widest-gap heap starts with the
+    gap (0, 1) and splits gaps only at the midpoints it returns, so every
+    gap on it is free of knots. A ``sequence`` is read only by the
+    fixed-sequence policy, and any other policy rejects one.
     """
 
     def __init__(self, policy: str, rng: np.random.Generator, sequence=None):
+        if sequence is not None and policy != "fixed-sequence":
+            raise ValueError(
+                f"option 'sequence' needs query_policy 'fixed-sequence', not {policy!r}"
+            )
         self.policy = policy
         self.rng = rng
         self.sequence = list(sequence) if sequence is not None else None
@@ -131,14 +150,17 @@ class _QueryChooser:
         self._vdc_pos = 0
         self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
 
-    def choose(self, s: SampleSet) -> float:
+    def choose(self, s: SampleSet) -> tuple[float, int]:
+        us = s.us
         if self.policy == "widest-gap-midpoint":
-            return self._widest_gap()
+            x = self._widest_gap()
+            return x, bisect_left(us, x)
         if self.policy == "uniform-random":
             while True:
                 x = self.rng.random()
-                if not s.contains_u(x):
-                    return x
+                i = bisect_left(us, x)
+                if i == len(us) or us[i] != x:
+                    return x, i
         # fixed-sequence
         while True:
             if self.sequence is not None:
@@ -149,8 +171,9 @@ class _QueryChooser:
             else:
                 x = van_der_corput(self._vdc_pos)
                 self._vdc_pos += 1
-            if not s.contains_u(x):
-                return x
+            i = bisect_left(us, x)
+            if i == len(us) or us[i] != x:
+                return x, i
 
     def _widest_gap(self) -> float:
         _, a, b = heapq.heappop(self._gap_heap)
@@ -169,7 +192,10 @@ class GreedyAdversary:
     instead. With ``eta = 0`` (the default) every revelation is true and
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
-    accounting.
+    accounting. ``reveal`` finds x in the truth set once and uses that
+    position for the interval, the increment and the insert; for the x that
+    ``next_query`` just returned it takes the chooser's position, since
+    nothing grows the set in between.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then the queries, then a sign
@@ -188,6 +214,7 @@ class GreedyAdversary:
         rounds: int = 0,
         lie_magnitude: float = 0.75,
     ):
+        _check_q(q)
         if eta < 0:
             raise ValueError("eta must be >= 0")
         if not 0.0 <= lie_magnitude <= 1.0:
@@ -204,14 +231,23 @@ class GreedyAdversary:
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
+        self._asked: tuple[float, int] | None = None  # last query and its position
 
     def next_query(self, t: int) -> float:
-        return self._chooser.choose(self.truth_set)
+        self._asked = self._chooser.choose(self.truth_set)
+        return self._asked[0]
 
     def reveal(self, x: float, prediction: float) -> float:
-        y = greedy_reveal(self.truth_set, x, prediction, self.q, self.cfg, self._action)
-        self._action += action_increment(self.truth_set, x, y, self.q, self._action)
-        self.truth_set.add(x, y)
+        s, q, cfg = self.truth_set, self.q, self.cfg
+        us = s.us
+        asked, self._asked = self._asked, None
+        i = asked[1] if asked is not None and asked[0] == x else bisect_left(us, x)
+        if i < len(us) and us[i] == x:
+            raise DuplicateKnotError(f"x={x} already a knot")
+        lo, hi = _reply_bounds(s, x, i, q, cfg.budget, self._action)
+        y = _farther_end(lo, hi, prediction, cfg.tie_break)
+        self._action += _increment_at(s, x, i, y, q, self._action)
+        s._add_at(i, x, y)
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)
         if lie:
@@ -348,8 +384,8 @@ def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) ->
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    for rec, lied in zip(trials, disclosure.lie_flags):
-        if not lied:
-            if abs(eval_interpolant(disclosure.truth, rec.x) - rec.revealed) > 1e-9:
-                return False
+    truthful = [rec for rec, lied in zip(trials, disclosure.lie_flags) if not lied]
+    for rec, true_value in zip(truthful, disclosure.true_values(r.x for r in truthful)):
+        if abs(true_value - rec.revealed) > 1e-9:
+            return False
     return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -25,7 +26,15 @@ from .adversaries import (
     NoisyLowerBoundAdversary,
     verify_legality,
 )
-from .interpolation import ACTION_TOL, SampleSet, _check_q, action_increment, eval_interpolant
+# bench/layertrace.py patches action_increment under this module's name;
+# the round path calls _increment_at
+from .interpolation import (  # noqa: F401
+    ACTION_TOL,
+    SampleSet,
+    _check_q,
+    _increment_at,
+    action_increment,
+)
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
@@ -80,7 +89,7 @@ class GameConfig:
         return dict(self.adversary_options)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     t: int
     x: float
@@ -234,6 +243,8 @@ def run_standard_game(config: GameConfig) -> Transcript:
 
     Feasibility of the revealed set (q-action within the unit budget) is
     asserted after every revelation; a violation aborts with a diagnostic.
+    The referee finds each query in its revealed set once, and that
+    position serves the duplicate test, the increment and the insert.
     """
     if config.eta != 0:
         raise ValueError("standard games require eta = 0")
@@ -241,27 +252,28 @@ def run_standard_game(config: GameConfig) -> Transcript:
     uncounted = 1 if config.uncounted_rounds is None else config.uncounted_rounds
     tr = Transcript(config)
     revealed = SampleSet()
+    us, vs = revealed.us, revealed.vs
     running_action = 0.0
     for t in range(config.rounds):
         if adversary.done(t):
             break
         x = adversary.next_query(t)
         counted = t >= uncounted
-        if revealed.contains_u(x):
+        i = bisect_left(us, x)
+        if i < len(us) and us[i] == x:
             if config.duplicate_policy == "reject":
                 raise DuplicateQueryError(f"trial {t}: repeated query x={x}")
-            y = eval_interpolant(revealed, x)
+            y = vs[i]
             tr.trials.append(TrialRecord(t, x, y, y, None, y, 0.0, 0.0, counted))
             continue
         prediction = learner.predict(x)
         y = adversary.reveal(x, prediction)
-        inc = action_increment(revealed, x, y, config.q, running_action)
-        running_action += inc
+        running_action += _increment_at(revealed, x, i, y, config.q, running_action)
         if running_action > 1.0 + ACTION_TOL:
             raise IllegalAdversaryError(
                 f"trial {t}: revealed set action {running_action} exceeds the unit budget"
             )
-        revealed.add(x, y)
+        revealed._add_at(i, x, y)
         learner.observe(x, y)
         raw = abs(prediction - y)
         tr.trials.append(
@@ -304,10 +316,10 @@ def run_noisy_game(config: GameConfig) -> Transcript:
             f"disclosure carries {len(disclosure.lie_flags)} lie flags "
             f"for {len(tr.trials)} trials"
         )
-    truth = disclosure.truth_function()
-    for rec, lied in zip(tr.trials, disclosure.lie_flags):
+    true_values = disclosure.true_values(rec.x for rec in tr.trials)
+    for rec, lied, true_value in zip(tr.trials, disclosure.lie_flags, true_values):
         rec.lie = lied
-        rec.true_value = truth(rec.x)
+        rec.true_value = true_value
         rec.raw_error = abs(rec.prediction - rec.true_value)
         rec.p_power = rec.raw_error ** config.p
     tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)

@@ -9,6 +9,15 @@ for the next revealed value under an action budget.
 One class, ``SampleSet``, holds every point set: the sets the inequality
 and polynomial code read, and the sets a game's players grow in place one
 knot per round.
+
+``eval_interpolant``, ``feasible_reply_interval`` and ``action_increment``
+each find x's position in the set with one ``bisect_left``, check their
+arguments, and hand the position to a private helper that does the
+arithmetic (``_eval_at``, ``_reply_bounds``, ``_increment_at``);
+``SampleSet._add_at`` inserts at a known position. A game's players find
+each round's query in their set once and pass that position to every
+helper of the round. A position is ``bisect_left(s.us, x)`` for the set as
+it is: any add makes it stale.
 """
 
 from __future__ import annotations
@@ -108,6 +117,12 @@ class SampleSet:
         us.insert(i, u)
         self.vs.insert(i, v)
 
+    def _add_at(self, i: int, u: float, v: float) -> None:
+        # ``add`` for a u that is not a knot, at its position i = bisect_left(us, u)
+        _check_knot(u, v)
+        self.us.insert(i, u)
+        self.vs.insert(i, v)
+
     def insert(self, u: float, v: float) -> "SampleSet":
         grown = self.copy()
         grown.add(u, v)
@@ -128,12 +143,14 @@ def eval_interpolant(s: SampleSet, x: float) -> float:
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
+    return _eval_at(s, x, bisect_left(s.us, x))
+
+
+def _eval_at(s: SampleSet, x: float, i: int) -> float:
+    # ``eval_interpolant`` at x's position i = bisect_left(s.us, x)
     us, vs = s.us, s.vs
-    if not us:
-        return 0.0
-    i = bisect_left(us, x)
     if i == 0:
-        return vs[0]
+        return vs[0] if us else 0.0
     if i == len(us):
         return vs[-1]
     u1 = us[i]
@@ -209,13 +226,21 @@ def action_increment(
     slope whose q-th power overflows makes the increment inf.
     """
     _check_q(q)
+    us = s.us
+    i = bisect_left(us, x)
+    if i < len(us) and us[i] == x:
+        raise DuplicateKnotError(f"x={x} already a knot")
+    return _increment_at(s, x, i, y, q, base_action)
+
+
+def _increment_at(
+    s: SampleSet, x: float, i: int, y: float, q: float, base_action: float | None = None
+) -> float:
+    # ``action_increment`` at x's position i = bisect_left(s.us, x), x not a knot
     us, vs = s.us, s.vs
     if not us:
         return 0.0
     m = len(us)
-    i = bisect_left(us, x)
-    if i < m and us[i] == x:
-        raise DuplicateKnotError(f"x={x} already a knot")
     if math.isinf(q):
         # the split segment's slope lies between the two new ones, so the
         # sup can only grow to the largest slope the new point touches
@@ -276,10 +301,6 @@ class FeasibleInterval:
     lo: float
     hi: float
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
 
 def feasible_reply_interval(
     s: SampleSet,
@@ -298,13 +319,22 @@ def feasible_reply_interval(
     interval.
     """
     _check_q(q)
+    us = s.us
+    i = bisect_left(us, x)
+    if i < len(us) and us[i] == x:
+        raise DuplicateKnotError(f"x={x} already a knot")
+    return FeasibleInterval(*_reply_bounds(s, x, i, q, budget, base_action))
+
+
+def _reply_bounds(
+    s: SampleSet, x: float, i: int, q: float, budget: float, base_action: float | None = None
+) -> tuple[float, float]:
+    # ``feasible_reply_interval``'s (lo, hi) at x's position i = bisect_left(s.us, x),
+    # x not a knot
     us, vs = s.us, s.vs
     if not us:
-        return FeasibleInterval(-math.inf, math.inf)
+        return -math.inf, math.inf
     m = len(us)
-    i = bisect_left(us, x)
-    if i < m and us[i] == x:
-        raise DuplicateKnotError(f"x={x} already a knot")
     if base_action is None:
         base_action = q_action(s, q)
     slack = budget - base_action
@@ -326,11 +356,11 @@ def feasible_reply_interval(
             lo = max(lo, vs[i] - budget * gap)
             hi = min(hi, vs[i] + budget * gap)
         if lo > hi:
-            lo = hi = eval_interpolant(s, x)
-        return FeasibleInterval(lo, hi)
+            lo = hi = _eval_at(s, x, i)
+        return lo, hi
 
     if q == 2.0:
-        # the centre is eval_interpolant's value, in its operation order
+        # the centre is _eval_at's value, in its operation order
         if i == 0:
             center = vs[0]
             r = math.sqrt(slack * (us[0] - x))
@@ -343,28 +373,28 @@ def feasible_reply_interval(
             b = u1 - x
             center = v0 + a * (vs[i] - v0) / (u1 - u0)
             r = math.sqrt(slack * a * b / (a + b))
-        return FeasibleInterval(center - r, center + r)
+        return center - r, center + r
 
     if q == 1.0:
         # interior: moving y outside [v0, v1] costs 2 * distance; exterior: distance
         if i == 0:
-            return FeasibleInterval(vs[0] - slack, vs[0] + slack)
+            return vs[0] - slack, vs[0] + slack
         if i == m:
-            return FeasibleInterval(vs[-1] - slack, vs[-1] + slack)
+            return vs[-1] - slack, vs[-1] + slack
         v0, v1 = vs[i - 1], vs[i]
-        return FeasibleInterval(min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack)
+        return min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack
 
-    center = eval_interpolant(s, x)
+    center = _eval_at(s, x, i)
     if slack == 0.0:
         # the increment is strictly convex with its zero at the centre
-        return FeasibleInterval(center, center)
+        return center, center
 
     def overshoot(y: float) -> float:
         return action_increment(s, x, y, q) - slack
 
     hi = _bisect_boundary(overshoot, center, +1.0)
     lo = _bisect_boundary(overshoot, center, -1.0)
-    return FeasibleInterval(lo, hi)
+    return lo, hi
 
 
 def _bisect_boundary(overshoot, center: float, direction: float) -> float:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from smoothgame.adversaries import (
+    QUERY_POLICIES,
     GreedyAdversary,
     GreedyConfig,
     InsufficientInitAdversary,
@@ -10,7 +13,13 @@ from smoothgame.adversaries import (
     greedy_reveal,
     van_der_corput,
 )
-from smoothgame.interpolation import SampleSet, q_action
+from smoothgame.interpolation import (
+    DuplicateKnotError,
+    SampleSet,
+    action_increment,
+    eval_interpolant,
+    q_action,
+)
 
 
 RANDOM_QUERIES = GreedyConfig(query_policy="uniform-random")
@@ -93,6 +102,110 @@ class TestGreedyAdversary:
             assert xa == xb
             a.reveal(xa, 0.0)
             b.reveal(xb, 0.0)
+
+
+class TestRevealPosition:
+    """``reveal`` reuses the chooser's position only for the x just asked.
+
+    Each reply, running action and truth set must equal a reference grown
+    with the public functions, which look x up afresh every time.
+    """
+
+    @staticmethod
+    def _reference_reveal(ref, x, prediction, q, cfg):
+        s, action = ref
+        y = greedy_reveal(s, x, prediction, q, cfg, action)
+        ref[1] = action + action_increment(s, x, y, q, action)
+        s.add(x, y)
+        return y
+
+    def _check(self, adv, ref):
+        assert adv.truth_set == ref[0]
+        assert adv._action == ref[1]
+
+    @pytest.mark.parametrize("q", [1.0, 1.1, 2.0, math.inf])
+    @pytest.mark.parametrize("policy", QUERY_POLICIES)
+    def test_asked_queries_match_fresh_lookups(self, policy, q):
+        cfg = GreedyConfig(query_policy=policy, budget=0.9)
+        adv, ref = GreedyAdversary(q, cfg, seed=3), [SampleSet(), 0.0]
+        rng = np.random.default_rng(3)
+        for t in range(150):
+            x = adv.next_query(t)
+            prediction = float(rng.uniform(-0.5, 0.5))
+            assert adv.reveal(x, prediction) == self._reference_reveal(ref, x, prediction, q, cfg)
+            self._check(adv, ref)
+
+    @pytest.mark.parametrize("q", [1.1, 2.0, math.inf])
+    def test_reveal_without_next_query(self, q):
+        # as a test drives the adversary by hand: no query asked at all,
+        # or another x than the one asked
+        cfg = GreedyConfig(query_policy="uniform-random")
+        adv, ref = GreedyAdversary(q, cfg, seed=4), [SampleSet(), 0.0]
+        rng = np.random.default_rng(4)
+        for t in range(150):
+            if t % 3 == 0:
+                adv.next_query(t)
+            x = float(rng.uniform())
+            assert adv.reveal(x, 0.2) == self._reference_reveal(ref, x, 0.2, q, cfg)
+            self._check(adv, ref)
+
+    def test_an_asked_position_serves_one_reveal(self):
+        adv = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"), seed=5)
+        for t in range(5):
+            adv.reveal(adv.next_query(t), 0.0)
+        x = adv.next_query(5)
+        adv.reveal(x, 0.0)
+        with pytest.raises(DuplicateKnotError):
+            adv.reveal(x, 0.0)
+
+    def test_a_known_x_is_rejected(self):
+        adv = GreedyAdversary(2.0, GreedyConfig(), seed=5)
+        adv.reveal(0.5, 0.0)
+        adv.next_query(1)
+        with pytest.raises(DuplicateKnotError):
+            adv.reveal(0.5, 0.0)
+
+    def test_invalid_q_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            GreedyAdversary(0.5)
+
+
+def _van_der_corput_loop(i):
+    # the reference digit loop, over an array of indices;
+    # float64 array arithmetic rounds as Python floats do
+    x = np.zeros(len(i))
+    denom = 1.0
+    i = i + 1
+    while i.any():
+        denom *= 2.0
+        i, rem = np.divmod(i, 2)
+        x += rem / denom
+    return x
+
+
+class TestVanDerCorput:
+    def test_matches_the_digit_loop(self):
+        n = 1 << 20
+        want = _van_der_corput_loop(np.arange(n, dtype=np.int64))
+        got = np.array([van_der_corput(i) for i in range(n)])
+        assert np.array_equal(got, want)
+
+    def test_scalar_loop_agrees_on_a_prefix(self):
+        # the array loop against the scalar loop it transcribes
+        def scalar(i):
+            x, denom, i = 0.0, 1.0, i + 1
+            while i:
+                denom *= 2.0
+                i, rem = divmod(i, 2)
+                x += rem / denom
+            return x
+
+        idx = np.arange(5000, dtype=np.int64)
+        assert _van_der_corput_loop(idx).tolist() == [scalar(i) for i in range(5000)]
+
+    def test_first_values(self):
+        assert [van_der_corput(i) for i in range(7)] == [0.5, 0.25, 0.75, 0.125, 0.625,
+                                                          0.375, 0.875]
 
 
 class TestNoisyLowerBound:
@@ -183,6 +296,15 @@ class TestVerifyLegality:
             self.x = x
             self.revealed = revealed
 
+    def test_true_values_read_knots_and_interpolate_between(self):
+        from smoothgame.adversaries import Disclosure
+
+        truth = SampleSet([0.2, 0.6], [1.0, 3.0])
+        xs = [0.2, 0.3, 0.6, 0.0, 1.0, 0.45]
+        assert Disclosure([], truth).true_values(xs) == [eval_interpolant(truth, x) for x in xs]
+        with pytest.raises(ValueError):
+            Disclosure([], truth).true_values([1.5])
+
     def test_infeasible_truth_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
@@ -260,7 +382,7 @@ class TestRandomLiar:
             x = liar.next_query(t)
             reveals.append((x, liar.reveal(x, 0.0)))
         disc = liar.finalize()
-        truth = disc.truth_function()
-        lied = [abs(truth(x) - y) for (x, y), f in zip(reveals, disc.lie_flags) if f]
+        truth = disc.true_values(x for x, _ in reveals)
+        lied = [abs(v - y) for v, (_, y), f in zip(truth, reveals, disc.lie_flags) if f]
         assert len(lied) == disc.lie_count
         assert all(d == pytest.approx(0.75) for d in lied)

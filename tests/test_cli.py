@@ -98,6 +98,30 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("policy", [None, "widest-gap-midpoint", "uniform-random"])
+    def test_sequence_needs_the_fixed_sequence_policy_exit_1(self, tmp_path, capsys, policy):
+        # only fixed-sequence reads a sequence; the default policy would play
+        # 0.5, 0.25, 0.75 and ignore it
+        options = {"sequence": [0.9, 0.8, 0.7]}
+        if policy is not None:
+            options["query_policy"] = policy
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 3, "learner": "linint", "adversary": "greedy",
+            "adversary_options": options,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "config error: option 'sequence' needs query_policy 'fixed-sequence'" in err
+        assert not (tmp_path / "out").exists()
+        options["query_policy"] = "fixed-sequence"
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 3, "learner": "linint", "adversary": "greedy",
+            "adversary_options": options,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        rows = (tmp_path / "out" / "game_transcript.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [0.9, 0.8, 0.7]
+
     @pytest.mark.parametrize("seed", [2.7, True, -1, "3"])
     def test_bad_seed_exit_1(self, tmp_path, capsys, seed):
         # 2.7 was a numpy SeedSequence error, true ran as seed 1, -1 did not name the key

@@ -3,11 +3,17 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
-from smoothgame import adversaries, engine
-from smoothgame.adversaries import QUERY_POLICIES, Disclosure, GreedyConfig, verify_legality
+from smoothgame.adversaries import (
+    QUERY_POLICIES,
+    Disclosure,
+    GreedyAdversary,
+    GreedyConfig,
+    verify_legality,
+)
 from smoothgame.engine import (
     CSV_HEADER,
     GameConfig,
@@ -16,6 +22,7 @@ from smoothgame.engine import (
     TrialRecord,
     Transcript,
     register_adversary,
+    register_learner,
     run_game,
     run_noisy_game,
     run_standard_game,
@@ -23,7 +30,8 @@ from smoothgame.engine import (
     total_error,
     write_outputs,
 )
-from smoothgame.interpolation import SampleSet, action_increment, q_action
+from smoothgame.interpolation import SampleSet, q_action
+from smoothgame.learners import LinintLearner
 
 
 class ScriptAdversary:
@@ -133,43 +141,54 @@ class TestRunningSup:
     splits its steepest segment, which the running sup does not see, so it
     may sit an ulp above a scan of the set; over these games it is never
     below the scan.
+
+    A learner registered here reads both owners' state each round when the
+    engine hands it the revelation, right after the engine's add: the
+    engine's revealed set and running action from its frame, and the
+    greedy adversary's truth set and running action from the adversary.
+    Nothing on the round path is patched.
     """
 
     REL_TOL = 4.5e-16
 
     @staticmethod
-    def _watch(monkeypatch):
+    def _watch():
         # (owner, running action after the add, scan of the grown set)
         seen = []
 
-        def watched(owner):
-            def increment(s, x, y, q, base_action=None):
-                inc = action_increment(s, x, y, q, base_action)
-                seen.append((owner, base_action + inc, q_action(s.insert(x, y), q)))
-                return inc
-            return increment
+        class Watcher(LinintLearner):
+            def observe(self, x, y):
+                super().observe(x, y)
+                referee = sys._getframe(1).f_locals  # run_standard_game's loop
+                q = referee["config"].q
+                seen.append(("engine", referee["running_action"],
+                             q_action(referee["revealed"], q)))
+                adversary = referee["adversary"]
+                if isinstance(adversary, GreedyAdversary):
+                    seen.append(("adversary", adversary._action,
+                                 q_action(adversary.truth_set, q)))
 
-        monkeypatch.setattr(engine, "action_increment", watched("engine"))
-        monkeypatch.setattr(adversaries, "action_increment", watched("adversary"))
+        register_learner("test-watch-sup", lambda c: Watcher())
         return seen
 
     @pytest.mark.parametrize("policy", QUERY_POLICIES)
-    def test_running_sup_tracks_the_scan(self, monkeypatch, policy):
-        seen = self._watch(monkeypatch)
-        run_standard_game(cfg(q=math.inf, rounds=300, seed=4,
+    def test_running_sup_tracks_the_scan(self, policy):
+        seen = self._watch()
+        run_standard_game(cfg(q=math.inf, rounds=300, seed=4, learner="test-watch-sup",
                               adversary_options={"query_policy": policy}))
         assert {owner for owner, _, _ in seen} == {"engine", "adversary"}
         assert len(seen) == 2 * 300
         for _, running, scanned in seen:
             assert scanned <= running <= scanned * (1.0 + self.REL_TOL)
 
-    def test_rounding_drop_leaves_the_running_sup_an_ulp_above(self, monkeypatch):
+    def test_rounding_drop_leaves_the_running_sup_an_ulp_above(self):
         # the split segment's slope rounds above both halves' slopes
         moves = ((0.09384515343330624, 0.1156618270926259 / 4),
                  (0.5706847858594991, -1.070544409695766 / 4),
                  (0.3209004331471949, -0.44917039442796297 / 4))
-        seen = self._watch(monkeypatch)
+        seen = self._watch()
         tr = run_standard_game(cfg(q=math.inf, rounds=3, adversary="test-script",
+                                   learner="test-watch-sup",
                                    adversary_options={"moves": moves}))
         _, running, scanned = seen[-1]
         assert running == math.nextafter(scanned, math.inf)
@@ -412,7 +431,7 @@ def _digest(tr):
 
 
 class TestGoldenTranscripts:
-    """sha256 of the CSV and the summary JSON of three fixed games.
+    """sha256 of the CSV and the summary JSON of five fixed games.
 
     Computed with the csv.writer rendering and ``Generator.uniform`` draws.
     A digest changes only with a game's arithmetic, its random stream, the
@@ -429,6 +448,18 @@ class TestGoldenTranscripts:
         tr = run_game(cfg(q=math.inf, rounds=400, seed=5,
                           adversary_options={"query_policy": "uniform-random"}))
         assert _digest(tr) == "f187344b4fd5294d5bb36ab8a8bdb2179ad12ea0e0348f228c0f748064c4d403"
+
+    def test_standard_generic_q_fixed_sequence(self):
+        # q = 1.1 runs the bracketed endpoint solver and its centre
+        tr = run_game(cfg(p=1.1, q=1.1, rounds=400, seed=6,
+                          adversary_options={"query_policy": "fixed-sequence"}))
+        assert _digest(tr) == "57be99bedd81c31f9df7f919da90f51e9b4fea1227819f74fcfc1ee298b2bb4e"
+
+    def test_standard_q1_uniform_queries(self):
+        # q = 1 takes the closed-form interval
+        tr = run_game(cfg(q=1.0, rounds=400, seed=8,
+                          adversary_options={"query_policy": "uniform-random"}))
+        assert _digest(tr) == "a437e589ee4b08f86564e5cdd29513876621f8b5ae3a2cf41070c16fb62389ab"
 
     def test_noisy_random_liar(self):
         # so do the lie signs

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from smoothgame.interpolation import (
     DuplicateKnotError,
     SamplePoint,
     SampleSet,
+    _eval_at,
+    _increment_at,
+    _reply_bounds,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
@@ -316,7 +320,7 @@ class TestFeasibleInterval:
 
     def test_empty_set_unbounded(self):
         box = feasible_reply_interval(SampleSet(), 0.5, 2, 1.0)
-        assert not box.bounded
+        assert (box.lo, box.hi) == (-math.inf, math.inf)
 
     def test_endpoints_exhaust_budget(self):
         rng = np.random.default_rng(7)
@@ -391,24 +395,19 @@ class TestEndpointSolver:
 
     @pytest.fixture(scope="class")
     def solves(self):
+        # each state the adversary solves from: its truth set and running
+        # action as they stand when it is asked to reveal
         states = []
-        solve = adversaries.feasible_reply_interval
-
-        def record(s, x, q, budget, base_action=None):
-            if len(s):
-                states.append((s.copy(), x, q, base_action))
-            return solve(s, x, q, budget, base_action=base_action)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(adversaries, "feasible_reply_interval", record)
-            for q in (1.1, 1.5, 3.0):
-                for policy in adversaries.QUERY_POLICIES:
-                    adv = GreedyAdversary(q, GreedyConfig(query_policy=policy), seed=1)
-                    learner = LinintLearner()
-                    for t in range(60):
-                        x = adv.next_query(t)
-                        prediction = learner.predict(x)
-                        learner.observe(x, adv.reveal(x, prediction))
+        for q in (1.1, 1.5, 3.0):
+            for policy in adversaries.QUERY_POLICIES:
+                adv = GreedyAdversary(q, GreedyConfig(query_policy=policy), seed=1)
+                learner = LinintLearner()
+                for t in range(60):
+                    x = adv.next_query(t)
+                    if len(adv.truth_set):
+                        states.append((adv.truth_set.copy(), x, q, adv._action))
+                    prediction = learner.predict(x)
+                    learner.observe(x, adv.reveal(x, prediction))
         assert len(states) > 500
         return states
 
@@ -433,3 +432,97 @@ class TestEndpointSolver:
             box = feasible_reply_interval(s, x, q, base, base_action=base)
             center = eval_interpolant(s, x)
             assert (box.lo, box.hi) == (center, center)
+
+
+def _outcome(fn, *args):
+    # the value's repr (bit-exact, NaN equal to NaN, -0.0 apart from 0.0)
+    # or the error's type
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestPositionHelpers:
+    """Each position helper, given bisect_left(s.us, x), against its public function.
+
+    The public functions look x up, check their arguments and call the
+    helper; the game's players call the helpers with a position they found
+    once. Both must give the same bits, errors included.
+    """
+
+    QS = (1.0, 1.1, 2.0, 3.0, math.inf)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(16)
+        sets = [SampleSet(), SampleSet([0.4], [0.3])]
+        for m in (2, 7, 40):
+            us = np.sort(rng.choice(np.arange(1, 512), m, replace=False)) / 512.0
+            sets.append(SampleSet(us * 0.8 + 0.1, rng.uniform(-0.5, 0.5, m)))
+        # a 1e-150 gap: slopes whose q-th power overflows at q = 3
+        sets.append(SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0]))
+        for s in sets:
+            us = s.us
+            lo, hi = (us[0], us[-1]) if us else (0.0, 1.0)
+            xs = [0.0, 0.5 * lo, *rng.uniform(lo, hi, 6), 0.5 * (hi + 1.0), 1.0]
+            if us:
+                xs += [us[0], us[len(us) // 2], us[-1]]
+            if len(us) == 3 and us[1] == 1e-150:
+                xs.append(5e-151)
+            yield s, [float(x) for x in xs]
+
+    def test_eval_at(self):
+        for s, xs in self.cases():
+            for x in xs:
+                i = bisect_left(s.us, x)
+                assert _outcome(_eval_at, s, x, i) == _outcome(eval_interpolant, s, x)
+
+    def test_increment_at(self):
+        for s, xs in self.cases():
+            for x in xs:
+                if x in s.us:
+                    continue
+                i = bisect_left(s.us, x)
+                centre = eval_interpolant(s, x)
+                for q in self.QS:
+                    for y in (centre, centre + 0.3, centre - 1.0, 1e3, 1.0):
+                        for base in (None, q_action(s, q)):
+                            assert (_outcome(_increment_at, s, x, i, y, q, base)
+                                    == _outcome(action_increment, s, x, y, q, base))
+
+    def test_overflow_is_inf_on_both_paths(self):
+        s = SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0])
+        i = bisect_left(s.us, 5e-151)
+        assert _increment_at(s, 5e-151, i, 1.0, 3.0) == math.inf
+        assert action_increment(s, 5e-151, 1.0, 3.0) == math.inf
+
+    def test_reply_bounds(self):
+        def public(s, x, q, budget, base):
+            box = feasible_reply_interval(s, x, q, budget, base)
+            return box.lo, box.hi
+
+        for s, xs in self.cases():
+            for x in xs:
+                if x in s.us:
+                    continue
+                i = bisect_left(s.us, x)
+                for q in self.QS:
+                    action = q_action(s, q)
+                    # below the action (an error), at it, and above it
+                    for budget in (action - 1e-6, action, action + 1e-6, action + 0.5):
+                        for base in (None, action):
+                            assert (_outcome(_reply_bounds, s, x, i, q, budget, base)
+                                    == _outcome(public, s, x, q, budget, base))
+
+    def test_add_at_is_add(self):
+        rng = np.random.default_rng(17)
+        grown, reference = SampleSet(), SampleSet()
+        for x, y in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(-1.0, 1.0, 200)):
+            grown._add_at(bisect_left(grown.us, x), float(x), float(y))
+            reference.add(float(x), float(y))
+            assert grown == reference
+        with pytest.raises(ValueError):
+            grown._add_at(0, 0.0, math.nan)
+        with pytest.raises(ValueError):
+            grown._add_at(len(grown), 1.5, 0.0)

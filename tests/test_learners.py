@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from smoothgame.adversaries import GreedyAdversary, GreedyConfig
+from smoothgame.interpolation import DuplicateKnotError, SampleSet, eval_interpolant
 from smoothgame.learners import (
     LinintLearner,
     ProtocolViolationError,
@@ -52,6 +54,78 @@ class TestLinint:
             b.observe(x, 2.5 * y)
         for x in rng.uniform(0, 1, 20):
             assert b.predict(float(x)) == pytest.approx(2.5 * a.predict(float(x)))
+
+
+def _add_reference(s, x, y):
+    # SampleSet.add with a fresh lookup; a repeated x keeps its first value
+    try:
+        s.add(x, y)
+    except DuplicateKnotError:
+        pass
+
+
+class TestRememberedPosition:
+    """``predict`` remembers x's position; ``observe`` may use it only for that x."""
+
+    def test_observe_of_another_x_matches_a_fresh_lookup(self):
+        rng = np.random.default_rng(21)
+        lnr, reference = LinintLearner(), SampleSet()
+        for _ in range(400):
+            x = float(rng.uniform())
+            if reference.us and rng.uniform() < 0.2:
+                x = reference.us[int(rng.integers(len(reference)))]  # a repeat
+            if rng.uniform() < 0.7:
+                assert lnr.predict(x) == eval_interpolant(reference, x)
+            # observe the predicted x, a fresh one, or one predicted earlier
+            if rng.uniform() < 0.4:
+                x = float(rng.uniform())
+            y = float(rng.normal())
+            lnr.observe(x, y)
+            _add_reference(reference, x, y)
+            assert lnr.known == reference
+
+    def test_two_predicts_then_observe_the_first(self):
+        lnr = LinintLearner()
+        lnr.observe(0.5, 1.0)
+        lnr.predict(0.2)
+        lnr.predict(0.8)  # its position (1) is not 0.2's (0)
+        lnr.observe(0.2, -1.0)
+        assert lnr.known == SampleSet([0.2, 0.5], [-1.0, 1.0])
+
+    def test_second_observe_of_a_predicted_x_is_a_repeat(self):
+        lnr = LinintLearner()
+        lnr.observe(0.5, 1.0)
+        lnr.predict(0.7)
+        lnr.observe(0.3, 2.0)  # grows the set before 0.7's position
+        lnr.observe(0.7, 3.0)
+        lnr.observe(0.7, 4.0)
+        assert lnr.known == SampleSet([0.3, 0.5, 0.7], [2.0, 1.0, 3.0])
+
+    def test_repeat_with_a_bad_value_still_errors(self):
+        lnr = LinintLearner()
+        lnr.observe(0.5, 1.0)
+        lnr.predict(0.5)
+        with pytest.raises(ValueError):
+            lnr.observe(0.5, float("nan"))
+
+    def test_staged_inner_learner_across_resets(self):
+        # the inner learner sees every staged-phase observation of its stage
+        # but predicts only the mimicked ones, and a reset replaces it
+        lnr = StagedLearner(eta=3, p=2.0)
+        adv = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"),
+                              seed=0, eta=3, rounds=400)
+        reference = SampleSet()
+        for t in range(400):
+            x = adv.next_query(t)
+            y = adv.reveal(x, lnr.predict(x))
+            staged, resets = lnr.global_center is not None, lnr.stage_resets
+            lnr.observe(x, y)
+            if lnr.stage_resets > resets:
+                reference = SampleSet()
+            elif staged:
+                _add_reference(reference, x, y)
+            assert lnr.inner.known == reference
+        assert lnr.stage_resets == 3
 
 
 class TestIntervalOf:
