@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Protocol
+from functools import partial
+from typing import Callable, Protocol
 
 import numpy as np
 
 # bench/layertrace.py patches action_increment under this module's name;
-# the round path calls _increment_at
+# GreedyAdversary.reveal calls SampleSet.increment_at
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
-    DuplicateKnotError,
     SampleSet,
     _check_q,
-    _increment_at,
-    _reply_bounds,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
@@ -69,10 +66,8 @@ class Disclosure:
     def lie_count(self) -> int:
         return sum(self.lie_flags)
 
-    def true_values(self, xs) -> list[float]:
-        """The witness at each x: a knot's own value, else the interpolant's."""
-        knots = dict(zip(self.truth.us, self.truth.vs))
-        return [knots[x] if x in knots else eval_interpolant(self.truth, x) for x in xs]
+    def truth_function(self) -> Callable[[float], float]:
+        return partial(eval_interpolant, self.truth)
 
 
 class Adversary(Protocol):
@@ -129,12 +124,11 @@ def van_der_corput(i: int) -> float:
 class _QueryChooser:
     """Query selection for the greedy adversary.
 
-    ``choose`` is passed the adversary's truth set and returns a query with
-    its position ``bisect_left(s.us, x)`` there. The adversary answers each
-    query before it asks the next, so that set holds every query returned
-    so far and none is returned twice. The widest-gap heap starts with the
-    gap (0, 1) and splits gaps only at the midpoints it returns, so every
-    gap on it is free of knots. A ``sequence`` is read only by the
+    ``choose`` is passed the adversary's truth set. The adversary answers
+    each query before it asks the next, so that set holds every query
+    returned so far and none is returned twice. The widest-gap heap starts
+    with the gap (0, 1) and splits gaps only at the midpoints it returns,
+    so every gap on it is free of knots. A ``sequence`` is read only by the
     fixed-sequence policy, and any other policy rejects one.
     """
 
@@ -150,17 +144,14 @@ class _QueryChooser:
         self._vdc_pos = 0
         self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
 
-    def choose(self, s: SampleSet) -> tuple[float, int]:
-        us = s.us
+    def choose(self, s: SampleSet) -> float:
         if self.policy == "widest-gap-midpoint":
-            x = self._widest_gap()
-            return x, bisect_left(us, x)
+            return self._widest_gap()
         if self.policy == "uniform-random":
             while True:
                 x = self.rng.random()
-                i = bisect_left(us, x)
-                if i == len(us) or us[i] != x:
-                    return x, i
+                if not s.contains_u(x):
+                    return x
         # fixed-sequence
         while True:
             if self.sequence is not None:
@@ -171,9 +162,8 @@ class _QueryChooser:
             else:
                 x = van_der_corput(self._vdc_pos)
                 self._vdc_pos += 1
-            i = bisect_left(us, x)
-            if i == len(us) or us[i] != x:
-                return x, i
+            if not s.contains_u(x):
+                return x
 
     def _widest_gap(self) -> float:
         _, a, b = heapq.heappop(self._gap_heap)
@@ -193,9 +183,7 @@ class GreedyAdversary:
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
     accounting. ``reveal`` finds x in the truth set once and uses that
-    position for the interval, the increment and the insert; for the x that
-    ``next_query`` just returned it takes the chooser's position, since
-    nothing grows the set in between.
+    position for the interval, the increment and the insert.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then the queries, then a sign
@@ -231,23 +219,17 @@ class GreedyAdversary:
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
-        self._asked: tuple[float, int] | None = None  # last query and its position
 
     def next_query(self, t: int) -> float:
-        self._asked = self._chooser.choose(self.truth_set)
-        return self._asked[0]
+        return self._chooser.choose(self.truth_set)
 
     def reveal(self, x: float, prediction: float) -> float:
         s, q, cfg = self.truth_set, self.q, self.cfg
-        us = s.us
-        asked, self._asked = self._asked, None
-        i = asked[1] if asked is not None and asked[0] == x else bisect_left(us, x)
-        if i < len(us) and us[i] == x:
-            raise DuplicateKnotError(f"x={x} already a knot")
-        lo, hi = _reply_bounds(s, x, i, q, cfg.budget, self._action)
+        i = s.locate(x)
+        lo, hi = s.reply_bounds(i, x, q, cfg.budget, self._action)
         y = _farther_end(lo, hi, prediction, cfg.tie_break)
-        self._action += _increment_at(s, x, i, y, q, self._action)
-        s._add_at(i, x, y)
+        self._action += s.increment_at(i, x, y, q, self._action)
+        s.add_at(i, x, y)
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)
         if lie:
@@ -384,8 +366,8 @@ def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) ->
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    truthful = [rec for rec, lied in zip(trials, disclosure.lie_flags) if not lied]
-    for rec, true_value in zip(truthful, disclosure.true_values(r.x for r in truthful)):
-        if abs(true_value - rec.revealed) > 1e-9:
-            return False
+    for rec, lied in zip(trials, disclosure.lie_flags):
+        if not lied:
+            if abs(eval_interpolant(disclosure.truth, rec.x) - rec.revealed) > 1e-9:
+                return False
     return True

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -27,13 +26,14 @@ from .adversaries import (
     verify_legality,
 )
 # bench/layertrace.py patches action_increment under this module's name;
-# the round path calls _increment_at
+# the round path calls SampleSet.increment_at
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
+    DuplicateKnotError,
     SampleSet,
     _check_q,
-    _increment_at,
     action_increment,
+    eval_interpolant,
 )
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 
@@ -252,28 +252,28 @@ def run_standard_game(config: GameConfig) -> Transcript:
     uncounted = 1 if config.uncounted_rounds is None else config.uncounted_rounds
     tr = Transcript(config)
     revealed = SampleSet()
-    us, vs = revealed.us, revealed.vs
     running_action = 0.0
     for t in range(config.rounds):
         if adversary.done(t):
             break
         x = adversary.next_query(t)
         counted = t >= uncounted
-        i = bisect_left(us, x)
-        if i < len(us) and us[i] == x:
+        try:
+            i = revealed.locate(x)
+        except DuplicateKnotError:
             if config.duplicate_policy == "reject":
-                raise DuplicateQueryError(f"trial {t}: repeated query x={x}")
-            y = vs[i]
+                raise DuplicateQueryError(f"trial {t}: repeated query x={x}") from None
+            y = eval_interpolant(revealed, x)
             tr.trials.append(TrialRecord(t, x, y, y, None, y, 0.0, 0.0, counted))
             continue
         prediction = learner.predict(x)
         y = adversary.reveal(x, prediction)
-        running_action += _increment_at(revealed, x, i, y, config.q, running_action)
+        running_action += revealed.increment_at(i, x, y, config.q, running_action)
         if running_action > 1.0 + ACTION_TOL:
             raise IllegalAdversaryError(
                 f"trial {t}: revealed set action {running_action} exceeds the unit budget"
             )
-        revealed._add_at(i, x, y)
+        revealed.add_at(i, x, y)
         learner.observe(x, y)
         raw = abs(prediction - y)
         tr.trials.append(
@@ -316,10 +316,10 @@ def run_noisy_game(config: GameConfig) -> Transcript:
             f"disclosure carries {len(disclosure.lie_flags)} lie flags "
             f"for {len(tr.trials)} trials"
         )
-    true_values = disclosure.true_values(rec.x for rec in tr.trials)
-    for rec, lied, true_value in zip(tr.trials, disclosure.lie_flags, true_values):
+    truth = disclosure.truth_function()
+    for rec, lied in zip(tr.trials, disclosure.lie_flags):
         rec.lie = lied
-        rec.true_value = true_value
+        rec.true_value = truth(rec.x)
         rec.raw_error = abs(rec.prediction - rec.true_value)
         rec.p_power = rec.raw_error ** config.p
     tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)

@@ -12,12 +12,12 @@ knot per round.
 
 ``eval_interpolant``, ``feasible_reply_interval`` and ``action_increment``
 each find x's position in the set with one ``bisect_left``, check their
-arguments, and hand the position to a private helper that does the
-arithmetic (``_eval_at``, ``_reply_bounds``, ``_increment_at``);
-``SampleSet._add_at`` inserts at a known position. A game's players find
-each round's query in their set once and pass that position to every
-helper of the round. A position is ``bisect_left(s.us, x)`` for the set as
-it is: any add makes it stale.
+arguments, and hand the position to a ``SampleSet`` method that does the
+arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
+A game's players grow their sets one knot per round: each finds the
+round's query once with ``SampleSet.locate``, which also rejects a knot,
+and passes that position to the round's interval, increment and
+``add_at``. A position holds only until the set next grows.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ class SampleSet:
     lists; read them, do not mutate. The set keeps nothing beside its
     knots: an owner that grows it and needs its action keeps that as a
     running total and passes it as ``base_action``.
+
+    ``locate(u)`` is the position where a u that is not a knot would go.
+    ``add_at``, ``eval_at``, ``increment_at`` and ``reply_bounds`` take
+    that position, so an owner that grows the set one knot per round finds
+    each query once; any add makes a position stale.
     """
 
     __slots__ = ("us", "vs")
@@ -110,15 +115,24 @@ class SampleSet:
 
     def add(self, u: float, v: float) -> None:
         _check_knot(u, v)
+        i = self.locate(u)
+        self.us.insert(i, u)
+        self.vs.insert(i, v)
+
+    def locate(self, u: float) -> int:
+        """Position ``bisect_left(us, u)`` of a u that is not a knot.
+
+        Raises ``DuplicateKnotError`` for a knot. The position holds until
+        the set next grows.
+        """
         us = self.us
         i = bisect_left(us, u)
         if i < len(us) and us[i] == u:
-            raise DuplicateKnotError(f"u={u} already present (repeated query)")
-        us.insert(i, u)
-        self.vs.insert(i, v)
+            raise DuplicateKnotError(f"u={u} already a knot")
+        return i
 
-    def _add_at(self, i: int, u: float, v: float) -> None:
-        # ``add`` for a u that is not a knot, at its position i = bisect_left(us, u)
+    def add_at(self, i: int, u: float, v: float) -> None:
+        """``add`` at the position ``i = locate(u)``."""
         _check_knot(u, v)
         self.us.insert(i, u)
         self.vs.insert(i, v)
@@ -134,6 +148,131 @@ class SampleSet:
         twin.us, twin.vs = self.us[:], self.vs[:]
         return twin
 
+    def eval_at(self, i: int, x: float) -> float:
+        """``eval_interpolant`` at x's position ``i``."""
+        us, vs = self.us, self.vs
+        if i == 0:
+            return vs[0] if us else 0.0
+        if i == len(us):
+            return vs[-1]
+        u1 = us[i]
+        if u1 == x:
+            return vs[i]
+        u0, v0 = us[i - 1], vs[i - 1]
+        return v0 + (x - u0) * (vs[i] - v0) / (u1 - u0)
+
+    def increment_at(
+        self, i: int, x: float, y: float, q: float, base_action: float | None = None
+    ) -> float:
+        """``action_increment`` at the position ``i`` of an x that is not a knot."""
+        us, vs = self.us, self.vs
+        if not us:
+            return 0.0
+        m = len(us)
+        if math.isinf(q):
+            # the split segment's slope lies between the two new ones, so the
+            # sup can only grow to the largest slope the new point touches
+            old = q_action(self, q) if base_action is None else base_action
+            new = old
+            if i > 0:
+                new = max(new, abs(y - vs[i - 1]) / (x - us[i - 1]))
+            if i < m:
+                new = max(new, abs(vs[i] - y) / (us[i] - x))
+            return new - old
+        try:
+            if i == 0:
+                gap = us[0] - x
+                dv = vs[0] - y
+                return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+            if i == m:
+                gap = x - us[-1]
+                dv = y - vs[-1]
+                return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
+            u0, u1 = us[i - 1], us[i]
+            v0, v1 = vs[i - 1], vs[i]
+            a = x - u0
+            b = u1 - x
+            old_dv = v1 - v0
+            old = 0.0 if old_dv == 0.0 else (a + b) * abs(old_dv / (a + b)) ** q
+            new = 0.0
+            if y != v0:
+                new += a * abs((y - v0) / a) ** q
+            if v1 != y:
+                new += b * abs((v1 - y) / b) ** q
+        except OverflowError:
+            return math.inf
+        return new - old
+
+    def reply_bounds(
+        self, i: int, x: float, q: float, budget: float, base_action: float | None = None
+    ) -> tuple[float, float]:
+        """``feasible_reply_interval``'s (lo, hi) at the position ``i`` of an x
+        that is not a knot."""
+        us, vs = self.us, self.vs
+        if not us:
+            return -math.inf, math.inf
+        m = len(us)
+        if base_action is None:
+            base_action = q_action(self, q)
+        slack = budget - base_action
+        if slack < -ACTION_TOL:
+            raise ValueError(f"budget {budget} below current action {base_action}")
+        slack = max(slack, 0.0)
+
+        if math.isinf(q):
+            # every segment touching the new point must have |slope| <= budget; the
+            # two neighbours' bounds come from different knots, and at zero slack
+            # they can cross by rounding, where the only reply is the interpolant's
+            lo, hi = -math.inf, math.inf
+            if i > 0:
+                gap = x - us[i - 1]
+                lo = max(lo, vs[i - 1] - budget * gap)
+                hi = min(hi, vs[i - 1] + budget * gap)
+            if i < m:
+                gap = us[i] - x
+                lo = max(lo, vs[i] - budget * gap)
+                hi = min(hi, vs[i] + budget * gap)
+            if lo > hi:
+                lo = hi = self.eval_at(i, x)
+            return lo, hi
+
+        if q == 2.0:
+            # the centre is eval_at's value, in its operation order
+            if i == 0:
+                center = vs[0]
+                r = math.sqrt(slack * (us[0] - x))
+            elif i == m:
+                center = vs[-1]
+                r = math.sqrt(slack * (x - us[-1]))
+            else:
+                u0, u1, v0 = us[i - 1], us[i], vs[i - 1]
+                a = x - u0
+                b = u1 - x
+                center = v0 + a * (vs[i] - v0) / (u1 - u0)
+                r = math.sqrt(slack * a * b / (a + b))
+            return center - r, center + r
+
+        if q == 1.0:
+            # interior: moving y outside [v0, v1] costs 2 * distance; exterior: distance
+            if i == 0:
+                return vs[0] - slack, vs[0] + slack
+            if i == m:
+                return vs[-1] - slack, vs[-1] + slack
+            v0, v1 = vs[i - 1], vs[i]
+            return min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack
+
+        center = self.eval_at(i, x)
+        if slack == 0.0:
+            # the increment is strictly convex with its zero at the centre
+            return center, center
+
+        def overshoot(y: float) -> float:
+            return action_increment(self, x, y, q) - slack
+
+        hi = _bisect_boundary(overshoot, center, +1.0)
+        lo = _bisect_boundary(overshoot, center, -1.0)
+        return lo, hi
+
 
 def eval_interpolant(s: SampleSet, x: float) -> float:
     """Value of the piecewise-linear interpolant of ``s`` at ``x``.
@@ -143,21 +282,7 @@ def eval_interpolant(s: SampleSet, x: float) -> float:
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
-    return _eval_at(s, x, bisect_left(s.us, x))
-
-
-def _eval_at(s: SampleSet, x: float, i: int) -> float:
-    # ``eval_interpolant`` at x's position i = bisect_left(s.us, x)
-    us, vs = s.us, s.vs
-    if i == 0:
-        return vs[0] if us else 0.0
-    if i == len(us):
-        return vs[-1]
-    u1 = us[i]
-    if u1 == x:
-        return vs[i]
-    u0, v0 = us[i - 1], vs[i - 1]
-    return v0 + (x - u0) * (vs[i] - v0) / (u1 - u0)
+    return s.eval_at(bisect_left(s.us, x), x)
 
 
 def slope_at(s: SampleSet, x: float) -> float:
@@ -226,54 +351,12 @@ def action_increment(
     slope whose q-th power overflows makes the increment inf.
     """
     _check_q(q)
+    # locate, written out: the generic-q solver calls this at every evaluation
     us = s.us
     i = bisect_left(us, x)
     if i < len(us) and us[i] == x:
         raise DuplicateKnotError(f"x={x} already a knot")
-    return _increment_at(s, x, i, y, q, base_action)
-
-
-def _increment_at(
-    s: SampleSet, x: float, i: int, y: float, q: float, base_action: float | None = None
-) -> float:
-    # ``action_increment`` at x's position i = bisect_left(s.us, x), x not a knot
-    us, vs = s.us, s.vs
-    if not us:
-        return 0.0
-    m = len(us)
-    if math.isinf(q):
-        # the split segment's slope lies between the two new ones, so the
-        # sup can only grow to the largest slope the new point touches
-        old = q_action(s, q) if base_action is None else base_action
-        new = old
-        if i > 0:
-            new = max(new, abs(y - vs[i - 1]) / (x - us[i - 1]))
-        if i < m:
-            new = max(new, abs(vs[i] - y) / (us[i] - x))
-        return new - old
-    try:
-        if i == 0:
-            gap = us[0] - x
-            dv = vs[0] - y
-            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-        if i == m:
-            gap = x - us[-1]
-            dv = y - vs[-1]
-            return 0.0 if dv == 0.0 else gap * abs(dv / gap) ** q
-        u0, u1 = us[i - 1], us[i]
-        v0, v1 = vs[i - 1], vs[i]
-        a = x - u0
-        b = u1 - x
-        old_dv = v1 - v0
-        old = 0.0 if old_dv == 0.0 else (a + b) * abs(old_dv / (a + b)) ** q
-        new = 0.0
-        if y != v0:
-            new += a * abs((y - v0) / a) ** q
-        if v1 != y:
-            new += b * abs((v1 - y) / b) ** q
-    except OverflowError:
-        return math.inf
-    return new - old
+    return s.increment_at(i, x, y, q, base_action)
 
 
 def h_potential(s: SampleSet, p: float) -> float:
@@ -319,82 +402,7 @@ def feasible_reply_interval(
     interval.
     """
     _check_q(q)
-    us = s.us
-    i = bisect_left(us, x)
-    if i < len(us) and us[i] == x:
-        raise DuplicateKnotError(f"x={x} already a knot")
-    return FeasibleInterval(*_reply_bounds(s, x, i, q, budget, base_action))
-
-
-def _reply_bounds(
-    s: SampleSet, x: float, i: int, q: float, budget: float, base_action: float | None = None
-) -> tuple[float, float]:
-    # ``feasible_reply_interval``'s (lo, hi) at x's position i = bisect_left(s.us, x),
-    # x not a knot
-    us, vs = s.us, s.vs
-    if not us:
-        return -math.inf, math.inf
-    m = len(us)
-    if base_action is None:
-        base_action = q_action(s, q)
-    slack = budget - base_action
-    if slack < -ACTION_TOL:
-        raise ValueError(f"budget {budget} below current action {base_action}")
-    slack = max(slack, 0.0)
-
-    if math.isinf(q):
-        # every segment touching the new point must have |slope| <= budget; the
-        # two neighbours' bounds come from different knots, and at zero slack
-        # they can cross by rounding, where the only reply is the interpolant's
-        lo, hi = -math.inf, math.inf
-        if i > 0:
-            gap = x - us[i - 1]
-            lo = max(lo, vs[i - 1] - budget * gap)
-            hi = min(hi, vs[i - 1] + budget * gap)
-        if i < m:
-            gap = us[i] - x
-            lo = max(lo, vs[i] - budget * gap)
-            hi = min(hi, vs[i] + budget * gap)
-        if lo > hi:
-            lo = hi = _eval_at(s, x, i)
-        return lo, hi
-
-    if q == 2.0:
-        # the centre is _eval_at's value, in its operation order
-        if i == 0:
-            center = vs[0]
-            r = math.sqrt(slack * (us[0] - x))
-        elif i == m:
-            center = vs[-1]
-            r = math.sqrt(slack * (x - us[-1]))
-        else:
-            u0, u1, v0 = us[i - 1], us[i], vs[i - 1]
-            a = x - u0
-            b = u1 - x
-            center = v0 + a * (vs[i] - v0) / (u1 - u0)
-            r = math.sqrt(slack * a * b / (a + b))
-        return center - r, center + r
-
-    if q == 1.0:
-        # interior: moving y outside [v0, v1] costs 2 * distance; exterior: distance
-        if i == 0:
-            return vs[0] - slack, vs[0] + slack
-        if i == m:
-            return vs[-1] - slack, vs[-1] + slack
-        v0, v1 = vs[i - 1], vs[i]
-        return min(v0, v1) - 0.5 * slack, max(v0, v1) + 0.5 * slack
-
-    center = _eval_at(s, x, i)
-    if slack == 0.0:
-        # the increment is strictly convex with its zero at the centre
-        return center, center
-
-    def overshoot(y: float) -> float:
-        return action_increment(s, x, y, q) - slack
-
-    hi = _bisect_boundary(overshoot, center, +1.0)
-    lo = _bisect_boundary(overshoot, center, -1.0)
-    return lo, hi
+    return FeasibleInterval(*s.reply_bounds(s.locate(x), x, q, budget, base_action))
 
 
 def _bisect_boundary(overshoot, center: float, direction: float) -> float:

@@ -12,12 +12,9 @@ restarts from scratch whenever one of three lie-detection events fires.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Protocol
 
-# bench/layertrace.py patches eval_interpolant under this module's name;
-# the learner calls _eval_at
-from .interpolation import SampleSet, _check_knot, _eval_at, eval_interpolant  # noqa: F401
+from .interpolation import DuplicateKnotError, SampleSet, eval_interpolant
 
 
 class Learner(Protocol):
@@ -35,31 +32,20 @@ class LinintLearner:
 
     Predicts 0 before any feedback. Repeated inputs keep their first
     observed value; the standard protocol never repeats queries, and under
-    lying feedback the first answer is as good a guess as any. ``predict``
-    remembers x's position in the known set, and ``observe`` reuses it for
-    that same x; any ``observe`` forgets it, since the set may have grown.
+    lying feedback the first answer is as good a guess as any.
     """
 
     def __init__(self):
         self.known = SampleSet()
-        self._predicted: tuple[float, int] | None = None  # last x and its position
 
     def predict(self, x: float) -> float:
-        if not (0.0 <= x <= 1.0):
-            raise ValueError(f"x={x} outside [0, 1]")
-        i = bisect_left(self.known.us, x)
-        self._predicted = (x, i)
-        return _eval_at(self.known, x, i)
+        return eval_interpolant(self.known, x)
 
     def observe(self, x: float, y: float) -> None:
-        known = self.known
-        us = known.us
-        predicted, self._predicted = self._predicted, None
-        i = predicted[1] if predicted is not None and predicted[0] == x else bisect_left(us, x)
-        if i < len(us) and us[i] == x:
-            _check_knot(x, y)  # a repeated x keeps its first value, but a bad y is still an error
-            return
-        known._add_at(i, x, y)
+        try:
+            self.known.add(x, y)
+        except DuplicateKnotError:
+            pass
 
 
 def interval_of(x: float) -> int:

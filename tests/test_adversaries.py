@@ -17,7 +17,6 @@ from smoothgame.interpolation import (
     DuplicateKnotError,
     SampleSet,
     action_increment,
-    eval_interpolant,
     q_action,
 )
 
@@ -105,7 +104,7 @@ class TestGreedyAdversary:
 
 
 class TestRevealPosition:
-    """``reveal`` reuses the chooser's position only for the x just asked.
+    """``reveal`` finds x once and serves the interval, increment and insert from it.
 
     Each reply, running action and truth set must equal a reference grown
     with the public functions, which look x up afresh every time.
@@ -149,7 +148,7 @@ class TestRevealPosition:
             assert adv.reveal(x, 0.2) == self._reference_reveal(ref, x, 0.2, q, cfg)
             self._check(adv, ref)
 
-    def test_an_asked_position_serves_one_reveal(self):
+    def test_a_revealed_x_is_rejected(self):
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"), seed=5)
         for t in range(5):
             adv.reveal(adv.next_query(t), 0.0)
@@ -296,15 +295,6 @@ class TestVerifyLegality:
             self.x = x
             self.revealed = revealed
 
-    def test_true_values_read_knots_and_interpolate_between(self):
-        from smoothgame.adversaries import Disclosure
-
-        truth = SampleSet([0.2, 0.6], [1.0, 3.0])
-        xs = [0.2, 0.3, 0.6, 0.0, 1.0, 0.45]
-        assert Disclosure([], truth).true_values(xs) == [eval_interpolant(truth, x) for x in xs]
-        with pytest.raises(ValueError):
-            Disclosure([], truth).true_values([1.5])
-
     def test_infeasible_truth_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
@@ -382,7 +372,7 @@ class TestRandomLiar:
             x = liar.next_query(t)
             reveals.append((x, liar.reveal(x, 0.0)))
         disc = liar.finalize()
-        truth = disc.true_values(x for x, _ in reveals)
-        lied = [abs(v - y) for v, (_, y), f in zip(truth, reveals, disc.lie_flags) if f]
+        truth = disc.truth_function()
+        lied = [abs(truth(x) - y) for (x, y), f in zip(reveals, disc.lie_flags) if f]
         assert len(lied) == disc.lie_count
         assert all(d == pytest.approx(0.75) for d in lied)

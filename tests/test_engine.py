@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 
 import pytest
 
@@ -22,7 +21,6 @@ from smoothgame.engine import (
     TrialRecord,
     Transcript,
     register_adversary,
-    register_learner,
     run_game,
     run_noisy_game,
     run_standard_game,
@@ -30,8 +28,7 @@ from smoothgame.engine import (
     total_error,
     write_outputs,
 )
-from smoothgame.interpolation import SampleSet, q_action
-from smoothgame.learners import LinintLearner
+from smoothgame.interpolation import SampleSet, action_increment, q_action
 
 
 class ScriptAdversary:
@@ -142,40 +139,41 @@ class TestRunningSup:
     may sit an ulp above a scan of the set; over these games it is never
     below the scan.
 
-    A learner registered here reads both owners' state each round when the
-    engine hands it the revelation, right after the engine's add: the
-    engine's revealed set and running action from its frame, and the
-    greedy adversary's truth set and running action from the adversary.
-    Nothing on the round path is patched.
+    Nothing on the round path is watched. The engine's side is its
+    transcript replayed through ``action_increment`` on a set of its own,
+    which is the engine's arithmetic in the engine's order. The greedy
+    adversary's side is a twin of the game's adversary, replayed with the
+    transcript's predictions, whose own truth set and running action are
+    read after each reveal.
     """
 
     REL_TOL = 4.5e-16
 
     @staticmethod
-    def _watch():
+    def _engine_side(tr, q):
         # (owner, running action after the add, scan of the grown set)
+        seen, revealed, running = [], SampleSet(), 0.0
+        for rec in tr.trials:
+            running += action_increment(revealed, rec.x, rec.revealed, q, running)
+            revealed.add(rec.x, rec.revealed)
+            seen.append(("engine", running, q_action(revealed, q)))
+        return seen
+
+    @staticmethod
+    def _adversary_side(tr, adversary, q):
         seen = []
-
-        class Watcher(LinintLearner):
-            def observe(self, x, y):
-                super().observe(x, y)
-                referee = sys._getframe(1).f_locals  # run_standard_game's loop
-                q = referee["config"].q
-                seen.append(("engine", referee["running_action"],
-                             q_action(referee["revealed"], q)))
-                adversary = referee["adversary"]
-                if isinstance(adversary, GreedyAdversary):
-                    seen.append(("adversary", adversary._action,
-                                 q_action(adversary.truth_set, q)))
-
-        register_learner("test-watch-sup", lambda c: Watcher())
+        for rec in tr.trials:
+            assert adversary.next_query(rec.t) == rec.x
+            assert adversary.reveal(rec.x, rec.prediction) == rec.revealed
+            seen.append(("adversary", adversary._action, q_action(adversary.truth_set, q)))
         return seen
 
     @pytest.mark.parametrize("policy", QUERY_POLICIES)
     def test_running_sup_tracks_the_scan(self, policy):
-        seen = self._watch()
-        run_standard_game(cfg(q=math.inf, rounds=300, seed=4, learner="test-watch-sup",
-                              adversary_options={"query_policy": policy}))
+        tr = run_standard_game(cfg(q=math.inf, rounds=300, seed=4,
+                                   adversary_options={"query_policy": policy}))
+        twin = GreedyAdversary(math.inf, GreedyConfig(query_policy=policy), seed=4)
+        seen = self._engine_side(tr, math.inf) + self._adversary_side(tr, twin, math.inf)
         assert {owner for owner, _, _ in seen} == {"engine", "adversary"}
         assert len(seen) == 2 * 300
         for _, running, scanned in seen:
@@ -186,10 +184,9 @@ class TestRunningSup:
         moves = ((0.09384515343330624, 0.1156618270926259 / 4),
                  (0.5706847858594991, -1.070544409695766 / 4),
                  (0.3209004331471949, -0.44917039442796297 / 4))
-        seen = self._watch()
         tr = run_standard_game(cfg(q=math.inf, rounds=3, adversary="test-script",
-                                   learner="test-watch-sup",
                                    adversary_options={"moves": moves}))
+        seen = self._engine_side(tr, math.inf)
         _, running, scanned = seen[-1]
         assert running == math.nextafter(scanned, math.inf)
         truth = SampleSet.from_pairs(moves)

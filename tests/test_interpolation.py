@@ -10,9 +10,6 @@ from smoothgame.interpolation import (
     DuplicateKnotError,
     SamplePoint,
     SampleSet,
-    _eval_at,
-    _increment_at,
-    _reply_bounds,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
@@ -443,11 +440,11 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-class TestPositionHelpers:
-    """Each position helper, given bisect_left(s.us, x), against its public function.
+class TestPositionMethods:
+    """Each position method, given bisect_left(s.us, x), against its public function.
 
     The public functions look x up, check their arguments and call the
-    helper; the game's players call the helpers with a position they found
+    method; the game's players call the methods with a position they found
     once. Both must give the same bits, errors included.
     """
 
@@ -476,7 +473,7 @@ class TestPositionHelpers:
         for s, xs in self.cases():
             for x in xs:
                 i = bisect_left(s.us, x)
-                assert _outcome(_eval_at, s, x, i) == _outcome(eval_interpolant, s, x)
+                assert _outcome(s.eval_at, i, x) == _outcome(eval_interpolant, s, x)
 
     def test_increment_at(self):
         for s, xs in self.cases():
@@ -488,13 +485,13 @@ class TestPositionHelpers:
                 for q in self.QS:
                     for y in (centre, centre + 0.3, centre - 1.0, 1e3, 1.0):
                         for base in (None, q_action(s, q)):
-                            assert (_outcome(_increment_at, s, x, i, y, q, base)
+                            assert (_outcome(s.increment_at, i, x, y, q, base)
                                     == _outcome(action_increment, s, x, y, q, base))
 
     def test_overflow_is_inf_on_both_paths(self):
         s = SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0])
         i = bisect_left(s.us, 5e-151)
-        assert _increment_at(s, 5e-151, i, 1.0, 3.0) == math.inf
+        assert s.increment_at(i, 5e-151, 1.0, 3.0) == math.inf
         assert action_increment(s, 5e-151, 1.0, 3.0) == math.inf
 
     def test_reply_bounds(self):
@@ -512,17 +509,26 @@ class TestPositionHelpers:
                     # below the action (an error), at it, and above it
                     for budget in (action - 1e-6, action, action + 1e-6, action + 0.5):
                         for base in (None, action):
-                            assert (_outcome(_reply_bounds, s, x, i, q, budget, base)
+                            assert (_outcome(s.reply_bounds, i, x, q, budget, base)
                                     == _outcome(public, s, x, q, budget, base))
+
+    def test_locate(self):
+        for s, xs in self.cases():
+            for x in xs:
+                if s.contains_u(x):
+                    with pytest.raises(DuplicateKnotError):
+                        s.locate(x)
+                else:
+                    assert s.locate(x) == bisect_left(s.us, x)
 
     def test_add_at_is_add(self):
         rng = np.random.default_rng(17)
         grown, reference = SampleSet(), SampleSet()
         for x, y in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(-1.0, 1.0, 200)):
-            grown._add_at(bisect_left(grown.us, x), float(x), float(y))
+            grown.add_at(grown.locate(float(x)), float(x), float(y))
             reference.add(float(x), float(y))
             assert grown == reference
         with pytest.raises(ValueError):
-            grown._add_at(0, 0.0, math.nan)
+            grown.add_at(0, 0.0, math.nan)
         with pytest.raises(ValueError):
-            grown._add_at(len(grown), 1.5, 0.0)
+            grown.add_at(len(grown), 1.5, 0.0)

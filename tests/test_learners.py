@@ -64,8 +64,8 @@ def _add_reference(s, x, y):
         pass
 
 
-class TestRememberedPosition:
-    """``predict`` remembers x's position; ``observe`` may use it only for that x."""
+class TestObserveAfterPredict:
+    """``observe`` grows the known set as ``SampleSet.add`` does, whichever x was predicted."""
 
     def test_observe_of_another_x_matches_a_fresh_lookup(self):
         rng = np.random.default_rng(21)
@@ -88,7 +88,7 @@ class TestRememberedPosition:
         lnr = LinintLearner()
         lnr.observe(0.5, 1.0)
         lnr.predict(0.2)
-        lnr.predict(0.8)  # its position (1) is not 0.2's (0)
+        lnr.predict(0.8)
         lnr.observe(0.2, -1.0)
         assert lnr.known == SampleSet([0.2, 0.5], [-1.0, 1.0])
 
@@ -96,7 +96,7 @@ class TestRememberedPosition:
         lnr = LinintLearner()
         lnr.observe(0.5, 1.0)
         lnr.predict(0.7)
-        lnr.observe(0.3, 2.0)  # grows the set before 0.7's position
+        lnr.observe(0.3, 2.0)  # grows the set below 0.7
         lnr.observe(0.7, 3.0)
         lnr.observe(0.7, 4.0)
         assert lnr.known == SampleSet([0.3, 0.5, 0.7], [2.0, 1.0, 3.0])
