@@ -124,12 +124,11 @@ def van_der_corput(i: int) -> float:
 class _QueryChooser:
     """Query selection for the greedy adversary.
 
-    ``choose`` is passed the adversary's truth set. The adversary answers
-    each query before it asks the next, so that set holds every query
-    returned so far and none is returned twice. The widest-gap heap starts
-    with the gap (0, 1) and splits gaps only at the midpoints it returns,
-    so every gap on it is free of knots. A ``sequence`` is read only by the
-    fixed-sequence policy, and any other policy rejects one.
+    ``choose`` is passed the adversary's truth set and returns an x that is
+    not a knot of it; every policy skips known x. The widest-gap heap starts
+    with the gap (0, 1) and splits each gap at its midpoint when popped,
+    whether or not that midpoint is already a knot. A ``sequence`` is read
+    only by the fixed-sequence policy, and any other policy rejects one.
     """
 
     def __init__(self, policy: str, rng: np.random.Generator, sequence=None):
@@ -145,31 +144,29 @@ class _QueryChooser:
         self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
 
     def choose(self, s: SampleSet) -> float:
-        if self.policy == "widest-gap-midpoint":
-            return self._widest_gap()
-        if self.policy == "uniform-random":
-            while True:
-                x = self.rng.random()
-                if not s.contains_u(x):
-                    return x
-        # fixed-sequence
         while True:
-            if self.sequence is not None:
-                if self._seq_pos >= len(self.sequence):
-                    raise ValueError("fixed query sequence exhausted")
-                x = float(self.sequence[self._seq_pos])
-                self._seq_pos += 1
-            else:
-                x = van_der_corput(self._vdc_pos)
-                self._vdc_pos += 1
+            x = self._candidate()
             if not s.contains_u(x):
                 return x
 
-    def _widest_gap(self) -> float:
-        _, a, b = heapq.heappop(self._gap_heap)
-        x = 0.5 * (a + b)
-        heapq.heappush(self._gap_heap, (-(x - a), a, x))
-        heapq.heappush(self._gap_heap, (-(b - x), x, b))
+    def _candidate(self) -> float:
+        if self.policy == "widest-gap-midpoint":
+            _, a, b = heapq.heappop(self._gap_heap)
+            x = 0.5 * (a + b)
+            heapq.heappush(self._gap_heap, (-(x - a), a, x))
+            heapq.heappush(self._gap_heap, (-(b - x), x, b))
+            return x
+        if self.policy == "uniform-random":
+            return self.rng.random()
+        # fixed-sequence
+        if self.sequence is not None:
+            if self._seq_pos >= len(self.sequence):
+                raise ValueError("fixed query sequence exhausted")
+            x = float(self.sequence[self._seq_pos])
+            self._seq_pos += 1
+            return x
+        x = van_der_corput(self._vdc_pos)
+        self._vdc_pos += 1
         return x
 
 

@@ -162,7 +162,7 @@ def register_adversary(name: str, factory: AdversaryFactory) -> None:
 register_learner("linint", lambda cfg: LinintLearner())
 register_learner(
     "staged",
-    lambda cfg: StagedLearner(eta=cfg.eta, p=cfg.p, **cfg.learner_opts()),
+    lambda cfg: StagedLearner(eta=cfg.eta, p=cfg.p, q=cfg.q, **cfg.learner_opts()),
 )
 
 

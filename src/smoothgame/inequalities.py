@@ -310,16 +310,15 @@ def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
         return scalar_gap(**params), lambda i: {k: float(v[i]) for k, v in params.items()}
 
     best, best_params, violations = _scan(budget - refine_budget, rng, draw)
-    # local refinement: shrink multiplicative perturbations around the minimum
+    # local refinement: shrink multiplicative perturbations around the minimum;
+    # a step's draws come in one call, row i for trial i, column j for key j
     center = dict(best_params)
     scale = 0.5
     done_ref = 0
     while done_ref < refine_budget:
         step = min(64, refine_budget - done_ref)
-        for _ in range(step):
-            trial = {
-                k: v * (1.0 + scale * rng.uniform(-1.0, 1.0)) for k, v in center.items()
-            }
+        for row in rng.uniform(-1.0, 1.0, size=(step, len(center))).tolist():
+            trial = {k: v * (1.0 + scale * d) for (k, v), d in zip(center.items(), row)}
             try:
                 g = scalar_gap(**trial)
             except ValueError:

@@ -69,21 +69,33 @@ class StagedLearner:
     center ``v`` (median of the initial revealed values) and predicts ``v``
     whenever the queried quarter-interval holds fewer than ``2*eta + 1``
     revelations this stage. Once an interval is full, its own median ``c``
-    confines the function to ``[c - 1/2, c + 1/2]`` and trials there are
-    *mimicked*: the inner learner predicts, clamped to that band. A stage
+    confines the function to the band ``[c - w, c + w]`` and trials there
+    are *mimicked*: the inner learner predicts, clamped to that band. A stage
     ends (all stores cleared, fresh inner learner) when a revealed value
     leaves the band, the inner learner's raw prediction leaves the band, or
     the perceived error of the stage's mimicked trials exceeds the
     threshold. Each event certifies at least one lie since the stage began,
     so a legal adversary can force at most ``eta`` restarts.
 
+    The half-width is ``w = max(1/2, (1/4)^(1 - 1/q))``. By Hoelder, f with
+    q-action at most 1 varies on a quarter interval I by at most
+    ``int_I |f'| <= |I|^(1 - 1/q) (int_I |f'|^q)^(1/q) <= (1/4)^(1 - 1/q)``,
+    and the median of ``2*eta + 1`` values, at most ``eta`` of them false,
+    falls between two true values, so the band holds f on I. That bound
+    is 1/2 at q = 2 and below it for q > 2, where the band stays at 1/2;
+    it exceeds 1/2 for q < 2.
+
     The unit threshold is certified for p >= 2 with an action exponent
-    >= 2; other exponents require an explicit experimental threshold.
+    q >= 2; other p require an explicit experimental threshold. At q < 2
+    the learner runs with the widened band, but no bound on its totals is
+    certified there.
     """
 
-    def __init__(self, eta: int, p: float, threshold: float | None = None):
+    def __init__(self, eta: int, p: float, threshold: float | None = None, *, q: float = 2.0):
         if eta < 1:
             raise ValueError("eta must be >= 1")
+        if not q >= 1.0:
+            raise ValueError(f"q={q} must be >= 1")
         if threshold is None:
             if p < 2.0:
                 raise ValueError(
@@ -96,10 +108,11 @@ class StagedLearner:
         self.eta = eta
         self.p = p
         self.threshold = threshold
+        self.half_width = max(0.5, 0.25 ** (1.0 - 1.0 / q))
         self.initial_values: list[float] = []
         self.global_center: float | None = None
         self.stores: list[list[tuple[float, float]]] = [[], [], [], []]
-        self.centers: list[float | None] = [None, None, None, None]
+        self.bands: list[tuple[float, float] | None] = [None, None, None, None]
         self.inner = LinintLearner()
         self.stage_resets = 0
         self.perceived_error_sum = 0.0
@@ -131,9 +144,9 @@ class StagedLearner:
         if len(self.stores[j]) < self._fill:
             self._last = (x, j, False, 0.0)
             return self.global_center, False
-        c = self.centers[j]
+        lo, hi = self.bands[j]
         raw = self.inner.predict(x)
-        emitted = min(max(raw, c - 0.5), c + 0.5)  # band clamp; raw kept for events
+        emitted = min(max(raw, lo), hi)  # band clamp; raw kept for events
         self._last = (x, j, True, raw)
         return emitted, True
 
@@ -146,15 +159,16 @@ class StagedLearner:
         _, j, mimicked, raw = self._last
         self._last = None
         self.stores[j].append((x, y))
-        if self.centers[j] is None and len(self.stores[j]) == self._fill:
-            self.centers[j] = median_center([v for _, v in self.stores[j]], self.eta)
+        if self.bands[j] is None and len(self.stores[j]) == self._fill:
+            c = median_center([v for _, v in self.stores[j]], self.eta)
+            self.bands[j] = (c - self.half_width, c + self.half_width)
         self.inner.observe(x, y)
         if not mimicked:
             return False
-        c = self.centers[j]
+        lo, hi = self.bands[j]
         self.perceived_error_sum += abs(raw - y) ** self.p
-        revealed_out = not (c - 0.5 <= y <= c + 0.5)
-        inner_out = not (c - 0.5 <= raw <= c + 0.5)
+        revealed_out = not (lo <= y <= hi)
+        inner_out = not (lo <= raw <= hi)
         budget_blown = self.perceived_error_sum > self.threshold
         if revealed_out or inner_out or budget_blown:
             self._reset_stage()
@@ -163,7 +177,7 @@ class StagedLearner:
 
     def _reset_stage(self) -> None:
         self.stores = [[], [], [], []]
-        self.centers = [None, None, None, None]
+        self.bands = [None, None, None, None]
         self.inner = LinintLearner()
         self.perceived_error_sum = 0.0
         self.stage_resets += 1

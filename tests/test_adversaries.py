@@ -164,6 +164,14 @@ class TestRevealPosition:
         with pytest.raises(DuplicateKnotError):
             adv.reveal(0.5, 0.0)
 
+    def test_widest_gap_skips_a_known_midpoint(self):
+        adv = GreedyAdversary(2.0, GreedyConfig(), seed=5)
+        adv.reveal(0.5, 0.0)
+        x = adv.next_query(1)
+        assert x == 0.25
+        adv.reveal(x, 0.0)
+        assert adv.truth_set.us == [0.25, 0.5]
+
     def test_invalid_q_rejected_at_construction(self):
         with pytest.raises(ValueError):
             GreedyAdversary(0.5)

@@ -39,6 +39,18 @@ class TestSimulate:
         assert summary["legality"] is True
         assert summary["lie_count"] == 2
 
+    def test_staged_below_q2(self, tmp_path):
+        # with the band held at 1/2 this game reset 3 times and exited 4
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 1.5, "eta": 1, "rounds": 2000,
+            "learner": "staged", "adversary": "random-liar", "seed": 90,
+        })
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", str(out)) == 0
+        summary = json.loads((out / "game_summary.json").read_text())
+        assert summary["legality"] is True
+        assert summary["stage_count"] <= 1
+
     def test_short_disclosure_exit_2(self, tmp_path):
         from smoothgame.adversaries import Disclosure, GreedyConfig, RandomLiarAdversary
         from smoothgame.engine import register_adversary

@@ -247,6 +247,16 @@ class TestNoisyGame:
         with pytest.raises(ValueError):
             run_noisy_game(cfg(eta=0))
 
+    @pytest.mark.parametrize("q", [1.2, 1.5])
+    def test_liars_below_q2_force_at_most_eta_stages(self, q):
+        # with the band held at 1/2, 16 (q = 1.2) and 5 (q = 1.5) of these 50
+        # games reset more than eta times, which run_noisy_game raises on
+        for seed in range(50):
+            tr = run_noisy_game(cfg(p=2.0, q=q, eta=1, rounds=2000, learner="staged",
+                                    adversary="random-liar", seed=seed))
+            assert tr.legality is True, seed
+            assert tr.stage_count <= 1, seed
+
 
 class TestDeterminism:
     def test_identical_configs_identical_csv(self):

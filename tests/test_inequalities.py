@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from search_reference import one_draw_search
 
 from smoothgame import inequalities
 from smoothgame.inequalities import (
@@ -290,6 +291,37 @@ class TestSearch:
         d = rep.to_dict()
         assert d["gap_id"] == "two_variable"
         assert set(d) >= {"min_gap", "violations", "argmin", "ok"}
+
+
+# below 4 no refinement runs; 5 and 7 refine one short step; 500 and 1000
+# end on a step shorter than 64 (125 = 64 + 61, 250 = 3 * 64 + 58)
+_BLOCK_BUDGETS = (1, 3, 5, 7, 500, 1000)
+# (entropy, budget) over 30 seeds; the last case is one where two_variable's
+# refinement lowers the minimum, which its small budgets never do
+_BLOCK_CASES = [([seed, b], b) for seed in range(30) for b in _BLOCK_BUDGETS] + [(0, 10_000)]
+
+
+class TestBlockDraws:
+    """Each refinement step's draws in one call, against one call per parameter."""
+
+    @pytest.mark.parametrize("gap_id", ["out", "in", "two_variable"])
+    def test_reports_and_generator_equal_the_reference(self, gap_id):
+        totals = {"improved": 0, "raised": 0}
+        for entropy, budget in _BLOCK_CASES:
+            rng = np.random.default_rng(entropy)
+            ref_rng = np.random.default_rng(entropy)
+            rep = inequalities._search_scalar(gap_id, budget, rng)
+            ref, stats = one_draw_search(gap_id, budget, ref_rng)
+            assert rep == ref, entropy
+            assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+            assert all(type(v) is float for v in rep.argmin.values())
+            assert rng.random() == ref_rng.random(), entropy
+            for k in totals:
+                totals[k] += stats[k]
+        # trials that moved the centre mid-step ran, and so did trials that
+        # left the domain and still used up their row
+        assert totals["improved"] > 0
+        assert totals["raised"] > 0
 
 
 class TestFeasibleGenerators:

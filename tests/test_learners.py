@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from smoothgame.adversaries import GreedyAdversary, GreedyConfig
+from smoothgame.engine import GameConfig, build_players
 from smoothgame.interpolation import DuplicateKnotError, SampleSet, eval_interpolant
 from smoothgame.learners import (
     LinintLearner,
@@ -207,7 +210,7 @@ class TestStagedPrediction:
         assert mimicked
         # interval center is 2.0; inner interpolates within the band
         assert 1.5 <= yhat <= 2.5
-        assert lnr.centers[1] == 2.0
+        assert lnr.bands[1] == (1.5, 2.5)
 
     def test_clamped_prediction_stays_in_band(self):
         lnr = make_learner(eta=1)
@@ -218,8 +221,53 @@ class TestStagedPrediction:
             lnr.staged_observe(x, y)
         # interval center 0.45; inner predicts its hull, already in band
         yhat, mimicked = lnr.staged_predict(0.33)
-        c = lnr.centers[1]
-        assert mimicked and c - 0.5 <= yhat <= c + 0.5
+        lo, hi = lnr.bands[1]
+        assert mimicked and lo <= yhat <= hi
+
+
+class TestStagedBand:
+    @pytest.mark.parametrize("q, w", [
+        (2.0, 0.5), (3.0, 0.5), (math.inf, 0.5),
+        (1.5, 0.25 ** (1.0 / 3.0)), (1.2, 0.25 ** (1.0 / 6.0)), (1.0, 1.0),
+    ])
+    def test_half_width(self, q, w):
+        assert StagedLearner(eta=1, p=2.0, q=q).half_width == pytest.approx(w, rel=1e-15)
+
+    def test_default_q_is_2(self):
+        assert make_learner().half_width == 0.5
+
+    def test_q_below_1_rejected(self):
+        with pytest.raises(ValueError):
+            StagedLearner(eta=1, p=2.0, q=0.5)
+
+    def test_engine_passes_q(self):
+        config = GameConfig.make(p=2.0, q=1.5, eta=1, rounds=10, learner="staged",
+                                 adversary="random-liar")
+        learner, _ = build_players(config)
+        assert learner.half_width == 0.25 ** (1.0 - 1.0 / 1.5)
+
+    def test_band_fixed_with_the_center(self):
+        lnr = StagedLearner(eta=1, p=2.0, q=1.5)
+        feed_initial(lnr, [2.0, 2.0, 2.0])
+        for x, y in [(0.3, 2.0), (0.31, 2.1)]:
+            lnr.staged_predict(x)
+            lnr.staged_observe(x, y)
+        assert lnr.bands[1] is None
+        lnr.staged_predict(0.32)
+        lnr.staged_observe(0.32, 1.9)
+        assert lnr.bands[1] == (2.0 - lnr.half_width, 2.0 + lnr.half_width)
+
+    @pytest.mark.parametrize("q, resets", [(2.0, True), (1.5, False)])
+    def test_widened_band_keeps_a_true_value(self, q, resets):
+        # 0.55 above the centre is within (1/4)^(1/3) = 0.63 but not 1/2
+        lnr = StagedLearner(eta=1, p=2.0, q=q)
+        feed_initial(lnr, [2.0, 2.0, 2.0])
+        for x, y in [(0.3, 2.0), (0.31, 2.0), (0.32, 2.0)]:
+            lnr.staged_predict(x)
+            lnr.staged_observe(x, y)
+        assert lnr.staged_predict(0.33) == (2.0, True)
+        assert lnr.staged_observe(0.33, 2.55) is resets
+        assert (lnr.bands[1] is None) is resets
 
 
 class TestStagedEvents:
@@ -237,7 +285,7 @@ class TestStagedEvents:
         assert reset
         assert lnr.stage_resets == 1
         assert lnr.stores == [[], [], [], []]
-        assert lnr.centers == [None, None, None, None]
+        assert lnr.bands == [None, None, None, None]
         # immediately after a reset the prediction is the global center
         yhat, mimicked = lnr.staged_predict(0.35)
         assert (yhat, mimicked) == (2.0, False)
@@ -254,11 +302,11 @@ class TestStagedEvents:
             if any(x == u for u, _ in lnr.stores[1]):
                 continue
             yhat, mimicked = lnr.staged_predict(x)
-            c = lnr.centers[1]
             if not mimicked:
                 lnr.staged_observe(x, 0.0)
                 continue
-            y = c + 0.49 if (k % 2 == 0) else c - 0.49
+            lo, hi = lnr.bands[1]
+            y = hi - 0.01 if (k % 2 == 0) else lo + 0.01
             if lnr.staged_observe(x, y):
                 resets += 1
                 break
