@@ -17,8 +17,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-# bench/layertrace.py patches action_increment under this module's name;
-# GreedyAdversary.reveal calls SampleSet.increment_at
+# bench/layertrace.py patches action_increment and feasible_reply_interval under
+# this module's name; GreedyAdversary.reveal calls the SampleSet methods instead
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
     SampleSet,
@@ -80,27 +80,8 @@ class Adversary(Protocol):
     def finalize(self) -> Disclosure: ...
 
 
-def greedy_reveal(
-    s: SampleSet,
-    x: float,
-    prediction: float,
-    q: float,
-    cfg: GreedyConfig,
-    base_action: float | None = None,
-) -> float:
-    """Feasible reply maximizing |y - prediction| under the action budget.
-
-    With no knowledge yet the interval is unbounded and the reply is 0 by
-    convention: the opening error is never counted, and anchoring at 0
-    costs the adversary nothing. ``base_action`` may pass a running action
-    total to avoid an O(m) recomputation per trial.
-    """
-    box = feasible_reply_interval(s, x, q, cfg.budget, base_action=base_action)
-    return _farther_end(box.lo, box.hi, prediction, cfg.tie_break)
-
-
 def _farther_end(lo: float, hi: float, prediction: float, tie_break: str) -> float:
-    # greedy_reveal's reply rule on the feasible interval [lo, hi]
+    # the end of [lo, hi] farther from the prediction, or 0 if [lo, hi] is unbounded
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return 0.0
     d_lo = abs(lo - prediction)

@@ -190,13 +190,8 @@ class BernsteinPolynomial:
             return BernsteinPolynomial([0.0])
         return BernsteinPolynomial(n * np.diff(self.coeffs))
 
-    def antiderivative(self, constant: float = 0.0) -> "BernsteinPolynomial":
-        n = self.degree
-        c = np.concatenate(([0.0], np.cumsum(self.coeffs))) / (n + 1)
-        return BernsteinPolynomial(c + constant)
-
     def elevated(self, target_degree: int) -> "BernsteinPolynomial":
-        """Same polynomial written at a higher degree (exact)."""
+        """Exact degree elevation; it stays only because bench/layertrace.py patches it."""
         n = self.degree
         r = target_degree - n
         if r < 0:
@@ -230,18 +225,6 @@ class BernsteinPolynomial:
     def to_power_coeffs(self) -> np.ndarray:
         """Monomial coefficients rounded to float; see ``to_power_exact``."""
         return np.array([float(v) for v in self.to_power_exact()])
-
-    @classmethod
-    def from_power_coeffs(cls, a) -> "BernsteinPolynomial":
-        az = [v if isinstance(v, Fraction) else Fraction(float(v)) for v in a]
-        n = len(az) - 1
-        c = []
-        for k in range(n + 1):
-            total = Fraction(0)
-            for j in range(k + 1):
-                total += az[j] * Fraction(math.comb(k, j), math.comb(n, j))
-            c.append(float(total))
-        return cls(c)
 
     def __repr__(self) -> str:
         return f"BernsteinPolynomial(degree={self.degree})"

@@ -18,10 +18,12 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import pathlib
 import sys
 
 from . import __version__
+from .adversaries import QUERY_POLICIES
 from .engine import (
     GameConfig,
     IllegalAdversaryError,
@@ -185,8 +187,14 @@ def cmd_sweep_epsilon(args) -> int:
     })
     rounds = _whole("rounds", spec["rounds"], 1)
     seeds = [_whole("seeds", sd, 0) for sd in spec["seeds"]]
+    for e in spec["epsilons"]:
+        if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0.0 < e < math.inf:
+            raise ConfigError(f"epsilons must be finite numbers > 0, got {e!r}")
+    for pol in spec["policies"]:
+        if pol not in QUERY_POLICIES:
+            raise ConfigError(f"policies must be among {QUERY_POLICIES}, got {pol!r}")
     cells = sorted(
-        (float(e), str(pol), sd, rounds)
+        (float(e), pol, sd, rounds)
         for e in spec["epsilons"] for pol in spec["policies"] for sd in seeds
     )
     rows = _run_cells(_epsilon_cell, cells, args.workers)
@@ -234,6 +242,10 @@ def cmd_sweep_eta(args) -> int:
         "rounds": 500,
         "liar_seeds": 5,
     })
+    try:  # every cell's GameConfig checks p and q; check them before any cell runs
+        GameConfig(p=spec["p"], q=spec["q"], rounds=1, learner="linint", adversary="greedy")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if spec["p"] < 2.0 or spec["q"] < 2.0:
         raise ConfigError("eta sweeps are certified for p, q >= 2")
     rounds = _whole("rounds", spec["rounds"], 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -69,6 +70,11 @@ class GameConfig:
             raise ValueError("rounds must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        for key, value in (("p", self.p), ("q", self.q)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be in [1, inf), got {self.p!r}")
         _check_q(self.q)
         if self.duplicate_policy not in ("reject", "answer-known"):
             raise ValueError(f"unknown duplicate policy {self.duplicate_policy!r}")

@@ -264,11 +264,11 @@ def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
         x = float(rng.uniform())
         if s.contains_u(x):
             continue
-        box = feasible_reply_interval(s, x, 1.0, 1.0)
+        lo, hi = feasible_reply_interval(s, x, 1.0, 1.0)
         frac = rng.uniform()
         if rng.uniform() < 0.3:
             frac = float(rng.integers(0, 2))  # hit an endpoint
-        y = box.lo + (box.hi - box.lo) * frac
+        y = lo + (hi - lo) * frac
         pts.append(SamplePoint(x, y))
         s.add(x, y)
     return pts

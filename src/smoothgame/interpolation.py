@@ -377,32 +377,24 @@ def h_potential(s: SampleSet, p: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """Closed interval of replies y compatible with the action budget."""
-
-    lo: float
-    hi: float
-
-
 def feasible_reply_interval(
     s: SampleSet,
     x: float,
     q: float,
     budget: float,
     base_action: float | None = None,
-) -> FeasibleInterval:
+) -> tuple[float, float]:
     """All y such that inserting (x, y) keeps the q-action within ``budget``.
 
     The action is convex in y with minimum 0 at the interpolant value, so
     the feasible set is a closed interval; endpoints are found in closed
     form for q = 1, 2 and inf, and otherwise by a bracketed root search
     (``_bisect_boundary``) to an absolute bracket width of 1e-12 that
-    returns the bracket's feasible end. The empty set yields an unbounded
-    interval.
+    returns the bracket's feasible end. The result is (lo, hi), and
+    (-inf, inf) for the empty set.
     """
     _check_q(q)
-    return FeasibleInterval(*s.reply_bounds(s.locate(x), x, q, budget, base_action))
+    return s.reply_bounds(s.locate(x), x, q, budget, base_action)
 
 
 def _bisect_boundary(overshoot, center: float, direction: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
-from .interpolation import DuplicateKnotError, SampleSet, eval_interpolant
+from .interpolation import DuplicateKnotError, SampleSet, _check_q, eval_interpolant
 
 
 class Learner(Protocol):
@@ -94,8 +94,7 @@ class StagedLearner:
     def __init__(self, eta: int, p: float, threshold: float | None = None, *, q: float = 2.0):
         if eta < 1:
             raise ValueError("eta must be >= 1")
-        if not q >= 1.0:
-            raise ValueError(f"q={q} must be >= 1")
+        _check_q(q)
         if threshold is None:
             if p < 2.0:
                 raise ValueError(

@@ -82,7 +82,6 @@ class SmoothedDerivative:
         if us[-1] < 1.0:
             xs.append(1.0)
             ys.append(d[-1])
-        self.slopes = d
         self.xs = np.asarray(xs)
         self.ys = np.asarray(ys)
         self._prefix = np.concatenate(

@@ -229,7 +229,7 @@ def test_criterion_7_polynomial_pipeline():
     # analytic anchors for the quadrature oracle
     from smoothgame.bernstein import BernsteinPolynomial
 
-    sq = BernsteinPolynomial.from_power_coeffs([0.0, 0.0, 1.0])
+    sq = BernsteinPolynomial([0.0, 0.0, 1.0])  # x^2
     assert q_action_poly(sq, 2) == pytest.approx(4.0 / 3.0, abs=1e-9)
     assert composite_rule_action(sq, 2) == pytest.approx(4.0 / 3.0, rel=1e-9)
     elapsed = time.monotonic() - t0

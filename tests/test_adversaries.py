@@ -10,13 +10,14 @@ from smoothgame.adversaries import (
     InsufficientInitAdversary,
     NoisyLowerBoundAdversary,
     RandomLiarAdversary,
-    greedy_reveal,
+    _farther_end,
     van_der_corput,
 )
 from smoothgame.interpolation import (
     DuplicateKnotError,
     SampleSet,
     action_increment,
+    feasible_reply_interval,
     q_action,
 )
 
@@ -28,22 +29,35 @@ def S(*pairs):
     return SampleSet.from_pairs(pairs)
 
 
+def fresh_reply(s, x, prediction, q, cfg, base_action=None):
+    """The greedy reply at x, with x looked up in ``s`` afresh."""
+    lo, hi = feasible_reply_interval(s, x, q, cfg.budget, base_action)
+    return _farther_end(lo, hi, prediction, cfg.tie_break)
+
+
+def reply_after_origin(x, prediction, cfg=GreedyConfig()):
+    """The q = 2 greedy adversary's reply at x once it has revealed (0, 0)."""
+    adv = GreedyAdversary(2.0, cfg)
+    assert adv.reveal(0.0, 0.0) == 0.0
+    return adv.reveal(x, prediction)
+
+
 class TestGreedyReveal:
     def test_picks_farther_endpoint(self):
-        y = greedy_reveal(S((0, 0)), 1.0, 0.2, 2.0, GreedyConfig())
+        y = reply_after_origin(1.0, 0.2)
         assert y == pytest.approx(-1.0, abs=1e-9)
 
     def test_tie_breaks_lower(self):
-        y = greedy_reveal(S((0, 0)), 0.25, 0.0, 2.0, GreedyConfig())
+        y = reply_after_origin(0.25, 0.0)
         assert y == pytest.approx(-0.5, abs=1e-9)
 
     def test_tie_breaks_upper_when_asked(self):
-        cfg = GreedyConfig(tie_break="upper")
-        y = greedy_reveal(S((0, 0)), 0.25, 0.0, 2.0, cfg)
+        y = reply_after_origin(0.25, 0.0, GreedyConfig(tie_break="upper"))
         assert y == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_set_reveals_zero(self):
-        assert greedy_reveal(SampleSet(), 0.5, 0.0, 2.0, GreedyConfig()) == 0.0
+        assert GreedyAdversary(2.0).reveal(0.5, 0.0) == 0.0
+        assert fresh_reply(SampleSet(), 0.5, 0.0, 2.0, GreedyConfig()) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -107,13 +121,13 @@ class TestRevealPosition:
     """``reveal`` finds x once and serves the interval, increment and insert from it.
 
     Each reply, running action and truth set must equal a reference grown
-    with the public functions, which look x up afresh every time.
+    with the module-level functions, which look x up afresh every time.
     """
 
     @staticmethod
     def _reference_reveal(ref, x, prediction, q, cfg):
         s, action = ref
-        y = greedy_reveal(s, x, prediction, q, cfg, action)
+        y = fresh_reply(s, x, prediction, q, cfg, action)
         ref[1] = action + action_increment(s, x, y, q, action)
         s.add(x, y)
         return y
@@ -351,7 +365,7 @@ class TestRandomLiar:
         for t in range(50):
             x = liar.next_query(t)
             assert x == draws[t]
-            want = greedy_reveal(liar.truth_set, x, 0.2, 2.0, RANDOM_QUERIES)
+            want = fresh_reply(liar.truth_set, x, 0.2, 2.0, RANDOM_QUERIES)
             assert liar.reveal(x, 0.2) == want
         assert liar.finalize().lie_count == 0
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -108,6 +109,21 @@ class TestSimulate:
         })
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"p": "a"}, {"p": None}, {"p": -1}, {"p": 0.5}, {"p": math.nan}, {"p": True},
+        {"p": math.inf}, {"q": True}, {"q": "a"}, {"q": None}, {"q": math.nan},
+    ])
+    def test_bad_p_or_q_exit_1(self, tmp_path, capsys, bad):
+        # "a" and null were TypeErrors mid-run, -1 a ZeroDivisionError; 0.5,
+        # NaN and true ran to a meaningless total, and q = true ran as q = 1
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 20, "learner": "linint", "adversary": "greedy", **bad,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {next(iter(bad))}") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("policy", [None, "widest-gap-midpoint", "uniform-random"])
@@ -254,6 +270,9 @@ class TestSweeps:
     @pytest.mark.parametrize("bad", [
         {"rounds": 150.5}, {"rounds": True}, {"rounds": 0}, {"seeds": [0.5]},
         {"seeds": [-1]}, {"seeds": 3},
+        # each of these used to fail inside a cell, with a traceback
+        {"epsilons": [0]}, {"epsilons": [-0.5]}, {"epsilons": ["x"]}, {"epsilons": [math.inf]},
+        {"epsilons": [True]}, {"policies": ["nope"]},
     ])
     def test_epsilon_sweep_rejects_bad_counts_exit_1(self, tmp_path, capsys, bad):
         cfg = write(tmp_path / "c.json", {
@@ -262,18 +281,22 @@ class TestSweeps:
         })
         out = tmp_path / "out"
         assert run("sweep-epsilon", "--config", cfg, "--out", str(out)) == 1
-        assert f"config error: {next(iter(bad))} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {next(iter(bad))} ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
         {"etas": [1.5]}, {"etas": [True]}, {"etas": [-1]}, {"etas": 1}, {"rounds": "120"},
         {"liar_seeds": 2.7}, {"liar_seeds": False}, {"liar_seeds": 0},
+        # these were TypeErrors from the p, q >= 2 test, or failed inside a cell
+        {"p": "a"}, {"q": None}, {"p": math.nan}, {"p": math.inf},
     ])
     def test_eta_sweep_rejects_bad_counts_exit_1(self, tmp_path, capsys, bad):
         cfg = write(tmp_path / "c.json", {"etas": [1], "rounds": 20, "liar_seeds": 1, **bad})
         out = tmp_path / "out"
         assert run("sweep-eta", "--config", cfg, "--out", str(out)) == 1
-        assert f"config error: {next(iter(bad))} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {next(iter(bad))} ") and "Traceback" not in err
         assert not out.exists()
 
     def test_integral_float_counts_pass(self, tmp_path):

@@ -440,14 +440,14 @@ class TestLockstepSequences:
             points = [SamplePoint(u, v) for u, v in zip(arg["us"], arg["vs"])]
             s = SampleSet([points[0].u], [points[0].v])
             for pt in points[1:]:
-                box = feasible_reply_interval(s, pt.u, 1.0, 1.0)
-                tol = 1e-12 * (1.0 + abs(box.lo) + abs(box.hi))
-                assert box.lo - tol <= pt.v <= box.hi + tol, (k, pt, box)
+                lo, hi = feasible_reply_interval(s, pt.u, 1.0, 1.0)
+                tol = 1e-12 * (1.0 + abs(lo) + abs(hi))
+                assert lo - tol <= pt.v <= hi + tol, (k, pt, lo, hi)
                 seen.add("interior" if s.us[0] < pt.u < s.us[-1] else "outside")
                 # an end hit counts only where the interval has room for others
-                if box.hi - box.lo > 2 * tol and abs(pt.v - box.lo) <= tol:
+                if hi - lo > 2 * tol and abs(pt.v - lo) <= tol:
                     seen.add("low end")
-                if box.hi - box.lo > 2 * tol and abs(pt.v - box.hi) <= tol:
+                if hi - lo > 2 * tol and abs(pt.v - hi) <= tol:
                     seen.add("high end")
                 s.add(pt.u, pt.v)
             # re-checks every prefix's 1-action against 1 + ACTION_TOL

@@ -306,18 +306,18 @@ class TestHPotential:
 
 class TestFeasibleInterval:
     def test_far_point_unit_budget(self):
-        box = feasible_reply_interval(S((0, 0)), 1.0, 2, 1.0)
-        assert box.lo == pytest.approx(-1.0, abs=1e-9)
-        assert box.hi == pytest.approx(1.0, abs=1e-9)
+        lo, hi = feasible_reply_interval(S((0, 0)), 1.0, 2, 1.0)
+        assert lo == pytest.approx(-1.0, abs=1e-9)
+        assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_near_point_unit_budget(self):
-        box = feasible_reply_interval(S((0, 0)), 0.25, 2, 1.0)
-        assert box.lo == pytest.approx(-0.5, abs=1e-9)
-        assert box.hi == pytest.approx(0.5, abs=1e-9)
+        lo, hi = feasible_reply_interval(S((0, 0)), 0.25, 2, 1.0)
+        assert lo == pytest.approx(-0.5, abs=1e-9)
+        assert hi == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_set_unbounded(self):
-        box = feasible_reply_interval(SampleSet(), 0.5, 2, 1.0)
-        assert (box.lo, box.hi) == (-math.inf, math.inf)
+        lo, hi = feasible_reply_interval(SampleSet(), 0.5, 2, 1.0)
+        assert (lo, hi) == (-math.inf, math.inf)
 
     def test_endpoints_exhaust_budget(self):
         rng = np.random.default_rng(7)
@@ -332,33 +332,32 @@ class TestFeasibleInterval:
             if s.contains_u(x):
                 continue
             base = q_action(s, q)
-            box = feasible_reply_interval(s, x, q, budget, base_action=base)
-            for y in (box.lo, box.hi):
+            lo, hi = feasible_reply_interval(s, x, q, budget, base_action=base)
+            for y in (lo, hi):
                 total = base + action_increment(s, x, y, q)
                 assert abs(total - budget) <= 1e-9
-            mid = 0.5 * (box.lo + box.hi)
+            mid = 0.5 * (lo + hi)
             assert base + action_increment(s, x, mid, q) < budget
 
     def test_bisection_agrees_with_closed_form(self):
         # force the generic path at q=2 by perturbing q slightly
         s = S((0.2, 0.1), (0.7, -0.2))
-        box_exact = feasible_reply_interval(s, 0.4, 2.0, 1.0)
-        box_generic = feasible_reply_interval(s, 0.4, 2.0 + 1e-12, 1.0)
-        assert box_generic.lo == pytest.approx(box_exact.lo, abs=1e-6)
-        assert box_generic.hi == pytest.approx(box_exact.hi, abs=1e-6)
+        exact = feasible_reply_interval(s, 0.4, 2.0, 1.0)
+        generic = feasible_reply_interval(s, 0.4, 2.0 + 1e-12, 1.0)
+        assert generic == pytest.approx(exact, abs=1e-6)
 
     def test_sup_norm_interval(self):
-        box = feasible_reply_interval(S((0, 0), (1, 0)), 0.5, math.inf, 1.0)
-        assert box.lo == pytest.approx(-0.5)
-        assert box.hi == pytest.approx(0.5)
+        lo, hi = feasible_reply_interval(S((0, 0), (1, 0)), 0.5, math.inf, 1.0)
+        assert lo == pytest.approx(-0.5)
+        assert hi == pytest.approx(0.5)
 
     def test_sup_norm_zero_slack_is_not_inverted(self):
         # the neighbours' bounds v -/+ budget * gap round apart at zero
         # slack; the only feasible reply is then the interpolant value
         s = S((1 / 512, 0.0), (67 / 512, 0.625))
         x = 1.5 / 512
-        box = feasible_reply_interval(s, x, math.inf, q_action(s, math.inf))
-        assert box.lo == box.hi == eval_interpolant(s, x)
+        lo, hi = feasible_reply_interval(s, x, math.inf, q_action(s, math.inf))
+        assert lo == hi == eval_interpolant(s, x)
 
     def test_budget_below_action_errors(self):
         with pytest.raises(ValueError):
@@ -413,22 +412,22 @@ class TestEndpointSolver:
             center = eval_interpolant(s, x)
             for slack in (1e-6, 1e-3, 0.3):
                 budget = base + slack
-                box = feasible_reply_interval(s, x, q, budget, base_action=base)
+                lo, hi = feasible_reply_interval(s, x, q, budget, base_action=base)
                 spare = max(budget - base, 0.0)
 
                 def overshoot(y):
                     return action_increment(s, x, y, q) - spare
 
-                assert abs(box.lo - _reference_boundary(overshoot, center, -1.0)) <= 1e-12
-                assert abs(box.hi - _reference_boundary(overshoot, center, +1.0)) <= 1e-12
-                for y in (box.lo, box.hi):
+                assert abs(lo - _reference_boundary(overshoot, center, -1.0)) <= 1e-12
+                assert abs(hi - _reference_boundary(overshoot, center, +1.0)) <= 1e-12
+                for y in (lo, hi):
                     assert not base + action_increment(s, x, y, q) > budget
 
     def test_zero_slack_returns_center(self, solves):
         for s, x, q, base in solves:
-            box = feasible_reply_interval(s, x, q, base, base_action=base)
+            lo, hi = feasible_reply_interval(s, x, q, base, base_action=base)
             center = eval_interpolant(s, x)
-            assert (box.lo, box.hi) == (center, center)
+            assert (lo, hi) == (center, center)
 
 
 def _outcome(fn, *args):
@@ -496,8 +495,7 @@ class TestPositionMethods:
 
     def test_reply_bounds(self):
         def public(s, x, q, budget, base):
-            box = feasible_reply_interval(s, x, q, budget, base)
-            return box.lo, box.hi
+            return feasible_reply_interval(s, x, q, budget, base)
 
         for s, xs in self.cases():
             for x in xs:

@@ -72,8 +72,7 @@ def test_generic_solver_matches_q2_closed_form(inputs, q):
     exact = feasible_reply_interval(s, x, 2.0, q_action(s, 2.0) + slack)
     base = q_action(s, q)
     generic = feasible_reply_interval(s, x, q, base + slack, base_action=base)
-    assert generic.lo == pytest.approx(exact.lo, abs=1e-10)
-    assert generic.hi == pytest.approx(exact.hi, abs=1e-10)
+    assert generic == pytest.approx(exact, abs=1e-10)
 
 
 @st.composite
@@ -104,9 +103,9 @@ def _check_closed_form_endpoints(inputs, q):
     budget = base + slack
     scale = max(1.0, budget)
     spare = budget - base
-    box = feasible_reply_interval(s, x, q, budget)
-    assert box.lo <= box.hi
-    for y, outward in ((box.lo, -1.0), (box.hi, +1.0)):
+    lo, hi = feasible_reply_interval(s, x, q, budget)
+    assert lo <= hi
+    for y, outward in ((lo, -1.0), (hi, +1.0)):
         assert action_increment(s, x, y, q) <= spare + ENDPOINT_TOL * scale
         assert action_increment(s, x, y + outward * STEP * scale, q) > spare
 
@@ -264,9 +263,9 @@ def test_one_lookup_paths_match_the_multi_lookup_reference(inputs, y, slack, q):
     if s.us and not s.contains_u(x):
         # at zero slack the q = 2 interval is its centre alone
         centre = feasible_reply_interval(s, x, 2.0, 0.0, base_action=0.0)
-        assert (centre.lo, centre.hi) == (eval_interpolant(s, x),) * 2
-        box = feasible_reply_interval(s, x, 2.0, slack, base_action=0.0)
-        assert (box.lo, box.hi) == _reference_q2_interval(s, x, slack)
+        assert centre == (eval_interpolant(s, x),) * 2
+        lo, hi = feasible_reply_interval(s, x, 2.0, slack, base_action=0.0)
+        assert (lo, hi) == _reference_q2_interval(s, x, slack)
     elif s.us:
         assert _outcome(feasible_reply_interval, s, x, 2.0, 1.0) is DuplicateKnotError
     assert _outcome(action_increment, s, x, y, q) == _outcome(_reference_increment, s, x, y, q)
@@ -290,8 +289,8 @@ def test_q2_centre_is_eval_interpolant_bit_for_bit():
         for x in map(float, xs):
             if s.contains_u(x):
                 continue
-            centre = feasible_reply_interval(s, x, 2.0, 0.0, base_action=0.0)
-            assert centre.lo == centre.hi == eval_interpolant(s, x) == _reference_eval(s, x)
+            lo, hi = feasible_reply_interval(s, x, 2.0, 0.0, base_action=0.0)
+            assert lo == hi == eval_interpolant(s, x) == _reference_eval(s, x)
             y = float(rng.uniform(-2.0, 2.0))
             for q in (1.5, 2.0, math.inf):
                 assert action_increment(s, x, y, q) == _reference_increment(s, x, y, q)

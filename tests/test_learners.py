@@ -237,8 +237,9 @@ class TestStagedBand:
         assert make_learner().half_width == 0.5
 
     def test_q_below_1_rejected(self):
-        with pytest.raises(ValueError):
-            StagedLearner(eta=1, p=2.0, q=0.5)
+        for q in (0.5, math.nan):
+            with pytest.raises(ValueError, match=r"must be >= 1 or inf"):
+                StagedLearner(eta=1, p=2.0, q=q)
 
     def test_engine_passes_q(self):
         config = GameConfig.make(p=2.0, q=1.5, eta=1, rounds=10, learner="staged",

@@ -88,7 +88,7 @@ class TestSmoothedDerivative:
                 continue
             f = SmoothedDerivative(s, eps2)
             m = len(s)
-            c1 = max(abs(sl) for sl in f.slopes)
+            c1 = float(np.max(np.abs(np.diff(s.vs) / np.diff(s.us))))
             bound = m * max(c1 ** q, 1e-12) * eps2
             assert abs(f.power_integral(q) - q_action(s, q)) <= bound + 1e-12
 
@@ -339,8 +339,8 @@ class TestCorrectionSolve:
             # C_i built the long way, as the antiderivative of the Kantorovich
             # polynomial of phi_i' plus phi_i(0); the build reads phi_i at the nodes
             cols = np.column_stack([
-                BernsteinPolynomial(_kantorovich_coeffs(_hat_antideriv(us, e), n))
-                .antiderivative(np.interp(0.0, us, e)).coeffs
+                np.concatenate(([0.0], np.cumsum(_kantorovich_coeffs(_hat_antideriv(us, e), n))))
+                / (n + 1) + np.interp(0.0, us, e)
                 for e in np.eye(len(s))
             ])
             a = bernstein_basis_matrix(n + 1, us) @ cols
