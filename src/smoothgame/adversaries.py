@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
@@ -49,8 +50,9 @@ class GreedyConfig:
     def __post_init__(self):
         if self.query_policy not in QUERY_POLICIES:
             raise ValueError(f"unknown query policy {self.query_policy!r}")
-        if self.budget < 0.0:
-            raise ValueError("budget must be >= 0")
+        if (isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Real)
+                or not self.budget >= 0.0):
+            raise ValueError(f"budget must be a real number >= 0, got {self.budget!r}")
         if self.tie_break not in ("lower", "upper"):
             raise ValueError("tie_break must be 'lower' or 'upper'")
 

@@ -137,13 +137,14 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         spec["seed"] = args.seed
     spec["seed"] = 0 if spec["seed"] is None else _whole("seed", spec["seed"], 0)
+    uncounted = spec["uncounted_rounds"]
     try:
         config = GameConfig.make(
-            p=spec["p"], q=spec["q"], eta=spec["eta"],
+            p=spec["p"], q=spec["q"], eta=_whole("eta", spec["eta"], 0),
             rounds=_whole("rounds", spec["rounds"], 1),
             learner=spec["learner"], adversary=spec["adversary"], seed=spec["seed"],
             duplicate_policy=spec["duplicate_policy"],
-            uncounted_rounds=spec["uncounted_rounds"],
+            uncounted_rounds=None if uncounted is None else _whole("uncounted_rounds", uncounted, 0),
             learner_options=spec["learner_options"],
             adversary_options=spec["adversary_options"],
         )

@@ -49,6 +49,11 @@ class DuplicateQueryError(IllegalAdversaryError):
     """A repeated query arrived under the reject policy."""
 
 
+def _check_count(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Full description of one game; equal configs give identical games."""
@@ -68,8 +73,9 @@ class GameConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        _check_count("eta", self.eta)
+        if self.uncounted_rounds is not None:
+            _check_count("uncounted_rounds", self.uncounted_rounds)
         for key, value in (("p", self.p), ("q", self.q)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} must be a real number, got {value!r}")

@@ -11,7 +11,11 @@ anything below ``-DEFAULT_TOL`` as a violation. The point-set searches
 of padded knot arrays; ``gap_h_increment`` and ``check_dichotomy`` score one
 set at a time and are the reference the batches are tested against. The
 ``cumulative`` search grows a whole batch of revelation sequences in
-lockstep, one point per row per step; ``random_feasible_sequence`` and
+lockstep, one point per row per step. Only the replies and the running
+1-actions depend on earlier steps, so the step loop computes just those:
+every step's uniforms are drawn as one block before it, every point's
+neighbours are found from a sorted list before it, and the slope-gap sums
+are formed after it. ``random_feasible_sequence`` and
 ``cumulative_slope_gap`` draw and score one sequence and are its reference.
 """
 
@@ -528,6 +532,96 @@ class _SequenceBatch:
                 "us": self.us[k, :end].tolist(), "vs": self.vs[k, :end].tolist()}
 
 
+class _Stream:
+    """``rng``'s uniform doubles from position ``pos`` of ``block``, a block
+    of them already drawn; past its end they are drawn from ``rng``.
+
+    uniform(0, 1) is the raw double, so ``uniform(size=m)`` returns the m
+    doubles that m more draws from ``rng`` would have given.
+    """
+
+    def __init__(self, rng, block: np.ndarray, pos: int):
+        self.rng, self.block, self.pos = rng, block, pos
+
+    def uniform(self, size: int) -> np.ndarray:
+        out = self.block[self.pos:self.pos + size].copy()
+        self.pos += size
+        if len(out) < size:
+            out = np.concatenate([out, self.rng.uniform(size=size - len(out))])
+        return out
+
+
+def _step_draws(rng, us: np.ndarray, grow: np.ndarray):
+    """Every step's draws, read from ``rng`` in the order that a step at a
+    time draws them: the step's x for each growing row (a row's x on one of
+    its earlier knots redrawn by ``_uniform_off_knots``), then its frac, then
+    its pick.
+
+    ``grow[t, k]`` says whether row k draws a point at step t. Fills the
+    columns past the first of ``us`` with the x's. Returns where in its reply
+    interval each y lands (an end in 30% of rows, half of them each end,
+    else frac), laid out as ``us``, and the flat indices of each row's
+    points in ascending order of x, the NaN pads last.
+    """
+    live = np.count_nonzero(grow, axis=1)
+    # the block holds each step's x's, then its fracs, then its picks, so
+    # a growing row's x, frac and pick lie ``live`` doubles apart
+    start = 3 * (np.cumsum(live) - live)
+    x_at = (start[:, None] + np.arange(len(us)))[grow]
+    block = rng.uniform(size=3 * int(live.sum()))
+    while True:
+        us.T[grow] = block[x_at]
+        # a stable sort puts equal x's in step order, so a repeat's later
+        # step is the step of the first x that fell on an earlier knot
+        order = np.argsort(us, axis=1, kind="stable")
+        ranked = np.take_along_axis(us, order, axis=1)
+        repeat = ranked[:, 1:] == ranked[:, :-1]
+        if not repeat.any():
+            break
+        t = int(np.maximum(order[:, 1:], order[:, :-1])[repeat].min())
+        # redraw that step's x's from the doubles after them, and cut the
+        # doubles the redraws took out of the block, which keeps its length
+        stream = _Stream(rng, block, start[t])
+        x = _uniform_off_knots(stream, us[:live[t], :t])
+        rest = stream.uniform(size=len(block) - start[t] - live[t])
+        block = np.concatenate([block[:start[t]], x, rest])
+    del ranked, repeat
+    gap = np.broadcast_to(live[:, None], grow.shape)[grow]
+    frac, pick = block[x_at + gap], block[x_at + 2 * gap]
+    del block, x_at, gap
+    at = np.zeros(us.shape)
+    at.T[grow] = np.where(pick < 0.3, pick >= 0.15, frac)
+    order += np.arange(0, us.size, us.shape[1])[:, None]
+    return at, order
+
+
+def _earlier_neighbours(ids: np.ndarray, length: np.ndarray, live: list) -> np.ndarray:
+    """The nearest earlier knots below and above each point.
+
+    Row k of ``ids`` holds the flat indices of row k's points in ascending
+    order, its ``length[k]`` points first. Point (k, t), drawn at step t, has
+    its neighbours at the flat indices ``links[0, k, t]`` (below) and
+    ``links[1, k, t]`` (above), or at ``ids.size`` where it has none. A
+    sorted list holds every point at once; taking the points out from the
+    last step back leaves each point's neighbours in the list as they were
+    when it came, and its own links keep them.
+    """
+    n, steps = ids.shape
+    none = n * steps
+    # each point's neighbours in its row's sorted order; the pads are no
+    # one's neighbour, and ``none`` is a sink for the writes to a missing one
+    links = np.full((2, none + 1), none)
+    below, above = links
+    below[ids[:, 1:]] = ids[:, :-1]
+    above[ids[:, :-1]] = ids[:, 1:]
+    above[ids[np.arange(n), length - 1]] = none
+    for t in range(steps - 1, 0, -1):
+        f = np.arange(t, live[t] * steps, steps)
+        lo, hi = below[f], above[f]
+        above[lo], below[hi] = hi, lo
+    return links[:, :none].reshape(2, n, steps)
+
+
 def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
     """n sequences drawn as ``random_feasible_sequence`` draws one, and scored.
 
@@ -539,40 +633,68 @@ def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
     picks y in the closed-form q = 1 feasible interval, at an end of it in
     30% of rows. Each row carries its running 1-action; a row above
     1 + ``ACTION_TOL`` raises ``ValueError``, as ``cumulative_slope_gap`` does.
+
+    The draws and the neighbours depend on no y, so they are made for all
+    steps before the loop: the uniforms in one block (``_step_draws``) and
+    the neighbours from each row's sorted points (``_earlier_neighbours``).
+    The slope-gap terms are formed after it, so the loop carries only each
+    row's running 1-action and its revealed values. The generator gives the
+    same doubles in the same order as drawing step by step would, and ends
+    in the same state, so the batch equals a step-by-step one bit for bit.
     """
     pick = rng.integers(0, 4, size=n)
     p = np.choose(pick, [1.1, 1.5, 2.0, 1.0 + 10.0 ** rng.uniform(-3.0, 0.5, size=n)])
     length = np.sort(rng.integers(5, 51, size=n))[::-1]
-    us = np.full((n, int(length[0])), np.nan)
+    steps = int(length[0])
+    us = np.full((n, steps), np.nan)
     vs = np.full_like(us, np.nan)
     us[:, 0] = rng.uniform(size=n)
     vs[:, 0] = rng.uniform(-0.5, 0.5, size=n)
-    action, total = np.zeros(n), np.zeros(n)
-    for t in range(1, us.shape[1]):
-        live = int(np.count_nonzero(length > t))
-        knots_u, knots_v = us[:live, :t], vs[:live, :t]
-        x = _uniform_off_knots(rng, knots_u)
-        rows = np.arange(live)
-        below = np.where(knots_u < x[:, None], knots_u, -np.inf)
-        above = np.where(knots_u > x[:, None], knots_u, np.inf)
-        j0, j1 = below.argmax(axis=1), above.argmin(axis=1)
-        u0, u1 = below[rows, j0], above[rows, j1]
-        has_left, has_right = u0 > -np.inf, u1 < np.inf
-        v0 = np.where(has_left, knots_v[rows, j0], knots_v[rows, j1])
-        v1 = np.where(has_right, knots_v[rows, j1], v0)
-        # outside the span the pad makes v1 == v0 and u1 - u0 infinite: slope 0
-        total[:live] += np.abs((v1 - v0) / (u1 - u0)) * np.minimum(x - u0, u1 - x) ** p[:live]
-        slack = np.maximum(1.0 - action[:live], 0.0)
-        half = np.where(has_left & has_right, 0.5 * slack, slack)
-        lo, hi = np.minimum(v0, v1) - half, np.maximum(v0, v1) + half
-        frac, pick = rng.uniform(size=(2, live))
-        # 30% of rows hit an end of the interval, half of them each end
-        y = lo + (hi - lo) * np.where(pick < 0.3, pick >= 0.15, frac)
-        action[:live] += (np.where(has_left, np.abs(y - v0), 0.0)
-                          + np.where(has_right, np.abs(v1 - y), 0.0) - np.abs(v1 - v0))
-        if (action[:live] > 1.0 + ACTION_TOL).any():
-            raise ValueError(f"a prefix of length {t + 1} violates the unit 1-action budget")
-        us[:live, t], vs[:live, t] = x, y
+    # grow[t, k]: row k draws a point at step t
+    grow = length > np.arange(steps)[:, None]
+    grow[0] = False
+    live = np.count_nonzero(grow, axis=1).tolist()
+    at, ids = _step_draws(rng, us, grow)
+    i0, i1 = _earlier_neighbours(ids, length, live)
+    del ids
+    # a missing neighbour is a flat pad at the other's value
+    np.copyto(i0, i1, where=i0 == us.size)
+    np.copyto(i1, i0, where=i1 == us.size)
+    # a one-sided point's two end segments are one segment counted twice;
+    # its slack is not halved, and doubling then halving is exact
+    twice = np.where(i0 == i1, 2.0, 1.0)
+    flat_vs = vs.reshape(-1)
+    # each row's 1-action after each step
+    action = np.zeros(us.shape)
+    for t in range(1, steps):
+        m = live[t]
+        v0, v1 = flat_vs[i0[:m, t]], flat_vs[i1[:m, t]]
+        low, high = np.minimum(v0, v1), np.maximum(v0, v1)
+        slack = np.maximum(1.0 - action[:m, t - 1], 0.0) * twice[:m, t] * 0.5
+        lo, hi = low - slack, high + slack
+        y = lo + (hi - lo) * at[:m, t]
+        vs[:m, t] = y
+        # |v1 - v0| is high - low
+        inc = (np.abs(y - v0) + np.abs(v1 - y)) / twice[:m, t] - (high - low)
+        np.add(action[:m, t - 1], inc, out=action[:m, t])
+    over = np.flatnonzero((action > 1.0 + ACTION_TOL).any(axis=0))
+    if len(over):
+        raise ValueError(f"a prefix of length {over[0] + 1} violates the unit 1-action budget")
+    del at, twice, action
+    # the slope-gap terms of the growing rows, step by step; a point's
+    # neighbour is on the side where it is, and a pad is no neighbour
+    j0, j1 = i0.T[grow], i1.T[grow]
+    del i0, i1
+    x, u0, u1 = us.T[grow], us.reshape(-1)[j0], us.reshape(-1)[j1]
+    u0, u1 = np.where(u0 < x, u0, -np.inf), np.where(u1 > x, u1, np.inf)
+    # numpy's power can round a broadcast (stride-0) exponent unlike a
+    # contiguous one, so p is laid out in full, as a step's slice of p is
+    power = np.minimum(x - u0, u1 - x) ** np.broadcast_to(p, grow.shape)[grow]
+    terms = np.zeros(us.shape)
+    # outside the span the pad makes v1 == v0 and u1 - u0 infinite: slope 0
+    terms.T[grow] = np.abs((flat_vs[j1] - flat_vs[j0]) / (u1 - u0)) * power
+    # each row's terms added in step order, as a running total adds them
+    total = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return _SequenceBatch(us, vs, length, p, total)
 
 

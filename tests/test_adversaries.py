@@ -62,8 +62,10 @@ class TestGreedyReveal:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GreedyConfig(query_policy="nope")
-        with pytest.raises(ValueError):
-            GreedyConfig(budget=-1)
+        for budget in (-1, math.nan, True, "a", None):
+            with pytest.raises(ValueError, match="budget must be a real number >= 0"):
+                GreedyConfig(budget=budget)
+        assert GreedyConfig(budget=0).budget == 0
 
 
 class TestGreedyAdversary:

@@ -160,6 +160,44 @@ class TestSimulate:
         assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", [
+        {"eta": 1.5}, {"eta": True}, {"eta": -1}, {"eta": "2"},
+        {"uncounted_rounds": -3}, {"uncounted_rounds": 2.5}, {"uncounted_rounds": True},
+    ])
+    def test_bad_eta_or_uncounted_rounds_exit_1(self, tmp_path, capsys, bad):
+        # eta 1.5 and true were numpy errors from the lie-schedule draw that
+        # did not name the key; uncounted_rounds -3 counted the opening
+        # trial and 2.5 ran, both exiting 0
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "eta": 1, "rounds": 30,
+            "learner": "staged", "adversary": "random-liar", **bad,
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {next(iter(bad))} must be an integer >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget", [math.nan, "a", True, None])
+    def test_bad_greedy_budget_exit_1(self, tmp_path, capsys, budget):
+        # NaN ran to a total of 0.0; "a" was a TypeError that did not name the key
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 20, "learner": "linint", "adversary": "greedy",
+            "adversary_options": {"budget": budget},
+        })
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("config error: budget must be a real number >= 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_eta_and_uncounted_rounds_pass(self, tmp_path):
+        cfg = write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "eta": 1.0, "rounds": 30, "uncounted_rounds": 3.0,
+            "learner": "staged", "adversary": "random-liar",
+        })
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", str(out)) == 0
+        config = json.loads((out / "game_summary.json").read_text())["config"]
+        assert (config["eta"], config["uncounted_rounds"]) == (1, 3)
+
     def test_integral_float_and_null_seed_pass(self, tmp_path):
         base = {"p": 2, "q": 2, "rounds": 5, "learner": "linint", "adversary": "greedy"}
         for seed, expected in [(4.0, 4), (None, 0)]:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from smoothgame.adversaries import (
@@ -126,6 +127,15 @@ class TestStandardGame:
     def test_unknown_players(self):
         with pytest.raises(ValueError):
             run_game(cfg(learner="nope"))
+
+    @pytest.mark.parametrize("bad", [
+        {"eta": 1.5}, {"eta": True}, {"eta": -1}, {"eta": None},
+        {"uncounted_rounds": -3}, {"uncounted_rounds": 2.5}, {"uncounted_rounds": False},
+    ])
+    def test_config_rejects_non_count_eta_and_uncounted_rounds(self, bad):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer >= 0"):
+            cfg(**bad)
+        assert cfg(eta=np.int64(2), uncounted_rounds=0).eta == 2
         with pytest.raises(ValueError):
             run_game(cfg(adversary="nope"))
 

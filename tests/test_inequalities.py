@@ -1,10 +1,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from search_reference import one_draw_search
+from search_reference import one_draw_search, step_by_step_sequences
 
 from smoothgame import inequalities
 from smoothgame.inequalities import (
@@ -473,5 +474,143 @@ class TestLockstepSequences:
     def test_action_guard_raises(self, monkeypatch):
         # with the tolerance at -1 the guard fires at the first positive action
         monkeypatch.setattr(inequalities, "ACTION_TOL", -1.0)
-        with pytest.raises(ValueError, match="1-action budget"):
+        with pytest.raises(ValueError, match="1-action budget") as got:
             _lockstep_sequences(np.random.default_rng(0), 50)
+        with pytest.raises(ValueError) as ref:
+            step_by_step_sequences(np.random.default_rng(0), 50)
+        assert str(got.value) == str(ref.value)
+
+    def test_memory_stays_linear_in_the_points(self):
+        # the draws, the neighbour links and the loop's arrays are a few
+        # arrays the size of us each (3.9x the outputs when written); a
+        # table over (row, step, knot), as one lookup for all steps at once
+        # would build, is 25x the outputs at 50 steps on its own
+        tracemalloc.start()
+        try:
+            batch = _lockstep_sequences(np.random.default_rng(5), 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (batch.us.nbytes + batch.vs.nbytes)
+
+
+def _assert_same_batch(got, ref):
+    # bit for bit, NaN pads included
+    for key in ("us", "vs", "p", "total"):
+        a, b = getattr(got, key), getattr(ref, key)
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), key
+    assert np.array_equal(got.length, ref.length)
+
+
+class TestLockstepAgainstReference:
+    """The lockstep sequences against ``step_by_step_sequences``, the same
+    function drawing, locating and scoring one step at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 200, 2000])
+    def test_batches_and_generator_equal_the_reference(self, n):
+        for seed in range(100):
+            rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            _assert_same_batch(_lockstep_sequences(rng, n), step_by_step_sequences(ref_rng, n))
+            assert rng.random() == ref_rng.random(), seed
+
+
+class _DoubleStream:
+    """A generator stand-in that serves every draw, of any size, from one
+    array of doubles in order; ``pos`` counts the doubles served."""
+
+    def __init__(self, doubles):
+        self.doubles, self.pos = doubles, 0
+
+    def _take(self, size):
+        count = int(np.prod(size))
+        out = self.doubles[self.pos:self.pos + count]
+        assert len(out) == count, "the stream ran out"
+        self.pos += count
+        return out.reshape(size)
+
+    def uniform(self, low=0.0, high=1.0, size=1):
+        return low + (high - low) * self._take(size)
+
+    def integers(self, low, high, size=1):
+        return low + (self._take(size) * (high - low)).astype(np.int64)
+
+
+class TestPlantedKnotCollisions:
+    """x's planted on an earlier knot of their row, which both functions
+    must redraw from the next doubles of the same stream."""
+
+    n = 6
+
+    def _layout(self, seed):
+        # the doubles, the lengths and the unplanted sequences; the stream
+        # holds p's pick, p, the lengths, the first points, then per step
+        # the growing rows' x's, fracs and picks
+        doubles = np.random.default_rng(seed).random(4000)
+        ref = step_by_step_sequences(_DoubleStream(doubles), self.n)
+        live = [int(np.count_nonzero(ref.length > t)) for t in range(int(ref.length[0]))]
+        return doubles, ref, live
+
+    def _x_pos(self, live, t, k, shift=0):
+        # where step t's x for row k is read, after ``shift`` redraw doubles
+        return 5 * self.n + 3 * sum(live[1:t]) + k + shift
+
+    def _run_both(self, doubles):
+        stream, ref_stream = _DoubleStream(doubles.copy()), _DoubleStream(doubles.copy())
+        got = _lockstep_sequences(stream, self.n)
+        ref = step_by_step_sequences(ref_stream, self.n)
+        _assert_same_batch(got, ref)
+        assert stream.pos == ref_stream.pos
+        return got, stream.pos
+
+    def test_unplanted_stream_draws_no_redraw(self):
+        doubles, ref, live = self._layout(1)
+        _, used = self._run_both(doubles)
+        assert used == 5 * self.n + 3 * sum(live[1:])
+
+    def test_two_rows_at_one_step_then_one_row_twice(self):
+        doubles, ref, live = self._layout(2)
+        assert live[3] >= 5 and live[5] >= 2
+        # step 3: rows 2 and 4 land on their first and second knots, and
+        # one redraw call of two doubles moves them off
+        doubles[self._x_pos(live, 3, 2)] = ref.us[2, 1]
+        doubles[self._x_pos(live, 3, 4)] = ref.us[4, 0]
+        # step 5, two doubles later in the stream: row 1 lands on its first
+        # knot, and so does its first redraw, which follows the step's x's
+        doubles[self._x_pos(live, 5, 1, shift=2)] = ref.us[1, 0]
+        doubles[self._x_pos(live, 5, live[5], shift=2)] = ref.us[1, 0]
+        got, used = self._run_both(doubles)
+        assert used == 5 * self.n + 3 * sum(live[1:]) + 4
+        assert ref.us[2, 1] not in got.us[2, 2:] and ref.us[1, 0] not in got.us[1, 1:]
+
+    def test_redraws_past_the_end_of_the_block(self):
+        # the longest row alone at its last step, where the block has two
+        # doubles left: four knot hits read two of them and two fresh ones
+        for seed in range(100):
+            doubles, ref, live = self._layout(seed)
+            if live[-1] == 1:
+                break
+        assert live[-1] == 1
+        last = len(live) - 1
+        at = self._x_pos(live, last, 0)
+        doubles[at:at + 4] = ref.us[0, 0]
+        got, used = self._run_both(doubles)
+        assert used == 5 * self.n + 3 * sum(live[1:]) + 4
+        assert np.count_nonzero(got.us[0] == ref.us[0, 0]) == 1
+
+    def test_one_knot_hit_at_two_steps(self):
+        # row 0's first knot planted as its x at steps 2 and 3, so three of
+        # its points are equal in one layout; step 2's redraw comes first,
+        # and the double planted for step 3 is then read one place later
+        doubles, ref, live = self._layout(4)
+        doubles[self._x_pos(live, 2, 0)] = ref.us[0, 0]
+        doubles[self._x_pos(live, 3, 0)] = ref.us[0, 0]
+        got, used = self._run_both(doubles)
+        assert used == 5 * self.n + 3 * sum(live[1:]) + 1
+        assert np.count_nonzero(got.us[0] == ref.us[0, 0]) == 1
+
+    def test_another_rows_knot_is_no_collision(self):
+        doubles, ref, live = self._layout(3)
+        doubles[self._x_pos(live, 2, 0)] = ref.us[1, 0]
+        got, used = self._run_both(doubles)
+        assert used == 5 * self.n + 3 * sum(live[1:])
+        assert got.us[0, 2] == got.us[1, 0]
