@@ -599,8 +599,9 @@ class TestPlantedKnotCollisions:
 
     def test_one_knot_hit_at_two_steps(self):
         # row 0's first knot planted as its x at steps 2 and 3, so three of
-        # its points are equal in one layout; step 2's redraw comes first,
-        # and the double planted for step 3 is then read one place later
+        # its points are equal in the first layout; step 2's redraw comes
+        # first and takes one double, so the double planted for step 3 is
+        # then read as step 2's last pick
         doubles, ref, live = self._layout(4)
         doubles[self._x_pos(live, 2, 0)] = ref.us[0, 0]
         doubles[self._x_pos(live, 3, 0)] = ref.us[0, 0]
