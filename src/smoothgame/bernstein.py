@@ -14,8 +14,13 @@ the piece ends only as deep as a bound on the end panels requires. The
 roots are sign changes of P' on one fixed action grid (``gauss_grid``)
 plus the exact end values of P', all multisected together to
 ``ROOT_WIDTH`` with one vector evaluation per step; the degree ladder in
-``polyapprox`` estimates actions on the same grid, so both read one cached
-basis window per degree.
+``polyapprox`` estimates actions on the same grid.
+
+A polynomial's coefficients are a read-only copy, and it keeps every
+action certified for it, so each (polynomial, q) is integrated once. The
+basis window of a composite Gauss rule on [0, 1] is cached once per
+(degree, rule) by ``_rule_basis``: the action grid, and the panel rules
+of a derivative with no root at integer q, which is one ungraded piece.
 """
 
 from __future__ import annotations
@@ -149,21 +154,32 @@ def _elevation_weights(n: int, target: int) -> np.ndarray:
 
 
 class BernsteinPolynomial:
-    """A polynomial stored by its Bernstein coefficients on [0, 1]."""
+    """A polynomial stored by its Bernstein coefficients on [0, 1].
 
-    __slots__ = ("coeffs",)
+    The coefficients are a read-only copy of the ones given, so the
+    polynomial never changes, and it keeps every action ``q_action_poly``
+    certified for it (q to action) to hand back on the next call.
+    """
+
+    __slots__ = ("_coeffs", "_actions")
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        self.coeffs = c
+        c.flags.writeable = False
+        self._coeffs = c
+        self._actions: dict[float, float] = {}
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs) - 1
 
     def __call__(self, x):
         """Values at x in [0, 1] (NaN is rejected), each from its basis window.
@@ -197,7 +213,7 @@ class BernsteinPolynomial:
         if r < 0:
             raise ValueError("cannot lower the degree by elevation")
         if r == 0:
-            return BernsteinPolynomial(self.coeffs.copy())
+            return BernsteinPolynomial(self.coeffs)
         # hypergeometric mixing weights, all in [0, 1]
         w = _elevation_weights(n, target_degree)
         return BernsteinPolynomial(w @ self.coeffs)
@@ -236,6 +252,7 @@ class BernsteinPolynomial:
 ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
 _SECTIONS = 16  # subintervals per multisection step of a root bracket
+_PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -282,18 +299,30 @@ def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
 
 
 def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
-    """Values of ``poly`` at the nodes of the action grid, reusing the basis.
+    """Values of ``poly`` at the nodes of the action grid, from its cached basis."""
+    starts, block, _ws = _rule_basis(poly.degree, *_GRID)
+    return _window_dot(starts, block, poly.coeffs)
 
-    The degree-n basis window on the grid is kept in one bounded cache
-    keyed by the degree (least recently used out); at ``DEGREE_CAP`` it
-    holds under 2M entries.
-    """
-    return _window_dot(*_grid_basis(poly.degree), poly.coeffs)
+
+_GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
+_RULE_ENTRIES = 1 << 21  # dense basis entries a cached [0, 1] panel rule may span
 
 
 @lru_cache(maxsize=8)
-def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _basis_window(n, gauss_grid()[0])
+def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree-n basis window and the weights of a composite rule on [0, 1].
+
+    The rule is the ``order``-point Gauss rule on ``panels`` equal panels;
+    the window over all its nodes is the one ``BernsteinPolynomial.__call__``
+    builds when it takes them in one chunk, so the values it gives are
+    bit for bit those of ``poly(nodes)``. One bounded cache (least recently
+    used out) serves the action grid ``_GRID`` at every degree, under 2M
+    entries at ``DEGREE_CAP``, and the integer-q rules of
+    ``_unit_integral`` whose nodes times n + 1 stay within ``_RULE_ENTRIES``.
+    """
+    xs, ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
+    starts, block = _basis_window(n, xs)
+    return starts, block, ws
 
 
 @lru_cache(maxsize=8)
@@ -319,7 +348,7 @@ def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     Nodes and weights on [0, 1]. The degree ladder's action estimate and
     the root search both evaluate on it, so they share one basis per degree.
     """
-    return _panel_rule(np.linspace(0.0, 1.0, 193), 8)
+    return _panel_rule(np.linspace(0.0, 1.0, _GRID[0] + 1), _GRID[1])
 
 
 def _piece_panels(a: float, b: float, base: int, grade=None):
@@ -351,6 +380,21 @@ def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> 
     return float(np.dot(ws, vals))
 
 
+def _unit_integral(deriv: BernsteinPolynomial, q: float, panels: int) -> float:
+    """``_panel_integral`` over ``panels`` equal panels of [0, 1], bit for bit.
+
+    The basis comes from ``_rule_basis`` while ``__call__`` would take the
+    rule's nodes in one chunk of at most ``_RULE_ENTRIES`` dense entries;
+    beyond that the nodes are evaluated afresh.
+    """
+    n = deriv.degree
+    if panels * _PANEL_ORDER * (n + 1) > _RULE_ENTRIES:
+        return _panel_integral(deriv, q, _piece_panels(0.0, 1.0, panels), _PANEL_ORDER)
+    starts, block, ws = _rule_basis(n, panels, _PANEL_ORDER)
+    vals = np.abs(_window_dot(starts, block, deriv.coeffs)[: len(ws)]) ** q
+    return float(np.dot(ws, vals))
+
+
 def _check_finite_q(q: float) -> None:
     """Reject q outside [1, inf): |P'|^inf integrates to 0 wherever |P'| < 1."""
     if not 1.0 <= q < math.inf:
@@ -360,17 +404,27 @@ def _check_finite_q(q: float) -> None:
 def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     """Action integral of |P'|^q over [0, 1] to absolute tolerance ``QUADRATURE_TOL``.
 
-    The domain is split at the derivative's roots so |P'| is smooth on each
-    piece. At fractional q the panels are graded geometrically toward every
-    piece end, where the integrand may have a fractional-power zero, until
+    Certified once per polynomial and q: the result is kept on ``poly`` and
+    handed back on every later call. The domain is split at the
+    derivative's roots so |P'| is smooth on each piece. At fractional q the
+    panels are graded geometrically toward every piece end, where the
+    integrand may have a fractional-power zero, until
     the end panels' bounds (``_piece_panels``) sum to at most
     ``QUADRATURE_TOL`` / 10: |P'| is |c_0| at 0 and |c_n| at 1 (c the
     coefficients of P'), at most m * ``ROOT_WIDTH`` at a root, and
     m = deg P' * max |c_{k+1} - c_k| bounds |P''|. Convergence is certified
     by doubling the panel count; on failure the dense composite rule takes
-    over.
+    over. A derivative with no root at integer q is one ungraded piece,
+    whose rules come from ``_unit_integral``'s cache.
     """
     _check_finite_q(q)
+    action = poly._actions.get(q)
+    if action is None:
+        action = poly._actions[q] = _certify_action(poly, q)
+    return action
+
+
+def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
     deriv = poly.derivative()
     if deriv.degree == 0:
         return abs(deriv.coeffs[0]) ** q
@@ -383,6 +437,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
         slopes = [abs(float(c[0]))] + [m * ROOT_WIDTH] * len(roots) + [abs(float(c[-1]))]
         budget = 0.1 * QUADRATURE_TOL / (2 * (len(splits) - 1))  # shared by every piece end
     base = int(np.clip((deriv.degree + 1) // 128, 8, 64))
+    unit = not (graded or roots)
     prev = None
     for factor in (1, 2, 4, 8):
         total = 0.0
@@ -390,9 +445,12 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
             if b - a <= 1e-14:
                 continue
             n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
-            grade = (slopes[i], slopes[i + 1], m, q, budget) if graded else None
-            edges = _piece_panels(a, b, n_base, grade)
-            total += _panel_integral(deriv, q, edges, 20)
+            if unit:
+                total += _unit_integral(deriv, q, n_base)
+            else:
+                grade = (slopes[i], slopes[i + 1], m, q, budget) if graded else None
+                edges = _piece_panels(a, b, n_base, grade)
+                total += _panel_integral(deriv, q, edges, _PANEL_ORDER)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total

@@ -49,9 +49,9 @@ class DuplicateQueryError(IllegalAdversaryError):
     """A repeated query arrived under the reject policy."""
 
 
-def _check_count(key: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+def _check_count(key: str, value, least: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class GameConfig:
     adversary_options: tuple = ()
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        _check_count("rounds", self.rounds, 1)
         _check_count("eta", self.eta)
+        _check_count("seed", self.seed)
         if self.uncounted_rounds is not None:
             _check_count("uncounted_rounds", self.uncounted_rounds)
         for key, value in (("p", self.p), ("q", self.q)):

@@ -1,12 +1,15 @@
-"""The action quadrature before its two shortcuts: the reference it is tested against.
+"""The action quadrature before its shortcuts: the reference it is tested against.
 
 ``bisection_roots`` bisects each sign change of P' with one scalar
 evaluation per step, down to ``ROOT_WIDTH``, where ``polynomial_roots``
 multisects all brackets together. ``graded_action`` grades every piece end
 of a fractional-q integrand by 4x panels down to 1e-13 of the piece, where
-``q_action_poly`` stops once the end panels' bound is within budget. The
-grid, the graze floor, the panel rule, the doubling certificate and the
-fallback are those of ``smoothgame.bernstein``.
+``q_action_poly`` stops once the end panels' bound is within budget.
+``uncached_grid_values`` and ``unit_panel_integral`` build their basis
+windows afresh on every call, where ``grid_values`` and ``_unit_integral``
+read them from the cache of ``_rule_basis``. The grid, the graze floor,
+the panel rule, the doubling certificate and the fallback are those of
+``smoothgame.bernstein``.
 """
 
 import math
@@ -17,9 +20,19 @@ from smoothgame import bernstein
 from smoothgame.bernstein import QUADRATURE_TOL, ROOT_WIDTH, BernsteinPolynomial
 
 
+def uncached_grid_values(poly: BernsteinPolynomial) -> np.ndarray:
+    window = bernstein._basis_window(poly.degree, bernstein.gauss_grid()[0])
+    return bernstein._window_dot(*window, poly.coeffs)
+
+
+def unit_panel_integral(deriv: BernsteinPolynomial, q: float, panels: int) -> float:
+    edges = full_depth_panels(0.0, 1.0, panels, False)
+    return bernstein._panel_integral(deriv, q, edges, 20)
+
+
 def bisection_roots(poly: BernsteinPolynomial) -> list[float]:
     xs = np.concatenate(([0.0], bernstein.gauss_grid()[0], [1.0]))
-    vals = np.concatenate(([poly.coeffs[0]], bernstein.grid_values(poly), [poly.coeffs[-1]]))
+    vals = np.concatenate(([poly.coeffs[0]], uncached_grid_values(poly), [poly.coeffs[-1]]))
     floor = 1e-7 * float(np.max(np.abs(vals)))
     sign = np.sign(vals)
     roots = []

@@ -1,22 +1,31 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from gram_action import gram_action
-from quadrature_reference import bisection_roots, full_depth_panels, graded_action
+from quadrature_reference import (
+    bisection_roots,
+    full_depth_panels,
+    graded_action,
+    uncached_grid_values,
+    unit_panel_integral,
+)
 from scipy.special import gammaln
 from scipy.stats import binom
 from test_acceptance import random_action_set
 
 from smoothgame import bernstein
 from smoothgame.bernstein import (
+    DEGREE_CAP,
     ROOT_WIDTH,
     WINDOW_MASS,
     BernsteinPolynomial,
     bernstein_basis_matrix,
     composite_rule_action,
     de_casteljau_many,
+    grid_values,
     polynomial_roots,
     q_action_poly,
 )
@@ -286,10 +295,12 @@ class TestActionIntegral:
             q_action_poly(from_power(0.0, 1.0), 0.5)
 
 
+@functools.cache
 def _criterion7_builds():
     """Approx (eps 0.1, 0.01) and exact builds of the first 60 criterion-7
     sets and of the poly-build pool at seed 1: the first 45 of them, each
-    negated or not and shifted as the benchmark draws it."""
+    negated or not and shifted as the benchmark draws it. Each build is
+    (q, eps, poly), with eps None for an exact build."""
     stream = np.random.default_rng(2718)
     pool = np.random.default_rng([1, 3])
     sets = []
@@ -301,10 +312,12 @@ def _criterion7_builds():
             sign = 1.0 if pool.uniform() < 0.5 else -1.0
             shift = float(pool.uniform(-0.3, 0.3))
             sets.append((q, SampleSet(s.us, [sign * v + shift for v in s.vs])))
+    builds = []
     for q, s in sets:
         for eps in (0.1, 0.01):
-            yield q, approx_interpolant_poly(s, q, eps)[0]
-        yield q, exact_interpolant_poly(s, q)
+            builds.append((q, eps, approx_interpolant_poly(s, q, eps)[0]))
+        builds.append((q, None, exact_interpolant_poly(s, q)))
+    return tuple(builds)
 
 
 class TestAgainstTheQuadratureReference:
@@ -330,7 +343,7 @@ class TestAgainstTheQuadratureReference:
 
     def test_criterion7_builds(self):
         builds = 0
-        for q, poly in _criterion7_builds():
+        for q, _eps, poly in _criterion7_builds():
             deriv = poly.derivative()
             roots, ref = polynomial_roots(deriv), bisection_roots(deriv)
             assert len(roots) == len(ref), (builds, poly.degree)
@@ -353,3 +366,134 @@ class TestAgainstTheQuadratureReference:
                 for q in (1.01, 1.1, 1.5, 2.5):
                     exact = k ** q * (r ** (q + 1) + (1 - r) ** (q + 1)) / (q + 1)
                     assert q_action_poly(poly, q) == pytest.approx(exact, abs=1e-9), (k, r, q)
+
+
+def _same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+class TestStoredActions:
+    """Each polynomial keeps the actions certified for it, over the criterion-7 pool."""
+
+    def test_stored_action_equals_a_fresh_certificate(self):
+        for q, eps, poly in _criterion7_builds():
+            if eps is None:
+                assert q in poly._actions  # certified by the exact build itself
+            stored = q_action_poly(poly, q)
+            assert _same_float(poly._actions[q], stored), (q, eps)
+            fresh = q_action_poly(BernsteinPolynomial(poly.coeffs.copy()), q)
+            assert _same_float(stored, fresh), (q, eps, poly.degree)
+
+    def test_coefficients_are_read_only(self):
+        for q, eps, poly in _criterion7_builds()[:6]:
+            with pytest.raises(ValueError, match="read-only"):
+                poly.coeffs[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                poly.coeffs += 1.0
+            with pytest.raises(AttributeError):
+                poly.coeffs = np.zeros(3)
+
+    def test_the_given_array_is_copied(self):
+        given = np.array([0.0, 1.0, 3.0])
+        poly = BernsteinPolynomial(given)
+        assert q_action_poly(poly, 2.0) == pytest.approx(28.0 / 3.0, abs=1e-12)  # P' = 2 + 2x
+        given[1] = 5.0  # the caller's array stays writable and the polynomial unchanged
+        assert poly.coeffs[1] == 1.0
+        assert poly(0.5) == 1.25
+
+    def test_second_call_on_an_exact_build_runs_no_quadrature(self, monkeypatch):
+        calls = []
+        roots = bernstein.polynomial_roots
+        monkeypatch.setattr(bernstein, "polynomial_roots", lambda p: calls.append(p) or roots(p))
+        exact = [(q, poly) for q, eps, poly in _criterion7_builds() if eps is None]
+        for q, poly in exact:
+            q_action_poly(poly, q)
+        assert calls == []
+        q, poly = exact[0]
+        q_action_poly(BernsteinPolynomial(poly.coeffs), q)
+        assert len(calls) == 1  # a new polynomial of the same coefficients is certified afresh
+
+    def test_two_values_of_q_are_both_kept(self, monkeypatch):
+        calls = []
+        roots = bernstein.polynomial_roots
+        monkeypatch.setattr(bernstein, "polynomial_roots", lambda p: calls.append(p) or roots(p))
+        for q, eps, built in _criterion7_builds()[:9]:
+            poly = BernsteinPolynomial(built.coeffs)
+            other = 2.5 if q == 3.0 else q + 1.0
+            first, second = q_action_poly(poly, q), q_action_poly(poly, other)
+            assert set(poly._actions) == {q, other}
+            assert _same_float(second, q_action_poly(BernsteinPolynomial(built.coeffs), other))
+            certified = len(calls)
+            assert _same_float(q_action_poly(poly, q), first)
+            assert _same_float(q_action_poly(poly, other), second)
+            assert len(calls) == certified
+
+
+RULE_DEGREES = [1, 2, 7, 32, 64, 128, 256, 512, 2048]
+
+
+class TestRuleBasis:
+    """The cached [0, 1] rule bases against the windows built afresh."""
+
+    @pytest.mark.parametrize("n", RULE_DEGREES)
+    def test_grid_values_match_the_uncached_window(self, n):
+        rng = np.random.default_rng(n)
+        poly = BernsteinPolynomial(rng.normal(size=n + 1))
+        bernstein._rule_basis.cache_clear()
+        cold, warm = grid_values(poly), grid_values(poly)
+        ref = uncached_grid_values(poly)
+        assert np.array_equal(cold, ref) and np.array_equal(warm, ref)
+        assert np.array_equal(ref, poly(bernstein.gauss_grid()[0]))
+
+    @pytest.mark.parametrize("n", RULE_DEGREES)
+    def test_unit_integrals_match_the_uncached_panels(self, n):
+        rng = np.random.default_rng(100 + n)
+        deriv = BernsteinPolynomial(rng.normal(size=n + 1))
+        base = int(np.clip((n + 1) // 128, 8, 64))
+        bernstein._rule_basis.cache_clear()
+        for q in (1.0, 2.0, 3.0, 1.5):
+            for factor in (1, 2, 4, 8):
+                panels = max(4 * factor, base * factor)
+                got = bernstein._unit_integral(deriv, q, panels)
+                assert _same_float(got, unit_panel_integral(deriv, q, panels)), (q, panels)
+        assert bernstein._rule_basis.cache_info().hits > 0
+
+    def test_cache_stays_within_its_entry_guard_at_the_cap(self, monkeypatch):
+        sizes = []
+        cached = bernstein._rule_basis
+
+        def recorded(n, panels, order):
+            starts, block, ws = cached(n, panels, order)
+            sizes.append((n, panels, block.size))
+            return starts, block, ws
+
+        monkeypatch.setattr(bernstein, "_rule_basis", recorded)
+        k = np.arange(DEGREE_CAP + 1)
+        # P = x + x^2 / 2: P' = 1 + x has no root, so q = 2 integrates one unit piece
+        poly = BernsteinPolynomial(k / DEGREE_CAP + 0.5 * k * (k - 1) / (DEGREE_CAP * (DEGREE_CAP - 1)))
+        assert q_action_poly(poly, 2.0) == pytest.approx(7.0 / 3.0, abs=1e-9)
+        grid_values(poly)
+        assert {(n, panels) for n, panels, _ in sizes} == {(DEGREE_CAP - 1, 192), (DEGREE_CAP, 192)}
+        assert max(size for *_, size in sizes) <= bernstein._RULE_ENTRIES
+        assert cached.cache_info().maxsize * bernstein._RULE_ENTRIES * 8 <= 2 ** 27  # 128 MiB
+
+    @pytest.mark.parametrize("q, grades", [(2.0, False), (1.5, True), (3.0, False)])
+    def test_graded_or_rooted_pieces_take_the_uncached_path(self, q, grades, monkeypatch):
+        rules = []
+        cached = bernstein._rule_basis
+
+        def recorded(n, panels, order):
+            rules.append((panels, order))
+            return cached(n, panels, order)
+
+        monkeypatch.setattr(bernstein, "_rule_basis", recorded)
+        rooted = from_power(0.0, -0.6, 1.0).elevated(40)  # P' = 2x - 0.6, a root at 0.3
+        q_action_poly(rooted, q)
+        assert set(rules) == {(192, 8)}  # the root search's grid only
+        rules.clear()
+        smooth = from_power(0.0, 1.0, 0.5).elevated(40)  # P' = 1 + x
+        q_action_poly(smooth, q)
+        if grades:
+            assert set(rules) == {(192, 8)}
+        else:
+            assert (8, 20) in rules and set(rules) <= {(192, 8), (8, 20), (16, 20), (32, 20), (64, 20)}

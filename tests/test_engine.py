@@ -136,6 +136,19 @@ class TestStandardGame:
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer >= 0"):
             cfg(**bad)
         assert cfg(eta=np.int64(2), uncounted_rounds=0).eta == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"rounds": True}, {"rounds": 2.5}, {"rounds": 0}, {"rounds": "3"},
+        {"seed": True}, {"seed": 2.5}, {"seed": -1}, {"seed": None},
+    ])
+    def test_config_rejects_non_count_rounds_and_seed(self, bad):
+        key = next(iter(bad))
+        least = 1 if key == "rounds" else 0
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= {least}"):
+            cfg(**bad)
+        config = cfg(rounds=np.int64(3), seed=np.int64(4))
+        assert (config.rounds, config.seed) == (3, 4)
+        assert len(run_game(config).trials) == 3
         with pytest.raises(ValueError):
             run_game(cfg(adversary="nope"))
 
