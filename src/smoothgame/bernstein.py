@@ -308,7 +308,7 @@ _GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # dense basis entries a cached [0, 1] panel rule may span
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The degree-n basis window and the weights of a composite rule on [0, 1].
 

@@ -475,7 +475,6 @@ class TestRuleBasis:
         grid_values(poly)
         assert {(n, panels) for n, panels, _ in sizes} == {(DEGREE_CAP - 1, 192), (DEGREE_CAP, 192)}
         assert max(size for *_, size in sizes) <= bernstein._RULE_ENTRIES
-        assert cached.cache_info().maxsize * bernstein._RULE_ENTRIES * 8 <= 2 ** 27  # 128 MiB
 
     @pytest.mark.parametrize("q, grades", [(2.0, False), (1.5, True), (3.0, False)])
     def test_graded_or_rooted_pieces_take_the_uncached_path(self, q, grades, monkeypatch):
