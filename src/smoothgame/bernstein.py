@@ -253,6 +253,8 @@ ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
 _SECTIONS = 16  # subintervals per multisection step of a root bracket
 _PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
+_GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
+_RULE_ENTRIES = 1 << 21  # dense basis entries a cached [0, 1] panel rule may span
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -302,10 +304,6 @@ def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
     """Values of ``poly`` at the nodes of the action grid, from its cached basis."""
     starts, block, _ws = _rule_basis(poly.degree, *_GRID)
     return _window_dot(starts, block, poly.coeffs)
-
-
-_GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
-_RULE_ENTRIES = 1 << 21  # dense basis entries a cached [0, 1] panel rule may span
 
 
 @lru_cache(maxsize=16)
@@ -405,17 +403,18 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     """Action integral of |P'|^q over [0, 1] to absolute tolerance ``QUADRATURE_TOL``.
 
     Certified once per polynomial and q: the result is kept on ``poly`` and
-    handed back on every later call. The domain is split at the
-    derivative's roots so |P'| is smooth on each piece. At fractional q the
-    panels are graded geometrically toward every piece end, where the
-    integrand may have a fractional-power zero, until
+    handed back on every later call.
+
+    The domain is split at the derivative's roots so |P'| is smooth on each
+    piece. At fractional q the panels are graded geometrically toward every
+    piece end, where the integrand may have a fractional-power zero, until
     the end panels' bounds (``_piece_panels``) sum to at most
     ``QUADRATURE_TOL`` / 10: |P'| is |c_0| at 0 and |c_n| at 1 (c the
     coefficients of P'), at most m * ``ROOT_WIDTH`` at a root, and
-    m = deg P' * max |c_{k+1} - c_k| bounds |P''|. Convergence is certified
-    by doubling the panel count; on failure the dense composite rule takes
-    over. A derivative with no root at integer q is one ungraded piece,
-    whose rules come from ``_unit_integral``'s cache.
+    m = deg P' * max |c_{k+1} - c_k| bounds |P''|. A derivative with no
+    root at integer q is one ungraded piece, integrated by
+    ``_unit_integral``. Convergence is certified by doubling the panel
+    count; on failure the dense composite rule takes over.
     """
     _check_finite_q(q)
     action = poly._actions.get(q)
@@ -425,6 +424,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 
 
 def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
+    """The quadrature of ``q_action_poly``, run afresh."""
     deriv = poly.derivative()
     if deriv.degree == 0:
         return abs(deriv.coeffs[0]) ** q
