@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
@@ -23,12 +22,12 @@ import numpy as np
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
     SampleSet,
-    _check_q,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
     q_action,
 )
+from .schema import ACTION_Q, Choice, Count, Real, check, key, table
 
 QUERY_POLICIES = ("widest-gap-midpoint", "uniform-random", "fixed-sequence")
 
@@ -43,18 +42,12 @@ class GreedyConfig:
     ties broken toward ``tie_break``.
     """
 
-    query_policy: str = "widest-gap-midpoint"
-    budget: float = 1.0
-    tie_break: str = "lower"
+    query_policy: str = key(Choice(QUERY_POLICIES), "widest-gap-midpoint")
+    budget: float = key(Real(0), 1.0)
+    tie_break: str = key(Choice(("lower", "upper")), "lower")
 
     def __post_init__(self):
-        if self.query_policy not in QUERY_POLICIES:
-            raise ValueError(f"unknown query policy {self.query_policy!r}")
-        if (isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Real)
-                or not self.budget >= 0.0):
-            raise ValueError(f"budget must be a real number >= 0, got {self.budget!r}")
-        if self.tie_break not in ("lower", "upper"):
-            raise ValueError("tie_break must be 'lower' or 'upper'")
+        check(table(GreedyConfig), vars(self))
 
 
 @dataclass
@@ -182,11 +175,7 @@ class GreedyAdversary:
         rounds: int = 0,
         lie_magnitude: float = 0.75,
     ):
-        _check_q(q)
-        if eta < 0:
-            raise ValueError("eta must be >= 0")
-        if not 0.0 <= lie_magnitude <= 1.0:
-            raise ValueError("lie_magnitude must be in [0, 1]")
+        ACTION_Q.check("q", q)
         self.q = q
         self.cfg = cfg or GreedyConfig()
         self.lie_magnitude = lie_magnitude
@@ -240,8 +229,7 @@ class NoisyLowerBoundAdversary:
     """
 
     def __init__(self, eta: int, p: float):
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
+        Count(1).check("eta", eta)
         if p < 2.0:
             raise ValueError("the forced bound needs p >= 2")
         self.eta = eta
@@ -296,10 +284,7 @@ class InsufficientInitAdversary:
     """
 
     def __init__(self, eta: int, swing: float = 1e6):
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
-        if swing <= 0.0:
-            raise ValueError("swing must be positive")
+        Count(1).check("eta", eta)
         self.eta = eta
         self.swing = swing
         self._n = 2 * eta + 1

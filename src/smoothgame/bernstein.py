@@ -33,6 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
+from .schema import Real
+
 DEGREE_CAP = 2 ** 14
 _CHUNK_ENTRIES = 1 << 23
 
@@ -393,10 +395,8 @@ def _unit_integral(deriv: BernsteinPolynomial, q: float, panels: int) -> float:
     return float(np.dot(ws, vals))
 
 
-def _check_finite_q(q: float) -> None:
-    """Reject q outside [1, inf): |P'|^inf integrates to 0 wherever |P'| < 1."""
-    if not 1.0 <= q < math.inf:
-        raise ValueError(f"q must be finite and >= 1, got {q}")
+# a polynomial's action exponent: |P'|^inf integrates to 0 wherever |P'| < 1
+FINITE_Q = Real(1)
 
 
 def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
@@ -416,7 +416,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     ``_unit_integral``. Convergence is certified by doubling the panel
     count; on failure the dense composite rule takes over.
     """
-    _check_finite_q(q)
+    FINITE_Q.check("q", q)
     action = poly._actions.get(q)
     if action is None:
         action = poly._actions[q] = _certify_action(poly, q)

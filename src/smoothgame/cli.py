@@ -1,7 +1,7 @@
 """Batch driver: single games, bound sweeps, inequality searches, poly builds.
 
 Every command reads a JSON config, writes CSV/JSON artifacts into an output
-directory, and exits 0 on success, 1 on a config problem, 2 when an
+directory, and exits 0 on success, 1 on a config or usage error, 2 when an
 adversary broke the rules, 3 when a certified bound was violated, and 4 on
 an internal fault (a run aborted with a ``RuntimeError``, such as a learner
 protocol violation or a diverged endpoint search; in ``simulate``, whose
@@ -18,7 +18,6 @@ import concurrent.futures
 import csv
 import io
 import json
-import math
 import pathlib
 import sys
 
@@ -33,8 +32,9 @@ from .engine import (
 )
 from .inequalities import GAP_IDS, search_near_violation
 from .interpolation import SampleSet, q_action
-from .bernstein import DegreeCapError, _check_finite_q, q_action_poly
+from .bernstein import FINITE_Q, DegreeCapError, q_action_poly
 from .polyapprox import approx_interpolant_poly, exact_interpolant_poly
+from .schema import REQUIRED, Choice, ConfigError, Count, ListOf, Options, Real, check, table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,44 +52,53 @@ CERTIFIED_BOUNDS = {
 }
 BOUND_SLACK = 1e-9
 
-COMMANDS = ("simulate", "sweep-epsilon", "sweep-eta", "verify-lemmas", "poly-build", "report")
+_GAME = table(GameConfig)
+# each command's config keys: key -> (kind, default)
+CONFIGS = {
+    # a null seed is the default seed 0
+    "simulate": {**_GAME, "seed": (_GAME["seed"][0], None)},
+    "sweep-epsilon": {
+        "epsilons": (ListOf(Real(0, above=True)), [0.1, 0.25, 0.5]),
+        "rounds": (Count(1), 1000),
+        "seeds": (ListOf(Count(0)), [0, 1, 2]),
+        "policies": (ListOf(Choice(QUERY_POLICIES)), list(QUERY_POLICIES)),
+    },
+    "sweep-eta": {
+        "etas": (ListOf(Count(0)), [1, 2, 3]),
+        # the eta sweeps' bounds are certified for p, q >= 2
+        "p": (Real(2), 2.0),
+        "q": (Real(2, finite=False), 2.0),
+        "rounds": (Count(1), 500),
+        "liar_seeds": (Count(1), 5),
+    },
+    "verify-lemmas": {
+        # a gap's budget, else default_samples
+        "samples": (Options(dict.fromkeys(GAP_IDS, (Count(1), None))), {}),
+        "default_samples": (Count(1), 20000),
+        "seed": (Count(0), 0),
+    },
+    "poly-build": {
+        # each point is [u, v]; SampleSet checks u in [0, 1] and v finite
+        "points": (ListOf(ListOf(Real(None))), REQUIRED),
+        "q": (FINITE_Q, REQUIRED),
+        "mode": (Choice(("approx", "exact")), "approx"),
+        "epsilon": (Real(0, above=True), 0.1),
+        "degree_cap": (Count(1), 2 ** 14),
+    },
+}
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _load_config(path: str, allowed: dict) -> dict:
-    """Read a JSON object and validate keys against allowed (name -> default)."""
-    try:
-        raw = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        if isinstance(allowed[key], list) and not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-    merged = dict(allowed)
-    merged.update(raw)
-    missing = [k for k, v in merged.items() if v is _REQUIRED]
-    if missing:
-        raise ConfigError(f"missing config keys: {missing}")
-    return merged
-
-
-_REQUIRED = object()
-
-
-def _whole(key: str, value, least: int) -> int:
-    # a count is never truncated: an int or an integral float such as 1e5
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (value >= least and value % 1 == 0)):
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def _load_config(path: str | None, declared: dict, **flags) -> dict:
+    """The JSON config at ``path`` (none: ``{}``), each flag given replacing its key, checked."""
+    raw = {}
+    if path:
+        try:
+            raw = json.loads(pathlib.Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in flags.items() if v is not None)
+    return check(declared, raw, json=True)
 
 
 def _bound_violations(header: list[str], rows: list[list]) -> int:
@@ -128,28 +137,11 @@ def _write_csv(path: pathlib.Path, header: list[str], rows: list[list], comment:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_config(args.config, {
-        "p": _REQUIRED, "q": _REQUIRED, "rounds": _REQUIRED,
-        "learner": _REQUIRED, "adversary": _REQUIRED,
-        "eta": 0, "seed": None, "duplicate_policy": "reject",
-        "uncounted_rounds": None, "learner_options": {}, "adversary_options": {},
-    })
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    spec["seed"] = 0 if spec["seed"] is None else _whole("seed", spec["seed"], 0)
-    uncounted = spec["uncounted_rounds"]
+    spec = _load_config(args.config, CONFIGS["simulate"], seed=args.seed)
     try:
-        config = GameConfig.make(
-            p=spec["p"], q=spec["q"], eta=_whole("eta", spec["eta"], 0),
-            rounds=_whole("rounds", spec["rounds"], 1),
-            learner=spec["learner"], adversary=spec["adversary"], seed=spec["seed"],
-            duplicate_policy=spec["duplicate_policy"],
-            uncounted_rounds=None if uncounted is None else _whole("uncounted_rounds", uncounted, 0),
-            learner_options=spec["learner_options"],
-            adversary_options=spec["adversary_options"],
-        )
+        config = GameConfig.make(**{**spec, "seed": spec["seed"] or 0})
         build_players(config)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
         tr = run_game(config)
@@ -180,23 +172,10 @@ def _epsilon_cell(cell):
 
 
 def cmd_sweep_epsilon(args) -> int:
-    spec = _load_config(args.config, {
-        "epsilons": [0.1, 0.25, 0.5],
-        "rounds": 1000,
-        "seeds": [0, 1, 2],
-        "policies": ["widest-gap-midpoint", "uniform-random", "fixed-sequence"],
-    })
-    rounds = _whole("rounds", spec["rounds"], 1)
-    seeds = [_whole("seeds", sd, 0) for sd in spec["seeds"]]
-    for e in spec["epsilons"]:
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0.0 < e < math.inf:
-            raise ConfigError(f"epsilons must be finite numbers > 0, got {e!r}")
-    for pol in spec["policies"]:
-        if pol not in QUERY_POLICIES:
-            raise ConfigError(f"policies must be among {QUERY_POLICIES}, got {pol!r}")
+    spec = _load_config(args.config, CONFIGS["sweep-epsilon"])
     cells = sorted(
-        (float(e), pol, sd, rounds)
-        for e in spec["epsilons"] for pol in spec["policies"] for sd in seeds
+        (float(e), pol, sd, spec["rounds"])
+        for e in spec["epsilons"] for pol in spec["policies"] for sd in spec["seeds"]
     )
     rows = _run_cells(_epsilon_cell, cells, args.workers)
     out = pathlib.Path(args.out)
@@ -237,22 +216,9 @@ def _eta_cell(cell):
 
 
 def cmd_sweep_eta(args) -> int:
-    spec = _load_config(args.config, {
-        "etas": [1, 2, 3],
-        "p": 2.0, "q": 2.0,
-        "rounds": 500,
-        "liar_seeds": 5,
-    })
-    try:  # every cell's GameConfig checks p and q; check them before any cell runs
-        GameConfig(p=spec["p"], q=spec["q"], rounds=1, learner="linint", adversary="greedy")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if spec["p"] < 2.0 or spec["q"] < 2.0:
-        raise ConfigError("eta sweeps are certified for p, q >= 2")
-    rounds = _whole("rounds", spec["rounds"], 1)
-    liar_seeds = _whole("liar_seeds", spec["liar_seeds"], 1)
+    spec = _load_config(args.config, CONFIGS["sweep-eta"])
     cells = sorted(
-        (_whole("etas", eta, 0), rounds, liar_seeds, float(spec["p"]), float(spec["q"]))
+        (eta, spec["rounds"], spec["liar_seeds"], float(spec["p"]), float(spec["q"]))
         for eta in spec["etas"]
     )
     nested = _run_cells(_eta_cell, cells, args.workers)
@@ -272,7 +238,7 @@ def cmd_sweep_eta(args) -> int:
 
 
 def _run_cells(fn, cells, workers):
-    if workers <= 1:
+    if Count(1).check("workers", workers) == 1:
         return [fn(c) for c in cells]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
@@ -283,27 +249,14 @@ def _run_cells(fn, cells, workers):
 
 
 def cmd_verify_lemmas(args) -> int:
-    spec = _load_config(args.config, {
-        "samples": {},
-        "default_samples": 20000,
-        "seed": 0,
-    }) if args.config else {"samples": {}, "default_samples": 20000, "seed": 0}
-    if args.samples is not None:
-        spec["default_samples"] = args.samples
-    seed = _whole("seed", args.seed if args.seed is not None else spec["seed"], 0)
-    samples = spec["samples"]
-    if not isinstance(samples, dict) or not set(samples) <= set(GAP_IDS):
-        raise ConfigError(f"samples must map gap ids {GAP_IDS} to budgets, got {samples!r}")
-    default = _whole("default_samples", spec["default_samples"], 1)
-    budgets = {gap_id: _whole(f"samples[{gap_id}]", samples.get(gap_id, default), 1)
+    spec = _load_config(args.config, CONFIGS["verify-lemmas"],
+                        default_samples=args.samples, seed=args.seed)
+    seed = spec["seed"]
+    budgets = {gap_id: spec["samples"].get(gap_id) or spec["default_samples"]
                for gap_id in GAP_IDS}
     budgets["cumulative"] = max(10, budgets["cumulative"] // 20)
-    reports = []
-    for gap_id in GAP_IDS:
-        try:
-            reports.append(search_near_violation(gap_id, budget=budgets[gap_id], seed=seed))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    reports = [search_near_violation(gap_id, budget=budgets[gap_id], seed=seed)
+               for gap_id in GAP_IDS]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -324,26 +277,12 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def cmd_poly_build(args) -> int:
-    spec = _load_config(args.config, {
-        "points": _REQUIRED,
-        "q": _REQUIRED,
-        "mode": "approx",
-        "epsilon": 0.1,
-        "degree_cap": 2 ** 14,
-    })
+    spec = _load_config(args.config, CONFIGS["poly-build"])
     try:
         s = SampleSet.from_pairs([(float(u), float(v)) for u, v in spec["points"]])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad points: {exc}") from exc
-    try:
-        q = float(spec["q"])
-        _check_finite_q(q)
-        eps = float(spec["epsilon"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad q or epsilon: {exc}") from exc
-    if not eps > 0.0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
-    degree_cap = _whole("degree_cap", spec["degree_cap"], 1)
+    q, eps, degree_cap = float(spec["q"]), float(spec["epsilon"]), spec["degree_cap"]
     result = {
         "tool": "smoothgame", "version": __version__,
         "mode": spec["mode"], "q": q,
@@ -358,14 +297,12 @@ def cmd_poly_build(args) -> int:
                 "eps2": plan.eps2, "eps3": plan.eps3,
                 "C": plan.C, "c1": plan.c1, "degree": plan.degree,
             }
-        elif spec["mode"] == "exact":
-            poly = exact_interpolant_poly(s, q, degree_cap=degree_cap)
         else:
-            raise ConfigError(f"unknown mode {spec['mode']!r}")
+            poly = exact_interpolant_poly(s, q, degree_cap=degree_cap)
     except DegreeCapError as exc:
-        raise ConfigError(f"construction failed: {exc}") from exc
+        raise ConfigError(f"construction failed within degree_cap {degree_cap}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"no {spec['mode']} polynomial for these points: {exc}") from exc
     action = q_action_poly(poly, q)
     result["degree"] = poly.degree
     result["bernstein_coefficients"] = [float(c) for c in poly.coeffs]
@@ -391,14 +328,12 @@ def cmd_poly_build(args) -> int:
 def cmd_report(args) -> int:
     src = pathlib.Path(args.config) if args.config else pathlib.Path(args.out)
     if not src.is_dir():
-        print(f"report input {src} is not a directory", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"report input {src} is not a directory")
     summaries = sorted(src.glob("**/*summary.json"))
     gap_files = sorted(src.glob("**/gap_reports.json"))
     sweep_files = sorted(src.glob("**/sweep_*.csv"))
     if not summaries and not gap_files and not sweep_files:
-        print(f"no recognized outputs under {src}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"no recognized outputs under {src}")
     violations = 0
     lines = [f"# smoothgame report", "", f"inputs: {len(summaries)} game summaries, "
              f"{len(gap_files)} gap reports, {len(sweep_files)} sweeps", ""]
@@ -434,43 +369,44 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error (exit 1), not argparse's exit 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# command -> (handler, whether it needs --config, the integer flags it reads)
+COMMANDS = {
+    "simulate": (cmd_simulate, True, ("--seed",)),
+    "sweep-epsilon": (cmd_sweep_epsilon, False, ("--workers",)),
+    "sweep-eta": (cmd_sweep_eta, False, ("--workers",)),
+    "verify-lemmas": (cmd_verify_lemmas, False, ("--seed", "--samples")),
+    "poly-build": (cmd_poly_build, True, ()),
+    "report": (cmd_report, False, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smoothgame",
         description="games, bound sweeps and polynomial builds for online "
                     "learning of action-bounded functions",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, needs_config, flags) in COMMANDS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="JSON config path")
+        cmd.add_argument("--config", required=needs_config, help="JSON config path")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--workers", type=int, default=1)
-        cmd.add_argument("--samples", type=int, default=None,
-                         help="per-check sample budget (verify-lemmas)")
+        for flag in flags:  # --seed and --samples replace config keys
+            cmd.add_argument(flag, type=int, default=1 if flag == "--workers" else None)
     return parser
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "sweep-epsilon": cmd_sweep_epsilon,
-    "sweep-eta": cmd_sweep_eta,
-    "verify-lemmas": cmd_verify_lemmas,
-    "poly-build": cmd_poly_build,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    needs_config = args.command in ("simulate", "poly-build")
-    if needs_config and not args.config:
-        print("this command requires --config", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

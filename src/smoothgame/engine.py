@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, asdict
-from typing import Callable
 
 from . import __version__
 from .adversaries import (
@@ -32,11 +30,11 @@ from .interpolation import (  # noqa: F401
     ACTION_TOL,
     DuplicateKnotError,
     SampleSet,
-    _check_q,
     action_increment,
     eval_interpolant,
 )
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
+from .schema import ACTION_Q, Choice, Count, ListOf, Options, Real, check, key, table
 
 CSV_HEADER = ["t", "x", "prediction", "revealed", "true_value", "lie", "raw_error", "p_power", "counted"]
 
@@ -49,41 +47,34 @@ class DuplicateQueryError(IllegalAdversaryError):
     """A repeated query arrived under the reject policy."""
 
 
-def _check_count(key: str, value, least: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+# name -> (factory, the table of the options it takes)
+LEARNERS: dict[str, tuple] = {}
+ADVERSARIES: dict[str, tuple] = {}
 
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Full description of one game; equal configs give identical games."""
+    """Full description of one game; equal configs give identical games.
 
-    p: float
-    q: float
-    rounds: int
-    learner: str
-    adversary: str
-    eta: int = 0
-    seed: int = 0
-    duplicate_policy: str = "reject"
-    uncounted_rounds: int | None = None
-    learner_options: tuple = ()
-    adversary_options: tuple = ()
+    Construction checks each field against its declared kind; the players'
+    options are checked against their own tables when the players are built.
+    """
+
+    p: float = key(Real(1))
+    q: float = key(ACTION_Q)
+    rounds: int = key(Count(1))
+    learner: str = key(Choice(LEARNERS))
+    adversary: str = key(Choice(ADVERSARIES))
+    eta: int = key(Count(0), 0)
+    seed: int = key(Count(0), 0)
+    duplicate_policy: str = key(Choice(("reject", "answer-known")), "reject")
+    uncounted_rounds: int | None = key(Count(0), None)
+    learner_options: tuple = key(Options(None), ())
+    adversary_options: tuple = key(Options(None), ())
 
     def __post_init__(self):
-        _check_count("rounds", self.rounds, 1)
-        _check_count("eta", self.eta)
-        _check_count("seed", self.seed)
-        if self.uncounted_rounds is not None:
-            _check_count("uncounted_rounds", self.uncounted_rounds)
-        for key, value in (("p", self.p), ("q", self.q)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-        if not 1.0 <= self.p < math.inf:
-            raise ValueError(f"p must be in [1, inf), got {self.p!r}")
-        _check_q(self.q)
-        if self.duplicate_policy not in ("reject", "answer-known"):
-            raise ValueError(f"unknown duplicate policy {self.duplicate_policy!r}")
+        check(table(GameConfig), {**vars(self), "learner_options": dict(self.learner_options),
+                                  "adversary_options": dict(self.adversary_options)})
 
     @classmethod
     def make(cls, learner_options: dict | None = None, adversary_options: dict | None = None, **kw):
@@ -93,12 +84,6 @@ class GameConfig:
             adversary_options=tuple(sorted((adversary_options or {}).items())),
             **kw,
         )
-
-    def learner_opts(self) -> dict:
-        return dict(self.learner_options)
-
-    def adversary_opts(self) -> dict:
-        return dict(self.adversary_options)
 
 
 @dataclass(slots=True)
@@ -156,97 +141,66 @@ class Transcript:
         }
 
 
-LearnerFactory = Callable[[GameConfig], Learner]
-AdversaryFactory = Callable[[GameConfig], Adversary]
-
-LEARNERS: dict[str, LearnerFactory] = {}
-ADVERSARIES: dict[str, AdversaryFactory] = {}
+def register_learner(name: str, factory, options: dict | None = None) -> None:
+    """Register ``factory(config, **options)``; ``options`` declares what it takes (none: nothing)."""
+    LEARNERS[name] = (factory, options or {})
 
 
-def register_learner(name: str, factory: LearnerFactory) -> None:
-    LEARNERS[name] = factory
-
-
-def register_adversary(name: str, factory: AdversaryFactory) -> None:
-    ADVERSARIES[name] = factory
+def register_adversary(name: str, factory, options: dict | None = None) -> None:
+    """Register ``factory(config, **options)``, as ``register_learner`` does."""
+    ADVERSARIES[name] = (factory, options or {})
 
 
 register_learner("linint", lambda cfg: LinintLearner())
 register_learner(
     "staged",
-    lambda cfg: StagedLearner(eta=cfg.eta, p=cfg.p, q=cfg.q, **cfg.learner_opts()),
+    lambda cfg, threshold: StagedLearner(cfg.eta, cfg.p, threshold, q=cfg.q),
+    {"threshold": (Real(0, above=True), None)},
 )
 
 
-def _greedy_factory(cfg: GameConfig) -> GreedyAdversary:
-    opts = cfg.adversary_opts()
-    gc = GreedyConfig(
-        query_policy=opts.pop("query_policy", "widest-gap-midpoint"),
-        budget=opts.pop("budget", 1.0),
-        tie_break=opts.pop("tie_break", "lower"),
-    )
-    sequence = opts.pop("sequence", None)
-    _reject_unknown("greedy adversary", opts)
-    if sequence is not None:
-        # each round takes a query not asked before, so the run needs
-        # `rounds` distinct entries, all in [0, 1]
-        sequence = [float(x) for x in sequence]
-        if not all(0.0 <= x <= 1.0 for x in sequence):
-            raise ValueError("query sequence entries must lie in [0, 1]")
-        if len(set(sequence)) < cfg.rounds:
-            raise ValueError(
-                f"query sequence has {len(set(sequence))} distinct entries "
-                f"for {cfg.rounds} rounds"
-            )
-    return GreedyAdversary(cfg.q, gc, seed=cfg.seed, sequence=sequence)
+def _greedy_factory(cfg: GameConfig, sequence, **knobs) -> GreedyAdversary:
+    # each round takes a query not asked before, so the run needs
+    # `rounds` distinct entries
+    if sequence is not None and len(set(sequence)) < cfg.rounds:
+        raise ValueError(
+            f"query sequence has {len(set(sequence))} distinct entries for {cfg.rounds} rounds"
+        )
+    return GreedyAdversary(cfg.q, GreedyConfig(**knobs), seed=cfg.seed, sequence=sequence)
 
 
-def _random_liar_factory(cfg: GameConfig) -> GreedyAdversary:
-    opts = cfg.adversary_opts()
-    gc = GreedyConfig(
-        query_policy=opts.pop("query_policy", "uniform-random"),
-        budget=opts.pop("budget", 1.0),
-    )
-    lie_magnitude = opts.pop("lie_magnitude", 0.75)
-    _reject_unknown("random-liar adversary", opts)
-    return GreedyAdversary(
-        cfg.q, gc, seed=cfg.seed, eta=cfg.eta, rounds=cfg.rounds,
-        lie_magnitude=lie_magnitude,
-    )
+_GREEDY = table(GreedyConfig)
+register_adversary("greedy", _greedy_factory,
+                   {**_GREEDY, "sequence": (ListOf(Real(0, 1)), None)})
+register_adversary("random-liar", lambda cfg, lie_magnitude, **knobs: GreedyAdversary(
+    cfg.q, GreedyConfig(**knobs), seed=cfg.seed, eta=cfg.eta, rounds=cfg.rounds,
+    lie_magnitude=lie_magnitude), {
+    "query_policy": (_GREEDY["query_policy"][0], "uniform-random"),
+    "budget": _GREEDY["budget"],
+    "lie_magnitude": (Real(0, 1), 0.75),
+})
 
 
-def _noisy_lb_factory(cfg: GameConfig) -> NoisyLowerBoundAdversary:
-    _reject_unknown("noisy-lb adversary", cfg.adversary_opts())
-    return NoisyLowerBoundAdversary(cfg.eta, cfg.p)
+def _scripted(cfg: GameConfig, adversary, script_rounds: int):
+    # a script discloses its lies only once it has run to the end
+    Count(script_rounds).check("rounds", cfg.rounds)
+    return adversary
 
 
-def _insufficient_init_factory(cfg: GameConfig) -> InsufficientInitAdversary:
-    opts = cfg.adversary_opts()
-    swing = opts.pop("swing", 1e6)
-    _reject_unknown("insufficient-init adversary", opts)
-    return InsufficientInitAdversary(cfg.eta, swing)
-
-
-def _reject_unknown(who: str, leftover: dict) -> None:
-    if leftover:
-        raise ValueError(f"unknown options for {who}: {sorted(leftover)}")
-
-
-register_adversary("greedy", _greedy_factory)
-register_adversary("random-liar", _random_liar_factory)
-register_adversary("noisy-lb", _noisy_lb_factory)
-register_adversary("insufficient-init", _insufficient_init_factory)
+register_adversary("noisy-lb", lambda cfg: _scripted(
+    cfg, NoisyLowerBoundAdversary(cfg.eta, cfg.p), 4 * cfg.eta + 2))
+register_adversary("insufficient-init", lambda cfg, swing: _scripted(
+    cfg, InsufficientInitAdversary(cfg.eta, swing), 2 * cfg.eta + 1),
+    {"swing": (Real(0, above=True), 1e6)})
 
 
 def build_players(config: GameConfig) -> tuple[Learner, Adversary]:
-    try:
-        learner = LEARNERS[config.learner](config)
-    except KeyError:
-        raise ValueError(f"unknown learner {config.learner!r}") from None
-    try:
-        adversary = ADVERSARIES[config.adversary](config)
-    except KeyError:
-        raise ValueError(f"unknown adversary {config.adversary!r}") from None
+    """The config's players, each built from its options checked and filled in."""
+    factory, options = LEARNERS[config.learner]
+    learner = factory(config, **check(options, dict(config.learner_options), "learner_options"))
+    factory, options = ADVERSARIES[config.adversary]
+    adversary = factory(config, **check(options, dict(config.adversary_options),
+                                        "adversary_options"))
     return learner, adversary
 
 

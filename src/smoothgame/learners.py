@@ -11,10 +11,10 @@ restarts from scratch whenever one of three lie-detection events fires.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol
 
-from .interpolation import DuplicateKnotError, SampleSet, _check_q, eval_interpolant
+from .interpolation import DuplicateKnotError, SampleSet, eval_interpolant
+from .schema import ACTION_Q, Count
 
 
 class Learner(Protocol):
@@ -92,9 +92,8 @@ class StagedLearner:
     """
 
     def __init__(self, eta: int, p: float, threshold: float | None = None, *, q: float = 2.0):
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
-        _check_q(q)
+        Count(1).check("eta", eta)
+        ACTION_Q.check("q", q)
         if threshold is None:
             if p < 2.0:
                 raise ValueError(
@@ -102,8 +101,6 @@ class StagedLearner:
                     "pass an explicit experimental threshold for smaller p"
                 )
             threshold = 1.0
-        if not (threshold > 0.0 and math.isfinite(threshold)):
-            raise ValueError("threshold must be positive and finite")
         self.eta = eta
         self.p = p
         self.threshold = threshold

@@ -39,8 +39,8 @@ import numpy as np
 from .bernstein import (
     DEGREE_CAP,
     BernsteinPolynomial,
+    FINITE_Q,
     DegreeCapError,
-    _check_finite_q,
     bernstein_basis_matrix,
     gauss_grid,
     grid_values,
@@ -236,7 +236,7 @@ def approx_interpolant_poly(
         raise ValueError("need at least two points; a singleton is a constant")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    _check_finite_q(q)
+    FINITE_Q.check("q", q)
     return _build_near_interpolant(
         s, q, res_target=0.9 * eps, act_slack=0.9 * eps, degree_cap=degree_cap
     )
@@ -330,7 +330,7 @@ def exact_interpolant_poly(
     check or a singular A) the degree floor doubles, up to the cap, so the
     degree never exceeds ``degree_cap + 1``.
     """
-    _check_finite_q(q)
+    FINITE_Q.check("q", q)
     m = len(s)
     if m == 0:
         return BernsteinPolynomial([0.0])

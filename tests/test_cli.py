@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -497,3 +498,76 @@ class TestReport:
             "counted_total": 5.0, "legality": False,
         }))
         assert run("report", "--config", str(data), "--out", str(tmp_path / "rep")) == 3
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.json"],
+        ["verify-lemmas", "--out", "o", "--samples", "abc"],
+        ["frobnicate", "--out", "o"],
+        [],
+        ["simulate", "--out", "o"],
+        ["poly-build", "--out", "o"],
+        # each command takes only the flags it reads
+        ["simulate", "--config", "c.json", "--out", "o", "--samples", "5"],
+        ["simulate", "--config", "c.json", "--out", "o", "--workers", "2"],
+        ["sweep-epsilon", "--out", "o", "--seed", "1"],
+        ["sweep-eta", "--out", "o", "--seed", "1"],
+        ["sweep-eta", "--out", "o", "--samples", "5"],
+        ["verify-lemmas", "--out", "o", "--workers", "2"],
+        ["poly-build", "--config", "c.json", "--out", "o", "--seed", "1"],
+        ["report", "--config", "o", "--out", "r", "--seed", "1"],
+        ["sweep-epsilon", "--out", "o", "--workers", "x"],
+    ])
+    def test_usage_error_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse's own exit 2 is the code of an adversary illegality
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "c.json", {
+            "p": 2, "q": 2, "rounds": 5, "learner": "linint", "adversary": "greedy",
+        })
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: smoothgame") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep-epsilon", "sweep-eta"])
+    def test_workers_is_a_count_exit_1(self, tmp_path, capsys, command, workers):
+        out = tmp_path / "o"
+        assert run(command, "--out", str(out), "--workers", workers) == 1
+        assert capsys.readouterr().err.startswith("config error: workers must be an integer >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["simulate", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            run(*argv)
+        assert stop.value.code == 0
+
+
+class TestConfigEcho:
+    """What the CLI writes for README's example configs, byte for byte.
+
+    The game configs give ``p`` and ``q`` as JSON ints, which the summary
+    echoes as ints; the digests were taken before the config schema.
+    """
+
+    @pytest.mark.parametrize("command, config, digests", [
+        ("simulate",
+         {"p": 2, "q": 2, "rounds": 500, "learner": "linint", "adversary": "greedy"},
+         {"game_summary.json": "5bf2c8ca66326c2b0166d06f54b203818ea67421f211fee9fda9f111b80325dd",
+          "game_transcript.csv": "3da95734513eba0299724183125bf02db436761b76bc5e199107197d73936e70"}),
+        ("simulate",
+         {"p": 2, "q": 2, "eta": 2, "rounds": 2000, "learner": "staged",
+          "adversary": "random-liar", "adversary_options": {"lie_magnitude": 0.75}},
+         {"game_summary.json": "5d57d26c71397210ed841980fde2be5d7c0403139274709bac24e37161e84ace",
+          "game_transcript.csv": "43549c90f623d2593cd172c9922ce5b997171c274ef2c13c75c7dde6487986f6"}),
+        ("poly-build",
+         {"points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact"},
+         {"poly_build.json": "11eb5b4744ce8105b0d9d126ca1ff2647845244476b0a9d889fc97b29e2cde23"}),
+    ])
+    def test_readme_examples(self, tmp_path, command, config, digests):
+        out = tmp_path / "out"
+        assert run(command, "--config", write(tmp_path / "c.json", config), "--out", str(out)) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

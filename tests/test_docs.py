@@ -1,9 +1,13 @@
-"""The README's tolerance table against the values in the code."""
+"""The README's tolerance table and player options against the code."""
 
 import importlib
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +38,21 @@ def test_every_tolerance_row_matches_its_home():
             # a literal inside one function: the function compares at it
             assert re.search(rf"(?<![\w.]){re.escape(literal)}(?![\w.])",
                              inspect.getsource(target)), (home, literal)
+
+
+def test_readme_player_options_are_the_declared_ones():
+    # a fresh interpreter: other tests register players of their own
+    script = ("import json; from smoothgame import engine; print(json.dumps({"
+              "f'{role} {name}': sorted(options) for role, registry in "
+              "(('learner', engine.LEARNERS), ('adversary', engine.ADVERSARIES)) "
+              "for name, (_, options) in registry.items()}))")
+    src = README.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    declared = json.loads(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                         capture_output=True, text=True).stdout)
+    section = README.read_text().split("Registered players and the options", 1)[1]
+    bullets = re.findall(r"^- (learner|adversary) `([\w-]+)`:(.*?)(?=^- |^$)", section,
+                         flags=re.M | re.S)
+    listed = {f"{role} {name}": sorted(set(re.findall(r"`(\w+)` \(", body)))
+              for role, name, body in bullets}
+    assert listed == declared

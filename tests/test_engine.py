@@ -30,6 +30,7 @@ from smoothgame.engine import (
     write_outputs,
 )
 from smoothgame.interpolation import SampleSet, action_increment, q_action
+from smoothgame.schema import REQUIRED, ListOf, Real
 
 
 class ScriptAdversary:
@@ -58,7 +59,8 @@ class ScriptAdversary:
         return Disclosure([False] * self._i, truth)
 
 
-register_adversary("test-script", lambda cfg: ScriptAdversary(list(cfg.adversary_opts()["moves"])))
+register_adversary("test-script", lambda cfg, moves: ScriptAdversary(moves),
+                   {"moves": (ListOf(ListOf(Real(None))), REQUIRED)})
 
 
 def cfg(**kw):

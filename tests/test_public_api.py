@@ -23,7 +23,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smoothgame"
 MODULES = ("interpolation", "learners", "adversaries", "engine", "inequalities",
-           "bernstein", "polyapprox", "cli")
+           "bernstein", "polyapprox", "schema", "cli")
 
 _TRANSCRIPT_CHECK = "transcript check used by the engine tests and criterion 8"
 _ONE_SET_REFERENCE = "one-set reference the batch and lockstep searches are tested against"
