@@ -23,6 +23,7 @@ from .interpolation import (  # noqa: F401
     ACTION_TOL,
     SampleSet,
     action_increment,
+    error_power,
     eval_interpolant,
     feasible_reply_interval,
     q_action,
@@ -254,8 +255,8 @@ class NoisyLowerBoundAdversary:
             elif k < 2 * self.eta:
                 y = 1.0
             else:
-                plus = sum(abs(v - 1.0) ** self.p for v in self._predictions_at_one)
-                minus = sum(abs(v + 1.0) ** self.p for v in self._predictions_at_one)
+                plus = sum(error_power(v - 1.0, self.p) for v in self._predictions_at_one)
+                minus = sum(error_power(v + 1.0, self.p) for v in self._predictions_at_one)
                 self.sign = 1.0 if plus >= minus else -1.0
                 y = self.sign
         self._reveals.append(y)

@@ -31,6 +31,7 @@ from .interpolation import (  # noqa: F401
     DuplicateKnotError,
     SampleSet,
     action_increment,
+    error_power,
     eval_interpolant,
 )
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
@@ -243,7 +244,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
         learner.observe(x, y)
         raw = abs(prediction - y)
         tr.trials.append(
-            TrialRecord(t, x, prediction, y, False, y, raw, raw ** config.p, counted)
+            TrialRecord(t, x, prediction, y, False, y, raw, error_power(raw, config.p), counted)
         )
     tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)
     tr.perceived_total = tr.counted_total
@@ -287,10 +288,10 @@ def run_noisy_game(config: GameConfig) -> Transcript:
         rec.lie = lied
         rec.true_value = truth(rec.x)
         rec.raw_error = abs(rec.prediction - rec.true_value)
-        rec.p_power = rec.raw_error ** config.p
+        rec.p_power = error_power(rec.raw_error, config.p)
     tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)
     tr.perceived_total = math.fsum(
-        abs(r.prediction - r.revealed) ** config.p for r in tr.trials if r.counted
+        error_power(r.prediction - r.revealed, config.p) for r in tr.trials if r.counted
     )
     tr.lie_count = disclosure.lie_count
     tr.legality = verify_legality(tr.trials, disclosure, config.eta, config.q)
@@ -316,7 +317,7 @@ def total_error(tr: Transcript, p: float) -> float:
     for r in tr.trials:
         if r.true_value is None:
             raise ValueError("transcript lacks ground truth; finalize the game first")
-    return math.fsum(abs(r.prediction - r.true_value) ** p for r in tr.trials if r.counted)
+    return math.fsum(error_power(r.prediction - r.true_value, p) for r in tr.trials if r.counted)
 
 
 def verify_transcript_legality(tr: Transcript) -> bool:
@@ -363,13 +364,13 @@ def scale_transcript(tr: Transcript, c: float) -> Transcript:
                 lie=r.lie,
                 true_value=None if r.true_value is None else r.true_value * c,
                 raw_error=raw,
-                p_power=raw ** p,
+                p_power=error_power(raw, p),
                 counted=r.counted,
             )
         )
     out.counted_total = math.fsum(r.p_power for r in out.trials if r.counted)
     out.perceived_total = math.fsum(
-        abs(r.prediction - r.revealed) ** p for r in out.trials if r.counted
+        error_power(r.prediction - r.revealed, p) for r in out.trials if r.counted
     )
     out.legality = tr.legality
     out.stage_count = tr.stage_count

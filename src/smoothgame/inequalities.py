@@ -4,9 +4,10 @@ Each gap function returns ``LHS - RHS`` of one inequality used in the regret
 analysis; all of them are expected to be nonnegative over their stated
 domains. ``gap_out``, ``gap_in`` and ``gap_two_variable`` take scalars or
 equal-shape arrays, and every element must lie in the domain.
-``search_near_violation`` hammers each domain with uniform, boundary-biased
-and locally refined samples and reports the smallest gap found, flagging
-anything below ``-DEFAULT_TOL`` as a violation. The point-set searches
+``search_near_violation`` scores ``budget`` uniform and boundary-biased
+draws of one domain through one scan, with the gap id's draw function from
+one table, and reports the smallest gap found, flagging anything below
+``-DEFAULT_TOL`` as a violation. The point-set searches
 (``h_increment``, ``dichotomy``) draw and score their sets in numpy batches
 of padded knot arrays; ``gap_h_increment`` and ``check_dichotomy`` score one
 set at a time and are the reference the batches are tested against. The
@@ -244,14 +245,6 @@ def _sample_q_open(rng, n):
     return 1.0 + np.clip(z, 1e-9, 1.0 - 1e-9)
 
 
-# gap id -> (gap function, sampler of its parameters as arrays)
-_SCALAR_SEARCHES = {
-    "out": (gap_out, _sample_out),
-    "in": (gap_in, _sample_in),
-    "two_variable": (gap_two_variable, _sample_two_variable),
-}
-
-
 def random_feasible_set(rng, q: float, m: int) -> SampleSet:
     """Random set of m <= 8 knots whose q-action lands at a random level <= 1."""
     us, vs = _random_feasible_sets(rng, np.array([q]), np.array([m]))
@@ -305,37 +298,13 @@ def _scan(budget: int, rng, draw) -> tuple[float, dict, int]:
     return best, best_params, violations
 
 
-def _search_scalar(gap_id: str, budget: int, rng) -> GapReport:
-    scalar_gap, sampler = _SCALAR_SEARCHES[gap_id]
-    refine_budget = budget // 4
-
+def _scalar_draw(gap, sampler):
+    """``draw`` for a gap function of arrays, its parameters drawn by ``sampler``."""
     def draw(rng, n):
         params = sampler(rng, n)
-        return scalar_gap(**params), lambda i: {k: float(v[i]) for k, v in params.items()}
+        return gap(**params), lambda i: {k: float(v[i]) for k, v in params.items()}
 
-    best, best_params, violations = _scan(budget - refine_budget, rng, draw)
-    # local refinement: shrink multiplicative perturbations around the minimum;
-    # a step's draws come in one call, row i for trial i, column j for key j
-    center = dict(best_params)
-    scale = 0.5
-    done_ref = 0
-    while done_ref < refine_budget:
-        step = min(64, refine_budget - done_ref)
-        for row in rng.uniform(-1.0, 1.0, size=(step, len(center))).tolist():
-            trial = {k: v * (1.0 + scale * d) for (k, v), d in zip(center.items(), row)}
-            try:
-                g = scalar_gap(**trial)
-            except ValueError:
-                continue
-            if g < best:
-                best = g
-                center = trial
-                best_params = dict(trial)
-            if g < -DEFAULT_TOL:
-                violations += 1
-        done_ref += step
-        scale *= 0.7
-    return GapReport(gap_id, budget, best, best_params, violations)
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +458,14 @@ def _dichotomy_gaps(b: _SetBatch) -> np.ndarray:
     return np.maximum(*_dichotomy_margin_arrays(b))
 
 
-# gap id -> (batch sampler, scorer, name of the batch's exponent)
-_POINT_SET_SEARCHES = {
-    "h_increment": (_h_increment_batch, _h_increment_gaps, "p"),
-    "dichotomy": (_dichotomy_batch, _dichotomy_gaps, "q"),
-}
-
-
-def _search_point_sets(gap_id: str, budget: int, rng) -> GapReport:
-    sampler, score, exponent = _POINT_SET_SEARCHES[gap_id]
-
+def _point_set_draw(sampler, score, exponent: str):
+    """``draw`` for a batch sampler and its scorer; ``exponent`` names the
+    batch's exponent in the parameters."""
     def draw(rng, n):
         batch = sampler(rng, n)
         return score(batch), lambda k: batch.params(k, exponent)
 
-    return GapReport(gap_id, budget, *_scan(budget, rng, draw))
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +660,27 @@ def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
     return _SequenceBatch(us, vs, length, p, total)
 
 
-def _search_cumulative(budget: int, rng) -> GapReport:
+def _cumulative_draw(rng, n):
     # the q = 1 feasible interval is closed form, so a whole chunk of
     # sequences grows in lockstep, one point per row per step
-    def draw(rng, n):
-        batch = _lockstep_sequences(rng, n)
-        return 1.0 / (batch.p - 1.0) - batch.total, batch.params
-
-    return GapReport("cumulative", budget, *_scan(budget, rng, draw))
+    batch = _lockstep_sequences(rng, n)
+    return 1.0 / (batch.p - 1.0) - batch.total, batch.params
 
 
-GAP_IDS = ("out", "in", "two_variable", "h_increment", "dichotomy", "cumulative")
+# ---------------------------------------------------------------------------
+# the searches
+
+# gap id -> ``draw(rng, n)``, which ``_scan`` calls for each chunk of draws
+_SEARCHES = {
+    "out": _scalar_draw(gap_out, _sample_out),
+    "in": _scalar_draw(gap_in, _sample_in),
+    "two_variable": _scalar_draw(gap_two_variable, _sample_two_variable),
+    "h_increment": _point_set_draw(_h_increment_batch, _h_increment_gaps, "p"),
+    "dichotomy": _point_set_draw(_dichotomy_batch, _dichotomy_gaps, "q"),
+    "cumulative": _cumulative_draw,
+}
+
+GAP_IDS = tuple(_SEARCHES)
 
 
 def search_near_violation(gap_id: str, budget: int = 100_000, seed: int = 0) -> GapReport:
@@ -718,11 +690,7 @@ def search_near_violation(gap_id: str, budget: int = 100_000, seed: int = 0) -> 
     """
     if budget < 1:
         raise ValueError(f"budget {budget} for {gap_id!r} must be at least 1")
+    if gap_id not in _SEARCHES:
+        raise ValueError(f"unknown gap_id {gap_id!r}; known: {GAP_IDS}")
     rng = np.random.default_rng(seed)
-    if gap_id in _SCALAR_SEARCHES:
-        return _search_scalar(gap_id, budget, rng)
-    if gap_id in _POINT_SET_SEARCHES:
-        return _search_point_sets(gap_id, budget, rng)
-    if gap_id == "cumulative":
-        return _search_cumulative(budget, rng)
-    raise ValueError(f"unknown gap_id {gap_id!r}; known: {GAP_IDS}")
+    return GapReport(gap_id, budget, *_scan(budget, rng, _SEARCHES[gap_id]))

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
+from .schema import ACTION_Q
+
 ACTION_TOL = 1e-9
 
 
@@ -314,6 +316,15 @@ def nearest_gap(s: SampleSet, x: float) -> float:
     return best
 
 
+def error_power(e: float, p: float) -> float:
+    """|e| ** p, and inf where that overflows, as an overflowing slope power
+    makes ``q_action`` inf."""
+    try:
+        return abs(e) ** p
+    except OverflowError:
+        return math.inf
+
+
 def q_action(s: SampleSet, q: float) -> float:
     """Action sum over segments: sum |du| * |dv/du|^q.
 
@@ -321,7 +332,7 @@ def q_action(s: SampleSet, q: float) -> float:
     constraint and returns the largest absolute segment slope. A slope
     whose q-th power overflows makes the action inf.
     """
-    _check_q(q)
+    ACTION_Q.check("q", q)
     if len(s) <= 1:
         return 0.0
     if math.isinf(q):
@@ -350,7 +361,7 @@ def action_increment(
     owner keeps, to skip an O(m) scan; finite q ignores it. A touched
     slope whose q-th power overflows makes the increment inf.
     """
-    _check_q(q)
+    ACTION_Q.check("q", q)
     # locate, written out: the generic-q solver calls this at every evaluation
     us = s.us
     i = bisect_left(us, x)
@@ -393,7 +404,7 @@ def feasible_reply_interval(
     returns the bracket's feasible end. The result is (lo, hi), and
     (-inf, inf) for the empty set.
     """
-    _check_q(q)
+    ACTION_Q.check("q", q)
     return s.reply_bounds(s.locate(x), x, q, budget, base_action)
 
 
@@ -464,7 +475,3 @@ def _bisect_boundary(overshoot, center: float, direction: float) -> float:
     return center + direction * inner
 
 
-def _check_q(q: float) -> None:
-    # inf is the only non-finite q >= 1; NaN fails the test
-    if not q >= 1.0:
-        raise ValueError(f"q={q} must be >= 1 or inf")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from .interpolation import DuplicateKnotError, SampleSet, eval_interpolant
+from .interpolation import DuplicateKnotError, SampleSet, error_power, eval_interpolant
 from .schema import ACTION_Q, Count
 
 
@@ -68,10 +68,11 @@ class StagedLearner:
     After the initial ``2*eta + 1`` uncounted rounds it fixes a global
     center ``v`` (median of the initial revealed values) and predicts ``v``
     whenever the queried quarter-interval holds fewer than ``2*eta + 1``
-    revelations this stage. Once an interval is full, its own median ``c``
+    revelations this stage. Once an interval is full, the median ``c`` of
+    its first ``2*eta + 1`` values, the only ones ``first_values`` keeps,
     confines the function to the band ``[c - w, c + w]`` and trials there
     are *mimicked*: the inner learner predicts, clamped to that band. A stage
-    ends (all stores cleared, fresh inner learner) when a revealed value
+    ends (values and bands cleared, fresh inner learner) when a revealed value
     leaves the band, the inner learner's raw prediction leaves the band, or
     the perceived error of the stage's mimicked trials exceeds the
     threshold. Each event certifies at least one lie since the stage began,
@@ -107,7 +108,7 @@ class StagedLearner:
         self.half_width = max(0.5, 0.25 ** (1.0 - 1.0 / q))
         self.initial_values: list[float] = []
         self.global_center: float | None = None
-        self.stores: list[list[tuple[float, float]]] = [[], [], [], []]
+        self.first_values: list[list[float]] = [[], [], [], []]
         self.bands: list[tuple[float, float] | None] = [None, None, None, None]
         self.inner = LinintLearner()
         self.stage_resets = 0
@@ -137,7 +138,7 @@ class StagedLearner:
         if self.global_center is None:
             raise ProtocolViolationError("initial feedback phase not complete")
         j = interval_of(x) - 1
-        if len(self.stores[j]) < self._fill:
+        if self.bands[j] is None:
             self._last = (x, j, False, 0.0)
             return self.global_center, False
         lo, hi = self.bands[j]
@@ -154,15 +155,17 @@ class StagedLearner:
             raise ProtocolViolationError("observe does not match the last predict")
         _, j, mimicked, raw = self._last
         self._last = None
-        self.stores[j].append((x, y))
-        if self.bands[j] is None and len(self.stores[j]) == self._fill:
-            c = median_center([v for _, v in self.stores[j]], self.eta)
-            self.bands[j] = (c - self.half_width, c + self.half_width)
+        if self.bands[j] is None:
+            values = self.first_values[j]
+            values.append(y)
+            if len(values) == self._fill:
+                c = median_center(values, self.eta)
+                self.bands[j] = (c - self.half_width, c + self.half_width)
         self.inner.observe(x, y)
         if not mimicked:
             return False
         lo, hi = self.bands[j]
-        self.perceived_error_sum += abs(raw - y) ** self.p
+        self.perceived_error_sum += error_power(raw - y, self.p)
         revealed_out = not (lo <= y <= hi)
         inner_out = not (lo <= raw <= hi)
         budget_blown = self.perceived_error_sum > self.threshold
@@ -172,7 +175,7 @@ class StagedLearner:
         return False
 
     def _reset_stage(self) -> None:
-        self.stores = [[], [], [], []]
+        self.first_values = [[], [], [], []]
         self.bands = [None, None, None, None]
         self.inner = LinintLearner()
         self.perceived_error_sum = 0.0

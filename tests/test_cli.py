@@ -224,6 +224,24 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 4
         assert "internal fault: ValueError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, counted_total", [
+        # every trial is one of the 2*eta + 1 uncounted ones
+        ({"p": 2, "q": 2, "eta": 1, "rounds": 3, "learner": "staged",
+          "adversary": "insufficient-init", "adversary_options": {"swing": 1e300}}, 0.0),
+        ({"p": 1e300, "q": 2, "eta": 1, "rounds": 6, "learner": "linint",
+          "adversary": "noisy-lb"}, math.inf),
+    ])
+    def test_overflowing_error_power_is_inf(self, tmp_path, capsys, config, counted_total):
+        # both were an OverflowError traceback from a float power
+        out = tmp_path / "out"
+        assert run("simulate", "--config", write(tmp_path / "c.json", config),
+                   "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "game_summary.json").read_text())
+        assert summary["counted_total"] == counted_total
+        rows = (out / "game_transcript.csv").read_text().splitlines()[1:]
+        assert "inf" in [row.split(",")[7] for row in rows]
+
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

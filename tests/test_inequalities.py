@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from search_reference import one_draw_search, step_by_step_sequences
+from search_reference import step_by_step_sequences
 
 from smoothgame import inequalities
 from smoothgame.inequalities import (
@@ -245,11 +245,12 @@ class TestSearch:
             assert a.violations == b.violations
 
     @pytest.mark.parametrize("budget", [1, 7, _CHUNK + 1])
-    @pytest.mark.parametrize("gap_id", ["h_increment", "dichotomy", "cumulative"])
+    @pytest.mark.parametrize("gap_id", GAP_IDS)
     def test_point_set_budget_scores_every_draw_once(self, gap_id, budget, monkeypatch):
         # at a tolerance of -inf every finite gap is a violation, so the
-        # count is the number of draws scored; for cumulative, a row past
-        # its length would have to add a sequence to be counted twice
+        # count is the number of draws scored, all six searches alike; for
+        # cumulative, a row past its length would have to add a sequence
+        # to be counted twice
         monkeypatch.setattr(inequalities, "DEFAULT_TOL", -math.inf)
         rep = search_near_violation(gap_id, budget=budget, seed=5)
         assert rep.samples == budget
@@ -283,6 +284,30 @@ class TestSearch:
         assert type(d["argmin"]["length"]) is int
         assert all(type(v) is float for v in d["argmin"]["us"] + d["argmin"]["vs"])
 
+    # gap id -> (right-hand side of the inequality, factor it is raised by)
+    _MUTANTS = {
+        "in": (lambda a, b, q, x: q * (q - 1.0) * x * x / (3.0 * a), 1.5),
+        "two_variable": (lambda p, x: p - 1.0, 1.01),
+        "out": (lambda a, b, q, x: (q - 1.0) * abs(x) ** q / 3.0, 1.5),
+    }
+
+    @pytest.mark.parametrize("gap_id", list(_MUTANTS))
+    def test_scalar_search_detects_a_raised_right_hand_side(self, gap_id, monkeypatch):
+        # the mutant's gap is the real one minus (factor - 1) times the
+        # right-hand side, drawn and scored as the real one is
+        rhs, factor = self._MUTANTS[gap_id]
+        gap = getattr(inequalities, f"gap_{gap_id}")
+
+        def mutant(**params):
+            return gap(**params) - (factor - 1.0) * rhs(**params)
+
+        sampler = getattr(inequalities, f"_sample_{gap_id}")
+        monkeypatch.setitem(inequalities._SEARCHES, gap_id,
+                            inequalities._scalar_draw(mutant, sampler))
+        for seed in range(3):
+            rep = search_near_violation(gap_id, budget=5000, seed=seed)
+            assert rep.violations >= 10, (seed, rep.to_dict())
+
     def test_unknown_gap(self):
         with pytest.raises(ValueError):
             search_near_violation("nope", budget=10, seed=0)
@@ -292,37 +317,6 @@ class TestSearch:
         d = rep.to_dict()
         assert d["gap_id"] == "two_variable"
         assert set(d) >= {"min_gap", "violations", "argmin", "ok"}
-
-
-# below 4 no refinement runs; 5 and 7 refine one short step; 500 and 1000
-# end on a step shorter than 64 (125 = 64 + 61, 250 = 3 * 64 + 58)
-_BLOCK_BUDGETS = (1, 3, 5, 7, 500, 1000)
-# (entropy, budget) over 30 seeds; the last case is one where two_variable's
-# refinement lowers the minimum, which its small budgets never do
-_BLOCK_CASES = [([seed, b], b) for seed in range(30) for b in _BLOCK_BUDGETS] + [(0, 10_000)]
-
-
-class TestBlockDraws:
-    """Each refinement step's draws in one call, against one call per parameter."""
-
-    @pytest.mark.parametrize("gap_id", ["out", "in", "two_variable"])
-    def test_reports_and_generator_equal_the_reference(self, gap_id):
-        totals = {"improved": 0, "raised": 0}
-        for entropy, budget in _BLOCK_CASES:
-            rng = np.random.default_rng(entropy)
-            ref_rng = np.random.default_rng(entropy)
-            rep = inequalities._search_scalar(gap_id, budget, rng)
-            ref, stats = one_draw_search(gap_id, budget, ref_rng)
-            assert rep == ref, entropy
-            assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
-            assert all(type(v) is float for v in rep.argmin.values())
-            assert rng.random() == ref_rng.random(), entropy
-            for k in totals:
-                totals[k] += stats[k]
-        # trials that moved the centre mid-step ran, and so did trials that
-        # left the domain and still used up their row
-        assert totals["improved"] > 0
-        assert totals["raised"] > 0
 
 
 class TestFeasibleGenerators:

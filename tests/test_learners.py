@@ -285,7 +285,7 @@ class TestStagedEvents:
         reset = lnr.staged_observe(0.35, 2.0 + 0.8)  # outside [c - 1/2, c + 1/2]
         assert reset
         assert lnr.stage_resets == 1
-        assert lnr.stores == [[], [], [], []]
+        assert lnr.first_values == [[], [], [], []]
         assert lnr.bands == [None, None, None, None]
         # immediately after a reset the prediction is the global center
         yhat, mimicked = lnr.staged_predict(0.35)
@@ -300,7 +300,7 @@ class TestStagedEvents:
         rng = np.random.default_rng(3)
         for k in range(60):
             x = 0.26 + 0.2 * float(rng.uniform())
-            if any(x == u for u, _ in lnr.stores[1]):
+            if lnr.inner.known.contains_u(x):
                 continue
             yhat, mimicked = lnr.staged_predict(x)
             if not mimicked:
