@@ -8,26 +8,31 @@ weight at x, so every evaluation sums just those: ``_basis_window`` is the
 one home of the log-space basis formula, and the terms its windows leave
 out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
 independent oracle for it. The action functional ``integral of |P'|^q``
-is computed by splitting the domain at the derivative's real roots so
-every piece is smooth, then applying composite Gauss panels graded toward
-the piece ends only as deep as a bound on the end panels requires. The
-roots are sign changes of P' on one fixed action grid (``gauss_grid``)
-plus the exact end values of P', all multisected together to
-``ROOT_WIDTH`` with one vector evaluation per step; the degree ladder in
-``polyapprox`` estimates actions on the same grid.
+is computed on equal Gauss panels over [0, 1], doubled until two levels
+agree. |P'|^q is smooth except at the derivative's real roots (and at
+even q it is a polynomial everywhere), so only the panels near a root,
+or near 0 and 1 at fractional q, are re-integrated: cut at the roots and
+graded toward them only as deep as a bound on the end panels requires.
+The roots are sign changes of P' on one fixed action grid
+(``gauss_grid``) plus the exact end values of P', all refined together
+to ``ROOT_WIDTH`` by false position with probes, one vector evaluation
+per step; the degree ladder in ``polyapprox`` estimates actions on the
+same grid.
 
 A polynomial's coefficients are a read-only copy, and it keeps every
 action certified for it, so each (polynomial, q) is integrated once. The
 basis window of a composite Gauss rule on [0, 1] is cached once per
-(degree, rule) by ``_rule_basis``: the action grid, and the panel rules
-of a derivative with no root at integer q, which is one ungraded piece.
+(degree, rule) by ``_rule_basis``, in a cache bounded by the basis
+entries it holds: the action grid, and the uniform panels of each
+doubling level.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -94,9 +99,13 @@ def _basis_window(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     windows narrow.
 
     Exact at the endpoints (x <= 0 is the k = 0 term, x >= 1 the k = n
-    term); elsewhere exp(log C(n,k) + k log x + (n-k) log(1-x)), which
-    stays accurate at any degree because every term is a probability
-    weight in [0, 1].
+    term); elsewhere exp(log C(n,k) + k log x + (n-k) log(1-x)). Every
+    term is a probability weight in [0, 1], so nothing overflows or
+    cancels, but the exponent is a sum of terms of size ~n, each rounded
+    at its ulp, so a value sums to within ~0.8 n eps max |c_k| of the
+    exact one (measured against de Casteljau and a 60-digit sum: 2.1e-13
+    max |c_k| at degree 2049); the window's differential test allows
+    4 n eps.
     """
     xs = np.asarray(xs, dtype=float)
     interior = (xs > 0.0) & (xs < 1.0)
@@ -253,10 +262,15 @@ class BernsteinPolynomial:
 
 ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
-_SECTIONS = 16  # subintervals per multisection step of a root bracket
-_PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
+# offsets, in bracket widths, of the root probes around a false-position point
+_PROBES = np.array([-2.0 ** -4, -2.0 ** -12, -2.0 ** -20, 0.0, 2.0 ** -20, 2.0 ** -12, 2.0 ** -4])
+_PANEL_ORDER = 20  # Gauss points per uniform panel of the action quadrature
+_GRADED_ORDER = 10  # Gauss points per panel that end grading adds (see q_action_poly)
 _GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
-_RULE_ENTRIES = 1 << 21  # dense basis entries a cached [0, 1] panel rule may span
+_RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
+_CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
+_LEVEL_RULE_ENTRIES = 1 << 17  # dense basis entries up to which a doubling level's rule is cached
+_FRESH_NODES = 512  # nodes per evaluation of re-integrated panels, bounding its transient windows
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -271,35 +285,50 @@ def polynomial_roots(poly: BernsteinPolynomial) -> list[float]:
     |P|^q integral, while a polynomial that is morally zero on a stretch
     would otherwise shower split points there.
 
-    The brackets are refined together by ``_SECTIONS``-way multisection,
-    one vector evaluation per step: each bracket still wider than
-    ``ROOT_WIDTH`` keeps its first subinterval whose right end's sign
-    differs from the bracket's left end, and its midpoint is returned.
+    The brackets are refined together, one vector evaluation of one
+    ``_TILE`` per bracket per step, until each is at most ``ROOT_WIDTH``
+    wide; its midpoint is returned. A step probes the false-position point
+    x of the bracket [a, b], the points x +- (b - a) ``_PROBES`` around it
+    and the midpoint, and keeps the first gap between the sorted points
+    whose right end's sign differs from the bracket's left end. False
+    position is off by O((b - a)^2) at a simple root, so the probes
+    around x usually catch the root in a gap thousands of times narrower
+    than the bracket; the midpoint at least halves it when they do not.
     """
     xs = np.concatenate(([0.0], gauss_grid()[0], [1.0]))
     vals = np.concatenate(([poly.coeffs[0]], grid_values(poly), [poly.coeffs[-1]]))
-    floor = 1e-7 * float(np.max(np.abs(vals)))
-    sign = np.sign(vals)
-    idx = np.array([i for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-                    if np.max(np.abs(vals[max(0, i - 1) : i + 3])) >= floor], dtype=np.intp)
-    lo, hi, lo_sign = xs[idx], xs[idx + 1], sign[idx]
-    frac = np.arange(1, _SECTIONS) / _SECTIONS
-    # the interior points, the last one twice, so that each bracket fills
-    # whole ``_TILE``s and its basis windows stay narrow
-    cols = np.r_[1:_SECTIONS, _SECTIONS - 1]
+    idx = _sign_changes(vals)
+    lo, hi, lo_sign = xs[idx], xs[idx + 1], np.sign(vals[idx])
+    f_lo, f_hi = vals[idx], vals[idx + 1]
     live = np.nonzero(hi - lo > ROOT_WIDTH)[0]
     while live.size:
-        a, b = lo[live], hi[live]
-        ends = np.column_stack((a, a[:, None] + (b - a)[:, None] * frac, b))
-        signs = np.sign(poly(ends[:, cols].ravel())).reshape(len(live), -1)
-        changed = signs[:, :-1] != lo_sign[live, None]
-        # the first subinterval whose right end differs in sign, else the last
-        j = np.where(changed.any(axis=1), changed.argmax(axis=1), _SECTIONS - 1)
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        x = a + (b - a) * (fa / (fa - fb))
+        probes = np.column_stack((x[:, None] + (b - a)[:, None] * _PROBES, 0.5 * (a + b)))
+        probes = np.sort(np.clip(probes, a[:, None], b[:, None]), axis=1)
+        ends = np.column_stack((a, probes, b))
+        fs = np.column_stack((fa, poly(probes.ravel()).reshape(probes.shape), fb))
+        # the first gap whose right end differs in sign (b's always does)
+        j = (np.sign(fs[:, 1:]) != lo_sign[live, None]).argmax(axis=1)
         rows = np.arange(len(live))
         lo[live], hi[live] = ends[rows, j], ends[rows, j + 1]
+        f_lo[live], f_hi[live] = fs[rows, j], fs[rows, j + 1]
         live = live[hi[live] - lo[live] > ROOT_WIDTH]
     roots = 0.5 * (lo + hi)
     return [float(r) for r in roots if 1e-12 < r < 1.0 - 1e-12]
+
+
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Each i where vals[i] and vals[i + 1] differ in sign, grazes left out.
+
+    A graze is a change where no |vals| over i - 1 .. i + 2 reaches 1e-7
+    of max |vals|.
+    """
+    mags = np.abs(vals)
+    sign = np.sign(vals)
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    near = np.concatenate(([0.0], mags, [0.0]))[idx[:, None] + np.arange(4)].max(axis=1, initial=0.0)
+    return idx[near >= 1e-7 * float(np.max(mags))]
 
 
 def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
@@ -308,21 +337,67 @@ def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
     return _window_dot(starts, block, poly.coeffs)
 
 
-@lru_cache(maxsize=16)
+_CacheInfo = namedtuple("CacheInfo", "hits misses limit entries")
+
+
+class _EntryBoundedCache:
+    """A least-recently-used cache of basis windows, bounded by the entries they hold.
+
+    ``build`` returns ``(starts, block, weights)``; an entry weighs
+    ``block.size``. After each build the oldest entries are dropped until
+    the total is within ``limit`` (the newest entry always stays), so the
+    cache holds at most ``limit`` + one entry's worth of basis values.
+    ``cache_info`` and ``cache_clear`` behave as ``functools.lru_cache``'s.
+    """
+
+    def __init__(self, build, limit: int):
+        update_wrapper(self, build)
+        self._build, self._limit = build, limit
+        self.cache_clear()
+
+    def __call__(self, *key):
+        entry = self._store.get(key)
+        if entry is not None:
+            self._hits += 1
+            self._store.move_to_end(key)
+            return entry
+        self._misses += 1
+        entry = self._store[key] = self._build(*key)
+        self._held += entry[1].size
+        while self._held > self._limit and len(self._store) > 1:
+            self._held -= self._store.popitem(last=False)[1][1].size
+        return entry
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._limit, self._held)
+
+    def cache_clear(self) -> None:
+        self._store: OrderedDict = OrderedDict()
+        self._held = self._hits = self._misses = 0
+
+
 def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The degree-n basis window and the weights of a composite rule on [0, 1].
 
     The rule is the ``order``-point Gauss rule on ``panels`` equal panels;
     the window over all its nodes is the one ``BernsteinPolynomial.__call__``
     builds when it takes them in one chunk, so the values it gives are
-    bit for bit those of ``poly(nodes)``. One bounded cache (least recently
-    used out) serves the action grid ``_GRID`` at every degree, under 2M
-    entries at ``DEGREE_CAP``, and the integer-q rules of
-    ``_unit_integral`` whose nodes times n + 1 stay within ``_RULE_ENTRIES``.
+    bit for bit those of ``poly(nodes)``. One cache (least recently used
+    out) serves the action grid ``_GRID`` at every degree, under 2M entries
+    at ``DEGREE_CAP``, and the 20-point rules of ``_level_integral`` whose
+    nodes times n + 1 stay within ``_LEVEL_RULE_ENTRIES``. It is bounded by
+    the basis entries it holds, ``_CACHE_ENTRIES`` = 2 ``_RULE_ENTRIES``,
+    and no entry holds more than ``_RULE_ENTRIES``, so it never holds more
+    than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree ladder of 33..2049
+    with its certificates needs ~2.5M entries, so cycling over it makes no
+    misses.
     """
     xs, ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
     starts, block = _basis_window(n, xs)
     return starts, block, ws
+
+
+_rule_basis = _EntryBoundedCache(_rule_basis, _CACHE_ENTRIES)
 
 
 @lru_cache(maxsize=8)
@@ -333,10 +408,15 @@ def _gauss_rule(order: int):
 
 def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss rule on every panel."""
-    gx, gw = _gauss_rule(order)
     e = np.asarray(edges)
-    widths = np.diff(e)
-    xs = (e[:-1][:, None] + widths[:, None] * gx[None, :]).ravel()
+    return _panel_rule_between(e[:-1], e[1:], order)
+
+
+def _panel_rule_between(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss rule on the panels [lo, hi]."""
+    gx, gw = _gauss_rule(order)
+    widths = hi - lo
+    xs = (lo[:, None] + widths[:, None] * gx[None, :]).ravel()
     ws = (widths[:, None] * gw[None, :]).ravel()
     return xs, ws
 
@@ -351,22 +431,31 @@ def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     return _panel_rule(np.linspace(0.0, 1.0, _GRID[0] + 1), _GRID[1])
 
 
+def _even_edges(a: float, b: float, base: int) -> list[float]:
+    """The edges of ``base`` equal panels over [a, b], as ``np.linspace`` gives them."""
+    step = (b - a) / base
+    return [k * step + a for k in range(base)] + [b]
+
+
 def _piece_panels(a: float, b: float, base: int, grade=None):
     """Panel edges over [a, b]: uniform core, geometric shrink at the ends.
 
     End grading resolves the |x - root|^q behaviour of fractional-power
     integrands whose roots sit at the piece boundaries. ``grade`` is None
     (no grading) or ``(g_a, g_b, m, q, budget)``: |P'| is at most g_a at a
-    and g_b at b, and |P''| is at most m, so the end panel of width w holds
-    at most w (g + m w)^q of the integral, and its Gauss estimate lies
-    between 0 and that bound too. Each end shrinks its panel 4x at a time
-    until the bound is within ``budget`` or the panel is 1e-13 of b - a.
+    and g_b at b (None for an end that is not graded), and |P''| is at most
+    m, so the end panel of width w holds at most w (g + m w)^q of the
+    integral, and its Gauss estimate lies between 0 and that bound too.
+    Each graded end shrinks its panel 4x at a time until the bound is
+    within ``budget`` or the panel is 1e-13 of b - a.
     """
-    edges = set(np.linspace(a, b, base + 1))
+    edges = set(_even_edges(a, b, base))
     if grade is None or b - a < 1e-12:
         return sorted(edges)
     g_a, g_b, m, q, budget = grade
     for end, side, g in ((a, 1.0, g_a), (b, -1.0, g_b)):
+        if g is None:
+            continue
         w = (b - a) / base
         while w > (b - a) * 1e-13 and w * (g + m * w) ** q > budget:
             w *= 0.25
@@ -374,25 +463,87 @@ def _piece_panels(a: float, b: float, base: int, grade=None):
     return sorted(edges)
 
 
-def _panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> float:
-    xs, ws = _panel_rule(edges, order)
-    vals = np.abs(deriv(xs)) ** q
-    return float(np.dot(ws, vals))
+def _fresh_panels(panels: int, roots: list, grade, everything: bool):
+    """The uniform panels a doubling level integrates afresh, and the rule that replaces them.
+
+    ``grade`` is None at integer q: there only the panels a root cuts are
+    re-integrated, split at the root, since |P'|^q is a polynomial on each
+    side. At fractional q it is ``(slopes, m, q, budget)``, with ``slopes``
+    the bound on |P'| at 0, at 1 and at every root; a uniform panel is then
+    re-integrated when one of those points lies within a third of a panel
+    of it. With ``everything`` set, all of them are. Each run of
+    re-integrated panels is cut at its roots, and every piece gets
+    ``_piece_panels`` with a uniform core no wider than a uniform panel,
+    graded toward its ends at 0, 1 and the roots; graded panels get
+    ``_GRADED_ORDER`` points and the rest ``_PANEL_ORDER``.
+
+    Returns the mask of re-integrated uniform panels and the nodes and
+    weights of the rule that replaces them, sorted, with each run's right
+    end added at weight 0 until the run fills whole ``_TILE``s, so that no
+    basis window spans the gap between two runs.
+    """
+    grid = _even_edges(0.0, 1.0, panels)
+    reach = 0.0 if grade is None else 1.0 / 3.0
+    fresh = np.full(panels, everything)
+    for s in roots if grade is None else (0.0, *roots, 1.0):
+        fresh[max(0, math.floor(s * panels - reach)) : math.floor(s * panels + reach) + 1] = True
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], fresh.view(np.int8), [0])))).reshape(-1, 2)
+    if not runs.size:
+        return fresh, np.empty(0), np.empty(0)
+    by_order = {_PANEL_ORDER: ([], []), _GRADED_ORDER: ([], [])}  # panel ends at each order
+    pads = []
+    for j0, j1 in runs.tolist():
+        stops = [grid[j0], *(r for r in roots if grid[j0] < r < grid[j1]), grid[j1]]
+        nodes = 0
+        for a, b in zip(stops, stops[1:]):
+            if b - a <= 1e-14:
+                continue
+            base = max(1, math.ceil((b - a) * panels - 1e-9))
+            if grade is None:
+                edges = _piece_panels(a, b, base)
+            else:
+                slopes, m, q, budget = grade
+                edges = _piece_panels(a, b, base, (slopes.get(a), slopes.get(b), m, q, budget))
+            # the graded panels are the ones narrower than the piece's core
+            narrow = 0.9 * (b - a) / base
+            for lo, hi in zip(edges, edges[1:]):
+                k = _GRADED_ORDER if hi - lo < narrow else _PANEL_ORDER
+                by_order[k][0].append(lo)
+                by_order[k][1].append(hi)
+                nodes += k
+        pads += [grid[j1]] * (-nodes % _TILE)
+    rules = [_panel_rule_between(np.array(lo), np.array(hi), k) for k, (lo, hi) in by_order.items()]
+    xs = np.concatenate([x for x, _ in rules] + [pads])
+    ws = np.concatenate([w for _, w in rules] + [np.zeros(len(pads))])
+    at = np.argsort(xs, kind="stable")
+    return fresh, xs[at], ws[at]
 
 
-def _unit_integral(deriv: BernsteinPolynomial, q: float, panels: int) -> float:
-    """``_panel_integral`` over ``panels`` equal panels of [0, 1], bit for bit.
+def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: list, grade) -> float:
+    """The action at one doubling level: ``panels`` equal panels of [0, 1].
 
-    The basis comes from ``_rule_basis`` while ``__call__`` would take the
-    rule's nodes in one chunk of at most ``_RULE_ENTRIES`` dense entries;
-    beyond that the nodes are evaluated afresh.
+    The panels that ``_fresh_panels`` leaves uniform take the
+    ``_PANEL_ORDER`` rule from the cache of ``_rule_basis`` while the whole
+    rule's nodes times n + 1 stay within ``_LEVEL_RULE_ENTRIES``; the
+    cached window is the one ``__call__`` builds for them in one chunk, so
+    a level with nothing to re-integrate is bit for bit the composite rule
+    evaluated afresh. Beyond that every panel is re-integrated. The
+    replacement rule's nodes are evaluated ``_FRESH_NODES`` at a time.
     """
     n = deriv.degree
-    if panels * _PANEL_ORDER * (n + 1) > _RULE_ENTRIES:
-        return _panel_integral(deriv, q, _piece_panels(0.0, 1.0, panels), _PANEL_ORDER)
-    starts, block, ws = _rule_basis(n, panels, _PANEL_ORDER)
-    vals = np.abs(_window_dot(starts, block, deriv.coeffs)[: len(ws)]) ** q
-    return float(np.dot(ws, vals))
+    cached = panels * _PANEL_ORDER * (n + 1) <= _LEVEL_RULE_ENTRIES
+    fresh, xs, ws = _fresh_panels(panels, roots, grade, everything=not cached)
+    total = 0.0
+    if not fresh.all():
+        window, block, rule_ws = _rule_basis(n, panels, _PANEL_ORDER)
+        vals = np.abs(_window_dot(window, block, deriv.coeffs)[: len(rule_ws)]) ** q
+        if fresh.any():
+            rule_ws = rule_ws * np.repeat(~fresh, _PANEL_ORDER)
+        total = float(np.dot(rule_ws, vals))
+    if xs.size:
+        vals = np.concatenate([deriv(xs[i : i + _FRESH_NODES]) for i in range(0, len(xs), _FRESH_NODES)])
+        total += float(np.dot(ws, np.abs(vals) ** q))
+    return total
 
 
 # a polynomial's action exponent: |P'|^inf integrates to 0 wherever |P'| < 1
@@ -405,16 +556,31 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     Certified once per polynomial and q: the result is kept on ``poly`` and
     handed back on every later call.
 
-    The domain is split at the derivative's roots so |P'| is smooth on each
-    piece. At fractional q the panels are graded geometrically toward every
-    piece end, where the integrand may have a fractional-power zero, until
-    the end panels' bounds (``_piece_panels``) sum to at most
+    At even q, |P'|^q = P'^q is a polynomial and [0, 1] is one smooth
+    piece. Otherwise |P'|^q is smooth except at the derivative's roots,
+    where it has a kink (odd q) or a fractional-power zero; at fractional
+    q the ends 0 and 1 are treated like roots too, since a root just
+    outside [0, 1] makes them near-singular. Each doubling level lays
+    equal panels over [0, 1] (``_level_integral``): every panel clear of
+    those points takes the cached 20-point rule, and only the panels near
+    them are re-integrated (``_fresh_panels``), cut at the roots and, at
+    fractional q, graded geometrically toward the roots and ends until the
+    end panels' bounds (``_piece_panels``) sum to at most
     ``QUADRATURE_TOL`` / 10: |P'| is |c_0| at 0 and |c_n| at 1 (c the
     coefficients of P'), at most m * ``ROOT_WIDTH`` at a root, and
-    m = deg P' * max |c_{k+1} - c_k| bounds |P''|. A derivative with no
-    root at integer q is one ungraded piece, integrated by
-    ``_unit_integral``. Convergence is certified by doubling the panel
-    count; on failure the dense composite rule takes over.
+    m = deg P' * max |c_{k+1} - c_k| bounds |P''|.
+
+    A panel [s + w/4, s + w] added by the grading toward a singular point
+    s lies, mapped to [-1, 1], at 5/3 of its half-width from s, so
+    |P'|^q is analytic inside the Bernstein ellipse through s, of
+    rho = 5/3 + sqrt((5/3)^2 - 1) = 3, and a k-point Gauss rule on it
+    errs by O(rho^-2k) of the panel's integral: 3^-20 ~ 3e-10 of a panel
+    that itself shrinks 4x with every grading step at the
+    ``_GRADED_ORDER`` = 10 points those panels get. The uniform panels,
+    which keep at least a third of their width from every singular point
+    (rho >= 3 as well), keep ``_PANEL_ORDER`` = 20 points. Convergence is
+    certified by doubling the panel count; on failure the dense composite
+    rule takes over.
     """
     FINITE_Q.check("q", q)
     action = poly._actions.get(q)
@@ -426,31 +592,23 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
     """The quadrature of ``q_action_poly``, run afresh."""
     deriv = poly.derivative()
-    if deriv.degree == 0:
+    n = deriv.degree
+    if n == 0:
         return abs(deriv.coeffs[0]) ** q
-    roots = polynomial_roots(deriv)
-    splits = [0.0] + roots + [1.0]
-    graded = not float(q).is_integer()
-    if graded:
+    # at even q, |P'|^q = P'^q is a polynomial, smooth across every root
+    roots = [] if q % 2 == 0 else polynomial_roots(deriv)
+    grade = None
+    if not float(q).is_integer():
         c = deriv.coeffs
-        m = deriv.degree * float(np.max(np.abs(np.diff(c))))
-        slopes = [abs(float(c[0]))] + [m * ROOT_WIDTH] * len(roots) + [abs(float(c[-1]))]
-        budget = 0.1 * QUADRATURE_TOL / (2 * (len(splits) - 1))  # shared by every piece end
-    base = int(np.clip((deriv.degree + 1) // 128, 8, 64))
-    unit = not (graded or roots)
+        m = n * float(np.max(np.abs(np.diff(c))))
+        slopes = {0.0: abs(float(c[0])), 1.0: abs(float(c[-1]))}
+        slopes.update((r, m * ROOT_WIDTH) for r in roots)
+        budget = 0.1 * QUADRATURE_TOL / (2 * (len(roots) + 1))  # shared by every graded end
+        grade = (slopes, m, q, budget)
+    base = int(np.clip((n + 1) // 128, 8, 64))
     prev = None
     for factor in (1, 2, 4, 8):
-        total = 0.0
-        for i, (a, b) in enumerate(zip(splits, splits[1:])):
-            if b - a <= 1e-14:
-                continue
-            n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
-            if unit:
-                total += _unit_integral(deriv, q, n_base)
-            else:
-                grade = (slopes[i], slopes[i + 1], m, q, budget) if graded else None
-                edges = _piece_panels(a, b, n_base, grade)
-                total += _panel_integral(deriv, q, edges, _PANEL_ORDER)
+        total = _level_integral(deriv, q, base * factor, roots, grade)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total

@@ -1,15 +1,21 @@
 """The action quadrature before its shortcuts: the reference it is tested against.
 
+``sign_changes`` filters the grid's sign changes one index at a time,
+where ``polynomial_roots`` filters them in one vector expression.
 ``bisection_roots`` bisects each sign change of P' with one scalar
 evaluation per step, down to ``ROOT_WIDTH``, where ``polynomial_roots``
-multisects all brackets together. ``graded_action`` grades every piece end
-of a fractional-q integrand by 4x panels down to 1e-13 of the piece, where
-``q_action_poly`` stops once the end panels' bound is within budget.
+refines all brackets together by false position and probes.
+``graded_action`` splits [0, 1] at every root, at even q too, lays
+uniform panels over each piece and grades every piece end of a
+fractional-q integrand by 4x panels down to 1e-13 of the piece, all at
+20 Gauss points and evaluated afresh, where ``q_action_poly`` reads the
+panels clear of roots and ends from a cached rule, grades only until the
+end panels' bound is within budget and gives the graded panels 10 points.
 ``uncached_grid_values`` and ``unit_panel_integral`` build their basis
-windows afresh on every call, where ``grid_values`` and ``_unit_integral``
-read them from the cache of ``_rule_basis``. The grid, the graze floor,
-the panel rule, the doubling certificate and the fallback are those of
-``smoothgame.bernstein``.
+windows afresh on every call, where ``grid_values`` and a doubling level
+with nothing to re-integrate read them from the cache of ``_rule_basis``.
+The grid, the graze floor, the panel rule, the doubling certificate and
+the fallback are those of ``smoothgame.bernstein``.
 """
 
 import math
@@ -25,20 +31,28 @@ def uncached_grid_values(poly: BernsteinPolynomial) -> np.ndarray:
     return bernstein._window_dot(*window, poly.coeffs)
 
 
+def panel_integral(deriv: BernsteinPolynomial, q: float, edges, order: int) -> float:
+    xs, ws = bernstein._panel_rule(edges, order)
+    return float(np.dot(ws, np.abs(deriv(xs)) ** q))
+
+
 def unit_panel_integral(deriv: BernsteinPolynomial, q: float, panels: int) -> float:
     edges = full_depth_panels(0.0, 1.0, panels, False)
-    return bernstein._panel_integral(deriv, q, edges, 20)
+    return panel_integral(deriv, q, edges, 20)
+
+
+def sign_changes(vals: np.ndarray) -> list[int]:
+    floor = 1e-7 * float(np.max(np.abs(vals)))
+    sign = np.sign(vals)
+    return [i for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+            if np.max(np.abs(vals[max(0, i - 1) : i + 3])) >= floor]
 
 
 def bisection_roots(poly: BernsteinPolynomial) -> list[float]:
     xs = np.concatenate(([0.0], bernstein.gauss_grid()[0], [1.0]))
     vals = np.concatenate(([poly.coeffs[0]], uncached_grid_values(poly), [poly.coeffs[-1]]))
-    floor = 1e-7 * float(np.max(np.abs(vals)))
-    sign = np.sign(vals)
     roots = []
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        if np.max(np.abs(vals[max(0, i - 1) : i + 3])) < floor:
-            continue
+    for i in sign_changes(vals):
         a, b = float(xs[i]), float(xs[i + 1])
         fa = vals[i]
         while b - a > ROOT_WIDTH:
@@ -84,7 +98,7 @@ def graded_action(poly: BernsteinPolynomial, q: float) -> float:
                 continue
             n_base = max(4 * factor, int(math.ceil(base * factor * (b - a))))
             edges = full_depth_panels(a, b, n_base, refine)
-            total += bernstein._panel_integral(deriv, q, edges, 20)
+            total += panel_integral(deriv, q, edges, 20)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total

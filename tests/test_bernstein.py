@@ -9,6 +9,7 @@ from quadrature_reference import (
     bisection_roots,
     full_depth_panels,
     graded_action,
+    sign_changes,
     uncached_grid_values,
     unit_panel_integral,
 )
@@ -33,14 +34,15 @@ from smoothgame.interpolation import SampleSet
 from smoothgame.polyapprox import approx_interpolant_poly, exact_interpolant_poly
 
 
-def from_power(*coeffs):
-    """Bernstein form of sum_j coeffs[j] x^j, converted in exact rationals."""
+def from_power(*coeffs, degree=None):
+    """Bernstein form of sum_j coeffs[j] x^j, at ``degree`` (by default its
+    own), converted in exact rationals."""
     a = [v if isinstance(v, Fraction) else Fraction(float(v)) for v in coeffs]
-    n = len(a) - 1
+    n = len(a) - 1 if degree is None else degree
     c = []
     for k in range(n + 1):
         total = Fraction(0)
-        for j in range(k + 1):
+        for j in range(min(k, len(a) - 1) + 1):
             total += a[j] * Fraction(math.comb(k, j), math.comb(n, j))
         c.append(float(total))
     return BernsteinPolynomial(c)
@@ -246,6 +248,35 @@ class TestRoots:
         # tangency: either found as a cluster point or skipped entirely
         assert all(abs(r - 0.3) < 1e-6 for r in roots)
 
+    def test_graze_filter_keeps_the_scalar_filters_changes(self):
+        rng = np.random.default_rng(5)
+        cases = [np.array([1.0, -1.0]), np.array([-1.0, 1.0, 1.0]), np.array([1.0, 1.0, -1.0]),
+                 np.array([0.0, 1.0, -1.0, 0.0]), np.zeros(5), np.array([2.0, 1e-9, -1e-9, 3.0]),
+                 np.array([1.0, 1e-9, -1e-9, 1e-9, -1e-9, 1e-9]),
+                 np.array([1.0, 0.0, 0.0, 1e-7, -1e-7, 0.0, 0.0])]  # a change right at the floor
+        for size in (2, 3, 4, 50, 1538):
+            for _ in range(40):
+                vals = rng.normal(size=size) * rng.choice([1e-9, 1e-6, 1.0], size=size)
+                vals[rng.uniform(size=size) < 0.1] = 0.0
+                cases.append(vals)
+        for vals in cases:
+            got = bernstein._sign_changes(vals)
+            assert got.dtype == np.intp and np.array_equal(got, sign_changes(vals)), vals
+
+    def test_brackets_close_in_few_evaluations(self, monkeypatch):
+        # false position with probes closes every bracket of the criterion-7
+        # builds' derivatives in at most 5 evaluations
+        calls = []
+        evaluate = BernsteinPolynomial.__call__
+        monkeypatch.setattr(BernsteinPolynomial, "__call__", lambda p, x: calls.append(p) or evaluate(p, x))
+        steps = []
+        for _q, _eps, poly in _criterion7_builds():
+            deriv = poly.derivative()
+            calls.clear()
+            if polynomial_roots(deriv):
+                steps.append(len(calls))
+        assert len(steps) > 100 and max(steps) <= 5
+
 
 class TestActionIntegral:
     def test_linear(self):
@@ -367,6 +398,28 @@ class TestAgainstTheQuadratureReference:
                     exact = k ** q * (r ** (q + 1) + (1 - r) ** (q + 1)) / (q + 1)
                     assert q_action_poly(poly, q) == pytest.approx(exact, abs=1e-9), (k, r, q)
 
+    @pytest.mark.parametrize("degree", [2, 64, 300])
+    def test_even_q_takes_the_unit_path(self, degree, monkeypatch):
+        # |P'|^q = P'^q at even q: no root is searched, however P' changes sign
+        def no_roots(poly):
+            raise AssertionError("root search at even q")
+
+        monkeypatch.setattr(bernstein, "polynomial_roots", no_roots)
+        for k in (1.0, 5.0):
+            for r in (2e-9, 0.3, 0.5, 0.999):
+                poly = from_power(0.0, -k * r, 0.5 * k, degree=degree)
+                for q in (2.0, 4.0):
+                    exact = k ** q * (r ** (q + 1) + (1 - r) ** (q + 1)) / (q + 1)
+                    assert q_action_poly(poly, q) == pytest.approx(exact, rel=1e-12, abs=1e-12), (k, r, q)
+
+    def test_criterion7_builds_need_no_fallback(self, monkeypatch):
+        def no_fallback(poly, q):
+            raise AssertionError("composite fallback")
+
+        monkeypatch.setattr(bernstein, "composite_rule_action", no_fallback)
+        for q, _eps, poly in _criterion7_builds():
+            q_action_poly(BernsteinPolynomial(poly.coeffs), q)
+
 
 def _same_float(a, b):
     return float(a).hex() == float(b).hex()
@@ -454,9 +507,11 @@ class TestRuleBasis:
         for q in (1.0, 2.0, 3.0, 1.5):
             for factor in (1, 2, 4, 8):
                 panels = max(4 * factor, base * factor)
-                got = bernstein._unit_integral(deriv, q, panels)
+                got = bernstein._level_integral(deriv, q, panels, [], None)
                 assert _same_float(got, unit_panel_integral(deriv, q, panels)), (q, panels)
-        assert bernstein._rule_basis.cache_info().hits > 0
+        # the levels whose rule is cached are read back three times each
+        cached = sum(base * f * 20 * (n + 1) <= bernstein._LEVEL_RULE_ENTRIES for f in (1, 2, 4, 8))
+        assert bernstein._rule_basis.cache_info().hits == 3 * cached
 
     def test_cache_stays_within_its_entry_guard_at_the_cap(self, monkeypatch):
         sizes = []
@@ -469,15 +524,15 @@ class TestRuleBasis:
 
         monkeypatch.setattr(bernstein, "_rule_basis", recorded)
         k = np.arange(DEGREE_CAP + 1)
-        # P = x + x^2 / 2: P' = 1 + x has no root, so q = 2 integrates one unit piece
+        # P = x + x^2 / 2: P' = 1 + x has no root, so q = 3 integrates one unit piece
         poly = BernsteinPolynomial(k / DEGREE_CAP + 0.5 * k * (k - 1) / (DEGREE_CAP * (DEGREE_CAP - 1)))
-        assert q_action_poly(poly, 2.0) == pytest.approx(7.0 / 3.0, abs=1e-9)
+        assert q_action_poly(poly, 3.0) == pytest.approx(15.0 / 4.0, abs=1e-9)
         grid_values(poly)
         assert {(n, panels) for n, panels, _ in sizes} == {(DEGREE_CAP - 1, 192), (DEGREE_CAP, 192)}
         assert max(size for *_, size in sizes) <= bernstein._RULE_ENTRIES
 
-    @pytest.mark.parametrize("q, grades", [(2.0, False), (1.5, True), (3.0, False)])
-    def test_graded_or_rooted_pieces_take_the_uncached_path(self, q, grades, monkeypatch):
+    @pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+    def test_every_level_reads_its_uniform_panels_from_the_cache(self, q, monkeypatch):
         rules = []
         cached = bernstein._rule_basis
 
@@ -486,13 +541,47 @@ class TestRuleBasis:
             return cached(n, panels, order)
 
         monkeypatch.setattr(bernstein, "_rule_basis", recorded)
+        levels = {(8, 20), (16, 20), (32, 20), (64, 20)}
         rooted = from_power(0.0, -0.6, 1.0).elevated(40)  # P' = 2x - 0.6, a root at 0.3
-        q_action_poly(rooted, q)
-        assert set(rules) == {(192, 8)}  # the root search's grid only
-        rules.clear()
         smooth = from_power(0.0, 1.0, 0.5).elevated(40)  # P' = 1 + x
-        q_action_poly(smooth, q)
-        if grades:
-            assert set(rules) == {(192, 8)}
-        else:
-            assert (8, 20) in rules and set(rules) <= {(192, 8), (8, 20), (16, 20), (32, 20), (64, 20)}
+        for poly in (rooted, smooth):
+            rules.clear()
+            q_action_poly(poly, q)
+            assert (8, 20) in rules and (16, 20) in rules and set(rules) <= levels | {(192, 8)}
+            # at even q no root is searched, so the action grid is not read
+            assert ((192, 8) in rules) == (q != 2.0)
+
+    @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4}), (1.5, {0, 4, 5, 15})])
+    def test_fresh_panels_are_the_ones_near_roots_and_ends(self, q, fresh):
+        # 16 panels, a root at 0.3 = 4.8 panels: it cuts panel 4, lies within a
+        # third of a panel of panel 5, and panels 0 and 15 hold the ends
+        roots = [] if q == 2.0 else [0.3]
+        grade = None if q != 1.5 else ({0.0: 1.0, 1.0: 1.0, 0.3: 1e-12}, 1.0, q, 1e-11)
+        mask, xs, ws = bernstein._fresh_panels(16, roots, grade, everything=False)
+        assert set(np.flatnonzero(mask)) == fresh
+        live = ws > 0.0
+        assert np.all(np.diff(xs) >= 0.0)
+        assert set(np.floor(16 * xs[live]).astype(int)) == fresh
+        # the replacement rule integrates 1 exactly over the panels it replaces
+        assert ws.sum() == pytest.approx(len(fresh) / 16, abs=1e-14)
+        if q == 1.5:
+            # graded toward 0.3 from both sides and toward both ends
+            assert np.min(np.abs(xs - 0.3)) < 1e-4 and np.min(xs) < 1e-4 and np.max(xs) > 1.0 - 1e-4
+
+    def test_a_degree_ladder_cycle_stays_cached(self):
+        # the ladder's action grid and each certificate's rules, twice over:
+        # the second cycle finds everything the first one built
+        cubic = from_power(0.0, 0.3, -0.9, 0.7)  # P' = 0.3 - 1.8 x + 2.1 x^2: roots 0.226, 0.631
+        ladder = [cubic.elevated(d).coeffs for d in (33, 65, 129, 257, 513, 2049)]
+        bernstein._rule_basis.cache_clear()
+        for cycle in range(2):
+            for coeffs in ladder:
+                for q in (1.5, 2.0, 3.0):
+                    poly = BernsteinPolynomial(coeffs)
+                    grid_values(poly.derivative())
+                    q_action_poly(poly, q)
+            if cycle == 0:
+                built = bernstein._rule_basis.cache_info()
+        info = bernstein._rule_basis.cache_info()
+        assert info.misses == built.misses and info.hits > built.hits
+        assert built.entries == info.entries <= bernstein._CACHE_ENTRIES
