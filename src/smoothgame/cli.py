@@ -32,7 +32,7 @@ from .engine import (
 )
 from .inequalities import GAP_IDS, search_near_violation
 from .interpolation import SampleSet, q_action
-from .bernstein import FINITE_Q, DegreeCapError, q_action_poly
+from .bernstein import DEGREE_CAP, FINITE_Q, DegreeCapError, q_action_poly
 from .polyapprox import approx_interpolant_poly, exact_interpolant_poly
 from .schema import REQUIRED, Choice, ConfigError, Count, ListOf, Options, Real, check, table
 
@@ -83,7 +83,7 @@ CONFIGS = {
         "q": (FINITE_Q, REQUIRED),
         "mode": (Choice(("approx", "exact")), "approx"),
         "epsilon": (Real(0, above=True), 0.1),
-        "degree_cap": (Count(1), 2 ** 14),
+        "degree_cap": (Count(1), DEGREE_CAP),
     },
 }
 
@@ -294,8 +294,7 @@ def cmd_poly_build(args) -> int:
             poly, plan = approx_interpolant_poly(s, q, eps, degree_cap=degree_cap)
             result["epsilon"] = eps
             result["plan"] = {
-                "eps2": plan.eps2, "eps3": plan.eps3,
-                "C": plan.C, "c1": plan.c1, "degree": plan.degree,
+                "eps3": plan.eps3, "C": plan.C, "c1": plan.c1, "degree": plan.degree,
             }
         else:
             poly = exact_interpolant_poly(s, q, degree_cap=degree_cap)

@@ -1,38 +1,46 @@
 """Action-bounded polynomials through (or near) a set of sample points.
 
-The construction follows the constructive route from smoothing to a
-Bernstein-basis polynomial: the interpolant's derivative is first made
-continuous by narrow linear ramps, then turned into a polynomial, then
-integrated back up. The polynomial step uses the integral (Kantorovich)
-variant of the Bernstein operator: its coefficients are exact window
-averages of the smoothed derivative, which makes the operator an L^q
-contraction, so the q-action of the result never exceeds that of the
-smoothed derivative. Certifying a sup-norm tolerance instead would force
-degrees far beyond the cap, because the smoothed derivative's Lipschitz
-constant scales like 1/ramp-width.
+Every polynomial the builds make is B_{n+1}[G], the degree-(n+1)
+Bernstein polynomial of a piecewise-linear G on the knots (held constant
+outside them): its coefficients are G at the nodes k/(n+1), one
+``np.interp``. Its derivative is the Kantorovich polynomial of G',
 
-Near-interpolation error concentrates at the knots (the antiderivative has
-corners there) and shrinks like max-slope-jump / sqrt(degree); when a
-tighter fit is needed, correction rounds add the Kantorovich polynomial of
-the residuals' own interpolant, contracting the residual geometrically.
+    P'(x) = sum_k d_k b_{k,n}(x),  d_k = (n+1) * integral of G' over
+                                         [k/(n+1), (k+1)/(n+1)],
 
-Exact interpolation upgrades one near-interpolant P0 with m correction
-columns, one per knot: column i is the degree-(n+1) Bernstein polynomial of
-the hat function that is 1 at knot i and 0 at the others, so the m x m
-matrix of column values at the knots is close to the identity. One linear
-solve gives the combination that closes P0's residuals exactly.
-Quadrature certifies the corrected action below 1, and the degree climbs
-where it does not, or where knots closer than the node spacing 1/(n+1)
-leave a column zero and the matrix singular. The cost is one degree
-ladder plus one m x m solve, so no knot count is rejected; the degree cap
-is the limit.
+so Jensen's inequality, once over the basis (a partition of unity) and
+once over each window average d_k, gives the action bound structurally:
+
+    integral |P'|^q <= sum_k |d_k|^q / (n+1) <= integral |G'|^q,
+
+and the right-hand side is ``q_action`` of G's knots. No smoothness of G
+is needed, and certifying a sup-norm tolerance instead would force degrees
+far beyond the cap.
+
+Near-interpolation error concentrates at the knots (G has corners there)
+and shrinks like max-slope-jump / sqrt(degree); when a tighter fit is
+needed, correction rounds add B_{n+1} of the residuals' own
+piecewise-linear interpolant, contracting the residual geometrically. The
+result is B_{n+1}[G] for the corrected G, whose action bounds it; the
+corrections move G's knot values, so the degree ladder still estimates
+the polynomial's action on the Gauss grid.
+
+Exact interpolation solves for the G that hits every sample. Column i is
+B_{n+1} of the hat that is 1 at knot i and 0 at the others, so the m x m
+matrix of column values at the knots is close to the identity, and one
+linear solve gives the knot values of G whose B_{n+1}[G] interpolates. A
+near-interpolant only picks the degree n + 1. Quadrature certifies the
+action below 1, and the degree climbs where it does not, or where knots
+closer than the node spacing 1/(n+1) leave a column zero and the matrix
+singular. The cost is one degree ladder plus one m x m solve, so no knot
+count is rejected; the degree cap is the limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,84 +57,10 @@ from .bernstein import (
 from .interpolation import SampleSet, q_action
 
 
-class SmoothedDerivative:
-    """The interpolant's derivative with its jumps bridged by linear ramps.
-
-    Piecewise linear and continuous: equal to segment slope d_i on
-    ``(u_i, u_{i+1} - eps2]`` and ramping from d_{i-1} to d_i over
-    ``(u_i - eps2, u_i]``. The leading ramp is omitted when the first knot
-    sits at 0 (there is no room to its left, and no slope change either).
-    """
-
-    def __init__(self, s: SampleSet, eps2: float):
-        if len(s) < 2:
-            raise ValueError("need at least two points")
-        us = np.asarray(s.us)
-        vs = np.asarray(s.vs)
-        gaps = np.diff(us)
-        if eps2 <= 0.0:
-            raise ValueError("eps2 must be positive")
-        if eps2 >= np.min(gaps):
-            raise ValueError(f"eps2={eps2} must be below the smallest knot gap")
-        if us[0] > 0.0 and eps2 >= us[0]:
-            raise ValueError(f"eps2={eps2} must be below the first knot {us[0]}")
-        d = np.concatenate(([0.0], np.diff(vs) / gaps, [0.0]))
-        xs = [0.0]
-        ys = [d[0] if us[0] > 0.0 else d[1]]
-        for i in range(len(us)):
-            u = us[i]
-            if u == 0.0:
-                continue
-            xs.extend([u - eps2, u])
-            ys.extend([d[i], d[i + 1]])
-        if us[-1] < 1.0:
-            xs.append(1.0)
-            ys.append(d[-1])
-        self.xs = np.asarray(xs)
-        self.ys = np.asarray(ys)
-        self._prefix = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)))
-        )
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-    def integral_to(self, x):
-        """Exact antiderivative from 0, vectorized (piecewise quadratic)."""
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
-        x0 = self.xs[idx]
-        y0 = self.ys[idx]
-        dx = self.xs[idx + 1] - x0
-        dy = self.ys[idx + 1] - y0
-        t = x - x0
-        slope_part = np.where(dx > 0.0, 0.5 * dy / np.where(dx > 0.0, dx, 1.0) * t * t, 0.0)
-        return self._prefix[idx] + y0 * t + slope_part
-
-    def power_integral(self, q: float) -> float:
-        """Exact integral of |value|^q over [0, 1], piece by piece."""
-        total = 0.0
-        for x0, x1, y0, y1 in zip(self.xs, self.xs[1:], self.ys, self.ys[1:]):
-            w = x1 - x0
-            if w <= 0.0:
-                continue
-            if y0 == y1:
-                total += abs(y0) ** q * w
-            else:
-                s = (y1 - y0) / w
-                total += (_abs_power_anti(y1, q) - _abs_power_anti(y0, q)) / s
-        return total
-
-
-def _abs_power_anti(v: float, q: float) -> float:
-    return math.copysign(abs(v) ** (q + 1.0) / (q + 1.0), v)
-
-
 @dataclass(frozen=True)
 class BudgetPlan:
     """The tolerance ledger of one construction run."""
 
-    eps2: float
     eps3: float
     C: float
     c1: float
@@ -137,21 +71,6 @@ def _grid_action(deriv_coeffs: np.ndarray, q: float) -> float:
     """Fast composite-Gauss estimate of the action of a derivative poly."""
     vals = grid_values(BernsteinPolynomial(deriv_coeffs))
     return float(np.dot(gauss_grid()[1], np.abs(vals) ** q))
-
-
-def _kantorovich_coeffs(antideriv, n: int) -> np.ndarray:
-    # window averages of the derivative = scaled antiderivative increments
-    nodes = np.arange(n + 2) / (n + 1)
-    return (n + 1) * np.diff(np.asarray(antideriv(nodes), dtype=float))
-
-
-def _hat_antideriv(us: np.ndarray, rs: np.ndarray) -> Callable:
-    # antiderivative of the derivative of the interpolant through (u_i, r_i),
-    # i.e. the interpolant itself minus its value at 0
-    def anti(x):
-        return np.interp(x, us, rs) - np.interp(0.0, us, rs)
-
-    return anti
 
 
 def _build_near_interpolant(
@@ -165,22 +84,13 @@ def _build_near_interpolant(
     """Core construction: residuals below res_target, action excess below act_slack."""
     us = np.asarray(s.us)
     vs = np.asarray(s.vs)
-    m = len(s)
     base_action = q_action(s, q)
+    mingap = float(np.min(np.diff(us)))
     if np.ptp(vs) == 0.0:
-        plan = BudgetPlan(0.0, 0.0, 2.0 / float(np.min(np.diff(us))), 0.0, 0)
-        return BernsteinPolynomial([float(vs[0])]), plan
-    gaps = np.diff(us)
-    d = np.diff(vs) / gaps
+        return BernsteinPolynomial([float(vs[0])]), BudgetPlan(0.0, 2.0 / mingap, 0.0, 0)
+    d = np.diff(vs) / np.diff(us)
     c1 = float(np.max(np.abs(d)))
-    c = max(c1 ** q, 1e-12)
     max_jump = float(np.max(np.abs(np.diff(np.concatenate(([0.0], d, [0.0]))))))
-    mingap = float(np.min(gaps))
-    eps2_cap = 0.499 * mingap
-    if us[0] > 0.0:
-        eps2_cap = min(eps2_cap, 0.9 * float(us[0]))
-    eps2 = min(0.2 * min(act_slack, res_target) / (m * max(c, c1, 1.0)), eps2_cap)
-    smooth = SmoothedDerivative(s, eps2)
     # polynomial-step tolerance honoring both budget constraints:
     # under half the slack, and cheap enough in q-power spread
     eps3 = min(0.45 * res_target,
@@ -193,32 +103,30 @@ def _build_near_interpolant(
     n = int(np.clip(2 ** math.ceil(math.log2(max(n_seed / 64.0, 32.0))),
                     min_degree, min(2048, degree_cap)))
     n = max(n, min(min_degree, degree_cap))
-    v1 = float(vs[0])
     while True:
-        coeffs = _kantorovich_coeffs(smooth.integral_to, n)
+        # B_{n+1}[G] for the interpolant G: its coefficients are G at the nodes
+        nodes = np.arange(n + 2) / (n + 1)
+        coeffs = np.interp(nodes, us, vs)
         basis = bernstein_basis_matrix(n + 1, us)
         # up to six correction rounds, each followed by a fresh residual
         for corrections in range(7):
-            anti = np.concatenate(([0.0], np.cumsum(coeffs))) / (n + 1)
-            resid = basis @ anti + v1 - vs
+            resid = basis @ coeffs - vs
             shift = 0.5 * (resid.max() + resid.min())
             spread = float(np.max(np.abs(resid - shift)))
             if spread <= 0.9 * eps3 or corrections == 6:
                 break
-            coeffs = coeffs + _kantorovich_coeffs(_hat_antideriv(us, -resid), n)
+            coeffs = coeffs + np.interp(nodes, us, -resid)
         resid_ok = spread < eps3
-        action_est = _grid_action(coeffs, q)
+        action_est = _grid_action((n + 1) * np.diff(coeffs), q)
         action_ok = action_est < base_action + 0.9 * act_slack
         if resid_ok and action_ok:
-            poly = BernsteinPolynomial(anti + (v1 - shift))
-            plan = BudgetPlan(eps2, eps3, 2.0 / mingap, c1, poly.degree)
-            return poly, plan
+            poly = BernsteinPolynomial(coeffs - shift)
+            return poly, BudgetPlan(eps3, 2.0 / mingap, c1, poly.degree)
         if n >= degree_cap:
             raise DegreeCapError(
                 f"degree cap {degree_cap} reached: residual "
                 f"{spread:.3e} vs {res_target:.3e}, "
-                f"action {action_est:.6f} vs {base_action + act_slack:.6f} "
-                f"(smoothed-derivative action {smooth.power_integral(q):.6f})"
+                f"action {action_est:.6f} vs {base_action + act_slack:.6f}"
             )
         n = min(2 * n, degree_cap)
 
@@ -228,9 +136,14 @@ def approx_interpolant_poly(
 ) -> tuple[BernsteinPolynomial, BudgetPlan]:
     """Polynomial within eps of every sample value and of the minimal action.
 
-    Returns the polynomial together with the tolerance plan used to build
-    it. Raises ``DegreeCapError`` if the requested eps needs a degree above
-    the cap.
+    The polynomial is B_{n+1}[G], with G the samples' piecewise-linear
+    interpolant plus up to six correction rounds' interpolants of the
+    negated residuals, so its action is at most G's (the module's Jensen
+    bound). The degree climbs a doubling ladder until the residual spread
+    is below ``plan.eps3`` and the action on the Gauss grid is below the
+    samples' action plus 0.81 eps. Returns the polynomial together with
+    the tolerance plan used to build it. Raises ``DegreeCapError`` if the
+    requested eps needs a degree above the cap.
     """
     if len(s) < 2:
         raise ValueError("need at least two points; a singleton is a constant")
@@ -251,8 +164,9 @@ def weighted_combine(
     Nothing in the build calls this: it is the reference that tests check
     the correction solve of ``exact_interpolant_poly`` against. The
     handles P0 + eps * sum_i (+-1) C_i are affine in their signs, so the
-    convex mix it finds is P0 plus a combination of the columns, which must
-    equal the solved one. It stays in this module because
+    convex mix it finds is P0 plus a combination of the columns; P0 is
+    itself one (B_{n+1} of its own G), so the mix must equal the solved
+    combination. It stays in this module because
     ``bench/layertrace.py`` times it under this name.
 
     ``values`` maps each subset X of target indices to one handle's values
@@ -322,13 +236,15 @@ def exact_interpolant_poly(
     """Polynomial hitting every sample exactly with q-action strictly below 1.
 
     Requires a finite q >= 1 and the set's own action strictly below 1.
-    One near-interpolant P0 is built with residual and action slack each
-    0.45 (1 - action), then one m x m solve A w = v - P0(u), with
-    A[j, i] = C_i(u_j), picks the combination of correction columns C_i
-    that P0 + sum w_i C_i needs to hit every knot. The result interpolates
-    to 1e-8 and its action is certified by quadrature; otherwise (a failed
-    check or a singular A) the degree floor doubles, up to the cap, so the
-    degree never exceeds ``degree_cap + 1``.
+    One near-interpolant P0, built with residual and action slack each
+    0.45 (1 - action), picks the degree n + 1. Then one m x m solve
+    A g = v, with A[j, i] = C_i(u_j) and C_i = B_{n+1} of the hat on knot
+    i, gives the knot values g of the piecewise-linear G whose
+    B_{n+1}[G] = sum g_i C_i hits every knot; its action is at most G's by
+    the module's Jensen bound. The result interpolates to 1e-8 and its
+    action is certified by quadrature; otherwise (a failed check or a
+    singular A) the degree floor doubles, up to the cap, so the degree
+    never exceeds ``degree_cap + 1``.
     """
     FINITE_Q.check("q", q)
     m = len(s)
@@ -358,12 +274,11 @@ def exact_interpolant_poly(
             cols = np.column_stack([np.interp(nodes, us, e) for e in np.eye(m)])
             a = bernstein_basis_matrix(n + 1, us) @ cols
             try:
-                w = np.linalg.solve(a, vs - poly(us))
+                poly = BernsteinPolynomial(cols @ np.linalg.solve(a, vs))
             except np.linalg.LinAlgError:
                 # column i is zero when no node lies in (u_{i-1}, u_{i+1}):
                 # leave P0 as it is, so the checks below climb the ladder
-                w = np.zeros(m)
-            poly = BernsteinPolynomial(poly.coeffs + cols @ w)
+                pass
         resid = float(np.max(np.abs(poly(us) - vs)))
         action = q_action_poly(poly, q)
         if resid <= 1e-8 and action < 1.0:

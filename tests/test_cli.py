@@ -582,7 +582,7 @@ class TestConfigEcho:
           "game_transcript.csv": "43549c90f623d2593cd172c9922ce5b997171c274ef2c13c75c7dde6487986f6"}),
         ("poly-build",
          {"points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact"},
-         {"poly_build.json": "11eb5b4744ce8105b0d9d126ca1ff2647845244476b0a9d889fc97b29e2cde23"}),
+         {"poly_build.json": "ff5d11eb6a509d25092842579ebd863358968ed297ccb8c0f9ffa3e6e141704b"}),
     ])
     def test_readme_examples(self, tmp_path, command, config, digests):
         out = tmp_path / "out"

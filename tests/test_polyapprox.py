@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from kantorovich_reference import bernstein_coeffs_long_way
 from test_acceptance import random_action_set
 
 from smoothgame.bernstein import (
@@ -14,11 +15,8 @@ from smoothgame.bernstein import (
 )
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.polyapprox import (
-    SmoothedDerivative,
     _all_subsets,
     _build_near_interpolant,
-    _hat_antideriv,
-    _kantorovich_coeffs,
     approx_interpolant_poly,
     exact_interpolant_poly,
     weighted_combine,
@@ -39,94 +37,6 @@ def random_set(rng, m=None, slope_cap=0.7, min_gap=0.12):
     v0 = float(rng.uniform(-0.3, 0.3))
     vs = np.concatenate([[v0], v0 + np.cumsum(slopes * np.diff(us))])
     return SampleSet(us, vs)
-
-
-class TestSmoothedDerivative:
-    def test_single_segment_shape(self):
-        f = SmoothedDerivative(S((0, 0), (1, 1)), 0.01)
-        # plateau at slope 1 between the (omitted) left ramp and the right one
-        assert f(0.5) == pytest.approx(1.0)
-        assert f(0.0) == pytest.approx(1.0)  # first knot at 0: no leading ramp
-        assert f(1.0) == pytest.approx(0.0)  # ramp down to the trailing slope
-        assert f(1.0 - 0.005) == pytest.approx(0.5)
-
-    def test_flat_values_zero(self):
-        f = SmoothedDerivative(S((0.2, 0.4), (0.6, 0.4), (0.9, 0.4)), 0.05)
-        xs = np.linspace(0, 1, 101)
-        assert np.allclose(f(xs), 0.0)
-
-    def test_continuity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s = random_set(rng)
-            eps2 = 0.02
-            if s.us[0] > 0:
-                eps2 = min(eps2, 0.9 * s.us[0])
-            f = SmoothedDerivative(s, eps2)
-            xs = np.linspace(0, 1, 2001)
-            vals = f(xs)
-            lipschitz = np.max(np.abs(np.diff(f.ys) / np.diff(f.xs)))
-            assert np.max(np.abs(np.diff(vals))) <= lipschitz / 2000 + 1e-12
-
-    def test_plateau_matches_interpolant_slope(self):
-        s = S((0.1, 0.0), (0.5, 0.3), (0.9, 0.1))
-        f = SmoothedDerivative(s, 0.02)
-        assert f(0.3) == pytest.approx(0.75)
-        assert f(0.7) == pytest.approx(-0.5)
-        assert f(0.05) == pytest.approx(0.0)
-
-    def test_power_integral_close_to_action(self):
-        # smoothing moves the action by at most (ramp count) * c * eps2
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            s = random_set(rng)
-            q = float(rng.choice([1.5, 2.0, 3.0]))
-            eps2 = float(rng.uniform(0.002, 0.05))
-            if s.us[0] > 0 and eps2 >= s.us[0]:
-                continue
-            if eps2 >= np.min(np.diff(s.us)):
-                continue
-            f = SmoothedDerivative(s, eps2)
-            m = len(s)
-            c1 = float(np.max(np.abs(np.diff(s.vs) / np.diff(s.us))))
-            bound = m * max(c1 ** q, 1e-12) * eps2
-            assert abs(f.power_integral(q) - q_action(s, q)) <= bound + 1e-12
-
-    def test_power_integral_oracle(self):
-        s = S((0.2, 0.1), (0.5, 0.4), (0.8, 0.2))
-        f = SmoothedDerivative(s, 0.03)
-        xs = np.linspace(0, 1, 400_001)
-        for q in (1.0, 1.7, 2.0):
-            riemann = np.trapezoid(np.abs(f(xs)) ** q, xs)
-            assert f.power_integral(q) == pytest.approx(riemann, rel=1e-6, abs=1e-8)
-
-    def test_action_convergence_linear_in_eps2(self):
-        s = S((0.2, 0.0), (0.5, 0.35), (0.9, 0.1))
-        q = 2.0
-        base = q_action(s, q)
-        errs = []
-        for eps2 in (0.04, 0.02):
-            f = SmoothedDerivative(s, eps2)
-            errs.append(abs(f.power_integral(q) - base))
-        ratio = errs[0] / errs[1]
-        assert 0.6 <= ratio / 2.0 <= 3.0  # halving eps2 roughly halves the error
-
-    def test_integral_to_exact(self):
-        s = S((0.2, 0.1), (0.6, -0.2), (0.9, 0.3))
-        f = SmoothedDerivative(s, 0.04)
-        xs = np.linspace(0, 1, 101)
-        dense = np.linspace(0, 1, 200_001)
-        vals = f(dense)
-        cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(dense))])
-        approx = np.interp(xs, dense, cumulative)
-        assert np.allclose(f.integral_to(xs), approx, atol=1e-8)
-
-    def test_eps2_validation(self):
-        s = S((0.3, 0.0), (0.6, 0.2))
-        with pytest.raises(ValueError):
-            SmoothedDerivative(s, 0.4)  # above min gap
-        with pytest.raises(ValueError):
-            SmoothedDerivative(s, 0.35)  # above first knot
 
 
 class TestApproxInterpolant:
@@ -158,11 +68,8 @@ class TestApproxInterpolant:
         gaps = np.diff(s.us)
         d = np.abs(np.diff(s.vs) / gaps)
         c1 = float(np.max(d))
-        c = max(c1 ** 2, 1e-12)
-        m = len(s)
         assert plan.c1 == pytest.approx(c1)
         assert plan.C == pytest.approx(2.0 / float(np.min(gaps)))
-        assert 0 < plan.eps2 < min(np.min(gaps), eps / (2 * m * c) + 1e-15)
         assert plan.eps3 < eps / 2 + 1e-15
         assert (c1 + plan.eps3) ** 2 - c1 ** 2 < eps / 2
 
@@ -338,11 +245,7 @@ class TestCorrectionSolve:
             n = p0.degree - 1
             # C_i built the long way, as the antiderivative of the Kantorovich
             # polynomial of phi_i' plus phi_i(0); the build reads phi_i at the nodes
-            cols = np.column_stack([
-                np.concatenate(([0.0], np.cumsum(_kantorovich_coeffs(_hat_antideriv(us, e), n))))
-                / (n + 1) + np.interp(0.0, us, e)
-                for e in np.eye(len(s))
-            ])
+            cols = np.column_stack([bernstein_coeffs_long_way(us, e, n) for e in np.eye(len(s))])
             a = bernstein_basis_matrix(n + 1, us) @ cols
             margin = np.min(2 * np.diag(a) - np.sum(np.abs(a), axis=1))
             assert margin > 0.0
@@ -354,3 +257,23 @@ class TestCorrectionSolve:
             weights = weighted_combine({k: h(us) for k, h in handles.items()}, vs)
             mixed = sum(w * handles[k].coeffs for k, w in weights.items())
             assert np.max(np.abs(mixed - exact.coeffs)) <= 1e-12, i
+
+
+class TestKantorovichReference:
+    def test_node_values_are_the_kantorovich_antiderivative(self):
+        # the builds read G at the nodes; the long way sums G's window
+        # integrals from G(0), as the antiderivative of K_n[G'] would
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = int(rng.integers(2, 65))
+            us = np.unique(rng.uniform(0.0, 1.0, m))
+            if len(us) < 2:
+                continue
+            if rng.uniform() < 0.3:
+                us[0] = 0.0
+            if rng.uniform() < 0.3:
+                us[-1] = 1.0
+            g = rng.uniform(-1.0, 1.0, len(us)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            n = int(rng.integers(33, 2050))
+            built = np.interp(np.arange(n + 2) / (n + 1), us, g)
+            assert np.max(np.abs(built - bernstein_coeffs_long_way(us, g, n))) <= 1e-14 * np.max(np.abs(g))
