@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-# bench/layertrace.py patches action_increment and feasible_reply_interval under
-# this module's name; GreedyAdversary.reveal calls the SampleSet methods instead
+# bench/layertrace.py patches action_increment, eval_interpolant and
+# feasible_reply_interval under this module's name; GreedyAdversary.reveal
+# calls the SampleSet methods and verify_legality eval_interpolant_many instead
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
     SampleSet,
     action_increment,
     error_power,
     eval_interpolant,
+    eval_interpolant_many,
     feasible_reply_interval,
     q_action,
 )
@@ -62,9 +64,6 @@ class Disclosure:
     def lie_count(self) -> int:
         return sum(self.lie_flags)
 
-    def truth_function(self) -> Callable[[float], float]:
-        return partial(eval_interpolant, self.truth)
-
 
 class Adversary(Protocol):
     def next_query(self, t: int) -> float: ...
@@ -98,44 +97,69 @@ def van_der_corput(i: int) -> float:
     return int(format(n, "b")[::-1], 2) / (1 << n.bit_length())
 
 
+class _Uniforms:
+    """``rng``'s uniform doubles one at a time, drawn ``BLOCK`` at a time.
+
+    ``rng.random(size=n)`` gives the n doubles that n calls of
+    ``rng.random()`` would, so a game reads the same stream, and a game of
+    a few rounds draws at most ``BLOCK`` doubles ahead.
+    """
+
+    BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block: list[float] = []
+        self._pos = 0
+
+    def next(self) -> float:
+        pos = self._pos
+        if pos == len(self._block):
+            self._block, pos = self._rng.random(self.BLOCK).tolist(), 0
+        self._pos = pos + 1
+        return self._block[pos]
+
+
 class _QueryChooser:
     """Query selection for the greedy adversary.
 
     ``choose`` is passed the adversary's truth set and returns an x that is
-    not a knot of it; every policy skips known x. The widest-gap heap starts
-    with the gap (0, 1) and splits each gap at its midpoint when popped,
-    whether or not that midpoint is already a knot. A ``sequence`` is read
-    only by the fixed-sequence policy, and any other policy rejects one.
+    not a knot of it, with its position ``bisect_left(s.us, x)`` there;
+    every policy skips known x. The widest-gap heap starts with the gap
+    (0, 1) and splits each gap at its midpoint when popped, whether or not
+    that midpoint is already a knot. A ``sequence`` is read only by the
+    fixed-sequence policy, and any other policy rejects one.
     """
 
-    def __init__(self, policy: str, rng: np.random.Generator, sequence=None):
+    def __init__(self, policy: str, uniforms: _Uniforms, sequence=None):
         if sequence is not None and policy != "fixed-sequence":
             raise ValueError(
                 f"option 'sequence' needs query_policy 'fixed-sequence', not {policy!r}"
             )
-        self.policy = policy
-        self.rng = rng
         self.sequence = list(sequence) if sequence is not None else None
         self._seq_pos = 0
         self._vdc_pos = 0
         self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
+        self._candidate = {"widest-gap-midpoint": self._widest_gap_midpoint,
+                           "uniform-random": uniforms.next,
+                           "fixed-sequence": self._next_in_sequence}[policy]
 
-    def choose(self, s: SampleSet) -> float:
+    def choose(self, s: SampleSet) -> tuple[float, int]:
+        us = s.us
         while True:
             x = self._candidate()
-            if not s.contains_u(x):
-                return x
+            i = bisect_left(us, x)
+            if i == len(us) or us[i] != x:
+                return x, i
 
-    def _candidate(self) -> float:
-        if self.policy == "widest-gap-midpoint":
-            _, a, b = heapq.heappop(self._gap_heap)
-            x = 0.5 * (a + b)
-            heapq.heappush(self._gap_heap, (-(x - a), a, x))
-            heapq.heappush(self._gap_heap, (-(b - x), x, b))
-            return x
-        if self.policy == "uniform-random":
-            return self.rng.random()
-        # fixed-sequence
+    def _widest_gap_midpoint(self) -> float:
+        _, a, b = heapq.heappop(self._gap_heap)
+        x = 0.5 * (a + b)
+        heapq.heappush(self._gap_heap, (-(x - a), a, x))
+        heapq.heappush(self._gap_heap, (-(b - x), x, b))
+        return x
+
+    def _next_in_sequence(self) -> float:
         if self.sequence is not None:
             if self._seq_pos >= len(self.sequence):
                 raise ValueError("fixed query sequence exhausted")
@@ -156,13 +180,17 @@ class GreedyAdversary:
     instead. With ``eta = 0`` (the default) every revelation is true and
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
-    accounting. ``reveal`` finds x in the truth set once and uses that
-    position for the interval, the increment and the insert.
+    accounting. ``reveal`` uses one position of x in the truth set for the
+    interval, the increment and the insert: for the x that ``next_query``
+    just returned, the position the chooser's duplicate test found, while
+    the set has not grown since; else a fresh ``locate``. ``reveal`` drops
+    the chooser's position, as it grows the set.
 
     Random draws come from one generator seeded by ``seed``, in this order:
-    the lie schedule (only when ``eta > 0``), then the queries, then a sign
-    at each lie. So an ``eta = 0`` liar plays the same game as the truthful
-    adversary.
+    the lie schedule (only when ``eta > 0``), then, in the order the game
+    asks for them, the queries (a redraw for a query on a knot) and a sign
+    at each lie, read from blocks. So an ``eta = 0`` liar plays the same
+    game as the truthful adversary.
     """
 
     def __init__(
@@ -180,22 +208,31 @@ class GreedyAdversary:
         self.q = q
         self.cfg = cfg or GreedyConfig()
         self.lie_magnitude = lie_magnitude
-        self.rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self._lie_trials: set[int] = set()
         if eta > 0:
-            draws = self.rng.choice(rounds, size=min(eta, rounds), replace=False)
+            draws = rng.choice(rounds, size=min(eta, rounds), replace=False)
             self._lie_trials = set(int(i) for i in draws)
-        self._chooser = _QueryChooser(self.cfg.query_policy, self.rng, sequence)
+        self._uniforms = _Uniforms(rng)
+        self._chooser = _QueryChooser(self.cfg.query_policy, self._uniforms, sequence)
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
+        self._asked: tuple[float, int, int] | None = None  # x, its position, len(us) then
 
     def next_query(self, t: int) -> float:
-        return self._chooser.choose(self.truth_set)
+        s = self.truth_set
+        x, i = self._chooser.choose(s)
+        self._asked = x, i, len(s.us)
+        return x
 
     def reveal(self, x: float, prediction: float) -> float:
         s, q, cfg = self.truth_set, self.q, self.cfg
-        i = s.locate(x)
+        asked, self._asked = self._asked, None
+        if asked is not None and asked[0] == x and asked[2] == len(s.us):
+            i = asked[1]
+        else:
+            i = s.locate(x)
         lo, hi = s.reply_bounds(i, x, q, cfg.budget, self._action)
         y = _farther_end(lo, hi, prediction, cfg.tie_break)
         self._action += s.increment_at(i, x, y, q, self._action)
@@ -203,7 +240,7 @@ class GreedyAdversary:
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)
         if lie:
-            sign = 1.0 if self.rng.random() < 0.5 else -1.0
+            sign = 1.0 if self._uniforms.next() < 0.5 else -1.0
             return y + sign * self.lie_magnitude
         return y
 
@@ -318,22 +355,28 @@ class InsufficientInitAdversary:
         return Disclosure(flags, truth)
 
 
-def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) -> bool:
+def verify_legality(
+    trials: list, disclosure: Disclosure, eta: int, q: float, true_values: list | None = None
+) -> bool:
     """Certify a finalized game: few enough lies and a feasible truth.
 
     Checks that the disclosure flags every trial, that at most ``eta``
     revelations are flagged as lies, that the disclosed truth witness has
     q-action within the unit budget, and that the witness actually matches
-    every truthful revelation.
+    every truthful revelation. ``true_values``, when given, is the witness
+    at each trial's x as ``eval_interpolant_many`` gives it; otherwise the
+    witness is evaluated at the truthful trials' x.
     """
-    if len(disclosure.lie_flags) != len(trials):
+    flags = disclosure.lie_flags
+    if len(flags) != len(trials):
         return False
     if disclosure.lie_count > eta:
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    for rec, lied in zip(trials, disclosure.lie_flags):
-        if not lied:
-            if abs(eval_interpolant(disclosure.truth, rec.x) - rec.revealed) > 1e-9:
-                return False
-    return True
+    truthful = [rec for rec, lied in zip(trials, flags) if not lied]
+    if true_values is None:
+        true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in truthful])
+    else:
+        true_values = [v for v, lied in zip(true_values, flags) if not lied]
+    return not any(abs(v - rec.revealed) > 1e-9 for rec, v in zip(truthful, true_values))

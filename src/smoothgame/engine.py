@@ -33,6 +33,7 @@ from .interpolation import (  # noqa: F401
     action_increment,
     error_power,
     eval_interpolant,
+    eval_interpolant_many,
 )
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 from .schema import ACTION_Q, Choice, Count, ListOf, Options, Real, check, key, table
@@ -114,14 +115,21 @@ class Transcript:
     finalized: bool = False
 
     def to_csv(self) -> str:
-        # csv.writer's output: no field (an int or a float's repr) needs quoting
+        # csv.writer's output: no field (an int or a float's repr) needs quoting.
+        # The prediction and the true value reuse the revealed value's repr
+        # where they equal it, are nonzero and have its type: -0.0 == 0.0 and
+        # 1 == 1.0, but each pair prints two ways, and NaN equals nothing.
         rows = [",".join(CSV_HEADER)]
         for r in self.trials:
-            revealed = repr(r.revealed)
-            true_value = ("" if r.true_value is None else revealed
-                          if r.true_value is r.revealed else repr(r.true_value))
+            y = r.revealed
+            revealed = repr(y)
+            v = r.prediction
+            prediction = revealed if v == y and v and type(v) is type(y) else repr(v)
+            v = r.true_value
+            true_value = ("" if v is None else revealed
+                          if v is y or v == y and v and type(v) is type(y) else repr(v))
             lie = "" if r.lie is None else int(r.lie)
-            rows.append(f"{r.t},{r.x!r},{r.prediction!r},{revealed},{true_value},{lie},"
+            rows.append(f"{r.t},{r.x!r},{prediction},{revealed},{true_value},{lie},"
                         f"{r.raw_error!r},{r.p_power!r},{int(r.counted)}")
         return "\n".join(rows) + "\n"
 
@@ -260,13 +268,14 @@ def run_noisy_game(config: GameConfig) -> Transcript:
     Repeated queries are allowed here; several scripted adversaries rely on
     them. After the last trial the adversary's disclosure fixes lie flags
     and true values, the counted total is recomputed against ground truth,
-    and legality is certified.
+    and legality is certified. The witness is evaluated at every trial's x
+    once, and the records are built from those values.
     """
     if config.eta < 1:
         raise ValueError("noisy games require eta >= 1")
     learner, adversary = build_players(config)
     uncounted = 2 * config.eta + 1 if config.uncounted_rounds is None else config.uncounted_rounds
-    tr = Transcript(config)
+    xs, predictions, revealed = [], [], []
     for t in range(config.rounds):
         if adversary.done(t):
             break
@@ -274,27 +283,32 @@ def run_noisy_game(config: GameConfig) -> Transcript:
         prediction = learner.predict(x)
         y = adversary.reveal(x, prediction)
         learner.observe(x, y)
-        tr.trials.append(
-            TrialRecord(t, x, prediction, y, None, None, 0.0, 0.0, t >= uncounted)
-        )
+        xs.append(x)
+        predictions.append(prediction)
+        revealed.append(y)
+    n = len(xs)
     disclosure = adversary.finalize()
-    if len(disclosure.lie_flags) != len(tr.trials):
+    flags = disclosure.lie_flags
+    if len(flags) != n:
         raise IllegalAdversaryError(
-            f"disclosure carries {len(disclosure.lie_flags)} lie flags "
-            f"for {len(tr.trials)} trials"
+            f"disclosure carries {len(flags)} lie flags for {n} trials"
         )
-    truth = disclosure.truth_function()
-    for rec, lied in zip(tr.trials, disclosure.lie_flags):
-        rec.lie = lied
-        rec.true_value = truth(rec.x)
-        rec.raw_error = abs(rec.prediction - rec.true_value)
-        rec.p_power = error_power(rec.raw_error, config.p)
-    tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)
+    true_values = eval_interpolant_many(disclosure.truth, xs)
+    p = config.p
+    raw = [abs(v - w) for v, w in zip(predictions, true_values)]
+    powers = [error_power(e, p) for e in raw]
+    counted = [t >= uncounted for t in range(n)]
+    tr = Transcript(config, list(map(TrialRecord, range(n), xs, predictions, revealed, flags,
+                                     true_values, raw, powers, counted)))
+    tr.counted_total = math.fsum(powers[uncounted:])
+    # where the revealed value is the true one, the perceived error is the actual one
     tr.perceived_total = math.fsum(
-        error_power(r.prediction - r.revealed, config.p) for r in tr.trials if r.counted
+        e if y == w else error_power(v - y, p)
+        for v, y, w, e in zip(predictions[uncounted:], revealed[uncounted:],
+                              true_values[uncounted:], powers[uncounted:])
     )
     tr.lie_count = disclosure.lie_count
-    tr.legality = verify_legality(tr.trials, disclosure, config.eta, config.q)
+    tr.legality = verify_legality(tr.trials, disclosure, config.eta, config.q, true_values)
     if isinstance(learner, StagedLearner):
         tr.stage_count = learner.stage_resets
         if tr.legality and learner.stage_resets > config.eta:

@@ -14,10 +14,11 @@ knot per round.
 each find x's position in the set with one ``bisect_left``, check their
 arguments, and hand the position to a ``SampleSet`` method that does the
 arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
+``eval_interpolant_many`` evaluates at many x in one vector pass, bit for
+bit as ``eval_interpolant`` does at each.
 A game's players grow their sets one knot per round: each finds the
-round's query once with ``SampleSet.locate``, which also rejects a knot,
-and passes that position to the round's interval, increment and
-``add_at``. A position holds only until the set next grows.
+round's query once and passes that position to the round's interval,
+increment and ``add_at``. A position holds only until the set next grows.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .schema import ACTION_Q
 
@@ -72,10 +75,13 @@ class SampleSet:
     knots: an owner that grows it and needs its action keeps that as a
     running total and passes it as ``base_action``.
 
-    ``locate(u)`` is the position where a u that is not a knot would go.
-    ``add_at``, ``eval_at``, ``increment_at`` and ``reply_bounds`` take
-    that position, so an owner that grows the set one knot per round finds
-    each query once; any add makes a position stale.
+    ``locate(u)`` is the position ``bisect_left(us, u)`` where a u that is
+    not a knot would go. ``add_at``, ``eval_at``, ``increment_at`` and
+    ``reply_bounds`` take that position, so an owner that grows the set one
+    knot per round finds each query once. A position lives until the set
+    next grows: any add, wherever it lands, makes it stale, and an owner
+    that keeps one between calls drops it at its own add and checks
+    ``len(us)`` against the length it was found at.
     """
 
     __slots__ = ("us", "vs")
@@ -285,6 +291,32 @@ def eval_interpolant(s: SampleSet, x: float) -> float:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
     return s.eval_at(bisect_left(s.us, x), x)
+
+
+def eval_interpolant_many(s: SampleSet, xs: Sequence[float]) -> list[float]:
+    """``eval_interpolant(s, x)`` for each x of ``xs``, bit for bit, in one vector pass.
+
+    Each value is ``eval_at``'s: the end values outside the knot span, a
+    knot's own value at a knot, and between knots
+    ``v0 + (x - u0) * (v1 - v0) / (u1 - u0)`` in that operation order, which
+    float64 arrays round as Python floats do. The first x outside [0, 1]
+    (NaN included) raises ``eval_interpolant``'s ``ValueError``.
+    """
+    x = np.asarray(xs, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"x={xs[int(np.argmax(outside))]} outside [0, 1]")
+    m = len(s.us)
+    if m == 0:
+        return [0.0] * len(x)
+    us, vs = np.array(s.us), np.array(s.vs)
+    i = np.searchsorted(us, x)
+    u1, v1 = us[np.minimum(i, m - 1)], vs[np.minimum(i, m - 1)]
+    u0, v0 = us[np.maximum(i - 1, 0)], vs[np.maximum(i - 1, 0)]
+    with np.errstate(all="ignore"):  # the ends divide 0 by 0; where drops them
+        between = v0 + (x - u0) * (v1 - v0) / (u1 - u0)
+    at_end = (i == 0) | (i == m)
+    return np.where(at_end | (u1 == x), v1, between).tolist()
 
 
 def slope_at(s: SampleSet, x: float) -> float:

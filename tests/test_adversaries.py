@@ -17,6 +17,7 @@ from smoothgame.interpolation import (
     DuplicateKnotError,
     SampleSet,
     action_increment,
+    eval_interpolant,
     feasible_reply_interval,
     q_action,
 )
@@ -163,6 +164,46 @@ class TestRevealPosition:
             x = float(rng.uniform())
             assert adv.reveal(x, 0.2) == self._reference_reveal(ref, x, 0.2, q, cfg)
             self._check(adv, ref)
+
+    @pytest.mark.parametrize("q", [1.1, 2.0, math.inf])
+    @pytest.mark.parametrize("policy", QUERY_POLICIES)
+    def test_two_queries_then_one_reveal(self, policy, q):
+        # the chooser's position is the last query's: revealing the one
+        # asked before it takes a fresh lookup
+        cfg = GreedyConfig(query_policy=policy)
+        adv, ref = GreedyAdversary(q, cfg, seed=6), [SampleSet(), 0.0]
+        for t in range(100):
+            first, second = adv.next_query(2 * t), adv.next_query(2 * t + 1)
+            x = first if t % 2 else second
+            assert adv.reveal(x, 0.1) == self._reference_reveal(ref, x, 0.1, q, cfg)
+            self._check(adv, ref)
+
+    @pytest.mark.parametrize("q", [1.1, 2.0, math.inf])
+    def test_reveal_of_another_x_than_the_query(self, q):
+        cfg = GreedyConfig(query_policy="uniform-random")
+        adv, ref = GreedyAdversary(q, cfg, seed=7), [SampleSet(), 0.0]
+        rng = np.random.default_rng(7)
+        for t in range(150):
+            asked = adv.next_query(t)
+            x = asked if t % 3 else float(rng.uniform())
+            if t % 3 == 0 and adv.truth_set.contains_u(x):
+                continue
+            assert adv.reveal(x, -0.1) == self._reference_reveal(ref, x, -0.1, q, cfg)
+            self._check(adv, ref)
+
+    def test_set_grown_by_hand_after_the_query(self):
+        # a knot added below the query moves its position: reveal looks it up again
+        cfg = GreedyConfig()
+        adv, ref = GreedyAdversary(2.0, cfg, seed=8), [SampleSet(), 0.0]
+        for x in (adv.next_query(0), adv.next_query(1)):
+            assert adv.reveal(x, 0.3) == self._reference_reveal(ref, x, 0.3, 2.0, cfg)
+        x = adv.next_query(2)
+        assert x == 0.75
+        adv.truth_set.add(0.6, 0.0)
+        ref[0].add(0.6, 0.0)
+        assert adv.reveal(x, 0.3) == self._reference_reveal(ref, x, 0.3, 2.0, cfg)
+        self._check(adv, ref)
+        assert adv.truth_set.us == [0.25, 0.5, 0.6, 0.75]
 
     def test_a_revealed_x_is_rejected(self):
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"), seed=5)
@@ -389,6 +430,25 @@ class TestRandomLiar:
             liar.reveal(liar.next_query(t), 0.0)
         assert liar.finalize().lie_count == 0
 
+    def test_draws_follow_one_scalar_stream(self):
+        # queries and lie signs read the generator's doubles in game order,
+        # across block ends, as one rng.random() call at a time would
+        eta, rounds = 40, 700
+        liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=12, eta=eta, rounds=rounds)
+        rng = np.random.default_rng(12)
+        lie_trials = set(rng.choice(rounds, size=eta, replace=False).tolist())
+        for t in range(rounds):
+            x = liar.next_query(t)
+            assert x == rng.random()
+            y = liar.reveal(x, 0.0)
+            true_value = eval_interpolant(liar.truth_set, x)
+            if t in lie_trials:
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                assert y == true_value + sign * 0.75
+            else:
+                assert y == true_value
+        assert liar.finalize().lie_flags == [t in lie_trials for t in range(rounds)]
+
     def test_lies_differ_from_truth(self):
         liar = RandomLiarAdversary(2.0, RANDOM_QUERIES, seed=8, eta=2, rounds=60)
         reveals = []
@@ -396,7 +456,7 @@ class TestRandomLiar:
             x = liar.next_query(t)
             reveals.append((x, liar.reveal(x, 0.0)))
         disc = liar.finalize()
-        truth = disc.truth_function()
-        lied = [abs(truth(x) - y) for (x, y), f in zip(reveals, disc.lie_flags) if f]
+        lied = [abs(eval_interpolant(disc.truth, x) - y)
+                for (x, y), f in zip(reveals, disc.lie_flags) if f]
         assert len(lied) == disc.lie_count
         assert all(d == pytest.approx(0.75) for d in lied)

@@ -456,10 +456,38 @@ class TestCsvRendering:
         assert tr.to_csv() == csv_writer_rendering(tr)
         assert Transcript(cfg()).to_csv() == csv_writer_rendering(Transcript(cfg()))
 
+    def test_values_equal_to_the_revealed_one(self):
+        # the writer takes the revealed value's repr for an equal prediction
+        # or true value only where that prints the same
+        def twin(v):
+            return float(repr(v))  # equal, and another object
+
+        y = 0.1 + 0.2
+        nan = math.nan
+        rows = [
+            (twin(y), y, twin(y)),  # equal but distinct objects
+            (y, y, y),  # one object
+            (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, twin(-0.0)), (0.0, 0.0, 0.0),
+            (math.inf, math.inf, -math.inf), (-math.inf, twin(-math.inf), -math.inf),
+            (nan, nan, nan), (twin(nan), nan, math.nan), (1.0, nan, 1.0),
+            (1, 1.0, 1), (1.0, 1, True), (np.float64(0.5), 0.5, 0.5), (0.5, np.float64(0.5), 0.5),
+        ]
+        tr = Transcript(cfg())
+        for t, (prediction, revealed, true_value) in enumerate(rows):
+            tr.trials.append(TrialRecord(t, 0.5, prediction, revealed, t % 2 == 0, true_value,
+                                         0.0, -0.0, True))
+        assert tr.to_csv() == csv_writer_rendering(tr)
+        lines = tr.to_csv().splitlines()
+        assert lines[3].split(",")[2:5] == ["-0.0", "0.0", "-0.0"]
+        assert lines[12].split(",")[2:5] == ["1", "1.0", "1"]
+
+
+def _blob(tr):
+    return (tr.to_csv() + json.dumps(tr.summary(), sort_keys=True, indent=2) + "\n").encode()
+
 
 def _digest(tr):
-    blob = tr.to_csv() + json.dumps(tr.summary(), sort_keys=True, indent=2) + "\n"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_blob(tr)).hexdigest()
 
 
 class TestGoldenTranscripts:
@@ -498,6 +526,21 @@ class TestGoldenTranscripts:
         tr = run_game(cfg(eta=2, rounds=2000, learner="staged", adversary="random-liar", seed=7))
         assert tr.lie_count == 2
         assert _digest(tr) == "61b90f788ba54b3e91d5fe40b08d8a3bc00c219b28591b494906c88df26b7d02"
+
+    def test_criterion_5_batch(self):
+        # 30 of criterion 5's games, 60 lies and 59 stage resets among them:
+        # the draws, lie signs and finalization over many lies and resets
+        h = hashlib.sha256()
+        lies = resets = 0
+        for eta in (1, 2, 3):
+            for seed in range(10):
+                tr = run_game(GameConfig.make(p=2.0, q=2.0, rounds=2000, eta=eta, learner="staged",
+                                              adversary="random-liar", seed=seed))
+                lies += tr.lie_count
+                resets += tr.stage_count
+                h.update(_blob(tr))
+        assert (lies, resets) == (60, 59)
+        assert h.hexdigest() == "c3942ee116ce0ba51f3e20591d7df547c302bb62f5406d5b9c864ede5e92a484"
 
 
 class TestStagedOverflowGuard:
