@@ -363,9 +363,9 @@ def verify_legality(
     Checks that the disclosure flags every trial, that at most ``eta``
     revelations are flagged as lies, that the disclosed truth witness has
     q-action within the unit budget, and that the witness actually matches
-    every truthful revelation. ``true_values``, when given, is the witness
-    at each trial's x as ``eval_interpolant_many`` gives it; otherwise the
-    witness is evaluated at the truthful trials' x.
+    every truthful revelation. ``true_values`` is the witness at each
+    trial's x, as ``eval_interpolant_many`` gives it; it is computed when
+    not given.
     """
     flags = disclosure.lie_flags
     if len(flags) != len(trials):
@@ -374,9 +374,7 @@ def verify_legality(
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    truthful = [rec for rec, lied in zip(trials, flags) if not lied]
     if true_values is None:
-        true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in truthful])
-    else:
-        true_values = [v for v, lied in zip(true_values, flags) if not lied]
-    return not any(abs(v - rec.revealed) > 1e-9 for rec, v in zip(truthful, true_values))
+        true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in trials])
+    return not any(abs(v - rec.revealed) > 1e-9
+                   for rec, v, lied in zip(trials, true_values, flags) if not lied)
