@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -124,11 +123,10 @@ class _QueryChooser:
     """Query selection for the greedy adversary.
 
     ``choose`` is passed the adversary's truth set and returns an x that is
-    not a knot of it, with its position ``bisect_left(s.us, x)`` there;
-    every policy skips known x. The widest-gap heap starts with the gap
-    (0, 1) and splits each gap at its midpoint when popped, whether or not
-    that midpoint is already a knot. A ``sequence`` is read only by the
-    fixed-sequence policy, and any other policy rejects one.
+    not a knot of it; every policy skips known x. The widest-gap heap starts
+    with the gap (0, 1) and splits each gap at its midpoint when popped,
+    whether or not that midpoint is already a knot. A ``sequence`` is read
+    only by the fixed-sequence policy, and any other policy rejects one.
     """
 
     def __init__(self, policy: str, uniforms: _Uniforms, sequence=None):
@@ -144,13 +142,11 @@ class _QueryChooser:
                            "uniform-random": uniforms.next,
                            "fixed-sequence": self._next_in_sequence}[policy]
 
-    def choose(self, s: SampleSet) -> tuple[float, int]:
-        us = s.us
+    def choose(self, s: SampleSet) -> float:
         while True:
             x = self._candidate()
-            i = bisect_left(us, x)
-            if i == len(us) or us[i] != x:
-                return x, i
+            if not s.contains_u(x):
+                return x
 
     def _widest_gap_midpoint(self) -> float:
         _, a, b = heapq.heappop(self._gap_heap)
@@ -180,11 +176,8 @@ class GreedyAdversary:
     instead. With ``eta = 0`` (the default) every revelation is true and
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
-    accounting. ``reveal`` uses one position of x in the truth set for the
-    interval, the increment and the insert: for the x that ``next_query``
-    just returned, the position the chooser's duplicate test found, while
-    the set has not grown since; else a fresh ``locate``. ``reveal`` drops
-    the chooser's position, as it grows the set.
+    accounting. ``reveal`` finds x in the truth set once and uses that
+    position for the interval, the increment and the insert.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then, in the order the game
@@ -218,21 +211,13 @@ class GreedyAdversary:
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
-        self._asked: tuple[float, int, int] | None = None  # x, its position, len(us) then
 
     def next_query(self, t: int) -> float:
-        s = self.truth_set
-        x, i = self._chooser.choose(s)
-        self._asked = x, i, len(s.us)
-        return x
+        return self._chooser.choose(self.truth_set)
 
     def reveal(self, x: float, prediction: float) -> float:
         s, q, cfg = self.truth_set, self.q, self.cfg
-        asked, self._asked = self._asked, None
-        if asked is not None and asked[0] == x and asked[2] == len(s.us):
-            i = asked[1]
-        else:
-            i = s.locate(x)
+        i = s.locate(x)
         lo, hi = s.reply_bounds(i, x, q, cfg.budget, self._action)
         y = _farther_end(lo, hi, prediction, cfg.tie_break)
         self._action += s.increment_at(i, x, y, q, self._action)
@@ -355,17 +340,14 @@ class InsufficientInitAdversary:
         return Disclosure(flags, truth)
 
 
-def verify_legality(
-    trials: list, disclosure: Disclosure, eta: int, q: float, true_values: list | None = None
-) -> bool:
+def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) -> bool:
     """Certify a finalized game: few enough lies and a feasible truth.
 
     Checks that the disclosure flags every trial, that at most ``eta``
     revelations are flagged as lies, that the disclosed truth witness has
     q-action within the unit budget, and that the witness actually matches
-    every truthful revelation. ``true_values`` is the witness at each
-    trial's x, as ``eval_interpolant_many`` gives it; it is computed when
-    not given.
+    every truthful revelation; the witness is evaluated at every trial's x
+    in one ``eval_interpolant_many`` pass.
     """
     flags = disclosure.lie_flags
     if len(flags) != len(trials):
@@ -374,7 +356,6 @@ def verify_legality(
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    if true_values is None:
-        true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in trials])
+    true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in trials])
     return not any(abs(v - rec.revealed) > 1e-9
                    for rec, v, lied in zip(trials, true_values, flags) if not lied)

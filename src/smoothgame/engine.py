@@ -308,7 +308,7 @@ def run_noisy_game(config: GameConfig) -> Transcript:
                               true_values[uncounted:], powers[uncounted:])
     )
     tr.lie_count = disclosure.lie_count
-    tr.legality = verify_legality(tr.trials, disclosure, config.eta, config.q, true_values)
+    tr.legality = verify_legality(tr.trials, disclosure, config.eta, config.q)
     if isinstance(learner, StagedLearner):
         tr.stage_count = learner.stage_resets
         if tr.legality and learner.stage_resets > config.eta:

@@ -17,8 +17,9 @@ arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
 ``eval_interpolant_many`` evaluates at many x in one vector pass, bit for
 bit as ``eval_interpolant`` does at each.
 A game's players grow their sets one knot per round: each finds the
-round's query once and passes that position to the round's interval,
-increment and ``add_at``. A position holds only until the set next grows.
+round's query once with ``SampleSet.locate``, which also rejects a knot,
+and passes that position to the round's interval, increment and
+``add_at``. A position holds only until the set next grows.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ class SampleSet:
     not a knot would go. ``add_at``, ``eval_at``, ``increment_at`` and
     ``reply_bounds`` take that position, so an owner that grows the set one
     knot per round finds each query once. A position lives until the set
-    next grows: any add, wherever it lands, makes it stale, and an owner
-    that keeps one between calls drops it at its own add and checks
-    ``len(us)`` against the length it was found at.
+    next grows: any add, wherever it lands, makes it stale.
     """
 
     __slots__ = ("us", "vs")

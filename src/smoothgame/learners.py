@@ -11,17 +11,9 @@ restarts from scratch whenever one of three lie-detection events fires.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Protocol
 
-# bench/layertrace.py patches eval_interpolant under this module's name;
-# LinintLearner.predict calls SampleSet.eval_at instead
-from .interpolation import (  # noqa: F401
-    DuplicateKnotError,
-    SampleSet,
-    error_power,
-    eval_interpolant,
-)
+from .interpolation import DuplicateKnotError, SampleSet, error_power, eval_interpolant
 from .schema import ACTION_Q, Count
 
 
@@ -41,36 +33,17 @@ class LinintLearner:
     Predicts 0 before any feedback. Repeated inputs keep their first
     observed value; the standard protocol never repeats queries, and under
     lying feedback the first answer is as good a guess as any.
-
-    ``predict`` finds x in the known set once, as ``eval_interpolant``
-    would, and ``observe`` of that x inserts a new knot at that position
-    while the set has not grown since; every other ``observe`` looks x up
-    afresh. Any ``observe`` drops the position, as it may grow the set.
     """
 
     def __init__(self):
         self.known = SampleSet()
-        self._asked: tuple[float, int, int] | None = None  # x, its position, len(us) then
 
     def predict(self, x: float) -> float:
-        if not (0.0 <= x <= 1.0):
-            raise ValueError(f"x={x} outside [0, 1]")
-        known = self.known
-        i = bisect_left(known.us, x)
-        self._asked = x, i, len(known.us)
-        return known.eval_at(i, x)
+        return eval_interpolant(self.known, x)
 
     def observe(self, x: float, y: float) -> None:
-        known = self.known
-        us = known.us
-        asked, self._asked = self._asked, None
-        if asked is not None and asked[0] == x and asked[2] == len(us):
-            i = asked[1]
-            if i == len(us) or us[i] != x:
-                known.add_at(i, x, y)
-                return
         try:
-            known.add(x, y)
+            self.known.add(x, y)
         except DuplicateKnotError:
             pass
 

@@ -124,7 +124,8 @@ class TestRevealPosition:
     """``reveal`` finds x once and serves the interval, increment and insert from it.
 
     Each reply, running action and truth set must equal a reference grown
-    with the module-level functions, which look x up afresh every time.
+    with the module-level functions, which look x up afresh every time,
+    whatever order the queries and revelations come in.
     """
 
     @staticmethod
@@ -168,8 +169,7 @@ class TestRevealPosition:
     @pytest.mark.parametrize("q", [1.1, 2.0, math.inf])
     @pytest.mark.parametrize("policy", QUERY_POLICIES)
     def test_two_queries_then_one_reveal(self, policy, q):
-        # the chooser's position is the last query's: revealing the one
-        # asked before it takes a fresh lookup
+        # revealing the query asked before the last one
         cfg = GreedyConfig(query_policy=policy)
         adv, ref = GreedyAdversary(q, cfg, seed=6), [SampleSet(), 0.0]
         for t in range(100):
@@ -192,7 +192,7 @@ class TestRevealPosition:
             self._check(adv, ref)
 
     def test_set_grown_by_hand_after_the_query(self):
-        # a knot added below the query moves its position: reveal looks it up again
+        # a knot added below the query moves its position
         cfg = GreedyConfig()
         adv, ref = GreedyAdversary(2.0, cfg, seed=8), [SampleSet(), 0.0]
         for x in (adv.next_query(0), adv.next_query(1)):

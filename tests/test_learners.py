@@ -104,22 +104,6 @@ class TestObserveAfterPredict:
         lnr.observe(0.7, 4.0)
         assert lnr.known == SampleSet([0.3, 0.5, 0.7], [2.0, 1.0, 3.0])
 
-    def test_set_grown_by_hand_between_predict_and_observe(self):
-        # a knot added below the predicted x moves its position
-        lnr = LinintLearner()
-        lnr.observe(0.5, 1.0)
-        lnr.predict(0.7)
-        lnr.known.add(0.6, 2.0)
-        lnr.observe(0.7, 3.0)
-        assert lnr.known == SampleSet([0.5, 0.6, 0.7], [1.0, 2.0, 3.0])
-
-    def test_observe_of_a_predicted_knot_keeps_its_value(self):
-        lnr = LinintLearner()
-        lnr.observe(0.5, 1.0)
-        assert lnr.predict(0.5) == 1.0
-        lnr.observe(0.5, 2.0)
-        assert lnr.known == SampleSet([0.5], [1.0])
-
     def test_repeat_with_a_bad_value_still_errors(self):
         lnr = LinintLearner()
         lnr.observe(0.5, 1.0)
