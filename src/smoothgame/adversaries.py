@@ -357,5 +357,6 @@ def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) ->
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
     true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in trials])
-    return not any(abs(v - rec.revealed) > 1e-9
+    # written so that a NaN revelation fails the match
+    return not any(not abs(v - rec.revealed) <= 1e-9
                    for rec, v, lied in zip(trials, true_values, flags) if not lied)

@@ -293,9 +293,7 @@ def cmd_poly_build(args) -> int:
         if spec["mode"] == "approx":
             poly, plan = approx_interpolant_poly(s, q, eps, degree_cap=degree_cap)
             result["epsilon"] = eps
-            result["plan"] = {
-                "eps3": plan.eps3, "C": plan.C, "c1": plan.c1, "degree": plan.degree,
-            }
+            result["plan"] = {"eps3": plan.eps3, "c1": plan.c1, "degree": plan.degree}
         else:
             poly = exact_interpolant_poly(s, q, degree_cap=degree_cap)
     except DegreeCapError as exc:

@@ -28,12 +28,13 @@ the polynomial's action on the Gauss grid.
 Exact interpolation solves for the G that hits every sample. Column i is
 B_{n+1} of the hat that is 1 at knot i and 0 at the others, so the m x m
 matrix of column values at the knots is close to the identity, and one
-linear solve gives the knot values of G whose B_{n+1}[G] interpolates. A
-near-interpolant only picks the degree n + 1. Quadrature certifies the
-action below 1, and the degree climbs where it does not, or where knots
-closer than the node spacing 1/(n+1) leave a column zero and the matrix
-singular. The cost is one degree ladder plus one m x m solve, so no knot
-count is rejected; the degree cap is the limit.
+linear solve gives the knot values of G whose B_{n+1}[G] interpolates.
+The degree starts at the first power of two at which every hat has a node
+inside its support (knots closer than the node spacing 1/(n+1) leave a
+column zero and the matrix singular). The degree doubles only where the
+solve is singular, misses a knot by more than 1e-8, or quadrature does not
+certify the action below 1. The cost is one m x m solve per degree tried,
+so no knot count is rejected; the degree cap is the limit.
 """
 
 from __future__ import annotations
@@ -62,73 +63,8 @@ class BudgetPlan:
     """The tolerance ledger of one construction run."""
 
     eps3: float
-    C: float
     c1: float
     degree: int
-
-
-def _grid_action(deriv_coeffs: np.ndarray, q: float) -> float:
-    """Fast composite-Gauss estimate of the action of a derivative poly."""
-    vals = grid_values(BernsteinPolynomial(deriv_coeffs))
-    return float(np.dot(gauss_grid()[1], np.abs(vals) ** q))
-
-
-def _build_near_interpolant(
-    s: SampleSet,
-    q: float,
-    res_target: float,
-    act_slack: float,
-    degree_cap: int,
-    min_degree: int = 32,
-) -> tuple[BernsteinPolynomial, BudgetPlan]:
-    """Core construction: residuals below res_target, action excess below act_slack."""
-    us = np.asarray(s.us)
-    vs = np.asarray(s.vs)
-    base_action = q_action(s, q)
-    mingap = float(np.min(np.diff(us)))
-    if np.ptp(vs) == 0.0:
-        return BernsteinPolynomial([float(vs[0])]), BudgetPlan(0.0, 2.0 / mingap, 0.0, 0)
-    d = np.diff(vs) / np.diff(us)
-    c1 = float(np.max(np.abs(d)))
-    max_jump = float(np.max(np.abs(np.diff(np.concatenate(([0.0], d, [0.0]))))))
-    # polynomial-step tolerance honoring both budget constraints:
-    # under half the slack, and cheap enough in q-power spread
-    eps3 = min(0.45 * res_target,
-               (c1 ** q + 0.45 * act_slack) ** (1.0 / q) - c1)
-
-    # correction rounds contract the residual geometrically, so start the
-    # degree ladder well below the no-correction estimate and climb on
-    # verification failure; building and verifying a level is cheap
-    n_seed = (0.45 * max_jump / max(eps3, 1e-13)) ** 2
-    n = int(np.clip(2 ** math.ceil(math.log2(max(n_seed / 64.0, 32.0))),
-                    min_degree, min(2048, degree_cap)))
-    n = max(n, min(min_degree, degree_cap))
-    while True:
-        # B_{n+1}[G] for the interpolant G: its coefficients are G at the nodes
-        nodes = np.arange(n + 2) / (n + 1)
-        coeffs = np.interp(nodes, us, vs)
-        basis = bernstein_basis_matrix(n + 1, us)
-        # up to six correction rounds, each followed by a fresh residual
-        for corrections in range(7):
-            resid = basis @ coeffs - vs
-            shift = 0.5 * (resid.max() + resid.min())
-            spread = float(np.max(np.abs(resid - shift)))
-            if spread <= 0.9 * eps3 or corrections == 6:
-                break
-            coeffs = coeffs + np.interp(nodes, us, -resid)
-        resid_ok = spread < eps3
-        action_est = _grid_action((n + 1) * np.diff(coeffs), q)
-        action_ok = action_est < base_action + 0.9 * act_slack
-        if resid_ok and action_ok:
-            poly = BernsteinPolynomial(coeffs - shift)
-            return poly, BudgetPlan(eps3, 2.0 / mingap, c1, poly.degree)
-        if n >= degree_cap:
-            raise DegreeCapError(
-                f"degree cap {degree_cap} reached: residual "
-                f"{spread:.3e} vs {res_target:.3e}, "
-                f"action {action_est:.6f} vs {base_action + act_slack:.6f}"
-            )
-        n = min(2 * n, degree_cap)
 
 
 def approx_interpolant_poly(
@@ -150,9 +86,53 @@ def approx_interpolant_poly(
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     FINITE_Q.check("q", q)
-    return _build_near_interpolant(
-        s, q, res_target=0.9 * eps, act_slack=0.9 * eps, degree_cap=degree_cap
-    )
+    us = np.asarray(s.us)
+    vs = np.asarray(s.vs)
+    if np.ptp(vs) == 0.0:
+        return BernsteinPolynomial([float(vs[0])]), BudgetPlan(0.0, 0.0, 0)
+    base_action = q_action(s, q)
+    # the residual target and the action slack
+    slack = 0.9 * eps
+    d = np.diff(vs) / np.diff(us)
+    c1 = float(np.max(np.abs(d)))
+    max_jump = float(np.max(np.abs(np.diff(np.concatenate(([0.0], d, [0.0]))))))
+    # polynomial-step tolerance honoring both budget constraints:
+    # under half the slack, and cheap enough in q-power spread
+    eps3 = min(0.45 * slack, (c1 ** q + 0.45 * slack) ** (1.0 / q) - c1)
+
+    # correction rounds contract the residual geometrically, so start the
+    # degree ladder well below the no-correction estimate and climb on
+    # verification failure; building and verifying a level is cheap
+    n_seed = (0.45 * max_jump / max(eps3, 1e-13)) ** 2
+    n = min(2 ** math.ceil(math.log2(max(n_seed / 64.0, 32.0))), 2048, degree_cap)
+    while True:
+        # B_{n+1}[G] for the interpolant G: its coefficients are G at the nodes
+        nodes = np.arange(n + 2) / (n + 1)
+        coeffs = np.interp(nodes, us, vs)
+        basis = bernstein_basis_matrix(n + 1, us)
+        # up to six correction rounds, each followed by a fresh residual
+        for corrections in range(7):
+            resid = basis @ coeffs - vs
+            shift = 0.5 * (resid.max() + resid.min())
+            spread = float(np.max(np.abs(resid - shift)))
+            if spread <= 0.9 * eps3 or corrections == 6:
+                break
+            coeffs = coeffs + np.interp(nodes, us, -resid)
+        resid_ok = spread < eps3
+        # a fast composite-Gauss estimate of the action of P'
+        deriv = grid_values(BernsteinPolynomial((n + 1) * np.diff(coeffs)))
+        action_est = float(np.dot(gauss_grid()[1], np.abs(deriv) ** q))
+        action_ok = action_est < base_action + 0.9 * slack
+        if resid_ok and action_ok:
+            poly = BernsteinPolynomial(coeffs - shift)
+            return poly, BudgetPlan(eps3, c1, poly.degree)
+        if n >= degree_cap:
+            raise DegreeCapError(
+                f"degree cap {degree_cap} reached: residual "
+                f"{spread:.3e} vs {slack:.3e}, "
+                f"action {action_est:.6f} vs {base_action + slack:.6f}"
+            )
+        n = min(2 * n, degree_cap)
 
 
 def weighted_combine(
@@ -162,12 +142,13 @@ def weighted_combine(
     """Convex weights making sign-patterned handles interpolate exactly.
 
     Nothing in the build calls this: it is the reference that tests check
-    the correction solve of ``exact_interpolant_poly`` against. The
+    the solve of ``exact_interpolant_poly`` against. Take P0 = B_{n+1} of
+    the samples' piecewise-linear interpolant at the solved degree. The
     handles P0 + eps * sum_i (+-1) C_i are affine in their signs, so the
     convex mix it finds is P0 plus a combination of the columns; P0 is
-    itself one (B_{n+1} of its own G), so the mix must equal the solved
-    combination. It stays in this module because
-    ``bench/layertrace.py`` times it under this name.
+    itself one (its G is the sum of the hats weighted by the sample
+    values), so the mix must equal the solved combination. It stays in
+    this module because ``bench/layertrace.py`` times it under this name.
 
     ``values`` maps each subset X of target indices to one handle's values
     at the k targets; the handle must be above target i exactly when i is
@@ -236,56 +217,52 @@ def exact_interpolant_poly(
     """Polynomial hitting every sample exactly with q-action strictly below 1.
 
     Requires a finite q >= 1 and the set's own action strictly below 1.
-    One near-interpolant P0, built with residual and action slack each
-    0.45 (1 - action), picks the degree n + 1. Then one m x m solve
-    A g = v, with A[j, i] = C_i(u_j) and C_i = B_{n+1} of the hat on knot
-    i, gives the knot values g of the piecewise-linear G whose
-    B_{n+1}[G] = sum g_i C_i hits every knot; its action is at most G's by
-    the module's Jensen bound. The result interpolates to 1e-8 and its
-    action is certified by quadrature; otherwise (a failed check or a
-    singular A) the degree floor doubles, up to the cap, so the degree
-    never exceeds ``degree_cap + 1``.
+    The degree n + 1 starts at the smallest power of two >= 2 / (least knot
+    gap), with n at most ``degree_cap``: there every hat has a node
+    k / (n + 1) inside its support. One m x m solve A g = v, with
+    A[j, i] = C_i(u_j) and C_i = B_{n+1} of the hat on knot i, gives the
+    knot values g of the piecewise-linear G whose B_{n+1}[G] = sum g_i C_i
+    hits every knot; its action is at most G's by the module's Jensen
+    bound. The result interpolates to 1e-8 and its action is certified
+    below 1 by quadrature; otherwise (a failed check or a singular A) n
+    goes to 2n + 1, up to the cap, where ``DegreeCapError`` is raised, so
+    the degree never exceeds ``degree_cap + 1``.
     """
     FINITE_Q.check("q", q)
     m = len(s)
     if m == 0:
         return BernsteinPolynomial([0.0])
-    if m == 1:
-        return BernsteinPolynomial([s.vs[0]])
+    us = np.asarray(s.us)
+    vs = np.asarray(s.vs)
+    if m == 1 or np.ptp(vs) == 0.0:
+        return BernsteinPolynomial([float(vs[0])])
     base_action = q_action(s, q)
     if not base_action < 1.0:
         raise ValueError(f"action {base_action} must be strictly below 1")
-    us = np.asarray(s.us)
-    vs = np.asarray(s.vs)
-    slack = 0.45 * (1.0 - base_action)
-    degree_floor = 32
+    gap = float(np.min(np.diff(us)))
+    # the first degree with n + 1 >= 2 / gap, where every hat holds a node
+    n = 1
+    while n < degree_cap and (n + 1) * gap < 2.0:
+        n = 2 * n + 1
+    n = min(n, degree_cap)
     while True:
-        poly, _plan = _build_near_interpolant(
-            s, q, res_target=slack, act_slack=slack,
-            degree_cap=degree_cap, min_degree=degree_floor,
-        )
-        n = poly.degree - 1
-        # a constant P0 (all values equal) already interpolates exactly
-        if n >= 0:
-            # column i is the degree-(n+1) Bernstein polynomial of phi_i, the
-            # hat that is 1 at u_i and 0 at the other knots: its coefficients
-            # are phi_i at the nodes k / (n + 1)
-            nodes = np.arange(n + 2) / (n + 1)
-            cols = np.column_stack([np.interp(nodes, us, e) for e in np.eye(m)])
-            a = bernstein_basis_matrix(n + 1, us) @ cols
-            try:
-                poly = BernsteinPolynomial(cols @ np.linalg.solve(a, vs))
-            except np.linalg.LinAlgError:
-                # column i is zero when no node lies in (u_{i-1}, u_{i+1}):
-                # leave P0 as it is, so the checks below climb the ladder
-                pass
-        resid = float(np.max(np.abs(poly(us) - vs)))
-        action = q_action_poly(poly, q)
-        if resid <= 1e-8 and action < 1.0:
-            return poly
+        # column i is the degree-(n+1) Bernstein polynomial of phi_i, the
+        # hat that is 1 at u_i and 0 at the other knots: its coefficients
+        # are phi_i at the nodes k / (n + 1)
+        nodes = np.arange(n + 2) / (n + 1)
+        cols = np.column_stack([np.interp(nodes, us, e) for e in np.eye(m)])
+        a = bernstein_basis_matrix(n + 1, us) @ cols
+        try:
+            poly = BernsteinPolynomial(cols @ np.linalg.solve(a, vs))
+        except np.linalg.LinAlgError:
+            # column i is zero when no node lies in (u_{i-1}, u_{i+1})
+            failure = f"singular solve at degree {n + 1}: a hat has no node in its support"
+        else:
+            resid = float(np.max(np.abs(poly(us) - vs)))
+            action = q_action_poly(poly, q)
+            if resid <= 1e-8 and action < 1.0:
+                return poly
+            failure = f"residual {resid:.2e}, action {action:.9f}"
         if n >= degree_cap:
-            raise DegreeCapError(
-                f"exact interpolation failed at the cap: residual {resid:.2e}, "
-                f"action {action:.9f}"
-            )
-        degree_floor = 2 * n
+            raise DegreeCapError(f"exact interpolation failed at the cap: {failure}")
+        n = min(2 * n + 1, degree_cap)

@@ -389,6 +389,14 @@ class TestVerifyLegality:
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
         assert verify_legality(trials, Disclosure([False, True], truth), 1, 2.0)
 
+    def test_truthful_nan_reveal_rejected(self):
+        from smoothgame.adversaries import Disclosure, verify_legality
+
+        # abs(nan - v) > tol is False, so a NaN must fail the match by itself
+        trials = [self.Rec(0.0, 0.0), self.Rec(1.0, math.nan)]
+        truth = SampleSet.from_pairs([(0.0, 0.0), (1.0, 0.5)])
+        assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
+
     def test_flag_count_must_match_trials(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 

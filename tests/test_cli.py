@@ -570,6 +570,8 @@ class TestConfigEcho:
     echoes as ints; the digests were taken before the config schema.
     """
 
+    EXACT = {"points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact"}
+
     @pytest.mark.parametrize("command, config, digests", [
         ("simulate",
          {"p": 2, "q": 2, "rounds": 500, "learner": "linint", "adversary": "greedy"},
@@ -580,12 +582,21 @@ class TestConfigEcho:
           "adversary": "random-liar", "adversary_options": {"lie_magnitude": 0.75}},
          {"game_summary.json": "5d57d26c71397210ed841980fde2be5d7c0403139274709bac24e37161e84ace",
           "game_transcript.csv": "43549c90f623d2593cd172c9922ce5b997171c274ef2c13c75c7dde6487986f6"}),
-        ("poly-build",
-         {"points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact"},
-         {"poly_build.json": "ff5d11eb6a509d25092842579ebd863358968ed297ccb8c0f9ffa3e6e141704b"}),
+        ("poly-build", EXACT,
+         {"poly_build.json": "00fdb12e51319b88fa3a1adc989972eaa060a04ef178c3464b843a952b11bc12"}),
     ])
     def test_readme_examples(self, tmp_path, command, config, digests):
         out = tmp_path / "out"
         assert run(command, "--config", write(tmp_path / "c.json", config), "--out", str(out)) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_readme_exact_build_fields(self, tmp_path):
+        # the smallest gap is 0.4, so the first degree tried is 8, and it certifies
+        out = tmp_path / "out"
+        assert run("poly-build", "--config", write(tmp_path / "c.json", self.EXACT), "--out", str(out)) == 0
+        data = json.loads((out / "poly_build.json").read_text())
+        assert data["degree"] == 8
+        assert max(abs(r) for r in data["residuals"]) <= 1e-8
+        assert data["action"] == pytest.approx(0.2277, abs=5e-5)
+        assert data["action_certified_below_one"] is True

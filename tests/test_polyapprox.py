@@ -7,7 +7,6 @@ from kantorovich_reference import bernstein_coeffs_long_way
 from test_acceptance import random_action_set
 
 from smoothgame.bernstein import (
-    DEGREE_CAP,
     BernsteinPolynomial,
     DegreeCapError,
     bernstein_basis_matrix,
@@ -16,7 +15,6 @@ from smoothgame.bernstein import (
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.polyapprox import (
     _all_subsets,
-    _build_near_interpolant,
     approx_interpolant_poly,
     exact_interpolant_poly,
     weighted_combine,
@@ -69,7 +67,6 @@ class TestApproxInterpolant:
         d = np.abs(np.diff(s.vs) / gaps)
         c1 = float(np.max(d))
         assert plan.c1 == pytest.approx(c1)
-        assert plan.C == pytest.approx(2.0 / float(np.min(gaps)))
         assert plan.eps3 < eps / 2 + 1e-15
         assert (c1 + plan.eps3) ** 2 - c1 ** 2 < eps / 2
 
@@ -179,21 +176,37 @@ class TestExactInterpolant:
 
     @pytest.mark.parametrize("cap", [0, 1, 8, 40])
     def test_degree_cap_below_the_floor(self, cap):
-        # the ladder's floor of 32 must not lift the degree above the cap
+        # the first degree tried is 4 (2 / gap), or cap + 1 below it, and
+        # it already interpolates and certifies
         s = S((0.1, 0.0), (0.6, 0.3))
-        try:
-            poly = exact_interpolant_poly(s, 2, degree_cap=cap)
-        except DegreeCapError:
-            return
-        assert poly.degree <= cap + 1
+        poly = exact_interpolant_poly(s, 2, degree_cap=cap)
+        assert poly.degree == {0: 1, 1: 2, 8: 4, 40: 4}[cap]
         assert max(abs(poly(u) - v) for u, v in s) <= 1e-8
         assert q_action_poly(poly, 2) < 1.0
+
+    def test_cap_below_the_node_spacing_raises_degree_cap_error(self):
+        # 2 / gap is 4000, so at the cap 64 the middle knot's hat holds no
+        # node k/65, its column is zero and A is singular
+        s = S((0.1, 0), (0.1005, 0.0002), (0.101, 0), (0.9, 0.1))
+        with pytest.raises(DegreeCapError, match="singular solve at degree 65"):
+            exact_interpolant_poly(s, 2, degree_cap=64)
+
+    def test_first_degree_certifies_on_criterion_7_draws(self):
+        # every criterion-7 draw is certified at its first degree: the
+        # smallest power of two >= 2 / (least knot gap)
+        rng = np.random.default_rng(2718)  # criterion 7's stream
+        for i in range(200):
+            q = (1.5, 2.0, 3.0)[i % 3]
+            s = random_action_set(rng, q=q)
+            first = 2 ** math.ceil(math.log2(2.0 / float(np.min(np.diff(s.us)))))
+            assert exact_interpolant_poly(s, q).degree == first, i
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_close_knots_climb_past_a_singular_solve(self, q):
         # The middle knots have no node k/(n+1) between their neighbours for
-        # n = 32 or 64, so their correction columns are zero and A is singular
-        # there; the ladder must climb past both rungs.
+        # n = 32 or 64, so their columns are zero and A is singular there;
+        # the first degree tried, 2 / gap rounded up to a power of two, is
+        # past both.
         for s in (S((0.1, 0), (0.102, 0.001), (0.104, 0), (0.5, 0)),
                   S((0.1, 0), (0.1005, 0.0002), (0.101, 0), (0.9, 0.1))):
             poly = exact_interpolant_poly(s, q)
@@ -230,25 +243,30 @@ class TestExactInterpolant:
 
 class TestCorrectionSolve:
     def test_matches_sign_pattern_reference(self):
-        # The handles P0 + eps * sum_i sign_i C_i straddle every target once
-        # eps * (A's diagonal-dominance margin) exceeds P0's residual, and
-        # weighted_combine's convex mix of them must be the solved polynomial.
+        # P0 = B_{n+1} of the samples' linear interpolant, at the solved
+        # degree. The handles P0 + eps * sum_i sign_i C_i straddle every
+        # target once eps * (A's diagonal-dominance margin) exceeds P0's
+        # residual, and weighted_combine's convex mix of them must be the
+        # solved polynomial. A need not be diagonally dominant at the first
+        # degree that certifies; such a draw is checked by its residual.
         rng = np.random.default_rng(2718)  # criterion 7's stream
+        compared = 0
         for i in range(15):
             q = (1.5, 2.0, 3.0)[i % 3]
             s = random_action_set(rng, q=q)
             us, vs = np.asarray(s.us), np.asarray(s.vs)
             exact = exact_interpolant_poly(s, q)
-            slack = 0.45 * (1.0 - q_action(s, q))
-            p0, _plan = _build_near_interpolant(s, q, slack, slack, DEGREE_CAP)
-            assert p0.degree == exact.degree
-            n = p0.degree - 1
+            n = exact.degree - 1
             # C_i built the long way, as the antiderivative of the Kantorovich
             # polynomial of phi_i' plus phi_i(0); the build reads phi_i at the nodes
             cols = np.column_stack([bernstein_coeffs_long_way(us, e, n) for e in np.eye(len(s))])
             a = bernstein_basis_matrix(n + 1, us) @ cols
             margin = np.min(2 * np.diag(a) - np.sum(np.abs(a), axis=1))
-            assert margin > 0.0
+            if not margin > 0.0:
+                assert np.max(np.abs(exact(us) - vs)) <= 1e-8, i
+                continue
+            compared += 1
+            p0 = BernsteinPolynomial(cols @ vs)
             eps = 2.0 * np.max(np.abs(vs - p0(us))) / margin
             handles = {}
             for key in _all_subsets(len(s)):
@@ -257,6 +275,7 @@ class TestCorrectionSolve:
             weights = weighted_combine({k: h(us) for k, h in handles.items()}, vs)
             mixed = sum(w * handles[k].coeffs for k, w in weights.items())
             assert np.max(np.abs(mixed - exact.coeffs)) <= 1e-12, i
+        assert compared >= 14
 
 
 class TestKantorovichReference:
