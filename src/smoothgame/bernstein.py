@@ -9,15 +9,14 @@ one home of the log-space basis formula, and the terms its windows leave
 out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
 independent oracle for it. The action functional ``integral of |P'|^q``
 is computed on equal Gauss panels over [0, 1], doubled until two levels
-agree. |P'|^q is smooth except at the derivative's real roots (and at
-even q it is a polynomial everywhere), so only the panels near a root,
-or near 0 and 1 at fractional q, are re-integrated: cut at the roots and
-graded toward them only as deep as a bound on the end panels requires.
-The roots are sign changes of P' on one fixed action grid
-(``gauss_grid``) plus the exact end values of P', all refined together
-to ``ROOT_WIDTH`` by false position with probes, one vector evaluation
-per step; the degree ladder in ``polyapprox`` estimates actions on the
-same grid.
+agree. |P'|^q is smooth except at the zeros of P' (a polynomial at even
+q), so only the panels near a zero are re-integrated, cut at the roots;
+at fractional q a panel ending at a zero s takes the Gauss-Jacobi rule
+for the weight |x - s|^alpha, which carries the singularity exactly.
+The roots are sign changes of P' on one fixed action grid (``gauss_grid``)
+plus the exact end values of P', all refined together to ``ROOT_WIDTH``
+by false position with probes, one vector evaluation per step; the
+degree ladder in ``polyapprox`` estimates actions on the same grid.
 
 A polynomial's coefficients are a read-only copy, and it keeps every
 action certified for it, so each (polynomial, q) is integrated once. The
@@ -264,8 +263,7 @@ ROOT_WIDTH = 1e-12  # bracket width at which a root of P' is located
 QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
 # offsets, in bracket widths, of the root probes around a false-position point
 _PROBES = np.array([-2.0 ** -4, -2.0 ** -12, -2.0 ** -20, 0.0, 2.0 ** -20, 2.0 ** -12, 2.0 ** -4])
-_PANEL_ORDER = 20  # Gauss points per uniform panel of the action quadrature
-_GRADED_ORDER = 10  # Gauss points per panel that end grading adds (see q_action_poly)
+_PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
 _GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
 _CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
@@ -437,45 +435,40 @@ def _even_edges(a: float, b: float, base: int) -> list[float]:
     return [k * step + a for k in range(base)] + [b]
 
 
-def _piece_panels(a: float, b: float, base: int, grade=None):
-    """Panel edges over [a, b]: uniform core, geometric shrink at the ends.
+@lru_cache(maxsize=256)
+def _jacobi_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_PANEL_ORDER``-point Gauss rule on [0, 1] for the weight x^beta (1 - x)^alpha.
 
-    End grading resolves the |x - root|^q behaviour of fractional-power
-    integrands whose roots sit at the piece boundaries. ``grade`` is None
-    (no grading) or ``(g_a, g_b, m, q, budget)``: |P'| is at most g_a at a
-    and g_b at b (None for an end that is not graded), and |P''| is at most
-    m, so the end panel of width w holds at most w (g + m w)^q of the
-    integral, and its Gauss estimate lies between 0 and that bound too.
-    Each graded end shrinks its panel 4x at a time until the bound is
-    within ``budget`` or the panel is 1e-13 of b - a.
+    Golub and Welsch: the nodes are the eigenvalues of the Jacobi
+    polynomials' recurrence matrix, shifted to [0, 1] (its diagonal
+    written as a sum of positive terms), and each weight is
+    B(beta + 1, alpha + 1) times the squared first component of its
+    eigenvector. Returns the nodes and the weights divided by the weight
+    function at them.
     """
-    edges = set(_even_edges(a, b, base))
-    if grade is None or b - a < 1e-12:
-        return sorted(edges)
-    g_a, g_b, m, q, budget = grade
-    for end, side, g in ((a, 1.0, g_a), (b, -1.0, g_b)):
-        if g is None:
-            continue
-        w = (b - a) / base
-        while w > (b - a) * 1e-13 and w * (g + m * w) ** q > budget:
-            w *= 0.25
-            edges.add(end + side * w)
-    return sorted(edges)
+    a, b = float(alpha), float(beta)
+    k = np.arange(1.0, _PANEL_ORDER)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b + 1.0) / (a + b + 2.0)],
+                           (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))))
+    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    xs, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return xs, mass * vectors[0] ** 2 / (xs ** b * (1.0 - xs) ** a)
 
 
-def _fresh_panels(panels: int, roots: list, grade, everything: bool):
+def _fresh_panels(panels: int, roots: list, zeros, everything: bool):
     """The uniform panels a doubling level integrates afresh, and the rule that replaces them.
 
-    ``grade`` is None at integer q: there only the panels a root cuts are
+    ``zeros`` is None at integer q: there only the panels a root cuts are
     re-integrated, split at the root, since |P'|^q is a polynomial on each
-    side. At fractional q it is ``(slopes, m, q, budget)``, with ``slopes``
-    the bound on |P'| at 0, at 1 and at every root; a uniform panel is then
-    re-integrated when one of those points lies within a third of a panel
-    of it. With ``everything`` set, all of them are. Each run of
-    re-integrated panels is cut at its roots, and every piece gets
-    ``_piece_panels`` with a uniform core no wider than a uniform panel,
-    graded toward its ends at 0, 1 and the roots; graded panels get
-    ``_GRADED_ORDER`` points and the rest ``_PANEL_ORDER``.
+    side. At fractional q it maps each zero s of P' to its exponent alpha
+    (|P'|^q ~ |x - s|^alpha), and a uniform panel is re-integrated when a
+    zero lies within a third of a panel of it. With ``everything`` set,
+    all of them are. Each run of re-integrated panels is cut at its roots
+    and laid with equal panels no wider than a uniform one; a panel that
+    ends at a zero takes the ``_jacobi_rule`` of its exponents (both ends'
+    when it spans two zeros), the others ``_PANEL_ORDER`` Legendre points.
 
     Returns the mask of re-integrated uniform panels and the nodes and
     weights of the rule that replaces them, sorted, with each run's right
@@ -483,43 +476,42 @@ def _fresh_panels(panels: int, roots: list, grade, everything: bool):
     basis window spans the gap between two runs.
     """
     grid = _even_edges(0.0, 1.0, panels)
-    reach = 0.0 if grade is None else 1.0 / 3.0
+    reach = 0.0 if zeros is None else 1.0 / 3.0
     fresh = np.full(panels, everything)
-    for s in roots if grade is None else (0.0, *roots, 1.0):
+    for s in roots if zeros is None else zeros:
         fresh[max(0, math.floor(s * panels - reach)) : math.floor(s * panels + reach) + 1] = True
     runs = np.flatnonzero(np.diff(np.concatenate(([0], fresh.view(np.int8), [0])))).reshape(-1, 2)
     if not runs.size:
         return fresh, np.empty(0), np.empty(0)
-    by_order = {_PANEL_ORDER: ([], []), _GRADED_ORDER: ([], [])}  # panel ends at each order
-    pads = []
+    zeros = zeros or {}
+    lo, hi, jacobi, pads = [], [], [], []  # Legendre panel ends; Jacobi nodes and weights
     for j0, j1 in runs.tolist():
         stops = [grid[j0], *(r for r in roots if grid[j0] < r < grid[j1]), grid[j1]]
         nodes = 0
         for a, b in zip(stops, stops[1:]):
             if b - a <= 1e-14:
                 continue
-            base = max(1, math.ceil((b - a) * panels - 1e-9))
-            if grade is None:
-                edges = _piece_panels(a, b, base)
-            else:
-                slopes, m, q, budget = grade
-                edges = _piece_panels(a, b, base, (slopes.get(a), slopes.get(b), m, q, budget))
-            # the graded panels are the ones narrower than the piece's core
-            narrow = 0.9 * (b - a) / base
-            for lo, hi in zip(edges, edges[1:]):
-                k = _GRADED_ORDER if hi - lo < narrow else _PANEL_ORDER
-                by_order[k][0].append(lo)
-                by_order[k][1].append(hi)
-                nodes += k
+            edges = _even_edges(a, b, max(1, math.ceil((b - a) * panels - 1e-9)))
+            last = len(edges) - 2
+            for i, (l, h) in enumerate(zip(edges, edges[1:])):
+                beta = zeros.get(a, 0.0) if i == 0 else 0.0
+                alpha = zeros.get(b, 0.0) if i == last else 0.0
+                if alpha or beta:
+                    xs, ws = _jacobi_rule(alpha, beta)
+                    jacobi.append((l + (h - l) * xs, (h - l) * ws))
+                else:
+                    lo.append(l)
+                    hi.append(h)
+            nodes += _PANEL_ORDER * (last + 1)
         pads += [grid[j1]] * (-nodes % _TILE)
-    rules = [_panel_rule_between(np.array(lo), np.array(hi), k) for k, (lo, hi) in by_order.items()]
-    xs = np.concatenate([x for x, _ in rules] + [pads])
-    ws = np.concatenate([w for _, w in rules] + [np.zeros(len(pads))])
+    xs, ws = _panel_rule_between(np.array(lo), np.array(hi), _PANEL_ORDER)
+    xs = np.concatenate([xs, *(x for x, _ in jacobi), pads])
+    ws = np.concatenate([ws, *(w for _, w in jacobi), np.zeros(len(pads))])
     at = np.argsort(xs, kind="stable")
     return fresh, xs[at], ws[at]
 
 
-def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: list, grade) -> float:
+def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: list, zeros) -> float:
     """The action at one doubling level: ``panels`` equal panels of [0, 1].
 
     The panels that ``_fresh_panels`` leaves uniform take the
@@ -532,7 +524,7 @@ def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: li
     """
     n = deriv.degree
     cached = panels * _PANEL_ORDER * (n + 1) <= _LEVEL_RULE_ENTRIES
-    fresh, xs, ws = _fresh_panels(panels, roots, grade, everything=not cached)
+    fresh, xs, ws = _fresh_panels(panels, roots, zeros, everything=not cached)
     total = 0.0
     if not fresh.all():
         window, block, rule_ws = _rule_basis(n, panels, _PANEL_ORDER)
@@ -557,30 +549,30 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     handed back on every later call.
 
     At even q, |P'|^q = P'^q is a polynomial and [0, 1] is one smooth
-    piece. Otherwise |P'|^q is smooth except at the derivative's roots,
-    where it has a kink (odd q) or a fractional-power zero; at fractional
-    q the ends 0 and 1 are treated like roots too, since a root just
-    outside [0, 1] makes them near-singular. Each doubling level lays
+    piece. Otherwise |P'|^q is smooth except at the zeros of P', where it
+    has a kink (odd q) or a fractional-power zero. Each doubling level lays
     equal panels over [0, 1] (``_level_integral``): every panel clear of
-    those points takes the cached 20-point rule, and only the panels near
-    them are re-integrated (``_fresh_panels``), cut at the roots and, at
-    fractional q, graded geometrically toward the roots and ends until the
-    end panels' bounds (``_piece_panels``) sum to at most
-    ``QUADRATURE_TOL`` / 10: |P'| is |c_0| at 0 and |c_n| at 1 (c the
-    coefficients of P'), at most m * ``ROOT_WIDTH`` at a root, and
-    m = deg P' * max |c_{k+1} - c_k| bounds |P''|.
+    the zeros takes the cached 20-point rule, and only the panels near
+    them are re-integrated (``_fresh_panels``), cut at the roots. At
+    fractional q a panel that ends at a zero s takes the 20-point
+    Gauss-Jacobi rule for the weight |x - s|^alpha, evaluating |P'|^q at
+    its nodes and dividing by the weight: alpha = q at each root of
+    ``polynomial_roots``, and alpha = k q at an end where the first k
+    coefficients of P' counted from that end are exactly 0 (a zero of
+    order k). |P'|^q / |x - s|^alpha is analytic on the panel unless P'
+    has another zero near it, and the nodes keep 8e-3 of the panel from
+    s, far beyond ``ROOT_WIDTH``. The uniform panels keep a third of their
+    width from every zero: a Bernstein ellipse of rho = 3, error O(3^-40).
 
-    A panel [s + w/4, s + w] added by the grading toward a singular point
-    s lies, mapped to [-1, 1], at 5/3 of its half-width from s, so
-    |P'|^q is analytic inside the Bernstein ellipse through s, of
-    rho = 5/3 + sqrt((5/3)^2 - 1) = 3, and a k-point Gauss rule on it
-    errs by O(rho^-2k) of the panel's integral: 3^-20 ~ 3e-10 of a panel
-    that itself shrinks 4x with every grading step at the
-    ``_GRADED_ORDER`` = 10 points those panels get. The uniform panels,
-    which keep at least a third of their width from every singular point
-    (rho >= 3 as well), keep ``_PANEL_ORDER`` = 20 points. Convergence is
-    certified by doubling the panel count; on failure the dense composite
-    rule takes over.
+    An end where P' != 0 is a regular point and needs no rule of its own:
+    a zero of P' at distance d outside [0, 1] makes the end panel's
+    integrand ~(x + d)^q, on which the 20-point rule errs by at most
+    1.8e-7 of the panel's integral for every d >= 0 (measured for
+    1 <= q <= 8; the worst is d -> 0, q ~ 1.16), and while d is below the
+    panel's width w that integral, ~w^(q + 1), falls 2^(q + 1)-fold per
+    doubling. Convergence is certified by doubling the panel count; on
+    failure the dense composite rule takes over, as for a steep P' with a
+    zero within 1e-6 of an end at q = 1.1.
     """
     FINITE_Q.check("q", q)
     action = poly._actions.get(q)
@@ -593,22 +585,22 @@ def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
     """The quadrature of ``q_action_poly``, run afresh."""
     deriv = poly.derivative()
     n = deriv.degree
-    if n == 0:
+    live = np.flatnonzero(deriv.coeffs)
+    if n == 0 or not live.size:
         return abs(deriv.coeffs[0]) ** q
     # at even q, |P'|^q = P'^q is a polynomial, smooth across every root
     roots = [] if q % 2 == 0 else polynomial_roots(deriv)
-    grade = None
+    zeros = None
     if not float(q).is_integer():
-        c = deriv.coeffs
-        m = n * float(np.max(np.abs(np.diff(c))))
-        slopes = {0.0: abs(float(c[0])), 1.0: abs(float(c[-1]))}
-        slopes.update((r, m * ROOT_WIDTH) for r in roots)
-        budget = 0.1 * QUADRATURE_TOL / (2 * (len(roots) + 1))  # shared by every graded end
-        grade = (slopes, m, q, budget)
+        # P' = x^k (1 - x)^j R with R(0), R(1) != 0 when its first k and last j coefficients are 0
+        zeros = dict.fromkeys(roots, q)
+        for end, k in ((0.0, int(live[0])), (1.0, n - int(live[-1]))):
+            if k:
+                zeros[end] = k * q
     base = int(np.clip((n + 1) // 128, 8, 64))
     prev = None
     for factor in (1, 2, 4, 8):
-        total = _level_integral(deriv, q, base * factor, roots, grade)
+        total = _level_integral(deriv, q, base * factor, roots, zeros)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +11,6 @@ import pytest
 from gram_action import gram_action
 from quadrature_reference import (
     bisection_roots,
-    full_depth_panels,
     graded_action,
     sign_changes,
     uncached_grid_values,
@@ -352,26 +355,6 @@ def _criterion7_builds():
 
 
 class TestAgainstTheQuadratureReference:
-    @pytest.mark.parametrize("grade", [
-        (0.5, 1e-9, 10.0, 1.5, 1e-11),  # a steep end at 0 and a root end
-        (0.0, 0.0, 300.0, 1.01, 1e-12),
-        (2.0, 2.0, 1.0, 2.5, 1e-3),  # within budget before any grading
-        (1.0, 1.0, 1.0, 1.1, 0.0),  # never within budget: today's full depth
-    ])
-    def test_graded_ends_stop_at_the_first_panel_within_budget(self, grade):
-        a, b, base = 0.25, 0.75, 8
-        g_a, g_b, m, q, budget = grade
-        edges = bernstein._piece_panels(a, b, base, grade)
-        full = full_depth_panels(a, b, base, True)
-        assert set(edges) <= set(full)  # never deeper than the full grading
-        if budget == 0.0:
-            assert edges == full
-        core = (b - a) / base
-        for g, inner in ((g_a, edges[1] - a), (g_b, b - edges[-2])):
-            assert inner * (g + m * inner) ** q <= budget * (1 + 1e-9) or inner < 1e-13 * (b - a)
-            outer = 4 * inner  # the panel one grading step out was over budget
-            assert outer > core * (1 + 1e-9) or outer * (g + m * outer) ** q > budget
-
     def test_criterion7_builds(self):
         builds = 0
         for q, _eps, poly in _criterion7_builds():
@@ -397,6 +380,47 @@ class TestAgainstTheQuadratureReference:
                 for q in (1.01, 1.1, 1.5, 2.5):
                     exact = k ** q * (r ** (q + 1) + (1 - r) ** (q + 1)) / (q + 1)
                     assert q_action_poly(poly, q) == pytest.approx(exact, abs=1e-9), (k, r, q)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_zeros_of_order_k_at_an_end(self, k, monkeypatch):
+        # P' = K x^k (x - r), exactly 0 in its first k coefficients, and its
+        # mirror image, which is 0 in its last k: the end takes the Jacobi
+        # rule of exponent k q
+        exponents = []
+        rule = bernstein._jacobi_rule
+        monkeypatch.setattr(bernstein, "_jacobi_rule", lambda a, b: exponents.append((a, b)) or rule(a, b))
+        for r in (0.3, 1.2):  # a root inside or none
+            for degree in (k + 2, 64, 300):
+                poly = from_power(*[0.0] * (k + 1), Fraction(-5.0 * r) / (k + 1), Fraction(5) / (k + 2),
+                                  degree=degree)
+                for p, end in ((poly, 0), (BernsteinPolynomial(poly.coeffs[::-1]), 1)):
+                    zeros = np.flatnonzero(p.derivative().coeffs == 0.0)
+                    assert list(zeros) == ([*range(k)] if end == 0 else [*range(degree - k, degree)])
+                    for q in (1.01, 1.5, 2.5):
+                        exponents.clear()
+                        assert abs(q_action_poly(p, q) - graded_action(p, q)) <= 1e-12, (r, degree, end, q)
+                        assert ((0.0, k * q) if end == 0 else (k * q, 0.0)) in exponents, (r, degree, end, q)
+
+    @pytest.mark.parametrize("degree", [2, 64, 300])
+    def test_zeros_just_outside_the_ends(self, degree, monkeypatch):
+        # P' = K (x + d) and K (x - 1 - d): both ends are regular, and the
+        # action is K^q ((1 + d)^(q+1) - d^(q+1)) / (q + 1). At q = 1.1 a steep
+        # P' (K = 20) with d <= 1e-6 still exhausts the doubling levels and
+        # takes the fallback, which this records instead of running it.
+        fallbacks = []
+        monkeypatch.setattr(bernstein, "composite_rule_action",
+                            lambda poly, q: fallbacks.append((poly.degree, q)) or math.nan)
+        for k in (1.0, 5.0, 20.0):
+            for d in (1e-9, 1e-6, 1e-3):
+                for q in (1.01, 1.1, 1.5, 2.5):
+                    exact = k ** q * ((1 + d) ** (q + 1) - d ** (q + 1)) / (q + 1)
+                    for b in (k * d, -k * (1 + d)):
+                        fallbacks.clear()
+                        got = q_action_poly(from_power(0.0, b, 0.5 * k).elevated(degree), q)
+                        if fallbacks:
+                            assert (q, k) == (1.1, 20.0) and d <= 1e-6, (k, d, q, b)
+                        else:
+                            assert got == pytest.approx(exact, abs=1e-9), (k, d, q, b)
 
     @pytest.mark.parametrize("degree", [2, 64, 300])
     def test_even_q_takes_the_unit_path(self, degree, monkeypatch):
@@ -482,6 +506,42 @@ class TestStoredActions:
             assert len(calls) == certified
 
 
+class TestJacobiRule:
+    """The Gauss-Jacobi rules that fractional-q certificates take at the zeros of P'."""
+
+    def test_rules_integrate_the_weighted_monomials(self):
+        # x^beta (1 - x)^alpha x^j for every j < 2 * _PANEL_ORDER gives the Beta
+        # function B(beta + j + 1, alpha + 1): math.lgamma at j = 0, then
+        # B(a + 1, b) = B(a, b) a / (a + b). The exponents are a root's (q) and
+        # an end zero's of order k (k q), k up to 96, past the largest end
+        # order of the poly-build pools (81 at q = 1.5)
+        qs = (1.01, 1.5, 2.5)
+        ends = {(k * 1.5, 0.0) for k in range(1, 97)} | {(k * q, 0.0) for q in qs for k in (1, 2, 5)}
+        pairs = ends | {(b, a) for a, b in ends} | {(q, q) for q in qs} | {(2 * q, q) for q in qs}
+        for alpha, beta in sorted(pairs):
+            xs, ws = bernstein._jacobi_rule(alpha, beta)
+            assert np.all((xs > 0.0) & (xs < 1.0)) and np.all(np.diff(xs) > 0.0)
+            weights = ws * xs ** beta * (1.0 - xs) ** alpha
+            moment = math.exp(math.lgamma(beta + 1) + math.lgamma(alpha + 1) - math.lgamma(alpha + beta + 2))
+            for j in range(2 * bernstein._PANEL_ORDER):
+                assert np.dot(weights, xs ** j) == pytest.approx(moment, rel=1e-13, abs=0.0), (alpha, beta, j)
+                moment *= (beta + j + 1) / (alpha + beta + j + 2)
+
+    def test_certifying_loads_no_scipy_linalg(self):
+        # importing scipy.linalg adds ~5 MB of resident memory to poly-build; the
+        # rules come from numpy.linalg. A fresh interpreter, since other
+        # tests import scipy.linalg themselves
+        script = ("import sys, smoothgame; from smoothgame import bernstein; "
+                  "p = bernstein.BernsteinPolynomial([0.0, 0.0, -0.1, 0.4, 1.0]); "  # P' = 0 at 0, a root inside
+                  "bernstein.q_action_poly(p, 1.5); "
+                  "print(bernstein._jacobi_rule.cache_info().misses, 'scipy.linalg' in sys.modules)")
+        src = pathlib.Path(bernstein.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert int(out[0]) > 0 and out[1] == "False"
+
+
 RULE_DEGREES = [1, 2, 7, 32, 64, 128, 256, 512, 2048]
 
 
@@ -551,22 +611,33 @@ class TestRuleBasis:
             # at even q no root is searched, so the action grid is not read
             assert ((192, 8) in rules) == (q != 2.0)
 
-    @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4}), (1.5, {0, 4, 5, 15})])
+    @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4}), (1.5, {0, 4, 5})])
     def test_fresh_panels_are_the_ones_near_roots_and_ends(self, q, fresh):
-        # 16 panels, a root at 0.3 = 4.8 panels: it cuts panel 4, lies within a
-        # third of a panel of panel 5, and panels 0 and 15 hold the ends
+        # 16 panels, a root at 0.3 = 4.8 panels: it cuts panel 4 and lies within
+        # a third of a panel of panel 5. At q = 1.5, P' also has a zero of
+        # order 2 at 0 (panel 0), while at 1 it does not vanish (panel 15 stays)
         roots = [] if q == 2.0 else [0.3]
-        grade = None if q != 1.5 else ({0.0: 1.0, 1.0: 1.0, 0.3: 1e-12}, 1.0, q, 1e-11)
-        mask, xs, ws = bernstein._fresh_panels(16, roots, grade, everything=False)
+        zeros = None if q != 1.5 else {0.3: q, 0.0: 2 * q}
+        mask, xs, ws = bernstein._fresh_panels(16, roots, zeros, everything=False)
         assert set(np.flatnonzero(mask)) == fresh
         live = ws > 0.0
         assert np.all(np.diff(xs) >= 0.0)
         assert set(np.floor(16 * xs[live]).astype(int)) == fresh
-        # the replacement rule integrates 1 exactly over the panels it replaces
-        assert ws.sum() == pytest.approx(len(fresh) / 16, abs=1e-14)
-        if q == 1.5:
-            # graded toward 0.3 from both sides and toward both ends
-            assert np.min(np.abs(xs - 0.3)) < 1e-4 and np.min(xs) < 1e-4 and np.max(xs) > 1.0 - 1e-4
+        if q != 1.5:
+            # the replacement rule integrates 1 exactly over the panels it replaces
+            assert ws.sum() == pytest.approx(len(fresh) / 16, abs=1e-14)
+            return
+        # it integrates x^3 |x - 0.3|^1.5 exactly beside 0.3 (x^3 is a
+        # polynomial), and to rounding on panel 0, where |x - 0.3|^1.5 is smooth
+        def antiderivative(u):  # of x^3 |x - 0.3|^1.5 in u = x - 0.3, x^3 expanded in u
+            return sum(math.comb(3, j) * 0.3 ** (3 - j) * math.copysign(1.0, u) ** (j + 1)
+                       * abs(u) ** (j + 2.5) / (j + 2.5) for j in range(4))
+
+        def integral(lo, hi):
+            return antiderivative(hi - 0.3) - antiderivative(lo - 0.3)
+
+        want = integral(0.0, 1 / 16) + integral(4 / 16, 6 / 16)
+        assert np.dot(ws, xs ** 3 * np.abs(xs - 0.3) ** 1.5) == pytest.approx(want, rel=1e-13)
 
     def test_a_degree_ladder_cycle_stays_cached(self):
         # the ladder's action grid and each certificate's rules, twice over:

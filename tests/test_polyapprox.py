@@ -175,7 +175,7 @@ class TestExactInterpolant:
         assert q_action_poly(poly, 2) == 0.0
 
     @pytest.mark.parametrize("cap", [0, 1, 8, 40])
-    def test_degree_cap_below_the_floor(self, cap):
+    def test_first_degree_is_capped_by_degree_cap(self, cap):
         # the first degree tried is 4 (2 / gap), or cap + 1 below it, and
         # it already interpolates and certifies
         s = S((0.1, 0.0), (0.6, 0.3))
@@ -202,7 +202,7 @@ class TestExactInterpolant:
             assert exact_interpolant_poly(s, q).degree == first, i
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    def test_close_knots_climb_past_a_singular_solve(self, q):
+    def test_close_knots_start_above_the_singular_degrees(self, q):
         # The middle knots have no node k/(n+1) between their neighbours for
         # n = 32 or 64, so their columns are zero and A is singular there;
         # the first degree tried, 2 / gap rounded up to a power of two, is
