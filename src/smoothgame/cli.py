@@ -104,20 +104,21 @@ def _load_config(path: str | None, declared: dict, **flags) -> dict:
 def _bound_violations(header: list[str], rows: list[list]) -> int:
     """Broken certified bounds in a sweep table; empty cells carry no bound.
 
-    Cells may be numbers or the text a CSV reader returns.
+    Cells may be numbers or the text a CSV reader returns. A NaN total or
+    ratio breaks every bound it is checked against.
     """
     col = {name: i for i, name in enumerate(header)}
     bad = 0
     for r in rows:
         ratio = r[col["ratio"]] if "ratio" in col else ""
-        if ratio != "" and float(ratio) > 1.0 + BOUND_SLACK:
+        if ratio != "" and not float(ratio) <= 1.0 + BOUND_SLACK:
             bad += 1
         if "forced_lower_bound" in col:
             observed = float(r[col["observed_total"]])
             lower, upper = r[col["forced_lower_bound"]], r[col["upper_bound"]]
-            if lower != "" and observed < float(lower) - BOUND_SLACK:
+            if lower != "" and not observed >= float(lower) - BOUND_SLACK:
                 bad += 1
-            if upper != "" and observed > float(upper) + BOUND_SLACK:
+            if upper != "" and not observed <= float(upper) + BOUND_SLACK:
                 bad += 1
     return bad
 

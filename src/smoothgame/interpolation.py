@@ -15,7 +15,9 @@ each find x's position in the set with one ``bisect_left``, check their
 arguments, and hand the position to a ``SampleSet`` method that does the
 arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
 ``eval_interpolant_many`` evaluates at many x in one vector pass, bit for
-bit as ``eval_interpolant`` does at each.
+bit as ``eval_interpolant`` does at each. At q not in {1, 2, inf},
+``reply_bounds`` finds each end of the reply interval by doubling, then
+bisecting, the offset from the interpolant, at the position it was given.
 A game's players grow their sets one knot per round: each finds the
 round's query once with ``SampleSet.locate``, which also rejects a knot,
 and passes that position to the round's interval, increment and
@@ -274,7 +276,7 @@ class SampleSet:
             return center, center
 
         def overshoot(y: float) -> float:
-            return action_increment(self, x, y, q) - slack
+            return self.increment_at(i, x, y, q) - slack
 
         hi = _bisect_boundary(overshoot, center, +1.0)
         lo = _bisect_boundary(overshoot, center, -1.0)
@@ -393,12 +395,7 @@ def action_increment(
     slope whose q-th power overflows makes the increment inf.
     """
     ACTION_Q.check("q", q)
-    # locate, written out: the generic-q solver calls this at every evaluation
-    us = s.us
-    i = bisect_left(us, x)
-    if i < len(us) and us[i] == x:
-        raise DuplicateKnotError(f"x={x} already a knot")
-    return s.increment_at(i, x, y, q, base_action)
+    return s.increment_at(s.locate(x), x, y, q, base_action)
 
 
 def h_potential(s: SampleSet, p: float) -> float:
@@ -430,10 +427,11 @@ def feasible_reply_interval(
 
     The action is convex in y with minimum 0 at the interpolant value, so
     the feasible set is a closed interval; endpoints are found in closed
-    form for q = 1, 2 and inf, and otherwise by a bracketed root search
-    (``_bisect_boundary``) to an absolute bracket width of 1e-12 that
-    returns the bracket's feasible end. The result is (lo, hi), and
-    (-inf, inf) for the empty set.
+    form for q = 1, 2 and inf. Otherwise ``_bisect_boundary`` doubles the
+    offset from the interpolant value until it overshoots the budget, then
+    bisects to an absolute bracket width of 1e-12 and returns the feasible
+    end, evaluating ``increment_at`` at x's position, found once. The
+    result is (lo, hi), and (-inf, inf) for the empty set.
     """
     ACTION_Q.check("q", q)
     return s.reply_bounds(s.locate(x), x, q, budget, base_action)
@@ -446,63 +444,24 @@ def _bisect_boundary(overshoot, center: float, direction: float) -> float:
     is convex with its minimum at ``center`` and is <= 0 exactly on the
     feasible set. When it is >= 0 at ``center`` the slack is 0 up to
     rounding, the feasible set is {center}, and ``center`` is returned.
-    Otherwise a bracket [inner, outer] of offsets from ``center`` with
-    overshoot(inner) <= 0 < overshoot(outer) is found by doubling and then
-    narrowed by Illinois false-position steps (Dowell & Jarratt, 1971); any
-    step that fails to halve the bracket is followed by a bisection step,
-    as in Brent (1973). The bisection takes the geometric mean while the
-    bracket spans more than a factor of 4, since with a small slack the
-    endpoint lies decades below the first step. The search stops at bracket
-    width 1e-12 (or when floats cannot split the bracket) and returns the
-    inner end. Every evaluation goes through ``overshoot``.
+    Otherwise the offset from ``center`` doubles from 1 until it overshoots,
+    and the bracket [inner, outer] of offsets with overshoot(inner) <= 0 <
+    overshoot(outer) is bisected until it is at most 1e-12 wide, or until
+    floats cannot split it (past an offset of 8192, one ulp exceeds 1e-12).
+    The inner end is returned.
     """
-    tol = 1e-12
-
-    def f(offset: float) -> float:
-        return overshoot(center + direction * offset)
-
-    f_in = f(0.0)
-    if f_in >= 0.0:
+    if overshoot(center) >= 0.0:
         return center
     inner, outer = 0.0, 1.0
-    f_out = f(outer)
-    while f_out <= 0.0:
-        inner, f_in = outer, f_out
-        outer *= 2.0
+    while overshoot(center + direction * outer) <= 0.0:
+        inner, outer = outer, 2.0 * outer
         if outer > 1e12:
             raise RuntimeError("feasible interval endpoint search diverged")
-        f_out = f(outer)
-    kept = 0  # +1 / -1 after a step that kept the inner / outer end
-    while outer - inner > tol:
-        width = outer - inner
-        t = inner - f_in * width / (f_out - f_in)
-        # half the stopping width from either end, so that a step landing
-        # next to the root from one side closes the bracket on the next
-        t = min(max(t, inner + 0.5 * tol), outer - 0.5 * tol)
-        if not inner < t < outer:
-            t = 0.5 * (inner + outer)
-        f_t = f(t)
-        if f_t <= 0.0:
-            inner, f_in = t, f_t
-            if kept == -1:
-                f_out *= 0.5
-            kept = -1
+    mid = 0.5 * (inner + outer)
+    while outer - inner > 1e-12 and inner < mid < outer:
+        if overshoot(center + direction * mid) <= 0.0:
+            inner = mid
         else:
-            outer, f_out = t, f_t
-            if kept == 1:
-                f_in *= 0.5
-            kept = 1
-        if outer - inner > 0.5 * width:
-            low = max(inner, tol)
-            mid = math.sqrt(low * outer) if outer > 4.0 * low else 0.5 * (inner + outer)
-            if not inner < mid < outer:
-                break
-            f_mid = f(mid)
-            if f_mid <= 0.0:
-                inner, f_in = mid, f_mid
-            else:
-                outer, f_out = mid, f_mid
-            kept = 0
+            outer = mid
+        mid = 0.5 * (inner + outer)
     return center + direction * inner
-
-

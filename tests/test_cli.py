@@ -517,6 +517,21 @@ class TestReport:
         }))
         assert run("report", "--config", str(data), "--out", str(tmp_path / "rep")) == 3
 
+    @pytest.mark.parametrize("name, text", [
+        ("sweep_epsilon.csv",
+         "epsilon,policy,seed,observed_total,bound,ratio\n0.1,uniform-random,0,nan,60.0,nan\n"),
+        ("sweep_eta.csv",
+         "eta,learner,adversary,observed_total,forced_lower_bound,lb_ratio,upper_bound\n"
+         "1,staged,random-liar,nan,,,18.0\n"
+         "1,staged,noisy-lb,nan,3.0,nan,\n"),
+    ], ids=["epsilon", "eta"])
+    def test_nan_total_is_a_violation(self, tmp_path, name, text):
+        # NaN compares False both ways, so a plain "> bound" test lets it pass
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / name).write_text(text)
+        assert run("report", "--config", str(data), "--out", str(tmp_path / "rep")) == 3
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [

@@ -510,10 +510,10 @@ class TestGoldenTranscripts:
         assert _digest(tr) == "f187344b4fd5294d5bb36ab8a8bdb2179ad12ea0e0348f228c0f748064c4d403"
 
     def test_standard_generic_q_fixed_sequence(self):
-        # q = 1.1 runs the bracketed endpoint solver and its centre
+        # q = 1.1 runs the bisection endpoint solver and its centre
         tr = run_game(cfg(p=1.1, q=1.1, rounds=400, seed=6,
                           adversary_options={"query_policy": "fixed-sequence"}))
-        assert _digest(tr) == "57be99bedd81c31f9df7f919da90f51e9b4fea1227819f74fcfc1ee298b2bb4e"
+        assert _digest(tr) == "6eeb54cb142bff6c98ded0754aaefdc3d0444c73befab4d92b2a6142ab0e37aa"
 
     def test_standard_q1_uniform_queries(self):
         # q = 1 takes the closed-form interval

@@ -346,6 +346,25 @@ class TestFeasibleInterval:
         generic = feasible_reply_interval(s, 0.4, 2.0 + 1e-12, 1.0)
         assert generic == pytest.approx(exact, abs=1e-6)
 
+    def test_far_endpoint_stops_where_floats_cannot_split(self, monkeypatch):
+        # ends ~1e5 from the centre have an ulp above 1e-12, so the bracket
+        # stops at adjacent floats instead of narrowing to 1e-12
+        s = S((0, 0), (1, 0))
+        evals = []
+        increment_at = SampleSet.increment_at
+
+        def counted(self, *args):
+            evals.append(args)
+            assert len(evals) < 1000, "endpoint search does not stop"
+            return increment_at(self, *args)
+
+        monkeypatch.setattr(SampleSet, "increment_at", counted)
+        lo, hi = feasible_reply_interval(s, 0.5, 1.5, 1e8)
+        monkeypatch.undo()
+        assert lo == -hi and hi > 1e5
+        assert action_increment(s, 0.5, hi, 1.5) <= 1e8
+        assert action_increment(s, 0.5, math.nextafter(hi, math.inf), 1.5) > 1e8
+
     def test_sup_norm_interval(self):
         lo, hi = feasible_reply_interval(S((0, 0), (1, 0)), 0.5, math.inf, 1.0)
         assert lo == pytest.approx(-0.5)
@@ -365,7 +384,7 @@ class TestFeasibleInterval:
 
 
 def _reference_boundary(overshoot, center: float, direction: float) -> float:
-    # the doubling search and 40-step bisection that _bisect_boundary replaced
+    # doubling from 1, then bisection to a 1e-12 bracket, written plainly
     step = 1.0
     while overshoot(center + direction * step) <= 0.0:
         step *= 2.0
@@ -382,11 +401,11 @@ def _reference_boundary(overshoot, center: float, direction: float) -> float:
 
 
 class TestEndpointSolver:
-    """The bracketed solver against the bisection it replaced, per solve.
+    """The solver, per solve, on every state the greedy games solve from.
 
     Whole games cannot be compared: at q = 1.1 the greedy adversary spends
-    its slack at once, and the ~1e-12 the bisection left unspent grows in
-    later replies. So each solve the games made is re-solved by both.
+    its slack at once, and the ~1e-12 the bisection leaves unspent grows in
+    later replies. So each solve the games made is re-solved here.
     """
 
     @pytest.fixture(scope="class")
@@ -408,6 +427,8 @@ class TestEndpointSolver:
         return states
 
     def test_endpoints_match_reference(self, solves):
+        # the solver evaluates at x's position; a bisection through the
+        # public action_increment looks x up at every step, to the same bits
         for s, x, q, base in solves:
             center = eval_interpolant(s, x)
             for slack in (1e-6, 1e-3, 0.3):
@@ -418,10 +439,19 @@ class TestEndpointSolver:
                 def overshoot(y):
                     return action_increment(s, x, y, q) - spare
 
-                assert abs(lo - _reference_boundary(overshoot, center, -1.0)) <= 1e-12
-                assert abs(hi - _reference_boundary(overshoot, center, +1.0)) <= 1e-12
-                for y in (lo, hi):
-                    assert not base + action_increment(s, x, y, q) > budget
+                assert lo == _reference_boundary(overshoot, center, -1.0)
+                assert hi == _reference_boundary(overshoot, center, +1.0)
+
+    def test_endpoints_are_feasible_and_tight(self, solves):
+        # independent of the solver: each end keeps the budget, and a reply
+        # 2e-12 farther out (past any 1e-12 bracket) breaks it
+        for s, x, q, base in solves:
+            for slack in (1e-6, 1e-3, 0.3):
+                budget = base + slack
+                lo, hi = feasible_reply_interval(s, x, q, budget, base_action=base)
+                for y, out in ((lo, -2e-12), (hi, 2e-12)):
+                    assert base + action_increment(s, x, y, q) <= budget
+                    assert base + action_increment(s, x, y + out, q) > budget
 
     def test_zero_slack_returns_center(self, solves):
         for s, x, q, base in solves:
