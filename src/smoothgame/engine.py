@@ -116,18 +116,25 @@ class Transcript:
 
     def to_csv(self) -> str:
         # csv.writer's output: no field (an int or a float's repr) needs quoting.
-        # The prediction and the true value reuse the revealed value's repr
-        # where they equal it, are nonzero and have its type: -0.0 == 0.0 and
-        # 1 == 1.0, but each pair prints two ways, and NaN equals nothing.
+        # Each distinct nonzero float among the predictions, revealed and true
+        # values is printed once: ``reprs`` keeps its repr, keyed by value. It
+        # is read only for a nonzero float, since -0.0 == 0.0 and 1 == 1.0 ==
+        # True print two ways each (every NaN prints "nan"). A prediction or
+        # true value equal to its row's revealed value, with its type, takes
+        # that repr without a lookup.
+        reprs: dict[float, str] = {}
+        known, keep = reprs.get, reprs.setdefault
         rows = [",".join(CSV_HEADER)]
         for r in self.trials:
             y = r.revealed
-            revealed = repr(y)
+            revealed = known(y) or keep(y, repr(y)) if type(y) is float and y else repr(y)
             v = r.prediction
-            prediction = revealed if v == y and v and type(v) is type(y) else repr(v)
+            prediction = (revealed if v == y and v and type(v) is type(y) else
+                          known(v) or keep(v, repr(v)) if type(v) is float and v else repr(v))
             v = r.true_value
-            true_value = ("" if v is None else revealed
-                          if v is y or v == y and v and type(v) is type(y) else repr(v))
+            true_value = ("" if v is None else
+                          revealed if v is y or v == y and v and type(v) is type(y) else
+                          known(v) or keep(v, repr(v)) if type(v) is float and v else repr(v))
             lie = "" if r.lie is None else int(r.lie)
             rows.append(f"{r.t},{r.x!r},{prediction},{revealed},{true_value},{lie},"
                         f"{r.raw_error!r},{r.p_power!r},{int(r.counted)}")
@@ -312,9 +319,10 @@ def run_noisy_game(config: GameConfig) -> Transcript:
     if isinstance(learner, StagedLearner):
         tr.stage_count = learner.stage_resets
         if tr.legality and learner.stage_resets > config.eta:
+            fired = ", ".join(f"trial {t} ({trigger})" for t, trigger in learner.resets)
             raise ProtocolViolationError(
                 f"{learner.stage_resets} stage resets against a certified-legal "
-                f"adversary with eta={config.eta}"
+                f"adversary with eta={config.eta}: {fired}"
             )
     tr.finalized = True
     return tr
@@ -339,19 +347,24 @@ def verify_transcript_legality(tr: Transcript) -> bool:
 
     Rebuilds the truth witness from the recorded true values and applies
     the lie-budget and feasibility checks at the config's ``eta`` and
-    ``q``; repeated queries must agree on their true value.
+    ``q``; every query must lie in [0, 1] and every true value must be
+    finite, and repeated queries must agree on their true value.
     """
     if not tr.finalized:
         raise ValueError("transcript not finalized")
     flags = []
     seen: dict[float, float] = {}
     for r in tr.trials:
-        if r.lie is None or r.true_value is None:
+        v = r.true_value
+        if r.lie is None or v is None:
             raise ValueError("transcript lacks lie flags or ground truth")
         flags.append(r.lie)
-        if r.x in seen and abs(seen[r.x] - r.true_value) > 1e-12:
+        # written so that NaN fails each test
+        if not (0.0 <= r.x <= 1.0 and math.isfinite(v)):
             return False
-        seen[r.x] = r.true_value
+        if r.x in seen and not abs(seen[r.x] - v) <= 1e-12:
+            return False
+        seen[r.x] = v
     truth = SampleSet.from_pairs(seen.items())
     return verify_legality(tr.trials, Disclosure(flags, truth), tr.config.eta, tr.config.q)
 

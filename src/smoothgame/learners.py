@@ -1,16 +1,19 @@
-"""Learners: interpolation-following prediction and its lie-tolerant wrapper.
+"""Learners: interpolation-following prediction and its lie-tolerant form.
 
 Both learners are deterministic state machines driven by a predict/observe
 cycle. ``LinintLearner`` simply predicts the interpolant of everything it
-has been told. ``StagedLearner`` wraps an inner ``LinintLearner`` for
-games where up to ``eta`` revealed values may be false: it burns the first
-``2 * eta + 1`` rounds to trap the function in a band, delegates to the
-inner learner only inside quarter-intervals it has densely sampled, and
-restarts from scratch whenever one of three lie-detection events fires.
+has been told. ``StagedLearner`` is for games where up to ``eta`` revealed
+values may be false: it burns the first ``2 * eta + 1`` rounds to trap the
+function in a band, follows the interpolant of its stage's revealed pairs
+only inside quarter-intervals it has densely sampled, and restarts from
+scratch whenever one of three lie-detection events fires. Each learner
+keeps its revealed pairs in one ``SampleSet``, ``known``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Protocol
 
 from .interpolation import DuplicateKnotError, SampleSet, error_power, eval_interpolant
@@ -52,7 +55,7 @@ def interval_of(x: float) -> int:
     """Quarter-interval index 1..4 of x; the last interval is closed at 1."""
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
-    return min(int(x * 4.0), 3) + 1
+    return 4 if x == 1.0 else int(x * 4.0) + 1  # x * 4.0 is exact, below 4 for x < 1
 
 
 def median_center(values: list[float], eta: int) -> float:
@@ -60,6 +63,12 @@ def median_center(values: list[float], eta: int) -> float:
     if len(values) != 2 * eta + 1:
         raise ValueError(f"need exactly {2 * eta + 1} values, got {len(values)}")
     return sorted(values)[eta]
+
+
+# what fired a stage reset, in the order the events are tested
+REVEALED_OUT = "revealed value out of band"
+PREDICTION_OUT = "prediction out of band"
+BUDGET_BLOWN = "error budget"
 
 
 class StagedLearner:
@@ -71,12 +80,23 @@ class StagedLearner:
     revelations this stage. Once an interval is full, the median ``c`` of
     its first ``2*eta + 1`` values, the only ones ``first_values`` keeps,
     confines the function to the band ``[c - w, c + w]`` and trials there
-    are *mimicked*: the inner learner predicts, clamped to that band. A stage
-    ends (values and bands cleared, fresh inner learner) when a revealed value
-    leaves the band, the inner learner's raw prediction leaves the band, or
-    the perceived error of the stage's mimicked trials exceeds the
-    threshold. Each event certifies at least one lie since the stage began,
-    so a legal adversary can force at most ``eta`` restarts.
+    are *mimicked*: the prediction is the interpolant of the stage's
+    revealed pairs, clamped to that band. A stage ends (values, bands and
+    pairs cleared) when a revealed value leaves the band, the unclamped
+    interpolant leaves the band, or the perceived error of the stage's
+    mimicked trials exceeds the threshold. Each event certifies at least
+    one lie since the stage began, so a legal adversary can force at most
+    ``eta`` restarts. ``resets`` records each one as (trial index, trigger),
+    the trigger being the first of the three events, in that order, that
+    fired.
+
+    The stage's pairs are one ``SampleSet``, ``known``, grown in place: a
+    repeated x keeps its first value, but a non-finite value raises
+    ``ValueError`` as ``SampleSet.add`` does. The initial phase adds
+    nothing to it. A mimicked ``predict`` finds x in the set once and its
+    ``observe`` inserts there, since nothing grows the set in between; an
+    unbanded round finds x once, in ``observe``. ``observe`` must follow
+    the ``predict`` of the same x.
 
     The half-width is ``w = max(1/2, (1/4)^(1 - 1/q))``. By Hoelder, f with
     q-action at most 1 varies on a quarter interval I by at most
@@ -110,18 +130,33 @@ class StagedLearner:
         self.global_center: float | None = None
         self.first_values: list[list[float]] = [[], [], [], []]
         self.bands: list[tuple[float, float] | None] = [None, None, None, None]
-        self.inner = LinintLearner()
-        self.stage_resets = 0
+        self.known = SampleSet()
+        self.resets: list[tuple[int, str]] = []
         self.perceived_error_sum = 0.0
-        self._last: tuple[float, int, bool, float] | None = None  # x, j, mimicked, raw
         self._fill = 2 * eta + 1
+        self._trial = self._fill  # the index of the next staged trial
+        # x, its interval, and for a mimicked round x's position and the raw prediction
+        self._last: tuple[float, int, int | None, float] | None = None
 
-    # -- generic learner interface -------------------------------------
+    @property
+    def stage_resets(self) -> int:
+        return len(self.resets)
 
     def predict(self, x: float) -> float:
-        if self.global_center is None:
+        center = self.global_center
+        if center is None:
             return 0.0
-        return self.staged_predict(x)[0]
+        j = interval_of(x) - 1
+        band = self.bands[j]
+        if band is None:
+            self._last = (x, j, None, 0.0)
+            return center
+        known = self.known
+        i = bisect_left(known.us, x)
+        raw = known.eval_at(i, x)
+        self._last = (x, j, i, raw)
+        lo, hi = band  # the band clamp; raw is kept for the events
+        return lo if raw < lo else hi if raw > hi else raw
 
     def observe(self, x: float, y: float) -> None:
         if self.global_center is None:
@@ -129,54 +164,43 @@ class StagedLearner:
             if len(self.initial_values) == self._fill:
                 self.global_center = median_center(self.initial_values, self.eta)
             return
-        self.staged_observe(x, y)
-
-    # -- staged protocol -----------------------------------------------
-
-    def staged_predict(self, x: float) -> tuple[float, bool]:
-        """Prediction and mimicked flag; requires the initial phase done."""
-        if self.global_center is None:
-            raise ProtocolViolationError("initial feedback phase not complete")
-        j = interval_of(x) - 1
-        if self.bands[j] is None:
-            self._last = (x, j, False, 0.0)
-            return self.global_center, False
-        lo, hi = self.bands[j]
-        raw = self.inner.predict(x)
-        emitted = min(max(raw, lo), hi)  # band clamp; raw kept for events
-        self._last = (x, j, True, raw)
-        return emitted, True
-
-    def staged_observe(self, x: float, y: float) -> bool:
-        """Record feedback for the previous prediction; True on stage reset."""
-        if self.global_center is None:
-            raise ProtocolViolationError("initial feedback phase not complete")
-        if self._last is None or self._last[0] != x:
+        last = self._last
+        if last is None or last[0] != x:
             raise ProtocolViolationError("observe does not match the last predict")
-        _, j, mimicked, raw = self._last
         self._last = None
-        if self.bands[j] is None:
+        t = self._trial
+        self._trial = t + 1
+        _, j, i, raw = last
+        band = self.bands[j]
+        known = self.known
+        us = known.us
+        if band is None:
             values = self.first_values[j]
             values.append(y)
             if len(values) == self._fill:
                 c = median_center(values, self.eta)
                 self.bands[j] = (c - self.half_width, c + self.half_width)
-        self.inner.observe(x, y)
-        if not mimicked:
-            return False
-        lo, hi = self.bands[j]
+            i = bisect_left(us, x)
+        if i < len(us) and us[i] == x:
+            # a repeated x keeps its first value, but the value must still be a knot's
+            if not math.isfinite(y):
+                raise ValueError(f"v={y} is not finite")
+        else:
+            known.add_at(i, x, y)
+        if band is None:
+            return
+        lo, hi = band
         self.perceived_error_sum += error_power(raw - y, self.p)
-        revealed_out = not (lo <= y <= hi)
-        inner_out = not (lo <= raw <= hi)
-        budget_blown = self.perceived_error_sum > self.threshold
-        if revealed_out or inner_out or budget_blown:
-            self._reset_stage()
-            return True
-        return False
+        if not lo <= y <= hi:
+            self._reset_stage(t, REVEALED_OUT)
+        elif not lo <= raw <= hi:
+            self._reset_stage(t, PREDICTION_OUT)
+        elif self.perceived_error_sum > self.threshold:
+            self._reset_stage(t, BUDGET_BLOWN)
 
-    def _reset_stage(self) -> None:
+    def _reset_stage(self, t: int, trigger: str) -> None:
         self.first_values = [[], [], [], []]
         self.bands = [None, None, None, None]
-        self.inner = LinintLearner()
+        self.known = SampleSet()
         self.perceived_error_sum = 0.0
-        self.stage_resets += 1
+        self.resets.append((t, trigger))

@@ -27,10 +27,12 @@ from smoothgame.engine import (
     run_standard_game,
     scale_transcript,
     total_error,
+    verify_transcript_legality,
     write_outputs,
 )
 from smoothgame.interpolation import SampleSet, action_increment, q_action
-from smoothgame.schema import REQUIRED, ListOf, Real
+from smoothgame.learners import ProtocolViolationError
+from smoothgame.schema import REQUIRED, Count, ListOf, Real
 
 
 class ScriptAdversary:
@@ -61,6 +63,25 @@ class ScriptAdversary:
 
 register_adversary("test-script", lambda cfg, moves: ScriptAdversary(moves),
                    {"moves": (ListOf(ListOf(Real(None))), REQUIRED)})
+
+
+class ScriptedLiar(ScriptAdversary):
+    """Replays its moves and discloses the ones at ``lies`` as lies; the
+    truth witness is the interpolant of the others."""
+
+    def __init__(self, moves, lies):
+        super().__init__(moves)
+        self.lies = set(lies)
+
+    def finalize(self):
+        truthful = [m for t, m in enumerate(self.moves) if t not in self.lies]
+        return Disclosure([t in self.lies for t in range(self._i)],
+                          SampleSet.from_pairs(dict(truthful).items()))
+
+
+register_adversary("test-liar", lambda cfg, moves, lies: ScriptedLiar(moves, lies),
+                   {"moves": (ListOf(ListOf(Real(None))), REQUIRED),
+                    "lies": (ListOf(Count(0)), REQUIRED)})
 
 
 def cfg(**kw):
@@ -272,6 +293,28 @@ class TestNoisyGame:
         with pytest.raises(ValueError):
             run_noisy_game(cfg(eta=0))
 
+    def test_too_many_resets_name_their_trials_and_triggers(self):
+        # one lie out of the band, then, at an experimental threshold far below
+        # 1, a true value off the interpolant: two resets against eta = 1
+        moves = ((0.1, 0.0), (0.12, 0.0), (0.14, 0.0),  # trials 0-2: the initial phase
+                 (0.02, 0.0), (0.04, 0.0), (0.06, 0.0),  # 3-5: interval 1 gets a band
+                 (0.08, 0.8),  # 6: the lie
+                 (0.16, 0.0), (0.18, 0.0), (0.2, 0.0),  # 7-9: a new stage, a new band
+                 (0.22, 0.01))  # 10: an error of 1e-4
+        config = cfg(eta=1, rounds=len(moves), learner="staged", adversary="test-liar",
+                     learner_options={"threshold": 1e-6},
+                     adversary_options={"moves": moves, "lies": [6]})
+        message = (r"2 stage resets against a certified-legal adversary with eta=1: "
+                   r"trial 6 \(revealed value out of band\), trial 10 \(error budget\)$")
+        with pytest.raises(ProtocolViolationError, match=message):
+            run_noisy_game(config)
+        # the same game with both errors disclosed as lies is illegal and not checked
+        config = cfg(eta=1, rounds=len(moves), learner="staged", adversary="test-liar",
+                     learner_options={"threshold": 1e-6},
+                     adversary_options={"moves": moves, "lies": [6, 10]})
+        tr = run_noisy_game(config)
+        assert tr.legality is False and tr.stage_count == 2
+
     @pytest.mark.parametrize("q", [1.2, 1.5])
     def test_liars_below_q2_force_at_most_eta_stages(self, q):
         # with the band held at 1/2, 16 (q = 1.2) and 5 (q = 1.5) of these 50
@@ -344,6 +387,34 @@ class TestTotals:
                 rec.revealed += 0.5
                 break
         assert verify_transcript_legality(noisy) is False
+
+    def test_transcript_legality_nan_disagreement(self):
+        # a repeated query's true values must agree, and NaN agrees with nothing
+        def transcript(first, second):
+            tr = Transcript(cfg(eta=1), finalized=True)
+            tr.trials = [TrialRecord(0, 0.5, 0.0, 1.0, True, first, 0.0, 0.0, False),
+                         TrialRecord(1, 0.5, 0.0, 1.0, False, second, 0.0, 0.0, False)]
+            return tr
+
+        assert verify_transcript_legality(transcript(1.0, 1.0)) is True
+        assert verify_transcript_legality(transcript(math.nan, 1.0)) is False
+        assert verify_transcript_legality(transcript(1.0, math.nan)) is False
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_transcript_legality_non_finite_true_value(self, bad):
+        # a non-finite true value is no witness: the check says False, not ValueError
+        tr = Transcript(cfg(eta=1), finalized=True)
+        tr.trials = [TrialRecord(0, 0.25, 0.0, 1.0, True, bad, 0.0, 0.0, False),
+                     TrialRecord(1, 0.75, 0.0, 1.0, False, 1.0, 0.0, 0.0, False)]
+        assert verify_transcript_legality(tr) is False
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1.5, -0.25])
+    def test_transcript_legality_query_outside_the_domain(self, x):
+        # a recorded query off [0, 1] (NaN included) is no legal trial
+        tr = Transcript(cfg(eta=1), finalized=True)
+        tr.trials = [TrialRecord(0, 0.25, 0.0, 1.0, False, 1.0, 0.0, 0.0, False),
+                     TrialRecord(1, x, 0.0, 1.0, True, 1.0, 0.0, 0.0, False)]
+        assert verify_transcript_legality(tr) is False
 
 
 class TestScaleTranscript:
@@ -480,6 +551,34 @@ class TestCsvRendering:
         lines = tr.to_csv().splitlines()
         assert lines[3].split(",")[2:5] == ["-0.0", "0.0", "-0.0"]
         assert lines[12].split(",")[2:5] == ["1", "1.0", "1"]
+
+    def test_values_repeated_across_rows(self):
+        # a value printed in an earlier row comes back in a later one equal
+        # to it but printed another way (a sign of zero, an int, a bool, a
+        # numpy float, NaN), and as a later row's prediction or true value
+        def twin(v):
+            return float(repr(v))  # equal, and another object
+
+        y = 0.1 + 0.2
+        nan = math.nan
+        rows = [
+            (y, 1.0, twin(y)), (2.0, y, 1.0),  # the first prints of y, 1.0, 2.0
+            (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, twin(0.0), 0.0),
+            (1, 2.0, True), (True, 1, 1), (np.float64(1.0), 1.0, np.float64(y)),
+            (np.float64(0.0), -0.0, 0.0), (-2.0, np.float64(-2.0), -2),
+            (nan, twin(nan), float("nan")), (twin(nan), 3.0, nan), (3.0, nan, twin(3.0)),
+            (twin(y), 2.0, y), (-y, twin(y), 2.0), (twin(2.0), -y, twin(-y)),
+            (1.0, 1.0, 1.0), (twin(-y), twin(1.0), twin(y)),
+        ]
+        tr = Transcript(cfg())
+        for t, (prediction, revealed, true_value) in enumerate(rows):
+            tr.trials.append(TrialRecord(t, y if t % 3 else 0.5, prediction, revealed,
+                                         t % 2 == 0, true_value, y, twin(y), t % 2 == 1))
+        assert tr.to_csv() == csv_writer_rendering(tr)
+        lines = tr.to_csv().splitlines()
+        assert lines[6].split(",")[2:5] == ["1", "2.0", "True"]
+        assert lines[9].split(",")[2:5] == ["np.float64(0.0)", "-0.0", "0.0"]
+        assert lines[11].split(",")[2:5] == ["nan", "nan", "nan"]
 
 
 def _blob(tr):

@@ -7,6 +7,9 @@ from smoothgame.adversaries import GreedyAdversary, GreedyConfig
 from smoothgame.engine import GameConfig, build_players
 from smoothgame.interpolation import DuplicateKnotError, SampleSet, eval_interpolant
 from smoothgame.learners import (
+    BUDGET_BLOWN,
+    PREDICTION_OUT,
+    REVEALED_OUT,
     LinintLearner,
     ProtocolViolationError,
     StagedLearner,
@@ -112,8 +115,9 @@ class TestObserveAfterPredict:
             lnr.observe(0.5, float("nan"))
 
     def test_staged_inner_learner_across_resets(self):
-        # the inner learner sees every staged-phase observation of its stage
-        # but predicts only the mimicked ones, and a reset replaces it
+        # the staged learner's set holds every staged-phase observation of its
+        # stage, though it predicts from it only in mimicked rounds, and a
+        # reset empties it
         lnr = StagedLearner(eta=3, p=2.0)
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="uniform-random"),
                               seed=0, eta=3, rounds=400)
@@ -127,7 +131,7 @@ class TestObserveAfterPredict:
                 reference = SampleSet()
             elif staged:
                 _add_reference(reference, x, y)
-            assert lnr.inner.known == reference
+            assert lnr.known == reference
         assert lnr.stage_resets == 3
 
 
@@ -163,6 +167,19 @@ def make_learner(eta=1, p=2.0):
     return StagedLearner(eta=eta, p=p)
 
 
+def staged_round(lnr, x):
+    """``predict(x)`` and whether the round is mimicked: x's interval has a band."""
+    mimicked = lnr.bands[interval_of(x) - 1] is not None
+    return lnr.predict(x), mimicked
+
+
+def observe_resets(lnr, x, y) -> bool:
+    """``observe(x, y)``, and whether it reset the stage."""
+    resets = lnr.stage_resets
+    lnr.observe(x, y)
+    return lnr.stage_resets > resets
+
+
 def feed_initial(lnr, values, xs=None):
     xs = xs if xs is not None else [0.01 * (i + 1) for i in range(len(values))]
     for x, y in zip(xs, values):
@@ -177,11 +194,14 @@ class TestStagedInitialPhase:
         assert lnr.global_center == 2.0
 
     def test_staged_calls_before_init_error(self):
+        # the initial phase takes values without a predict and adds no knot;
+        # from the first staged trial on, observe needs its predict
         lnr = make_learner()
+        for x in (0.3, 0.3, 0.5):
+            lnr.observe(x, 0.0)
+        assert len(lnr.known) == 0
         with pytest.raises(ProtocolViolationError):
-            lnr.staged_predict(0.3)
-        with pytest.raises(ProtocolViolationError):
-            lnr.staged_observe(0.3, 0.0)
+            lnr.observe(0.3, 0.0)
 
     def test_certification_guard(self):
         with pytest.raises(ValueError):
@@ -196,31 +216,31 @@ class TestStagedPrediction:
         feed_initial(lnr, [2.0, 2.0, 2.0])
         # two points in interval 2 is below the 2*eta+1 = 3 threshold
         for x in (0.3, 0.31):
-            yhat, mimicked = lnr.staged_predict(x)
+            yhat, mimicked = staged_round(lnr, x)
             assert (yhat, mimicked) == (2.0, False)
-            lnr.staged_observe(x, 2.0)
+            lnr.observe(x, 2.0)
 
     def test_full_interval_mimics_inner(self):
         lnr = make_learner(eta=1)
         feed_initial(lnr, [2.0, 2.0, 2.0])
         for x, y in [(0.3, 2.0), (0.31, 2.1), (0.32, 1.9)]:
-            lnr.staged_predict(x)
-            lnr.staged_observe(x, y)
-        yhat, mimicked = lnr.staged_predict(0.35)
+            lnr.predict(x)
+            lnr.observe(x, y)
+        yhat, mimicked = staged_round(lnr, 0.35)
         assert mimicked
-        # interval center is 2.0; inner interpolates within the band
+        # interval center is 2.0; the interpolant lies within the band
         assert 1.5 <= yhat <= 2.5
         assert lnr.bands[1] == (1.5, 2.5)
 
     def test_clamped_prediction_stays_in_band(self):
         lnr = make_learner(eta=1)
         feed_initial(lnr, [0.0, 0.0, 0.0])
-        # inner learner knows points far below the interval band
+        # the known points lie inside the interval band
         for x, y in [(0.3, 0.4), (0.31, 0.5), (0.32, 0.45)]:
-            lnr.staged_predict(x)
-            lnr.staged_observe(x, y)
-        # interval center 0.45; inner predicts its hull, already in band
-        yhat, mimicked = lnr.staged_predict(0.33)
+            lnr.predict(x)
+            lnr.observe(x, y)
+        # interval center 0.45; the interpolant stays in its hull, already in band
+        yhat, mimicked = staged_round(lnr, 0.33)
         lo, hi = lnr.bands[1]
         assert mimicked and lo <= yhat <= hi
 
@@ -251,11 +271,11 @@ class TestStagedBand:
         lnr = StagedLearner(eta=1, p=2.0, q=1.5)
         feed_initial(lnr, [2.0, 2.0, 2.0])
         for x, y in [(0.3, 2.0), (0.31, 2.1)]:
-            lnr.staged_predict(x)
-            lnr.staged_observe(x, y)
+            lnr.predict(x)
+            lnr.observe(x, y)
         assert lnr.bands[1] is None
-        lnr.staged_predict(0.32)
-        lnr.staged_observe(0.32, 1.9)
+        lnr.predict(0.32)
+        lnr.observe(0.32, 1.9)
         assert lnr.bands[1] == (2.0 - lnr.half_width, 2.0 + lnr.half_width)
 
     @pytest.mark.parametrize("q, resets", [(2.0, True), (1.5, False)])
@@ -264,10 +284,10 @@ class TestStagedBand:
         lnr = StagedLearner(eta=1, p=2.0, q=q)
         feed_initial(lnr, [2.0, 2.0, 2.0])
         for x, y in [(0.3, 2.0), (0.31, 2.0), (0.32, 2.0)]:
-            lnr.staged_predict(x)
-            lnr.staged_observe(x, y)
-        assert lnr.staged_predict(0.33) == (2.0, True)
-        assert lnr.staged_observe(0.33, 2.55) is resets
+            lnr.predict(x)
+            lnr.observe(x, y)
+        assert staged_round(lnr, 0.33) == (2.0, True)
+        assert observe_resets(lnr, 0.33, 2.55) is resets
         assert (lnr.bands[1] is None) is resets
 
 
@@ -281,14 +301,15 @@ class TestStagedEvents:
         lnr = make_learner(eta=1)
         feed_initial(lnr, [2.0, 2.0, 2.0])
         self.fill_interval(lnr)
-        lnr.staged_predict(0.35)
-        reset = lnr.staged_observe(0.35, 2.0 + 0.8)  # outside [c - 1/2, c + 1/2]
+        lnr.predict(0.35)
+        reset = observe_resets(lnr, 0.35, 2.0 + 0.8)  # outside [c - 1/2, c + 1/2]
         assert reset
-        assert lnr.stage_resets == 1
+        assert lnr.resets == [(6, REVEALED_OUT)]
         assert lnr.first_values == [[], [], [], []]
         assert lnr.bands == [None, None, None, None]
         # immediately after a reset the prediction is the global center
-        yhat, mimicked = lnr.staged_predict(0.35)
+        assert len(lnr.known) == 0
+        yhat, mimicked = staged_round(lnr, 0.35)
         assert (yhat, mimicked) == (2.0, False)
 
     def test_perceived_budget_resets(self):
@@ -300,18 +321,19 @@ class TestStagedEvents:
         rng = np.random.default_rng(3)
         for k in range(60):
             x = 0.26 + 0.2 * float(rng.uniform())
-            if lnr.inner.known.contains_u(x):
+            if lnr.known.contains_u(x):
                 continue
-            yhat, mimicked = lnr.staged_predict(x)
+            yhat, mimicked = staged_round(lnr, x)
             if not mimicked:
-                lnr.staged_observe(x, 0.0)
+                lnr.observe(x, 0.0)
                 continue
             lo, hi = lnr.bands[1]
             y = hi - 0.01 if (k % 2 == 0) else lo + 0.01
-            if lnr.staged_observe(x, y):
+            if observe_resets(lnr, x, y):
                 resets += 1
                 break
         assert resets == 1
+        assert lnr.resets[0][1] == BUDGET_BLOWN
 
     def test_stage_resets_counted(self):
         lnr = make_learner(eta=2)
@@ -322,13 +344,42 @@ class TestStagedEvents:
     def test_observe_must_match_predict(self):
         lnr = make_learner(eta=1)
         feed_initial(lnr, [0.0, 0.0, 0.0])
-        lnr.staged_predict(0.3)
+        lnr.predict(0.3)
         with pytest.raises(ProtocolViolationError):
-            lnr.staged_observe(0.9, 0.0)
+            lnr.observe(0.9, 0.0)
 
     def test_non_mimicked_never_resets(self):
         lnr = make_learner(eta=1)
         feed_initial(lnr, [0.0, 0.0, 0.0])
-        lnr.staged_predict(0.8)
-        assert not lnr.staged_observe(0.8, 100.0)  # wild value, but not mimicked
+        lnr.predict(0.8)
+        assert not observe_resets(lnr, 0.8, 100.0)  # wild value, but not mimicked
         assert lnr.stage_resets == 0
+
+    def test_resets_record_trial_and_trigger(self):
+        # a scripted liar fires each trigger once, in a stage of its own
+        script = [
+            (0.1, 0.0), (0.12, 0.0), (0.14, 0.0),  # trials 0-2: the initial phase
+            (0.3, 0.0), (0.31, 0.0), (0.32, 0.0),  # 3-5: interval 2 gets the band [-1/2, 1/2]
+            (0.33, 0.8),  # 6: a lie out of the band
+            (0.05, 3.0), (0.4, 0.0), (0.41, 0.0), (0.42, 0.0),  # 7-10: a new stage
+            (0.26, 0.0),  # 11: the interpolant toward (0.05, 3) leaves the band
+            (0.5, 0.0), (0.55, 0.0), (0.6, 0.0),  # 12-14: interval 3 gets its band
+            (0.52, 0.45), (0.57, -0.45), (0.58, 0.45), (0.59, -0.45),  # 15-18: in-band errors
+        ]
+        lnr = make_learner(eta=1)
+        for x, y in script:
+            lnr.predict(x)
+            lnr.observe(x, y)
+        assert lnr.resets == [(6, REVEALED_OUT), (11, PREDICTION_OUT), (18, BUDGET_BLOWN)]
+        assert lnr.stage_resets == 3
+
+    def test_repeat_keeps_first_value_and_rejects_a_bad_one(self):
+        lnr = make_learner(eta=1)
+        feed_initial(lnr, [0.0, 0.0, 0.0])
+        for y in (0.1, 0.2):
+            lnr.predict(0.8)
+            lnr.observe(0.8, y)
+        assert lnr.known == SampleSet([0.8], [0.1])
+        lnr.predict(0.8)
+        with pytest.raises(ValueError, match="not finite"):
+            lnr.observe(0.8, math.inf)
