@@ -116,25 +116,18 @@ class Transcript:
 
     def to_csv(self) -> str:
         # csv.writer's output: no field (an int or a float's repr) needs quoting.
-        # Each distinct nonzero float among the predictions, revealed and true
-        # values is printed once: ``reprs`` keeps its repr, keyed by value. It
-        # is read only for a nonzero float, since -0.0 == 0.0 and 1 == 1.0 ==
-        # True print two ways each (every NaN prints "nan"). A prediction or
-        # true value equal to its row's revealed value, with its type, takes
-        # that repr without a lookup.
-        reprs: dict[float, str] = {}
-        known, keep = reprs.get, reprs.setdefault
+        # The prediction and the true value reuse the revealed value's repr
+        # where they equal it, are nonzero and have its type: -0.0 == 0.0 and
+        # 1 == 1.0, but each pair prints two ways, and NaN equals nothing.
         rows = [",".join(CSV_HEADER)]
         for r in self.trials:
             y = r.revealed
-            revealed = known(y) or keep(y, repr(y)) if type(y) is float and y else repr(y)
+            revealed = repr(y)
             v = r.prediction
-            prediction = (revealed if v == y and v and type(v) is type(y) else
-                          known(v) or keep(v, repr(v)) if type(v) is float and v else repr(v))
+            prediction = revealed if v == y and v and type(v) is type(y) else repr(v)
             v = r.true_value
-            true_value = ("" if v is None else
-                          revealed if v is y or v == y and v and type(v) is type(y) else
-                          known(v) or keep(v, repr(v)) if type(v) is float and v else repr(v))
+            true_value = ("" if v is None else revealed
+                          if v is y or v == y and v and type(v) is type(y) else repr(v))
             lie = "" if r.lie is None else int(r.lie)
             rows.append(f"{r.t},{r.x!r},{prediction},{revealed},{true_value},{lie},"
                         f"{r.raw_error!r},{r.p_power!r},{int(r.counted)}")

@@ -12,11 +12,16 @@ keeps its revealed pairs in one ``SampleSet``, ``known``.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Protocol
 
-from .interpolation import DuplicateKnotError, SampleSet, error_power, eval_interpolant
+from .interpolation import (
+    DuplicateKnotError,
+    SampleSet,
+    _check_knot,
+    error_power,
+    eval_interpolant,
+)
 from .schema import ACTION_Q, Count
 
 
@@ -55,7 +60,7 @@ def interval_of(x: float) -> int:
     """Quarter-interval index 1..4 of x; the last interval is closed at 1."""
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
-    return 4 if x == 1.0 else int(x * 4.0) + 1  # x * 4.0 is exact, below 4 for x < 1
+    return min(int(x * 4.0), 3) + 1
 
 
 def median_center(values: list[float], eta: int) -> float:
@@ -182,9 +187,7 @@ class StagedLearner:
                 self.bands[j] = (c - self.half_width, c + self.half_width)
             i = bisect_left(us, x)
         if i < len(us) and us[i] == x:
-            # a repeated x keeps its first value, but the value must still be a knot's
-            if not math.isfinite(y):
-                raise ValueError(f"v={y} is not finite")
+            _check_knot(x, y)  # a repeated x keeps its first value, but y must be a knot's
         else:
             known.add_at(i, x, y)
         if band is None:

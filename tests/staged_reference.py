@@ -5,20 +5,17 @@ when it wrapped an inner ``LinintLearner``: ``predict`` and ``observe``
 delegated to ``staged_predict`` and ``staged_observe``, which asked the
 inner learner for its prediction (``eval_interpolant``) and fed it every
 staged-phase pair (``SampleSet.add``, a repeat kept its first value), and
-a stage reset replaced the inner learner with a fresh one. ``interval_of``
-is the quarter-interval index in its form of that time.
+a stage reset replaced the inner learner with a fresh one.
 """
 
 from smoothgame.interpolation import error_power
-from smoothgame.learners import LinintLearner, ProtocolViolationError, median_center
+from smoothgame.learners import (
+    LinintLearner,
+    ProtocolViolationError,
+    interval_of,
+    median_center,
+)
 from smoothgame.schema import ACTION_Q, Count
-
-
-def interval_of(x: float) -> int:
-    """Quarter-interval index 1..4 of x; the last interval is closed at 1."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x={x} outside [0, 1]")
-    return min(int(x * 4.0), 3) + 1
 
 
 class TwoLayerStagedLearner:
