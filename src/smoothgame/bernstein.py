@@ -49,6 +49,7 @@ class DegreeCapError(RuntimeError):
 
 WINDOW_MASS = 1e-18  # basis mass a window may drop at any x
 _TILE = 8  # consecutive x's that share one basis window
+_WINDOW_CHUNK = 1 << 16  # basis entries a window's (n - k) log(1 - x) term forms at once
 
 
 @lru_cache(maxsize=32)
@@ -118,7 +119,12 @@ def _basis_window(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
     block = ks * np.log(safe)
     block += _log_binom(n)[ks]
-    block += (n - ks) * np.log1p(-safe)
+    # a chunk of tiles at a time, so no second array the block's size is made
+    log1m = np.log1p(-safe)
+    step = max(1, _WINDOW_CHUNK // (tile * width))
+    for lo in range(0, len(starts), step):
+        rows = block[lo : lo + step]
+        rows += (n - ks[lo : lo + step]) * log1m[lo : lo + step]
     np.exp(block, out=block)
     edge = np.nonzero(~interior.reshape(len(starts), tile))
     if edge[0].size:

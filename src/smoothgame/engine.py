@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, asdict
 from . import __version__
 from .adversaries import (
     Adversary,
-    Disclosure,
     GreedyAdversary,
     GreedyConfig,
     InsufficientInitAdversary,
@@ -112,7 +111,6 @@ class Transcript:
     legality: bool | None = None
     stage_count: int | None = None
     lie_count: int | None = None
-    finalized: bool = False
 
     def to_csv(self) -> str:
         # csv.writer's output: no field (an int or a float's repr) needs quoting.
@@ -258,7 +256,6 @@ def run_standard_game(config: GameConfig) -> Transcript:
     tr.perceived_total = tr.counted_total
     tr.legality = True
     tr.lie_count = 0
-    tr.finalized = True
     return tr
 
 
@@ -317,86 +314,11 @@ def run_noisy_game(config: GameConfig) -> Transcript:
                 f"{learner.stage_resets} stage resets against a certified-legal "
                 f"adversary with eta={config.eta}: {fired}"
             )
-    tr.finalized = True
     return tr
 
 
 def run_game(config: GameConfig) -> Transcript:
     return run_noisy_game(config) if config.eta >= 1 else run_standard_game(config)
-
-
-def total_error(tr: Transcript, p: float) -> float:
-    """Recompute the counted error total at exponent p from the records."""
-    if not tr.finalized:
-        raise ValueError("transcript not finalized")
-    for r in tr.trials:
-        if r.true_value is None:
-            raise ValueError("transcript lacks ground truth; finalize the game first")
-    return math.fsum(error_power(r.prediction - r.true_value, p) for r in tr.trials if r.counted)
-
-
-def verify_transcript_legality(tr: Transcript) -> bool:
-    """Re-certify a finalized transcript from its own records.
-
-    Rebuilds the truth witness from the recorded true values and applies
-    the lie-budget and feasibility checks at the config's ``eta`` and
-    ``q``; every query must lie in [0, 1] and every true value must be
-    finite, and repeated queries must agree on their true value.
-    """
-    if not tr.finalized:
-        raise ValueError("transcript not finalized")
-    flags = []
-    seen: dict[float, float] = {}
-    for r in tr.trials:
-        v = r.true_value
-        if r.lie is None or v is None:
-            raise ValueError("transcript lacks lie flags or ground truth")
-        flags.append(r.lie)
-        # written so that NaN fails each test
-        if not (0.0 <= r.x <= 1.0 and math.isfinite(v)):
-            return False
-        if r.x in seen and not abs(seen[r.x] - v) <= 1e-12:
-            return False
-        seen[r.x] = v
-    truth = SampleSet.from_pairs(seen.items())
-    return verify_legality(tr.trials, Disclosure(flags, truth), tr.config.eta, tr.config.q)
-
-
-def scale_transcript(tr: Transcript, c: float) -> Transcript:
-    """Scale all values by c > 0; counted totals scale by c**p.
-
-    This is the transcript-level form of the class-scaling identity: the
-    interpolation-following learner's decisions are linear in the revealed
-    values, so a scaled game replays to exactly this transcript.
-    """
-    if not c > 0.0:
-        raise ValueError("scale factor must be positive")
-    out = Transcript(tr.config)
-    p = tr.config.p
-    for r in tr.trials:
-        raw = r.raw_error * c
-        out.trials.append(
-            TrialRecord(
-                t=r.t,
-                x=r.x,
-                prediction=r.prediction * c,
-                revealed=r.revealed * c,
-                lie=r.lie,
-                true_value=None if r.true_value is None else r.true_value * c,
-                raw_error=raw,
-                p_power=error_power(raw, p),
-                counted=r.counted,
-            )
-        )
-    out.counted_total = math.fsum(r.p_power for r in out.trials if r.counted)
-    out.perceived_total = math.fsum(
-        error_power(r.prediction - r.revealed, p) for r in out.trials if r.counted
-    )
-    out.legality = tr.legality
-    out.stage_count = tr.stage_count
-    out.lie_count = tr.lie_count
-    out.finalized = tr.finalized
-    return out
 
 
 def write_outputs(tr: Transcript, out_dir) -> tuple[str, str]:

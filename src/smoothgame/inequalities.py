@@ -9,15 +9,14 @@ draws of one domain through one scan, with the gap id's draw function from
 one table, and reports the smallest gap found, flagging anything below
 ``-DEFAULT_TOL`` as a violation. The point-set searches
 (``h_increment``, ``dichotomy``) draw and score their sets in numpy batches
-of padded knot arrays; ``gap_h_increment`` and ``check_dichotomy`` score one
-set at a time and are the reference the batches are tested against. The
-``cumulative`` search grows a whole batch of revelation sequences in
-lockstep, one point per row per step. Only the replies and the running
-1-actions depend on earlier steps, so the step loop computes just those:
-every step's uniforms are drawn as one block before it, every point's
-neighbours are found from a sorted list before it, and the slope-gap sums
-are formed after it. ``random_feasible_sequence`` and
-``cumulative_slope_gap`` draw and score one sequence and are its reference.
+of padded knot arrays. The ``cumulative`` search grows a whole batch of
+revelation sequences in lockstep, one point per row per step. Only the
+replies and the running 1-actions depend on earlier steps, so the step
+loop computes just those: every step's uniforms are drawn as one block
+before it, every point's neighbours are found from a sorted list before
+it, and the slope-gap sums are formed after it. The references that score
+one set or one sequence at a time, and that the batches are tested
+against, live in the tests (``tests/search_reference.py``).
 """
 
 from __future__ import annotations
@@ -27,17 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import (
+# bench/layertrace.py patches action_increment, eval_interpolant,
+# feasible_reply_interval and q_action under this module's name
+from .interpolation import (  # noqa: F401
     ACTION_TOL,
-    SamplePoint,
-    SampleSet,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
-    h_potential,
-    nearest_gap,
     q_action,
-    slope_at,
 )
 
 DEFAULT_TOL = 1e-9
@@ -72,76 +68,6 @@ def gap_two_variable(p, x):
     if not _every(x >= 2.0):
         raise ValueError(f"x={x} must be >= 2")
     return x ** p - (x - 1.0) ** (p - 1.0) * x - (p - 1.0)
-
-
-def check_dichotomy(s: SampleSet, pt: SamplePoint, q: float) -> tuple[bool, bool]:
-    """Test the two action-increment lower bounds; at least one must hold.
-
-    Branch 1 compares the increment against the q-th power of the raw error;
-    branch 2 against the squared error weighted by slope and nearest gap.
-    Branch 2 is reported false when the slope is zero and the error is not,
-    since its right-hand side diverges there.
-    """
-    _check_q_open(q)
-    if len(s) < 1:
-        raise ValueError("dichotomy needs a nonempty set")
-    margin1, margin2 = _dichotomy_margins(s, pt, q)
-    return margin1 >= -DEFAULT_TOL, margin2 >= -DEFAULT_TOL
-
-
-def _dichotomy_margins(s: SampleSet, pt: SamplePoint, q: float) -> tuple[float, float]:
-    # increment minus each branch's lower bound; branch 2 is -inf at zero
-    # slope with nonzero error, where its right-hand side diverges
-    inc = action_increment(s, pt.u, pt.v, q)
-    err = pt.v - eval_interpolant(s, pt.u)
-    margin1 = inc - (q - 1.0) / 3.0 * abs(err) ** q
-    if err == 0.0:
-        return margin1, inc
-    m = slope_at(s, pt.u)
-    if m == 0.0:
-        return margin1, -math.inf
-    d = nearest_gap(s, pt.u)
-    return margin1, inc - (q - 1.0) / (3.0 * abs(m) ** (2.0 - q) * d) * err * err
-
-
-def gap_h_increment(s: SampleSet, pt: SamplePoint, p: float) -> float:
-    """Gap of the potential increment bound: dH >= (p-1) |m| d^p."""
-    if len(s) < 2:
-        raise ValueError("h increment needs at least two points")
-    if not p > 1.0:
-        raise ValueError(f"p={p} must be > 1")
-    dh = h_potential(s.insert(pt.u, pt.v), p) - h_potential(s, p)
-    m = slope_at(s, pt.u)
-    d = nearest_gap(s, pt.u)
-    return dh - (p - 1.0) * abs(m) * d ** p
-
-
-def check_cumulative(points: list[SamplePoint], p: float) -> bool:
-    """Check the cumulative slope-gap bound along a revelation sequence.
-
-    Every prefix interpolant must have 1-action at most 1 (a precondition,
-    not part of the inequality); then the sum of |m_i| d_i^p over points
-    after the first must stay within 1/(p-1).
-    """
-    return cumulative_slope_gap(points, p) <= 1.0 / (p - 1.0) + DEFAULT_TOL
-
-
-def cumulative_slope_gap(points: list[SamplePoint], p: float) -> float:
-    """The sum bounded by ``check_cumulative``; errors on infeasible prefixes
-    and on p not above 1."""
-    if not p > 1.0:
-        raise ValueError(f"p={p} must be > 1")
-    s = SampleSet()
-    total = 0.0
-    for k, pt in enumerate(points):
-        if k >= 1:
-            m = slope_at(s, pt.u)
-            d = nearest_gap(s, pt.u)
-            total += abs(m) * d ** p
-        s.add(pt.u, pt.v)
-        if q_action(s, 1.0) > 1.0 + ACTION_TOL:
-            raise ValueError(f"prefix of length {k + 1} violates the unit 1-action budget")
-    return total
 
 
 def _every(cond) -> bool:
@@ -243,32 +169,6 @@ def _sample_q_open(rng, n):
     pick = rng.uniform(size=n)
     z = np.where(pick < 0.4, u, np.where(pick < 0.7, edge, 1.0 - edge))
     return 1.0 + np.clip(z, 1e-9, 1.0 - 1e-9)
-
-
-def random_feasible_set(rng, q: float, m: int) -> SampleSet:
-    """Random set of m <= 8 knots whose q-action lands at a random level <= 1."""
-    us, vs = _random_feasible_sets(rng, np.array([q]), np.array([m]))
-    return SampleSet(us[0, 1:m + 1], vs[0, 1:m + 1])
-
-
-def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
-    """Revelation sequence whose every prefix keeps the 1-action within 1."""
-    if length < 1:
-        raise ValueError(f"sequence length {length} must be at least 1")
-    pts = [SamplePoint(float(rng.uniform()), float(rng.uniform(-0.5, 0.5)))]
-    s = SampleSet([pts[0].u], [pts[0].v])
-    while len(pts) < length:
-        x = float(rng.uniform())
-        if s.contains_u(x):
-            continue
-        lo, hi = feasible_reply_interval(s, x, 1.0, 1.0)
-        frac = rng.uniform()
-        if rng.uniform() < 0.3:
-            frac = float(rng.integers(0, 2))  # hit an endpoint
-        y = lo + (hi - lo) * frac
-        pts.append(SamplePoint(x, y))
-        s.add(x, y)
-    return pts
 
 
 # the most draws made and scored in one numpy call; bounds a search's memory
@@ -423,7 +323,7 @@ def _dichotomy_batch(rng, n: int) -> _SetBatch:
 
 
 def _h_increment_gaps(b: _SetBatch) -> np.ndarray:
-    """``gap_h_increment`` of every row, from the segments the point touches."""
+    """``search_reference.gap_h_increment`` of every row, from the segments the point touches."""
     i, u0, u1, v0, v1, _ = _locate(b.us, b.vs, b.x)
     p = b.exponent
     left, right = b.x - u0, u1 - b.x
@@ -436,7 +336,7 @@ def _h_increment_gaps(b: _SetBatch) -> np.ndarray:
 
 
 def _dichotomy_margin_arrays(b: _SetBatch) -> tuple[np.ndarray, np.ndarray]:
-    """``_dichotomy_margins`` of every row."""
+    """``search_reference._dichotomy_margins`` of every row."""
     i, u0, u1, v0, v1, value = _locate(b.us, b.vs, b.x)
     q = b.exponent
     left, right = b.x - u0, u1 - b.x
@@ -478,7 +378,8 @@ class _SequenceBatch:
 
     Row k holds its ``length[k]`` points in revelation order in columns 0 to
     ``length[k] - 1`` of ``us`` and ``vs``; the columns past them are NaN.
-    ``total[k]`` is ``cumulative_slope_gap`` of the row at exponent ``p[k]``.
+    ``total[k]`` is ``search_reference.cumulative_slope_gap`` of the row at
+    exponent ``p[k]``.
     """
 
     us: np.ndarray
@@ -585,7 +486,7 @@ def _earlier_neighbours(ids: np.ndarray, length: np.ndarray, live: list) -> np.n
 
 
 def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
-    """n sequences drawn as ``random_feasible_sequence`` draws one, and scored.
+    """n sequences drawn and scored as the one-sequence reference does one.
 
     Each row draws p from {1.1, 1.5, 2, 1 + 10^U(-3, 0.5)} and a length from
     U{5..50}. The rows are ordered longest first, so the rows still growing
@@ -594,7 +495,7 @@ def _lockstep_sequences(rng, n: int) -> _SequenceBatch:
     flat pad at the other's value, masked out of the action increment), and
     picks y in the closed-form q = 1 feasible interval, at an end of it in
     30% of rows. Each row carries its running 1-action; a row above
-    1 + ``ACTION_TOL`` raises ``ValueError``, as ``cumulative_slope_gap`` does.
+    1 + ``ACTION_TOL`` raises ``ValueError``, as that reference does.
 
     The draws and the neighbours depend on no y, so they are made for all
     steps before the loop: the uniforms in one block (``_step_draws``) and

@@ -6,9 +6,9 @@ piecewise-linear function through them (constant beyond the extreme knots),
 the action functional ``integral of |f'|^q``, and the feasibility interval
 for the next revealed value under an action budget.
 
-One class, ``SampleSet``, holds every point set: the sets the inequality
-and polynomial code read, and the sets a game's players grow in place one
-knot per round.
+One class, ``SampleSet``, holds every point set: the sets the polynomial
+builds read, and the sets a game's players grow in place one knot per
+round. The inequality searches keep their sets as padded numpy arrays.
 
 ``eval_interpolant``, ``feasible_reply_interval`` and ``action_increment``
 each find x's position in the set with one ``bisect_left``, check their
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -49,17 +48,6 @@ def _check_knot(u: float, v: float) -> None:
         raise ValueError(f"u={u} outside [0, 1]")
     if not math.isfinite(v):
         raise ValueError(f"v={v} is not finite")
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """A single revealed pair (u, v) with u in [0, 1] and v finite."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        _check_knot(self.u, self.v)
 
 
 class SampleSet:
@@ -320,35 +308,6 @@ def eval_interpolant_many(s: SampleSet, xs: Sequence[float]) -> list[float]:
     return np.where(at_end | (u1 == x), v1, between).tolist()
 
 
-def slope_at(s: SampleSet, x: float) -> float:
-    """Slope of the interpolant at a non-knot x; 0 outside the knot span."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x={x} outside [0, 1]")
-    m = len(s)
-    if m == 0:
-        return 0.0
-    i = bisect_left(s.us, x)
-    if i < m and s.us[i] == x:
-        raise ValueError(f"x={x} coincides with a knot; slope undefined there")
-    if x < s.us[0] or x > s.us[-1]:
-        return 0.0
-    u0, u1 = s.us[i - 1], s.us[i]
-    return (s.vs[i] - s.vs[i - 1]) / (u1 - u0)
-
-
-def nearest_gap(s: SampleSet, x: float) -> float:
-    """Distance from x to the nearest knot; error on the empty set."""
-    if len(s) == 0:
-        raise ValueError("nearest_gap undefined for an empty set")
-    i = bisect_left(s.us, x)
-    best = math.inf
-    if i < len(s.us):
-        best = abs(s.us[i] - x)
-    if i > 0:
-        best = min(best, abs(x - s.us[i - 1]))
-    return best
-
-
 def error_power(e: float, p: float) -> float:
     """|e| ** p, and inf where that overflows, as an overflowing slope power
     makes ``q_action`` inf."""
@@ -396,24 +355,6 @@ def action_increment(
     """
     ACTION_Q.check("q", q)
     return s.increment_at(s.locate(x), x, y, q, base_action)
-
-
-def h_potential(s: SampleSet, p: float) -> float:
-    """Bookkeeping potential sum |dv| * (1 - |du|^(p-1)) over segments.
-
-    Stays within [0, 1] whenever the 1-action of the set is at most 1, and
-    never decreases when points are inserted.
-    """
-    if len(s) < 2:
-        raise ValueError("h_potential needs at least two points")
-    if p < 1.0:
-        raise ValueError(f"p={p} must be >= 1")
-    total = 0.0
-    for i in range(len(s) - 1):
-        du = s.us[i + 1] - s.us[i]
-        dv = abs(s.vs[i + 1] - s.vs[i])
-        total += dv * (1.0 - du ** (p - 1.0))
-    return total
 
 
 def feasible_reply_interval(

@@ -96,14 +96,16 @@ def approx_interpolant_poly(
     d = np.diff(vs) / np.diff(us)
     c1 = float(np.max(np.abs(d)))
     max_jump = float(np.max(np.abs(np.diff(np.concatenate(([0.0], d, [0.0]))))))
-    # polynomial-step tolerance honoring both budget constraints:
-    # under half the slack, and cheap enough in q-power spread
-    eps3 = min(0.45 * slack, (c1 ** q + 0.45 * slack) ** (1.0 / q) - c1)
-
-    # correction rounds contract the residual geometrically, so start the
-    # degree ladder well below the no-correction estimate and climb on
-    # verification failure; building and verifying a level is cheap
-    n_seed = (0.45 * max_jump / max(eps3, 1e-13)) ** 2
+    try:
+        # polynomial-step tolerance honoring both budget constraints:
+        # under half the slack, and cheap enough in q-power spread
+        eps3 = min(0.45 * slack, (c1 ** q + 0.45 * slack) ** (1.0 / q) - c1)
+        # correction rounds contract the residual geometrically, so start the
+        # degree ladder well below the no-correction estimate and climb on
+        # verification failure; building and verifying a level is cheap
+        n_seed = (0.45 * max_jump / max(eps3, 1e-13)) ** 2
+    except OverflowError:
+        raise ValueError(f"slopes up to {c1} at q={q} overflow the tolerance budget") from None
     n = min(2 ** math.ceil(math.log2(max(n_seed / 64.0, 32.0))), 2048, degree_cap)
     while True:
         # B_{n+1}[G] for the interpolant G: its coefficients are G at the nodes

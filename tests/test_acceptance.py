@@ -12,14 +12,12 @@ import time
 import numpy as np
 import pytest
 from gram_action import gram_action
+from search_reference import check_cumulative, random_feasible_sequence
+from transcript_reference import scale_transcript
 
 from smoothgame.bernstein import composite_rule_action, q_action_poly
 from smoothgame.engine import GameConfig, run_game
-from smoothgame.inequalities import (
-    check_cumulative,
-    random_feasible_sequence,
-    search_near_violation,
-)
+from smoothgame.inequalities import search_near_violation
 from smoothgame.interpolation import SampleSet, q_action
 from smoothgame.learners import median_center
 from smoothgame.polyapprox import approx_interpolant_poly, exact_interpolant_poly
@@ -245,8 +243,6 @@ def test_criterion_7_polynomial_pipeline():
 
 
 def test_criterion_8_transcript_scaling_identity():
-    from smoothgame.engine import scale_transcript
-
     rng = np.random.default_rng(31)
     checked = 0
     while checked < 100:

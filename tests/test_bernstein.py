@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,27 @@ def _dense_rows(n, xs):
     return rows
 
 
+def one_shot_window(n, xs):
+    """``bernstein._basis_window`` with its (n - k) log(1 - x) term formed
+    as one array the size of the block."""
+    xs = np.asarray(xs, dtype=float)
+    interior = (xs > 0.0) & (xs < 1.0)
+    centre = np.rint(n * np.where(interior, xs, xs > 0.0)).astype(np.intp)
+    starts, width, tile = bernstein._windows(n, centre)
+    pad = len(starts) * tile - len(xs)
+    if pad:
+        xs, interior, centre = (np.concatenate((v, v[-1:].repeat(pad)))
+                                for v in (xs, interior, centre))
+    ks = (starts[:, None] + np.arange(width))[:, None, :]
+    safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
+    log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    block = np.exp(ks * np.log(safe) + log_binom + (n - ks) * np.log1p(-safe))
+    edge = np.nonzero(~interior.reshape(len(starts), tile))
+    block[edge] = 0.0
+    block[edge + (centre.reshape(len(starts), tile)[edge] - starts[edge[0]],)] = 1.0
+    return starts, block
+
+
 # 89-92: a lone x's window becomes narrower than the row (from 91); 348-349:
 # it spans at most half the row, so it is used instead of the row (from 349)
 WINDOW_DEGREES = (1, 32, 89, 90, 91, 92, 129, 348, 349, 1025, 2049, 4097)
@@ -171,6 +193,34 @@ class TestWindow:
         # from degree 349 a lone point's window drops live terms
         assert np.any(~one_by_one & (pmf > 0.0)) == (n >= 349)
         assert np.any(~together & (pmf > 0.0)) == (n >= 1025)
+
+
+    @pytest.mark.parametrize("n", (3, 32, 349, 2048, 2049, 16384))
+    def test_chunked_window_equals_the_one_shot_formula(self, n):
+        rng = np.random.default_rng(n)
+        ends = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0]
+        for xs in (bernstein.gauss_grid()[0], np.sort(rng.uniform(size=1000)),
+                   np.sort(np.concatenate((ends, rng.uniform(size=200)))), ends):
+            starts, block = bernstein._basis_window(n, xs)
+            want_starts, want = one_shot_window(n, xs)
+            assert np.array_equal(starts, want_starts)
+            assert block.shape == want.shape
+            assert np.array_equal(block.view(np.int64), want.view(np.int64))
+
+    def test_window_peak_memory_stays_near_the_block(self):
+        # the (n - k) log(1 - x) term is added a chunk of tiles at a time;
+        # formed in one array, it peaked at 2.28x the block at degree 2048
+        poly = BernsteinPolynomial(np.linspace(0.0, 1.0, 2049))
+        bernstein._rule_basis.cache_clear()
+        bernstein._log_binom(2048)
+        tracemalloc.start()
+        try:
+            grid_values(poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = bernstein._rule_basis(2048, *bernstein._GRID)[1]
+        assert peak <= 1.5 * block.nbytes
 
 
 class TestCalculus:

@@ -491,6 +491,19 @@ class TestPolyBuild:
         assert "[0, 1]" in capsys.readouterr().err
         assert not (out / "poly_build.json").exists()
 
+    @pytest.mark.parametrize("points, q", [
+        ([[0, 0], [1, 1e200]], 1.5),  # the degree estimate overflows
+        ([[0, 0], [0.5, 1], [1, 0]], 2000),  # the slope's q-th power overflows
+    ])
+    def test_approx_budget_overflow_exit_1(self, tmp_path, capsys, points, q):
+        cfg = write(tmp_path / "c.json", {"points": points, "q": q, "mode": "approx"})
+        out = tmp_path / "o"
+        assert run("poly-build", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert "overflow the tolerance budget" in err
+        assert not (out / "poly_build.json").exists()
+
 
 class TestReport:
     def test_empty_dir_exit_1(self, tmp_path):

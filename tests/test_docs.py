@@ -25,7 +25,7 @@ def _tolerance_rows():
 
 def test_every_tolerance_row_matches_its_home():
     rows = _tolerance_rows()
-    assert len(rows) == 11
+    assert len(rows) == 10
     for name, value, home, _ in rows:
         literal = value.strip("`")
         module, attr = re.fullmatch(r"`(\w+)\.(\w+)`", home).groups()

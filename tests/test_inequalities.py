@@ -5,7 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from search_reference import step_by_step_sequences
+from search_reference import (
+    SamplePoint,
+    _dichotomy_margins,
+    check_cumulative,
+    check_dichotomy,
+    cumulative_slope_gap,
+    gap_h_increment,
+    h_potential,
+    random_feasible_sequence,
+    random_feasible_set,
+    slope_at,
+    step_by_step_sequences,
+)
 
 from smoothgame import inequalities
 from smoothgame.inequalities import (
@@ -14,32 +26,22 @@ from smoothgame.inequalities import (
     _dichotomy_batch,
     _dichotomy_gaps,
     _dichotomy_margin_arrays,
-    _dichotomy_margins,
     _h_increment_batch,
     _h_increment_gaps,
     _lockstep_sequences,
     _sample_out,
-    check_cumulative,
-    check_dichotomy,
-    cumulative_slope_gap,
-    gap_h_increment,
     gap_in,
     gap_out,
     gap_two_variable,
-    random_feasible_sequence,
-    random_feasible_set,
     search_near_violation,
 )
 from smoothgame.interpolation import (
     ACTION_TOL,
-    SamplePoint,
     SampleSet,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
-    h_potential,
     q_action,
-    slope_at,
 )
 
 

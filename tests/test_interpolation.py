@@ -4,19 +4,17 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
+from search_reference import SamplePoint, h_potential, nearest_gap, slope_at
+
 from smoothgame import adversaries
 from smoothgame.adversaries import GreedyAdversary, GreedyConfig
 from smoothgame.interpolation import (
     DuplicateKnotError,
-    SamplePoint,
     SampleSet,
     action_increment,
     eval_interpolant,
     feasible_reply_interval,
-    h_potential,
-    nearest_gap,
     q_action,
-    slope_at,
 )
 from smoothgame.learners import LinintLearner
 

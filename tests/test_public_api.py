@@ -9,7 +9,8 @@ use) or ``bench/`` names it: a loaded name or attribute, an imported name,
 or a string constant equal to it, as ``bench/layertrace.py`` names what it
 patches. Docstrings are not code. A module-level name may be used under
 any of these; a class member only as an attribute, an import or a string.
-A name with no such use must be in ``ALLOWED`` with its reason.
+Names only tests call live in the tests. A module may import a name it
+never reads only so that ``bench/layertrace.py`` can patch it there.
 """
 
 import ast
@@ -24,20 +25,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smoothgame"
 MODULES = ("interpolation", "learners", "adversaries", "engine", "inequalities",
            "bernstein", "polyapprox", "schema", "cli")
-
-_TRANSCRIPT_CHECK = "transcript check used by the engine tests and criterion 8"
-_ONE_SET_REFERENCE = "one-set reference the batch and lockstep searches are tested against"
-ALLOWED = {
-    "engine.scale_transcript": _TRANSCRIPT_CHECK,
-    "engine.total_error": _TRANSCRIPT_CHECK,
-    "engine.verify_transcript_legality": _TRANSCRIPT_CHECK,
-    "inequalities.gap_h_increment": _ONE_SET_REFERENCE,
-    "inequalities.check_dichotomy": _ONE_SET_REFERENCE,
-    "inequalities.check_cumulative": _ONE_SET_REFERENCE,
-    "inequalities.random_feasible_set": _ONE_SET_REFERENCE,
-    "inequalities.random_feasible_sequence": _ONE_SET_REFERENCE,
-}
-
 
 def _public(name: str) -> bool:
     return not name.startswith("_")
@@ -99,15 +86,64 @@ def unused_public_names(modules, trees):
     return unused
 
 
-def test_every_public_name_has_a_caller_or_a_reason():
+def test_every_public_name_has_a_caller():
     modules = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
     callers = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
     callers += (ROOT / "bench").glob("*.py")
     unused = unused_public_names(modules, [ast.parse(f.read_text()) for f in callers])
-    uncalled = sorted(unused - set(ALLOWED))
-    assert not uncalled, f"public names nothing calls: {uncalled}"
-    stale = sorted(set(ALLOWED) - unused)
-    assert not stale, f"allowlist entries that have a caller or are gone: {stale}"
+    assert not unused, f"public names nothing calls: {sorted(unused)}"
+
+
+def patched_names(tracer: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for each module-level name that ``_PATCHES`` patches."""
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_PATCHES" for t in node.targets):
+            return {(owner.id, attr.value) for owner, attr, *_ in
+                    (entry.elts for entry in node.value.elts)
+                    if isinstance(owner, ast.Name)}
+    raise AssertionError("no _PATCHES in the tracer")
+
+
+def dead_imports(module: str, tree: ast.Module, patched) -> set[str]:
+    """Names ``tree`` imports but never reads, bar those patched under ``module``."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name for name in imported - read if (module, name) not in patched}
+
+
+def test_every_unread_import_is_one_the_tracer_patches():
+    patched = patched_names(ast.parse((ROOT / "bench" / "layertrace.py").read_text()))
+    dead = {f"{f.stem}.{name}" for f in PACKAGE.glob("*.py")
+            for name in dead_imports(f.stem, ast.parse(f.read_text()), patched)}
+    assert not dead, f"imports nothing reads or patches: {sorted(dead)}"
+
+
+def test_the_import_guard_on_a_toy_module():
+    toy = ast.parse('''
+from __future__ import annotations
+import os.path
+from lib import dead, patched, read
+import numpy as np
+
+def f(x: np.ndarray):
+    return read(os.path.join(x))
+''')
+    tracer = ast.parse('''
+_PATCHES = (
+    (toy, "patched", "span", None, None),
+    (toy.Box, "dead", "span", None, None),
+)
+''')
+    patched = patched_names(tracer)
+    # a class member's patch does not excuse a module-level import
+    assert patched == {("toy", "patched")}
+    assert dead_imports("toy", toy, patched) == {"dead"}
 
 
 def test_the_audit_rules_on_a_toy_module():
