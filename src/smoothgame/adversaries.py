@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -123,7 +124,8 @@ class _QueryChooser:
     """Query selection for the greedy adversary.
 
     ``choose`` is passed the adversary's truth set and returns an x that is
-    not a knot of it; every policy skips known x. The widest-gap heap starts
+    not a knot of it, with its position ``bisect_left(us, x)`` from the test
+    for a knot; every policy skips known x. The widest-gap heap starts
     with the gap (0, 1) and splits each gap at its midpoint when popped,
     whether or not that midpoint is already a knot. A ``sequence`` is read
     only by the fixed-sequence policy, and any other policy rejects one.
@@ -142,11 +144,13 @@ class _QueryChooser:
                            "uniform-random": uniforms.next,
                            "fixed-sequence": self._next_in_sequence}[policy]
 
-    def choose(self, s: SampleSet) -> float:
+    def choose(self, s: SampleSet) -> tuple[float, int]:
+        us = s.us
         while True:
             x = self._candidate()
-            if not s.contains_u(x):
-                return x
+            i = bisect_left(us, x)
+            if i == len(us) or us[i] != x:
+                return x, i
 
     def _widest_gap_midpoint(self) -> float:
         _, a, b = heapq.heappop(self._gap_heap)
@@ -176,8 +180,11 @@ class GreedyAdversary:
     instead. With ``eta = 0`` (the default) every revelation is true and
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
-    accounting. ``reveal`` finds x in the truth set once and uses that
-    position for the interval, the increment and the insert.
+    accounting. ``next_query`` keeps the position its chooser found the
+    query at, and ``reveal`` uses it for the interval, the increment and the
+    insert when x is that query and the truth set has not grown since;
+    otherwise it finds x with ``SampleSet.locate``. So a round finds its
+    query in the truth set once.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then, in the order the game
@@ -211,13 +218,22 @@ class GreedyAdversary:
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
+        # the last query, its position in the truth set and the set's size then
+        self._asked: tuple[float, int, int] | None = None
 
     def next_query(self, t: int) -> float:
-        return self._chooser.choose(self.truth_set)
+        s = self.truth_set
+        x, i = self._chooser.choose(s)
+        self._asked = (x, i, len(s.us))
+        return x
 
     def reveal(self, x: float, prediction: float) -> float:
         s, q, cfg = self.truth_set, self.q, self.cfg
-        i = s.locate(x)
+        asked = self._asked
+        if asked is not None and asked[0] == x and asked[2] == len(s.us):
+            i = asked[1]
+        else:
+            i = s.locate(x)
         lo, hi = s.reply_bounds(i, x, q, cfg.budget, self._action)
         y = _farther_end(lo, hi, prediction, cfg.tie_break)
         self._action += s.increment_at(i, x, y, q, self._action)

@@ -119,12 +119,15 @@ def _basis_window(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
     block = ks * np.log(safe)
     block += _log_binom(n)[ks]
-    # a chunk of tiles at a time, so no second array the block's size is made
+    # a chunk of tiles at a time, or of one tile's x's when a tile alone is
+    # larger (the whole row), so no second array the block's size is made
     log1m = np.log1p(-safe)
-    step = max(1, _WINDOW_CHUNK // (tile * width))
+    xs_step = max(1, _WINDOW_CHUNK // width)
+    step = max(1, xs_step // tile)
     for lo in range(0, len(starts), step):
-        rows = block[lo : lo + step]
-        rows += (n - ks[lo : lo + step]) * log1m[lo : lo + step]
+        for i in range(0, tile, xs_step):
+            rows = block[lo : lo + step, i : i + xs_step]
+            rows += (n - ks[lo : lo + step]) * log1m[lo : lo + step, i : i + xs_step]
     np.exp(block, out=block)
     edge = np.nonzero(~interior.reshape(len(starts), tile))
     if edge[0].size:

@@ -211,13 +211,26 @@ def build_players(config: GameConfig) -> tuple[Learner, Adversary]:
     return learner, adversary
 
 
+def _bound(player, name: str):
+    """``player.<name>``, looked up once per game. A method the player lacks
+    raises its ``AttributeError`` when a round first calls it, as a lookup
+    in that round would."""
+    try:
+        return getattr(player, name)
+    except AttributeError as missing:
+        def call(*args):
+            raise missing
+        return call
+
+
 def run_standard_game(config: GameConfig) -> Transcript:
     """Truthful protocol: revelations are actual values, trial 0 uncounted.
 
     Feasibility of the revealed set (q-action within the unit budget) is
     asserted after every revelation; a violation aborts with a diagnostic.
     The referee finds each query in its revealed set once, and that
-    position serves the duplicate test, the increment and the insert.
+    position serves the duplicate test, the increment and the insert. The
+    players' methods are looked up once per game.
     """
     if config.eta != 0:
         raise ValueError("standard games require eta = 0")
@@ -226,32 +239,37 @@ def run_standard_game(config: GameConfig) -> Transcript:
     tr = Transcript(config)
     revealed = SampleSet()
     running_action = 0.0
+    p, q = config.p, config.q
+    done, next_query, reveal = (_bound(adversary, m) for m in ("done", "next_query", "reveal"))
+    predict, observe = _bound(learner, "predict"), _bound(learner, "observe")
+    locate, increment_at, add_at = revealed.locate, revealed.increment_at, revealed.add_at
+    record = tr.trials.append
     for t in range(config.rounds):
-        if adversary.done(t):
+        if done(t):
             break
-        x = adversary.next_query(t)
+        x = next_query(t)
         counted = t >= uncounted
         try:
-            i = revealed.locate(x)
+            i = locate(x)
         except DuplicateKnotError:
             if config.duplicate_policy == "reject":
                 raise DuplicateQueryError(f"trial {t}: repeated query x={x}") from None
             y = eval_interpolant(revealed, x)
-            tr.trials.append(TrialRecord(t, x, y, y, None, y, 0.0, 0.0, counted))
+            record(TrialRecord(t, x, y, y, None, y, 0.0, 0.0, counted))
             continue
-        prediction = learner.predict(x)
-        y = adversary.reveal(x, prediction)
-        running_action += revealed.increment_at(i, x, y, config.q, running_action)
+        prediction = predict(x)
+        y = reveal(x, prediction)
+        running_action += increment_at(i, x, y, q, running_action)
         if running_action > 1.0 + ACTION_TOL:
             raise IllegalAdversaryError(
                 f"trial {t}: revealed set action {running_action} exceeds the unit budget"
             )
-        revealed.add_at(i, x, y)
-        learner.observe(x, y)
+        add_at(i, x, y)
+        observe(x, y)
         raw = abs(prediction - y)
-        tr.trials.append(
-            TrialRecord(t, x, prediction, y, False, y, raw, error_power(raw, config.p), counted)
-        )
+        # 0.0 ** p is 0.0 for every p >= 1, and most rounds are pinned at 0
+        record(TrialRecord(t, x, prediction, y, False, y, raw,
+                           0.0 if raw == 0.0 else error_power(raw, p), counted))
     tr.counted_total = math.fsum(r.p_power for r in tr.trials if r.counted)
     tr.perceived_total = tr.counted_total
     tr.legality = True
@@ -266,20 +284,23 @@ def run_noisy_game(config: GameConfig) -> Transcript:
     them. After the last trial the adversary's disclosure fixes lie flags
     and true values, the counted total is recomputed against ground truth,
     and legality is certified. The witness is evaluated at every trial's x
-    once, and the records are built from those values.
+    once, and the records are built from those values. The players' methods
+    are looked up once per game.
     """
     if config.eta < 1:
         raise ValueError("noisy games require eta >= 1")
     learner, adversary = build_players(config)
     uncounted = 2 * config.eta + 1 if config.uncounted_rounds is None else config.uncounted_rounds
     xs, predictions, revealed = [], [], []
+    done, next_query, reveal = (_bound(adversary, m) for m in ("done", "next_query", "reveal"))
+    predict, observe = _bound(learner, "predict"), _bound(learner, "observe")
     for t in range(config.rounds):
-        if adversary.done(t):
+        if done(t):
             break
-        x = adversary.next_query(t)
-        prediction = learner.predict(x)
-        y = adversary.reveal(x, prediction)
-        learner.observe(x, y)
+        x = next_query(t)
+        prediction = predict(x)
+        y = reveal(x, prediction)
+        observe(x, y)
         xs.append(x)
         predictions.append(prediction)
         revealed.append(y)

@@ -18,10 +18,14 @@ arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
 bit as ``eval_interpolant`` does at each. At q not in {1, 2, inf},
 ``reply_bounds`` finds each end of the reply interval by doubling, then
 bisecting, the offset from the interpolant, at the position it was given.
-A game's players grow their sets one knot per round: each finds the
-round's query once with ``SampleSet.locate``, which also rejects a knot,
-and passes that position to the round's interval, increment and
-``add_at``. A position holds only until the set next grows.
+A game's three owners each grow a set one knot per round and each finds
+the round's query in it once: the referee with ``SampleSet.locate``,
+which also rejects a knot, the greedy adversary in its query chooser's
+test for a knot, and a learner in ``predict`` (a staged learner's
+unbanded round in ``observe``). Each passes that position to its
+round's interval, increment, ``eval_at`` and ``add_at``. A position holds
+only until the set next grows, so an owner that keeps one between calls
+checks that the set has not grown before it reuses it.
 """
 
 from __future__ import annotations
@@ -105,11 +109,6 @@ class SampleSet:
     def __repr__(self) -> str:
         return f"SampleSet({list(zip(self.us, self.vs))!r})"
 
-    def contains_u(self, u: float) -> bool:
-        us = self.us
-        i = bisect_left(us, u)
-        return i < len(us) and us[i] == u
-
     def add(self, u: float, v: float) -> None:
         _check_knot(u, v)
         i = self.locate(u)
@@ -130,7 +129,8 @@ class SampleSet:
 
     def add_at(self, i: int, u: float, v: float) -> None:
         """``add`` at the position ``i = locate(u)``."""
-        _check_knot(u, v)
+        if not (0.0 <= u <= 1.0 and math.isfinite(v)):
+            _check_knot(u, v)
         self.us.insert(i, u)
         self.vs.insert(i, v)
 
@@ -166,15 +166,19 @@ class SampleSet:
         if not us:
             return 0.0
         m = len(us)
-        if math.isinf(q):
+        if q == math.inf:
             # the split segment's slope lies between the two new ones, so the
             # sup can only grow to the largest slope the new point touches
             old = q_action(self, q) if base_action is None else base_action
             new = old
             if i > 0:
-                new = max(new, abs(y - vs[i - 1]) / (x - us[i - 1]))
+                c = abs(y - vs[i - 1]) / (x - us[i - 1])
+                if c > new:
+                    new = c
             if i < m:
-                new = max(new, abs(vs[i] - y) / (us[i] - x))
+                c = abs(vs[i] - y) / (us[i] - x)
+                if c > new:
+                    new = c
             return new - old
         try:
             if i == 0:
@@ -214,21 +218,32 @@ class SampleSet:
         slack = budget - base_action
         if slack < -ACTION_TOL:
             raise ValueError(f"budget {budget} below current action {base_action}")
-        slack = max(slack, 0.0)
+        if slack < 0.0:
+            slack = 0.0
 
-        if math.isinf(q):
+        if q == math.inf:
             # every segment touching the new point must have |slope| <= budget; the
             # two neighbours' bounds come from different knots, and at zero slack
-            # they can cross by rounding, where the only reply is the interpolant's
+            # they can cross by rounding, where the only reply is the interpolant's.
+            # A bound replaces the last one only if strictly tighter, as max and
+            # min would, NaN and signed zeros included
             lo, hi = -math.inf, math.inf
             if i > 0:
-                gap = x - us[i - 1]
-                lo = max(lo, vs[i - 1] - budget * gap)
-                hi = min(hi, vs[i - 1] + budget * gap)
+                v, gap = vs[i - 1], x - us[i - 1]
+                c = v - budget * gap
+                if c > lo:
+                    lo = c
+                c = v + budget * gap
+                if c < hi:
+                    hi = c
             if i < m:
-                gap = us[i] - x
-                lo = max(lo, vs[i] - budget * gap)
-                hi = min(hi, vs[i] + budget * gap)
+                v, gap = vs[i], us[i] - x
+                c = v - budget * gap
+                if c > lo:
+                    lo = c
+                c = v + budget * gap
+                if c < hi:
+                    hi = c
             if lo > hi:
                 lo = hi = self.eval_at(i, x)
             return lo, hi

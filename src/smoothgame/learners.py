@@ -15,13 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Protocol
 
-from .interpolation import (
-    DuplicateKnotError,
-    SampleSet,
-    _check_knot,
-    error_power,
-    eval_interpolant,
-)
+# bench/layertrace.py patches eval_interpolant under this module's name;
+# both learners call SampleSet.eval_at instead
+from .interpolation import SampleSet, _check_knot, error_power, eval_interpolant  # noqa: F401
 from .schema import ACTION_Q, Count
 
 
@@ -39,21 +35,40 @@ class LinintLearner:
     """Predicts the piecewise-linear interpolant of all observed pairs.
 
     Predicts 0 before any feedback. Repeated inputs keep their first
-    observed value; the standard protocol never repeats queries, and under
-    lying feedback the first answer is as good a guess as any.
+    observed value, but a non-finite value raises ``ValueError`` as
+    ``SampleSet.add`` does; the standard protocol never repeats queries,
+    and under lying feedback the first answer is as good a guess as any.
+
+    ``predict`` finds x in ``known`` once and keeps x, its position and the
+    set's size; ``observe`` of the same x inserts there if the set has not
+    grown since, and otherwise finds x itself.
     """
 
     def __init__(self):
         self.known = SampleSet()
+        self._last: tuple[float, int, int] | None = None
 
     def predict(self, x: float) -> float:
-        return eval_interpolant(self.known, x)
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"x={x} outside [0, 1]")
+        known = self.known
+        us = known.us
+        i = bisect_left(us, x)
+        self._last = (x, i, len(us))
+        return known.eval_at(i, x)
 
     def observe(self, x: float, y: float) -> None:
-        try:
-            self.known.add(x, y)
-        except DuplicateKnotError:
-            pass
+        known = self.known
+        us = known.us
+        last = self._last
+        if last is not None and last[0] == x and last[2] == len(us):
+            i = last[1]
+        else:
+            i = bisect_left(us, x)
+        if i < len(us) and us[i] == x:
+            _check_knot(x, y)  # a repeated x keeps its first value, but y must be a knot's
+        else:
+            known.add_at(i, x, y)
 
 
 def interval_of(x: float) -> int:

@@ -189,7 +189,7 @@ def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
     s = SampleSet([pts[0].u], [pts[0].v])
     while len(pts) < length:
         x = float(rng.uniform())
-        if s.contains_u(x):
+        if x in s.us:
             continue
         lo, hi = feasible_reply_interval(s, x, 1.0, 1.0)
         frac = rng.uniform()

@@ -7,6 +7,7 @@ least 0.12, segment slopes within +-0.7 and action at most 0.65 (inside
 the <= 0.9 envelope), the regime the degree cap is sized for.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -244,7 +245,7 @@ def test_criterion_7_polynomial_pipeline():
 
 def test_criterion_8_transcript_scaling_identity():
     rng = np.random.default_rng(31)
-    checked = 0
+    checked = replayed = 0
     while checked < 100:
         seed = int(rng.integers(0, 2 ** 31))
         eta = int(rng.integers(0, 3))
@@ -269,4 +270,36 @@ def test_criterion_8_transcript_scaling_identity():
             expect = c ** tr.config.p * tr.counted_total
             assert scaled.counted_total == pytest.approx(expect, rel=1e-12), (
                 seed, c, scaled.counted_total, expect)
-    report(8, "100 transcripts scale by c^p at c in {0.5, 2} to 1e-12 relative")
+        if eta == 0:
+            replay_at_half_scale(tr)
+            replayed += 1
+    for p in (1.5, 2.0, 3.0):
+        replay_at_half_scale(run_game(GameConfig.make(
+            p=p, q=2.0, rounds=200, eta=0, learner="linint", adversary="greedy",
+            adversary_options={"query_policy": "widest-gap-midpoint"})))
+        replayed += 1
+    report(8, f"100 transcripts scale by c^p at c in {{0.5, 2}} to 1e-12 relative; "
+              f"{replayed} standard games replay at budget 0.5^q to the scaled transcript")
+
+
+def replay_at_half_scale(tr):
+    """Play ``tr``'s standard game again against greedy at budget c^q, c = 1/2.
+
+    The class-scaling identity as a game: every value either player computes
+    is linear in the revealed values, so the replay is ``scale_transcript(tr,
+    c)``, and halving a float is exact, so it is that bit for bit. The
+    referee's unit budget rules out c > 1.
+    """
+    c = 0.5
+    config = tr.config
+    options = dict(config.adversary_options, budget=c ** config.q)
+    replay = run_game(dataclasses.replace(
+        config, adversary_options=tuple(sorted(options.items()))))
+    want = scale_transcript(tr, c)
+
+    def rows(t):
+        return [(r.x, r.prediction, r.revealed, r.raw_error) for r in t.trials]
+
+    assert rows(replay) == rows(want), config
+    assert replay.counted_total == pytest.approx(want.counted_total, rel=1e-12), config
+    assert replay.perceived_total == pytest.approx(want.perceived_total, rel=1e-12), config

@@ -186,7 +186,7 @@ class TestRevealPosition:
         for t in range(150):
             asked = adv.next_query(t)
             x = asked if t % 3 else float(rng.uniform())
-            if t % 3 == 0 and adv.truth_set.contains_u(x):
+            if t % 3 == 0 and x in adv.truth_set.us:
                 continue
             assert adv.reveal(x, -0.1) == self._reference_reveal(ref, x, -0.1, q, cfg)
             self._check(adv, ref)

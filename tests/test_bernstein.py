@@ -222,6 +222,23 @@ class TestWindow:
         block = bernstein._rule_basis(2048, *bernstein._GRID)[1]
         assert peak <= 1.5 * block.nbytes
 
+    def test_whole_row_window_peak_memory_stays_near_the_block(self):
+        # a whole-row window is one tile of every x, so its term is added a
+        # chunk of x's at a time; formed per tile, it peaked at 2.01x the block
+        xs = np.linspace(0.0, 1.0, 20000)
+        bernstein._log_binom(300)
+        tracemalloc.start()
+        try:
+            starts, block = bernstein._basis_window(300, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (1, 20000, 301)
+        assert peak <= 1.3 * block.nbytes
+        want_starts, want = one_shot_window(300, xs)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(block.view(np.int64), want.view(np.int64))
+
 
 class TestCalculus:
     def test_derivative_of_quadratic(self):

@@ -637,6 +637,37 @@ class TestGoldenTranscripts:
         assert (lies, resets) == (60, 59)
         assert h.hexdigest() == "c3942ee116ce0ba51f3e20591d7df547c302bb62f5406d5b9c864ede5e92a484"
 
+    def test_game_standard_grid_batch(self):
+        # the game-standard benchmark's grid: q = p = 1.1 and q = inf at p = 2,
+        # each query policy, the shortest and longest games of each range
+        h = hashlib.sha256()
+        for p, q, lengths in ((1.1, 1.1, (400, 1200)), (2.0, math.inf, (200, 500))):
+            for rounds in lengths:
+                for policy in QUERY_POLICIES:
+                    tr = run_game(cfg(p=p, q=q, rounds=rounds, seed=rounds,
+                                      adversary_options={"query_policy": policy}))
+                    h.update(_blob(tr))
+        assert h.hexdigest() == "014f1fed4a3eca414d01c23cd05e4ea7ebe216daebef4b7aa1ab5c3a8c9def3d"
+
+    def test_linint_against_liars(self):
+        # random-liar never repeats a query; noisy-lb asks 0 and 1 again and
+        # again, which LinintLearner.observe answers by keeping the first value
+        h = hashlib.sha256()
+        h.update(_blob(run_game(cfg(eta=2, rounds=600, learner="linint",
+                                    adversary="random-liar", seed=11))))
+        h.update(_blob(run_game(cfg(eta=2, rounds=10, learner="linint", adversary="noisy-lb"))))
+        assert h.hexdigest() == "6784ee407f97812978b8282f8190fe57414eda8bcec9a4d0da44415403b106d5"
+
+    def test_answer_known_repeating_sequence(self):
+        # every other entry repeats an earlier one, so the query chooser
+        # skips it and the game takes each distinct x in order
+        xs = [(2 * k + 1) / 64 for k in range(32)]
+        seq = [u for k in range(32) for u in (xs[k], xs[k // 2])]
+        tr = run_game(cfg(p=1.1, q=1.1, rounds=32, duplicate_policy="answer-known",
+                          adversary_options={"query_policy": "fixed-sequence", "sequence": seq}))
+        assert [r.x for r in tr.trials] == xs
+        assert _digest(tr) == "4cf51755557106b9d85864fd1d0f8084dad9901f48a268025ad50a0adc8e358d"
+
 
 class TestStagedOverflowGuard:
     def test_illegal_adversary_marks_transcript(self):

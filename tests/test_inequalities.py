@@ -160,7 +160,7 @@ class TestDichotomy:
             q = float(rng.uniform(1.0001, 1.9999))
             s = random_feasible_set(rng, q, int(rng.integers(1, 8)))
             x = float(rng.uniform())
-            if s.contains_u(x):
+            if x in s.us:
                 continue
             y = eval_interpolant(s, x) + float(rng.normal()) * 10 ** rng.uniform(-5, 0.5)
             b1, b2 = check_dichotomy(s, SamplePoint(x, y), q)
@@ -184,7 +184,7 @@ class TestHIncrement:
         for _ in range(2000):
             s = random_feasible_set(rng, 1.0, int(rng.integers(2, 9)))
             x = float(rng.uniform())
-            if s.contains_u(x):
+            if x in s.us:
                 continue
             y = eval_interpolant(s, x) + float(rng.normal()) * 10 ** rng.uniform(-5, 0.5)
             p = 1.0 + float(10 ** rng.uniform(-4, 0.5))

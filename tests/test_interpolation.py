@@ -82,7 +82,7 @@ class TestKnotStore:
         store.add(0.5, 0.3)
         store.add(0.1, 1.0)
         assert (store.us, store.vs) == ([0.1, 0.5], [1.0, 0.3])
-        assert store.contains_u(0.5) and not store.contains_u(0.3)
+        assert 0.5 in store.us and 0.3 not in store.us
         with pytest.raises(DuplicateKnotError):
             store.add(0.5, 2.0)
         with pytest.raises(ValueError):
@@ -209,7 +209,7 @@ class TestAction:
             s = SampleSet(us, vs)
             q = math.inf if rng.uniform() < 0.3 else float(rng.uniform(1, 4))
             x = float(rng.uniform())
-            if s.contains_u(x):
+            if x in s.us:
                 continue
             y = float(rng.normal())
             inc = action_increment(s, x, y, q)
@@ -233,7 +233,7 @@ class TestAction:
             dense = s
             for _ in range(rng.integers(1, 6)):
                 x = float(rng.uniform())
-                if dense.contains_u(x):
+                if x in dense.us:
                     continue
                 dense = dense.insert(x, float(rng.normal() * 0.4))
             assert q_action(dense, q) >= q_action(s, q) - 1e-12
@@ -327,7 +327,7 @@ class TestFeasibleInterval:
             q = float(rng.choice([1.0, 1.3, 2.0, 2.7, math.inf]))
             budget = q_action(s, q) + float(rng.uniform(0.05, 1.0))
             x = float(rng.uniform())
-            if s.contains_u(x):
+            if x in s.us:
                 continue
             base = q_action(s, q)
             lo, hi = feasible_reply_interval(s, x, q, budget, base_action=base)
@@ -541,7 +541,7 @@ class TestPositionMethods:
     def test_locate(self):
         for s, xs in self.cases():
             for x in xs:
-                if s.contains_u(x):
+                if x in s.us:
                     with pytest.raises(DuplicateKnotError):
                         s.locate(x)
                 else:

@@ -321,7 +321,7 @@ class TestStagedEvents:
         rng = np.random.default_rng(3)
         for k in range(60):
             x = 0.26 + 0.2 * float(rng.uniform())
-            if lnr.known.contains_u(x):
+            if x in lnr.known.us:
                 continue
             yhat, mimicked = staged_round(lnr, x)
             if not mimicked:
