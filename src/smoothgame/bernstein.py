@@ -579,9 +579,9 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     1.8e-7 of the panel's integral for every d >= 0 (measured for
     1 <= q <= 8; the worst is d -> 0, q ~ 1.16), and while d is below the
     panel's width w that integral, ~w^(q + 1), falls 2^(q + 1)-fold per
-    doubling. Convergence is certified by doubling the panel count; on
-    failure the dense composite rule takes over, as for a steep P' with a
-    zero within 1e-6 of an end at q = 1.1.
+    doubling. Convergence is certified by doubling the panel count, up to
+    eight levels; a steep P' with a zero within 1e-6 of an end at q = 1.1
+    takes five. Raises ``RuntimeError`` if no two successive levels agree.
     """
     FINITE_Q.check("q", q)
     action = poly._actions.get(q)
@@ -591,7 +591,7 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 
 
 def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
-    """The quadrature of ``q_action_poly``, run afresh."""
+    """The quadrature of ``q_action_poly``, run afresh: base * 2^k panels at level k < 8."""
     deriv = poly.derivative()
     n = deriv.degree
     live = np.flatnonzero(deriv.coeffs)
@@ -607,13 +607,13 @@ def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
             if k:
                 zeros[end] = k * q
     base = int(np.clip((n + 1) // 128, 8, 64))
-    prev = None
-    for factor in (1, 2, 4, 8):
-        total = _level_integral(deriv, q, base * factor, roots, zeros)
+    prev = total = None
+    for level in range(8):
+        prev, total = total, _level_integral(deriv, q, base << level, roots, zeros)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
-        prev = total
-    return composite_rule_action(poly, q)
+    raise RuntimeError(f"the q = {q} action of a degree-{poly.degree} polynomial did not converge: "
+                       f"{prev!r} at {base << 6} panels, {total!r} at {base << 7}")
 
 
 def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
@@ -647,14 +647,12 @@ def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:
 def composite_rule_action(
     poly: BernsteinPolynomial, q: float, n_points: int = 10 ** 6
 ) -> float:
-    """Plain midpoint-rule action integral; the slow quadrature oracle.
+    """Plain midpoint-rule action integral: the slow oracle of the tests.
 
-    Independent of the root search, the adaptive splitting and the panel
-    rule at every degree. Up to degree 512 it evaluates P' with the
-    convex-combination evaluator, so it is also independent of the windowed
-    basis evaluation there; above that the quadratic cost is prohibitive
-    and ``deriv(xs)`` takes over, so it shares the window with
-    ``q_action_poly``.
+    No code in the package calls it; it stays in this module only because
+    the benchmark's tracer patches it here. Independent of the root search
+    and the panel rules. Up to degree 512 it evaluates P' by de Casteljau;
+    above that ``deriv(xs)`` takes over and shares the basis window.
     """
     deriv = poly.derivative()
     xs = (np.arange(n_points) + 0.5) / n_points

@@ -17,8 +17,9 @@ where P' != 0 at all, since |P'|^q is analytic there.
 ``uncached_grid_values`` and ``unit_panel_integral`` build their basis
 windows afresh on every call, where ``grid_values`` and a doubling level
 with nothing to re-integrate read them from the cache of ``_rule_basis``.
-The grid, the graze floor, the panel rule, the doubling certificate and
-the fallback are those of ``smoothgame.bernstein``.
+The grid, the graze floor, the panel rule and the doubling certificate
+(at most eight levels, then ``RuntimeError``) are those of
+``smoothgame.bernstein``.
 """
 
 import math
@@ -94,7 +95,7 @@ def graded_action(poly: BernsteinPolynomial, q: float) -> float:
     refine = not float(q).is_integer()
     base = int(np.clip((deriv.degree + 1) // 128, 8, 64))
     prev = None
-    for factor in (1, 2, 4, 8):
+    for factor in (1, 2, 4, 8, 16, 32, 64, 128):
         total = 0.0
         for a, b in zip(splits, splits[1:]):
             if b - a <= 1e-14:
@@ -105,4 +106,4 @@ def graded_action(poly: BernsteinPolynomial, q: float) -> float:
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
         prev = total
-    return bernstein.composite_rule_action(poly, q)
+    raise RuntimeError(f"the graded q = {q} action of degree {poly.degree} did not converge")

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -395,6 +396,18 @@ class TestActionIntegral:
         with pytest.raises(ValueError):
             q_action_poly(from_power(0.0, 1.0), 0.5)
 
+    def test_levels_that_never_agree_raise(self, monkeypatch):
+        panels = []
+        monkeypatch.setattr(bernstein, "_level_integral",
+                            lambda deriv, q, n, roots, zeros: panels.append(n) or float(n))
+        with pytest.raises(RuntimeError, match=r"q = 1\.5 action of a degree-300 polynomial"):
+            q_action_poly(from_power(0.0, 1.0, 1.0).elevated(300), 1.5)
+        assert panels == [8 << k for k in range(8)]
+
+
+def _no_fallback(poly, q):
+    raise AssertionError("composite fallback")
+
 
 @functools.cache
 def _criterion7_builds():
@@ -437,10 +450,7 @@ class TestAgainstTheQuadratureReference:
     def test_closed_form_anchors(self, degree, monkeypatch):
         # P' = K (x - r): the action is K^q (r^(q+1) + (1 - r)^(q+1)) / (q + 1),
         # with the root at an end, near one, inside or at the middle
-        def no_fallback(poly, q):
-            raise AssertionError("composite fallback")
-
-        monkeypatch.setattr(bernstein, "composite_rule_action", no_fallback)
+        monkeypatch.setattr(bernstein, "composite_rule_action", _no_fallback)
         for k in (1.0, 5.0, 20.0):
             for r in (0.0, 2e-9, 0.3, 0.5, 0.999):
                 poly = from_power(0.0, -k * r, 0.5 * k).elevated(degree)
@@ -472,22 +482,37 @@ class TestAgainstTheQuadratureReference:
     def test_zeros_just_outside_the_ends(self, degree, monkeypatch):
         # P' = K (x + d) and K (x - 1 - d): both ends are regular, and the
         # action is K^q ((1 + d)^(q+1) - d^(q+1)) / (q + 1). At q = 1.1 a steep
-        # P' (K = 20) with d <= 1e-6 still exhausts the doubling levels and
-        # takes the fallback, which this records instead of running it.
-        fallbacks = []
-        monkeypatch.setattr(bernstein, "composite_rule_action",
-                            lambda poly, q: fallbacks.append((poly.degree, q)) or math.nan)
+        # P' (K = 20) with d <= 1e-6 needs a fifth doubling level
+        monkeypatch.setattr(bernstein, "composite_rule_action", _no_fallback)
         for k in (1.0, 5.0, 20.0):
             for d in (1e-9, 1e-6, 1e-3):
                 for q in (1.01, 1.1, 1.5, 2.5):
                     exact = k ** q * ((1 + d) ** (q + 1) - d ** (q + 1)) / (q + 1)
                     for b in (k * d, -k * (1 + d)):
-                        fallbacks.clear()
                         got = q_action_poly(from_power(0.0, b, 0.5 * k).elevated(degree), q)
-                        if fallbacks:
-                            assert (q, k) == (1.1, 20.0) and d <= 1e-6, (k, d, q, b)
-                        else:
-                            assert got == pytest.approx(exact, abs=1e-9), (k, d, q, b)
+                        assert got == pytest.approx(exact, abs=1e-9), (k, d, q, b)
+
+    # piecewise-linear G on knots ks / 64 whose degree-d Bernstein polynomial
+    # exhausted the four doubling levels the certificate once had, with the
+    # action the million-point rule gave it then (after 83 s and 3.5 s)
+    WITNESSES = [
+        (265, 1.0, [5, 9, 20, 36, 51, 58],
+         [0.0020247655528193853, 0.0020247655528193853, -5e-324, -5e-324, 0.5, -0.45618349376965117],
+         1.305756883964453),
+        (63, 1.5, [1, 6, 11, 19, 20, 22, 40, 51, 57, 58, 61],
+         [0.25, -0.35128845576819756, 0.0, 0.0, 0.0, -0.42493467944400953, 0.32644942622209083,
+          -0.11334259360903765, 0.012847312918564224, 0.012847312918564224, 0.012847312918564224],
+         2.2954472796275747),
+    ]
+
+    @pytest.mark.parametrize("degree, q, ks, g, fallback_value", WITNESSES)
+    def test_witnesses_certify_on_the_doubling_ladder(self, degree, q, ks, g, fallback_value, monkeypatch):
+        monkeypatch.setattr(bernstein, "composite_rule_action", _no_fallback)
+        poly = BernsteinPolynomial(np.interp(np.arange(degree + 1) / degree, np.array(ks) / 64, g))
+        start = time.perf_counter()
+        action = q_action_poly(poly, q)
+        assert time.perf_counter() - start <= 0.1
+        assert abs(action - fallback_value) <= bernstein.QUADRATURE_TOL
 
     @pytest.mark.parametrize("degree", [2, 64, 300])
     def test_even_q_takes_the_unit_path(self, degree, monkeypatch):
@@ -504,10 +529,7 @@ class TestAgainstTheQuadratureReference:
                     assert q_action_poly(poly, q) == pytest.approx(exact, rel=1e-12, abs=1e-12), (k, r, q)
 
     def test_criterion7_builds_need_no_fallback(self, monkeypatch):
-        def no_fallback(poly, q):
-            raise AssertionError("composite fallback")
-
-        monkeypatch.setattr(bernstein, "composite_rule_action", no_fallback)
+        monkeypatch.setattr(bernstein, "composite_rule_action", _no_fallback)
         for q, _eps, poly in _criterion7_builds():
             q_action_poly(BernsteinPolynomial(poly.coeffs), q)
 

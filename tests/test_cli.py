@@ -504,6 +504,19 @@ class TestPolyBuild:
         assert "overflow the tolerance budget" in err
         assert not (out / "poly_build.json").exists()
 
+    def test_action_that_never_converges_exit_4(self, tmp_path, capsys, monkeypatch):
+        from smoothgame import bernstein
+
+        monkeypatch.setattr(bernstein, "_level_integral", lambda deriv, q, n, roots, zeros: float(n))
+        cfg = write(tmp_path / "c.json", {
+            "points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact",
+        })
+        out = tmp_path / "o"
+        assert run("poly-build", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal fault: RuntimeError: ") and "did not converge" in err
+        assert not (out / "poly_build.json").exists()
+
 
 class TestReport:
     def test_empty_dir_exit_1(self, tmp_path):
