@@ -23,7 +23,8 @@ action certified for it, so each (polynomial, q) is integrated once. The
 basis window of a composite Gauss rule on [0, 1] is cached once per
 (degree, rule) by ``_rule_basis``, in a cache bounded by the basis
 entries it holds: the action grid, and the uniform panels of each
-doubling level.
+doubling level whose window holds at most ``_LEVEL_RULE_ENTRIES`` of
+them (every level of degree 2049 and 32 panels or less).
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ _PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
 _GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
 _CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
-_LEVEL_RULE_ENTRIES = 1 << 17  # dense basis entries up to which a doubling level's rule is cached
+_LEVEL_RULE_ENTRIES = 1 << 19  # basis entries a cached level rule may hold: 288k at degree 2049, 32 panels; not DEGREE_CAP's
 _FRESH_NODES = 512  # nodes per evaluation of re-integrated panels, bounding its transient windows
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
@@ -392,12 +393,13 @@ def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray
     bit for bit those of ``poly(nodes)``. One cache (least recently used
     out) serves the action grid ``_GRID`` at every degree, under 2M entries
     at ``DEGREE_CAP``, and the 20-point rules of ``_level_integral`` whose
-    nodes times n + 1 stay within ``_LEVEL_RULE_ENTRIES``. It is bounded by
-    the basis entries it holds, ``_CACHE_ENTRIES`` = 2 ``_RULE_ENTRIES``,
-    and no entry holds more than ``_RULE_ENTRIES``, so it never holds more
-    than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree ladder of 33..2049
-    with its certificates needs ~2.5M entries, so cycling over it makes no
-    misses.
+    windows hold at most ``_LEVEL_RULE_ENTRIES`` (``_level_entries``). It
+    is bounded by the basis entries it holds, ``_CACHE_ENTRIES`` =
+    2 ``_RULE_ENTRIES``, and no entry holds more than ``_RULE_ENTRIES``, so
+    it never holds more than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
+    ladder of 33..2049 with all its certificates' levels, 16 and 32 panels
+    at degree 2049 among them, needs ~2.5M entries, so cycling over it
+    makes no misses.
     """
     xs, ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
     starts, block = _basis_window(n, xs)
@@ -405,6 +407,14 @@ def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray
 
 
 _rule_basis = _EntryBoundedCache(_rule_basis, _CACHE_ENTRIES)
+
+
+@lru_cache(maxsize=256)
+def _level_entries(n: int, panels: int) -> int:
+    """Basis entries ``_rule_basis(n, panels, _PANEL_ORDER)`` holds, without building it."""
+    xs, _ = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _PANEL_ORDER)
+    starts, width, tile = _windows(n, np.rint(n * xs).astype(np.intp))
+    return len(starts) * tile * width
 
 
 @lru_cache(maxsize=8)
@@ -524,15 +534,17 @@ def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: li
     """The action at one doubling level: ``panels`` equal panels of [0, 1].
 
     The panels that ``_fresh_panels`` leaves uniform take the
-    ``_PANEL_ORDER`` rule from the cache of ``_rule_basis`` while the whole
-    rule's nodes times n + 1 stay within ``_LEVEL_RULE_ENTRIES``; the
-    cached window is the one ``__call__`` builds for them in one chunk, so
-    a level with nothing to re-integrate is bit for bit the composite rule
-    evaluated afresh. Beyond that every panel is re-integrated. The
-    replacement rule's nodes are evaluated ``_FRESH_NODES`` at a time.
+    ``_PANEL_ORDER`` rule from the cache of ``_rule_basis`` while the
+    rule's basis window holds at most ``_LEVEL_RULE_ENTRIES`` entries
+    (``_level_entries``: 288,000 at degree 2048 and 32 panels, 1.67M at
+    ``DEGREE_CAP`` and 64); the cached window is the one ``__call__``
+    builds for them in one chunk, so a level with nothing to re-integrate
+    is bit for bit the composite rule evaluated afresh. Beyond that every
+    panel is re-integrated. The replacement rule's nodes are evaluated
+    ``_FRESH_NODES`` at a time.
     """
     n = deriv.degree
-    cached = panels * _PANEL_ORDER * (n + 1) <= _LEVEL_RULE_ENTRIES
+    cached = _level_entries(n, panels) <= _LEVEL_RULE_ENTRIES
     fresh, xs, ws = _fresh_panels(panels, roots, zeros, everything=not cached)
     total = 0.0
     if not fresh.all():

@@ -632,6 +632,7 @@ class TestJacobiRule:
 
 
 RULE_DEGREES = [1, 2, 7, 32, 64, 128, 256, 512, 2048]
+LADDER_CUBIC = from_power(0.0, 0.3, -0.9, 0.7)  # P' = 0.3 - 1.8 x + 2.1 x^2: roots 0.226, 0.631
 
 
 class TestRuleBasis:
@@ -659,7 +660,8 @@ class TestRuleBasis:
                 got = bernstein._level_integral(deriv, q, panels, [], None)
                 assert _same_float(got, unit_panel_integral(deriv, q, panels)), (q, panels)
         # the levels whose rule is cached are read back three times each
-        cached = sum(base * f * 20 * (n + 1) <= bernstein._LEVEL_RULE_ENTRIES for f in (1, 2, 4, 8))
+        cached = sum(bernstein._level_entries(n, base * f) <= bernstein._LEVEL_RULE_ENTRIES
+                     for f in (1, 2, 4, 8))
         assert bernstein._rule_basis.cache_info().hits == 3 * cached
 
     def test_cache_stays_within_its_entry_guard_at_the_cap(self, monkeypatch):
@@ -728,11 +730,20 @@ class TestRuleBasis:
         want = integral(0.0, 1 / 16) + integral(4 / 16, 6 / 16)
         assert np.dot(ws, xs ** 3 * np.abs(xs - 0.3) ** 1.5) == pytest.approx(want, rel=1e-13)
 
-    def test_a_degree_ladder_cycle_stays_cached(self):
+    def test_a_degree_ladder_cycle_stays_cached(self, monkeypatch):
         # the ladder's action grid and each certificate's rules, twice over:
-        # the second cycle finds everything the first one built
-        cubic = from_power(0.0, 0.3, -0.9, 0.7)  # P' = 0.3 - 1.8 x + 2.1 x^2: roots 0.226, 0.631
-        ladder = [cubic.elevated(d).coeffs for d in (33, 65, 129, 257, 513, 2049)]
+        # the second cycle finds everything the first one built, and no
+        # level bypasses the cache by re-integrating all its panels
+        bypassed = []
+        fresh_panels = bernstein._fresh_panels
+
+        def recorded(panels, roots, zeros, everything):
+            if everything:
+                bypassed.append(panels)
+            return fresh_panels(panels, roots, zeros, everything=everything)
+
+        monkeypatch.setattr(bernstein, "_fresh_panels", recorded)
+        ladder = [LADDER_CUBIC.elevated(d).coeffs for d in (33, 65, 129, 257, 513, 2049)]
         bernstein._rule_basis.cache_clear()
         for cycle in range(2):
             for coeffs in ladder:
@@ -742,6 +753,27 @@ class TestRuleBasis:
                     q_action_poly(poly, q)
             if cycle == 0:
                 built = bernstein._rule_basis.cache_info()
+                bypassed.clear()
         info = bernstein._rule_basis.cache_info()
+        assert bypassed == []
         assert info.misses == built.misses and info.hits > built.hits
         assert built.entries == info.entries <= bernstein._CACHE_ENTRIES
+
+    @pytest.mark.parametrize("n, panels", [(512, 16), (2048, 16), (2048, 32)])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_cached_levels_agree_with_every_panel_re_integrated(self, n, panels, q, monkeypatch):
+        # these levels read their rule from the cache; with the bound at 0
+        # the same level re-integrates every panel, cut at the roots of P'
+        deriv = LADDER_CUBIC.elevated(n + 1).derivative()
+        found = polynomial_roots(deriv)
+        assert len(found) == 2
+        roots = [] if q == 2.0 else found  # as _certify_action: P'^2 is smooth across them
+        zeros = dict.fromkeys(roots, q) if q == 1.5 else None
+        assert bernstein._level_entries(n, panels) <= bernstein._LEVEL_RULE_ENTRIES
+        bernstein._rule_basis.cache_clear()
+        cached = bernstein._level_integral(deriv, q, panels, roots, zeros)
+        assert bernstein._rule_basis.cache_info().misses == 1
+        assert bernstein._rule_basis(n, panels, 20)[1].size == bernstein._level_entries(n, panels)
+        monkeypatch.setattr(bernstein, "_LEVEL_RULE_ENTRIES", 0)
+        everything = bernstein._level_integral(deriv, q, panels, roots, zeros)
+        assert abs(cached - everything) <= 0.5 * bernstein.QUADRATURE_TOL

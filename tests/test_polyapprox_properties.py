@@ -24,8 +24,10 @@ knot_sets = st.lists(st.integers(0, 64), min_size=2, max_size=16, unique=True).f
 )
 
 
+# degree 2 up, so that P' is a constant only when G is: every other example
+# reaches a doubling level of the action quadrature
 @settings(max_examples=200, deadline=None)
-@given(knot_sets, st.integers(1, 520), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@given(knot_sets, st.integers(2, 520), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_bernstein_polynomial_of_g_has_at_most_its_action(knots, degree, q):
     us, g = knots
     poly = BernsteinPolynomial(np.interp(np.arange(degree + 1) / degree, us, g))
