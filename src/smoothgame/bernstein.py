@@ -10,9 +10,9 @@ out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
 independent oracle for it. The action functional ``integral of |P'|^q``
 is computed on equal Gauss panels over [0, 1], doubled until two levels
 agree. |P'|^q is smooth except at the zeros of P' (a polynomial at even
-q), so only the panels near a zero are re-integrated, cut at the roots;
-at fractional q a panel ending at a zero s takes the Gauss-Jacobi rule
-for the weight |x - s|^alpha, which carries the singularity exactly.
+q), so every zero is a panel edge, and a panel ending at a zero s takes
+the Gauss-Jacobi rule for the weight |x - s|^alpha, which carries the
+kink or singularity exactly.
 The roots are sign changes of P' on one fixed action grid (``gauss_grid``)
 plus the exact end values of P', all refined together to ``ROOT_WIDTH``
 by false position with probes, one vector evaluation per step; the
@@ -278,7 +278,6 @@ _GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
 _CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
 _LEVEL_RULE_ENTRIES = 1 << 19  # basis entries a cached level rule may hold: 288k at degree 2049, 32 panels; not DEGREE_CAP's
-_FRESH_NODES = 512  # nodes per evaluation of re-integrated panels, bounding its transient windows
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -393,10 +392,12 @@ def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray
     bit for bit those of ``poly(nodes)``. One cache (least recently used
     out) serves the action grid ``_GRID`` at every degree, under 2M entries
     at ``DEGREE_CAP``, and the 20-point rules of ``_level_integral`` whose
-    windows hold at most ``_LEVEL_RULE_ENTRIES`` (``_level_entries``). It
-    is bounded by the basis entries it holds, ``_CACHE_ENTRIES`` =
-    2 ``_RULE_ENTRIES``, and no entry holds more than ``_RULE_ENTRIES``, so
-    it never holds more than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
+    windows hold at most ``_LEVEL_RULE_ENTRIES`` (``_level_entries``); a
+    level beyond that evaluates its nodes afresh. It is bounded by the
+    basis entries it holds, ``_CACHE_ENTRIES`` = 2 ``_RULE_ENTRIES``, and
+    up to ``DEGREE_CAP``, the largest degree ``poly-build`` accepts, no
+    entry holds more than ``_RULE_ENTRIES``, so it never holds more than
+    3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
     ladder of 33..2049 with all its certificates' levels, 16 and 32 panels
     at degree 2049 among them, needs ~2.5M entries, so cycling over it
     makes no misses.
@@ -425,17 +426,10 @@ def _gauss_rule(order: int):
 
 def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss rule on every panel."""
-    e = np.asarray(edges)
-    return _panel_rule_between(e[:-1], e[1:], order)
-
-
-def _panel_rule_between(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point Gauss rule on the panels [lo, hi]."""
     gx, gw = _gauss_rule(order)
-    widths = hi - lo
-    xs = (lo[:, None] + widths[:, None] * gx[None, :]).ravel()
-    ws = (widths[:, None] * gw[None, :]).ravel()
-    return xs, ws
+    e = np.asarray(edges)
+    widths = np.diff(e)
+    return (e[:-1, None] + widths[:, None] * gx).ravel(), (widths[:, None] * gw).ravel()
 
 
 @lru_cache(maxsize=1)
@@ -446,12 +440,6 @@ def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     the root search both evaluate on it, so they share one basis per degree.
     """
     return _panel_rule(np.linspace(0.0, 1.0, _GRID[0] + 1), _GRID[1])
-
-
-def _even_edges(a: float, b: float, base: int) -> list[float]:
-    """The edges of ``base`` equal panels over [a, b], as ``np.linspace`` gives them."""
-    step = (b - a) / base
-    return [k * step + a for k in range(base)] + [b]
 
 
 @lru_cache(maxsize=256)
@@ -476,86 +464,76 @@ def _jacobi_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, mass * vectors[0] ** 2 / (xs ** b * (1.0 - xs) ** a)
 
 
-def _fresh_panels(panels: int, roots: list, zeros, everything: bool):
-    """The uniform panels a doubling level integrates afresh, and the rule that replaces them.
+def _fresh_panels(panels: int, zeros: dict):
+    """The uniform panels a doubling level replaces, and the rule that replaces them.
 
-    ``zeros`` is None at integer q: there only the panels a root cuts are
-    re-integrated, split at the root, since |P'|^q is a polynomial on each
-    side. At fractional q it maps each zero s of P' to its exponent alpha
-    (|P'|^q ~ |x - s|^alpha), and a uniform panel is re-integrated when a
-    zero lies within a third of a panel of it. With ``everything`` set,
-    all of them are. Each run of re-integrated panels is cut at its roots
-    and laid with equal panels no wider than a uniform one; a panel that
-    ends at a zero takes the ``_jacobi_rule`` of its exponents (both ends'
-    when it spans two zeros), the others ``_PANEL_ORDER`` Legendre points.
+    ``zeros`` maps each zero s of P' to its exponent alpha, |P'|^q ~
+    |x - s|^alpha. The level's edges are the ``panels + 1`` uniform edges
+    and every zero, where a uniform edge within a third of a panel of a
+    zero gives way to it (the edges at 0 and 1 stay). A uniform panel that
+    keeps both its edges and holds no zero is thus at least a third of its
+    width from every zero; the others (the mask) give way to the panels
+    between the level's edges that end at a zero, each of which takes the
+    ``_jacobi_rule`` of the exponents at its two ends.
 
-    Returns the mask of re-integrated uniform panels and the nodes and
-    weights of the rule that replaces them, sorted, with each run's right
-    end added at weight 0 until the run fills whole ``_TILE``s, so that no
-    basis window spans the gap between two runs.
+    Returns the mask and the nodes and weights of the replacement rule,
+    sorted, each panel's nodes followed by its right end at weight 0 until
+    they fill whole ``_TILE``s, so that no basis window spans two panels.
     """
-    grid = _even_edges(0.0, 1.0, panels)
-    reach = 0.0 if zeros is None else 1.0 / 3.0
-    fresh = np.full(panels, everything)
-    for s in roots if zeros is None else zeros:
-        fresh[max(0, math.floor(s * panels - reach)) : math.floor(s * panels + reach) + 1] = True
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], fresh.view(np.int8), [0])))).reshape(-1, 2)
-    if not runs.size:
+    fresh = np.zeros(panels, dtype=bool)
+    if not zeros:
         return fresh, np.empty(0), np.empty(0)
-    zeros = zeros or {}
-    lo, hi, jacobi, pads = [], [], [], []  # Legendre panel ends; Jacobi nodes and weights
-    for j0, j1 in runs.tolist():
-        stops = [grid[j0], *(r for r in roots if grid[j0] < r < grid[j1]), grid[j1]]
-        nodes = 0
-        for a, b in zip(stops, stops[1:]):
-            if b - a <= 1e-14:
-                continue
-            edges = _even_edges(a, b, max(1, math.ceil((b - a) * panels - 1e-9)))
-            last = len(edges) - 2
-            for i, (l, h) in enumerate(zip(edges, edges[1:])):
-                beta = zeros.get(a, 0.0) if i == 0 else 0.0
-                alpha = zeros.get(b, 0.0) if i == last else 0.0
-                if alpha or beta:
-                    xs, ws = _jacobi_rule(alpha, beta)
-                    jacobi.append((l + (h - l) * xs, (h - l) * ws))
-                else:
-                    lo.append(l)
-                    hi.append(h)
-            nodes += _PANEL_ORDER * (last + 1)
-        pads += [grid[j1]] * (-nodes % _TILE)
-    xs, ws = _panel_rule_between(np.array(lo), np.array(hi), _PANEL_ORDER)
-    xs = np.concatenate([xs, *(x for x, _ in jacobi), pads])
-    ws = np.concatenate([ws, *(w for _, w in jacobi), np.zeros(len(pads))])
-    at = np.argsort(xs, kind="stable")
-    return fresh, xs[at], ws[at]
+    s, exps = zip(*sorted(zeros.items()))
+    at = np.multiply(s, panels)
+    k = np.rint(at)
+    # the interior uniform edges that give way, and the panels beside them or
+    # holding a zero; a zero at 0 or 1 takes the place of the edge there
+    gone = k[(np.abs(k - at) < 1.0 / 3.0) & (k > 0) & (k < panels)].astype(np.intp)
+    fresh[np.minimum(at.astype(np.intp), panels - 1)] = True
+    fresh[gone - 1] = fresh[gone] = True
+    kept = np.ones(panels + 1, dtype=bool)
+    kept[gone] = False
+    kept[0], kept[-1] = s[0] > 0.0, s[-1] < 1.0
+    edges = np.concatenate((np.linspace(0.0, 1.0, panels + 1)[kept], s))
+    order = edges.argsort(kind="stable")
+    edges, alpha = edges[order], np.concatenate((np.zeros(len(edges) - len(s)), exps))[order]
+    ends = np.flatnonzero(alpha[:-1] + alpha[1:])  # the panels with a zero at an end
+    lo, hi = edges[ends, None], edges[ends + 1, None]
+    rules = [_jacobi_rule(a, b) for a, b in zip(alpha[ends + 1].tolist(), alpha[ends].tolist())]
+    xs = np.empty((len(ends), _PANEL_ORDER + (-_PANEL_ORDER % _TILE)))
+    ws = np.zeros(xs.shape)
+    xs[:, _PANEL_ORDER:] = hi
+    xs[:, :_PANEL_ORDER] = lo + (hi - lo) * np.array([x for x, _ in rules])
+    ws[:, :_PANEL_ORDER] = (hi - lo) * np.array([w for _, w in rules])
+    return fresh, xs.ravel(), ws.ravel()
 
 
-def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, roots: list, zeros) -> float:
+def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, zeros: dict) -> float:
     """The action at one doubling level: ``panels`` equal panels of [0, 1].
 
-    The panels that ``_fresh_panels`` leaves uniform take the
-    ``_PANEL_ORDER`` rule from the cache of ``_rule_basis`` while the
-    rule's basis window holds at most ``_LEVEL_RULE_ENTRIES`` entries
-    (``_level_entries``: 288,000 at degree 2048 and 32 panels, 1.67M at
-    ``DEGREE_CAP`` and 64); the cached window is the one ``__call__``
-    builds for them in one chunk, so a level with nothing to re-integrate
-    is bit for bit the composite rule evaluated afresh. Beyond that every
-    panel is re-integrated. The replacement rule's nodes are evaluated
-    ``_FRESH_NODES`` at a time.
+    Every uniform panel takes the ``_PANEL_ORDER``-point Legendre rule,
+    except those ``_fresh_panels`` replaces by the panels that end at the
+    zeros of P'. The uniform rule's values come from the cache of
+    ``_rule_basis`` while its basis window holds at most
+    ``_LEVEL_RULE_ENTRIES`` entries (``_level_entries``: 288,000 at degree
+    2048 and 32 panels, 1.67M at ``DEGREE_CAP`` and 64), and from
+    ``deriv(nodes)`` beyond that. The cached window is the one ``__call__``
+    builds for the nodes in one chunk, so the two give the same values bit
+    for bit.
     """
     n = deriv.degree
-    cached = _level_entries(n, panels) <= _LEVEL_RULE_ENTRIES
-    fresh, xs, ws = _fresh_panels(panels, roots, zeros, everything=not cached)
-    total = 0.0
-    if not fresh.all():
+    fresh, xs, ws = _fresh_panels(panels, zeros)
+    if _level_entries(n, panels) <= _LEVEL_RULE_ENTRIES:
         window, block, rule_ws = _rule_basis(n, panels, _PANEL_ORDER)
-        vals = np.abs(_window_dot(window, block, deriv.coeffs)[: len(rule_ws)]) ** q
-        if fresh.any():
-            rule_ws = rule_ws * np.repeat(~fresh, _PANEL_ORDER)
-        total = float(np.dot(rule_ws, vals))
+        vals = _window_dot(window, block, deriv.coeffs)[: len(rule_ws)]
+    else:
+        nodes, rule_ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _PANEL_ORDER)
+        vals = deriv(nodes)
+    if fresh.any():
+        rule_ws = rule_ws * np.repeat(~fresh, _PANEL_ORDER)
+    total = float(np.dot(rule_ws, np.abs(vals) ** q))
     if xs.size:
-        vals = np.concatenate([deriv(xs[i : i + _FRESH_NODES]) for i in range(0, len(xs), _FRESH_NODES)])
-        total += float(np.dot(ws, np.abs(vals) ** q))
+        total += float(np.dot(ws, np.abs(deriv(xs)) ** q))
     return total
 
 
@@ -572,17 +550,16 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
     At even q, |P'|^q = P'^q is a polynomial and [0, 1] is one smooth
     piece. Otherwise |P'|^q is smooth except at the zeros of P', where it
     has a kink (odd q) or a fractional-power zero. Each doubling level lays
-    equal panels over [0, 1] (``_level_integral``): every panel clear of
-    the zeros takes the cached 20-point rule, and only the panels near
-    them are re-integrated (``_fresh_panels``), cut at the roots. At
-    fractional q a panel that ends at a zero s takes the 20-point
-    Gauss-Jacobi rule for the weight |x - s|^alpha, evaluating |P'|^q at
-    its nodes and dividing by the weight: alpha = q at each root of
-    ``polynomial_roots``, and alpha = k q at an end where the first k
-    coefficients of P' counted from that end are exactly 0 (a zero of
-    order k). |P'|^q / |x - s|^alpha is analytic on the panel unless P'
-    has another zero near it, and the nodes keep 8e-3 of the panel from
-    s, far beyond ``ROOT_WIDTH``. The uniform panels keep a third of their
+    equal panels over [0, 1] (``_level_integral``) and makes every zero a
+    panel edge (``_fresh_panels``): a panel that ends at a zero s takes the
+    20-point Gauss-Jacobi rule for the weight |x - s|^alpha, evaluating
+    |P'|^q at its nodes and dividing by the weight, with alpha = q at each
+    root of ``polynomial_roots`` and, at fractional q, alpha = k q at an
+    end where the first k coefficients of P' counted from that end are
+    exactly 0 (a zero of order k). |P'|^q / |x - s|^alpha is analytic on
+    the panel unless P' has another zero near it, and the nodes keep 8e-3
+    of the panel from s, far beyond ``ROOT_WIDTH``. The uniform panels
+    left, which take the cached 20-point rule, keep a third of their
     width from every zero: a Bernstein ellipse of rho = 3, error O(3^-40).
 
     An end where P' != 0 is a regular point and needs no rule of its own:
@@ -609,19 +586,18 @@ def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
     live = np.flatnonzero(deriv.coeffs)
     if n == 0 or not live.size:
         return abs(deriv.coeffs[0]) ** q
-    # at even q, |P'|^q = P'^q is a polynomial, smooth across every root
-    roots = [] if q % 2 == 0 else polynomial_roots(deriv)
-    zeros = None
+    # |P'|^q is a polynomial at even q and on each side of a root at odd q; at
+    # fractional q an end where the first k coefficients of P' counted from it
+    # are 0 is a zero of order k too
+    zeros = {} if q % 2 == 0 else dict.fromkeys(polynomial_roots(deriv), q)
     if not float(q).is_integer():
-        # P' = x^k (1 - x)^j R with R(0), R(1) != 0 when its first k and last j coefficients are 0
-        zeros = dict.fromkeys(roots, q)
         for end, k in ((0.0, int(live[0])), (1.0, n - int(live[-1]))):
             if k:
                 zeros[end] = k * q
     base = int(np.clip((n + 1) // 128, 8, 64))
     prev = total = None
     for level in range(8):
-        prev, total = total, _level_integral(deriv, q, base << level, roots, zeros)
+        prev, total = total, _level_integral(deriv, q, base << level, zeros)
         if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
             return total
     raise RuntimeError(f"the q = {q} action of a degree-{poly.degree} polynomial did not converge: "

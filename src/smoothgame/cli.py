@@ -83,7 +83,8 @@ CONFIGS = {
         "q": (FINITE_Q, REQUIRED),
         "mode": (Choice(("approx", "exact")), "approx"),
         "epsilon": (Real(0, above=True), 0.1),
-        "degree_cap": (Count(1), DEGREE_CAP),
+        # above DEGREE_CAP the action grid's basis outgrows its cache's entry bound
+        "degree_cap": (Count(1, DEGREE_CAP), DEGREE_CAP),
     },
 }
 

@@ -19,15 +19,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Count:
-    """An integer >= ``least``."""
+    """An integer >= ``least``, and <= ``most`` unless that is None."""
 
     least: int
+    most: int | None = None
 
     def check(self, key, value, json=False):
         integral = isinstance(value, numbers.Integral) or (
             json and isinstance(value, float) and value % 1 == 0)
-        if isinstance(value, bool) or not integral or not value >= self.least:
-            raise ConfigError(f"{key} must be an integer >= {self.least}, got {value!r}")
+        if isinstance(value, bool) or not integral or not (
+                value >= self.least and (self.most is None or value <= self.most)):
+            most = "" if self.most is None else f" and <= {self.most}"
+            raise ConfigError(f"{key} must be an integer >= {self.least}{most}, got {value!r}")
         return int(value)
 
 

@@ -9,14 +9,15 @@ refines all brackets together by false position and probes.
 uniform panels over each piece and grades every piece end of a
 fractional-q integrand by 4x panels down to 1e-13 of the piece, all at
 20 Gauss-Legendre points and evaluated afresh, where ``q_action_poly``
-reads the panels clear of the zeros of P' from a cached rule and, at
-fractional q, gives each panel that ends at a zero s one 20-point
-Gauss-Jacobi rule for the weight |x - s|^alpha (alpha = q at a root,
-k q at an end where P' has a zero of order k) and does not grade an end
-where P' != 0 at all, since |P'|^q is analytic there.
+makes each zero of P' a panel edge at odd and fractional q, gives each
+panel that ends at a zero s one 20-point Gauss-Jacobi rule for the
+weight |x - s|^alpha (alpha = q at a root and, at fractional q, k q at
+an end where P' has a zero of order k), reads the uniform panels clear
+of the zeros from a cached rule, and does not grade an end where
+P' != 0 at all, since |P'|^q is analytic there.
 ``uncached_grid_values`` and ``unit_panel_integral`` build their basis
 windows afresh on every call, where ``grid_values`` and a doubling level
-with nothing to re-integrate read them from the cache of ``_rule_basis``.
+with no zero read them from the cache of ``_rule_basis``.
 The grid, the graze floor, the panel rule and the doubling certificate
 (at most eight levels, then ``RuntimeError``) are those of
 ``smoothgame.bernstein``.

@@ -399,7 +399,7 @@ class TestActionIntegral:
     def test_levels_that_never_agree_raise(self, monkeypatch):
         panels = []
         monkeypatch.setattr(bernstein, "_level_integral",
-                            lambda deriv, q, n, roots, zeros: panels.append(n) or float(n))
+                            lambda deriv, q, n, zeros: panels.append(n) or float(n))
         with pytest.raises(RuntimeError, match=r"q = 1\.5 action of a degree-300 polynomial"):
             q_action_poly(from_power(0.0, 1.0, 1.0).elevated(300), 1.5)
         assert panels == [8 << k for k in range(8)]
@@ -657,7 +657,7 @@ class TestRuleBasis:
         for q in (1.0, 2.0, 3.0, 1.5):
             for factor in (1, 2, 4, 8):
                 panels = max(4 * factor, base * factor)
-                got = bernstein._level_integral(deriv, q, panels, [], None)
+                got = bernstein._level_integral(deriv, q, panels, {})
                 assert _same_float(got, unit_panel_integral(deriv, q, panels)), (q, panels)
         # the levels whose rule is cached are read back three times each
         cached = sum(bernstein._level_entries(n, base * f) <= bernstein._LEVEL_RULE_ENTRIES
@@ -702,47 +702,44 @@ class TestRuleBasis:
             # at even q no root is searched, so the action grid is not read
             assert ((192, 8) in rules) == (q != 2.0)
 
-    @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4}), (1.5, {0, 4, 5})])
+    @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4, 5}), (1.5, {0, 4, 5})])
     def test_fresh_panels_are_the_ones_near_roots_and_ends(self, q, fresh):
-        # 16 panels, a root at 0.3 = 4.8 panels: it cuts panel 4 and lies within
-        # a third of a panel of panel 5. At q = 1.5, P' also has a zero of
-        # order 2 at 0 (panel 0), while at 1 it does not vanish (panel 15 stays)
-        roots = [] if q == 2.0 else [0.3]
-        zeros = None if q != 1.5 else {0.3: q, 0.0: 2 * q}
-        mask, xs, ws = bernstein._fresh_panels(16, roots, zeros, everything=False)
+        # 16 panels, a root at 0.3 = 4.8 panels: it lies in panel 4, and edge 5
+        # is within a third of a panel of it, so panels 4 and 5 give way. At
+        # q = 1.5, P' also has a zero of order 2 at 0 (panel 0), while at 1 it
+        # does not vanish (panel 15 stays); at even q nothing gives way
+        zeros = {} if q == 2.0 else {0.3: q, 0.0: 2 * q} if q == 1.5 else {0.3: q}
+        mask, xs, ws = bernstein._fresh_panels(16, zeros)
         assert set(np.flatnonzero(mask)) == fresh
         live = ws > 0.0
         assert np.all(np.diff(xs) >= 0.0)
         assert set(np.floor(16 * xs[live]).astype(int)) == fresh
-        if q != 1.5:
-            # the replacement rule integrates 1 exactly over the panels it replaces
-            assert ws.sum() == pytest.approx(len(fresh) / 16, abs=1e-14)
-            return
-        # it integrates x^3 |x - 0.3|^1.5 exactly beside 0.3 (x^3 is a
-        # polynomial), and to rounding on panel 0, where |x - 0.3|^1.5 is smooth
-        def antiderivative(u):  # of x^3 |x - 0.3|^1.5 in u = x - 0.3, x^3 expanded in u
+
+        # the Jacobi rules beside 0.3 integrate x^3 |x - 0.3|^q exactly (x^3 is
+        # a polynomial), and the one on panel 0 to rounding, where |x - 0.3|^q
+        # is smooth
+        def antiderivative(u):  # of x^3 |x - 0.3|^q in u = x - 0.3, x^3 expanded in u
             return sum(math.comb(3, j) * 0.3 ** (3 - j) * math.copysign(1.0, u) ** (j + 1)
-                       * abs(u) ** (j + 2.5) / (j + 2.5) for j in range(4))
+                       * abs(u) ** (j + 1 + q) / (j + 1 + q) for j in range(4))
 
         def integral(lo, hi):
             return antiderivative(hi - 0.3) - antiderivative(lo - 0.3)
 
-        want = integral(0.0, 1 / 16) + integral(4 / 16, 6 / 16)
-        assert np.dot(ws, xs ** 3 * np.abs(xs - 0.3) ** 1.5) == pytest.approx(want, rel=1e-13)
+        want = sum(integral(j / 16, (j + 1) / 16) for j in fresh)
+        assert np.dot(ws, xs ** 3 * np.abs(xs - 0.3) ** q) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_a_degree_ladder_cycle_stays_cached(self, monkeypatch):
         # the ladder's action grid and each certificate's rules, twice over:
-        # the second cycle finds everything the first one built, and no
-        # level bypasses the cache by re-integrating all its panels
-        bypassed = []
-        fresh_panels = bernstein._fresh_panels
+        # the second cycle finds everything the first one built, and every
+        # level reads its uniform rule from the cache
+        levels = []
+        level_integral = bernstein._level_integral
 
-        def recorded(panels, roots, zeros, everything):
-            if everything:
-                bypassed.append(panels)
-            return fresh_panels(panels, roots, zeros, everything=everything)
+        def recorded(deriv, q, panels, zeros):
+            levels.append((deriv.degree, panels))
+            return level_integral(deriv, q, panels, zeros)
 
-        monkeypatch.setattr(bernstein, "_fresh_panels", recorded)
+        monkeypatch.setattr(bernstein, "_level_integral", recorded)
         ladder = [LADDER_CUBIC.elevated(d).coeffs for d in (33, 65, 129, 257, 513, 2049)]
         bernstein._rule_basis.cache_clear()
         for cycle in range(2):
@@ -753,27 +750,32 @@ class TestRuleBasis:
                     q_action_poly(poly, q)
             if cycle == 0:
                 built = bernstein._rule_basis.cache_info()
-                bypassed.clear()
+                levels.clear()
         info = bernstein._rule_basis.cache_info()
-        assert bypassed == []
+        assert {n for n, _ in levels} == {32, 64, 128, 256, 512, 2048}
+        bound = bernstein._LEVEL_RULE_ENTRIES
+        assert all(bernstein._level_entries(n, panels) <= bound for n, panels in levels)
         assert info.misses == built.misses and info.hits > built.hits
         assert built.entries == info.entries <= bernstein._CACHE_ENTRIES
 
-    @pytest.mark.parametrize("n, panels", [(512, 16), (2048, 16), (2048, 32)])
+    @pytest.mark.parametrize("n, panels", [(512, 16), (2048, 16), (2048, 32), (4096, 64)])
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_cached_levels_agree_with_every_panel_re_integrated(self, n, panels, q, monkeypatch):
-        # these levels read their rule from the cache; with the bound at 0
-        # the same level re-integrates every panel, cut at the roots of P'
+        # a level reads its uniform rule from the cache, or with the bound at 0
+        # evaluates every uniform panel's nodes afresh; they fit one chunk of
+        # __call__, whose window the cache holds, so the two agree bit for bit
         deriv = LADDER_CUBIC.elevated(n + 1).derivative()
         found = polynomial_roots(deriv)
         assert len(found) == 2
-        roots = [] if q == 2.0 else found  # as _certify_action: P'^2 is smooth across them
-        zeros = dict.fromkeys(roots, q) if q == 1.5 else None
-        assert bernstein._level_entries(n, panels) <= bernstein._LEVEL_RULE_ENTRIES
+        zeros = {} if q == 2.0 else dict.fromkeys(found, q)  # as _certify_action
+        assert 20 * panels <= bernstein._CHUNK_ENTRIES // (n + 1)
+        monkeypatch.setattr(bernstein, "_LEVEL_RULE_ENTRIES", 1 << 30)
         bernstein._rule_basis.cache_clear()
-        cached = bernstein._level_integral(deriv, q, panels, roots, zeros)
+        cached = bernstein._level_integral(deriv, q, panels, zeros)
         assert bernstein._rule_basis.cache_info().misses == 1
         assert bernstein._rule_basis(n, panels, 20)[1].size == bernstein._level_entries(n, panels)
         monkeypatch.setattr(bernstein, "_LEVEL_RULE_ENTRIES", 0)
-        everything = bernstein._level_integral(deriv, q, panels, roots, zeros)
-        assert abs(cached - everything) <= 0.5 * bernstein.QUADRATURE_TOL
+        bernstein._rule_basis.cache_clear()
+        uncached = bernstein._level_integral(deriv, q, panels, zeros)
+        assert bernstein._rule_basis.cache_info().misses == 0
+        assert _same_float(cached, uncached), (cached, uncached)

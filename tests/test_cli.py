@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from smoothgame.bernstein import DEGREE_CAP
 from smoothgame.cli import main
 
 
@@ -481,6 +482,23 @@ class TestPolyBuild:
         assert "config error: degree_cap must be an integer >= 1" in capsys.readouterr().err
         assert not (out / "poly_build.json").exists()
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_degree_cap_above_the_cap_exit_1(self, tmp_path, capsys, mode):
+        # above DEGREE_CAP the action grid's basis outgrows its cache's entry bound
+        for cap in (DEGREE_CAP + 1, 2 ** 15, float(2 ** 15)):
+            cfg = write(tmp_path / "c.json", {
+                "points": [[0.0, 0.0], [1.0, 0.5]], "q": 2, "mode": mode, "degree_cap": cap,
+            })
+            out = tmp_path / "o"
+            assert run("poly-build", "--config", cfg, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: degree_cap must be an integer >= 1 and <= {DEGREE_CAP}")
+            assert not (out / "poly_build.json").exists()
+        cfg = write(tmp_path / "c.json", {
+            "points": [[0.0, 0.0], [1.0, 0.5]], "q": 2, "mode": mode, "degree_cap": DEGREE_CAP,
+        })
+        assert run("poly-build", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+
     def test_nan_knot_exit_1(self, tmp_path, capsys):
         # json.dumps writes the NaN literal, which json.loads reads back
         cfg = write(tmp_path / "c.json", {
@@ -507,7 +525,7 @@ class TestPolyBuild:
     def test_action_that_never_converges_exit_4(self, tmp_path, capsys, monkeypatch):
         from smoothgame import bernstein
 
-        monkeypatch.setattr(bernstein, "_level_integral", lambda deriv, q, n, roots, zeros: float(n))
+        monkeypatch.setattr(bernstein, "_level_integral", lambda deriv, q, n, zeros: float(n))
         cfg = write(tmp_path / "c.json", {
             "points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact",
         })

@@ -53,7 +53,8 @@ WRONG_KINDS = [None, True, False, "1", [1], {"a": 1}, math.nan, math.inf, -math.
 def edges(kind) -> list:
     """Values at and just past the edges of a declared kind."""
     if isinstance(kind, Count):
-        return [kind.least - 1, kind.least, kind.least + 0.5, float(kind.least)]
+        near = [kind.least - 1, kind.least, kind.least + 0.5, float(kind.least)]
+        return near if kind.most is None else near + [kind.most, kind.most + 1]
     if isinstance(kind, Real):
         if kind.lo is None:
             return []
