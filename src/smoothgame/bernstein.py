@@ -18,13 +18,19 @@ plus the exact end values of P', all refined together to ``ROOT_WIDTH``
 by false position with probes, one vector evaluation per step; the
 degree ladder in ``polyapprox`` estimates actions on the same grid.
 
-A polynomial's coefficients are a read-only copy, and it keeps every
-action certified for it, so each (polynomial, q) is integrated once. The
-basis window of a composite Gauss rule on [0, 1] is cached once per
-(degree, rule) by ``_rule_basis``, in a cache bounded by the basis
-entries it holds: the action grid, and the uniform panels of each
-doubling level whose window holds at most ``_LEVEL_RULE_ENTRIES`` of
-them (every level of degree 2049 and 32 panels or less).
+A polynomial's coefficients are a read-only copy, and it keeps what is
+computed from them: every action certified for it, so each
+(polynomial, q) is integrated once, its derivative, and its values on the
+action grid, so the degree ladder's estimate and the certificate's root
+search evaluate P' there once. The basis window of a composite Gauss rule
+on [0, 1] is cached once per (degree, rule) by ``_rule_basis``, in a cache
+bounded by the basis entries it holds: the action grid, a certificate's
+opening pair of doubling levels as one window over both levels' nodes,
+and each later level's uniform panels, each while its window holds at
+most ``_LEVEL_RULE_ENTRIES`` of them (every level of degree 2049 and 32
+panels or less, and the pair of 16 and 32 there). The opening pair is
+integrated in one pass: one read of that window, one laying of both
+levels' fresh panels and one evaluation of all their fresh nodes.
 """
 
 from __future__ import annotations
@@ -177,11 +183,12 @@ class BernsteinPolynomial:
     """A polynomial stored by its Bernstein coefficients on [0, 1].
 
     The coefficients are a read-only copy of the ones given, so the
-    polynomial never changes, and it keeps every action ``q_action_poly``
-    certified for it (q to action) to hand back on the next call.
+    polynomial never changes, and it keeps what is computed from them to
+    hand back on the next call: every action ``q_action_poly`` certified
+    for it (q to action), its derivative and its ``grid_values``.
     """
 
-    __slots__ = ("_coeffs", "_actions")
+    __slots__ = ("_coeffs", "_actions", "_derivative", "_grid")
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
@@ -192,6 +199,8 @@ class BernsteinPolynomial:
         c.flags.writeable = False
         self._coeffs = c
         self._actions: dict[float, float] = {}
+        self._derivative: BernsteinPolynomial | None = None
+        self._grid: np.ndarray | None = None
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -221,10 +230,11 @@ class BernsteinPolynomial:
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "BernsteinPolynomial":
-        n = self.degree
-        if n == 0:
-            return BernsteinPolynomial([0.0])
-        return BernsteinPolynomial(n * np.diff(self.coeffs))
+        """P', formed on the first call and kept: every later call returns that object."""
+        if self._derivative is None:
+            n = self.degree
+            self._derivative = BernsteinPolynomial(n * np.diff(self.coeffs) if n else [0.0])
+        return self._derivative
 
     def elevated(self, target_degree: int) -> "BernsteinPolynomial":
         """Exact degree elevation; it stays only because bench/layertrace.py patches it."""
@@ -274,10 +284,10 @@ QUADRATURE_TOL = 1e-9  # absolute agreement that ends q_action_poly's refinement
 # offsets, in bracket widths, of the root probes around a false-position point
 _PROBES = np.array([-2.0 ** -4, -2.0 ** -12, -2.0 ** -20, 0.0, 2.0 ** -20, 2.0 ** -12, 2.0 ** -4])
 _PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
-_GRID = (192, 8)  # the action grid: panels of [0, 1], Gauss points per panel
+_GRID = ((192,), 8)  # the action grid: panels of [0, 1] (one level), Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
 _CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
-_LEVEL_RULE_ENTRIES = 1 << 19  # basis entries a cached level rule may hold: 288k at degree 2049, 32 panels; not DEGREE_CAP's
+_LEVEL_RULE_ENTRIES = 1 << 19  # basis entries a cached level rule may hold: 463k for 16 + 32 panels at degree 2049
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -339,9 +349,18 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
 
 
 def grid_values(poly: BernsteinPolynomial) -> np.ndarray:
-    """Values of ``poly`` at the nodes of the action grid, from its cached basis."""
-    starts, block, _ws = _rule_basis(poly.degree, *_GRID)
-    return _window_dot(starts, block, poly.coeffs)
+    """Values of ``poly`` at the nodes of the action grid, from its cached basis.
+
+    Computed on the first call and kept on ``poly`` as a read-only array,
+    which every later call returns: the degree ladder's action estimate and
+    the certificate's root search read the same values.
+    """
+    if poly._grid is None:
+        starts, block, _ws = _rule_basis(poly.degree, *_GRID)
+        vals = _window_dot(starts, block, poly.coeffs)
+        vals.flags.writeable = False
+        poly._grid = vals
+    return poly._grid
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses limit entries")
@@ -383,26 +402,27 @@ class _EntryBoundedCache:
         self._held = self._hits = self._misses = 0
 
 
-def _rule_basis(n: int, panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The degree-n basis window and the weights of a composite rule on [0, 1].
+def _rule_basis(n: int, levels: tuple, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree-n basis window and the weights of ``_uniform_rule(levels, order)``.
 
-    The rule is the ``order``-point Gauss rule on ``panels`` equal panels;
-    the window over all its nodes is the one ``BernsteinPolynomial.__call__``
-    builds when it takes them in one chunk, so the values it gives are
-    bit for bit those of ``poly(nodes)``. One cache (least recently used
-    out) serves the action grid ``_GRID`` at every degree, under 2M entries
-    at ``DEGREE_CAP``, and the 20-point rules of ``_level_integral`` whose
-    windows hold at most ``_LEVEL_RULE_ENTRIES`` (``_level_entries``); a
-    level beyond that evaluates its nodes afresh. It is bounded by the
-    basis entries it holds, ``_CACHE_ENTRIES`` = 2 ``_RULE_ENTRIES``, and
-    up to ``DEGREE_CAP``, the largest degree ``poly-build`` accepts, no
-    entry holds more than ``_RULE_ENTRIES``, so it never holds more than
-    3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
-    ladder of 33..2049 with all its certificates' levels, 16 and 32 panels
-    at degree 2049 among them, needs ~2.5M entries, so cycling over it
-    makes no misses.
+    The window over all the rule's nodes is the one
+    ``BernsteinPolynomial.__call__`` builds when it takes them in one
+    chunk, so the values it gives are bit for bit those of ``poly(nodes)``.
+    One cache (least recently used out) serves the action grid ``_GRID``
+    at every degree, under 2M entries at ``DEGREE_CAP``, and the 20-point
+    rules of ``_level_integral`` whose windows hold at most
+    ``_LEVEL_RULE_ENTRIES`` (``_level_entries``): a certificate's opening
+    pair of levels as one window over both levels' nodes, and each later
+    level as its own; a rule beyond that evaluates its nodes afresh. It is
+    bounded by the basis entries it holds, ``_CACHE_ENTRIES`` = 2
+    ``_RULE_ENTRIES``, and up to ``DEGREE_CAP``, the largest degree
+    ``poly-build`` accepts, no entry holds more than ``_RULE_ENTRIES``, so
+    it never holds more than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
+    ladder of 33..2049 with all its certificates' levels, the pair of 16
+    and 32 panels at degree 2049 among them, needs ~2.5M entries, so
+    cycling over it makes no misses.
     """
-    xs, ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), order)
+    xs, ws = _uniform_rule(levels, order)
     starts, block = _basis_window(n, xs)
     return starts, block, ws
 
@@ -411,9 +431,9 @@ _rule_basis = _EntryBoundedCache(_rule_basis, _CACHE_ENTRIES)
 
 
 @lru_cache(maxsize=256)
-def _level_entries(n: int, panels: int) -> int:
-    """Basis entries ``_rule_basis(n, panels, _PANEL_ORDER)`` holds, without building it."""
-    xs, _ = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _PANEL_ORDER)
+def _level_entries(n: int, levels: tuple) -> int:
+    """Basis entries ``_rule_basis(n, levels, _PANEL_ORDER)`` holds, without building it."""
+    xs, _ = _uniform_rule(levels, _PANEL_ORDER)
     starts, width, tile = _windows(n, np.rint(n * xs).astype(np.intp))
     return len(starts) * tile * width
 
@@ -432,6 +452,29 @@ def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (e[:-1, None] + widths[:, None] * gx).ravel(), (widths[:, None] * gw).ravel()
 
 
+def _uniform_rule(levels: tuple, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``order``-point Gauss rule on each level's equal panels of [0, 1], level after level.
+
+    ``levels`` holds panel counts. A level's nodes start at its
+    ``_level_starts``: every level but the last is followed by its last
+    node at weight 0 until its nodes fill whole ``_TILE``s, so that no
+    basis window spans two levels.
+    """
+    rules = [_panel_rule(np.linspace(0.0, 1.0, panels + 1), order) for panels in levels]
+    starts = _level_starts(levels, order)
+    pads = [end - start - len(x) for (x, _), start, end in zip(rules, starts, starts[1:])] + [0]
+    return (np.concatenate([np.append(x, [x[-1]] * pad) for (x, _), pad in zip(rules, pads)]),
+            np.concatenate([np.append(w, [0.0] * pad) for (_, w), pad in zip(rules, pads)]))
+
+
+def _level_starts(levels: tuple, order: int) -> list[int]:
+    """Where each level's nodes start in ``_uniform_rule(levels, order)``."""
+    starts = [0]
+    for panels in levels[:-1]:
+        starts.append(starts[-1] + panels * order + (-panels * order) % _TILE)
+    return starts
+
+
 @lru_cache(maxsize=1)
 def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     """The action grid: the composite 8-point Gauss rule on 192 equal panels.
@@ -439,7 +482,7 @@ def gauss_grid() -> tuple[np.ndarray, np.ndarray]:
     Nodes and weights on [0, 1]. The degree ladder's action estimate and
     the root search both evaluate on it, so they share one basis per degree.
     """
-    return _panel_rule(np.linspace(0.0, 1.0, _GRID[0] + 1), _GRID[1])
+    return _uniform_rule(*_GRID)
 
 
 @lru_cache(maxsize=256)
@@ -464,77 +507,113 @@ def _jacobi_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, mass * vectors[0] ** 2 / (xs ** b * (1.0 - xs) ** a)
 
 
-def _fresh_panels(panels: int, zeros: dict):
-    """The uniform panels a doubling level replaces, and the rule that replaces them.
+def _fresh_panels(levels: tuple, zeros: dict):
+    """The uniform panels each doubling level replaces, and the rule that replaces them.
 
     ``zeros`` maps each zero s of P' to its exponent alpha, |P'|^q ~
-    |x - s|^alpha. The level's edges are the ``panels + 1`` uniform edges
-    and every zero, where a uniform edge within a third of a panel of a
-    zero gives way to it (the edges at 0 and 1 stay). A uniform panel that
-    keeps both its edges and holds no zero is thus at least a third of its
-    width from every zero; the others (the mask) give way to the panels
-    between the level's edges that end at a zero, each of which takes the
-    ``_jacobi_rule`` of the exponents at its two ends.
+    |x - s|^alpha. A level of ``panels`` has as edges the ``panels + 1``
+    uniform edges i / panels and every zero, where a uniform edge within a
+    third of a panel of a zero gives way to it (the edges at 0 and 1 stay,
+    unless a zero is there). A uniform panel that keeps both its edges and
+    holds no zero is thus at least a third of its width from every zero;
+    the others (the mask) give way to the panels between the level's edges
+    that end at a zero, each of which takes the ``_jacobi_rule`` of the
+    exponents at its two ends.
 
-    Returns the mask and the nodes and weights of the replacement rule,
-    sorted, each panel's nodes followed by its right end at weight 0 until
-    they fill whole ``_TILE``s, so that no basis window spans two panels.
+    One pass lays every level of ``levels`` (panel counts). Only the zeros
+    and the edges beside them are looked at, in plain floats: a zero's
+    neighbours are the nearest kept uniform edge on its side (i * (1 /
+    panels), as ``np.linspace`` makes it) or the next zero, whichever is
+    nearer.
+    Returns each level's mask, and the nodes and weights of the
+    replacement rules, level after level and sorted within a level, each
+    panel's nodes followed by its right end at weight 0 until they fill
+    whole ``_TILE``s (so no basis window spans two panels), with the
+    index at which each level's nodes end.
     """
-    fresh = np.zeros(panels, dtype=bool)
+    masks = [np.zeros(panels, dtype=bool) for panels in levels]
     if not zeros:
-        return fresh, np.empty(0), np.empty(0)
-    s, exps = zip(*sorted(zeros.items()))
-    at = np.multiply(s, panels)
-    k = np.rint(at)
-    # the interior uniform edges that give way, and the panels beside them or
-    # holding a zero; a zero at 0 or 1 takes the place of the edge there
-    gone = k[(np.abs(k - at) < 1.0 / 3.0) & (k > 0) & (k < panels)].astype(np.intp)
-    fresh[np.minimum(at.astype(np.intp), panels - 1)] = True
-    fresh[gone - 1] = fresh[gone] = True
-    kept = np.ones(panels + 1, dtype=bool)
-    kept[gone] = False
-    kept[0], kept[-1] = s[0] > 0.0, s[-1] < 1.0
-    edges = np.concatenate((np.linspace(0.0, 1.0, panels + 1)[kept], s))
-    order = edges.argsort(kind="stable")
-    edges, alpha = edges[order], np.concatenate((np.zeros(len(edges) - len(s)), exps))[order]
-    ends = np.flatnonzero(alpha[:-1] + alpha[1:])  # the panels with a zero at an end
-    lo, hi = edges[ends, None], edges[ends + 1, None]
-    rules = [_jacobi_rule(a, b) for a, b in zip(alpha[ends + 1].tolist(), alpha[ends].tolist())]
-    xs = np.empty((len(ends), _PANEL_ORDER + (-_PANEL_ORDER % _TILE)))
+        return masks, np.empty(0), np.empty(0), [0] * len(levels)
+    s = sorted(zeros)
+    found, ends = [], []  # (left end, right end, rule) of each replacement panel
+    for panels, mask in zip(levels, masks):
+        step = 1.0 / panels
+        gone = set()
+        for z in s:
+            at = z * panels
+            k = round(at)
+            if 0 < k < panels and abs(k - at) < 1.0 / 3.0:
+                gone.add(k)
+            mask[min(int(at), panels - 1)] = True
+        for k in gone:
+            mask[k - 1] = mask[k] = True
+
+        def edge(i):
+            return 1.0 if i == panels else i * step
+
+        def kept(i):  # an edge at 0 or 1 stays unless a zero is there
+            return i not in gone if 0 < i < panels else (s[0] > 0.0 if i == 0 else s[-1] < 1.0)
+
+        for j, z in enumerate(s):
+            # the nearest kept uniform edge on each side of z (-1 or 2 if none)
+            # and the zeros beside it: the nearer one ends z's panel on that side
+            i = min(int(z * panels), panels)
+            below = next((edge(k) for k in range(i, -1, -1) if edge(k) < z and kept(k)), -1.0)
+            above = next((edge(k) for k in range(i, panels + 1) if edge(k) > z and kept(k)), 2.0)
+            if j and s[j - 1] > below:
+                found.append((s[j - 1], z, _jacobi_rule(zeros[z], zeros[s[j - 1]])))
+            elif below >= 0.0:
+                found.append((below, z, _jacobi_rule(zeros[z], 0.0)))
+            # the panel right of z, unless the next zero's panel on the left is it
+            if above <= 1.0 and (j + 1 == len(s) or above < s[j + 1]):
+                found.append((z, above, _jacobi_rule(0.0, zeros[z])))
+        ends.append(len(found))
+    los, his, rules = zip(*found)
+    lo, hi = np.array(los)[:, None], np.array(his)[:, None]
+    xs = np.empty((len(found), _PANEL_ORDER + (-_PANEL_ORDER % _TILE)))
     ws = np.zeros(xs.shape)
     xs[:, _PANEL_ORDER:] = hi
     xs[:, :_PANEL_ORDER] = lo + (hi - lo) * np.array([x for x, _ in rules])
     ws[:, :_PANEL_ORDER] = (hi - lo) * np.array([w for _, w in rules])
-    return fresh, xs.ravel(), ws.ravel()
+    return masks, xs.ravel(), ws.ravel(), [e * xs.shape[1] for e in ends]
 
 
-def _level_integral(deriv: BernsteinPolynomial, q: float, panels: int, zeros: dict) -> float:
-    """The action at one doubling level: ``panels`` equal panels of [0, 1].
+def _level_integral(deriv: BernsteinPolynomial, q: float, levels: tuple, zeros: dict) -> list[float]:
+    """The action at each doubling level of ``levels``: that many equal panels of [0, 1].
 
     Every uniform panel takes the ``_PANEL_ORDER``-point Legendre rule,
     except those ``_fresh_panels`` replaces by the panels that end at the
-    zeros of P'. The uniform rule's values come from the cache of
-    ``_rule_basis`` while its basis window holds at most
-    ``_LEVEL_RULE_ENTRIES`` entries (``_level_entries``: 288,000 at degree
-    2048 and 32 panels, 1.67M at ``DEGREE_CAP`` and 64), and from
-    ``deriv(nodes)`` beyond that. The cached window is the one ``__call__``
-    builds for the nodes in one chunk, so the two give the same values bit
-    for bit.
+    zeros of P'. The levels are integrated in one pass: one read of the
+    uniform rule of all of them (``_uniform_rule``), one ``_fresh_panels``
+    and one ``deriv`` call on all their fresh nodes. The uniform rule's
+    values come from the cache of ``_rule_basis`` while its basis window
+    holds at most ``_LEVEL_RULE_ENTRIES`` entries (``_level_entries``:
+    288,000 at degree 2048 and 32 panels, 462,720 for the pair of 16 and
+    32, 1.67M at ``DEGREE_CAP`` and 64), and from ``deriv(nodes)`` beyond
+    that; levels whose window together does not fit are integrated one at
+    a time. The cached window is the one ``__call__`` builds for the nodes
+    in one chunk, so the two give the same values bit for bit.
     """
     n = deriv.degree
-    fresh, xs, ws = _fresh_panels(panels, zeros)
-    if _level_entries(n, panels) <= _LEVEL_RULE_ENTRIES:
-        window, block, rule_ws = _rule_basis(n, panels, _PANEL_ORDER)
+    fits = _level_entries(n, levels) <= _LEVEL_RULE_ENTRIES
+    if len(levels) > 1 and not fits:
+        return [total for panels in levels for total in _level_integral(deriv, q, (panels,), zeros)]
+    if fits:
+        window, block, rule_ws = _rule_basis(n, levels, _PANEL_ORDER)
         vals = _window_dot(window, block, deriv.coeffs)[: len(rule_ws)]
     else:
-        nodes, rule_ws = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _PANEL_ORDER)
+        nodes, rule_ws = _uniform_rule(levels, _PANEL_ORDER)
         vals = deriv(nodes)
-    if fresh.any():
-        rule_ws = rule_ws * np.repeat(~fresh, _PANEL_ORDER)
-    total = float(np.dot(rule_ws, np.abs(vals) ** q))
-    if xs.size:
-        total += float(np.dot(ws, np.abs(deriv(xs)) ** q))
-    return total
+    masks, xs, ws, ends = _fresh_panels(levels, zeros)
+    powers = np.abs(vals) ** q
+    fresh = np.abs(deriv(xs)) ** q if xs.size else xs
+    totals, lo = [], 0
+    for panels, start, mask, end in zip(levels, _level_starts(levels, _PANEL_ORDER), masks, ends):
+        level = slice(start, start + _PANEL_ORDER * panels)
+        total = float(np.dot(rule_ws[level] * np.repeat(~mask, _PANEL_ORDER), powers[level]))
+        totals.append(total + float(np.dot(ws[lo:end], fresh[lo:end])))
+        lo = end
+    return totals
 
 
 # a polynomial's action exponent: |P'|^inf integrates to 0 wherever |P'| < 1
@@ -580,7 +659,11 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 
 
 def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
-    """The quadrature of ``q_action_poly``, run afresh: base * 2^k panels at level k < 8."""
+    """The quadrature of ``q_action_poly``, run afresh: base * 2^k panels at level k < 8.
+
+    The opening pair of levels, base and 2 base panels, is integrated in
+    one ``_level_integral`` pass, and each later level alone.
+    """
     deriv = poly.derivative()
     n = deriv.degree
     live = np.flatnonzero(deriv.coeffs)
@@ -595,13 +678,13 @@ def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
             if k:
                 zeros[end] = k * q
     base = int(np.clip((n + 1) // 128, 8, 64))
-    prev = total = None
-    for level in range(8):
-        prev, total = total, _level_integral(deriv, q, base << level, zeros)
-        if prev is not None and abs(total - prev) <= 0.5 * QUADRATURE_TOL:
-            return total
+    totals = []
+    for levels in [(base, 2 * base)] + [(base << k,) for k in range(2, 8)]:
+        totals += _level_integral(deriv, q, levels, zeros)
+        if abs(totals[-1] - totals[-2]) <= 0.5 * QUADRATURE_TOL:
+            return totals[-1]
     raise RuntimeError(f"the q = {q} action of a degree-{poly.degree} polynomial did not converge: "
-                       f"{prev!r} at {base << 6} panels, {total!r} at {base << 7}")
+                       f"{totals[-2]!r} at {base << 6} panels, {totals[-1]!r} at {base << 7}")
 
 
 def de_casteljau_many(poly: BernsteinPolynomial, xs: np.ndarray) -> np.ndarray:

@@ -77,9 +77,12 @@ def approx_interpolant_poly(
     negated residuals, so its action is at most G's (the module's Jensen
     bound). The degree climbs a doubling ladder until the residual spread
     is below ``plan.eps3`` and the action on the Gauss grid is below the
-    samples' action plus 0.81 eps. Returns the polynomial together with
-    the tolerance plan used to build it. Raises ``DegreeCapError`` if the
-    requested eps needs a degree above the cap.
+    samples' action plus 0.81 eps. Each rung builds its candidate
+    polynomial first and estimates from ``grid_values(poly.derivative())``,
+    which the polynomial keeps, so the certificate of the one returned
+    searches the roots of P' on those same values. Returns the polynomial
+    together with the tolerance plan used to build it. Raises
+    ``DegreeCapError`` if the requested eps needs a degree above the cap.
     """
     if len(s) < 2:
         raise ValueError("need at least two points; a singleton is a constant")
@@ -121,12 +124,12 @@ def approx_interpolant_poly(
                 break
             coeffs = coeffs + np.interp(nodes, us, -resid)
         resid_ok = spread < eps3
-        # a fast composite-Gauss estimate of the action of P'
-        deriv = grid_values(BernsteinPolynomial((n + 1) * np.diff(coeffs)))
-        action_est = float(np.dot(gauss_grid()[1], np.abs(deriv) ** q))
+        # a fast composite-Gauss estimate of the action of P', whose grid
+        # values the rung's polynomial keeps for its certificate's root search
+        poly = BernsteinPolynomial(coeffs - shift)
+        action_est = float(np.dot(gauss_grid()[1], np.abs(grid_values(poly.derivative())) ** q))
         action_ok = action_est < base_action + 0.9 * slack
         if resid_ok and action_ok:
-            poly = BernsteinPolynomial(coeffs - shift)
             return poly, BudgetPlan(eps3, c1, poly.degree)
         if n >= degree_cap:
             raise DegreeCapError(
@@ -225,8 +228,9 @@ def exact_interpolant_poly(
     A[j, i] = C_i(u_j) and C_i = B_{n+1} of the hat on knot i, gives the
     knot values g of the piecewise-linear G whose B_{n+1}[G] = sum g_i C_i
     hits every knot; its action is at most G's by the module's Jensen
-    bound. The result interpolates to 1e-8 and its action is certified
-    below 1 by quadrature; otherwise (a failed check or a singular A) n
+    bound. The result interpolates to 1e-8, its knot values summed from the
+    basis rows the solve formed, and its action is certified below 1 by
+    quadrature; otherwise (a failed check or a singular A) n
     goes to 2n + 1, up to the cap, where ``DegreeCapError`` is raised, so
     the degree never exceeds ``degree_cap + 1``.
     """
@@ -253,14 +257,15 @@ def exact_interpolant_poly(
         # are phi_i at the nodes k / (n + 1)
         nodes = np.arange(n + 2) / (n + 1)
         cols = np.column_stack([np.interp(nodes, us, e) for e in np.eye(m)])
-        a = bernstein_basis_matrix(n + 1, us) @ cols
+        basis = bernstein_basis_matrix(n + 1, us)
         try:
-            poly = BernsteinPolynomial(cols @ np.linalg.solve(a, vs))
+            poly = BernsteinPolynomial(cols @ np.linalg.solve(basis @ cols, vs))
         except np.linalg.LinAlgError:
             # column i is zero when no node lies in (u_{i-1}, u_{i+1})
             failure = f"singular solve at degree {n + 1}: a hat has no node in its support"
         else:
-            resid = float(np.max(np.abs(poly(us) - vs)))
+            # the knot values from the basis rows the solve used: poly(us) to rounding
+            resid = float(np.max(np.abs(basis @ poly.coeffs - vs)))
             action = q_action_poly(poly, q)
             if resid <= 1e-8 and action < 1.0:
                 return poly

@@ -18,6 +18,9 @@ P' != 0 at all, since |P'|^q is analytic there.
 ``uncached_grid_values`` and ``unit_panel_integral`` build their basis
 windows afresh on every call, where ``grid_values`` and a doubling level
 with no zero read them from the cache of ``_rule_basis``.
+``level_rule`` lays one level's fresh panels in numpy over all its edges,
+where ``_fresh_panels`` lays a certificate's opening pair of levels in one
+pass that looks only at the zeros and the edges beside them.
 The grid, the graze floor, the panel rule and the doubling certificate
 (at most eight levels, then ``RuntimeError``) are those of
 ``smoothgame.bernstein``.
@@ -108,3 +111,34 @@ def graded_action(poly: BernsteinPolynomial, q: float) -> float:
             return total
         prev = total
     raise RuntimeError(f"the graded q = {q} action of degree {poly.degree} did not converge")
+
+
+def level_rule(panels: int, zeros: dict):
+    """One level's mask of replaced uniform panels, and the nodes and weights
+    of the Jacobi panels that replace them, padded to whole tiles: the
+    rule of ``bernstein._fresh_panels`` laid over every edge of the level."""
+    order, tile = bernstein._PANEL_ORDER, bernstein._TILE
+    fresh = np.zeros(panels, dtype=bool)
+    if not zeros:
+        return fresh, np.empty(0), np.empty(0)
+    s, exps = zip(*sorted(zeros.items()))
+    at = np.multiply(s, panels)
+    k = np.rint(at)
+    gone = k[(np.abs(k - at) < 1.0 / 3.0) & (k > 0) & (k < panels)].astype(np.intp)
+    fresh[np.minimum(at.astype(np.intp), panels - 1)] = True
+    fresh[gone - 1] = fresh[gone] = True
+    kept = np.ones(panels + 1, dtype=bool)
+    kept[gone] = False
+    kept[0], kept[-1] = s[0] > 0.0, s[-1] < 1.0
+    edges = np.concatenate((np.linspace(0.0, 1.0, panels + 1)[kept], s))
+    by_x = edges.argsort(kind="stable")
+    edges, alpha = edges[by_x], np.concatenate((np.zeros(len(edges) - len(s)), exps))[by_x]
+    ends = np.flatnonzero(alpha[:-1] + alpha[1:])
+    lo, hi = edges[ends, None], edges[ends + 1, None]
+    rules = [bernstein._jacobi_rule(a, b) for a, b in zip(alpha[ends + 1].tolist(), alpha[ends].tolist())]
+    xs = np.empty((len(ends), order + (-order % tile)))
+    ws = np.zeros(xs.shape)
+    xs[:, order:] = hi
+    xs[:, :order] = lo + (hi - lo) * np.array([x for x, _ in rules])
+    ws[:, :order] = (hi - lo) * np.array([w for _, w in rules])
+    return fresh, xs.ravel(), ws.ravel()

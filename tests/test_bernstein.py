@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import pathlib
@@ -28,6 +29,7 @@ from smoothgame.bernstein import (
     ROOT_WIDTH,
     WINDOW_MASS,
     BernsteinPolynomial,
+    DegreeCapError,
     bernstein_basis_matrix,
     composite_rule_action,
     de_casteljau_many,
@@ -397,12 +399,14 @@ class TestActionIntegral:
             q_action_poly(from_power(0.0, 1.0), 0.5)
 
     def test_levels_that_never_agree_raise(self, monkeypatch):
-        panels = []
+        # eight levels, the opening pair in one pass: no two totals agree
+        calls = []
         monkeypatch.setattr(bernstein, "_level_integral",
-                            lambda deriv, q, n, zeros: panels.append(n) or float(n))
-        with pytest.raises(RuntimeError, match=r"q = 1\.5 action of a degree-300 polynomial"):
+                            lambda deriv, q, levels, zeros: calls.append(levels) or [float(n) for n in levels])
+        with pytest.raises(RuntimeError, match=r"q = 1\.5 action of a degree-300 polynomial did not "
+                                               r"converge: 512\.0 at 512 panels, 1024\.0 at 1024$"):
             q_action_poly(from_power(0.0, 1.0, 1.0).elevated(300), 1.5)
-        assert panels == [8 << k for k in range(8)]
+        assert calls == [(8, 16)] + [(8 << k,) for k in range(2, 8)]
 
 
 def _no_fallback(poly, q):
@@ -432,6 +436,26 @@ def _criterion7_builds():
             builds.append((q, eps, approx_interpolant_poly(s, q, eps)[0]))
         builds.append((q, None, exact_interpolant_poly(s, q)))
     return tuple(builds)
+
+
+def _records_digest(builds) -> str:
+    """sha256 over (degree, repr(action), coefficient bytes) of every build."""
+    h = hashlib.sha256()
+    for q, _eps, poly in builds:
+        h.update(f"{poly.degree} {q_action_poly(poly, q)!r}\n".encode())
+        h.update(poly.coeffs.tobytes())
+    return h.hexdigest()
+
+
+# the criterion-7 builds' records, as certifying one doubling level at a time
+# made them: integrating the opening pair of levels in one pass moves none
+CRITERION7_RECORDS = "9e15f663837c54de0bd53a0983cc718dba39a452146162ccb577a2f76bdbf131"
+
+
+def test_criterion7_records_are_pinned():
+    # degrees, certified actions and coefficients, bit for bit: a digest that
+    # moves is a record change, to be declared with its largest action difference
+    assert _records_digest(_criterion7_builds()) == CRITERION7_RECORDS
 
 
 class TestAgainstTheQuadratureReference:
@@ -640,10 +664,15 @@ class TestRuleBasis:
 
     @pytest.mark.parametrize("n", RULE_DEGREES)
     def test_grid_values_match_the_uncached_window(self, n):
+        # a polynomial keeps its grid values, so the warm read of the cached
+        # window is a second polynomial's of the same coefficients
         rng = np.random.default_rng(n)
         poly = BernsteinPolynomial(rng.normal(size=n + 1))
         bernstein._rule_basis.cache_clear()
-        cold, warm = grid_values(poly), grid_values(poly)
+        cold = grid_values(poly)
+        assert bernstein._rule_basis.cache_info()[:2] == (0, 1)
+        warm = grid_values(BernsteinPolynomial(poly.coeffs))
+        assert bernstein._rule_basis.cache_info()[:2] == (1, 1)
         ref = uncached_grid_values(poly)
         assert np.array_equal(cold, ref) and np.array_equal(warm, ref)
         assert np.array_equal(ref, poly(bernstein.gauss_grid()[0]))
@@ -657,10 +686,10 @@ class TestRuleBasis:
         for q in (1.0, 2.0, 3.0, 1.5):
             for factor in (1, 2, 4, 8):
                 panels = max(4 * factor, base * factor)
-                got = bernstein._level_integral(deriv, q, panels, {})
+                (got,) = bernstein._level_integral(deriv, q, (panels,), {})
                 assert _same_float(got, unit_panel_integral(deriv, q, panels)), (q, panels)
         # the levels whose rule is cached are read back three times each
-        cached = sum(bernstein._level_entries(n, base * f) <= bernstein._LEVEL_RULE_ENTRIES
+        cached = sum(bernstein._level_entries(n, (base * f,)) <= bernstein._LEVEL_RULE_ENTRIES
                      for f in (1, 2, 4, 8))
         assert bernstein._rule_basis.cache_info().hits == 3 * cached
 
@@ -668,9 +697,9 @@ class TestRuleBasis:
         sizes = []
         cached = bernstein._rule_basis
 
-        def recorded(n, panels, order):
-            starts, block, ws = cached(n, panels, order)
-            sizes.append((n, panels, block.size))
+        def recorded(n, levels, order):
+            starts, block, ws = cached(n, levels, order)
+            sizes.append((n, levels, block.size))
             return starts, block, ws
 
         monkeypatch.setattr(bernstein, "_rule_basis", recorded)
@@ -679,28 +708,35 @@ class TestRuleBasis:
         poly = BernsteinPolynomial(k / DEGREE_CAP + 0.5 * k * (k - 1) / (DEGREE_CAP * (DEGREE_CAP - 1)))
         assert q_action_poly(poly, 3.0) == pytest.approx(15.0 / 4.0, abs=1e-9)
         grid_values(poly)
-        assert {(n, panels) for n, panels, _ in sizes} == {(DEGREE_CAP - 1, 192), (DEGREE_CAP, 192)}
+        assert {(n, levels) for n, levels, _ in sizes} == {(DEGREE_CAP - 1, (192,)), (DEGREE_CAP, (192,))}
         assert max(size for *_, size in sizes) <= bernstein._RULE_ENTRIES
 
     @pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
     def test_every_level_reads_its_uniform_panels_from_the_cache(self, q, monkeypatch):
-        rules = []
-        cached = bernstein._rule_basis
+        # the opening pair is one rule of 8 and 16 panels, a later level its own
+        rules, levels = [], []
+        cached, level_integral = bernstein._rule_basis, bernstein._level_integral
 
         def recorded(n, panels, order):
             rules.append((panels, order))
             return cached(n, panels, order)
 
+        def recorded_level(deriv, q, panels, zeros):
+            levels.append(panels)
+            return level_integral(deriv, q, panels, zeros)
+
         monkeypatch.setattr(bernstein, "_rule_basis", recorded)
-        levels = {(8, 20), (16, 20), (32, 20), (64, 20)}
+        monkeypatch.setattr(bernstein, "_level_integral", recorded_level)
         rooted = from_power(0.0, -0.6, 1.0).elevated(40)  # P' = 2x - 0.6, a root at 0.3
         smooth = from_power(0.0, 1.0, 0.5).elevated(40)  # P' = 1 + x
         for poly in (rooted, smooth):
-            rules.clear()
+            rules.clear(), levels.clear()
             q_action_poly(poly, q)
-            assert (8, 20) in rules and (16, 20) in rules and set(rules) <= levels | {(192, 8)}
+            assert levels[0] == (8, 16) and set(levels[1:]) <= {(32,), (64,)}
+            # every level's uniform panels, and nothing else but the action grid
+            assert {(panels, 20) for panels in levels} == set(rules) - {((192,), 8)}
             # at even q no root is searched, so the action grid is not read
-            assert ((192, 8) in rules) == (q != 2.0)
+            assert (((192,), 8) in rules) == (q != 2.0)
 
     @pytest.mark.parametrize("q, fresh", [(2.0, set()), (3.0, {4, 5}), (1.5, {0, 4, 5})])
     def test_fresh_panels_are_the_ones_near_roots_and_ends(self, q, fresh):
@@ -709,7 +745,8 @@ class TestRuleBasis:
         # q = 1.5, P' also has a zero of order 2 at 0 (panel 0), while at 1 it
         # does not vanish (panel 15 stays); at even q nothing gives way
         zeros = {} if q == 2.0 else {0.3: q, 0.0: 2 * q} if q == 1.5 else {0.3: q}
-        mask, xs, ws = bernstein._fresh_panels(16, zeros)
+        (mask,), xs, ws, ends = bernstein._fresh_panels((16,), zeros)
+        assert ends == [len(xs)]
         assert set(np.flatnonzero(mask)) == fresh
         live = ws > 0.0
         assert np.all(np.diff(xs) >= 0.0)
@@ -753,6 +790,9 @@ class TestRuleBasis:
                 levels.clear()
         info = bernstein._rule_basis.cache_info()
         assert {n for n, _ in levels} == {32, 64, 128, 256, 512, 2048}
+        # each of the cycle's 18 certificates opens with its pair of levels
+        pairs = [panels for _, panels in levels if len(panels) == 2]
+        assert len(pairs) == 18 and all(fine == 2 * coarse for coarse, fine in pairs)
         bound = bernstein._LEVEL_RULE_ENTRIES
         assert all(bernstein._level_entries(n, panels) <= bound for n, panels in levels)
         assert info.misses == built.misses and info.hits > built.hits
@@ -771,11 +811,130 @@ class TestRuleBasis:
         assert 20 * panels <= bernstein._CHUNK_ENTRIES // (n + 1)
         monkeypatch.setattr(bernstein, "_LEVEL_RULE_ENTRIES", 1 << 30)
         bernstein._rule_basis.cache_clear()
-        cached = bernstein._level_integral(deriv, q, panels, zeros)
+        (cached,) = bernstein._level_integral(deriv, q, (panels,), zeros)
         assert bernstein._rule_basis.cache_info().misses == 1
-        assert bernstein._rule_basis(n, panels, 20)[1].size == bernstein._level_entries(n, panels)
+        assert bernstein._rule_basis(n, (panels,), 20)[1].size == bernstein._level_entries(n, (panels,))
         monkeypatch.setattr(bernstein, "_LEVEL_RULE_ENTRIES", 0)
         bernstein._rule_basis.cache_clear()
-        uncached = bernstein._level_integral(deriv, q, panels, zeros)
+        (uncached,) = bernstein._level_integral(deriv, q, (panels,), zeros)
         assert bernstein._rule_basis.cache_info().misses == 0
         assert _same_float(cached, uncached), (cached, uncached)
+
+
+# P' = -x^2 (x - 0.3)(x - 0.8): roots at 0.3 and 0.8 and a zero of order 2 at 0
+END_ZERO_QUINTIC = (0, 0, 0, Fraction(-2, 25), Fraction(11, 40), Fraction(-1, 5))
+
+
+class TestOnePass:
+    """The paths that evaluate each point set once, against the ones they replace."""
+
+    # 1153: base 9, whose 180 nodes fill no whole tile, so the pair's rule
+    # pads its first level to keep every basis window inside one level
+    @pytest.mark.parametrize("degree", [33, 257, 513, 1153, 2049])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_the_opening_pair_equals_two_single_levels(self, degree, q, monkeypatch):
+        # the pair reads one window over both levels' nodes and evaluates all
+        # fresh nodes in one call, whose windows are as wide as the widest
+        # tile's, so a value may round apart from the single level's by the
+        # evaluator's 4 n eps max|c_k|; |a^q - b^q| <= q max|c_k|^(q-1) |a - b|
+        # and the rule's weights sum to 1, so each total may differ by at most
+        # 4 q n eps max|c_k|^q
+        quintic = from_power(*END_ZERO_QUINTIC, degree=degree)
+        polys = [LADDER_CUBIC.elevated(degree), quintic, BernsteinPolynomial(quintic.coeffs[::-1])]
+        calls = []
+        level_integral = bernstein._level_integral
+
+        def recorded(deriv, q, levels, zeros):
+            calls.append((deriv, levels, dict(zeros)))
+            return level_integral(deriv, q, levels, zeros)
+
+        monkeypatch.setattr(bernstein, "_level_integral", recorded)
+        for poly in polys:
+            calls.clear()
+            q_action_poly(poly, q)
+            deriv, levels, zeros = calls[0]
+            base = int(np.clip(degree // 128, 8, 64))
+            assert levels == (base, 2 * base)
+            if q != 2.0:  # both roots inside, and at q = 1.5 the end zero
+                assert len(zeros) == 2 + (q == 1.5 and poly is not polys[0])
+            pair = level_integral(deriv, q, levels, zeros)
+            single = [level_integral(deriv, q, (panels,), zeros)[0] for panels in levels]
+            n, scale = deriv.degree, float(np.max(np.abs(deriv.coeffs)))
+            tol = 4 * q * n * np.finfo(float).eps * scale ** q
+            assert np.all(np.abs(np.subtract(pair, single)) <= tol), (pair, single, tol)
+            # one window over both levels holds about what their two windows do
+            entries = [bernstein._level_entries(n, panels) for panels in (levels, *((p,) for p in levels))]
+            assert entries[0] <= 1.1 * (entries[1] + entries[2]), entries
+
+    def test_a_polynomial_keeps_its_derivative_and_grid_values(self, monkeypatch):
+        poly = from_power(0.0, -0.6, 1.0).elevated(40)  # P' = 2x - 0.6
+        deriv = poly.derivative()
+        assert poly.derivative() is deriv
+        grid = grid_values(deriv)
+        assert grid_values(deriv) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+        constant = BernsteinPolynomial([2.0])
+        assert constant.derivative() is constant.derivative()
+        assert constant.derivative().coeffs.tolist() == [0.0]
+        # the certificate's root search reads the kept values: no grid window
+        rules = []
+        cached = bernstein._rule_basis
+        monkeypatch.setattr(bernstein, "_rule_basis", lambda *key: rules.append(key) or cached(*key))
+        assert q_action_poly(poly, 3.0) == pytest.approx((0.6 ** 4 + 1.4 ** 4) / 8.0, abs=1e-9)
+        assert rules and all(key[1:] != bernstein._GRID for key in rules)
+
+    def test_an_approx_build_certifies_on_its_estimate_s_grid_values(self, monkeypatch):
+        rules = []
+        cached = bernstein._rule_basis
+        monkeypatch.setattr(bernstein, "_rule_basis", lambda *key: rules.append(key) or cached(*key))
+        stream = np.random.default_rng(31)
+        for q in (1.5, 3.0):
+            for eps in (0.1, 0.01):
+                poly, _plan = approx_interpolant_poly(random_action_set(stream, q=q), q, eps)
+                grid = poly.derivative()._grid
+                assert grid is not None and not grid.flags.writeable
+                rules.clear()
+                fresh = BernsteinPolynomial(poly.coeffs)
+                assert _same_float(q_action_poly(poly, q), q_action_poly(fresh, q))
+                # only the new polynomial of the same coefficients read the grid
+                assert sum(key[1:] == bernstein._GRID for key in rules) == 1
+                assert np.array_equal(grid, grid_values(fresh.derivative()))
+
+    def test_the_exact_residual_from_the_basis_matches_the_evaluator(self, monkeypatch):
+        # every exact build's residual is summed from the basis rows its solve
+        # formed: within 4 n eps max|c_k| of poly(us), the evaluator's bound
+        import smoothgame.polyapprox as polyapprox
+
+        bases = []
+        basis_matrix = polyapprox.bernstein_basis_matrix
+        monkeypatch.setattr(polyapprox, "bernstein_basis_matrix",
+                            lambda n, xs: bases.append(basis_matrix(n, xs)) or bases[-1])
+        stream = np.random.default_rng(37)
+        # criterion-7 sets, whose exact degrees (8 to 32) and few scattered
+        # knots sum whole basis rows, and sets with knots 1/300 and 1/1000
+        # apart, at degrees 1024 and 2048
+        sets = [random_action_set(stream, q=(1.5, 2.0, 3.0)[i % 3]) for i in range(30)]
+        sets += [SampleSet([0.2, 0.2 + gap, 0.6, 0.9], [0.0, 0.8 * gap, 0.1, -0.05])
+                 for gap in (1 / 300, 1e-3)]
+        degrees = set()
+        for i, s in enumerate(sets):
+            q = (1.5, 2.0, 3.0)[i % 3]
+            us = np.asarray(s.us)
+            poly = exact_interpolant_poly(s, q)
+            basis = bases[-1]
+            assert basis.shape == (len(us), poly.degree + 1)
+            scale = float(np.max(np.abs(poly.coeffs)))
+            tol = 4 * poly.degree * np.finfo(float).eps * scale
+            assert np.max(np.abs(basis @ poly.coeffs - poly(us))) <= tol, i
+            assert np.max(np.abs(basis @ poly.coeffs - np.asarray(s.vs))) <= 1e-8, i
+            degrees.add(poly.degree)
+        assert min(degrees) <= 32 and {1024, 2048} <= degrees
+
+    def test_a_residual_above_1e_8_fails_the_exact_build(self, monkeypatch):
+        # a solve 1e-6 off at every knot: the residual from the basis rows sees it
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+        s = SampleSet([0.1, 0.5, 0.9], [0.0, 0.2, 0.1])
+        with pytest.raises(DegreeCapError, match=r"at the cap: residual 1\.0\de-06"):
+            exact_interpolant_poly(s, 2.0, degree_cap=7)

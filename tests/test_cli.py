@@ -525,7 +525,9 @@ class TestPolyBuild:
     def test_action_that_never_converges_exit_4(self, tmp_path, capsys, monkeypatch):
         from smoothgame import bernstein
 
-        monkeypatch.setattr(bernstein, "_level_integral", lambda deriv, q, n, zeros: float(n))
+        levels = []
+        monkeypatch.setattr(bernstein, "_level_integral",
+                            lambda deriv, q, panels, zeros: levels.extend(panels) or [float(n) for n in panels])
         cfg = write(tmp_path / "c.json", {
             "points": [[0.0, 0.0], [0.4, 0.25], [1.0, 0.1]], "q": 2, "mode": "exact",
         })
@@ -533,6 +535,7 @@ class TestPolyBuild:
         assert run("poly-build", "--config", cfg, "--out", str(out)) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal fault: RuntimeError: ") and "did not converge" in err
+        assert levels == [8 << k for k in range(8)]  # eight levels, then the fault
         assert not (out / "poly_build.json").exists()
 
 

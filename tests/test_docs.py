@@ -56,3 +56,15 @@ def test_readme_player_options_are_the_declared_ones():
     listed = {f"{role} {name}": sorted(set(re.findall(r"`(\w+)` \(", body)))
               for role, name, body in bullets}
     assert listed == declared
+
+
+def test_readme_cache_bounds_are_the_code_s():
+    # the basis cache's bound in all, and the bound on one level rule's window
+    from smoothgame import bernstein
+
+    text = " ".join(README.read_text().split())
+    total = re.search(r"one cache bounded by the basis entries it holds \(2\^(\d+),", text)
+    level = re.search(r"doubling levels whose window holds at most 2\^(\d+) basis entries", text)
+    assert total and level
+    assert 2 ** int(total.group(1)) == bernstein._CACHE_ENTRIES
+    assert 2 ** int(level.group(1)) == bernstein._LEVEL_RULE_ENTRIES

@@ -2,12 +2,13 @@
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from smoothgame.interpolation import (  # noqa: E402
     DuplicateKnotError,
@@ -34,8 +35,24 @@ def _raised(fn, *args):
     return None
 
 
+def exact_interpolant(us, vs, x) -> tuple[Fraction, float]:
+    """The interpolant at x in exact rationals, with the gap of the segment x
+    falls in (inf off the knot span): the independent reference."""
+    if not us:
+        return Fraction(0), math.inf
+    if x <= us[0] or x >= us[-1]:
+        return Fraction(vs[0] if x <= us[0] else vs[-1]), math.inf
+    j = next(j for j, u in enumerate(us) if u >= x)
+    u0, u1, v0, v1 = map(Fraction, (us[j - 1], us[j], vs[j - 1], vs[j]))
+    return v0 + (Fraction(x) - u0) * (v1 - v0) / (u1 - u0), us[j] - us[j - 1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(coords, values), max_size=30), st.lists(st.floats(0.0, 1.0), max_size=5))
+# knots a subnormal distance apart: np.interp overflowed to inf here; and a
+# product (x - u0) (v1 - v0) that underflows, 0.3 of the least subnormal, to 0
+@example([(0.0, 0.0), (1.1125369292536007e-308, 2.0)], [2.225073858507203e-309])
+@example([(0.0, 0.0), (1e-323, 0.3)], [5e-324])
 def test_add_matches_an_independent_reference(pairs, xs):
     accepted: dict[float, float] = {}
     s = SampleSet()
@@ -52,8 +69,11 @@ def test_add_matches_an_independent_reference(pairs, xs):
         vs = [accepted[u] for u in us]
         assert (s.us, s.vs) == (us, vs)
     for x in xs:
-        expected = float(np.interp(x, s.us, s.vs)) if len(s) else 0.0
-        assert eval_interpolant(s, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        expected, gap = exact_interpolant(s.us, s.vs, x)
+        # rounding, plus the product (x - u0) (v1 - v0) underflowing by up to
+        # half the least subnormal, which the division by the gap magnifies
+        tol = max(1e-12 * abs(float(expected)), 1e-12) + 2.0 ** -1074 / gap
+        assert abs(Fraction(eval_interpolant(s, x)) - expected) <= tol, (x, expected)
 
 
 @st.composite

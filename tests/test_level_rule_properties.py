@@ -1,10 +1,13 @@
-"""Property test: the rule a doubling level lays over [0, 1] around the zeros of P'.
+"""Property tests: the rule a doubling level lays over [0, 1] around the zeros of P'.
 
-``bernstein._fresh_panels(panels, zeros)`` keeps the uniform panels clear of
-every zero and replaces the others by panels that end at a zero. The zero
-maps drawn here mix free zeros, zeros on or near a uniform edge (at and
-around a third of a panel from it), clustered pairs and end zeros of order k.
-Zeros inside [0, 1] keep ``polynomial_roots``'s 1e-12 from either end.
+``bernstein._fresh_panels(levels, zeros)`` keeps each level's uniform panels
+clear of every zero and replaces the others by panels that end at a zero.
+The zero maps drawn here mix free zeros, zeros on or near a uniform edge
+(at and around a third of a panel from it), clustered pairs and end zeros
+of order k. Zeros inside [0, 1] keep ``polynomial_roots``'s 1e-12 from
+either end. A certificate's opening pair of levels, laid in one pass, is
+checked bit for bit against ``level_rule``, which lays each level over all
+its edges.
 """
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from quadrature_reference import level_rule  # noqa: E402
 
 from smoothgame import bernstein  # noqa: E402
 
@@ -49,7 +54,8 @@ def levels(draw):
 @given(levels())
 def test_the_level_rule_keeps_clear_of_every_zero_and_tiles_the_rest(level):
     panels, zeros = level
-    fresh, xs, ws = bernstein._fresh_panels(panels, zeros)
+    (fresh,), xs, ws, ends = bernstein._fresh_panels((panels,), zeros)
+    assert ends == [xs.size]
     grid = np.linspace(0.0, 1.0, panels + 1)
     s = np.array(sorted(zeros))
 
@@ -90,3 +96,16 @@ def test_the_level_rule_keeps_clear_of_every_zero_and_tiles_the_rest(level):
     assert np.all((nodes >= los[:, None]) & (nodes <= his[:, None]))
     assert all(lo in zeros or hi in zeros for lo, hi in zip(los.tolist(), his.tolist()))
     assert set(zeros) <= set(los.tolist()) | set(his.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels())
+def test_the_opening_pair_is_each_level_laid_over_all_its_edges(level):
+    panels, zeros = level
+    masks, xs, ws, ends = bernstein._fresh_panels((panels, 2 * panels), zeros)
+    assert ends[-1] == xs.size == ws.size
+    for mask, nodes, weights, count in zip(masks, np.split(xs, ends[:1]), np.split(ws, ends[:1]),
+                                           (panels, 2 * panels)):
+        ref_mask, ref_nodes, ref_weights = level_rule(count, zeros)
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
