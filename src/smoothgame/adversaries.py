@@ -258,7 +258,7 @@ RandomLiarAdversary = GreedyAdversary
 
 
 class NoisyLowerBoundAdversary:
-    """Scripted liar forcing total error >= 2*eta + 1 for p >= 2.
+    """Scripted liar forcing the ``forced_lower`` row of ``cli.CERTIFIED_BOUNDS``, for p >= 2.
 
     Queries 0 for the 2*eta+1 uncounted rounds revealing the true value 0,
     then queries 1 for 2*eta+1 rounds: eta answers of -1, eta answers of

@@ -14,6 +14,7 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import csv
 import io
@@ -42,15 +43,24 @@ EXIT_ILLEGAL = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 
-# The certified bounds the sweeps and ``report`` check, and the absolute
-# slack every such check allows for rounding.
+# Each certified bound's one home: its formula, the formula as the sweep CSVs
+# print it, its region (a schema kind per parameter) and the PAPER.md claim it
+# serves, with its status. The sweeps, ``report`` and the acceptance suite read it.
+Bound = collections.namedtuple("Bound", "formula text region claim")
+_P_Q_AT_LEAST_2 = {"p": Real(2), "q": Real(2, finite=False)}
 CERTIFIED_BOUNDS = {
-    "epsilon_ceiling": lambda eps: 6.0 / eps,  # linint vs greedy at p = q = 1 + eps
-    "standard_unit": lambda: 1.0,              # linint vs greedy, p, q >= 2
-    "forced_lower": lambda eta: 2 * eta + 1,   # scripted liar, p >= 2
-    "staged_upper": lambda eta: 12 * eta + 6,  # staged learner vs any liar, p, q >= 2
+    "epsilon_ceiling": Bound(lambda eps: 6.0 / eps, "6/epsilon", {"epsilon": Real(0, 1, above=True)},
+                             "(a), partial: linint vs greedy at p = q = 1 + epsilon; the abstract "
+                             "gives the order only, and the constant 6 is this repository's"),
+    "standard_unit": Bound(lambda: 1.0, "1", _P_Q_AT_LEAST_2, "(b), partial: linint vs "
+                           "greedy, the finite side at p, q >= 2 (Kimber and Long 1995)"),
+    "forced_lower": Bound(lambda eta: 2 * eta + 1, "2*eta+1", {"p": Real(2)}, "(e), reproduced: "
+                          "the lower side, which the noisy-lb script forces on any learner"),
+    "staged_upper": Bound(lambda eta: 12 * eta + 6, "12*eta+6", _P_Q_AT_LEAST_2, "(d) and (e), "
+                          "open: staged learner vs any liar; false for the shipped learner, which "
+                          "a liar refilling its bands every stage drives to 51.0 > 42 at eta = 3"),
 }
-BOUND_SLACK = 1e-9
+BOUND_SLACK = 1e-9  # the sweeps' and report's rounding slack: on a total, or on a ratio to 1
 
 _GAME = table(GameConfig)
 # each command's config keys: key -> (kind, default)
@@ -58,16 +68,15 @@ CONFIGS = {
     # a null seed is the default seed 0
     "simulate": {**_GAME, "seed": (_GAME["seed"][0], None)},
     "sweep-epsilon": {
-        "epsilons": (ListOf(Real(0, above=True)), [0.1, 0.25, 0.5]),
+        "epsilons": (ListOf(CERTIFIED_BOUNDS["epsilon_ceiling"].region["epsilon"]), [0.1, 0.25, 0.5]),
         "rounds": (Count(1), 1000),
         "seeds": (ListOf(Count(0)), [0, 1, 2]),
         "policies": (ListOf(Choice(QUERY_POLICIES)), list(QUERY_POLICIES)),
     },
     "sweep-eta": {
         "etas": (ListOf(Count(0)), [1, 2, 3]),
-        # the eta sweeps' bounds are certified for p, q >= 2
-        "p": (Real(2), 2.0),
-        "q": (Real(2, finite=False), 2.0),
+        # p and q where the narrowest of the eta sweep's bounds is certified
+        **{k: (kind, 2.0) for k, kind in CERTIFIED_BOUNDS["staged_upper"].region.items()},
         "rounds": (Count(1), 500),
         "liar_seeds": (Count(1), 5),
     },
@@ -169,7 +178,7 @@ def _epsilon_cell(cell):
         adversary_options={"query_policy": policy},
     )
     tr = run_game(config)
-    bound = CERTIFIED_BOUNDS["epsilon_ceiling"](eps)
+    bound = CERTIFIED_BOUNDS["epsilon_ceiling"].formula(eps)
     return [eps, policy, seed, tr.counted_total, bound, tr.counted_total / bound]
 
 
@@ -187,7 +196,8 @@ def cmd_sweep_epsilon(args) -> int:
         out / "sweep_epsilon.csv",
         header,
         rows,
-        comment="columns: epsilon vs counted error total and the 6/epsilon ceiling",
+        comment="columns: epsilon vs counted error total and the "
+                f"{CERTIFIED_BOUNDS['epsilon_ceiling'].text} ceiling",
     )
     return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
@@ -198,10 +208,10 @@ def _eta_cell(cell):
         config = GameConfig.make(p=p, q=q, rounds=rounds, eta=0,
                                  learner="linint", adversary="greedy", seed=0)
         total = run_game(config).counted_total
-        return [[0, "linint", "greedy", total, "", "", CERTIFIED_BOUNDS["standard_unit"]()]]
+        return [[0, "linint", "greedy", total, "", "", CERTIFIED_BOUNDS["standard_unit"].formula()]]
     rows = []
-    lb = CERTIFIED_BOUNDS["forced_lower"](eta)
-    ub = CERTIFIED_BOUNDS["staged_upper"](eta)
+    lb = CERTIFIED_BOUNDS["forced_lower"].formula(eta)
+    ub = CERTIFIED_BOUNDS["staged_upper"].formula(eta)
     for learner in ("linint", "staged"):
         config = GameConfig.make(p=p, q=q, rounds=10 * eta + 10, eta=eta,
                                  learner=learner, adversary="noisy-lb", seed=0)
@@ -233,8 +243,9 @@ def cmd_sweep_eta(args) -> int:
         out / "sweep_eta.csv",
         header,
         rows,
-        comment="eta=0 standard game must stay <= 1; scripted liar must force >= 2*eta+1; "
-                "staged learner must stay <= 12*eta+6",
+        comment="eta=0 standard game must stay <= {}; scripted liar must force >= {}; "
+                "staged learner must stay <= {}".format(*(CERTIFIED_BOUNDS[k].text for k in (
+                    "standard_unit", "forced_lower", "staged_upper"))),
     )
     return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 

@@ -94,8 +94,9 @@ def approx_interpolant_poly(
     if np.ptp(vs) == 0.0:
         return BernsteinPolynomial([float(vs[0])]), BudgetPlan(0.0, 0.0, 0)
     base_action = q_action(s, q)
-    # the residual target and the action slack
+    # the budget that the residual target eps3 and the action target take parts of
     slack = 0.9 * eps
+    action_target = base_action + 0.9 * slack
     d = np.diff(vs) / np.diff(us)
     c1 = float(np.max(np.abs(d)))
     max_jump = float(np.max(np.abs(np.diff(np.concatenate(([0.0], d, [0.0]))))))
@@ -123,19 +124,16 @@ def approx_interpolant_poly(
             if spread <= 0.9 * eps3 or corrections == 6:
                 break
             coeffs = coeffs + np.interp(nodes, us, -resid)
-        resid_ok = spread < eps3
         # a fast composite-Gauss estimate of the action of P', whose grid
         # values the rung's polynomial keeps for its certificate's root search
         poly = BernsteinPolynomial(coeffs - shift)
         action_est = float(np.dot(gauss_grid()[1], np.abs(grid_values(poly.derivative())) ** q))
-        action_ok = action_est < base_action + 0.9 * slack
-        if resid_ok and action_ok:
+        if spread < eps3 and action_est < action_target:
             return poly, BudgetPlan(eps3, c1, poly.degree)
         if n >= degree_cap:
             raise DegreeCapError(
-                f"degree cap {degree_cap} reached: residual "
-                f"{spread:.3e} vs {slack:.3e}, "
-                f"action {action_est:.6f} vs {base_action + slack:.6f}"
+                f"degree cap {degree_cap} reached: residual {spread:.3e} vs {eps3:.3e}, "
+                f"action {action_est:.6f} vs {action_target:.6f}"
             )
         n = min(2 * n, degree_cap)
 

@@ -17,6 +17,7 @@ from search_reference import check_cumulative, random_feasible_sequence
 from transcript_reference import scale_transcript
 
 from smoothgame.bernstein import composite_rule_action, q_action_poly
+from smoothgame.cli import CERTIFIED_BOUNDS
 from smoothgame.engine import GameConfig, run_game
 from smoothgame.inequalities import search_near_violation
 from smoothgame.interpolation import SampleSet, q_action
@@ -45,11 +46,19 @@ def random_action_set(rng, m_max=6, slope_cap=0.7, min_gap=0.12, action_cap=0.65
 POLICIES = ("widest-gap-midpoint", "uniform-random", "fixed-sequence")
 
 
+def certified(key, **point):
+    """The formula of ``CERTIFIED_BOUNDS[key]``, once ``point`` is checked to lie in its region."""
+    bound = CERTIFIED_BOUNDS[key]
+    for name, kind in bound.region.items():
+        kind.check(name, point[name])
+    return bound.formula
+
+
 def test_criterion_1_linint_inverse_epsilon_bound():
     t0 = time.monotonic()
     worst = {}
     for eps in (0.1, 0.25, 0.5):
-        bound = 6.0 / eps
+        bound = certified("epsilon_ceiling", epsilon=eps)(eps)
         for policy in POLICIES:
             for seed in range(5):
                 config = GameConfig.make(
@@ -63,13 +72,15 @@ def test_criterion_1_linint_inverse_epsilon_bound():
                 worst[key] = max(worst.get(key, 0.0), tr.counted_total)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds the 2 minute budget"
-    summary = ", ".join(f"eps={e}: worst {w:.3f} <= {6/e:.0f}" for e, w in sorted(worst.items()))
+    ceiling = CERTIFIED_BOUNDS["epsilon_ceiling"].formula
+    summary = ", ".join(f"eps={e}: worst {w:.3f} <= {ceiling(e):.0f}" for e, w in sorted(worst.items()))
     report(1, f"45 games of 5000 rounds in {elapsed:.0f}s; {summary}")
 
 
 def test_criterion_2_unit_value_consistency():
     worst = 0.0
     for p, q in ((2.0, 2.0), (3.0, 2.0), (2.0, 3.0)):
+        unit = certified("standard_unit", p=p, q=q)()
         for seed in range(5):
             config = GameConfig.make(
                 p=p, q=q, rounds=2000, eta=0,
@@ -77,9 +88,10 @@ def test_criterion_2_unit_value_consistency():
                 adversary_options={"query_policy": "uniform-random"},
             )
             tr = run_game(config)
-            assert tr.counted_total <= 1.0 + 1e-9, (p, q, seed, tr.counted_total)
+            assert tr.counted_total <= unit + 1e-9, (p, q, seed, tr.counted_total)
             worst = max(worst, tr.counted_total)
-    report(2, f"15 games at p,q >= 2: worst total {worst:.6f} <= 1 + 1e-9")
+    report(2, f"15 games at p,q >= 2: worst total {worst:.6f} <= "
+              f"{CERTIFIED_BOUNDS['standard_unit'].text} + 1e-9")
 
 
 def test_criterion_3_inequality_suites():
@@ -110,7 +122,7 @@ def test_criterion_4_scripted_noisy_lower_bound():
                 learner=learner, adversary="noisy-lb", seed=0,
             )
             tr = run_game(config)
-            floor = 2 * eta + 1
+            floor = certified("forced_lower", p=2.0)(eta)
             assert tr.counted_total >= floor - 1e-9, (eta, learner, tr.counted_total)
             assert tr.legality is True
             assert tr.lie_count == eta
@@ -123,7 +135,7 @@ def test_criterion_5_staged_noisy_upper_bound():
     seeds_per_eta = (334, 333, 333)  # 1000 randomized liars total
     worst = {}
     for eta, n_seeds in zip((1, 2, 3), seeds_per_eta):
-        ceiling = 12 * eta + 6
+        ceiling = certified("staged_upper", p=2.0, q=2.0)(eta)
         for seed in range(n_seeds):
             config = GameConfig.make(
                 p=2.0, q=2.0, rounds=2000, eta=eta,
@@ -143,7 +155,8 @@ def test_criterion_5_staged_noisy_upper_bound():
         assert tr.stage_count <= eta
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s exceeds the 5 minute budget"
-    summary = ", ".join(f"eta={e}: worst {w:.2f} <= {12*e+6}" for e, w in sorted(worst.items()))
+    ceiling = CERTIFIED_BOUNDS["staged_upper"].formula
+    summary = ", ".join(f"eta={e}: worst {w:.2f} <= {ceiling(e)}" for e, w in sorted(worst.items()))
     report(5, f"1000 liar games and 3 scripted games in {elapsed:.0f}s; {summary}")
 
 

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
+from smoothgame import cli
 from smoothgame.bernstein import DEGREE_CAP
-from smoothgame.cli import main
+from smoothgame.cli import BOUND_SLACK, CERTIFIED_BOUNDS, main
+from smoothgame.schema import Real
 
 
 def write(path, payload):
@@ -25,7 +28,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run("simulate", "--config", cfg, "--out", str(out), "--seed", "3") == 0
         summary = json.loads((out / "game_summary.json").read_text())
-        assert summary["counted_total"] <= 1 + 1e-9
+        assert summary["counted_total"] <= CERTIFIED_BOUNDS["standard_unit"].formula() + 1e-9
         csv_text = (out / "game_transcript.csv").read_text()
         assert csv_text.splitlines()[0] == "t,x,prediction,revealed,true_value,lie,raw_error,p_power,counted"
         assert len(csv_text.splitlines()) == 101
@@ -305,8 +308,6 @@ class TestSweeps:
 
     def test_eta_zero_row_is_checked(self, tmp_path, monkeypatch):
         # a standard-model total above 1 fails both the sweep and the report
-        from smoothgame import cli
-
         real_run_game = cli.run_game
 
         def inflated(config):
@@ -321,6 +322,37 @@ class TestSweeps:
         assert run("sweep-eta", "--config", cfg, "--out", str(out)) == 3
         assert run("report", "--config", str(out), "--out", str(tmp_path / "rep")) == 3
 
+    # Each row's gate fails on a total planted 2 slacks beyond the bound and
+    # passes one planted half a slack beyond it. sweep-epsilon gates the ratio
+    # total / bound at 1 + BOUND_SLACK, so its slack is relative to the bound.
+    PLANTED = [
+        ("sweep-epsilon", {"epsilons": [0.5], "rounds": 50, "seeds": [0],
+                           "policies": ["uniform-random"]}, "greedy",
+         lambda k: CERTIFIED_BOUNDS["epsilon_ceiling"].formula(0.5) * (1 + k * BOUND_SLACK)),
+        ("sweep-eta", {"etas": [1], "rounds": 50, "liar_seeds": 1}, "noisy-lb",
+         lambda k: CERTIFIED_BOUNDS["forced_lower"].formula(1) - k * BOUND_SLACK),
+        ("sweep-eta", {"etas": [1], "rounds": 50, "liar_seeds": 1}, "random-liar",
+         lambda k: CERTIFIED_BOUNDS["staged_upper"].formula(1) + k * BOUND_SLACK),
+    ]
+
+    @pytest.mark.parametrize("slacks, code", [(2.0, 3), (0.5, 0)])
+    @pytest.mark.parametrize("command, config, adversary, planted", PLANTED,
+                             ids=["epsilon_ceiling", "forced_lower", "staged_upper"])
+    def test_planted_total_meets_its_gate(self, tmp_path, monkeypatch, command, config,
+                                          adversary, planted, slacks, code):
+        real_run_game = cli.run_game
+
+        def plant(game):
+            tr = real_run_game(game)
+            if game.adversary == adversary:
+                tr.counted_total = planted(slacks)
+            return tr
+
+        monkeypatch.setattr(cli, "run_game", plant)
+        out = tmp_path / "out"
+        assert run(command, "--config", write(tmp_path / "c.json", config), "--out", str(out)) == code
+        assert run("report", "--config", str(out), "--out", str(tmp_path / "rep")) == code
+
     def test_eta_sweep_certification_guard(self, tmp_path):
         cfg = write(tmp_path / "c.json", {"etas": [1], "p": 1.5})
         assert run("sweep-eta", "--config", cfg, "--out", str(tmp_path / "o")) == 1
@@ -331,6 +363,8 @@ class TestSweeps:
         # each of these used to fail inside a cell, with a traceback
         {"epsilons": [0]}, {"epsilons": [-0.5]}, {"epsilons": ["x"]}, {"epsilons": [math.inf]},
         {"epsilons": [True]}, {"policies": ["nope"]},
+        # 6/epsilon is certified for epsilon <= 1 only
+        {"epsilons": [10.0]}, {"epsilons": [1.5]},
     ])
     def test_epsilon_sweep_rejects_bad_counts_exit_1(self, tmp_path, capsys, bad):
         cfg = write(tmp_path / "c.json", {
@@ -366,6 +400,24 @@ class TestSweeps:
         assert run("sweep-epsilon", "--config", cfg, "--out", str(out)) == 0
         [row] = (out / "sweep_epsilon.csv").read_text().splitlines()[2:]
         assert row.startswith("0.5,widest-gap-midpoint,1,")
+
+
+def test_each_certified_bound_is_pinned():
+    # the one copy of each row outside CERTIFIED_BOUNDS, so a loosened row fails here
+    rows = CERTIFIED_BOUNDS
+    assert [rows["epsilon_ceiling"].formula(e) for e in (0.1, 0.25, 0.5, 1.0)] == [60, 24, 12, 6]
+    assert rows["standard_unit"].formula() == 1
+    assert [rows["forced_lower"].formula(eta) for eta in (0, 1, 3)] == [1, 3, 7]
+    assert [rows["staged_upper"].formula(eta) for eta in (0, 1, 3)] == [6, 18, 42]
+    assert [row.text for row in rows.values()] == ["6/epsilon", "1", "2*eta+1", "12*eta+6"]
+    p_q = {"p": Real(2), "q": Real(2, finite=False)}
+    assert {key: row.region for key, row in rows.items()} == {
+        "epsilon_ceiling": {"epsilon": Real(0, 1, above=True)},
+        "standard_unit": p_q, "forced_lower": {"p": Real(2)}, "staged_upper": p_q,
+    }
+    # each row names the PAPER.md claim it serves, and that claim's status
+    for row in rows.values():
+        assert re.match(r"\([a-e]\)( and \([a-e]\))?, (reproduced|partial|open): ", row.claim)
 
 
 class TestVerifyLemmas:

@@ -1,4 +1,4 @@
-"""The README's tolerance table and player options against the code."""
+"""The README's bounds, claims table, tolerance table and player options against the code."""
 
 import importlib
 import inspect
@@ -9,7 +9,49 @@ import re
 import subprocess
 import sys
 
+from smoothgame.cli import CERTIFIED_BOUNDS
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# where README states each certified bound: the module list, the acceptance
+# criteria and the sweep paragraph, each capturing the formula in backticks
+BOUND_PLACES = {
+    "epsilon_ceiling": (r"1\. the learner's `([^`]+)` error ceiling",
+                        r"In `sweep_epsilon\.csv` each row's `bound` is `([^`]+)`"),
+    "standard_unit": (r"2\. totals at most `([^`]+)`",
+                      r"its `upper_bound` is the unit bound `([^`]+)` of criterion 2"),
+    "forced_lower": (r"the scripted adversary forcing total error `>= ([^`]+)`",
+                     r"4\. the scripted noisy adversary forcing at least `([^`]+)`",
+                     r"checked against `forced_lower_bound` \(`([^`]+)`\)"),
+    "staged_upper": (r"5\. the staged learner staying within `([^`]+)`",
+                     r"checked against `upper_bound` \(`([^`]+)`\)"),
+}
+
+
+def test_readme_bounds_are_the_rows_text():
+    text = " ".join(README.read_text().split())
+    for key, places in BOUND_PLACES.items():
+        for place in places:
+            found = re.search(place, text)
+            assert found, (key, place)
+            assert re.sub(r"\s", "", found.group(1)) == CERTIFIED_BOUNDS[key].text, (key, place)
+
+
+def test_claims_table_names_every_row():
+    section = README.read_text().split("| Claim | Rows |", 1)[1].split("\n\n", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in section.splitlines()[2:]]
+    assert [claim[:3] for claim, *_ in rows] == ["(a)", "(b)", "(c)", "(d)", "(e)"]
+    named = {}
+    for claim, keys, _witness, status, owner in rows:
+        assert status.split(":")[0] in ("reproduced", "partial", "open"), claim
+        assert owner.startswith("ROADMAP item"), claim
+        for key in re.findall(r"`(\w+)`", keys):
+            assert key in CERTIFIED_BOUNDS, (claim, key)
+            # the row names the claims it serves
+            assert claim[:3] in CERTIFIED_BOUNDS[key].claim, (claim, key)
+            named[key] = claim
+    assert sorted(named) == sorted(CERTIFIED_BOUNDS)
 
 
 def _tolerance_rows():
@@ -25,7 +67,7 @@ def _tolerance_rows():
 
 def test_every_tolerance_row_matches_its_home():
     rows = _tolerance_rows()
-    assert len(rows) == 10
+    assert len(rows) == 12
     for name, value, home, _ in rows:
         literal = value.strip("`")
         module, attr = re.fullmatch(r"`(\w+)\.(\w+)`", home).groups()

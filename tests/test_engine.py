@@ -15,6 +15,7 @@ from smoothgame.adversaries import (
     GreedyConfig,
     verify_legality,
 )
+from smoothgame.cli import CERTIFIED_BOUNDS
 from smoothgame.engine import (
     CSV_HEADER,
     GameConfig,
@@ -100,7 +101,7 @@ class TestStandardGame:
 
     def test_greedy_respects_unit_value(self):
         tr = run_standard_game(cfg(rounds=500, seed=1))
-        assert tr.counted_total <= 1.0 + 1e-9
+        assert tr.counted_total <= CERTIFIED_BOUNDS["standard_unit"].formula() + 1e-9
         assert tr.legality and tr.lie_count == 0
 
     def test_zero_reveals_make_total_sum_of_powers(self):
@@ -277,7 +278,7 @@ class TestNoisyGame:
     def test_noisy_lower_bound_script(self):
         config = cfg(eta=1, rounds=50, learner="staged", adversary="noisy-lb")
         tr = run_noisy_game(config)
-        assert tr.counted_total >= 3.0 - 1e-9
+        assert tr.counted_total >= CERTIFIED_BOUNDS["forced_lower"].formula(1) - 1e-9
         assert tr.legality and tr.lie_count == 1
 
     def test_never_lying_adversary_certified(self):

@@ -1,5 +1,6 @@
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from kantorovich_reference import bernstein_coeffs_long_way
 from test_acceptance import random_action_set
 
 from smoothgame.bernstein import (
+    DEGREE_CAP,
     BernsteinPolynomial,
     DegreeCapError,
     bernstein_basis_matrix,
@@ -81,6 +83,25 @@ class TestApproxInterpolant:
                 resid = max(abs(poly(u) - v) for u, v in s)
                 assert resid < eps
                 assert q_action_poly(poly, q) < base + eps
+
+    def test_degree_cap_error_names_the_targets_it_tests(self):
+        # a harder draw than criterion 7's: at q = 3 and eps = 0.01 its action
+        # estimate stays above J + 0.81 eps up to the cap
+        rng = np.random.default_rng(7)
+        s = random_action_set(rng, m_max=10, slope_cap=1.2, min_gap=0.03, action_cap=0.9, q=3)
+        q, eps = 3.0, 0.01
+        c1 = float(np.max(np.abs(np.diff(s.vs) / np.diff(s.us))))
+        eps3 = min(0.405 * eps, (c1 ** q + 0.405 * eps) ** (1.0 / q) - c1)
+        target = q_action(s, q) + 0.81 * eps
+        with pytest.raises(DegreeCapError) as err:
+            approx_interpolant_poly(s, q, eps)
+        m = re.fullmatch(rf"degree cap {DEGREE_CAP} reached: residual (\S+) vs (\S+), "
+                         rf"action (\S+) vs (\S+)", str(err.value))
+        assert m, str(err.value)
+        assert float(m[2]) == pytest.approx(eps3, rel=1e-3)
+        assert float(m[4]) == pytest.approx(target, abs=1e-6)
+        # the residual met its target, and the action is the side that failed
+        assert float(m[1]) < float(m[2]) and float(m[3]) >= float(m[4])
 
     def test_validation(self):
         with pytest.raises(ValueError):
