@@ -455,24 +455,11 @@ def _panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 def _uniform_rule(levels: tuple, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``order``-point Gauss rule on each level's equal panels of [0, 1], level after level.
 
-    ``levels`` holds panel counts. A level's nodes start at its
-    ``_level_starts``: every level but the last is followed by its last
-    node at weight 0 until its nodes fill whole ``_TILE``s, so that no
-    basis window spans two levels.
+    ``levels`` holds panel counts. A level whose nodes fill whole ``_TILE``s
+    (at 20 points, an even count) keeps every basis window inside it.
     """
     rules = [_panel_rule(np.linspace(0.0, 1.0, panels + 1), order) for panels in levels]
-    starts = _level_starts(levels, order)
-    pads = [end - start - len(x) for (x, _), start, end in zip(rules, starts, starts[1:])] + [0]
-    return (np.concatenate([np.append(x, [x[-1]] * pad) for (x, _), pad in zip(rules, pads)]),
-            np.concatenate([np.append(w, [0.0] * pad) for (_, w), pad in zip(rules, pads)]))
-
-
-def _level_starts(levels: tuple, order: int) -> list[int]:
-    """Where each level's nodes start in ``_uniform_rule(levels, order)``."""
-    starts = [0]
-    for panels in levels[:-1]:
-        starts.append(starts[-1] + panels * order + (-panels * order) % _TILE)
-    return starts
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 @lru_cache(maxsize=1)
@@ -607,12 +594,12 @@ def _level_integral(deriv: BernsteinPolynomial, q: float, levels: tuple, zeros: 
     masks, xs, ws, ends = _fresh_panels(levels, zeros)
     powers = np.abs(vals) ** q
     fresh = np.abs(deriv(xs)) ** q if xs.size else xs
-    totals, lo = [], 0
-    for panels, start, mask, end in zip(levels, _level_starts(levels, _PANEL_ORDER), masks, ends):
+    totals, start, lo = [], 0, 0
+    for panels, mask, end in zip(levels, masks, ends):
         level = slice(start, start + _PANEL_ORDER * panels)
         total = float(np.dot(rule_ws[level] * np.repeat(~mask, _PANEL_ORDER), powers[level]))
         totals.append(total + float(np.dot(ws[lo:end], fresh[lo:end])))
-        lo = end
+        start, lo = level.stop, end
     return totals
 
 
@@ -661,8 +648,10 @@ def q_action_poly(poly: BernsteinPolynomial, q: float) -> float:
 def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
     """The quadrature of ``q_action_poly``, run afresh: base * 2^k panels at level k < 8.
 
-    The opening pair of levels, base and 2 base panels, is integrated in
-    one ``_level_integral`` pass, and each later level alone.
+    The base is (n + 1) // 128 clipped to [8, 64] and rounded down to even,
+    for a derivative of degree n, so every level's nodes fill whole
+    ``_TILE``s. The opening pair of levels, base and 2 base panels, is
+    integrated in one ``_level_integral`` pass, and each later level alone.
     """
     deriv = poly.derivative()
     n = deriv.degree
@@ -677,7 +666,7 @@ def _certify_action(poly: BernsteinPolynomial, q: float) -> float:
         for end, k in ((0.0, int(live[0])), (1.0, n - int(live[-1]))):
             if k:
                 zeros[end] = k * q
-    base = int(np.clip((n + 1) // 128, 8, 64))
+    base = int(np.clip((n + 1) // 128, 8, 64)) & ~1
     totals = []
     for levels in [(base, 2 * base)] + [(base << k,) for k in range(2, 8)]:
         totals += _level_integral(deriv, q, levels, zeros)

@@ -108,17 +108,11 @@ class GapReport:
             "gap_id": self.gap_id,
             "samples": self.samples,
             "min_gap": self.min_gap,
-            "argmin": {k: _plain(v) for k, v in self.argmin.items()},
+            "argmin": dict(self.argmin),
             "violations": self.violations,
             "tolerance": DEFAULT_TOL,
             "ok": self.ok,
         }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def _mix_log_uniform(rng, n, lo, hi):
@@ -286,13 +280,12 @@ def _locate(us: np.ndarray, vs: np.ndarray, x: np.ndarray):
     return i, u0, u1, v0, v1, v0 + (x - u0) * (v1 - v0) / (u1 - u0)
 
 
-def _uniform_off_knots(rng, us: np.ndarray) -> np.ndarray:
-    """One uniform x per row of ``us``, redrawn until it is not a knot."""
-    x = rng.uniform(size=len(us))
-    redraw = np.flatnonzero((us == x[:, None]).any(axis=1))
-    while len(redraw):
-        x[redraw] = rng.uniform(size=len(redraw))
-        redraw = redraw[(us[redraw] == x[redraw, None]).any(axis=1)]
+def _off_knots(x: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """x, each entry moved up one double while it is a knot of its row of ``us``."""
+    on = np.flatnonzero((us == x[:, None]).any(axis=1))
+    while len(on):
+        x[on] = np.nextafter(x[on], 2.0)
+        on = on[(us[on] == x[on, None]).any(axis=1)]
     return x
 
 
@@ -300,7 +293,7 @@ def _fresh_points(rng, us, vs, spread_hi: float, exact_frac: float):
     """x uniform off the knots; y the interpolant at x, plus noise of scale
     10^U(-6, spread_hi) except in a fraction ``exact_frac`` of rows."""
     n = len(us)
-    x = _uniform_off_knots(rng, us)
+    x = _off_knots(rng.uniform(size=n), us)
     base = _locate(us, vs, x)[-1]
     noisy = base + 10.0 ** rng.uniform(-6.0, spread_hi, size=n) * rng.normal(size=n)
     return x, np.where(rng.uniform(size=n) < exact_frac, base, noisy)
@@ -395,30 +388,11 @@ class _SequenceBatch:
                 "us": self.us[k, :end].tolist(), "vs": self.vs[k, :end].tolist()}
 
 
-class _Stream:
-    """``rng``'s uniform doubles from position ``pos`` of ``block``, a block
-    of them already drawn; past its end they are drawn from ``rng``.
-
-    uniform(0, 1) is the raw double, so ``uniform(size=m)`` returns the m
-    doubles that m more draws from ``rng`` would have given.
-    """
-
-    def __init__(self, rng, block: np.ndarray, pos: int):
-        self.rng, self.block, self.pos = rng, block, pos
-
-    def uniform(self, size: int) -> np.ndarray:
-        out = self.block[self.pos:self.pos + size].copy()
-        self.pos += size
-        if len(out) < size:
-            out = np.concatenate([out, self.rng.uniform(size=size - len(out))])
-        return out
-
-
 def _step_draws(rng, us: np.ndarray, grow: np.ndarray):
     """Every step's draws, read from ``rng`` in the order that a step at a
-    time draws them: the step's x for each growing row (a row's x on one of
-    its earlier knots redrawn by ``_uniform_off_knots``), then its frac, then
-    its pick.
+    time draws them: the step's x for each growing row, then its frac, then
+    its pick. An x on an earlier knot of its row moves up one double until
+    it is on none (``_off_knots``), so the block's length is fixed.
 
     ``grow[t, k]`` says whether row k draws a point at step t. Fills the
     columns past the first of ``us`` with the x's. Returns where in its reply
@@ -432,23 +406,19 @@ def _step_draws(rng, us: np.ndarray, grow: np.ndarray):
     start = 3 * (np.cumsum(live) - live)
     x_at = (start[:, None] + np.arange(len(us)))[grow]
     block = rng.uniform(size=3 * int(live.sum()))
+    us.T[grow] = block[x_at]
     while True:
-        us.T[grow] = block[x_at]
-        # a stable sort puts equal x's in step order, so a repeat's later
-        # step is the step of the first x that fell on an earlier knot
+        # a stable sort puts equal x's in step order: the later step's x of
+        # each equal pair moves up, which ends where moving each step's x
+        # in turn does
         order = np.argsort(us, axis=1, kind="stable")
         ranked = np.take_along_axis(us, order, axis=1)
-        repeat = ranked[:, 1:] == ranked[:, :-1]
-        if not repeat.any():
+        rows, cols = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+        if not len(rows):
             break
-        t = int(np.maximum(order[:, 1:], order[:, :-1])[repeat].min())
-        # redraw that step's x's from the doubles after them, and cut the
-        # doubles the redraws took out of the block, which keeps its length
-        stream = _Stream(rng, block, start[t])
-        x = _uniform_off_knots(stream, us[:live[t], :t])
-        rest = stream.uniform(size=len(block) - start[t] - live[t])
-        block = np.concatenate([block[:start[t]], x, rest])
-    del ranked, repeat
+        later = order[rows, cols + 1]
+        us[rows, later] = np.nextafter(us[rows, later], 2.0)
+    del ranked
     gap = np.broadcast_to(live[:, None], grow.shape)[grow]
     frac, pick = block[x_at + gap], block[x_at + 2 * gap]
     del block, x_at, gap

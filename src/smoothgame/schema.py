@@ -46,10 +46,7 @@ class Real:
     finite: bool = True
 
     def check(self, key, value, json=False):
-        # a plain float or int skips the numbers.Real test, which is most of
-        # the cost on the interpolation functions' path
-        plain = type(value) in (float, int)
-        if not plain and (isinstance(value, bool) or not isinstance(value, numbers.Real)) or not (
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                 self.lo is None
                 or (self.lo < value if self.above else self.lo <= value) and value <= self.hi
                 and (math.isfinite(value) or not self.finite)):

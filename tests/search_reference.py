@@ -32,9 +32,9 @@ import numpy as np
 from smoothgame import inequalities
 from smoothgame.inequalities import (
     _check_q_open,
+    _off_knots,
     _random_feasible_sets,
     _SequenceBatch,
-    _uniform_off_knots,
 )
 from smoothgame.interpolation import (
     SampleSet,
@@ -189,8 +189,8 @@ def random_feasible_sequence(rng, length: int) -> list[SamplePoint]:
     s = SampleSet([pts[0].u], [pts[0].v])
     while len(pts) < length:
         x = float(rng.uniform())
-        if x in s.us:
-            continue
+        while x in s.us:
+            x = math.nextafter(x, 2.0)
         lo, hi = feasible_reply_interval(s, x, 1.0, 1.0)
         frac = rng.uniform()
         if rng.uniform() < 0.3:
@@ -225,7 +225,7 @@ def step_by_step_sequences(rng, n: int) -> _SequenceBatch:
     for t in range(1, us.shape[1]):
         live = int(np.count_nonzero(length > t))
         knots_u, knots_v = us[:live, :t], vs[:live, :t]
-        x = _uniform_off_knots(rng, knots_u)
+        x = _off_knots(rng.uniform(size=live), knots_u)
         rows = np.arange(live)
         below = np.where(knots_u < x[:, None], knots_u, -np.inf)
         above = np.where(knots_u > x[:, None], knots_u, np.inf)

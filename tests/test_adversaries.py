@@ -96,6 +96,13 @@ class TestGreedyAdversary:
             adv.truth_set.add(x, 0.0)
         assert xs == [van_der_corput(i) for i in range(4)]
 
+    def test_a_short_fixed_sequence_runs_out(self):
+        adv = GreedyAdversary(2.0, GreedyConfig(query_policy="fixed-sequence"), sequence=[0.3, 0.6])
+        for t in range(2):
+            adv.reveal(adv.next_query(t), 0.0)
+        with pytest.raises(ValueError, match="fixed query sequence exhausted"):
+            adv.next_query(2)
+
     def test_finalize_discloses_a_snapshot(self):
         adv = GreedyAdversary(2.0, RANDOM_QUERIES, seed=2)
         for t in range(5):
@@ -313,6 +320,13 @@ class TestNoisyLowerBound:
             for y in rng.normal(size=200) * 3:
                 assert abs(y + 1) ** p + abs(y - 1) ** p >= 2.0 - 1e-12
 
+    def test_finalize_before_the_last_revelation_raises(self):
+        adv = NoisyLowerBoundAdversary(1, 2.0)
+        for t in range(5):
+            adv.reveal(adv.next_query(t), 0.0)
+        with pytest.raises(RuntimeError, match="did not reach its final revelation"):
+            adv.finalize()
+
     def test_queries(self):
         adv = NoisyLowerBoundAdversary(2, 2.0)
         assert adv.next_query(0) == 0.0
@@ -343,6 +357,13 @@ class TestInsufficientInit:
             adv.reveal(adv.next_query(t), 0.0)
         y = adv.reveal(adv.next_query(2), 5e5)
         assert abs(5e5 - y) >= 5e5 - 1e-9
+
+    def test_finalize_before_the_last_revelation_raises(self):
+        adv = InsufficientInitAdversary(1, swing=1e6)
+        for t in range(2):
+            adv.reveal(adv.next_query(t), 0.0)
+        with pytest.raises(RuntimeError, match="did not reach its final revelation"):
+            adv.finalize()
 
     def test_exactly_eta_lies(self):
         for eta in (1, 2, 3):

@@ -61,6 +61,15 @@ def integral_of(coeffs):
 
 
 class TestBasisAndEval:
+    @pytest.mark.parametrize("coeffs, message", [
+        ([], "nonempty 1-d"),
+        ([[1.0, 2.0], [3.0, 4.0]], "nonempty 1-d"),
+        ([0.0, math.nan, 1.0], "finite"),
+    ])
+    def test_bad_coefficients_raise(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            BernsteinPolynomial(coeffs)
+
     def test_partition_of_unity(self):
         xs = np.linspace(0, 1, 17)
         B = bernstein_basis_matrix(40, xs)
@@ -828,8 +837,8 @@ END_ZERO_QUINTIC = (0, 0, 0, Fraction(-2, 25), Fraction(11, 40), Fraction(-1, 5)
 class TestOnePass:
     """The paths that evaluate each point set once, against the ones they replace."""
 
-    # 1153: base 9, whose 180 nodes fill no whole tile, so the pair's rule
-    # pads its first level to keep every basis window inside one level
+    # 1153: 1153 // 128 = 9 is odd and the base rounds down to 8, whose 160
+    # nodes fill whole tiles, so no basis window spans both levels
     @pytest.mark.parametrize("degree", [33, 257, 513, 1153, 2049])
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_the_opening_pair_equals_two_single_levels(self, degree, q, monkeypatch):
@@ -853,7 +862,7 @@ class TestOnePass:
             calls.clear()
             q_action_poly(poly, q)
             deriv, levels, zeros = calls[0]
-            base = int(np.clip(degree // 128, 8, 64))
+            base = int(np.clip(degree // 128, 8, 64)) & ~1
             assert levels == (base, 2 * base)
             if q != 2.0:  # both roots inside, and at q = 1.5 the end zero
                 assert len(zeros) == 2 + (q == 1.5 and poly is not polys[0])
@@ -865,6 +874,25 @@ class TestOnePass:
             # one window over both levels holds about what their two windows do
             entries = [bernstein._level_entries(n, panels) for panels in (levels, *((p,) for p in levels))]
             assert entries[0] <= 1.1 * (entries[1] + entries[2]), entries
+
+    def test_the_base_is_even_at_every_degree(self, monkeypatch):
+        # the opening level of each degree's certificate, read off its first
+        # _level_integral call; an even base gives every level whole tiles
+        class Opened(Exception):
+            pass
+
+        def opened(deriv, q, levels, zeros):
+            raise Opened(levels[0])
+
+        monkeypatch.setattr(bernstein, "_level_integral", opened)
+        for degree in range(2, DEGREE_CAP + 2):
+            with pytest.raises(Opened) as got:
+                bernstein._certify_action(BernsteinPolynomial(np.arange(degree + 1.0)), 2.0)
+            base = got.value.args[0]
+            assert base % 2 == 0 and 8 <= base <= 64, degree
+            # (n + 1) // 128 clipped to [8, 64] where that is even, one less where odd
+            clipped = min(max(degree // 128, 8), 64)
+            assert base == clipped - clipped % 2, degree
 
     def test_a_polynomial_keeps_its_derivative_and_grid_values(self, monkeypatch):
         poly = from_power(0.0, -0.6, 1.0).elevated(40)  # P' = 2x - 0.6

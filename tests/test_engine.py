@@ -90,6 +90,13 @@ def cfg(**kw):
 
 
 class TestStandardGame:
+    def test_game_stops_at_the_first_done(self):
+        # two moves and ten rounds: done(2) ends the game after two trials
+        config = cfg(rounds=10, adversary="test-script",
+                     adversary_options={"moves": ((0.0, 0.0), (1.0, 1.0))})
+        tr = run_standard_game(config)
+        assert [r.t for r in tr.trials] == [0, 1]
+
     def test_hand_trace_unit_error(self):
         config = cfg(rounds=2, adversary="test-script",
                      adversary_options={"moves": ((0.0, 0.0), (1.0, 1.0))})

@@ -26,9 +26,11 @@ from smoothgame.inequalities import (
     _dichotomy_batch,
     _dichotomy_gaps,
     _dichotomy_margin_arrays,
+    _fresh_points,
     _h_increment_batch,
     _h_increment_gaps,
     _lockstep_sequences,
+    _random_feasible_sets,
     _sample_out,
     gap_in,
     gap_out,
@@ -239,6 +241,11 @@ class TestSearch:
         assert rep.min_gap >= -1e-9
         assert rep.samples == budget
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_raises(self, budget):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            search_near_violation("out", budget=budget)
+
     def test_deterministic(self):
         for gap_id in ("out", "h_increment", "dichotomy", "cumulative"):
             a = search_near_violation(gap_id, budget=2000, seed=9)
@@ -271,8 +278,6 @@ class TestSearch:
             margins, lhs = _dichotomy_reference(s, pt, arg["q"])
             gap = max(margins)
         assert abs(rep.min_gap - gap) <= _diff_tol(lhs, lhs - gap)
-        json.dumps(rep.to_dict())
-        assert type(rep.to_dict()["argmin"]["set_size"]) is int
 
     def test_cumulative_argmin_rebuilds_the_minimum(self):
         rep = search_near_violation("cumulative", budget=300, seed=4)
@@ -282,9 +287,20 @@ class TestSearch:
         lhs = 1.0 / (arg["p"] - 1.0)
         gap = lhs - cumulative_slope_gap(points, arg["p"])
         assert abs(rep.min_gap - gap) <= _diff_tol(lhs, lhs - gap)
-        d = json.loads(json.dumps(rep.to_dict()))
-        assert type(d["argmin"]["length"]) is int
-        assert all(type(v) is float for v in d["argmin"]["us"] + d["argmin"]["vs"])
+
+    @pytest.mark.parametrize("gap_id", GAP_IDS)
+    def test_report_is_plain_values_that_round_trip_through_json(self, gap_id):
+        # every argmin value is a Python float, an int count or a list of
+        # floats, so the report reads back from JSON as it was written
+        d = search_near_violation(gap_id, budget=300, seed=4).to_dict()
+        assert json.loads(json.dumps(d)) == d
+        for key, v in d["argmin"].items():
+            if key in ("set_size", "length"):
+                assert type(v) is int, key
+            elif isinstance(v, list):
+                assert all(type(e) is float for e in v), key
+            else:
+                assert type(v) is float, key
 
     # gap id -> (right-hand side of the inequality, factor it is raised by)
     _MUTANTS = {
@@ -533,7 +549,8 @@ class _DoubleStream:
 
 class TestPlantedKnotCollisions:
     """x's planted on an earlier knot of their row, which both functions
-    must redraw from the next doubles of the same stream."""
+    must move up one double at a time until they are on none; the stream's
+    doubles are read as they are with no knot hit."""
 
     n = 6
 
@@ -546,68 +563,83 @@ class TestPlantedKnotCollisions:
         live = [int(np.count_nonzero(ref.length > t)) for t in range(int(ref.length[0]))]
         return doubles, ref, live
 
-    def _x_pos(self, live, t, k, shift=0):
-        # where step t's x for row k is read, after ``shift`` redraw doubles
-        return 5 * self.n + 3 * sum(live[1:t]) + k + shift
+    def _x_pos(self, live, t, k):
+        # where step t's x for row k is read
+        return 5 * self.n + 3 * sum(live[1:t]) + k
 
-    def _run_both(self, doubles):
+    def _run_both(self, doubles, live):
         stream, ref_stream = _DoubleStream(doubles.copy()), _DoubleStream(doubles.copy())
         got = _lockstep_sequences(stream, self.n)
         ref = step_by_step_sequences(ref_stream, self.n)
         _assert_same_batch(got, ref)
-        assert stream.pos == ref_stream.pos
-        return got, stream.pos
+        assert stream.pos == ref_stream.pos == 5 * self.n + 3 * sum(live[1:])
+        return got
 
     def test_unplanted_stream_draws_no_redraw(self):
         doubles, ref, live = self._layout(1)
-        _, used = self._run_both(doubles)
-        assert used == 5 * self.n + 3 * sum(live[1:])
+        self._run_both(doubles, live)
 
     def test_two_rows_at_one_step_then_one_row_twice(self):
         doubles, ref, live = self._layout(2)
-        assert live[3] >= 5 and live[5] >= 2
-        # step 3: rows 2 and 4 land on their first and second knots, and
-        # one redraw call of two doubles moves them off
+        assert live[3] >= 5 and live[6] >= 2
+        # step 3: rows 2 and 4 land on their first and second knots
         doubles[self._x_pos(live, 3, 2)] = ref.us[2, 1]
         doubles[self._x_pos(live, 3, 4)] = ref.us[4, 0]
-        # step 5, two doubles later in the stream: row 1 lands on its first
-        # knot, and so does its first redraw, which follows the step's x's
-        doubles[self._x_pos(live, 5, 1, shift=2)] = ref.us[1, 0]
-        doubles[self._x_pos(live, 5, live[5], shift=2)] = ref.us[1, 0]
-        got, used = self._run_both(doubles)
-        assert used == 5 * self.n + 3 * sum(live[1:]) + 4
-        assert ref.us[2, 1] not in got.us[2, 2:] and ref.us[1, 0] not in got.us[1, 1:]
+        # steps 5 and 6: row 1 lands on its first knot, then on where
+        # step 5's x moved, so step 6's x moves up twice
+        knot = ref.us[1, 0]
+        doubles[self._x_pos(live, 5, 1)] = knot
+        doubles[self._x_pos(live, 6, 1)] = np.nextafter(knot, 2.0)
+        got = self._run_both(doubles, live)
+        assert got.us[2, 3] == np.nextafter(ref.us[2, 1], 2.0)
+        assert got.us[4, 3] == np.nextafter(ref.us[4, 0], 2.0)
+        assert got.us[1, 5] == np.nextafter(knot, 2.0)
+        assert got.us[1, 6] == np.nextafter(np.nextafter(knot, 2.0), 2.0)
 
-    def test_redraws_past_the_end_of_the_block(self):
-        # the longest row alone at its last step, where the block has two
-        # doubles left: four knot hits read two of them and two fresh ones
+    def test_a_hit_at_the_last_step_reads_no_double_past_the_block(self):
+        # the longest row alone at its last step, where the block ends two
+        # doubles after its x
         for seed in range(100):
             doubles, ref, live = self._layout(seed)
             if live[-1] == 1:
                 break
         assert live[-1] == 1
         last = len(live) - 1
-        at = self._x_pos(live, last, 0)
-        doubles[at:at + 4] = ref.us[0, 0]
-        got, used = self._run_both(doubles)
-        assert used == 5 * self.n + 3 * sum(live[1:]) + 4
-        assert np.count_nonzero(got.us[0] == ref.us[0, 0]) == 1
+        doubles[self._x_pos(live, last, 0)] = ref.us[0, 0]
+        got = self._run_both(doubles, live)
+        assert got.us[0, last] == np.nextafter(ref.us[0, 0], 2.0)
 
     def test_one_knot_hit_at_two_steps(self):
         # row 0's first knot planted as its x at steps 2 and 3, so three of
-        # its points are equal in the first layout; step 2's redraw comes
-        # first and takes one double, so the double planted for step 3 is
-        # then read as step 2's last pick
+        # its points are equal in the first layout
         doubles, ref, live = self._layout(4)
-        doubles[self._x_pos(live, 2, 0)] = ref.us[0, 0]
-        doubles[self._x_pos(live, 3, 0)] = ref.us[0, 0]
-        got, used = self._run_both(doubles)
-        assert used == 5 * self.n + 3 * sum(live[1:]) + 1
-        assert np.count_nonzero(got.us[0] == ref.us[0, 0]) == 1
+        knot = ref.us[0, 0]
+        doubles[self._x_pos(live, 2, 0)] = knot
+        doubles[self._x_pos(live, 3, 0)] = knot
+        got = self._run_both(doubles, live)
+        assert got.us[0, 2] == np.nextafter(knot, 2.0)
+        assert got.us[0, 3] == np.nextafter(np.nextafter(knot, 2.0), 2.0)
+
+    def test_a_point_set_draw_on_a_knot_moves_up_one_double(self):
+        # the h_increment and dichotomy draws: rows 1 and 4 hold their first
+        # x as a knot, and row 4 the double above it too
+        us, vs = _random_feasible_sets(np.random.default_rng(8), np.ones(6), np.full(6, 3))
+        x0 = np.random.default_rng(9).uniform(size=6)
+        us[1, 1:4] = np.sort([us[1, 1], us[1, 2], x0[1]])
+        us[4, 1:4] = np.sort([us[4, 1], x0[4], np.nextafter(x0[4], 2.0)])
+        rng, plain = np.random.default_rng(9), np.random.default_rng(9)
+        x, _ = _fresh_points(rng, us, vs, 0.3, 0.1)
+        want = x0.copy()
+        want[1] = np.nextafter(x0[1], 2.0)
+        want[4] = np.nextafter(np.nextafter(x0[4], 2.0), 2.0)
+        assert np.array_equal(x, want)
+        # as many doubles as with no knot hit: x, the noise scale and sign,
+        # and the exact-row pick
+        plain.uniform(size=6), plain.uniform(size=6), plain.normal(size=6), plain.uniform(size=6)
+        assert rng.random() == plain.random()
 
     def test_another_rows_knot_is_no_collision(self):
         doubles, ref, live = self._layout(3)
         doubles[self._x_pos(live, 2, 0)] = ref.us[1, 0]
-        got, used = self._run_both(doubles)
-        assert used == 5 * self.n + 3 * sum(live[1:])
+        got = self._run_both(doubles, live)
         assert got.us[0, 2] == got.us[1, 0]

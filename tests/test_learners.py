@@ -22,6 +22,11 @@ class TestLinint:
     def test_zero_before_feedback(self):
         assert LinintLearner().predict(0.7) == 0.0
 
+    @pytest.mark.parametrize("x", [1.5, -0.1])
+    def test_query_outside_the_unit_interval_raises(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            LinintLearner().predict(x)
+
     def test_midpoint(self):
         lnr = LinintLearner()
         lnr.observe(0.0, 0.0)

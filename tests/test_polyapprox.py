@@ -157,6 +157,10 @@ class TestWeightedCombine:
 
 
 class TestExactInterpolant:
+    def test_empty_set_is_the_zero_polynomial(self):
+        poly = exact_interpolant_poly(SampleSet(), 2)
+        assert poly.coeffs.tolist() == [0.0]
+
     def test_singleton_constant(self):
         poly = exact_interpolant_poly(S((0.5, 0.3)), 2)
         assert poly.degree == 0
