@@ -4,10 +4,12 @@ Coefficients live in the Bernstein basis, which keeps evaluation a convex
 combination of coefficients (no cancellation blow-up at degrees in the
 thousands) and makes differentiation and antidifferentiation exact one-line
 recurrences. At degree n only the O(sqrt(n)) basis terms near n x carry
-weight at x, so every evaluation sums just those: ``_basis_window`` is the
-one home of the log-space basis formula, and the terms its windows leave
-out weigh less than ``WINDOW_MASS`` at any x. ``de_casteljau_many`` is the
-independent oracle for it. The action functional ``integral of |P'|^q``
+weight at x, so every evaluation sums just those; the terms a window
+leaves out weigh less than ``WINDOW_MASS`` at any x. Where a window is
+the whole row (always below degree ~350), ``_basis_window`` builds the
+dense block without laying windows. ``_log_space_terms`` is the one home of the
+log-space basis formula, and ``de_casteljau_many`` the independent oracle
+for it. The action functional ``integral of |P'|^q``
 is computed on equal Gauss panels over [0, 1], doubled until two levels
 agree. |P'|^q is smooth except at the zeros of P' (a polynomial at even
 q), so every zero is a panel edge, and a panel ending at a zero s takes
@@ -27,7 +29,7 @@ on [0, 1] is cached once per (degree, rule) by ``_rule_basis``, in a cache
 bounded by the basis entries it holds: the action grid, a certificate's
 opening pair of doubling levels as one window over both levels' nodes,
 and each later level's uniform panels, each while its window holds at
-most ``_LEVEL_RULE_ENTRIES`` of them (every level of degree 2049 and 32
+most ``_LEVEL_RULE_ENTRIES`` of them (every level of degree 2049 and 64
 panels or less, and the pair of 16 and 32 there). The opening pair is
 integrated in one pass: one read of that window, one laying of both
 levels' fresh panels and one evaluation of all their fresh nodes.
@@ -75,6 +77,11 @@ def _half_width(n: int) -> int:
     return math.ceil(math.sqrt(0.5 * n * math.log(2.0 / WINDOW_MASS))) + 1
 
 
+def _whole_row(n: int) -> bool:
+    """Whether every degree-n window is the whole row: 2 h + 1 terms are more than half of it."""
+    return 2 * (2 * _half_width(n) + 1) > n + 1
+
+
 def _windows(n: int, centre: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Window starts, common width and tile size for x's centred at ``centre``.
 
@@ -84,10 +91,10 @@ def _windows(n: int, centre: np.ndarray) -> tuple[np.ndarray, int, int]:
     wider than half the row gives way to the whole row, as one tile of
     every x: the dense product is then the cheaper one.
     """
-    h = _half_width(n)
     whole = np.zeros(1, dtype=np.intp), n + 1, len(centre)
-    if 2 * (2 * h + 1) > n + 1:
+    if _whole_row(n):
         return whole
+    h = _half_width(n)
     tile = max(1, min(_TILE, len(centre)))
     tiles = np.concatenate((centre, centre[-1:].repeat(-len(centre) % tile))).reshape(-1, tile)
     lo = tiles.min(axis=1) - h
@@ -103,44 +110,66 @@ def _basis_window(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``starts`` and ``block`` with block[p, i, j] =
     b_{n, starts[p] + j}(x_{p * tile + i}) for the windows of ``_windows``
     (the last x repeated to fill the last tile). Sorted x's keep the
-    windows narrow.
+    windows narrow. Where the window is the whole row (always below degree
+    ~350), the block is the dense (1, len(xs), n + 1) one, built without
+    tiles, padding or a gather of log C(n, k); below degree ~350 without
+    centres either.
 
     Exact at the endpoints (x <= 0 is the k = 0 term, x >= 1 the k = n
-    term); elsewhere exp(log C(n,k) + k log x + (n-k) log(1-x)). Every
-    term is a probability weight in [0, 1], so nothing overflows or
-    cancels, but the exponent is a sum of terms of size ~n, each rounded
-    at its ulp, so a value sums to within ~0.8 n eps max |c_k| of the
-    exact one (measured against de Casteljau and a 60-digit sum: 2.1e-13
-    max |c_k| at degree 2049); the window's differential test allows
-    4 n eps.
+    term); elsewhere ``_log_space_terms``.
     """
     xs = np.asarray(xs, dtype=float)
     interior = (xs > 0.0) & (xs < 1.0)
-    centre = np.rint(n * np.where(interior, xs, xs > 0.0)).astype(np.intp)
-    starts, width, tile = _windows(n, centre)
-    pad = len(starts) * tile - len(xs)
-    if pad:
-        xs, interior, centre = (np.concatenate((v, v[-1:].repeat(pad)))
-                                for v in (xs, interior, centre))
-    ks = (starts[:, None] + np.arange(width))[:, None, :]
-    safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
+    if not _whole_row(n):
+        centre = np.rint(n * np.where(interior, xs, xs > 0.0)).astype(np.intp)
+        starts, width, tile = _windows(n, centre)
+        if width <= n:
+            pad = len(starts) * tile - len(xs)
+            if pad:
+                xs, interior, centre = (np.concatenate((v, v[-1:].repeat(pad)))
+                                        for v in (xs, interior, centre))
+            ks = (starts[:, None] + np.arange(width))[:, None, :]
+            safe = np.where(interior, xs, 0.5).reshape(len(starts), tile, 1)
+            block = _log_space_terms(n, ks, _log_binom(n)[ks], safe)
+            edge = np.nonzero(~interior.reshape(len(starts), tile))
+            if edge[0].size:
+                block[edge] = 0.0
+                block[edge + (centre.reshape(len(starts), tile)[edge] - starts[edge[0]],)] = 1.0
+            return starts, block
+    ks = np.arange(n + 1)[None, None, :]
+    block = _log_space_terms(n, ks, _log_binom(n), np.where(interior, xs, 0.5)[None, :, None])
+    if not interior.all():
+        edge = ~interior
+        block[0, edge] = 0.0
+        block[0, edge, np.where(xs[edge] > 0.0, n, 0)] = 1.0
+    return np.zeros(1, dtype=np.intp), block
+
+
+def _log_space_terms(n: int, ks: np.ndarray, log_binom: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """exp(log C(n,k) + k log x + (n-k) log(1-x)) for the k's ``ks`` (p, 1, w) at the x's ``safe`` (p, t, 1).
+
+    ``log_binom`` holds log C(n, k) for ``ks``, and every x of ``safe`` is
+    in (0, 1). Every term is a probability weight in [0, 1], so nothing
+    overflows or cancels, but the exponent is a sum of terms of size ~n,
+    each rounded at its ulp, so a value sums to within ~0.8 n eps max |c_k|
+    of the exact one (measured against de Casteljau and a 60-digit sum:
+    2.1e-13 max |c_k| at degree 2049); the window's differential test
+    allows 4 n eps.
+    """
     block = ks * np.log(safe)
-    block += _log_binom(n)[ks]
+    block += log_binom
     # a chunk of tiles at a time, or of one tile's x's when a tile alone is
     # larger (the whole row), so no second array the block's size is made
     log1m = np.log1p(-safe)
+    width, tile = ks.shape[2], safe.shape[1]
     xs_step = max(1, _WINDOW_CHUNK // width)
-    step = max(1, xs_step // tile)
-    for lo in range(0, len(starts), step):
+    step = max(1, xs_step // max(tile, 1))  # tile is 0 for a dense row of no x's
+    for lo in range(0, len(safe), step):
         for i in range(0, tile, xs_step):
             rows = block[lo : lo + step, i : i + xs_step]
             rows += (n - ks[lo : lo + step]) * log1m[lo : lo + step, i : i + xs_step]
     np.exp(block, out=block)
-    edge = np.nonzero(~interior.reshape(len(starts), tile))
-    if edge[0].size:
-        block[edge] = 0.0
-        block[edge + (centre.reshape(len(starts), tile)[edge] - starts[edge[0]],)] = 1.0
-    return starts, block
+    return block
 
 
 def _window_dot(starts: np.ndarray, block: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -152,8 +181,17 @@ def _window_dot(starts: np.ndarray, block: np.ndarray, coeffs: np.ndarray) -> np
     return np.matmul(block, windows[starts][:, :, None]).ravel()
 
 
+def _unit_points(x) -> np.ndarray:
+    """x as a 1-d float array; ValueError unless every point is in [0, 1] (NaN is not)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():
+        raise ValueError("evaluation outside [0, 1]")
+    return xs
+
+
 def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """Rows of all n+1 Bernstein basis values at each x: the windows, scattered."""
+    """Rows of all n+1 Bernstein basis values at each x in [0, 1]: the windows, scattered."""
+    xs = _unit_points(xs)
     starts, block = _basis_window(n, xs)
     tiles, tile, w = block.shape
     if w == n + 1:
@@ -216,17 +254,21 @@ class BernsteinPolynomial:
         Each x is summed over the basis terms within ``_half_width(n)`` of
         n x (see ``_windows``; the whole row below degree ~350), so the
         terms left out weigh less than ``WINDOW_MASS`` times max |c_k|.
+        Points are taken ``_CHUNK_ENTRIES`` basis entries at a time; points
+        that fit one chunk (every call but a very large one) take one
+        window and one dot product.
         """
         scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if not ((xs >= 0.0) & (xs <= 1.0)).all():
-            raise ValueError("evaluation outside [0, 1]")
+        xs = _unit_points(x)
         n = self.degree
-        out = np.empty(len(xs))
         step = max(1, _CHUNK_ENTRIES // (n + 1))
-        for lo in range(0, len(xs), step):
-            block = xs[lo : lo + step]
-            out[lo : lo + step] = _window_dot(*_basis_window(n, block), self.coeffs)[: len(block)]
+        if len(xs) <= step:
+            out = _window_dot(*_basis_window(n, xs), self.coeffs)[: len(xs)]
+        else:
+            out = np.empty(len(xs))
+            for lo in range(0, len(xs), step):
+                block = xs[lo : lo + step]
+                out[lo : lo + step] = _window_dot(*_basis_window(n, block), self.coeffs)[: len(block)]
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "BernsteinPolynomial":
@@ -287,7 +329,7 @@ _PANEL_ORDER = 20  # Gauss points per panel of the action quadrature
 _GRID = ((192,), 8)  # the action grid: panels of [0, 1] (one level), Gauss points per panel
 _RULE_ENTRIES = 1 << 21  # basis entries one cached rule window may hold: the grid's at DEGREE_CAP is 1.94M
 _CACHE_ENTRIES = 2 * _RULE_ENTRIES  # basis entries the cache of _rule_basis holds in all
-_LEVEL_RULE_ENTRIES = 1 << 19  # basis entries a cached level rule may hold: 463k for 16 + 32 panels at degree 2049
+_LEVEL_RULE_ENTRIES = 1 << 20  # basis entries a cached level rule may hold: 556,800 for 64 panels at degree 2049
 _CASTELJAU_TILE = 1024  # points per de Casteljau tile: the fastest of 256-4096 at degrees 32 and 127
 
 
@@ -419,8 +461,9 @@ def _rule_basis(n: int, levels: tuple, order: int) -> tuple[np.ndarray, np.ndarr
     ``poly-build`` accepts, no entry holds more than ``_RULE_ENTRIES``, so
     it never holds more than 3 ``_RULE_ENTRIES`` doubles (48 MiB). A degree
     ladder of 33..2049 with all its certificates' levels, the pair of 16
-    and 32 panels at degree 2049 among them, needs ~2.5M entries, so
-    cycling over it makes no misses.
+    and 32 panels at degree 2049 among them, needs ~2.5M entries, and a
+    seed-1 pass of the ``poly-build`` benchmark, whose certificates reach
+    64 panels at degree 2049, 3.76M; cycling over either makes no misses.
     """
     xs, ws = _uniform_rule(levels, order)
     starts, block = _basis_window(n, xs)
@@ -575,11 +618,12 @@ def _level_integral(deriv: BernsteinPolynomial, q: float, levels: tuple, zeros: 
     and one ``deriv`` call on all their fresh nodes. The uniform rule's
     values come from the cache of ``_rule_basis`` while its basis window
     holds at most ``_LEVEL_RULE_ENTRIES`` entries (``_level_entries``:
-    288,000 at degree 2048 and 32 panels, 462,720 for the pair of 16 and
-    32, 1.67M at ``DEGREE_CAP`` and 64), and from ``deriv(nodes)`` beyond
-    that; levels whose window together does not fit are integrated one at
-    a time. The cached window is the one ``__call__`` builds for the nodes
-    in one chunk, so the two give the same values bit for bit.
+    462,720 at degree 2048 for the pair of 16 and 32 panels, 556,800 for
+    64 and 1.09M for 128; 1.67M at ``DEGREE_CAP`` and 64), and from
+    ``deriv(nodes)`` beyond that; levels whose window together does not
+    fit are integrated one at a time. The cached window is the one
+    ``__call__`` builds for the nodes in one chunk, so the two give the
+    same values bit for bit.
     """
     n = deriv.degree
     fits = _level_entries(n, levels) <= _LEVEL_RULE_ENTRIES

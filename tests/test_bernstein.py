@@ -127,6 +127,19 @@ class TestBasisAndEval:
         with pytest.raises(ValueError, match="outside"):
             p(np.array([0.25, np.nan, 0.75]))
 
+    @pytest.mark.parametrize("n", [4, 2049])
+    def test_no_points(self, n):
+        assert BernsteinPolynomial(np.ones(n + 1))(np.array([])).shape == (0,)
+        assert bernstein_basis_matrix(n, []).shape == (0, n + 1)
+
+    @pytest.mark.parametrize("xs", [[math.nan, 1.5, -0.2], [math.nan], [1.5], [-0.2], [0.25, math.nan]])
+    def test_basis_matrix_rejects_what_the_evaluator_rejects(self, xs):
+        # NaN, 1.5 and -0.2 would otherwise come back as the rows at 0, 1 and 0
+        with pytest.raises(ValueError, match="outside"):
+            bernstein_basis_matrix(4, xs)
+        with pytest.raises(ValueError, match="outside"):
+            BernsteinPolynomial(np.ones(5))(np.array(xs))
+
 
 def _window_points(rng):
     """Both ends, their nearest floats, points within 1e-4 of either end
@@ -250,6 +263,56 @@ class TestWindow:
         want_starts, want = one_shot_window(300, xs)
         assert np.array_equal(starts, want_starts)
         assert np.array_equal(block.view(np.int64), want.view(np.int64))
+
+    # a window of 2 h + 1 terms is wider than half the row up to degree 348
+    # and at 352, so there the dense row is built without centres or tiles;
+    # at 349-351 and 353 the centres are laid, and scattered points get the
+    # dense row when _windows finds their tiles wider than half the row
+    @pytest.mark.parametrize("n", (1, 2, 7, 64, 344, 348, 349, 350, 351, 352, 353))
+    def test_dense_row_equals_the_tiled_formula(self, n):
+        rng = np.random.default_rng(1000 + n)
+        ends = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+        scattered = np.concatenate((ends, rng.uniform(size=60), ends))
+        assert bernstein._whole_row(n) == (n <= 348 or n == 352)
+        for xs in (scattered, np.sort(scattered), ends, [0.0], [1.0], [0.5]):
+            starts, block = bernstein._basis_window(n, xs)
+            want_starts, want = one_shot_window(n, xs)
+            assert np.array_equal(starts, want_starts)
+            assert block.shape == want.shape
+            assert np.array_equal(block.view(np.int64), want.view(np.int64))
+        p = BernsteinPolynomial(rng.normal(size=n + 1))
+        scale = np.max(np.abs(p.coeffs))
+        tol = scale * max(1e-13, 4 * n * np.finfo(float).eps)
+        assert np.max(np.abs(p(scattered) - de_casteljau_many(p, scattered))) <= tol
+        assert p(0.0) == p.coeffs[0] and p(1.0) == p.coeffs[-1]
+
+    @pytest.mark.parametrize("n", (5, 64, 352, 2049))
+    def test_one_chunk_call_equals_many_chunks(self, n, monkeypatch):
+        # points that fit one chunk take one window and one dot, with no loop;
+        # many chunks give the same basis terms, and only the summation of a
+        # chunk's rows may round apart
+        rng = np.random.default_rng(3000 + n)
+        p = BernsteinPolynomial(rng.normal(size=n + 1))
+        scale = np.max(np.abs(p.coeffs))
+        xs = np.concatenate(([0.0, 1.0], rng.uniform(size=300)))
+        calls = []
+        window = bernstein._basis_window
+
+        def counted(n, xs):
+            calls.append(len(xs))
+            return window(n, xs)
+
+        monkeypatch.setattr(bernstein, "_basis_window", counted)
+        one = p(xs)
+        assert calls == [len(xs)]
+        alone = bernstein._window_dot(*window(n, xs), p.coeffs)[: len(xs)]
+        assert np.array_equal(one.view(np.int64), alone.view(np.int64))
+        calls.clear()
+        monkeypatch.setattr(bernstein, "_CHUNK_ENTRIES", 7 * (n + 1))
+        many = p(xs)
+        assert calls == [7] * 43 + [1]
+        assert np.max(np.abs(many - one)) <= scale * max(1e-15, 4 * n * np.finfo(float).eps)
+        assert p(0.0) == p.coeffs[0] and isinstance(p(0.5), float)
 
 
 class TestCalculus:
@@ -807,7 +870,21 @@ class TestRuleBasis:
         assert info.misses == built.misses and info.hits > built.hits
         assert built.entries == info.entries <= bernstein._CACHE_ENTRIES
 
-    @pytest.mark.parametrize("n, panels", [(512, 16), (2048, 16), (2048, 32), (4096, 64)])
+    def test_every_level_up_to_64_panels_at_degree_2049_is_cached(self):
+        # a degree-2049 certificate opens with 16 and 32 panels; its third
+        # level, 64 panels, is read back from the cache, the fourth is not
+        bound = bernstein._LEVEL_RULE_ENTRIES
+        assert bernstein._level_entries(2048, (16, 32)) == 462_720 <= bound
+        assert bernstein._level_entries(2048, (64,)) == 556_800 <= bound
+        assert bernstein._level_entries(2048, (128,)) > bound
+        deriv = LADDER_CUBIC.elevated(2049).derivative()
+        zeros = dict.fromkeys(polynomial_roots(deriv), 1.5)
+        bernstein._rule_basis.cache_clear()
+        first = bernstein._level_integral(deriv, 1.5, (64,), zeros)
+        assert bernstein._level_integral(deriv, 1.5, (64,), zeros) == first
+        assert bernstein._rule_basis.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("n, panels", [(512, 16), (2048, 16), (2048, 32), (2048, 64), (4096, 64)])
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_cached_levels_agree_with_every_panel_re_integrated(self, n, panels, q, monkeypatch):
         # a level reads its uniform rule from the cache, or with the bound at 0
