@@ -88,19 +88,16 @@ def _windows(n: int, centre: np.ndarray) -> tuple[np.ndarray, int, int]:
     Consecutive x's are taken ``_TILE`` at a time, and each tile gets the
     window spanning the terms within ``_half_width(n)`` of every centre in
     it, clipped inside [0, n]; all tiles share the widest width. A window
-    wider than half the row gives way to the whole row, as one tile of
-    every x: the dense product is then the cheaper one.
+    wider than half the row (every one, where ``_whole_row(n)``) gives way
+    to the whole row, as one tile of every x: the dense product is cheaper.
     """
-    whole = np.zeros(1, dtype=np.intp), n + 1, len(centre)
-    if _whole_row(n):
-        return whole
     h = _half_width(n)
     tile = max(1, min(_TILE, len(centre)))
     tiles = np.concatenate((centre, centre[-1:].repeat(-len(centre) % tile))).reshape(-1, tile)
     lo = tiles.min(axis=1) - h
     width = int((tiles.max(axis=1) + h - lo).max(initial=0)) + 1
     if 2 * width > n + 1:
-        return whole
+        return np.zeros(1, dtype=np.intp), n + 1, len(centre)
     return np.minimum(np.maximum(lo, 0), n + 1 - width), width, tile
 
 
@@ -254,21 +251,18 @@ class BernsteinPolynomial:
         Each x is summed over the basis terms within ``_half_width(n)`` of
         n x (see ``_windows``; the whole row below degree ~350), so the
         terms left out weigh less than ``WINDOW_MASS`` times max |c_k|.
-        Points are taken ``_CHUNK_ENTRIES`` basis entries at a time; points
-        that fit one chunk (every call but a very large one) take one
-        window and one dot product.
+        Points are taken ``_CHUNK_ENTRIES`` basis entries at a time, one
+        window and one dot product a chunk; every call but a very large
+        one is a single chunk.
         """
         scalar = np.isscalar(x)
         xs = _unit_points(x)
         n = self.degree
         step = max(1, _CHUNK_ENTRIES // (n + 1))
-        if len(xs) <= step:
-            out = _window_dot(*_basis_window(n, xs), self.coeffs)[: len(xs)]
-        else:
-            out = np.empty(len(xs))
-            for lo in range(0, len(xs), step):
-                block = xs[lo : lo + step]
-                out[lo : lo + step] = _window_dot(*_basis_window(n, block), self.coeffs)[: len(block)]
+        out = np.empty(len(xs))
+        for lo in range(0, len(xs), step):
+            block = xs[lo : lo + step]
+            out[lo : lo + step] = _window_dot(*_basis_window(n, block), self.coeffs)[: len(block)]
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "BernsteinPolynomial":

@@ -3,7 +3,7 @@
 Every command reads a JSON config, writes CSV/JSON artifacts into an output
 directory, and exits 0 on success, 1 on a config or usage error, 2 when an
 adversary broke the rules, 3 when a certified bound was violated, and 4 on
-an internal fault (a run aborted with a ``RuntimeError``, such as a learner
+an internal fault (a run aborted with a ``RuntimeError``, such as a player
 protocol violation or a diverged endpoint search; in ``simulate``, whose
 config and players are checked before the run, also a ``ValueError``).
 Outputs are deterministic for a fixed config and seed: sweep cells may run
@@ -17,7 +17,6 @@ import argparse
 import collections
 import concurrent.futures
 import csv
-import io
 import json
 import pathlib
 import sys
@@ -133,14 +132,14 @@ def _bound_violations(header: list[str], rows: list[list]) -> int:
     return bad
 
 
-def _write_csv(path: pathlib.Path, header: list[str], rows: list[list], comment: str = "") -> None:
-    buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+def _write_sweep(out: str, name: str, header: list[str], rows: list[list], comment: str) -> int:
+    """Write ``out/name``: the comment line, then the CSV; exit 3 if a row breaks its bound."""
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w", newline="") as f:
+        f.write(f"# {comment}\n")
+        csv.writer(f, lineterminator="\n").writerows([header, *rows])
+    return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +188,12 @@ def cmd_sweep_epsilon(args) -> int:
         for e in spec["epsilons"] for pol in spec["policies"] for sd in spec["seeds"]
     )
     rows = _run_cells(_epsilon_cell, cells, args.workers)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["epsilon", "policy", "seed", "observed_total", "bound", "ratio"]
-    _write_csv(
-        out / "sweep_epsilon.csv",
-        header,
-        rows,
-        comment="columns: epsilon vs counted error total and the "
-                f"{CERTIFIED_BOUNDS['epsilon_ceiling'].text} ceiling",
+    return _write_sweep(
+        args.out, "sweep_epsilon.csv",
+        ["epsilon", "policy", "seed", "observed_total", "bound", "ratio"], rows,
+        "columns: epsilon vs counted error total and the "
+        f"{CERTIFIED_BOUNDS['epsilon_ceiling'].text} ceiling",
     )
-    return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
 
 def _eta_cell(cell):
@@ -235,19 +229,14 @@ def cmd_sweep_eta(args) -> int:
     )
     nested = _run_cells(_eta_cell, cells, args.workers)
     rows = [row for group in nested for row in group]
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["eta", "learner", "adversary", "observed_total", "forced_lower_bound",
-              "lb_ratio", "upper_bound"]
-    _write_csv(
-        out / "sweep_eta.csv",
-        header,
-        rows,
-        comment="eta=0 standard game must stay <= {}; scripted liar must force >= {}; "
-                "staged learner must stay <= {}".format(*(CERTIFIED_BOUNDS[k].text for k in (
-                    "standard_unit", "forced_lower", "staged_upper"))),
+    return _write_sweep(
+        args.out, "sweep_eta.csv",
+        ["eta", "learner", "adversary", "observed_total", "forced_lower_bound", "lb_ratio",
+         "upper_bound"], rows,
+        "eta=0 standard game must stay <= {}; scripted liar must force >= {}; "
+        "staged learner must stay <= {}".format(*(CERTIFIED_BOUNDS[k].text for k in (
+            "standard_unit", "forced_lower", "staged_upper"))),
     )
-    return EXIT_VIOLATION if _bound_violations(header, rows) else EXIT_OK
 
 
 def _run_cells(fn, cells, workers):
@@ -347,27 +336,32 @@ def cmd_report(args) -> int:
     violations = 0
     lines = [f"# smoothgame report", "", f"inputs: {len(summaries)} game summaries, "
              f"{len(gap_files)} gap reports, {len(sweep_files)} sweeps", ""]
-    for path in summaries:
-        data = json.loads(path.read_text())
-        legal = data.get("legality")
-        if legal is False:
-            violations += 1
-        lines.append(f"- game `{path.name}`: counted_total={data.get('counted_total')}, "
-                     f"legality={legal}")
-    for path in gap_files:
-        data = json.loads(path.read_text())
-        for rep in data.get("reports", []):
-            if not rep.get("ok", True):
+    # a file that does not parse, or holds a value of the wrong kind, is a
+    # config error that names it
+    try:
+        for path in summaries:
+            data = json.loads(path.read_text())
+            legal = data.get("legality")
+            if legal is False:
                 violations += 1
-            lines.append(f"- gap `{rep['gap_id']}`: min={rep['min_gap']:.3e}, "
-                         f"violations={rep['violations']}")
-    for path in sweep_files:
-        rows = [r for r in csv.reader(
-            line for line in path.read_text().splitlines() if not line.startswith("#"))]
-        header, body = rows[0], rows[1:]
-        bad = _bound_violations(header, body)
-        violations += bad
-        lines.append(f"- sweep `{path.name}`: {len(body)} rows, {bad} bound violations")
+            lines.append(f"- game `{path.name}`: counted_total={data.get('counted_total')}, "
+                         f"legality={legal}")
+        for path in gap_files:
+            data = json.loads(path.read_text())
+            for rep in data.get("reports", []):
+                if not rep.get("ok", True):
+                    violations += 1
+                lines.append(f"- gap `{rep['gap_id']}`: min={rep['min_gap']:.3e}, "
+                             f"violations={rep['violations']}")
+        for path in sweep_files:
+            rows = [r for r in csv.reader(
+                line for line in path.read_text().splitlines() if not line.startswith("#"))]
+            header, body = rows[0], rows[1:]
+            bad = _bound_violations(header, body)
+            violations += bad
+            lines.append(f"- sweep `{path.name}`: {len(body)} rows, {bad} bound violations")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed report input {path}: {type(exc).__name__}: {exc}") from exc
     lines += ["", f"total bound violations: {violations}"]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

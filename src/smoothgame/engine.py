@@ -5,7 +5,8 @@ standard protocol every revelation is true and the opening trial is
 uncounted. In the noisy protocol the adversary may lie a bounded number of
 times, the first ``2*eta + 1`` trials are uncounted, and at the end the
 adversary discloses its lies and a ground-truth witness against which the
-counted errors are recomputed.
+counted errors are recomputed. Players are checked against their protocols
+when built, and both game loops bind their methods once, before round 0.
 """
 
 from __future__ import annotations
@@ -202,25 +203,20 @@ register_adversary("insufficient-init", lambda cfg, swing: _scripted(
 
 
 def build_players(config: GameConfig) -> tuple[Learner, Adversary]:
-    """The config's players, each built from its options checked and filled in."""
+    """The config's players, each built from its options checked and filled in;
+    ``ProtocolViolationError`` names a player's class and the protocol methods it lacks."""
     factory, options = LEARNERS[config.learner]
     learner = factory(config, **check(options, dict(config.learner_options), "learner_options"))
     factory, options = ADVERSARIES[config.adversary]
     adversary = factory(config, **check(options, dict(config.adversary_options),
                                         "adversary_options"))
+    for player, protocol in ((learner, Learner), (adversary, Adversary)):
+        lacks = [m for m in vars(protocol)
+                 if not m.startswith("_") and not callable(getattr(player, m, None))]
+        if lacks:
+            raise ProtocolViolationError(
+                f"{type(player).__name__} lacks {', '.join(lacks)} of the {protocol.__name__} protocol")
     return learner, adversary
-
-
-def _bound(player, name: str):
-    """``player.<name>``, looked up once per game. A method the player lacks
-    raises its ``AttributeError`` when a round first calls it, as a lookup
-    in that round would."""
-    try:
-        return getattr(player, name)
-    except AttributeError as missing:
-        def call(*args):
-            raise missing
-        return call
 
 
 def run_standard_game(config: GameConfig) -> Transcript:
@@ -229,8 +225,7 @@ def run_standard_game(config: GameConfig) -> Transcript:
     Feasibility of the revealed set (q-action within the unit budget) is
     asserted after every revelation; a violation aborts with a diagnostic.
     The referee finds each query in its revealed set once, and that
-    position serves the duplicate test, the increment and the insert. The
-    players' methods are looked up once per game.
+    position serves the duplicate test, the increment and the insert.
     """
     if config.eta != 0:
         raise ValueError("standard games require eta = 0")
@@ -240,8 +235,8 @@ def run_standard_game(config: GameConfig) -> Transcript:
     revealed = SampleSet()
     running_action = 0.0
     p, q = config.p, config.q
-    done, next_query, reveal = (_bound(adversary, m) for m in ("done", "next_query", "reveal"))
-    predict, observe = _bound(learner, "predict"), _bound(learner, "observe")
+    done, next_query, reveal = adversary.done, adversary.next_query, adversary.reveal
+    predict, observe = learner.predict, learner.observe
     locate, increment_at, add_at = revealed.locate, revealed.increment_at, revealed.add_at
     record = tr.trials.append
     for t in range(config.rounds):
@@ -284,16 +279,15 @@ def run_noisy_game(config: GameConfig) -> Transcript:
     them. After the last trial the adversary's disclosure fixes lie flags
     and true values, the counted total is recomputed against ground truth,
     and legality is certified. The witness is evaluated at every trial's x
-    once, and the records are built from those values. The players' methods
-    are looked up once per game.
+    once, and the records are built from those values.
     """
     if config.eta < 1:
         raise ValueError("noisy games require eta >= 1")
     learner, adversary = build_players(config)
     uncounted = 2 * config.eta + 1 if config.uncounted_rounds is None else config.uncounted_rounds
     xs, predictions, revealed = [], [], []
-    done, next_query, reveal = (_bound(adversary, m) for m in ("done", "next_query", "reveal"))
-    predict, observe = _bound(learner, "predict"), _bound(learner, "observe")
+    done, next_query, reveal = adversary.done, adversary.next_query, adversary.reveal
+    predict, observe = learner.predict, learner.observe
     for t in range(config.rounds):
         if done(t):
             break

@@ -42,10 +42,10 @@ DEFAULT_TOL = 1e-9
 def gap_out(a, b, q, x):
     """Gap of the exterior two-segment inequality, valid for |x| >= a."""
     _check_ab(a, b)
-    if not _every((b < 1.0) & (a + b <= 1.0)):
+    if not np.all((b < 1.0) & (a + b <= 1.0)):
         raise ValueError("requires b < 1 and a + b <= 1")
     _check_q_open(q)
-    if not _every(abs(x) >= a):
+    if not np.all(abs(x) >= a):
         raise ValueError(f"|x|={abs(x)} must be >= a={a}")
     lhs = a * abs(x / a + 1.0) ** q + b * abs(x / b - 1.0) ** q - (a + b)
     return lhs - (q - 1.0) * abs(x) ** q / 3.0
@@ -55,7 +55,7 @@ def gap_in(a, b, q, x):
     """Gap of the interior quadratic-lower-bound inequality, |x| < a."""
     _check_ab(a, b)
     _check_q_open(q)
-    if not _every((-a < x) & (x < a)):
+    if not np.all((-a < x) & (x < a)):
         raise ValueError(f"x={x} must lie in (-{a}, {a})")
     lhs = a * (1.0 + x / a) ** q + b * (1.0 - x / b) ** q - (a + b)
     return lhs - q * (q - 1.0) * x * x / (3.0 * a)
@@ -63,25 +63,20 @@ def gap_in(a, b, q, x):
 
 def gap_two_variable(p, x):
     """Gap of x^p - (x-1)^(p-1) x >= p - 1 for p > 1, x >= 2."""
-    if not _every(p > 1.0):
+    if not np.all(p > 1.0):
         raise ValueError(f"p={p} must be > 1")
-    if not _every(x >= 2.0):
+    if not np.all(x >= 2.0):
         raise ValueError(f"x={x} must be >= 2")
     return x ** p - (x - 1.0) ** (p - 1.0) * x - (p - 1.0)
 
 
-def _every(cond) -> bool:
-    # comparisons of Python floats give a bool; skip numpy's reduction there
-    return cond if isinstance(cond, bool) else bool(cond.all())
-
-
 def _check_ab(a, b) -> None:
-    if not _every((0.0 < a) & (a <= b)):
+    if not np.all((0.0 < a) & (a <= b)):
         raise ValueError(f"requires 0 < a <= b, got a={a}, b={b}")
 
 
 def _check_q_open(q) -> None:
-    if not _every((1.0 < q) & (q < 2.0)):
+    if not np.all((1.0 < q) & (q < 2.0)):
         raise ValueError(f"q={q} must lie in the open interval (1, 2)")
 
 

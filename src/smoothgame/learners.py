@@ -28,7 +28,7 @@ class Learner(Protocol):
 
 
 class ProtocolViolationError(RuntimeError):
-    """A learner contract was driven outside its certified envelope."""
+    """A player contract was driven outside its certified envelope."""
 
 
 class LinintLearner:

@@ -870,6 +870,26 @@ class TestRuleBasis:
         assert info.misses == built.misses and info.hits > built.hits
         assert built.entries == info.entries <= bernstein._CACHE_ENTRIES
 
+    def test_the_poly_build_pool_stays_cached(self):
+        # the poly-build benchmark's pool: the first 45 criterion-7 sets of
+        # stream seed 2718, q cycling 1.5, 2, 3, each built at eps 0.1 and
+        # 0.01 and exactly, every build certified. The second cycle finds
+        # every basis window the first one built; a pass holds 3.76M of the
+        # cache's 4.19M entries, so a few more cached levels would evict
+        stream = np.random.default_rng(2718)
+        pool = [(q, random_action_set(stream, q=q)) for q in (1.5, 2.0, 3.0) * 15]
+        bernstein._rule_basis.cache_clear()
+        for cycle in range(2):
+            for q, s in pool:
+                for eps in (0.1, 0.01):
+                    q_action_poly(approx_interpolant_poly(s, q, eps)[0], q)
+                q_action_poly(exact_interpolant_poly(s, q), q)
+            if cycle == 0:
+                built = bernstein._rule_basis.cache_info()
+        info = bernstein._rule_basis.cache_info()
+        assert info.misses == built.misses, (info, built)
+        assert built.entries <= bernstein._CACHE_ENTRIES
+
     def test_every_level_up_to_64_panels_at_degree_2049_is_cached(self):
         # a degree-2049 certificate opens with 16 and 32 panels; its third
         # level, 64 panels, is read back from the cache, the fourth is not

@@ -94,6 +94,9 @@ class TestSimulate:
             def predict(self, x):
                 raise ProtocolViolationError("predict called out of order")
 
+            def observe(self, x, y):
+                pass
+
         register_learner("broken-cli", lambda c: Broken())
         cfg = write(tmp_path / "c.json", {
             "p": 2, "q": 2, "rounds": 5, "learner": "broken-cli", "adversary": "greedy",
@@ -630,6 +633,24 @@ class TestReport:
         data.mkdir()
         (data / name).write_text(text)
         assert run("report", "--config", str(data), "--out", str(tmp_path / "rep")) == 3
+
+    @pytest.mark.parametrize("name, text", [
+        ("game_summary.json", "{not json"),
+        ("game_summary.json", "[1, 2]"),
+        ("gap_reports.json", json.dumps({"reports": [{"min_gap": 0.0, "violations": 0}]})),
+        ("sweep_epsilon.csv", "epsilon,policy,seed,observed_total,bound,ratio\n"
+                              "0.1,uniform-random,0,1.0,60.0,one\n"),
+        ("sweep_eta.csv", ""),
+    ], ids=["summary-not-json", "summary-a-list", "gap-without-id", "ratio-not-a-number",
+            "empty-sweep"])
+    def test_malformed_input_exit_1(self, tmp_path, capsys, name, text):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / name).write_text(text)
+        assert run("report", "--config", str(data), "--out", str(tmp_path / "rep")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestUsage:

@@ -8,6 +8,10 @@ no traceback. Exit 1 prints ``config error: `` and a message naming the
 replaced key, or, when the value is of its kind and the config breaks a rule
 between keys, some key of the command. Exit 4 is allowed only with a greedy
 ``budget`` above 1 (``test_diverged_endpoint_search_exit_4`` pins one).
+
+``report`` gets the same contract for its inputs: generated summaries, gap
+reports and sweep CSVs that hold values of the wrong kinds end in exit 0, 1
+or 3 and no traceback, and exit 1 names a file.
 """
 
 import contextlib
@@ -125,3 +129,60 @@ def test_edge_configs_exit_cleanly(case):
         named = [key] if kind is None or not of_kind(kind, value) else [
             k for _, k in declared(command, config)]
         assert any(re.search(rf"\b{re.escape(k)}\b", err) for k in named), (key, value, err)
+
+
+SWEEPS = {
+    "sweep_epsilon.csv": (["epsilon", "policy", "seed", "observed_total", "bound", "ratio"],
+                          ["0.5", "uniform-random", "0", "1.0", "12.0", "0.08"]),
+    "sweep_eta.csv": (["eta", "learner", "adversary", "observed_total", "forced_lower_bound",
+                       "lb_ratio", "upper_bound"], ["1", "staged", "noisy-lb", "4.0", "3.0", "1.3", ""]),
+}
+
+
+@st.composite
+def report_inputs(draw):
+    """A summary, a gap report and a sweep CSV as ``report`` reads them, each
+    of which may have one value replaced by one of a wrong kind, one key or
+    cell dropped, or be a value of a wrong kind as a whole."""
+    wrong = st.sampled_from(WRONG_KINDS + ["", "x", -1, 2.5])
+
+    def spoil(obj, keys):
+        how = draw(st.sampled_from(["keep", "replace", "drop"]))
+        if how != "keep":
+            key = draw(st.sampled_from(keys))
+            if how == "replace":
+                obj[key] = draw(wrong) if isinstance(obj, dict) else str(draw(wrong))
+            else:
+                del obj[key]
+
+    summary = {"counted_total": 0.5, "legality": True}
+    entry = {"gap_id": "out", "min_gap": 0.1, "violations": 0, "ok": True}
+    gaps = {"reports": [entry]}
+    for obj in (summary, entry, gaps):
+        spoil(obj, sorted(obj))
+    files = {name: json.dumps(draw(st.one_of(st.just(obj), wrong)))
+             for name, obj in (("game_summary.json", summary), ("gap_reports.json", gaps))}
+    name = draw(st.sampled_from(sorted(SWEEPS)))
+    header, row = (list(r) for r in SWEEPS[name])
+    spoil(header, range(len(header)))
+    spoil(row, range(len(row)))
+    files[name] = draw(st.sampled_from(["", f"# comment\n{','.join(header)}\n{','.join(row)}\n"]))
+    return files
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(report_inputs())
+def test_report_inputs_of_wrong_kinds_exit_cleanly(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = pathlib.Path(tmp) / "data"
+        data.mkdir()
+        for name, text in files.items():
+            (data / name).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--config", str(data), "--out", str(pathlib.Path(tmp) / "o")])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 3), (code, err)
+    if code == 1:
+        assert err.startswith("config error: ") and any(name in err for name in files), err

@@ -15,7 +15,7 @@ from smoothgame.adversaries import (
     GreedyConfig,
     verify_legality,
 )
-from smoothgame.cli import CERTIFIED_BOUNDS
+from smoothgame.cli import CERTIFIED_BOUNDS, main
 from smoothgame.engine import (
     CSV_HEADER,
     GameConfig,
@@ -24,6 +24,7 @@ from smoothgame.engine import (
     TrialRecord,
     Transcript,
     register_adversary,
+    register_learner,
     run_game,
     run_noisy_game,
     run_standard_game,
@@ -330,6 +331,63 @@ class TestNoisyGame:
                                     adversary="random-liar", seed=seed))
             assert tr.legality is True, seed
             assert tr.stage_count <= 1, seed
+
+
+PROTOCOLS = {"learner": ("predict", "observe"),
+             "adversary": ("next_query", "reveal", "done", "finalize")}
+
+
+def players_lacking(role: str, missing: str, calls: list, none=False) -> tuple[str, str]:
+    """Register a learner and an adversary whose every method call is logged
+    in ``calls``; the ``role`` player, of class ``No<Missing>``, lacks
+    ``missing`` (with ``none``, holds None there). Returns the registered
+    (learner, adversary) names."""
+    def logged(name):
+        def method(self, *args):
+            calls.append(name)
+            return 0.5 if name != "done" else False
+        return method
+
+    names = {}
+    for who, methods in PROTOCOLS.items():
+        attrs = {m: logged(m) for m in methods if m != missing}
+        if none and who == role:
+            attrs[missing] = None
+        cls = type(f"No{missing.title()}" if who == role else "Full", (), attrs)
+        names[who] = f"protocol-{who}-{role}-lacks-{missing}"
+        register = register_learner if who == "learner" else register_adversary
+        register(names[who], lambda c, cls=cls: cls())
+    return names["learner"], names["adversary"]
+
+
+@pytest.mark.parametrize("role, missing", [
+    ("learner", "observe"), ("adversary", "done"), ("adversary", "finalize"),
+])
+class TestProtocolCheck:
+    """A player that lacks a protocol method is stopped when it is built."""
+
+    @pytest.mark.parametrize("none", [False, True], ids=["absent", "none"])
+    @pytest.mark.parametrize("eta", [0, 1])
+    def test_run_game_raises_before_round_0(self, role, missing, eta, none):
+        calls = []
+        learner, adversary = players_lacking(role, missing, calls, none)
+        message = rf"No{missing.title()} lacks {missing} of the {role.title()} protocol"
+        with pytest.raises(ProtocolViolationError, match=message):
+            run_game(cfg(eta=eta, rounds=8, learner=learner, adversary=adversary))
+        assert calls == []
+
+    def test_simulate_exit_4_before_any_output(self, tmp_path, capsys, role, missing):
+        calls = []
+        learner, adversary = players_lacking(role, missing, calls)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"p": 2, "q": 2, "eta": 1, "rounds": 8,
+                                      "learner": learner, "adversary": adversary}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal fault: ProtocolViolationError: ")
+        assert f"No{missing.title()}" in err and missing in err and "Traceback" not in err
+        assert calls == [] and not out.exists()
 
 
 class TestDeterminism:
