@@ -19,14 +19,13 @@ import numpy as np
 
 # bench/layertrace.py patches action_increment, eval_interpolant and
 # feasible_reply_interval under this module's name; GreedyAdversary.reveal
-# calls the SampleSet methods and verify_legality eval_interpolant_many instead
+# calls the SampleSet methods instead
 from .interpolation import (  # noqa: F401
     ACTION_TOL,
     SampleSet,
     action_increment,
     error_power,
     eval_interpolant,
-    eval_interpolant_many,
     feasible_reply_interval,
     q_action,
 )
@@ -361,9 +360,10 @@ def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) ->
 
     Checks that the disclosure flags every trial, that at most ``eta``
     revelations are flagged as lies, that the disclosed truth witness has
-    q-action within the unit budget, and that the witness actually matches
-    every truthful revelation; the witness is evaluated at every trial's x
-    in one ``eval_interpolant_many`` pass.
+    q-action within the unit budget, and that the witness matches every
+    truthful revelation. Each record's ``true_value`` must be the witness
+    at its x, as ``run_noisy_game`` writes it; the match reads those values
+    and evaluates nothing.
     """
     flags = disclosure.lie_flags
     if len(flags) != len(trials):
@@ -372,7 +372,6 @@ def verify_legality(trials: list, disclosure: Disclosure, eta: int, q: float) ->
         return False
     if q_action(disclosure.truth, q) > 1.0 + ACTION_TOL:
         return False
-    true_values = eval_interpolant_many(disclosure.truth, [rec.x for rec in trials])
     # written so that a NaN revelation fails the match
-    return not any(not abs(v - rec.revealed) <= 1e-9
-                   for rec, v, lied in zip(trials, true_values, flags) if not lied)
+    return not any(not abs(rec.true_value - rec.revealed) <= 1e-9
+                   for rec, lied in zip(trials, flags) if not lied)

@@ -324,6 +324,14 @@ def cmd_poly_build(args) -> int:
 # report
 
 
+def _verdict(data: dict, name: str) -> bool:
+    """``data[name]``, which must be a JSON boolean: truthiness would pass ``"false"``."""
+    value = data[name]
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def cmd_report(args) -> int:
     src = pathlib.Path(args.config) if args.config else pathlib.Path(args.out)
     if not src.is_dir():
@@ -341,15 +349,15 @@ def cmd_report(args) -> int:
     try:
         for path in summaries:
             data = json.loads(path.read_text())
-            legal = data.get("legality")
-            if legal is False:
+            legal = _verdict(data, "legality")
+            if not legal:
                 violations += 1
             lines.append(f"- game `{path.name}`: counted_total={data.get('counted_total')}, "
                          f"legality={legal}")
         for path in gap_files:
             data = json.loads(path.read_text())
             for rep in data.get("reports", []):
-                if not rep.get("ok", True):
+                if not _verdict(rep, "ok"):
                     violations += 1
                 lines.append(f"- gap `{rep['gap_id']}`: min={rep['min_gap']:.3e}, "
                              f"violations={rep['violations']}")

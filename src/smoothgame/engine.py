@@ -33,7 +33,6 @@ from .interpolation import (  # noqa: F401
     action_increment,
     error_power,
     eval_interpolant,
-    eval_interpolant_many,
 )
 from .learners import Learner, LinintLearner, ProtocolViolationError, StagedLearner
 from .schema import ACTION_Q, Choice, Count, ListOf, Options, Real, check, key, table
@@ -243,6 +242,8 @@ def run_standard_game(config: GameConfig) -> Transcript:
         if done(t):
             break
         x = next_query(t)
+        if not 0.0 <= x <= 1.0:  # NaN fails too
+            raise IllegalAdversaryError(f"trial {t}: query x={x} outside [0, 1]")
         counted = t >= uncounted
         try:
             i = locate(x)
@@ -278,8 +279,9 @@ def run_noisy_game(config: GameConfig) -> Transcript:
     Repeated queries are allowed here; several scripted adversaries rely on
     them. After the last trial the adversary's disclosure fixes lie flags
     and true values, the counted total is recomputed against ground truth,
-    and legality is certified. The witness is evaluated at every trial's x
-    once, and the records are built from those values.
+    and legality is certified. The witness is evaluated once at every
+    trial's x; each record's ``true_value`` holds that value, and the error
+    totals and ``verify_legality`` read it there.
     """
     if config.eta < 1:
         raise ValueError("noisy games require eta >= 1")
@@ -292,6 +294,8 @@ def run_noisy_game(config: GameConfig) -> Transcript:
         if done(t):
             break
         x = next_query(t)
+        if not 0.0 <= x <= 1.0:
+            raise IllegalAdversaryError(f"trial {t}: query x={x} outside [0, 1]")
         prediction = predict(x)
         y = reveal(x, prediction)
         observe(x, y)
@@ -305,7 +309,7 @@ def run_noisy_game(config: GameConfig) -> Transcript:
         raise IllegalAdversaryError(
             f"disclosure carries {len(flags)} lie flags for {n} trials"
         )
-    true_values = eval_interpolant_many(disclosure.truth, xs)
+    true_values = [eval_interpolant(disclosure.truth, x) for x in xs]
     p = config.p
     raw = [abs(v - w) for v, w in zip(predictions, true_values)]
     powers = [error_power(e, p) for e in raw]

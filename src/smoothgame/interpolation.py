@@ -14,10 +14,9 @@ round. The inequality searches keep their sets as padded numpy arrays.
 each find x's position in the set with one ``bisect_left``, check their
 arguments, and hand the position to a ``SampleSet`` method that does the
 arithmetic there (``eval_at``, ``reply_bounds``, ``increment_at``).
-``eval_interpolant_many`` evaluates at many x in one vector pass, bit for
-bit as ``eval_interpolant`` does at each. At q not in {1, 2, inf},
-``reply_bounds`` finds each end of the reply interval by doubling, then
-bisecting, the offset from the interpolant, at the position it was given.
+At q not in {1, 2, inf}, ``reply_bounds`` finds each end of the reply
+interval by doubling, then bisecting, the offset from the interpolant, at
+the position it was given.
 A game's three owners each grow a set one knot per round and each finds
 the round's query in it once: the referee with ``SampleSet.locate``,
 which also rejects a knot, the greedy adversary in its query chooser's
@@ -34,8 +33,6 @@ import math
 from bisect import bisect_left
 from operator import lt
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .schema import ACTION_Q
 
@@ -295,32 +292,6 @@ def eval_interpolant(s: SampleSet, x: float) -> float:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x={x} outside [0, 1]")
     return s.eval_at(bisect_left(s.us, x), x)
-
-
-def eval_interpolant_many(s: SampleSet, xs: Sequence[float]) -> list[float]:
-    """``eval_interpolant(s, x)`` for each x of ``xs``, bit for bit, in one vector pass.
-
-    Each value is ``eval_at``'s: the end values outside the knot span, a
-    knot's own value at a knot, and between knots
-    ``v0 + (x - u0) * (v1 - v0) / (u1 - u0)`` in that operation order, which
-    float64 arrays round as Python floats do. The first x outside [0, 1]
-    (NaN included) raises ``eval_interpolant``'s ``ValueError``.
-    """
-    x = np.asarray(xs, dtype=float)
-    outside = ~((0.0 <= x) & (x <= 1.0))
-    if outside.any():
-        raise ValueError(f"x={xs[int(np.argmax(outside))]} outside [0, 1]")
-    m = len(s.us)
-    if m == 0:
-        return [0.0] * len(x)
-    us, vs = np.array(s.us), np.array(s.vs)
-    i = np.searchsorted(us, x)
-    u1, v1 = us[np.minimum(i, m - 1)], vs[np.minimum(i, m - 1)]
-    u0, v0 = us[np.maximum(i - 1, 0)], vs[np.maximum(i - 1, 0)]
-    with np.errstate(all="ignore"):  # the ends divide 0 by 0; where drops them
-        between = v0 + (x - u0) * (v1 - v0) / (u1 - u0)
-    at_end = (i == 0) | (i == m)
-    return np.where(at_end | (u1 == x), v1, between).tolist()
 
 
 def error_power(e: float, p: float) -> float:

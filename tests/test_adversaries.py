@@ -377,36 +377,38 @@ class TestInsufficientInit:
 
 class TestVerifyLegality:
     class Rec:
-        def __init__(self, x, revealed):
+        # a record as run_noisy_game writes it: true_value is the witness at x
+        def __init__(self, x, revealed, truth):
             self.x = x
             self.revealed = revealed
+            self.true_value = eval_interpolant(truth, x)
 
     def test_infeasible_truth_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
-        trials = [self.Rec(0.0, 0.0), self.Rec(0.1, 1.0)]
         truth = SampleSet.from_pairs([(0.0, 0.0), (0.1, 1.0)])  # action 10 at q=2
+        trials = [self.Rec(0.0, 0.0, truth), self.Rec(0.1, 1.0, truth)]
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
 
     def test_overflowing_truth_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
-        trials = [self.Rec(0.0, 0.0), self.Rec(1e-150, 1.0), self.Rec(1.0, 0.0)]
         truth = SampleSet([0.0, 1e-150, 1.0], [0.0, 1.0, 0.0])  # slope^3 overflows
+        trials = [self.Rec(x, y, truth) for x, y in ((0.0, 0.0), (1e-150, 1.0), (1.0, 0.0))]
         assert not verify_legality(trials, Disclosure([False] * 3, truth), 1, 3.0)
 
     def test_lie_budget_overrun_rejected(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
-        trials = [self.Rec(0.0, 0.5), self.Rec(0.5, 0.5), self.Rec(1.0, 0.5)]
         truth = SampleSet.from_pairs([(0.5, 0.0)])
+        trials = [self.Rec(x, 0.5, truth) for x in (0.0, 0.5, 1.0)]
         assert not verify_legality(trials, Disclosure([True, True, False], truth), 1, 2.0)
 
     def test_truthful_reveal_must_match_witness(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
-        trials = [self.Rec(0.0, 0.2), self.Rec(1.0, 0.9)]
         truth = SampleSet.from_pairs([(0.0, 0.2), (1.0, 0.3)])
+        trials = [self.Rec(0.0, 0.2, truth), self.Rec(1.0, 0.9, truth)]
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
         assert verify_legality(trials, Disclosure([False, True], truth), 1, 2.0)
 
@@ -414,15 +416,15 @@ class TestVerifyLegality:
         from smoothgame.adversaries import Disclosure, verify_legality
 
         # abs(nan - v) > tol is False, so a NaN must fail the match by itself
-        trials = [self.Rec(0.0, 0.0), self.Rec(1.0, math.nan)]
         truth = SampleSet.from_pairs([(0.0, 0.0), (1.0, 0.5)])
+        trials = [self.Rec(0.0, 0.0, truth), self.Rec(1.0, math.nan, truth)]
         assert not verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
 
     def test_flag_count_must_match_trials(self):
         from smoothgame.adversaries import Disclosure, verify_legality
 
-        trials = [self.Rec(0.0, 0.2), self.Rec(1.0, 0.3)]
         truth = SampleSet.from_pairs([(0.0, 0.2), (1.0, 0.3)])
+        trials = [self.Rec(0.0, 0.2, truth), self.Rec(1.0, 0.3, truth)]
         assert verify_legality(trials, Disclosure([False, False], truth), 1, 2.0)
         assert not verify_legality(trials, Disclosure([False], truth), 1, 2.0)
         assert not verify_legality(trials, Disclosure([False, False, False], truth), 1, 2.0)

@@ -637,12 +637,17 @@ class TestReport:
     @pytest.mark.parametrize("name, text", [
         ("game_summary.json", "{not json"),
         ("game_summary.json", "[1, 2]"),
-        ("gap_reports.json", json.dumps({"reports": [{"min_gap": 0.0, "violations": 0}]})),
+        ("gap_reports.json", json.dumps({"reports": [
+            {"min_gap": 0.0, "violations": 0, "ok": True}]})),
         ("sweep_epsilon.csv", "epsilon,policy,seed,observed_total,bound,ratio\n"
                               "0.1,uniform-random,0,1.0,60.0,one\n"),
         ("sweep_eta.csv", ""),
+        # a verdict is a JSON boolean: the string "false" is truthy
+        ("gap_reports.json", json.dumps({"reports": [
+            {"gap_id": "out", "min_gap": -5.0, "violations": 3, "ok": "false"}]})),
+        ("game_summary.json", json.dumps({"counted_total": 5.0, "legality": "false"})),
     ], ids=["summary-not-json", "summary-a-list", "gap-without-id", "ratio-not-a-number",
-            "empty-sweep"])
+            "empty-sweep", "ok-not-a-bool", "legality-not-a-bool"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, name, text):
         data = tmp_path / "data"
         data.mkdir()

@@ -11,7 +11,9 @@ between keys, some key of the command. Exit 4 is allowed only with a greedy
 
 ``report`` gets the same contract for its inputs: generated summaries, gap
 reports and sweep CSVs that hold values of the wrong kinds end in exit 0, 1
-or 3 and no traceback, and exit 1 names a file.
+or 3 and no traceback, and exit 1 names a file. A verdict it reads (a
+summary's ``legality``, a gap entry's ``ok``) that is missing or not a
+boolean ends in exit 1.
 """
 
 import contextlib
@@ -143,36 +145,47 @@ SWEEPS = {
 def report_inputs(draw):
     """A summary, a gap report and a sweep CSV as ``report`` reads them, each
     of which may have one value replaced by one of a wrong kind, one key or
-    cell dropped, or be a value of a wrong kind as a whole."""
+    cell dropped, or be a value of a wrong kind as a whole. Returns the files
+    and whether a verdict ``report`` reads (a summary's ``legality``, a gap
+    entry's ``ok``) was dropped or is not a boolean."""
     wrong = st.sampled_from(WRONG_KINDS + ["", "x", -1, 2.5])
 
     def spoil(obj, keys):
+        # the key spoiled, or None
         how = draw(st.sampled_from(["keep", "replace", "drop"]))
-        if how != "keep":
-            key = draw(st.sampled_from(keys))
-            if how == "replace":
-                obj[key] = draw(wrong) if isinstance(obj, dict) else str(draw(wrong))
-            else:
-                del obj[key]
+        if how == "keep":
+            return None
+        key = draw(st.sampled_from(keys))
+        if how == "replace":
+            obj[key] = draw(wrong) if isinstance(obj, dict) else str(draw(wrong))
+        else:
+            del obj[key]
+        return key
 
     summary = {"counted_total": 0.5, "legality": True}
     entry = {"gap_id": "out", "min_gap": 0.1, "violations": 0, "ok": True}
     gaps = {"reports": [entry]}
-    for obj in (summary, entry, gaps):
-        spoil(obj, sorted(obj))
-    files = {name: json.dumps(draw(st.one_of(st.just(obj), wrong)))
-             for name, obj in (("game_summary.json", summary), ("gap_reports.json", gaps))}
+    spoiled = [spoil(obj, sorted(obj)) for obj in (summary, entry, gaps)]
+    written = {name: draw(st.one_of(st.just(obj), wrong))
+               for name, obj in (("game_summary.json", summary), ("gap_reports.json", gaps))}
+    files = {name: json.dumps(value) for name, value in written.items()}
+    bad_verdict = (
+        written["game_summary.json"] is summary and spoiled[0] == "legality"
+        and not isinstance(summary.get("legality"), bool)
+        or written["gap_reports.json"] is gaps and spoiled[2] is None and spoiled[1] == "ok"
+        and not isinstance(entry.get("ok"), bool))
     name = draw(st.sampled_from(sorted(SWEEPS)))
     header, row = (list(r) for r in SWEEPS[name])
     spoil(header, range(len(header)))
     spoil(row, range(len(row)))
     files[name] = draw(st.sampled_from(["", f"# comment\n{','.join(header)}\n{','.join(row)}\n"]))
-    return files
+    return files, bad_verdict
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(report_inputs())
-def test_report_inputs_of_wrong_kinds_exit_cleanly(files):
+def test_report_inputs_of_wrong_kinds_exit_cleanly(inputs):
+    files, bad_verdict = inputs
     with tempfile.TemporaryDirectory() as tmp:
         data = pathlib.Path(tmp) / "data"
         data.mkdir()
@@ -183,6 +196,6 @@ def test_report_inputs_of_wrong_kinds_exit_cleanly(files):
             code = main(["report", "--config", str(data), "--out", str(pathlib.Path(tmp) / "o")])
     err = err.getvalue()
     assert "Traceback" not in err
-    assert code in (0, 1, 3), (code, err)
+    assert code in ((1,) if bad_verdict else (0, 1, 3)), (code, err)
     if code == 1:
         assert err.startswith("config error: ") and any(name in err for name in files), err

@@ -794,3 +794,84 @@ class TestDisclosureLength:
                                  adversary="short-liar", seed=3)
         with pytest.raises(IllegalAdversaryError, match="10 lie flags for 200 trials"):
             run_noisy_game(config)
+
+
+
+class MovedWitnessLiar(ScriptedLiar):
+    """A ``ScriptedLiar`` whose witness moves the value of its truthful move
+    at ``moved`` by ``shift``, so that the witness misses that revelation."""
+
+    def __init__(self, moves, lies, moved, shift):
+        super().__init__(moves, lies)
+        self.moved, self.shift = moved, shift
+
+    def finalize(self):
+        disc = super().finalize()
+        truth = dict(disc.truth)
+        truth[self.moves[self.moved][0]] += self.shift
+        return Disclosure(disc.lie_flags, SampleSet.from_pairs(truth.items()))
+
+
+register_adversary("test-moved-witness", lambda cfg, **options: MovedWitnessLiar(**options),
+                   {"moves": (ListOf(ListOf(Real(None))), REQUIRED),
+                    "lies": (ListOf(Count(0)), REQUIRED),
+                    "moved": (Count(0), REQUIRED), "shift": (Real(None), REQUIRED)})
+
+# three truthful moves, then a lie at x = 0.75; moving the value at x = 0.0
+# by 0.5 leaves the witness's action at 0.5 at q = 2, within the budget
+WITNESS_MOVES = ((0.5, 0.0), (1.0, 0.0), (0.0, 0.0), (0.75, 0.3))
+
+
+class TestWitnessMatch:
+    """The disclosed witness must meet every truthful revelation within 1e-9."""
+
+    @pytest.mark.parametrize("shift, legal", [(1e-10, True), (0.5, False)])
+    def test_run_noisy_game(self, shift, legal):
+        tr = run_noisy_game(cfg(eta=1, rounds=4, adversary="test-moved-witness", adversary_options={
+            "moves": WITNESS_MOVES, "lies": [3], "moved": 2, "shift": shift}))
+        assert tr.legality is legal
+        assert tr.trials[2].true_value == shift and tr.trials[2].revealed == 0.0
+        assert verify_transcript_legality(tr) is legal
+
+    @pytest.mark.parametrize("shift, code", [(1e-10, 0), (0.5, 2)])
+    def test_simulate(self, tmp_path, capsys, shift, code):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "p": 2, "q": 2, "eta": 1, "rounds": 4, "learner": "linint",
+            "adversary": "test-moved-witness", "adversary_options": {
+                "moves": WITNESS_MOVES, "lies": [3], "moved": 2, "shift": shift}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        summary = json.loads((out / "game_summary.json").read_text())
+        assert summary["legality"] is (code == 0)
+        if code:
+            assert "failed post-hoc legality certification" in capsys.readouterr().err
+
+
+class OffDomainQuery(GreedyAdversary):
+    """A random-query greedy adversary that asks ``x`` at trial 5."""
+
+    def __init__(self, cfg, x):
+        super().__init__(cfg.q, GreedyConfig(query_policy="uniform-random"), seed=cfg.seed,
+                         eta=cfg.eta, rounds=cfg.rounds)
+        self.x = x
+
+    def next_query(self, t):
+        return self.x if t == 5 else super().next_query(t)
+
+
+register_adversary("test-off-domain", OffDomainQuery, {"x": (Real(None), REQUIRED)})
+
+
+@pytest.mark.parametrize("x", [1.5, -0.25, math.nan])
+@pytest.mark.parametrize("learner, eta", [("staged", 2), ("linint", 1), ("linint", 0)])
+def test_query_outside_the_domain_is_illegal_exit_2(tmp_path, capsys, learner, eta, x):
+    # the referee checks each query before any player sees it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"p": 2, "q": 2, "eta": eta, "rounds": 10, "learner": learner,
+                                  "adversary": "test-off-domain", "adversary_options": {"x": x}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"adversary illegality: trial 5: query x={x} outside [0, 1]\n"
+    assert not out.exists()

@@ -117,8 +117,10 @@ class TestEval:
         assert eval_interpolant(SampleSet(), 0.4) == 0.0
 
     def test_domain_check(self):
-        with pytest.raises(ValueError):
-            eval_interpolant(SampleSet(), 1.2)
+        # NaN fails the range test too
+        for x, text in ((1.2, "1.2"), (-1e-300, "-1e-300"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^x={text} outside \[0, 1\]$"):
+                eval_interpolant(S((0.3, 0.7)), x)
 
     def test_knots_exact(self):
         rng = np.random.default_rng(0)

@@ -15,7 +15,6 @@ from smoothgame.interpolation import (  # noqa: E402
     SampleSet,
     action_increment,
     eval_interpolant,
-    eval_interpolant_many,
     feasible_reply_interval,
     q_action,
 )
@@ -315,53 +314,3 @@ def test_q2_centre_is_eval_interpolant_bit_for_bit():
             y = float(rng.uniform(-2.0, 2.0))
             for q in (1.5, 2.0, math.inf):
                 assert action_increment(s, x, y, q) == _reference_increment(s, x, y, q)
-
-
-@st.composite
-def many_eval_inputs(draw):
-    # an empty, one-knot or 2-64-knot set and queries on its knots, left of,
-    # right of and inside its span, at times one outside [0, 1] or NaN
-    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 64)))
-    us = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))))
-    vs = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(us), max_size=len(us)))
-    where = [st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0])]
-    if us:
-        where += [st.sampled_from(us), st.floats(0.0, us[0]), st.floats(us[-1], 1.0)]
-    xs = draw(st.lists(st.one_of(where), max_size=40))
-    if draw(st.booleans()):
-        bad = draw(st.sampled_from([math.nan, -1e-300, 1.0 + 2.0 ** -52, -2.0, 3.0, math.inf]))
-        xs.insert(draw(st.integers(0, len(xs))), bad)
-    return SampleSet(us, vs), xs
-
-
-def _each(s, xs):
-    # eval_interpolant one x at a time: the values' reprs (bit-exact, -0.0
-    # apart from 0.0), or the first error's type and message
-    try:
-        return [repr(eval_interpolant(s, x)) for x in xs]
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=400, deadline=None)
-@given(many_eval_inputs())
-def test_eval_interpolant_many_is_eval_interpolant_bit_for_bit(inputs):
-    s, xs = inputs
-    try:
-        got = eval_interpolant_many(s, xs)
-    except ValueError as exc:
-        assert _each(s, xs) == (type(exc), str(exc))
-    else:
-        assert all(type(v) is float for v in got)
-        assert [repr(v) for v in got] == _each(s, xs)
-
-
-def test_eval_interpolant_many_between_knots_bit_for_bit():
-    # another operation order differs in a small share of cases between
-    # knots, so many are checked
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        us = np.unique(rng.uniform(0.0, 1.0, int(rng.integers(2, 65))))
-        s = SampleSet(us, rng.uniform(-1.0, 1.0, len(us)))
-        xs = rng.uniform(0.0, 1.0, 100).tolist()
-        assert eval_interpolant_many(s, xs) == [eval_interpolant(s, x) for x in xs]
