@@ -10,8 +10,10 @@ unit action budget.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -96,78 +98,46 @@ def van_der_corput(i: int) -> float:
     return int(format(n, "b")[::-1], 2) / (1 << n.bit_length())
 
 
-class _Uniforms:
-    """``rng``'s uniform doubles one at a time, drawn ``BLOCK`` at a time.
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniform doubles one at a time, drawn 256 at a time.
 
-    ``rng.random(size=n)`` gives the n doubles that n calls of
-    ``rng.random()`` would, so a game reads the same stream, and a game of
-    a few rounds draws at most ``BLOCK`` doubles ahead.
+    ``rng.random(n)`` gives the n doubles that n calls of ``rng.random()``
+    would, so a game reads the same stream, and a game of a few rounds
+    draws at most 256 doubles ahead.
     """
-
-    BLOCK = 256
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block: list[float] = []
-        self._pos = 0
-
-    def next(self) -> float:
-        pos = self._pos
-        if pos == len(self._block):
-            self._block, pos = self._rng.random(self.BLOCK).tolist(), 0
-        self._pos = pos + 1
-        return self._block[pos]
+    while True:
+        yield from rng.random(256).tolist()
 
 
-class _QueryChooser:
-    """Query selection for the greedy adversary.
-
-    ``choose`` is passed the adversary's truth set and returns an x that is
-    not a knot of it, with its position ``bisect_left(us, x)`` from the test
-    for a knot; every policy skips known x. The widest-gap heap starts
-    with the gap (0, 1) and splits each gap at its midpoint when popped,
-    whether or not that midpoint is already a knot. A ``sequence`` is read
-    only by the fixed-sequence policy, and any other policy rejects one.
-    """
-
-    def __init__(self, policy: str, uniforms: _Uniforms, sequence=None):
-        if sequence is not None and policy != "fixed-sequence":
-            raise ValueError(
-                f"option 'sequence' needs query_policy 'fixed-sequence', not {policy!r}"
-            )
-        self.sequence = list(sequence) if sequence is not None else None
-        self._seq_pos = 0
-        self._vdc_pos = 0
-        self._gap_heap: list[tuple[float, float, float]] = [(-1.0, 0.0, 1.0)]
-        self._candidate = {"widest-gap-midpoint": self._widest_gap_midpoint,
-                           "uniform-random": uniforms.next,
-                           "fixed-sequence": self._next_in_sequence}[policy]
-
-    def choose(self, s: SampleSet) -> tuple[float, int]:
-        us = s.us
-        while True:
-            x = self._candidate()
-            i = bisect_left(us, x)
-            if i == len(us) or us[i] != x:
-                return x, i
-
-    def _widest_gap_midpoint(self) -> float:
-        _, a, b = heapq.heappop(self._gap_heap)
+def _widest_gap_midpoints() -> Iterator[float]:
+    # the heap starts with the gap (0, 1) and splits each gap at its midpoint
+    # when popped, whether or not that midpoint is already a knot
+    heap = [(-1.0, 0.0, 1.0)]
+    while True:
+        _, a, b = heapq.heappop(heap)
         x = 0.5 * (a + b)
-        heapq.heappush(self._gap_heap, (-(x - a), a, x))
-        heapq.heappush(self._gap_heap, (-(b - x), x, b))
-        return x
+        heapq.heappush(heap, (-(x - a), a, x))
+        heapq.heappush(heap, (-(b - x), x, b))
+        yield x
 
-    def _next_in_sequence(self) -> float:
-        if self.sequence is not None:
-            if self._seq_pos >= len(self.sequence):
-                raise ValueError("fixed query sequence exhausted")
-            x = float(self.sequence[self._seq_pos])
-            self._seq_pos += 1
-            return x
-        x = van_der_corput(self._vdc_pos)
-        self._vdc_pos += 1
-        return x
+
+def _candidates(policy: str, uniforms: Iterator[float], sequence) -> Iterator[float]:
+    """The greedy adversary's query candidates under ``policy``, knots included.
+
+    A ``sequence`` is read only by the fixed-sequence policy, and any other
+    policy rejects one here, before the first query.
+    """
+    if sequence is not None and policy != "fixed-sequence":
+        raise ValueError(
+            f"option 'sequence' needs query_policy 'fixed-sequence', not {policy!r}"
+        )
+    if policy == "uniform-random":
+        return uniforms
+    if policy == "widest-gap-midpoint":
+        return _widest_gap_midpoints()
+    if sequence is None:
+        return map(van_der_corput, itertools.count())
+    return map(float, list(sequence))
 
 
 class GreedyAdversary:
@@ -179,17 +149,18 @@ class GreedyAdversary:
     instead. With ``eta = 0`` (the default) every revelation is true and
     this is the standard-model adversary. The truth set is a ``SampleSet``
     grown in place; ``finalize`` discloses a copy of it for actual-error
-    accounting. ``next_query`` keeps the position its chooser found the
-    query at, and ``reveal`` uses it for the interval, the increment and the
-    insert when x is that query and the truth set has not grown since;
-    otherwise it finds x with ``SampleSet.locate``. So a round finds its
-    query in the truth set once.
+    accounting. ``next_query`` reads the policy's candidates in order and
+    skips each knot with one ``bisect_left``; it keeps the position of the
+    query it returns, and ``reveal`` uses it for the interval, the increment
+    and the insert when x is that query and the truth set has not grown
+    since; otherwise it finds x with ``SampleSet.locate``. So a round finds
+    its query in the truth set once.
 
     Random draws come from one generator seeded by ``seed``, in this order:
     the lie schedule (only when ``eta > 0``), then, in the order the game
     asks for them, the queries (a redraw for a query on a knot) and a sign
-    at each lie, read from blocks. So an ``eta = 0`` liar plays the same
-    game as the truthful adversary.
+    at each lie, read from ``_uniforms``, one stream drawn 256 at a time.
+    So an ``eta = 0`` liar plays the same game as the truthful adversary.
     """
 
     def __init__(
@@ -212,8 +183,8 @@ class GreedyAdversary:
         if eta > 0:
             draws = rng.choice(rounds, size=min(eta, rounds), replace=False)
             self._lie_trials = set(int(i) for i in draws)
-        self._uniforms = _Uniforms(rng)
-        self._chooser = _QueryChooser(self.cfg.query_policy, self._uniforms, sequence)
+        self._uniforms = _uniforms(rng)
+        self._candidates = _candidates(self.cfg.query_policy, self._uniforms, sequence)
         self.truth_set = SampleSet()
         self._action = 0.0
         self._lies: list[bool] = []
@@ -221,10 +192,13 @@ class GreedyAdversary:
         self._asked: tuple[float, int, int] | None = None
 
     def next_query(self, t: int) -> float:
-        s = self.truth_set
-        x, i = self._chooser.choose(s)
-        self._asked = (x, i, len(s.us))
-        return x
+        us = self.truth_set.us
+        for x in self._candidates:
+            i = bisect_left(us, x)
+            if i == len(us) or us[i] != x:
+                self._asked = (x, i, len(us))
+                return x
+        raise ValueError("fixed query sequence exhausted")
 
     def reveal(self, x: float, prediction: float) -> float:
         s, q, cfg = self.truth_set, self.q, self.cfg
@@ -240,7 +214,7 @@ class GreedyAdversary:
         lie = len(self._lies) in self._lie_trials and self.lie_magnitude > 0.0
         self._lies.append(lie)
         if lie:
-            sign = 1.0 if self._uniforms.next() < 0.5 else -1.0
+            sign = 1.0 if next(self._uniforms) < 0.5 else -1.0
             return y + sign * self.lie_magnitude
         return y
 

@@ -114,9 +114,14 @@ def _bound_violations(header: list[str], rows: list[list]) -> int:
     """Broken certified bounds in a sweep table; empty cells carry no bound.
 
     Cells may be numbers or the text a CSV reader returns. A NaN total or
-    ratio breaks every bound it is checked against.
+    ratio breaks every bound it is checked against. A table with neither a
+    ``ratio`` column nor all of ``observed_total``, ``forced_lower_bound``
+    and ``upper_bound`` holds no bound to check, and is a ``ValueError``.
     """
     col = {name: i for i, name in enumerate(header)}
+    totals = {"observed_total", "forced_lower_bound", "upper_bound"}
+    if "ratio" not in col and not totals <= col.keys():
+        raise ValueError(f"no bound columns in header {header}")
     bad = 0
     for r in rows:
         ratio = r[col["ratio"]] if "ratio" in col else ""
@@ -356,7 +361,10 @@ def cmd_report(args) -> int:
                          f"legality={legal}")
         for path in gap_files:
             data = json.loads(path.read_text())
-            for rep in data.get("reports", []):
+            reports = data["reports"]
+            if not isinstance(reports, list):
+                raise TypeError(f"reports must be a list, got {reports!r}")
+            for rep in reports:
                 if not _verdict(rep, "ok"):
                     violations += 1
                 lines.append(f"- gap `{rep['gap_id']}`: min={rep['min_gap']:.3e}, "

@@ -19,12 +19,12 @@ interval by doubling, then bisecting, the offset from the interpolant, at
 the position it was given.
 A game's three owners each grow a set one knot per round and each finds
 the round's query in it once: the referee with ``SampleSet.locate``,
-which also rejects a knot, the greedy adversary in its query chooser's
-test for a knot, and a learner in ``predict`` (a staged learner's
-unbanded round in ``observe``). Each passes that position to its
-round's interval, increment, ``eval_at`` and ``add_at``. A position holds
-only until the set next grows, so an owner that keeps one between calls
-checks that the set has not grown before it reuses it.
+which also rejects a knot, the greedy adversary in ``next_query``'s
+candidate loop, which skips a knot, and a learner in ``predict`` (a
+staged learner's unbanded round in ``observe``). Each passes that
+position to its round's interval, increment, ``eval_at`` and ``add_at``.
+A position holds only until the set next grows, so an owner that keeps
+one between calls checks that the set has not grown before it reuses it.
 """
 
 from __future__ import annotations

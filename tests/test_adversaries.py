@@ -100,8 +100,15 @@ class TestGreedyAdversary:
         adv = GreedyAdversary(2.0, GreedyConfig(query_policy="fixed-sequence"), sequence=[0.3, 0.6])
         for t in range(2):
             adv.reveal(adv.next_query(t), 0.0)
-        with pytest.raises(ValueError, match="fixed query sequence exhausted"):
-            adv.next_query(2)
+        # an exhausted sequence stays exhausted: every later call raises again
+        for t in (2, 3):
+            with pytest.raises(ValueError, match="fixed query sequence exhausted"):
+                adv.next_query(t)
+
+    def test_a_sequence_needs_the_fixed_sequence_policy(self):
+        # rejected when the adversary is built, before the first query
+        with pytest.raises(ValueError, match="option 'sequence' needs query_policy"):
+            GreedyAdversary(2.0, GreedyConfig(), sequence=[0.5])
 
     def test_finalize_discloses_a_snapshot(self):
         adv = GreedyAdversary(2.0, RANDOM_QUERIES, seed=2)

@@ -646,8 +646,13 @@ class TestReport:
         ("gap_reports.json", json.dumps({"reports": [
             {"gap_id": "out", "min_gap": -5.0, "violations": 3, "ok": "false"}]})),
         ("game_summary.json", json.dumps({"counted_total": 5.0, "legality": "false"})),
+        # a file that holds nothing report checks does not pass
+        ("gap_reports.json", json.dumps({"reports": ""})),
+        ("gap_reports.json", json.dumps({"tool": "x"})),
+        ("sweep_x.csv", "x,y\n1,2\n"),
     ], ids=["summary-not-json", "summary-a-list", "gap-without-id", "ratio-not-a-number",
-            "empty-sweep", "ok-not-a-bool", "legality-not-a-bool"])
+            "empty-sweep", "ok-not-a-bool", "legality-not-a-bool", "reports-not-a-list",
+            "no-reports", "sweep-without-bounds"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, name, text):
         data = tmp_path / "data"
         data.mkdir()

@@ -146,8 +146,9 @@ def report_inputs(draw):
     """A summary, a gap report and a sweep CSV as ``report`` reads them, each
     of which may have one value replaced by one of a wrong kind, one key or
     cell dropped, or be a value of a wrong kind as a whole. Returns the files
-    and whether a verdict ``report`` reads (a summary's ``legality``, a gap
-    entry's ``ok``) was dropped or is not a boolean."""
+    and whether ``report`` must reject them: a verdict it reads (a summary's
+    ``legality``, a gap entry's ``ok``) was dropped or is not a boolean, the
+    gap report holds no list ``reports``, or the sweep lost a bound column."""
     wrong = st.sampled_from(WRONG_KINDS + ["", "x", -1, 2.5])
 
     def spoil(obj, keys):
@@ -169,23 +170,26 @@ def report_inputs(draw):
     written = {name: draw(st.one_of(st.just(obj), wrong))
                for name, obj in (("game_summary.json", summary), ("gap_reports.json", gaps))}
     files = {name: json.dumps(value) for name, value in written.items()}
-    bad_verdict = (
+    must_reject = (
         written["game_summary.json"] is summary and spoiled[0] == "legality"
         and not isinstance(summary.get("legality"), bool)
         or written["gap_reports.json"] is gaps and spoiled[2] is None and spoiled[1] == "ok"
-        and not isinstance(entry.get("ok"), bool))
+        and not isinstance(entry.get("ok"), bool)
+        or written["gap_reports.json"] is not gaps or not isinstance(gaps.get("reports"), list))
     name = draw(st.sampled_from(sorted(SWEEPS)))
     header, row = (list(r) for r in SWEEPS[name])
     spoil(header, range(len(header)))
     spoil(row, range(len(row)))
     files[name] = draw(st.sampled_from(["", f"# comment\n{','.join(header)}\n{','.join(row)}\n"]))
-    return files, bad_verdict
+    must_reject = must_reject or "ratio" not in header and not {
+        "observed_total", "forced_lower_bound", "upper_bound"} <= set(header)
+    return files, must_reject
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(report_inputs())
 def test_report_inputs_of_wrong_kinds_exit_cleanly(inputs):
-    files, bad_verdict = inputs
+    files, must_reject = inputs
     with tempfile.TemporaryDirectory() as tmp:
         data = pathlib.Path(tmp) / "data"
         data.mkdir()
@@ -196,6 +200,6 @@ def test_report_inputs_of_wrong_kinds_exit_cleanly(inputs):
             code = main(["report", "--config", str(data), "--out", str(pathlib.Path(tmp) / "o")])
     err = err.getvalue()
     assert "Traceback" not in err
-    assert code in ((1,) if bad_verdict else (0, 1, 3)), (code, err)
+    assert code in ((1,) if must_reject else (0, 1, 3)), (code, err)
     if code == 1:
         assert err.startswith("config error: ") and any(name in err for name in files), err

@@ -1,14 +1,20 @@
-"""The README's bounds, claims table, tolerance table and player options against the code."""
+"""The README's bounds, claims table, tolerance table, player options and
+dotted code names against the code."""
 
+import functools
 import importlib
 import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
 
+import numpy as np
+
+import smoothgame
 from smoothgame.cli import CERTIFIED_BOUNDS
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -110,3 +116,47 @@ def test_readme_cache_bounds_are_the_code_s():
     assert total and level
     assert 2 ** int(total.group(1)) == bernstein._CACHE_ENTRIES
     assert 2 ** int(level.group(1)) == bernstein._LEVEL_RULE_ENTRIES
+
+
+FILE_SUFFIXES = (".json", ".csv", ".py", ".toml")
+
+
+def code_namespace() -> dict:
+    """The first parts a README dotted name may start with: the package, its
+    modules, the classes they define, and ``np``."""
+    names = {"smoothgame": smoothgame, "np": np}
+    for info in pkgutil.iter_modules(smoothgame.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"smoothgame.{info.name}")
+        names[info.name] = module
+        names.update((k, v) for k, v in vars(module).items()
+                     if inspect.isclass(v) and v.__module__ == module.__name__)
+    return names
+
+
+def stale_names(text: str, namespace: dict) -> list[str]:
+    """Backticked dotted names in ``text`` that do not resolve by ``getattr``
+    from ``namespace``; file names are skipped."""
+    stale = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text):
+        if name.endswith(FILE_SUFFIXES):
+            continue
+        first, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, namespace[first])
+        except (KeyError, AttributeError):
+            stale.append(name)
+    return stale
+
+
+def test_readme_code_names_resolve():
+    assert stale_names(README.read_text(), code_namespace()) == []
+
+
+def test_the_code_name_guard_on_a_toy_string():
+    toy = ("`bernstein.ROOT_WIDTH` and `SampleSet.locate` resolve, `sweep_eta.csv` is a "
+           "file, `np.interp` is numpy's; `adversaries._QueryChooser`, `SampleSet.gone` "
+           "and `_Uniforms.next` name nothing, and `x.y` neither.")
+    assert stale_names(toy, code_namespace()) == [
+        "adversaries._QueryChooser", "SampleSet.gone", "_Uniforms.next", "x.y"]

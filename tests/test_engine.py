@@ -725,8 +725,8 @@ class TestGoldenTranscripts:
         assert h.hexdigest() == "6784ee407f97812978b8282f8190fe57414eda8bcec9a4d0da44415403b106d5"
 
     def test_answer_known_repeating_sequence(self):
-        # every other entry repeats an earlier one, so the query chooser
-        # skips it and the game takes each distinct x in order
+        # every other entry repeats an earlier one, so the adversary's
+        # candidate loop skips it and the game takes each distinct x in order
         xs = [(2 * k + 1) / 64 for k in range(32)]
         seq = [u for k in range(32) for u in (xs[k], xs[k // 2])]
         tr = run_game(cfg(p=1.1, q=1.1, rounds=32, duplicate_policy="answer-known",
